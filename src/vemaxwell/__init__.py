@@ -10,29 +10,29 @@ divergence at round-off level for all times.
 
 from .cases import ErrorReport, ManufacturedCase, case1, case2, l2_error, strong_form_residual
 from .derham import (DeRhamDofs, ElementProjectors, IncidenceOps, build_dofs,
-                     build_incidence, build_projectors, interpolate_edge,
-                     interpolate_face, interpolate_node)
+                     build_incidence, build_projectors, divergence_norm,
+                     interpolate_edge, interpolate_face, interpolate_node)
 from .forms import CoefficientSet, StabWeights, sample_coefficients
-from .geometry import CellGeometry, FaceGeometry, QuadratureRule
-from .linalg import SolveReport, SparseMatrix, cg_solve, spmv
+from .geometry import QuadratureRule
+from .linalg import SolveReport, SparseMatrix, cg_solve
 from .mesh import (MeshError, MeshFormatError, MeshGeometryError, MeshStats,
                    MeshTopologyError, PolyMesh, ValidationReport,
                    derive_topology, generate_cube_mesh, load_mesh, mesh_stats,
                    save_mesh, validate_mesh)
-from .stepper import RunResult, SimulationState, StepOperators, divergence_norm, run
+from .stepper import RunResult, SimulationState, StepOperators, run
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CellGeometry", "CoefficientSet", "DeRhamDofs", "ElementProjectors",
-    "ErrorReport", "FaceGeometry", "IncidenceOps", "ManufacturedCase",
-    "MeshError", "MeshFormatError", "MeshGeometryError", "MeshStats",
-    "MeshTopologyError", "PolyMesh", "QuadratureRule", "RunResult",
-    "SimulationState", "SolveReport", "SparseMatrix", "StabWeights",
-    "StepOperators", "ValidationReport", "build_dofs", "build_incidence",
+    "CoefficientSet", "DeRhamDofs", "ElementProjectors", "ErrorReport",
+    "IncidenceOps", "ManufacturedCase", "MeshError", "MeshFormatError",
+    "MeshGeometryError", "MeshStats", "MeshTopologyError", "PolyMesh",
+    "QuadratureRule", "RunResult", "SimulationState", "SolveReport",
+    "SparseMatrix", "StabWeights", "StepOperators", "ValidationReport",
+    "build_dofs", "build_incidence",
     "build_projectors", "case1", "case2", "cg_solve", "derive_topology",
     "divergence_norm", "generate_cube_mesh", "interpolate_edge",
     "interpolate_face", "interpolate_node", "l2_error", "load_mesh",
-    "mesh_stats", "run", "sample_coefficients", "save_mesh", "spmv",
+    "mesh_stats", "run", "sample_coefficients", "save_mesh",
     "strong_form_residual", "validate_mesh",
 ]

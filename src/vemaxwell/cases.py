@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 import sympy as sp
 
-from .derham import DeRhamDofs, ElementProjectors
+from .derham import DeRhamDofs, ElementProjectors, divergence_matrix, divergence_norm
 from .geometry import cell_quadrature
 from .mesh import PolyMesh
 
@@ -211,20 +211,16 @@ def l2_error(mesh: PolyMesh, dofs: DeRhamDofs, projectors: ElementProjectors,
     t0 = time.perf_counter()
     err_e_sq = 0.0
     err_b_sq = 0.0
-    div_sq = 0.0
     for k in range(mesh.n_cells):
         pe = projectors.edge_cell[k] @ e_full[mesh.cell_edges[k]]
         pb = projectors.face_cell[k] @ b_full[mesh.cell_faces[k]]
         rule = cell_quadrature(mesh, k, degree)
         err_e_sq += rule.weights @ ((case.E(rule.points, t) - pe) ** 2).sum(axis=1)
         err_b_sq += rule.weights @ ((case.B(rule.points, t) - pb) ** 2).sum(axis=1)
-        fids = mesh.cell_faces[k]
-        flux = (mesh.cell_face_signs[k] * mesh.face_areas[fids] * b_full[fids]).sum()
-        div_sq += (flux / mesh.cell_volumes[k]) ** 2 * mesh.cell_volumes[k]
     return ErrorReport(
         err_E=float(np.sqrt(err_e_sq)),
         err_B=float(np.sqrt(err_b_sq)),
-        div_B=float(np.sqrt(div_sq)),
+        div_B=divergence_norm(mesh, divergence_matrix(mesh), b_full),
         h=mesh.h,
         n_edge_dofs=dofs.n_interior_edges,
         n_face_dofs=dofs.n_interior_faces,

@@ -38,7 +38,6 @@ class RunConfig:
     tol: float = 1e-12
     out: str | None = None
     monitors: str | None = None
-    levels: int = 1
     grid: bool = False
 
     def __post_init__(self):
@@ -231,8 +230,7 @@ def main(argv=None) -> int:
         config = RunConfig(mesh_source=mesh_source, case_id=args.case, tau=tau,
                            T=args.T, eta_edge=args.eta_edge,
                            eta_face=args.eta_face, tol=args.tol, out=args.out,
-                           monitors=args.monitors, levels=args.levels,
-                           grid=args.grid)
+                           monitors=args.monitors, grid=args.grid)
         if args.levels >= 2 or sources is not None:
             levels = args.levels if args.levels >= 2 else len(sources)
             report = run_convergence(config, levels, mesh_sources=sources)

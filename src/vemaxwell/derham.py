@@ -127,6 +127,13 @@ def divergence_matrix(mesh: PolyMesh) -> sps.csr_matrix:
     )
 
 
+def divergence_norm(mesh: PolyMesh, d: sps.csr_matrix, b_full: np.ndarray) -> float:
+    """L2 norm of the cellwise constant divergence D b of a face function:
+    sqrt(sum_K |K| (D b)_K^2), with ``d`` from ``divergence_matrix``."""
+    div = d @ b_full
+    return float(np.sqrt(mesh.cell_volumes @ div**2))
+
+
 @dataclass(frozen=True)
 class IncidenceOps:
     G: sps.csr_matrix

@@ -135,13 +135,15 @@ def local_face_mass(mesh: PolyMesh, k: int, projectors: ElementProjectors,
 def assemble_global(mesh: PolyMesh, dofs: DeRhamDofs, cell_weights,
                     kind: str, projectors: ElementProjectors,
                     stab: StabWeights = StabWeights(),
-                    restrict: bool = True) -> sps.csr_matrix:
+                    restrict=True):
     """Sum the weighted local products into a global sparse matrix.
 
     ``cell_weights`` is a per-cell array (e.g. sampled permittivity, or
-    reciprocal permeability for the face product).  With ``restrict`` the
-    rows/columns of constrained boundary DOFs are eliminated; pass
-    ``restrict=False`` for the no-boundary-condition matrix.
+    reciprocal permeability for the face product), or a stack of them;
+    a stack returns one matrix per row, all weighting the same single
+    pass of local products.  With ``restrict`` (one flag, or one per
+    row) the rows/columns of constrained boundary DOFs are eliminated;
+    pass ``restrict=False`` for the no-boundary-condition matrix.
 
     Local matrices are symmetric entry-for-entry and triplets are emitted
     cell by cell, so the assembled matrix is exactly symmetric.
@@ -149,29 +151,28 @@ def assemble_global(mesh: PolyMesh, dofs: DeRhamDofs, cell_weights,
     if kind not in ("edge", "face"):
         raise ValueError("kind must be 'edge' or 'face'")
     weights = np.asarray(cell_weights, dtype=float)
-    if weights.shape != (mesh.n_cells,):
+    if weights.ndim not in (1, 2) or weights.shape[-1] != mesh.n_cells:
         raise ValueError("one weight per cell expected")
+    if kind == "edge":
+        local, eta, gids = local_edge_mass, stab.eta_edge, mesh.cell_edges
+        n, keep = dofs.n_edges, dofs.interior_edges
+    else:
+        local, eta, gids = local_face_mass, stab.eta_face, mesh.cell_faces
+        n, keep = dofs.n_faces, dofs.interior_faces
 
-    rows, cols, vals = [], [], []
-    for k in range(mesh.n_cells):
-        if kind == "edge":
-            local = local_edge_mass(mesh, k, projectors, stab.eta_edge).matrix
-            gids = mesh.cell_edges[k]
-        else:
-            local = local_face_mass(mesh, k, projectors, stab.eta_face).matrix
-            gids = mesh.cell_faces[k]
-        r, c = np.meshgrid(gids, gids, indexing="ij")
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        vals.append((weights[k] * local).ravel())
+    vals = np.concatenate([local(mesh, k, projectors, eta).matrix.ravel()
+                           for k in range(mesh.n_cells)])
+    rows = np.concatenate([np.repeat(g, g.size) for g in gids])
+    cols = np.concatenate([np.tile(g, g.size) for g in gids])
+    block_sizes = np.array([g.size**2 for g in gids])
 
-    n = dofs.n_edges if kind == "edge" else dofs.n_faces
-    mat = sps.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
-    if restrict:
-        keep = dofs.interior_edges if kind == "edge" else dofs.interior_faces
-        mat = mat[keep][:, keep].tocsr()
-    mat.sort_indices()
-    return mat
+    mats = []
+    stack = np.atleast_2d(weights)
+    for w, cut in zip(stack, np.broadcast_to(restrict, len(stack))):
+        mat = sps.coo_matrix((vals * np.repeat(w, block_sizes), (rows, cols)),
+                             shape=(n, n)).tocsr()
+        if cut:
+            mat = mat[keep][:, keep].tocsr()
+        mat.sort_indices()
+        mats.append(mat)
+    return mats if weights.ndim == 2 else mats[0]

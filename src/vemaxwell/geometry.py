@@ -1,4 +1,4 @@
-"""Element geometry views and quadrature on edges, polygonal faces and cells.
+"""Quadrature on segments, polygonal faces and polyhedral cells.
 
 Face rules fan-triangulate about the vertex mean with signed panels, so
 mildly nonconvex (star-shaped) faces integrate exactly; cell rules stack
@@ -17,28 +17,8 @@ from .mesh import PolyMesh
 # Degrees used when the caller does not ask for anything specific.  They
 # keep quadrature error far below the O(h) discretization error measured
 # by the convergence harness.
-DEFAULT_EDGE_DEGREE = 7
 DEFAULT_FACE_DEGREE = 4
 DEFAULT_CELL_DEGREE = 4
-
-
-@dataclass(frozen=True)
-class FaceGeometry:
-    """Measure, centroid, normal, diameter and an orthonormal in-plane frame."""
-
-    area: float
-    centroid: np.ndarray
-    normal: np.ndarray
-    diameter: float
-    frame_u: np.ndarray
-    frame_v: np.ndarray
-
-
-@dataclass(frozen=True)
-class CellGeometry:
-    volume: float
-    centroid: np.ndarray
-    diameter: float
 
 
 @dataclass(frozen=True)
@@ -48,32 +28,6 @@ class QuadratureRule:
     points: np.ndarray   # (m, 3)
     weights: np.ndarray  # (m,)
     degree: int
-
-
-def face_geometry(mesh: PolyMesh, f: int) -> FaceGeometry:
-    """Geometry of face f; the frame satisfies frame_u x frame_v = normal."""
-    n = mesh.face_normals[f]
-    pts = mesh.vertices[mesh.faces[f]]
-    chord = pts[1] - pts[0]
-    u = chord - (chord @ n) * n
-    u = u / np.linalg.norm(u)
-    v = np.cross(n, u)
-    return FaceGeometry(
-        area=float(mesh.face_areas[f]),
-        centroid=mesh.face_centroids[f].copy(),
-        normal=n.copy(),
-        diameter=float(mesh.face_diameters[f]),
-        frame_u=u,
-        frame_v=v,
-    )
-
-
-def cell_geometry(mesh: PolyMesh, k: int) -> CellGeometry:
-    return CellGeometry(
-        volume=float(mesh.cell_volumes[k]),
-        centroid=mesh.cell_centroids[k].copy(),
-        diameter=float(mesh.cell_diameters[k]),
-    )
 
 
 @lru_cache(maxsize=64)
@@ -154,15 +108,6 @@ def tetrahedron_rule(degree: int):
     wgt = (wu[:, None, None] * wv[None, :, None] * ww[None, None, :]) * jac
     pts = np.stack([x.ravel(), y.ravel(), z.ravel()], axis=1)
     return pts, 6.0 * wgt.ravel()
-
-
-def edge_quadrature(mesh: PolyMesh, e: int, degree: int = DEFAULT_EDGE_DEGREE) -> QuadratureRule:
-    """Gauss points along edge e; weights sum to the edge length."""
-    xs, ws = segment_rule(degree)
-    a = mesh.vertices[mesh.edges[e, 0]]
-    b = mesh.vertices[mesh.edges[e, 1]]
-    pts = a[None, :] + xs[:, None] * (b - a)[None, :]
-    return QuadratureRule(pts, ws * mesh.edge_lengths[e], degree)
 
 
 def _fan_triangles(pts: np.ndarray, normal: np.ndarray):

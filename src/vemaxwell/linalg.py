@@ -1,4 +1,4 @@
-"""Minimal sparse linear algebra: CSR storage, spmv, Jacobi-preconditioned CG.
+"""Minimal sparse linear algebra: CSR storage and Jacobi-preconditioned CG.
 
 Storage and products are backed by scipy's CSR kernels; the CG driver is
 written out so the iterate sequence is deterministic and the reported
@@ -40,30 +40,9 @@ class SparseMatrix:
         a.sum_duplicates()
         return cls(a.indptr, a.indices, a.data, a.shape[0])
 
-    @classmethod
-    def from_triplets(cls, rows, cols, vals, n: int) -> "SparseMatrix":
-        coo = sps.coo_matrix((vals, (rows, cols)), shape=(n, n))
-        return cls.from_scipy(coo)
-
     def to_scipy(self):
         return sps.csr_matrix((self.data, self.indices, self.indptr),
                               shape=(self.n, self.n))
-
-    def diagonal(self) -> np.ndarray:
-        return self.to_scipy().diagonal()
-
-
-def spmv(a: SparseMatrix, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (a.n,):
-        raise ValueError(f"dimension mismatch: matrix is {a.n}, vector is {x.shape}")
-    return a.to_scipy() @ x
-
-
-def is_symmetric(a: SparseMatrix, tol: float = 0.0) -> bool:
-    m = a.to_scipy()
-    d = m - m.T
-    return float(np.abs(d.data).max()) <= tol if d.nnz else True
 
 
 @dataclass
@@ -71,11 +50,6 @@ class SolveReport:
     iterations: int
     residual: float       # |b - Ax| / |b|, recomputed after convergence
     wall_time: float
-
-
-def direct_solve(a: SparseMatrix, b: np.ndarray) -> np.ndarray:
-    """Dense fallback for small systems; used as an oracle in tests."""
-    return np.linalg.solve(a.to_scipy().toarray(), np.asarray(b, dtype=float))
 
 
 def cg_solve(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12,

@@ -22,7 +22,7 @@ import numpy as np
 from . import linalg
 from .cases import ManufacturedCase
 from .derham import (DeRhamDofs, ElementProjectors, build_dofs,
-                     build_incidence, build_projectors, divergence_matrix,
+                     build_incidence, build_projectors, divergence_norm,
                      interpolate_edge, interpolate_face)
 from .forms import CoefficientSet, StabWeights, assemble_global, sample_coefficients
 from .mesh import PolyMesh
@@ -82,12 +82,13 @@ def build_step_operators(mesh: PolyMesh, dofs: DeRhamDofs,
         raise ValueError("boundary face with an interior edge; mesh unsupported")
     c_int = ops.C[if_][:, ie].tocsr()
 
-    m_eps = assemble_global(mesh, dofs, coeffs.eps_hat, "edge", projectors, stab)
-    m_sigma = assemble_global(mesh, dofs, coeffs.sigma_hat, "edge", projectors, stab)
-    m_face = assemble_global(mesh, dofs, 1.0 / coeffs.mu_hat, "face", projectors, stab)
-    m_edge_full = assemble_global(mesh, dofs, np.ones(mesh.n_cells), "edge",
-                                  projectors, stab, restrict=False)
+    # One pass of local edge products serves all three edge matrices; the
+    # unit-weight one keeps its boundary columns for the load.
+    m_eps, m_sigma, m_edge_full = assemble_global(
+        mesh, dofs, [coeffs.eps_hat, coeffs.sigma_hat, np.ones(mesh.n_cells)],
+        "edge", projectors, stab, restrict=[True, True, False])
     m_edge_load = m_edge_full[ie].tocsr()
+    m_face = assemble_global(mesh, dofs, 1.0 / coeffs.mu_hat, "face", projectors, stab)
 
     curl_term = (c_int.T @ m_face @ c_int).tocsr()
     curl_term = 0.5 * (curl_term + curl_term.T)     # exact symmetry
@@ -96,28 +97,18 @@ def build_step_operators(mesh: PolyMesh, dofs: DeRhamDofs,
                          m_edge_load, m_face, c_int, ops.D, system)
 
 
-def divergence_norm(mesh: PolyMesh, b_full: np.ndarray) -> float:
-    """L2 norm of the (cellwise constant) divergence of a face function."""
-    div_sq = 0.0
-    for k in range(mesh.n_cells):
-        fids = mesh.cell_faces[k]
-        flux = (mesh.cell_face_signs[k] * mesh.face_areas[fids] * b_full[fids]).sum()
-        div_sq += flux**2 / mesh.cell_volumes[k]
-    return float(np.sqrt(div_sq))
-
-
-def init_state(mesh: PolyMesh, dofs: DeRhamDofs, case: ManufacturedCase,
-               tau: float) -> SimulationState:
+def init_state(ops: StepOperators, case: ManufacturedCase) -> SimulationState:
     """Interpolate the initial fields and verify discrete solenoidality."""
+    mesh, dofs = ops.mesh, ops.dofs
     e_full = interpolate_edge(mesh, lambda p: case.E(p, 0.0))
     b_full = interpolate_face(mesh, lambda p: case.B(p, 0.0))
-    div0 = np.abs(divergence_matrix(mesh) @ b_full).max()
+    div0 = np.abs(ops.d_full @ b_full).max()
     if div0 > DIV_INIT_TOL:
         raise InitialDivergenceError(
             f"initial magnetic field is not solenoidal: |D b0|_inf = {div0:.3e}"
         )
     return SimulationState(e=e_full[dofs.interior_edges],
-                           b=b_full[dofs.interior_faces], step=0, tau=tau)
+                           b=b_full[dofs.interior_faces], step=0, tau=ops.tau)
 
 
 def advance(state: SimulationState, ops: StepOperators, j_full: np.ndarray,
@@ -183,10 +174,10 @@ def run(mesh: PolyMesh, case: ManufacturedCase, tau: float, T: float,
         projectors = build_projectors(mesh)
     coeffs = sample_coefficients(mesh, case.eps, case.sigma, case.mu)
     ops = build_step_operators(mesh, dofs, projectors, coeffs, tau, stab)
-    state = init_state(mesh, dofs, case, tau)
+    state = init_state(ops, case)
 
     def monitor(st: SimulationState, iters: int, residual: float) -> StepMonitor:
-        div = divergence_norm(mesh, dofs.expand_face(st.b))
+        div = divergence_norm(mesh, ops.d_full, dofs.expand_face(st.b))
         energy = float(st.e @ (ops.m_eps @ st.e) + st.b @ (ops.m_face @ st.b))
         return StepMonitor(st.step, st.step * tau, energy, div, iters, residual)
 

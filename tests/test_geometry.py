@@ -9,10 +9,9 @@ class TestFaceGeometry:
     def test_unit_square(self, cube1):
         f = next(i for i in range(6)
                  if abs(cube1.face_centroids[i][2]) < 1e-14)
-        geo = vg.face_geometry(cube1, f)
-        assert geo.area == pytest.approx(1.0, rel=1e-14)
-        assert np.allclose(geo.centroid, [0.5, 0.5, 0.0], atol=1e-14)
-        assert abs(abs(geo.normal[2]) - 1.0) < 1e-14
+        assert cube1.face_areas[f] == pytest.approx(1.0, rel=1e-14)
+        assert np.allclose(cube1.face_centroids[f], [0.5, 0.5, 0.0], atol=1e-14)
+        assert abs(abs(cube1.face_normals[f][2]) - 1.0) < 1e-14
 
     def test_reversed_loop_flips_normal(self):
         verts = [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0),
@@ -30,26 +29,16 @@ class TestFaceGeometry:
         # analytic oracle: unit square minus the quarter [1/2,1]x[1/2,1]
         area = 1.0 - 0.25
         cx = (1.0 * 0.5 - 0.25 * 0.75) / area
-        geo = vg.face_geometry(lcell, 0)
-        assert geo.area == pytest.approx(area, rel=1e-14)
-        assert geo.centroid[0] == pytest.approx(cx, rel=1e-13)
-        assert geo.centroid[1] == pytest.approx(cx, rel=1e-13)
-
-    def test_frame_consistency(self, cube4, voro8, lcell):
-        for m in (cube4, voro8, lcell):
-            for f in range(m.n_faces):
-                geo = vg.face_geometry(m, f)
-                assert np.abs(np.cross(geo.frame_u, geo.frame_v)
-                              - geo.normal).max() < 1e-14
-                assert abs(geo.frame_u @ geo.frame_v) < 1e-14
+        assert lcell.face_areas[0] == pytest.approx(area, rel=1e-14)
+        assert lcell.face_centroids[0][0] == pytest.approx(cx, rel=1e-13)
+        assert lcell.face_centroids[0][1] == pytest.approx(cx, rel=1e-13)
 
 
 class TestCellGeometry:
     def test_unit_cube(self, cube1):
-        geo = vg.cell_geometry(cube1, 0)
-        assert geo.volume == pytest.approx(1.0, rel=1e-14)
-        assert np.allclose(geo.centroid, [0.5] * 3, atol=1e-14)
-        assert geo.diameter == pytest.approx(np.sqrt(3.0), rel=1e-14)
+        assert cube1.cell_volumes[0] == pytest.approx(1.0, rel=1e-14)
+        assert np.allclose(cube1.cell_centroids[0], [0.5] * 3, atol=1e-14)
+        assert cube1.cell_diameters[0] == pytest.approx(np.sqrt(3.0), rel=1e-14)
 
     def test_l_prism_volume(self, lcell):
         assert lcell.cell_volumes[0] == pytest.approx(0.75, rel=1e-14)
@@ -77,35 +66,40 @@ class TestCellGeometry:
             assert (voro8.cell_centroids[k] <= pts.max(axis=0) + 1e-12).all()
 
 
+def edge_rule(mesh, e, degree):
+    """segment_rule mapped onto edge e, as interpolate_edge maps it."""
+    xs, ws = vg.segment_rule(degree)
+    a = mesh.vertices[mesh.edges[e, 0]]
+    b = mesh.vertices[mesh.edges[e, 1]]
+    return a + xs[:, None] * (b - a), ws * mesh.edge_lengths[e]
+
+
 class TestEdgeQuadrature:
     def test_weights_sum_to_length(self, cube1):
         for e in range(cube1.n_edges):
             for deg in (1, 3, 7, 15):
-                rule = vg.edge_quadrature(cube1, e, deg)
-                assert rule.weights.sum() == pytest.approx(
+                _, weights = edge_rule(cube1, e, deg)
+                assert weights.sum() == pytest.approx(
                     cube1.edge_lengths[e], rel=1e-13)
-
-    def test_default_is_four_points(self, cube1):
-        assert len(vg.edge_quadrature(cube1, 0).weights) == 4
 
     def test_linear_parameter(self, cube1):
         # mean of the arc-length parameter over any edge is 1/2
         for e in range(cube1.n_edges):
-            rule = vg.edge_quadrature(cube1, e, 7)
+            points, weights = edge_rule(cube1, e, 7)
             a = cube1.vertices[cube1.edges[e, 0]]
             t = cube1.edge_tangents[e]
-            s = (rule.points - a) @ t
-            assert rule.weights @ s == pytest.approx(0.5, rel=1e-13)
+            s = (points - a) @ t
+            assert weights @ s == pytest.approx(0.5, rel=1e-13)
 
     def test_cosine_vs_antiderivative(self, cube1):
         # 4-point Gauss (degree 7) only reaches ~5e-10 on cos; degree 11
-        # is the smallest default-family rule that meets 1e-12
+        # is the smallest rule of the family that meets 1e-12
         e = 0
         a = cube1.vertices[cube1.edges[e, 0]]
         t = cube1.edge_tangents[e]
-        rule = vg.edge_quadrature(cube1, e, 11)
-        s = (rule.points - a) @ t
-        assert rule.weights @ np.cos(s) == pytest.approx(np.sin(1.0), abs=1e-12)
+        points, weights = edge_rule(cube1, e, 11)
+        s = (points - a) @ t
+        assert weights @ np.cos(s) == pytest.approx(np.sin(1.0), abs=1e-12)
 
 
 class TestFaceQuadrature:

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -35,27 +36,60 @@ def spatial_b(p):
     return out / 2.2
 
 
+def step_operators(mesh, case, tau, dofs=None, projectors=None):
+    """The operators ``stepper.run`` builds for this case."""
+    coeffs = forms.sample_coefficients(mesh, case.eps, case.sigma, case.mu)
+    return stepper.build_step_operators(
+        mesh, dofs if dofs is not None else vd.build_dofs(mesh),
+        projectors if projectors is not None else vd.build_projectors(mesh),
+        coeffs, tau)
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls of ``module.name`` made through any vemaxwell binding."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("vemaxwell") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def flux_loop_norm(mesh, b_full):
+    """Per-cell flux loop: sqrt(sum_K (sum_F s_KF |F| b_F)^2 / |K|)."""
+    div_sq = 0.0
+    for k in range(mesh.n_cells):
+        fids = mesh.cell_faces[k]
+        flux = (mesh.cell_face_signs[k] * mesh.face_areas[fids] * b_full[fids]).sum()
+        div_sq += flux**2 / mesh.cell_volumes[k]
+    return float(np.sqrt(div_sq))
+
+
 class TestInitState:
     def test_case2_initial_b_vanishes(self, cube2):
-        dofs = vd.build_dofs(cube2)
-        state = stepper.init_state(cube2, dofs, cases.case2(), 0.5)
+        state = stepper.init_state(step_operators(cube2, cases.case2(), 0.5),
+                                   cases.case2())
         assert np.abs(state.b).max() == 0.0
         assert np.abs(state.e).max() > 0.0
 
     def test_case1_zero_initial_state(self, cube2):
-        dofs = vd.build_dofs(cube2)
-        state = stepper.init_state(cube2, dofs, cases.case1(), 0.5)
+        state = stepper.init_state(step_operators(cube2, cases.case1(), 0.5),
+                                   cases.case1())
         assert np.abs(state.e).max() == 0.0
         assert np.abs(state.b).max() == 0.0
         assert state.t == 0.0
 
     def test_nonsolenoidal_rejected(self, cube2):
-        dofs = vd.build_dofs(cube2)
         bad = make_case(zero_field, lambda p: np.stack(
             [p[..., 0], np.zeros(p[..., 0].shape), np.zeros(p[..., 0].shape)],
             axis=-1))
         with pytest.raises(stepper.InitialDivergenceError):
-            stepper.init_state(cube2, dofs, bad, 0.5)
+            stepper.init_state(step_operators(cube2, bad, 0.5), bad)
 
 
 class TestAdvance:
@@ -73,7 +107,7 @@ class TestAdvance:
         coeffs = forms.sample_coefficients(cube4, 1.0, 0.0, 1.0)
         tau = 0.25
         ops = stepper.build_step_operators(cube4, dofs, proj, coeffs, tau)
-        state = stepper.init_state(cube4, dofs, case, tau)
+        state = stepper.init_state(ops, case)
         j_full = np.zeros(cube4.n_edges)
         new, rep = stepper.advance(state, ops, j_full, tol=1e-13)
         rhs = tau * (ops.c_int.T @ (ops.m_face @ state.b))
@@ -247,7 +281,8 @@ class TestRun:
             def cell_norm(v):
                 return float(np.linalg.norm(root_vol * v))
 
-            b0 = stepper.init_state(mesh, dofs, case, tau).b
+            b0 = stepper.init_state(step_operators(mesh, case, tau, dofs, proj),
+                                    case).b
             s_0 = cell_norm(abs_d @ np.abs(dofs.expand_face(b0)))
             finals = []
             for tol in tols:
@@ -275,17 +310,65 @@ class TestDivergenceNorm:
         c = vd.curl_matrix(cube2)
         v = np.random.default_rng(3).standard_normal(cube2.n_edges)
         b = c @ v
-        assert stepper.divergence_norm(cube2, b) <= 1e-12 * np.abs(b).max()
+        d = vd.divergence_matrix(cube2)
+        assert stepper.divergence_norm(cube2, d, b) <= 1e-12 * np.abs(b).max()
 
     def test_single_face_unit_cube(self, cube1):
         top = next(f for f in range(6)
                    if abs(cube1.face_centroids[f][2] - 1.0) < 1e-14)
         b = np.zeros(6)
         b[top] = 1.0
-        assert stepper.divergence_norm(cube1, b) == pytest.approx(1.0, rel=1e-14)
+        d = vd.divergence_matrix(cube1)
+        assert stepper.divergence_norm(cube1, d, b) == pytest.approx(1.0, rel=1e-14)
 
     def test_zero(self, cube1):
-        assert stepper.divergence_norm(cube1, np.zeros(6)) == 0.0
+        d = vd.divergence_matrix(cube1)
+        assert stepper.divergence_norm(cube1, d, np.zeros(6)) == 0.0
+
+    def test_matches_per_cell_flux_loop(self, cube4, voro8, voro27, lcell):
+        rng = np.random.default_rng(5)
+        for mesh in (cube4, voro8, voro27, lcell):
+            b = rng.standard_normal(mesh.n_faces)
+            norm = stepper.divergence_norm(mesh, vd.divergence_matrix(mesh), b)
+            assert norm == pytest.approx(flux_loop_norm(mesh, b), rel=1e-13), mesh.name
+
+
+class TestOperatorsBuiltOnce:
+    def test_one_divergence_matrix_per_run(self, cube2, monkeypatch):
+        calls = count_calls(monkeypatch, vd, "divergence_matrix")
+        res = stepper.run(cube2, cases.case2(), 0.25, 1.0)
+        assert len(calls) == 1
+        assert max(m.div_b for m in res.monitors) <= 1e-12
+
+    def test_one_local_mass_pass_per_space(self, voro8, monkeypatch):
+        edge_calls = count_calls(monkeypatch, forms, "local_edge_mass")
+        face_calls = count_calls(monkeypatch, forms, "local_face_mass")
+        step_operators(voro8, cases.case2(), 0.125)
+        assert len(edge_calls) == voro8.n_cells
+        assert len(face_calls) == voro8.n_cells
+
+    def test_matrices_match_per_weight_assembly(self, voro27):
+        case, tau = cases.case2(), 0.125
+        dofs = vd.build_dofs(voro27)
+        proj = vd.build_projectors(voro27)
+        coeffs = forms.sample_coefficients(voro27, case.eps, case.sigma, case.mu)
+        ops = stepper.build_step_operators(voro27, dofs, proj, coeffs, tau)
+
+        def assemble(weights, kind, **kw):
+            return forms.assemble_global(voro27, dofs, weights, kind, proj, **kw)
+
+        m_eps = assemble(coeffs.eps_hat, "edge")
+        m_sigma = assemble(coeffs.sigma_hat, "edge")
+        m_face = assemble(1.0 / coeffs.mu_hat, "face")
+        m_load = assemble(np.ones(voro27.n_cells), "edge",
+                          restrict=False)[dofs.interior_edges].tocsr()
+        curl = (ops.c_int.T @ m_face @ ops.c_int).tocsr()
+        system = m_eps + tau * m_sigma + tau**2 * (0.5 * (curl + curl.T))
+        for got, want in ((ops.m_eps, m_eps), (ops.m_sigma, m_sigma),
+                          (ops.m_face, m_face), (ops.m_edge_load, m_load),
+                          (ops.system.to_scipy(), system)):
+            assert got.shape == want.shape
+            assert (got != want).nnz == 0
 
 
 class TestBoundaryStructure:
