@@ -13,7 +13,6 @@ import numpy as np
 
 from . import cases, linalg, mesh as vmesh, stepper
 from .cases import ErrorReport
-from .derham import build_dofs, build_projectors
 from .forms import StabWeights
 
 CSV_HEADER = ("label,h,tau,err_E,err_B,div_B,"
@@ -82,14 +81,14 @@ def run_single(config: RunConfig) -> ErrorReport:
     m = _load_source(config.mesh_source)
     case = cases.get_case(config.case_id)
     stab = StabWeights(config.eta_edge, config.eta_face)
-    dofs = build_dofs(m)
-    projectors = build_projectors(m)
     result = stepper.run(m, case, float(config.tau), config.T, stab=stab,
-                         tol=config.tol, dofs=dofs, projectors=projectors)
-    rep = cases.l2_error(m, dofs, projectors,
+                         tol=config.tol)
+    dofs = result.ops.dofs
+    rep = cases.l2_error(m, dofs, result.ops.projectors,
                          dofs.expand_edge(result.state.e),
                          dofs.expand_face(result.state.b), case, config.T)
     rep.tau = float(config.tau)
+    rep.div_B = result.monitors[-1].div_b
     rep.label = m.name or config.mesh_source
     rep.cg_iters_total = result.cg_iters_total
     rep.wall_s = time.perf_counter() - t0

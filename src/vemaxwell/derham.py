@@ -99,32 +99,18 @@ def gradient_matrix(mesh: PolyMesh) -> sps.csr_matrix:
 
 def curl_matrix(mesh: PolyMesh) -> sps.csr_matrix:
     """C: edge DOFs -> face DOFs of the curl (Stokes: circulation / area)."""
-    rows, cols, vals = [], [], []
-    for f in range(mesh.n_faces):
-        eids = mesh.face_edges[f]
-        coeff = mesh.face_edge_signs[f] * mesh.edge_lengths[eids] / mesh.face_areas[f]
-        rows.append(np.full(eids.size, f))
-        cols.append(eids)
-        vals.append(coeff)
-    return sps.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mesh.n_faces, mesh.n_edges),
-    )
+    rows = mesh.split.fan_faces                  # face of each loop edge, in loop order
+    cols = np.concatenate(mesh.face_edges)
+    vals = np.concatenate(mesh.face_edge_signs) * mesh.edge_lengths[cols] / mesh.face_areas[rows]
+    return sps.csr_matrix((vals, (rows, cols)), shape=(mesh.n_faces, mesh.n_edges))
 
 
 def divergence_matrix(mesh: PolyMesh) -> sps.csr_matrix:
     """D: face DOFs -> constant cell divergence (flux sum / volume)."""
-    rows, cols, vals = [], [], []
-    for k in range(mesh.n_cells):
-        fids = mesh.cell_faces[k]
-        coeff = mesh.cell_face_signs[k] * mesh.face_areas[fids] / mesh.cell_volumes[k]
-        rows.append(np.full(fids.size, k))
-        cols.append(fids)
-        vals.append(coeff)
-    return sps.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mesh.n_cells, mesh.n_faces),
-    )
+    rows = np.repeat(np.arange(mesh.n_cells), [fids.size for fids in mesh.cell_faces])
+    cols = np.concatenate(mesh.cell_faces)
+    vals = np.concatenate(mesh.cell_face_signs) * mesh.face_areas[cols] / mesh.cell_volumes[rows]
+    return sps.csr_matrix((vals, (rows, cols)), shape=(mesh.n_cells, mesh.n_faces))
 
 
 def divergence_norm(mesh: PolyMesh, d: sps.csr_matrix, b_full: np.ndarray) -> float:

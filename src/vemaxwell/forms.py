@@ -100,36 +100,28 @@ def stab_face(mesh: PolyMesh, k: int) -> np.ndarray:
     return np.diag(mesh.cell_diameters[k] * mesh.face_areas[fids])
 
 
-@dataclass(frozen=True)
-class LocalMass:
-    """Symmetric positive definite local discrete L2 product."""
-
-    matrix: np.ndarray
-    kind: str       # which space, "edge" or "face"
-
-
 def local_edge_mass(mesh: PolyMesh, k: int, projectors: ElementProjectors,
-                    eta_edge: float = DEFAULT_ETA_EDGE) -> LocalMass:
-    """Discrete L2 product on the edge DOFs of cell k."""
+                    eta_edge: float = DEFAULT_ETA_EDGE) -> np.ndarray:
+    """Symmetric positive definite discrete L2 product on the edge DOFs of cell k."""
     p = projectors.edge_cell[k]
     eids = mesh.cell_edges[k]
     t = mesh.edge_tangents[eids]                   # DOFs of a constant field
     j = np.eye(eids.size) - t @ p
     s = stab_edge(mesh, k)
     m = mesh.cell_volumes[k] * (p.T @ p) + eta_edge * (j.T @ s @ j)
-    return LocalMass(0.5 * (m + m.T), "edge")  # cancel BLAS rounding asymmetry
+    return 0.5 * (m + m.T)  # cancel BLAS rounding asymmetry
 
 
 def local_face_mass(mesh: PolyMesh, k: int, projectors: ElementProjectors,
-                    eta_face: float = DEFAULT_ETA_FACE) -> LocalMass:
-    """Discrete L2 product on the face DOFs of cell k."""
+                    eta_face: float = DEFAULT_ETA_FACE) -> np.ndarray:
+    """Symmetric positive definite discrete L2 product on the face DOFs of cell k."""
     p = projectors.face_cell[k]
     fids = mesh.cell_faces[k]
     n = mesh.face_normals[fids]                    # DOFs of a constant field
     j = np.eye(fids.size) - n @ p
     s = stab_face(mesh, k)
     m = mesh.cell_volumes[k] * (p.T @ p) + eta_face * (j.T @ s @ j)
-    return LocalMass(0.5 * (m + m.T), "face")
+    return 0.5 * (m + m.T)
 
 
 def assemble_global(mesh: PolyMesh, dofs: DeRhamDofs, cell_weights,
@@ -160,7 +152,7 @@ def assemble_global(mesh: PolyMesh, dofs: DeRhamDofs, cell_weights,
         local, eta, gids = local_face_mass, stab.eta_face, mesh.cell_faces
         n, keep = dofs.n_faces, dofs.interior_faces
 
-    vals = np.concatenate([local(mesh, k, projectors, eta).matrix.ravel()
+    vals = np.concatenate([local(mesh, k, projectors, eta).ravel()
                            for k in range(mesh.n_cells)])
     rows = np.concatenate([np.repeat(g, g.size) for g in gids])
     cols = np.concatenate([np.tile(g, g.size) for g in gids])

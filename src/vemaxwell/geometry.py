@@ -1,8 +1,8 @@
 """Quadrature on segments, polygonal faces and polyhedral cells.
 
-Face rules fan-triangulate about the vertex mean with signed panels, so
-mildly nonconvex (star-shaped) faces integrate exactly; cell rules stack
-one pyramid per face triangle and map a reference tetrahedron rule.
+Face and cell rules map reference triangle and tetrahedron rules onto the
+signed fan panels and pyramid tetrahedra of ``PolyMesh.split``, so
+nonconvex faces and cells integrate exactly.
 """
 
 from __future__ import annotations
@@ -110,54 +110,37 @@ def tetrahedron_rule(degree: int):
     return pts, 6.0 * wgt.ravel()
 
 
-def _fan_triangles(pts: np.ndarray, normal: np.ndarray):
-    """Signed fan panels (apex = vertex mean); skips degenerate slivers."""
-    apex = pts.mean(axis=0)
-    p = pts - apex
-    q = np.roll(pts, -1, axis=0) - apex
-    signed = 0.5 * np.cross(p, q) @ normal
-    scale = np.abs(signed).max()
-    panels = []
-    for i in range(pts.shape[0]):
-        if abs(signed[i]) > 1e-14 * scale:
-            panels.append((apex, pts[i], np.roll(pts, -1, axis=0)[i], signed[i]))
-    return panels
+def _mapped_rule(apex, legs, measures, ref_pts, ref_w, degree) -> QuadratureRule:
+    """Reference rule mapped onto the simplices ``apex + span(legs[t])``.
+
+    ``legs`` is (t, d, 3) and ``measures`` the signed simplex measures.
+    Points come simplex by simplex, each evaluated left to right as
+    apex + r0 legs[t, 0] + r1 legs[t, 1] (+ r2 legs[t, 2]), which rounds
+    them exactly as mapping one simplex at a time does.
+    """
+    points = apex
+    for j in range(legs.shape[1]):
+        points = points + ref_pts[None, :, j, None] * legs[:, None, j]
+    return QuadratureRule(points.reshape(-1, 3), (measures[:, None] * ref_w).ravel(), degree)
 
 
 def face_quadrature(mesh: PolyMesh, f: int, degree: int = DEFAULT_FACE_DEGREE) -> QuadratureRule:
-    """Fan-triangulated rule on face f; weights sum to the face area."""
-    ref_pts, ref_w = triangle_rule(degree)
-    pts = mesh.vertices[mesh.faces[f]]
-    all_pts, all_w = [], []
-    for apex, a, b, signed_area in _fan_triangles(pts, mesh.face_normals[f]):
-        mapped = (apex[None, :]
-                  + ref_pts[:, 0:1] * (a - apex)[None, :]
-                  + ref_pts[:, 1:2] * (b - apex)[None, :])
-        all_pts.append(mapped)
-        all_w.append(ref_w * signed_area)
-    return QuadratureRule(np.concatenate(all_pts), np.concatenate(all_w), degree)
+    """Rule on the fan panels of face f; weights sum to the face area."""
+    split = mesh.split
+    panels = np.arange(split.fan_offsets[f], split.fan_offsets[f + 1])
+    panels = panels[split.fan_kept[panels]]
+    apex = split.face_apexes[f]
+    legs = mesh.vertices[split.fan_vertices[panels]] - apex
+    return _mapped_rule(apex, legs, split.fan_areas[panels], *triangle_rule(degree), degree)
 
 
 def cell_quadrature(mesh: PolyMesh, k: int, degree: int = DEFAULT_CELL_DEGREE) -> QuadratureRule:
-    """Pyramid/tetrahedron rule on cell k; weights sum to the volume."""
-    ref_pts, ref_w = tetrahedron_rule(degree)
-    apex = mesh.vertices[mesh.cell_vertex_ids(k)].mean(axis=0)
-    all_pts, all_w = [], []
-    for f, s in zip(mesh.cell_faces[k], mesh.cell_face_signs[k]):
-        pts = mesh.vertices[mesh.faces[f]]
-        a_f = pts.mean(axis=0)
-        nxt = np.roll(pts, -1, axis=0)
-        for i in range(pts.shape[0]):
-            e0 = a_f - apex
-            e1 = pts[i] - apex
-            e2 = nxt[i] - apex
-            vol6 = s * (e0 @ np.cross(e1, e2))
-            if abs(vol6) < 1e-14 * mesh.cell_volumes[k]:
-                continue
-            mapped = (apex[None, :]
-                      + ref_pts[:, 0:1] * e0[None, :]
-                      + ref_pts[:, 1:2] * e1[None, :]
-                      + ref_pts[:, 2:3] * e2[None, :])
-            all_pts.append(mapped)
-            all_w.append(ref_w * (vol6 / 6.0))
-    return QuadratureRule(np.concatenate(all_pts), np.concatenate(all_w), degree)
+    """Rule on the pyramid tetrahedra of cell k; weights sum to the volume."""
+    split = mesh.split
+    tets = np.arange(split.tet_offsets[k], split.tet_offsets[k + 1])
+    tets = tets[split.tet_kept[tets]]
+    panels = split.tet_panels[tets]
+    apex = split.cell_apexes[k]
+    legs = np.concatenate([split.face_apexes[split.fan_faces[panels], None],
+                           mesh.vertices[split.fan_vertices[panels]]], axis=1) - apex
+    return _mapped_rule(apex, legs, split.tet_volumes[tets], *tetrahedron_rule(degree), degree)

@@ -10,7 +10,6 @@ well defined without an orientation table.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +35,34 @@ class MeshGeometryError(MeshError):
 PLANARITY_TOL = 1e-10
 # Per-cell closed-surface identity tolerance, relative to h_K^2.
 CLOSURE_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class SimplexSplit:
+    """Faces fanned into signed triangles, cells into signed tetrahedra.
+
+    Apexes are vertex means.  Panel p of face f (``fan_offsets[f] <= p <
+    fan_offsets[f + 1]``, loop order) is the face apex plus the loop edge
+    ``fan_vertices[p]``, its area signed along the face normal.
+    Tetrahedron t of cell k (``tet_offsets[k] <= t < tet_offsets[k + 1]``,
+    cell-face then loop order) is the cell apex plus panel
+    ``tet_panels[t]``, its volume signed by the cell's face orientation.
+    The signed pieces telescope, so nonconvex faces and cells are exact.
+    Quadrature skips what ``fan_kept``/``tet_kept`` clear: panels up to
+    1e-14 of the largest of their face, tetrahedra with |6 vol| < 1e-14 |K|.
+    """
+
+    face_apexes: np.ndarray              # (nf, 3)
+    fan_offsets: np.ndarray              # (nf + 1,)
+    fan_faces: np.ndarray                # (np,) face of each panel
+    fan_vertices: np.ndarray             # (np, 2) loop edge of each panel
+    fan_areas: np.ndarray                # (np,)
+    fan_kept: np.ndarray                 # bool (np,)
+    cell_apexes: np.ndarray              # (nc, 3)
+    tet_offsets: np.ndarray              # (nc + 1,)
+    tet_panels: np.ndarray               # (nt,)
+    tet_volumes: np.ndarray              # (nt,)
+    tet_kept: np.ndarray                 # bool (nt,)
 
 
 @dataclass(frozen=True)
@@ -69,6 +96,7 @@ class PolyMesh:
     cell_volumes: np.ndarray             # (nc,)
     cell_centroids: np.ndarray           # (nc, 3)
     cell_diameters: np.ndarray           # (nc,)
+    split: SimplexSplit                  # fan/pyramid sub-simplices
     name: str = ""
 
     @property
@@ -91,10 +119,6 @@ class PolyMesh:
     def h(self) -> float:
         """Mesh size: largest cell diameter."""
         return float(self.cell_diameters.max())
-
-    def cell_vertex_ids(self, k: int) -> np.ndarray:
-        """Sorted unique vertex indices of cell k."""
-        return np.unique(np.concatenate([self.faces[f] for f in self.cell_faces[k]]))
 
 
 @dataclass
@@ -129,43 +153,93 @@ class ValidationReport:
         return not self.violations
 
 
-def _polygon_geometry(points: np.ndarray):
-    """Area, unit normal, centroid, diameter and planarity residual of a loop.
+def _split_faces(vertices: np.ndarray, face_loops: list):
+    """Fan each face about its vertex mean, one stack per loop size.
 
-    Area and centroid come from a fan about the vertex mean with signed
-    triangle areas, which is exact for any simple polygon (the signed
-    pieces telescope), then the centroid is the area-weighted mean of the
-    triangle centroids.  Planarity is measured against the best-fit plane
-    through the vertex mean.
+    Area and centroid sum the signed panels; the centroid is the
+    area-weighted mean of the panel centroids.  Returns the fan fields of
+    ``SimplexSplit``, then face areas, unit normals, centroids and
+    diameters.
     """
-    m = points.shape[0]
-    apex = points.mean(axis=0)
-    rel = points - apex
-    # Total area vector; orientation of the loop fixes the normal.
-    cross = np.cross(rel, np.roll(rel, -1, axis=0))
-    area_vec = 0.5 * cross.sum(axis=0)
-    area = float(np.linalg.norm(area_vec))
-    diam = _point_set_diameter(points)
-    if area <= 0.0 or not np.isfinite(area):
-        raise MeshGeometryError("face with zero area")
-    normal = area_vec / area
-    signed = 0.5 * cross @ normal                      # per fan triangle
-    tri_centroids = (apex + points + np.roll(points, -1, axis=0)) / 3.0
-    centroid = (signed[:, None] * tri_centroids).sum(axis=0) / signed.sum()
-    # Best-fit plane normal: singular vector of the centered vertex cloud.
-    _, _, vt = np.linalg.svd(points - points.mean(axis=0))
-    residual = float(np.abs((points - points.mean(axis=0)) @ vt[2]).max())
-    if m >= 3 and residual > PLANARITY_TOL * diam:
-        raise MeshGeometryError(
-            f"nonplanar face: residual {residual:.3e} exceeds "
-            f"{PLANARITY_TOL:.0e} * h_F = {PLANARITY_TOL * diam:.3e}"
-        )
-    return area, normal, centroid, diam, residual
+    sizes = np.array([loop.size for loop in face_loops], dtype=int)
+    offsets = _offsets(sizes)
+    loop_ids = np.concatenate(face_loops)
+    nxt = np.arange(loop_ids.size) + 1
+    nxt[offsets[1:] - 1] = offsets[:-1]                # close each loop
+    apexes, normals, centroids = np.empty((3, sizes.size, 3))
+    areas, diameters = np.empty((2, sizes.size))
+    signed = np.empty(loop_ids.size)
+    for m in np.unique(sizes):
+        ids = np.flatnonzero(sizes == m)
+        rows = offsets[ids, None] + np.arange(m)
+        pts = vertices[loop_ids[rows]]                 # (faces, m, 3)
+        apexes[ids] = apex = pts.mean(axis=1)
+        rel = pts - apex[:, None]
+        cross = np.cross(rel, np.roll(rel, -1, axis=1))
+        # Total area vector; orientation of the loop fixes the normal.
+        area_vec = 0.5 * cross.sum(axis=1)
+        areas[ids] = area = np.sqrt(area_vec[:, None] @ area_vec[:, :, None])[:, 0, 0]
+        if not np.all(np.isfinite(area) & (area > 0.0)):
+            raise MeshGeometryError("face with zero area")
+        normals[ids] = normal = area_vec / area[:, None]
+        signed[rows] = panel = (0.5 * cross @ normal[:, :, None])[..., 0]
+        tri_centroids = (apex[:, None] + pts + np.roll(pts, -1, axis=1)) / 3.0
+        centroids[ids] = ((panel[..., None] * tri_centroids).sum(axis=1)
+                          / panel.sum(axis=1)[:, None])
+        diameters[ids] = diam = _point_set_diameter(pts)
+        residual = _plane_residual(pts)
+        bad = np.flatnonzero(residual > PLANARITY_TOL * diam)
+        if bad.size:
+            r, h_f = residual[bad[0]], diam[bad[0]]
+            raise MeshGeometryError(
+                f"nonplanar face: residual {r:.3e} exceeds "
+                f"{PLANARITY_TOL:.0e} * h_F = {PLANARITY_TOL * h_f:.3e}"
+            )
+    faces_of = np.repeat(np.arange(sizes.size), sizes)
+    largest = np.maximum.reduceat(np.abs(signed), offsets[:-1])
+    fan = dict(face_apexes=apexes, fan_offsets=offsets, fan_faces=faces_of,
+               fan_vertices=np.stack([loop_ids, loop_ids[nxt]], axis=1),
+               fan_areas=signed, fan_kept=np.abs(signed) > 1e-14 * largest[faces_of])
+    return fan, areas, normals, centroids, diameters
 
 
-def _point_set_diameter(points: np.ndarray) -> float:
-    d = points[:, None, :] - points[None, :, :]
-    return float(np.sqrt((d * d).sum(axis=2)).max())
+def _plane_residual(points: np.ndarray) -> np.ndarray:
+    """Largest distance of each (g, m, 3) vertex stack from its best-fit
+    plane through the vertex mean (singular vector of the centered cloud)."""
+    rel = points - points.mean(axis=1)[:, None]
+    return np.abs(rel @ np.linalg.svd(rel)[2][:, 2, :, None]).max(axis=(1, 2))
+
+
+def _point_set_diameter(points: np.ndarray):
+    """Largest vertex distance of each (..., m, 3) point set."""
+    d = points[..., :, None, :] - points[..., None, :, :]
+    return np.sqrt((d * d).sum(axis=-1)).max(axis=(-2, -1))
+
+
+def _stacked(fn, x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """``fn`` of every segment ``x[offsets[i]:offsets[i + 1]]``, evaluated
+    on one (segments, size, ...) stack per segment size."""
+    sizes = np.diff(offsets)
+    parts = {m: fn(x[offsets[:-1][sizes == m, None] + np.arange(m)]) for m in np.unique(sizes)}
+    out = np.empty((sizes.size,) + next(iter(parts.values())).shape[1:])
+    for m, part in parts.items():
+        out[sizes == m] = part
+    return out
+
+
+def _sum(stack: np.ndarray) -> np.ndarray:
+    """Segment sums: in row order for vectors, as ``x[a:b].sum(axis=0)``."""
+    return stack.sum(axis=1)
+
+
+def _offsets(counts) -> np.ndarray:
+    """Segment offsets [0, c0, c0 + c1, ...] of the given counts."""
+    return np.concatenate([[0], np.cumsum(counts, dtype=int)])
+
+
+def _segments(x: np.ndarray, offsets: np.ndarray) -> tuple:
+    """The segments ``x[offsets[i]:offsets[i + 1]]`` as a tuple of views."""
+    return tuple(x[a:b] for a, b in zip(offsets[:-1], offsets[1:]))
 
 
 def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
@@ -204,50 +278,37 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
         cf_list.append(idx)
         cs_list.append(np.sign(refs).astype(int))
     nc = len(cf_list)
-
-    # Deduplicate edges; canonical orientation is lower -> higher index.
-    edge_ids: dict = {}
-    face_edges, face_edge_signs = [], []
-    for loop in face_loops:
-        a, b = loop, np.roll(loop, -1)
-        eids = np.empty(loop.size, dtype=int)
-        esigns = np.empty(loop.size, dtype=int)
-        for j in range(loop.size):
-            lo, hi = (a[j], b[j]) if a[j] < b[j] else (b[j], a[j])
-            eids[j] = edge_ids.setdefault((lo, hi), len(edge_ids))
-            esigns[j] = 1 if a[j] < b[j] else -1
-        face_edges.append(eids)
-        face_edge_signs.append(esigns)
-    edges = np.array(sorted(edge_ids, key=edge_ids.get), dtype=int).reshape(-1, 2)
-    ne = edges.shape[0]
+    if nc == 0:
+        raise MeshTopologyError("mesh has no cells")
 
     # Face sharing: interior faces belong to exactly two cells, with
     # opposite outward signs; more than two is a dangling face.
-    face_use: list = [[] for _ in range(nf)]
-    for k in range(nc):
-        for f, s in zip(cf_list[k], cs_list[k]):
-            face_use[f].append((k, int(s)))
-    for f, use in enumerate(face_use):
-        if len(use) > 2:
-            raise MeshTopologyError(f"dangling face {f}: referenced by {len(use)} cells")
-        if len(use) == 2 and use[0][1] == use[1][1]:
-            raise MeshTopologyError(
-                f"inconsistent face sharing: face {f} has equal signs in both cells"
-            )
+    cf_flat, cs_flat = np.concatenate(cf_list), np.concatenate(cs_list)
+    uses = np.bincount(cf_flat, minlength=nf)
+    same_sign = (uses == 2) & (np.bincount(cf_flat, cs_flat, minlength=nf) != 0)
+    bad = np.flatnonzero((uses > 2) | same_sign)
+    if bad.size:
+        f = bad[0]
+        if uses[f] > 2:
+            raise MeshTopologyError(f"dangling face {f}: referenced by {uses[f]} cells")
+        raise MeshTopologyError(
+            f"inconsistent face sharing: face {f} has equal signs in both cells"
+        )
 
-    # Per-face geometry (validates planarity and degeneracy).
-    face_areas = np.empty(nf)
-    face_normals = np.empty((nf, 3))
-    face_centroids = np.empty((nf, 3))
-    face_diameters = np.empty(nf)
-    for f, loop in enumerate(face_loops):
-        area, normal, centroid, diam, _ = _polygon_geometry(vertices[loop])
-        face_areas[f] = area
-        face_normals[f] = normal
-        face_centroids[f] = centroid
-        face_diameters[f] = diam
+    # Fan split and face geometry (validates planarity and degeneracy).
+    fan, face_areas, face_normals, face_centroids, face_diameters = \
+        _split_faces(vertices, face_loops)
+    fan_offsets, loop_ab = fan["fan_offsets"], fan["fan_vertices"]
 
-    # Edge geometry.
+    # Edges are the panels' loop edges, numbered in order of first
+    # appearance and oriented from the lower to the higher vertex index.
+    lo, hi = loop_ab.min(axis=1), loop_ab.max(axis=1)
+    _, first, inverse = np.unique(lo * nv + hi, return_index=True, return_inverse=True)
+    loop_edges = np.argsort(np.argsort(first))[inverse]
+    edges = np.stack([lo, hi], axis=1)[np.sort(first)]
+    ne = edges.shape[0]
+    face_edges = _segments(loop_edges, fan_offsets)
+    face_edge_signs = _segments(np.where(loop_ab[:, 0] < loop_ab[:, 1], 1, -1), fan_offsets)
     vec = vertices[edges[:, 1]] - vertices[edges[:, 0]]
     edge_lengths = np.linalg.norm(vec, axis=1)
     if np.any(edge_lengths <= 0.0):
@@ -255,52 +316,66 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
     edge_tangents = vec / edge_lengths[:, None]
     edge_midpoints = 0.5 * (vertices[edges[:, 0]] + vertices[edges[:, 1]])
 
-    # Per-cell geometry: closure check, divergence-theorem volume,
-    # pyramid-decomposition centroid, vertex diameter.
-    cell_volumes = np.empty(nc)
-    cell_centroids = np.empty((nc, 3))
-    cell_diameters = np.empty(nc)
-    cell_edge_list = []
-    for k in range(nc):
-        fids, signs = cf_list[k], cs_list[k]
-        verts_k = np.unique(np.concatenate([face_loops[f] for f in fids]))
-        h_k = _point_set_diameter(vertices[verts_k])
-        cell_diameters[k] = h_k
-        closure = (signs[:, None] * face_areas[fids, None] * face_normals[fids]).sum(axis=0)
-        if np.linalg.norm(closure) > CLOSURE_TOL * h_k**2:
+    # Pyramid split: one tetrahedron per (cell face, fan panel), in cell
+    # face then loop order, about the vertex mean of the cell.
+    panels_per = np.diff(fan_offsets)[cf_flat]
+    cf_offsets = _offsets(panels_per)                  # per cell face
+    cell_cf_offsets = _offsets([fids.size for fids in cf_list])
+    tet_offsets = cf_offsets[cell_cf_offsets]
+    tet_panels = (np.arange(tet_offsets[-1])
+                  + np.repeat(fan_offsets[cf_flat] - cf_offsets[:-1], panels_per))
+    tet_cells = np.repeat(np.arange(nc), np.diff(tet_offsets))
+    # Sorted unique vertices and edges of each cell, read off its panels.
+    keys = np.unique(tet_cells * nv + loop_ab[tet_panels, 0])
+    cell_verts, cv_offsets = keys % nv, _offsets(np.bincount(keys // nv, minlength=nc))
+    cell_apexes = _stacked(lambda v: v.mean(axis=1), vertices[cell_verts], cv_offsets)
+    keys = np.unique(tet_cells * ne + loop_edges[tet_panels])
+    cell_edges = _segments(keys % ne, _offsets(np.bincount(keys // ne, minlength=nc)))
+
+    # Per-cell checks: closure, divergence-theorem volume, vertex diameter.
+    cell_diameters = _stacked(_point_set_diameter, vertices[cell_verts], cv_offsets)
+    flux = cs_flat[:, None] * face_areas[cf_flat, None] * face_normals[cf_flat]
+    closure = np.linalg.norm(_stacked(_sum, flux, cell_cf_offsets), axis=1)
+    is_open = closure > CLOSURE_TOL * cell_diameters**2
+    heights = np.einsum("ij,ij->i", face_centroids[cf_flat], face_normals[cf_flat])
+    cell_volumes = _stacked(_sum, cs_flat * face_areas[cf_flat] * heights, cell_cf_offsets) / 3.0
+    bad = np.flatnonzero(is_open | (cell_volumes <= 0.0))
+    if bad.size:
+        k = bad[0]
+        if is_open[k]:
             raise MeshTopologyError(
-                f"open cell boundary: cell {k} surface residual "
-                f"{np.linalg.norm(closure):.3e}"
+                f"open cell boundary: cell {k} surface residual {closure[k]:.3e}"
             )
-        vol = (signs * face_areas[fids]
-               * np.einsum("ij,ij->i", face_centroids[fids], face_normals[fids])).sum() / 3.0
-        if vol <= 0.0:
-            raise MeshGeometryError(f"nonpositive volume {vol:.3e} in cell {k}")
-        cell_volumes[k] = vol
-        apex = vertices[verts_k].mean(axis=0)
-        moment = np.zeros(3)
-        vol_check = 0.0
-        for f, s in zip(fids, signs):
-            pts = vertices[face_loops[f]]
-            a_f = pts.mean(axis=0)
-            p, q = pts - apex, np.roll(pts, -1, axis=0) - apex
-            base = a_f - apex
-            tet_vols = s * np.einsum("j,ij->i", base, np.cross(p, q)) / 6.0
-            tet_cents = (apex + a_f + pts + np.roll(pts, -1, axis=0)) / 4.0
-            moment += (tet_vols[:, None] * tet_cents).sum(axis=0)
-            vol_check += tet_vols.sum()
-        cell_centroids[k] = moment / vol_check
-        cell_edge_list.append(np.unique(np.concatenate([face_edges[f] for f in fids])))
+        raise MeshGeometryError(f"nonpositive volume {cell_volumes[k]:.3e} in cell {k}")
+
+    # Signed tetrahedron volumes; the centroid sums the volume-weighted
+    # tetrahedron centroids per face, then over the faces of the cell.
+    apex = cell_apexes[tet_cells]
+    base = fan["face_apexes"][fan["fan_faces"][tet_panels]]
+    p, q = vertices[loop_ab[tet_panels]].transpose(1, 0, 2)
+    legs_cross = np.cross(p - apex, q - apex)
+    vol6 = (np.repeat(cs_flat, panels_per)
+            * ((base - apex)[:, None] @ legs_cross[:, :, None])[:, 0, 0])
+    tet_volumes = vol6 / 6.0
+    moments = tet_volumes[:, None] * ((apex + base + p + q) / 4.0)
+
+    def per_cell(x):                                   # per cell face, then per cell
+        return _stacked(_sum, _stacked(_sum, x, cf_offsets), cell_cf_offsets)
+
+    cell_centroids = per_cell(moments) / per_cell(tet_volumes)[:, None]
+    split = SimplexSplit(
+        **fan, cell_apexes=cell_apexes, tet_offsets=tet_offsets,
+        tet_panels=tet_panels, tet_volumes=tet_volumes,
+        tet_kept=np.abs(vol6) >= 1e-14 * cell_volumes[tet_cells],
+    )
 
     # Boundary flags: face iff referenced once, edge/vertex iff on such a face.
-    boundary_faces = np.array([len(u) == 1 for u in face_use], dtype=bool)
-    if nc > 0 and not boundary_faces.any():
+    boundary_faces = uses == 1
+    if not boundary_faces.any():
         raise MeshTopologyError("mesh has no boundary faces")
-    boundary_edges = np.zeros(ne, dtype=bool)
-    boundary_vertices = np.zeros(nv, dtype=bool)
-    for f in np.flatnonzero(boundary_faces):
-        boundary_edges[face_edges[f]] = True
-        boundary_vertices[face_loops[f]] = True
+    on_boundary = boundary_faces[fan["fan_faces"]]
+    boundary_edges = np.bincount(loop_edges[on_boundary], minlength=ne) > 0
+    boundary_vertices = np.bincount(loop_ab[on_boundary, 0], minlength=nv) > 0
 
     return PolyMesh(
         vertices=vertices,
@@ -308,9 +383,9 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
         cell_faces=tuple(cf_list),
         cell_face_signs=tuple(cs_list),
         edges=edges,
-        face_edges=tuple(face_edges),
-        face_edge_signs=tuple(face_edge_signs),
-        cell_edges=tuple(cell_edge_list),
+        face_edges=face_edges,
+        face_edge_signs=face_edge_signs,
+        cell_edges=cell_edges,
         boundary_vertices=boundary_vertices,
         boundary_edges=boundary_edges,
         boundary_faces=boundary_faces,
@@ -324,6 +399,7 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
         cell_volumes=cell_volumes,
         cell_centroids=cell_centroids,
         cell_diameters=cell_diameters,
+        split=split,
         name=name,
     )
 
@@ -386,68 +462,40 @@ def generate_cube_mesh(n: int, domain=None, name: str = "") -> PolyMesh:
         raise ValueError("domain box must have positive extent")
 
     m = n + 1
-    def vid(i, j, k):
-        return (i * m + j) * m + k
+    vid = np.arange(m**3).reshape(m, m, m)             # vertex id at (i, j, k)
+    coords = lo + np.indices((m, m, m)).reshape(3, -1).T / n * (hi - lo)
 
-    coords = np.empty((m**3, 3))
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                frac = np.array([i, j, k]) / n
-                coords[vid(i, j, k)] = lo + frac * (hi - lo)
+    def loops(t, corners):                             # one quad per (., a, b) of t
+        return np.stack([t[:, a:a + n, b:b + n] for a, b in corners], axis=-1).reshape(-1, 4)
 
-    faces = []
-    fid = {}
-    # x-normal faces: loop oriented so the stored normal is +x.
-    for i in range(m):
-        for j in range(n):
-            for k in range(n):
-                fid[("x", i, j, k)] = len(faces)
-                faces.append([vid(i, j, k), vid(i, j + 1, k),
-                              vid(i, j + 1, k + 1), vid(i, j, k + 1)])
-    for j in range(m):
-        for i in range(n):
-            for k in range(n):
-                fid[("y", i, j, k)] = len(faces)
-                faces.append([vid(i, j, k), vid(i, j, k + 1),
-                              vid(i + 1, j, k + 1), vid(i + 1, j, k)])
-    for k in range(m):
-        for i in range(n):
-            for j in range(n):
-                fid[("z", i, j, k)] = len(faces)
-                faces.append([vid(i, j, k), vid(i + 1, j, k),
-                              vid(i + 1, j + 1, k), vid(i, j + 1, k)])
-
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                cells.append([
-                    -(fid[("x", i, j, k)] + 1), +(fid[("x", i + 1, j, k)] + 1),
-                    -(fid[("y", i, j, k)] + 1), +(fid[("y", i, j + 1, k)] + 1),
-                    -(fid[("z", i, j, k)] + 1), +(fid[("z", i, j, k + 1)] + 1),
-                ])
+    # x-, y- then z-normal faces, each loop oriented so the stored normal
+    # points along +axis, numbered with the normal's index outermost.
+    ccw, cw = ((0, 0), (1, 0), (1, 1), (0, 1)), ((0, 0), (0, 1), (1, 1), (1, 0))
+    faces = np.concatenate([loops(vid, ccw), loops(vid.transpose(1, 0, 2), cw),
+                            loops(vid.transpose(2, 0, 1), ccw)])
+    fid = 1 + np.arange(faces.shape[0]).reshape(3, m, n, n)   # 1-based, per family
+    fx, fy, fz = fid[0], fid[1].transpose(1, 0, 2), fid[2].transpose(1, 2, 0)
+    cells = np.stack([-fx[:-1], fx[1:], -fy[:, :-1], fy[:, 1:], -fz[..., :-1], fz[..., 1:]],
+                     axis=-1).reshape(-1, 6)
 
     return derive_topology(coords, faces, cells, name=name or f"cube{n**3}")
 
 
 def mesh_stats(mesh: PolyMesh) -> MeshStats:
     """Size parameters and observed shape-regularity ratios."""
-    min_fc = math.inf
-    for k in range(mesh.n_cells):
-        hk = mesh.cell_diameters[k]
-        min_fc = min(min_fc, float(mesh.face_diameters[mesh.cell_faces[k]].min()) / hk)
-    min_ef = math.inf
-    for f in range(mesh.n_faces):
-        hf = mesh.face_diameters[f]
-        min_ef = min(min_ef, float(mesh.edge_lengths[mesh.face_edges[f]].min()) / hf)
+    cells_of = np.repeat(np.arange(mesh.n_cells), [fids.size for fids in mesh.cell_faces])
+    min_fc = (mesh.face_diameters[np.concatenate(mesh.cell_faces)]
+              / mesh.cell_diameters[cells_of]).min()
+    # Loop edges are the fan panels' bases, in the same order.
+    min_ef = (mesh.edge_lengths[np.concatenate(mesh.face_edges)]
+              / mesh.face_diameters[mesh.split.fan_faces]).min()
     return MeshStats(
         h=mesh.h,
         cell_diameters=mesh.cell_diameters.copy(),
         face_diameters=mesh.face_diameters.copy(),
         edge_lengths=mesh.edge_lengths.copy(),
-        min_face_cell_ratio=min_fc,
-        min_edge_face_ratio=min_ef,
+        min_face_cell_ratio=float(min_fc),
+        min_edge_face_ratio=float(min_ef),
         n_vertices=mesh.n_vertices,
         n_edges=mesh.n_edges,
         n_faces=mesh.n_faces,
@@ -461,39 +509,30 @@ def validate_mesh(mesh: PolyMesh) -> ValidationReport:
     Never raises: violations of the hard invariants (planarity, closure,
     degenerate measures) are collected as strings.
     """
-    violations = []
-    nf, nc = mesh.n_faces, mesh.n_cells
-
-    planarity = np.zeros(nf)
-    face_closure = np.zeros(nf)
-    for f in range(nf):
-        pts = mesh.vertices[mesh.faces[f]]
-        centered = pts - pts.mean(axis=0)
-        _, _, vt = np.linalg.svd(centered)
-        planarity[f] = np.abs(centered @ vt[2]).max() / mesh.face_diameters[f]
-        if planarity[f] > PLANARITY_TOL:
-            violations.append(f"face {f}: planarity residual {planarity[f]:.3e}")
-        if mesh.face_areas[f] <= 0:
-            violations.append(f"face {f}: nonpositive area")
-        eids = mesh.face_edges[f]
-        s = mesh.face_edge_signs[f]
-        closure = (s[:, None] * mesh.edge_lengths[eids, None]
-                   * mesh.edge_tangents[eids]).sum(axis=0)
-        face_closure[f] = np.linalg.norm(closure) / mesh.face_diameters[f]
-        if face_closure[f] > 1e-12:
-            violations.append(f"face {f}: open edge loop, residual {face_closure[f]:.3e}")
-
-    cell_closure = np.zeros(nc)
-    for k in range(nc):
-        fids = mesh.cell_faces[k]
-        s = mesh.cell_face_signs[k]
-        closure = (s[:, None] * mesh.face_areas[fids, None]
-                   * mesh.face_normals[fids]).sum(axis=0)
-        cell_closure[k] = np.linalg.norm(closure) / mesh.cell_diameters[k] ** 2
-        if cell_closure[k] > 1e-12:
-            violations.append(f"cell {k}: open boundary, residual {cell_closure[k]:.3e}")
-        if mesh.cell_volumes[k] <= 0:
-            violations.append(f"cell {k}: nonpositive volume")
+    split = mesh.split
+    planarity = (_stacked(_plane_residual, mesh.vertices[split.fan_vertices[:, 0]],
+                          split.fan_offsets) / mesh.face_diameters)
+    eids = np.concatenate(mesh.face_edges)
+    loop_vec = (np.concatenate(mesh.face_edge_signs)[:, None]
+                * mesh.edge_lengths[eids, None] * mesh.edge_tangents[eids])
+    face_closure = (np.linalg.norm(_stacked(_sum, loop_vec, split.fan_offsets), axis=1)
+                    / mesh.face_diameters)
+    fids = np.concatenate(mesh.cell_faces)
+    flux = (np.concatenate(mesh.cell_face_signs)[:, None]
+            * mesh.face_areas[fids, None] * mesh.face_normals[fids])
+    cell_offsets = _offsets([f.size for f in mesh.cell_faces])
+    cell_closure = (np.linalg.norm(_stacked(_sum, flux, cell_offsets), axis=1)
+                    / mesh.cell_diameters**2)
+    violations = (
+        [f"face {f}: planarity residual {planarity[f]:.3e}"
+         for f in np.flatnonzero(planarity > PLANARITY_TOL)]
+        + [f"face {f}: nonpositive area" for f in np.flatnonzero(mesh.face_areas <= 0)]
+        + [f"face {f}: open edge loop, residual {face_closure[f]:.3e}"
+           for f in np.flatnonzero(face_closure > 1e-12)]
+        + [f"cell {k}: open boundary, residual {cell_closure[k]:.3e}"
+           for k in np.flatnonzero(cell_closure > 1e-12)]
+        + [f"cell {k}: nonpositive volume" for k in np.flatnonzero(mesh.cell_volumes <= 0)]
+    )
 
     stats = mesh_stats(mesh)
     return ValidationReport(

@@ -155,9 +155,7 @@ class RunResult:
 
 
 def run(mesh: PolyMesh, case: ManufacturedCase, tau: float, T: float,
-        stab: StabWeights = StabWeights(), tol: float = 1e-12,
-        dofs: DeRhamDofs | None = None,
-        projectors: ElementProjectors | None = None) -> RunResult:
+        stab: StabWeights = StabWeights(), tol: float = 1e-12) -> RunResult:
     """Integrate from interpolated initial data to T = M tau.
 
     Records per-step monitors (discrete energy, |div B_h|, solver work).
@@ -168,12 +166,9 @@ def run(mesh: PolyMesh, case: ManufacturedCase, tau: float, T: float,
     if n_steps < 1 or abs(n_steps * tau - T) > 1e-12 * max(T, 1.0):
         raise ValueError(f"tau={tau} does not divide T={T}")
 
-    if dofs is None:
-        dofs = build_dofs(mesh)
-    if projectors is None:
-        projectors = build_projectors(mesh)
+    dofs = build_dofs(mesh)
     coeffs = sample_coefficients(mesh, case.eps, case.sigma, case.mu)
-    ops = build_step_operators(mesh, dofs, projectors, coeffs, tau, stab)
+    ops = build_step_operators(mesh, dofs, build_projectors(mesh), coeffs, tau, stab)
     state = init_state(ops, case)
 
     def monitor(st: SimulationState, iters: int, residual: float) -> StepMonitor:

@@ -240,9 +240,8 @@ def test_criterion_8_row_monotonicity(cube4m):
     errs_e, errs_b = [], []
     for tau_inv in (8, 16, 32, 64):
         res = stepper.run(cube4m, cases.case2(), 1 / tau_inv, 1.0)
-        dofs = vd.build_dofs(cube4m)
-        proj = vd.build_projectors(cube4m)
-        rep = cases.l2_error(cube4m, dofs, proj,
+        dofs = res.ops.dofs
+        rep = cases.l2_error(cube4m, dofs, res.ops.projectors,
                              dofs.expand_edge(res.state.e),
                              dofs.expand_face(res.state.b), cases.case2(), 1.0)
         errs_e.append(rep.err_E)

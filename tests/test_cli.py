@@ -55,6 +55,17 @@ class TestRunSingle:
         assert lines[0] == "step,t,energy,divB,cg_iters,residual"
         assert len(lines) == 4
 
+    def test_csv_div_b_is_last_monitor(self, tmp_path):
+        out, mon = tmp_path / "row.csv", tmp_path / "mon.csv"
+        cfg = cli.RunConfig("cube:2", 2, Fraction(1, 4), out=str(out),
+                            monitors=str(mon))
+        cli.run_single(cfg)
+        header, row = out.read_text().strip().split("\n")
+        div_b = row.split(",")[header.split(",").index("div_B")]
+        mon_header, *rows = mon.read_text().strip().split("\n")
+        last = rows[-1].split(",")[mon_header.split(",").index("divB")]
+        assert div_b == last
+
     def test_mesh_file_source(self, tmp_path, voro8):
         from vemaxwell import save_mesh
         path = tmp_path / "v.json"

@@ -92,7 +92,7 @@ def oracle_edge_mass(mesh, k, eta):
 class TestLocalMass:
     def test_edge_consistency_on_constants(self, cube1):
         proj = vd.build_projectors(cube1)
-        m = forms.local_edge_mass(cube1, 0, proj).matrix
+        m = forms.local_edge_mass(cube1, 0, proj)
         c1, c2 = np.array([0.3, -0.7, 1.1]), np.array([-0.5, 0.2, 0.9])
         u = constant_edge_dofs(cube1, c1)
         v = constant_edge_dofs(cube1, c2)
@@ -103,14 +103,14 @@ class TestLocalMass:
         for mesh in (cube1, voro8):
             proj = vd.build_projectors(mesh)
             for k in range(mesh.n_cells):
-                m = forms.local_edge_mass(mesh, k, proj).matrix
+                m = forms.local_edge_mass(mesh, k, proj)
                 for _ in range(20):
                     x = rng.standard_normal(m.shape[0])
                     assert x @ m @ x > 0.0
 
     def test_edge_single_dof_vs_oracle(self, cube1):
         proj = vd.build_projectors(cube1)
-        m = forms.local_edge_mass(cube1, 0, proj, eta_edge=0.01).matrix
+        m = forms.local_edge_mass(cube1, 0, proj, eta_edge=0.01)
         oracle = oracle_edge_mass(cube1, 0, eta=0.01)
         assert np.abs(m - oracle).max() < 1e-14
         x = np.zeros(12)
@@ -121,7 +121,7 @@ class TestLocalMass:
         proj = vd.build_projectors(cube2)
         c1, c2 = np.array([1.2, 0.4, -0.3]), np.array([0.1, -0.8, 0.5])
         for k in range(cube2.n_cells):
-            m = forms.local_face_mass(cube2, k, proj).matrix
+            m = forms.local_face_mass(cube2, k, proj)
             fids = cube2.cell_faces[k]
             u = cube2.face_normals[fids] @ c1
             v = cube2.face_normals[fids] @ c2
@@ -132,7 +132,7 @@ class TestLocalMass:
         # frozen oracle: [psi, psi] = |P0 psi|^2 + eta h_K (|F| sums of the
         # residual DOFs squared) = 0.25 + 0.5 * sqrt(3) * 0.5
         proj = vd.build_projectors(cube1)
-        m = forms.local_face_mass(cube1, 0, proj, eta_face=0.5).matrix
+        m = forms.local_face_mass(cube1, 0, proj, eta_face=0.5)
         top = next(f for f in range(6)
                    if abs(cube1.face_centroids[f][2] - 1.0) < 1e-14)
         j = int(np.flatnonzero(cube1.cell_faces[0] == top)[0])
@@ -143,9 +143,9 @@ class TestLocalMass:
     def test_face_positive_definite_on_voronoi(self, voro8):
         proj = vd.build_projectors(voro8)
         for k in range(voro8.n_cells):
-            eigs = np.linalg.eigvalsh(forms.local_face_mass(voro8, k, proj).matrix)
+            eigs = np.linalg.eigvalsh(forms.local_face_mass(voro8, k, proj))
             assert eigs.min() > 0.0
-            eigs = np.linalg.eigvalsh(forms.local_edge_mass(voro8, k, proj).matrix)
+            eigs = np.linalg.eigvalsh(forms.local_edge_mass(voro8, k, proj))
             assert eigs.min() > 0.0
 
 

@@ -5,6 +5,11 @@ from vemaxwell import geometry as vg
 from vemaxwell.mesh import derive_topology
 
 
+def cell_vertex_ids(mesh, k):
+    """Sorted unique vertex indices of cell k."""
+    return np.unique(np.concatenate([mesh.faces[f] for f in mesh.cell_faces[k]]))
+
+
 class TestFaceGeometry:
     def test_unit_square(self, cube1):
         f = next(i for i in range(6)
@@ -50,7 +55,7 @@ class TestCellGeometry:
         # independent oracle: signed tetrahedra about the cell vertex mean
         for m in (cube4, voro8, voro27, lcell):
             for k in range(m.n_cells):
-                apex = m.vertices[m.cell_vertex_ids(k)].mean(axis=0)
+                apex = m.vertices[cell_vertex_ids(m, k)].mean(axis=0)
                 vol = 0.0
                 for f, s in zip(m.cell_faces[k], m.cell_face_signs[k]):
                     pts = m.vertices[m.faces[f]]
@@ -61,7 +66,7 @@ class TestCellGeometry:
 
     def test_centroid_inside_bounding_box(self, voro8):
         for k in range(voro8.n_cells):
-            pts = voro8.vertices[voro8.cell_vertex_ids(k)]
+            pts = voro8.vertices[cell_vertex_ids(voro8, k)]
             assert (voro8.cell_centroids[k] >= pts.min(axis=0) - 1e-12).all()
             assert (voro8.cell_centroids[k] <= pts.max(axis=0) + 1e-12).all()
 
@@ -159,3 +164,129 @@ class TestCellQuadrature:
         for k in range(voro8.n_cells):
             rule = vg.cell_quadrature(voro8, k, 2)
             assert rule.weights.sum() == pytest.approx(voro8.cell_volumes[k], rel=1e-12)
+
+
+# Oracles: the per-entity fan and pyramid loops that ``PolyMesh.split``
+# replaced, kept as they were.
+
+def oracle_face_geometry(pts):
+    """Area, unit normal and centroid from signed fan triangles."""
+    apex = pts.mean(axis=0)
+    rel = pts - apex
+    cross = np.cross(rel, np.roll(rel, -1, axis=0))
+    area_vec = 0.5 * cross.sum(axis=0)
+    area = float(np.linalg.norm(area_vec))
+    normal = area_vec / area
+    signed = 0.5 * cross @ normal
+    tri_centroids = (apex + pts + np.roll(pts, -1, axis=0)) / 3.0
+    return area, normal, (signed[:, None] * tri_centroids).sum(axis=0) / signed.sum()
+
+
+def oracle_cell_centroid(mesh, k):
+    """Volume-weighted centroid of the pyramid tetrahedra of cell k."""
+    apex = mesh.vertices[cell_vertex_ids(mesh, k)].mean(axis=0)
+    moment = np.zeros(3)
+    volume = 0.0
+    for f, s in zip(mesh.cell_faces[k], mesh.cell_face_signs[k]):
+        pts = mesh.vertices[mesh.faces[f]]
+        a_f = pts.mean(axis=0)
+        p, q = pts - apex, np.roll(pts, -1, axis=0) - apex
+        tet_vols = s * np.einsum("j,ij->i", a_f - apex, np.cross(p, q)) / 6.0
+        tet_cents = (apex + a_f + pts + np.roll(pts, -1, axis=0)) / 4.0
+        moment += (tet_vols[:, None] * tet_cents).sum(axis=0)
+        volume += tet_vols.sum()
+    return moment / volume
+
+
+def oracle_face_quadrature(mesh, f, degree):
+    """Triangle rule on each signed fan panel of face f, slivers skipped."""
+    ref_pts, ref_w = vg.triangle_rule(degree)
+    pts = mesh.vertices[mesh.faces[f]]
+    nxt = np.roll(pts, -1, axis=0)
+    apex = pts.mean(axis=0)
+    signed = 0.5 * np.cross(pts - apex, nxt - apex) @ mesh.face_normals[f]
+    scale = np.abs(signed).max()
+    all_pts, all_w = [], []
+    for i in range(pts.shape[0]):
+        if abs(signed[i]) > 1e-14 * scale:
+            all_pts.append(apex[None, :]
+                           + ref_pts[:, 0:1] * (pts[i] - apex)[None, :]
+                           + ref_pts[:, 1:2] * (nxt[i] - apex)[None, :])
+            all_w.append(ref_w * signed[i])
+    return np.concatenate(all_pts), np.concatenate(all_w)
+
+
+def oracle_cell_quadrature(mesh, k, degree):
+    """Tetrahedron rule on each signed pyramid tetrahedron of cell k."""
+    ref_pts, ref_w = vg.tetrahedron_rule(degree)
+    apex = mesh.vertices[cell_vertex_ids(mesh, k)].mean(axis=0)
+    all_pts, all_w = [], []
+    for f, s in zip(mesh.cell_faces[k], mesh.cell_face_signs[k]):
+        pts = mesh.vertices[mesh.faces[f]]
+        a_f = pts.mean(axis=0)
+        nxt = np.roll(pts, -1, axis=0)
+        for i in range(pts.shape[0]):
+            e0, e1, e2 = a_f - apex, pts[i] - apex, nxt[i] - apex
+            vol6 = s * (e0 @ np.cross(e1, e2))
+            if abs(vol6) < 1e-14 * mesh.cell_volumes[k]:
+                continue
+            all_pts.append(apex[None, :]
+                           + ref_pts[:, 0:1] * e0[None, :]
+                           + ref_pts[:, 1:2] * e1[None, :]
+                           + ref_pts[:, 2:3] * e2[None, :])
+            all_w.append(ref_w * (vol6 / 6.0))
+    return np.concatenate(all_pts), np.concatenate(all_w)
+
+
+SPLIT_MESHES = ["cube4", "lcell", "two_prisms", "voro8", "voro27"]
+SPLIT_DEGREES = [1, 2, 4, 12, 14]
+
+
+class TestSplitMatchesLoops:
+    """Geometry and rules read from ``PolyMesh.split`` agree with the
+    per-entity loops to 1e-15 of each entity's diameter (points,
+    centroids) or measure (areas, weights), point for point."""
+
+    @pytest.mark.parametrize("name", SPLIT_MESHES)
+    def test_face_geometry(self, name, request):
+        m = request.getfixturevalue(name)
+        for f in range(m.n_faces):
+            area, normal, centroid = oracle_face_geometry(m.vertices[m.faces[f]])
+            assert abs(m.face_areas[f] - area) <= 1e-15 * area
+            assert np.abs(m.face_normals[f] - normal).max() <= 1e-15
+            assert (np.abs(m.face_centroids[f] - centroid).max()
+                    <= 1e-15 * m.face_diameters[f])
+
+    @pytest.mark.parametrize("name", SPLIT_MESHES)
+    def test_cell_centroids(self, name, request):
+        m = request.getfixturevalue(name)
+        for k in range(m.n_cells):
+            assert (np.abs(m.cell_centroids[k] - oracle_cell_centroid(m, k)).max()
+                    <= 1e-15 * m.cell_diameters[k])
+
+    @pytest.mark.parametrize("degree", SPLIT_DEGREES)
+    @pytest.mark.parametrize("name", SPLIT_MESHES)
+    def test_face_quadrature(self, name, degree, request):
+        m = request.getfixturevalue(name)
+        for f in range(m.n_faces):
+            rule = vg.face_quadrature(m, f, degree)
+            points, weights = oracle_face_quadrature(m, f, degree)
+            assert rule.weights.shape == weights.shape
+            assert np.abs(rule.points - points).max() <= 1e-15 * m.face_diameters[f]
+            assert np.abs(rule.weights - weights).max() <= 1e-15 * m.face_areas[f]
+
+    @pytest.mark.parametrize("degree", SPLIT_DEGREES)
+    @pytest.mark.parametrize("name", SPLIT_MESHES)
+    def test_cell_quadrature(self, name, degree, request):
+        m = request.getfixturevalue(name)
+        for k in range(m.n_cells):
+            rule = vg.cell_quadrature(m, k, degree)
+            points, weights = oracle_cell_quadrature(m, k, degree)
+            assert rule.weights.shape == weights.shape
+            assert np.abs(rule.points - points).max() <= 1e-15 * m.cell_diameters[k]
+            assert np.abs(rule.weights - weights).max() <= 1e-15 * m.cell_volumes[k]
+
+    def test_lcell_drops_slivers(self, lcell):
+        # the reentrant faces x = 1/2 and y = 1/2 contain the cell's vertex
+        # mean, so their pyramid tetrahedra are flat and quadrature skips them
+        assert not lcell.split.tet_kept.all()

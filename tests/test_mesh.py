@@ -90,6 +90,18 @@ class TestGenerateCube:
         assert m.cell_volumes[0] == pytest.approx(8.0, rel=1e-14)
         assert np.allclose(m.cell_centroids[0], [2, 3, 4])
 
+    def test_axis_normals_and_outward_signs(self):
+        # x-, y- then z-normal faces, each stored normal along +axis, and
+        # every cell's signed normals point away from its centroid
+        n = 3
+        m = vm.generate_cube_mesh(n, domain=((1, 2, 3), (3, 4.5, 5.25)))
+        family = np.repeat(np.eye(3), (n + 1) * n * n, axis=0)
+        assert np.abs(m.face_normals - family).max() <= 1e-15
+        for k in range(m.n_cells):
+            fids, signs = m.cell_faces[k], m.cell_face_signs[k]
+            arm = m.face_centroids[fids] - m.cell_centroids[k]
+            assert (signs * np.einsum("ij,ij->i", m.face_normals[fids], arm) > 0).all()
+
 
 class TestDeriveTopology:
     def test_edges_have_two_faces_per_cell(self, cube1):
@@ -132,6 +144,10 @@ class TestDeriveTopology:
                 if f == shared:
                     signs.append(s)
         assert sorted(signs) == [-1, 1]
+
+    def test_no_cells_rejected(self):
+        with pytest.raises(vm.MeshTopologyError, match="no cells"):
+            vm.derive_topology(UNIT_CUBE["vertices"], UNIT_CUBE["faces"], [])
 
     def test_repeated_vertex_loop(self):
         doc = json.loads(json.dumps(UNIT_CUBE))

@@ -1,10 +1,11 @@
 import dataclasses
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from vemaxwell import cases, forms, stepper
+from vemaxwell import cases, cli, forms, stepper
 from vemaxwell import derham as vd
 
 
@@ -216,12 +217,9 @@ class TestRun:
         # per-halving difference ratios climb monotonically toward 2 once
         # the oscillation is resolved (measured: 1.43, 1.67, 1.82, 1.91
         # over 1/32..1/1024)
-        dofs = vd.build_dofs(cube2)
-        proj = vd.build_projectors(cube2)
         sols = []
         for tau_inv in (64, 128, 256, 512, 1024):
-            res = stepper.run(cube2, cases.case2(), 1 / tau_inv, 1.0,
-                              dofs=dofs, projectors=proj)
+            res = stepper.run(cube2, cases.case2(), 1 / tau_inv, 1.0)
             sols.append(np.concatenate([res.state.e, res.state.b]))
         diffs = [np.linalg.norm(a - b) for a, b in zip(sols, sols[1:])]
         ratios = [a / b for a, b in zip(diffs, diffs[1:])]
@@ -287,8 +285,7 @@ class TestRun:
             finals = []
             for tol in tols:
                 iterates.clear()
-                res = stepper.run(mesh, case, tau, 1.0, tol=tol,
-                                  dofs=dofs, projectors=proj)
+                res = stepper.run(mesh, case, tau, 1.0, tol=tol)
                 assert len(iterates) == len(res.monitors) - 1
                 s_n = s_0
                 for n, mon in enumerate(res.monitors):
@@ -339,6 +336,12 @@ class TestOperatorsBuiltOnce:
         res = stepper.run(cube2, cases.case2(), 0.25, 1.0)
         assert len(calls) == 1
         assert max(m.div_b for m in res.monitors) <= 1e-12
+
+    def test_one_divergence_matrix_per_single_run(self, monkeypatch):
+        # the error report's div_B is the run's last monitor, not a new D
+        calls = count_calls(monkeypatch, vd, "divergence_matrix")
+        cli.run_single(cli.RunConfig("cube:2", 2, Fraction(1, 4)))
+        assert len(calls) == 1
 
     def test_one_local_mass_pass_per_space(self, voro8, monkeypatch):
         edge_calls = count_calls(monkeypatch, forms, "local_edge_mass")
