@@ -1,10 +1,12 @@
 """Manufactured solutions, compatible current densities and L2 error norms.
 
-The analytic field pairs are fixed in closed form; the current density is
-derived symbolically from the first Maxwell equation so both equations
-hold exactly.  ``strong_form_residual`` cross-checks the generated
-callables with finite differences and is the gate run before any
-convergence study (see the acceptance suite).
+The analytic field pairs are fixed in closed form as sums of (time factor)
+x (spatial vector) terms; the current density is derived symbolically
+from the first Maxwell equation, term by term, so both equations hold
+exactly and the current stays a short sum of such terms.
+``strong_form_residual`` cross-checks the generated callables with finite
+differences and is the gate run before any convergence study (see the
+acceptance suite).
 """
 
 from __future__ import annotations
@@ -35,17 +37,17 @@ def _grad(s):
     return sp.Matrix([sp.diff(s, _X), sp.diff(s, _Y), sp.diff(s, _Z)])
 
 
-def _vector_field(exprs):
-    """Lambdify a 3-vector of (x, y, z, t) expressions into a callable
-    mapping ((..., 3) points, t) -> (..., 3) values."""
-    fns = [sp.lambdify((_X, _Y, _Z, _T), e, "numpy") for e in exprs]
+def _spatial_field(exprs):
+    """Lambdify a 3-vector of (x, y, z) expressions into a callable
+    mapping (..., 3) points to (..., 3) values."""
+    fns = [sp.lambdify((_X, _Y, _Z), e, "numpy") for e in exprs]
 
-    def evaluate(pts, t=0.0):
+    def evaluate(pts):
         pts = np.asarray(pts, dtype=float)
         xs, ys, zs = pts[..., 0], pts[..., 1], pts[..., 2]
         out = np.empty(pts.shape)
         for i, fn in enumerate(fns):
-            out[..., i] = np.broadcast_to(fn(xs, ys, zs, t), xs.shape)
+            out[..., i] = np.broadcast_to(fn(xs, ys, zs), xs.shape)
         return out
 
     return evaluate
@@ -62,9 +64,43 @@ def _scalar_field(expr):
     return evaluate
 
 
+def _time_factor(expr):
+    """Lambdify a t expression into a callable t -> float or array shaped like t."""
+    fn = sp.lambdify(_T, expr, "numpy")
+    return lambda t: fn(t) + np.zeros(np.shape(t))
+
+
+def _sum_of_terms(terms):
+    """The (pts, t) -> (..., 3) field sum_i a_i(t) g_i(pts) of numeric
+    (time factor, spatial field) pairs; ``t`` may be an array over the
+    points."""
+    def evaluate(pts, t=0.0):
+        vals = [a(t)[..., None] * g(pts) for a, g in terms]
+        return sum(vals[1:], vals[0]) if vals else np.zeros(np.shape(pts))
+
+    return evaluate
+
+
+def _combination(parts):
+    """Spatial field sum_k c_k w_k(x) g_k(x) of (constant, scalar weight
+    or None, spatial field) triples."""
+    def evaluate(pts):
+        out = np.zeros(np.shape(pts))
+        for c, w, g in parts:
+            out += (c if w is None else c * w(pts)[..., None]) * g(pts)
+        return out
+
+    return evaluate
+
+
 @dataclass(frozen=True)
 class ManufacturedCase:
-    """Closed-form solution pair with a compatible current density."""
+    """Closed-form solution pair with a compatible current density.
+
+    The current is kept as terms: ``J(x, t) = sum_i a_i(t) g_i(x)``, with
+    ``J_terms`` the ``(a_i, g_i)`` pairs, so its edge interpolant is a
+    combination of one interpolant per term.
+    """
 
     case_id: int
     name: str
@@ -74,29 +110,50 @@ class ManufacturedCase:
     B: object
     E_t: object
     curl_mu_inv_B: object
-    J: object
+    J_terms: tuple                     # (a: t -> float|array, g: (..., 3) -> (..., 3))
     eps: object                        # callable (pts,) -> (...,)
     sigma: object
     mu: object
 
 
-def _build_case(case_id, name, e_expr, b_expr, eps_expr, sigma_expr, mu_expr):
-    e_t = e_expr.diff(_T)
-    curl_mu_inv_b = _curl(b_expr / mu_expr)
-    j_expr = eps_expr * e_t + sigma_expr * e_expr - curl_mu_inv_b
+def _build_case(case_id, name, e_terms, b_terms, eps_expr, sigma_expr, mu_expr):
+    """Derive a case from E and B given as (time factor, spatial 3-vector)
+    sympy terms.
+
+    Time derivatives act on the time factors and curls on the spatial
+    parts only; each spatial part is lambdified once and shared by every
+    field it enters.  ``J = eps E_t + sigma E - curl(mu^-1 B)`` is grouped
+    by time factor, constants folded into the spatial part.
+    """
+    eps, sigma, mu = (_scalar_field(c) for c in (eps_expr, sigma_expr, mu_expr))
+    e_parts = [(a, _spatial_field(g)) for a, g in e_terms]
+    b_parts = [(a, _spatial_field(h)) for a, h in b_terms]
+    curl_parts = [(a, _spatial_field(_curl(h / mu_expr))) for a, h in b_terms]
+    e_t_parts = [(a.diff(_T), g) for a, g in e_parts]
+
+    groups = {}
+    for a, w, g in ([(a, eps, g) for a, g in e_t_parts]
+                    + [(a, sigma, g) for a, g in e_parts]
+                    + [(-a, None, g) for a, g in curl_parts]):
+        c, a = a.as_independent(_T, as_Add=False)
+        groups.setdefault(a, []).append((float(c), w, g))
+
+    def numeric(parts):
+        return tuple((_time_factor(a), g) for a, g in parts)
+
     return ManufacturedCase(
         case_id=case_id,
         name=name,
         T=1.0,
         domain=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
-        E=_vector_field(e_expr),
-        B=_vector_field(b_expr),
-        E_t=_vector_field(e_t),
-        curl_mu_inv_B=_vector_field(curl_mu_inv_b),
-        J=_vector_field(j_expr),
-        eps=_scalar_field(eps_expr),
-        sigma=_scalar_field(sigma_expr),
-        mu=_scalar_field(mu_expr),
+        E=_sum_of_terms(numeric(e_parts)),
+        B=_sum_of_terms(numeric(b_parts)),
+        E_t=_sum_of_terms(numeric(e_t_parts)),
+        curl_mu_inv_B=_sum_of_terms(numeric(curl_parts)),
+        J_terms=numeric((a, _combination(parts)) for a, parts in groups.items()),
+        eps=eps,
+        sigma=sigma,
+        mu=mu,
     )
 
 
@@ -115,10 +172,11 @@ def case1() -> ManufacturedCase:
         _X**2 * (1 - _X) ** 2 * _Y**2 * (1 - _Y) ** 2 * sp.sin(pi * _Z) ** 2,
     ])
     psi = _grad(sp.sin(pi * _X) * sp.sin(pi * _Y) * sp.sin(pi * _Z))
-    e_expr = _T * _curl(phi) + _T**2 * psi
-    b_expr = -(_T**2 / 2) * _curl(_curl(phi))
+    a = _curl(phi)
+    e_terms = [(_T, a), (_T**2, psi)]
+    b_terms = [(-_T**2 / 2, _curl(a))]
     one = sp.Integer(1)
-    return _build_case(1, "constant coefficients", e_expr, b_expr, one, one, one)
+    return _build_case(1, "constant coefficients", e_terms, b_terms, one, one, one)
 
 
 @lru_cache(maxsize=None)
@@ -126,17 +184,19 @@ def case2() -> ManufacturedCase:
     """Polarized standing wave with variable material coefficients."""
     pi = sp.pi
     omega = sp.Rational(11, 5) * pi            # 2.2 pi
-    e_expr = sp.Matrix([0, 0, sp.sin(pi * _X) * sp.sin(pi * _Y)]) * sp.cos(omega * _T)
-    b_expr = sp.Matrix([
+    g = sp.Matrix([0, 0, sp.sin(pi * _X) * sp.sin(pi * _Y)])
+    h = sp.Matrix([
         -sp.cos(pi * _Y) * sp.sin(pi * _X),
         sp.cos(pi * _X) * sp.sin(pi * _Y),
         0,
-    ]) * sp.sin(omega * _T) / sp.Rational(11, 5)
+    ])
+    e_terms = [(sp.cos(omega * _T), g)]
+    b_terms = [(sp.sin(omega * _T) / sp.Rational(11, 5), h)]
     mu_expr = 1 / (1 + _X**2 + _Y**2 + _Z**2)
     eps_expr = 2 - _X**2 - _Z
     sigma_expr = 2 - _Y**2 + _Z
     return _build_case(2, "polarized wave, variable coefficients",
-                       e_expr, b_expr, eps_expr, sigma_expr, mu_expr)
+                       e_terms, b_terms, eps_expr, sigma_expr, mu_expr)
 
 
 def get_case(case_id: int) -> ManufacturedCase:
@@ -176,9 +236,10 @@ def strong_form_residual(case: ManufacturedCase, n_samples: int = 1000,
     mu_inv_b = lambda p, t: case.B(p, t) / case.mu(p)[..., None]
     eps = case.eps(pts)[:, None]
     sigma = case.sigma(pts)[:, None]
+    current = _sum_of_terms(case.J_terms)(pts, ts)
 
     ampere = (eps * fd_time(case.E) + sigma * case.E(pts, ts)
-              - fd_curl(mu_inv_b) - case.J(pts, ts))
+              - fd_curl(mu_inv_b) - current)
     faraday = fd_time(case.B) + fd_curl(case.E)
     return float(max(np.abs(ampere).max(), np.abs(faraday).max()))
 

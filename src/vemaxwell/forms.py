@@ -60,7 +60,7 @@ def sample_coefficients(mesh: PolyMesh, eps, sigma, mu) -> CoefficientSet:
     """Sample the three coefficients at cell centroids.
 
     Raises ValueError when the samples violate the well-posedness bounds
-    (permittivity/permeability must stay strictly positive, conductivity
+    (all finite, permittivity/permeability strictly positive, conductivity
     nonnegative).
     """
     eps_f, sigma_f, mu_f = _as_field(eps), _as_field(sigma), _as_field(mu)
@@ -68,6 +68,10 @@ def sample_coefficients(mesh: PolyMesh, eps, sigma, mu) -> CoefficientSet:
     eps_hat = np.asarray(eps_f(centers), dtype=float)
     sigma_hat = np.asarray(sigma_f(centers), dtype=float)
     mu_hat = np.asarray(mu_f(centers), dtype=float)
+    for name, hat in (("permittivity", eps_hat), ("conductivity", sigma_hat),
+                      ("permeability", mu_hat)):
+        if not np.isfinite(hat).all():
+            raise ValueError(f"coefficient bound violation: non-finite {name} sample")
     if np.any(eps_hat <= 0.0):
         raise ValueError("coefficient bound violation: nonpositive permittivity sample")
     if np.any(mu_hat <= 0.0):

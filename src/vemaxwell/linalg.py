@@ -56,15 +56,20 @@ def cg_solve(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12,
              maxiter: int | None = None, x0: np.ndarray | None = None):
     """Jacobi-preconditioned conjugate gradients for an SPD system.
 
-    Returns (x, SolveReport).  Raises IndefiniteMatrixError when a search
-    direction has nonpositive curvature (an assembly bug upstream) and
-    NonConvergenceError when maxiter is exhausted.
+    Returns (x, SolveReport).  Raises ValueError on a non-finite ``b`` or
+    ``x0``, IndefiniteMatrixError when a search direction has nonpositive
+    curvature (an assembly bug upstream) and NonConvergenceError when
+    maxiter is exhausted.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
     b = np.asarray(b, dtype=float)
     if b.shape != (a.n,):
         raise ValueError("dimension mismatch between matrix and right-hand side")
+    if not np.isfinite(b).all():
+        raise ValueError("non-finite entry in the right-hand side")
+    if x0 is not None and not np.isfinite(x0).all():
+        raise ValueError("non-finite entry in the initial guess")
     if maxiter is None:
         maxiter = max(100, 10 * a.n)
 

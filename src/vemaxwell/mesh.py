@@ -251,6 +251,9 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
     vertices = np.ascontiguousarray(vertices, dtype=float)
     if vertices.ndim != 2 or vertices.shape[1] != 3:
         raise MeshFormatError("vertices must be an (n, 3) array")
+    bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
+    if bad.size:
+        raise MeshFormatError(f"vertex {bad[0]} has a non-finite coordinate")
     nv = vertices.shape[0]
 
     face_loops = []
@@ -409,7 +412,8 @@ def load_mesh(path) -> PolyMesh:
 
     Format: object with "vertices" ([x, y, z] triples), "faces" (0-based
     vertex loops; loop order defines the normal), "cells" (1-based signed
-    face indices) and an optional "name".
+    face indices) and an optional "name".  Coordinates must be finite
+    and indices JSON integers.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -422,6 +426,11 @@ def load_mesh(path) -> PolyMesh:
         if key not in doc:
             raise MeshFormatError(f"{path}: missing key '{key}'")
     try:
+        # numpy would truncate 1.5 or true to a valid index without a word
+        for key in ("faces", "cells"):
+            for i, refs in enumerate(doc[key]):
+                if not all(type(r) is int for r in refs):
+                    raise MeshFormatError(f"{path}: {key[:-1]} {i} has a non-integer index")
         return derive_topology(
             doc["vertices"], doc["faces"], doc["cells"],
             name=str(doc.get("name", "")),

@@ -201,8 +201,7 @@ def test_criterion_6_energy_dissipation(cube4m):
 
     c2 = cases.case2()      # variable coefficients with sigma >= 0
     free = dataclasses.replace(
-        c2, E=lambda p, t: e0(p), B=lambda p, t: b0(p),
-        J=lambda p, t: np.zeros(np.asarray(p).shape))
+        c2, E=lambda p, t: e0(p), B=lambda p, t: b0(p), J_terms=())
     res = stepper.run(cube4m, free, 1 / 16, 1.0)
     energies = [m.energy for m in res.monitors]
     monotone = all(b <= a for a, b in zip(energies, energies[1:]))

@@ -154,3 +154,82 @@ class TestL2Error:
                              rng.standard_normal(cube2.n_edges),
                              rng.standard_normal(cube2.n_faces), c1, 0.5)
         assert rep.err_E >= 0 and rep.err_B >= 0
+
+
+X, Y, Z, T = sp.symbols("x y z t", real=True)
+
+
+def sym_curl(v):
+    return sp.Matrix([sp.diff(v[2], Y) - sp.diff(v[1], Z),
+                      sp.diff(v[0], Z) - sp.diff(v[2], X),
+                      sp.diff(v[1], X) - sp.diff(v[0], Y)])
+
+
+def full_current(case_id):
+    """J = eps E_t + sigma E - curl(B / mu) derived from the full (x, y, z, t)
+    expressions of the case's fields and lambdified as one callable:
+    the oracle for the term-by-term derivation in ``cases``."""
+    pi = sp.pi
+    if case_id == 1:
+        phi = sp.Matrix([
+            sp.sin(pi * X) ** 2 * Y**2 * (1 - Y) ** 2 * Z**2 * (1 - Z) ** 2,
+            X**2 * (1 - X) ** 2 * sp.sin(pi * Y) ** 2 * Z**2 * (1 - Z) ** 2,
+            X**2 * (1 - X) ** 2 * Y**2 * (1 - Y) ** 2 * sp.sin(pi * Z) ** 2,
+        ])
+        s = sp.sin(pi * X) * sp.sin(pi * Y) * sp.sin(pi * Z)
+        psi = sp.Matrix([s.diff(X), s.diff(Y), s.diff(Z)])
+        e = T * sym_curl(phi) + T**2 * psi
+        b = -(T**2 / 2) * sym_curl(sym_curl(phi))
+        eps = sigma = mu = sp.Integer(1)
+    else:
+        omega = sp.Rational(11, 5) * pi
+        e = sp.Matrix([0, 0, sp.sin(pi * X) * sp.sin(pi * Y)]) * sp.cos(omega * T)
+        b = sp.Matrix([-sp.cos(pi * Y) * sp.sin(pi * X),
+                       sp.cos(pi * X) * sp.sin(pi * Y), 0]) \
+            * sp.sin(omega * T) / sp.Rational(11, 5)
+        mu = 1 / (1 + X**2 + Y**2 + Z**2)
+        eps = 2 - X**2 - Z
+        sigma = 2 - Y**2 + Z
+    j = eps * e.diff(T) + sigma * e - sym_curl(b / mu)
+    fns = [sp.lambdify((X, Y, Z, T), c, "numpy") for c in j]
+
+    def current(pts, t):
+        pts = np.asarray(pts, dtype=float)
+        xs, ys, zs = pts[..., 0], pts[..., 1], pts[..., 2]
+        return np.stack([np.broadcast_to(fn(xs, ys, zs, t), xs.shape)
+                         for fn in fns], axis=-1)
+
+    return current
+
+
+def assert_close(got, want, rtol=1e-13):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+class TestCurrentTerms:
+    @pytest.fixture(scope="class", params=[(1, 3), (2, 2)], ids=["case1", "case2"])
+    def case_and_oracle(self, request):
+        case_id, n_terms = request.param
+        case = cases.get_case(case_id)
+        assert len(case.J_terms) == n_terms      # one term per time factor
+        return case, full_current(case_id)
+
+    def test_pointwise_scalar_and_array_time(self, case_and_oracle):
+        case, current = case_and_oracle
+        rng = np.random.default_rng(7)
+        pts = rng.random((500, 3))
+        for t in (0.0, 0.37, 1.0):
+            got = sum(a(t) * g(pts) for a, g in case.J_terms)
+            assert_close(got, current(pts, t))
+        ts = rng.random(500)
+        got = sum(a(ts)[:, None] * g(pts) for a, g in case.J_terms)
+        assert_close(got, current(pts, ts))
+
+    def test_edge_interpolant_of_terms(self, case_and_oracle, cube4, voro27):
+        case, current = case_and_oracle
+        for mesh in (cube4, voro27):
+            parts = [(a, vd.interpolate_edge(mesh, g)) for a, g in case.J_terms]
+            for t in (0.37, 1.0):
+                want = vd.interpolate_edge(mesh, lambda p: current(p, t))
+                assert_close(sum(a(t) * j for a, j in parts), want)

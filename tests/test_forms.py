@@ -28,6 +28,15 @@ class TestCoefficients:
         with pytest.raises(ValueError, match="permeability"):
             forms.sample_coefficients(cube1, 1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("which", ["permittivity", "conductivity", "permeability"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_rejected(self, cube2, which, bad):
+        values = {"permittivity": 1.0, "conductivity": 0.5, "permeability": 1.0}
+        values[which] = lambda p: np.where(p[..., 0] > 0.5, bad, 1.0)
+        with pytest.raises(ValueError, match=f"bound violation: non-finite {which}"):
+            forms.sample_coefficients(cube2, values["permittivity"],
+                                      values["conductivity"], values["permeability"])
+
     def test_scalars_accepted(self, cube2):
         cs = forms.sample_coefficients(cube2, 2.0, 0.5, 3.0)
         assert np.allclose(cs.eps_hat, 2.0)

@@ -76,6 +76,19 @@ class TestCg:
         with pytest.raises(ValueError):
             linalg.cg_solve(a, np.ones(4), tol=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        # rejected up front, not after maxiter iterations on a NaN residual
+        a = random_spd(6)
+        b = np.ones(6)
+        b[2] = bad
+        with pytest.raises(ValueError, match="right-hand side"):
+            linalg.cg_solve(a, b)
+        x0 = np.zeros(6)
+        x0[4] = bad
+        with pytest.raises(ValueError, match="initial guess"):
+            linalg.cg_solve(a, np.ones(6), x0=x0)
+
     def test_deterministic_iterates(self):
         a = random_spd(50, seed=9)
         b = np.random.default_rng(10).standard_normal(50)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from conftest import DATA
 from vemaxwell import mesh as vm
 
 UNIT_CUBE = {
@@ -51,6 +52,20 @@ class TestLoadMesh:
         vm.save_mesh(cube2, tmp_path / "c2.json")
         again = vm.load_mesh(tmp_path / "c2.json")
         assert again.n_edges == cube2.n_edges
+
+    @pytest.mark.parametrize("key, i, j, value, message", [
+        ("vertices", 3, 1, float("nan"), "vertex 3 has a non-finite coordinate"),
+        ("vertices", 7, 2, float("inf"), "vertex 7 has a non-finite coordinate"),
+        ("vertices", 0, 0, float("-inf"), "vertex 0 has a non-finite coordinate"),
+        ("faces", 5, 1, 1.5, "face 5 has a non-integer index"),
+        ("faces", 5, 1, True, "face 5 has a non-integer index"),
+        ("cells", 2, 0, 3.0, "cell 2 has a non-integer index"),
+    ])
+    def test_bad_value_rejected(self, tmp_path, key, i, j, value, message):
+        doc = json.loads((DATA / "voro8.json").read_text())
+        doc[key][i][j] = value
+        with pytest.raises(vm.MeshFormatError, match=message):
+            vm.load_mesh(write_json(tmp_path, doc))
 
     def test_nonplanar_face_rejected(self, tmp_path):
         doc = json.loads(json.dumps(UNIT_CUBE))

@@ -13,11 +13,11 @@ def zero_field(p, t=0.0):
     return np.zeros(np.asarray(p).shape)
 
 
-def make_case(E0, B0, eps=1.0, sigma=0.0, mu=1.0, J=zero_field):
+def make_case(E0, B0, eps=1.0, sigma=0.0, mu=1.0):
     """Free-evolution case: closed forms only needed at t = 0."""
     base = cases.case1()
     return dataclasses.replace(
-        base, E=lambda p, t: E0(p), B=lambda p, t: B0(p), J=J,
+        base, E=lambda p, t: E0(p), B=lambda p, t: B0(p), J_terms=(),
         eps=forms._as_field(eps), sigma=forms._as_field(sigma),
         mu=forms._as_field(mu))
 
@@ -226,6 +226,25 @@ class TestRun:
         assert all(b >= a for a, b in zip(ratios, ratios[1:])), ratios
         assert 1.75 <= ratios[-1] <= 2.25, ratios
 
+    def test_load_is_current_at_new_time(self, cube2, monkeypatch):
+        # backward Euler: step n -> n+1 loads the interpolant of J(t_{n+1})
+        case, tau = cases.case1(), 0.25
+        advance = stepper.advance
+        loads = []
+
+        def recording_advance(state, ops, j_full, tol):
+            loads.append((state.step, j_full))
+            return advance(state, ops, j_full, tol=tol)
+
+        monkeypatch.setattr(stepper, "advance", recording_advance)
+        stepper.run(cube2, case, tau, 1.0)
+        assert [step for step, _ in loads] == [0, 1, 2, 3]
+        for step, j_full in loads:
+            t = (step + 1) * tau
+            want = vd.interpolate_edge(
+                cube2, lambda p: sum(a(t) * g(p) for a, g in case.J_terms))
+            assert np.abs(j_full - want).max() <= 1e-13 * np.abs(want).max()
+
     def test_tightening_tol_never_increases_div(self, cube4, voro27,
                                                 monkeypatch):
         """div B_h stays within a round-off bound at every step, whatever
@@ -342,6 +361,17 @@ class TestOperatorsBuiltOnce:
         calls = count_calls(monkeypatch, vd, "divergence_matrix")
         cli.run_single(cli.RunConfig("cube:2", 2, Fraction(1, 4)))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("case_id", [1, 2])
+    @pytest.mark.parametrize("n_steps", [4, 16])
+    def test_current_interpolated_once_per_term(self, cube2, monkeypatch,
+                                                case_id, n_steps):
+        # E(0) once, then each spatial term of J once, whatever the step count
+        case = cases.get_case(case_id)
+        calls = count_calls(monkeypatch, vd, "interpolate_edge")
+        res = stepper.run(cube2, case, 1 / n_steps, 1.0)
+        assert len(res.monitors) == n_steps + 1
+        assert len(calls) == 1 + len(case.J_terms)
 
     def test_one_local_mass_pass_per_space(self, voro8, monkeypatch):
         edge_calls = count_calls(monkeypatch, forms, "local_edge_mass")
