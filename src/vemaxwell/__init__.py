@@ -8,7 +8,7 @@ SPD system and update the induction exactly, which keeps its discrete
 divergence at round-off level for all times.
 """
 
-from .cases import ErrorReport, ManufacturedCase, case1, case2, l2_error, strong_form_residual
+from .cases import ErrorReport, ManufacturedCase, case1, case2, l2_error
 from .derham import (DeRhamDofs, ElementProjectors, IncidenceOps, build_dofs,
                      build_incidence, build_projectors, divergence_norm,
                      interpolate_edge, interpolate_face, interpolate_node)
@@ -33,6 +33,5 @@ __all__ = [
     "build_projectors", "case1", "case2", "cg_solve", "derive_topology",
     "divergence_norm", "generate_cube_mesh", "interpolate_edge",
     "interpolate_face", "interpolate_node", "l2_error", "load_mesh",
-    "mesh_stats", "run", "sample_coefficients", "save_mesh",
-    "strong_form_residual", "validate_mesh",
+    "mesh_stats", "run", "sample_coefficients", "save_mesh", "validate_mesh",
 ]

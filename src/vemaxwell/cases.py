@@ -1,61 +1,43 @@
 """Manufactured solutions, compatible current densities and L2 error norms.
 
 The analytic field pairs are fixed in closed form as sums of (time factor)
-x (spatial vector) terms; the current density is derived symbolically
-from the first Maxwell equation, term by term, so both equations hold
-exactly and the current stays a short sum of such terms.
-``strong_form_residual`` cross-checks the generated callables with finite
-differences and is the gate run before any convergence study (see the
-acceptance suite).
+x (spatial vector) terms.  The current density follows from the first
+Maxwell equation, ``J = eps E_t + sigma E - curl(mu^-1 B)``, term by term
+and grouped by time factor, so both equations hold exactly and the
+current stays a short sum of such terms.  The terms are plain numpy
+functions in the generated module ``_case_fields``; ``tests/case_source.py``
+derives them and rewrites that module.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
-import sympy as sp
 
+from . import _case_fields
 from .derham import DeRhamDofs, ElementProjectors
 from .geometry import cell_quadrature
 from .mesh import PolyMesh
 
-_X, _Y, _Z, _T = sp.symbols("x y z t", real=True)
 
-
-def _curl(v):
-    return sp.Matrix([
-        sp.diff(v[2], _Y) - sp.diff(v[1], _Z),
-        sp.diff(v[0], _Z) - sp.diff(v[2], _X),
-        sp.diff(v[1], _X) - sp.diff(v[0], _Y),
-    ])
-
-
-def _grad(s):
-    return sp.Matrix([sp.diff(s, _X), sp.diff(s, _Y), sp.diff(s, _Z)])
-
-
-def _spatial_field(exprs):
-    """Lambdify a 3-vector of (x, y, z) expressions into a callable
-    mapping (..., 3) points to (..., 3) values."""
-    fns = [sp.lambdify((_X, _Y, _Z), e, "numpy") for e in exprs]
-
+def _spatial_field(fn):
+    """Wrap an (x, y, z) -> 3-tuple function into a callable mapping
+    (..., 3) points to (..., 3) values."""
     def evaluate(pts):
         pts = np.asarray(pts, dtype=float)
         xs, ys, zs = pts[..., 0], pts[..., 1], pts[..., 2]
         out = np.empty(pts.shape)
-        for i, fn in enumerate(fns):
-            out[..., i] = np.broadcast_to(fn(xs, ys, zs), xs.shape)
+        for i, component in enumerate(fn(xs, ys, zs)):
+            out[..., i] = np.broadcast_to(component, xs.shape)
         return out
 
     return evaluate
 
 
-def _scalar_field(expr):
-    fn = sp.lambdify((_X, _Y, _Z), expr, "numpy")
-
+def _scalar_field(fn):
     def evaluate(pts):
         pts = np.asarray(pts, dtype=float)
         xs = pts[..., 0]
@@ -64,9 +46,8 @@ def _scalar_field(expr):
     return evaluate
 
 
-def _time_factor(expr):
-    """Lambdify a t expression into a callable t -> float or array shaped like t."""
-    fn = sp.lambdify(_T, expr, "numpy")
+def _time_factor(fn):
+    """Wrap a t function into a callable t -> float or array shaped like t."""
     return lambda t: fn(t) + np.zeros(np.shape(t))
 
 
@@ -116,44 +97,32 @@ class ManufacturedCase:
     mu: object
 
 
-def _build_case(case_id, name, e_terms, b_terms, eps_expr, sigma_expr, mu_expr):
-    """Derive a case from E and B given as (time factor, spatial 3-vector)
-    sympy terms.
+def _build_case(case_id, name, table):
+    """A case from a generated ``CASE<id>`` table of (time factor, spatial
+    part) terms; each spatial part is wrapped once and shared by every
+    field it enters."""
+    spatial = cache(_spatial_field)
+    coefficient = {w: _scalar_field(table[w]) for w in ("eps", "sigma", "mu")}
 
-    Time derivatives act on the time factors and curls on the spatial
-    parts only; each spatial part is lambdified once and shared by every
-    field it enters.  ``J = eps E_t + sigma E - curl(mu^-1 B)`` is grouped
-    by time factor, constants folded into the spatial part.
-    """
-    eps, sigma, mu = (_scalar_field(c) for c in (eps_expr, sigma_expr, mu_expr))
-    e_parts = [(a, _spatial_field(g)) for a, g in e_terms]
-    b_parts = [(a, _spatial_field(h)) for a, h in b_terms]
-    curl_parts = [(a, _spatial_field(_curl(h / mu_expr))) for a, h in b_terms]
-    e_t_parts = [(a.diff(_T), g) for a, g in e_parts]
-
-    groups = {}
-    for a, w, g in ([(a, eps, g) for a, g in e_t_parts]
-                    + [(a, sigma, g) for a, g in e_parts]
-                    + [(-a, None, g) for a, g in curl_parts]):
-        c, a = a.as_independent(_T, as_Add=False)
-        groups.setdefault(a, []).append((float(c), w, g))
-
-    def numeric(parts):
-        return tuple((_time_factor(a), g) for a, g in parts)
+    def field(key):
+        return _sum_of_terms(tuple((_time_factor(a), spatial(g)) for a, g in table[key]))
 
     return ManufacturedCase(
         case_id=case_id,
         name=name,
         T=1.0,
         domain=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
-        E=_sum_of_terms(numeric(e_parts)),
-        B=_sum_of_terms(numeric(b_parts)),
-        E_t=_sum_of_terms(numeric(e_t_parts)),
-        curl_mu_inv_B=_sum_of_terms(numeric(curl_parts)),
-        J_terms=numeric((a, _combination(parts)) for a, parts in groups.items()),
-        eps=eps,
-        sigma=sigma,
-        mu=mu,
+        E=field("E"),
+        B=field("B"),
+        E_t=field("E_t"),
+        curl_mu_inv_B=field("curl_mu_inv_B"),
+        J_terms=tuple(
+            (_time_factor(a),
+             _combination([(c, coefficient.get(w), spatial(g)) for c, w, g in parts]))
+            for a, parts in table["J"]),
+        eps=coefficient["eps"],
+        sigma=coefficient["sigma"],
+        mu=coefficient["mu"],
     )
 
 
@@ -161,42 +130,26 @@ def _build_case(case_id, name, e_terms, b_terms, eps_expr, sigma_expr, mu_expr):
 def case1() -> ManufacturedCase:
     """Unit coefficients; bump-like potentials with zero boundary traces.
 
-    The magnetic field is the time integral of -curl E, which fixes its
-    sign relative to the double-curl potential.  Every term carries a
-    t or t^2 factor, so the initial data vanish identically.
+    ``E = t curl(phi) + t^2 grad(s)`` and ``B = -(t^2 / 2) curl curl(phi)``,
+    where ``phi_i = sin^2(pi x_i) q(x_j) q(x_k)`` over the other two
+    coordinates, ``q(s) = s^2 (1-s)^2``, and ``s = sin(pi x) sin(pi y) sin(pi z)``.  The magnetic field is the
+    time integral of -curl E, which fixes its sign relative to the
+    double-curl potential.  Every term carries a t or t^2 factor, so the
+    initial data vanish identically.
     """
-    pi = sp.pi
-    phi = sp.Matrix([
-        sp.sin(pi * _X) ** 2 * _Y**2 * (1 - _Y) ** 2 * _Z**2 * (1 - _Z) ** 2,
-        _X**2 * (1 - _X) ** 2 * sp.sin(pi * _Y) ** 2 * _Z**2 * (1 - _Z) ** 2,
-        _X**2 * (1 - _X) ** 2 * _Y**2 * (1 - _Y) ** 2 * sp.sin(pi * _Z) ** 2,
-    ])
-    psi = _grad(sp.sin(pi * _X) * sp.sin(pi * _Y) * sp.sin(pi * _Z))
-    a = _curl(phi)
-    e_terms = [(_T, a), (_T**2, psi)]
-    b_terms = [(-_T**2 / 2, _curl(a))]
-    one = sp.Integer(1)
-    return _build_case(1, "constant coefficients", e_terms, b_terms, one, one, one)
+    return _build_case(1, "constant coefficients", _case_fields.CASE1)
 
 
 @lru_cache(maxsize=None)
 def case2() -> ManufacturedCase:
-    """Polarized standing wave with variable material coefficients."""
-    pi = sp.pi
-    omega = sp.Rational(11, 5) * pi            # 2.2 pi
-    g = sp.Matrix([0, 0, sp.sin(pi * _X) * sp.sin(pi * _Y)])
-    h = sp.Matrix([
-        -sp.cos(pi * _Y) * sp.sin(pi * _X),
-        sp.cos(pi * _X) * sp.sin(pi * _Y),
-        0,
-    ])
-    e_terms = [(sp.cos(omega * _T), g)]
-    b_terms = [(sp.sin(omega * _T) / sp.Rational(11, 5), h)]
-    mu_expr = 1 / (1 + _X**2 + _Y**2 + _Z**2)
-    eps_expr = 2 - _X**2 - _Z
-    sigma_expr = 2 - _Y**2 + _Z
-    return _build_case(2, "polarized wave, variable coefficients",
-                       e_terms, b_terms, eps_expr, sigma_expr, mu_expr)
+    """Polarized standing wave with variable material coefficients.
+
+    ``E = cos(w t) (0, 0, sin(pi x) sin(pi y))`` and
+    ``B = sin(w t) / 2.2 (-sin(pi x) cos(pi y), cos(pi x) sin(pi y), 0)``
+    with ``w = 2.2 pi``; ``mu = 1 / (1 + |x|^2)``, ``eps = 2 - x^2 - z``
+    and ``sigma = 2 - y^2 + z``.
+    """
+    return _build_case(2, "polarized wave, variable coefficients", _case_fields.CASE2)
 
 
 def get_case(case_id: int) -> ManufacturedCase:
@@ -205,43 +158,6 @@ def get_case(case_id: int) -> ManufacturedCase:
     if case_id == 2:
         return case2()
     raise ValueError(f"unknown case id {case_id}")
-
-
-def strong_form_residual(case: ManufacturedCase, n_samples: int = 1000,
-                         step: float = 1e-5, seed: int = 0) -> float:
-    """Max residual of both strong equations at random space-time samples.
-
-    Curls and time derivatives are recomputed by central differences, so
-    this checks the symbolic derivation of J and the sign conventions of
-    the field pair rather than restating them.
-    """
-    rng = np.random.default_rng(seed)
-    lo = np.asarray(case.domain[0])
-    hi = np.asarray(case.domain[1])
-    pts = lo + rng.random((n_samples, 3)) * (hi - lo)
-    ts = rng.random(n_samples) * case.T
-
-    def fd_time(fn):
-        return (fn(pts, ts + step) - fn(pts, ts - step)) / (2 * step)
-
-    def fd_curl(fn):
-        d = [(fn(pts + step * e, ts) - fn(pts - step * e, ts)) / (2 * step)
-             for e in np.eye(3)]     # d[a][:, c] = del_a (component c)
-        return np.stack([
-            d[1][:, 2] - d[2][:, 1],
-            d[2][:, 0] - d[0][:, 2],
-            d[0][:, 1] - d[1][:, 0],
-        ], axis=1)
-
-    mu_inv_b = lambda p, t: case.B(p, t) / case.mu(p)[..., None]
-    eps = case.eps(pts)[:, None]
-    sigma = case.sigma(pts)[:, None]
-    current = _sum_of_terms(case.J_terms)(pts, ts)
-
-    ampere = (eps * fd_time(case.E) + sigma * case.E(pts, ts)
-              - fd_curl(mu_inv_b) - current)
-    faraday = fd_time(case.B) + fd_curl(case.E)
-    return float(max(np.abs(ampere).max(), np.abs(faraday).max()))
 
 
 @dataclass

@@ -242,6 +242,13 @@ def _segments(x: np.ndarray, offsets: np.ndarray) -> tuple:
     return tuple(x[a:b] for a, b in zip(offsets[:-1], offsets[1:]))
 
 
+def _index_array(refs, owner: str) -> np.ndarray:
+    try:
+        return np.asarray(refs, dtype=int)
+    except OverflowError as exc:
+        raise MeshFormatError(f"{owner} has an index out of range") from exc
+
+
 def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
     """Build a PolyMesh from raw vertices, face loops and signed face lists.
 
@@ -258,7 +265,7 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
 
     face_loops = []
     for i, loop in enumerate(faces):
-        loop = np.asarray(loop, dtype=int)
+        loop = _index_array(loop, f"face {i}")
         if loop.size < 3:
             raise MeshTopologyError(f"face {i} has fewer than 3 vertices")
         if loop.min() < 0 or loop.max() >= nv:
@@ -270,7 +277,7 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
 
     cf_list, cs_list = [], []
     for k, refs in enumerate(cells):
-        refs = np.asarray(refs, dtype=int)
+        refs = _index_array(refs, f"cell {k}")
         if refs.size < 4 or np.any(refs == 0):
             raise MeshTopologyError(f"cell {k} has an invalid face list")
         idx = np.abs(refs) - 1
@@ -412,8 +419,8 @@ def load_mesh(path) -> PolyMesh:
 
     Format: object with "vertices" ([x, y, z] triples), "faces" (0-based
     vertex loops; loop order defines the normal), "cells" (1-based signed
-    face indices) and an optional "name".  Coordinates must be finite
-    and indices JSON integers.
+    face indices) and an optional "name" string.  Coordinates must be
+    finite and indices JSON integers.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -425,16 +432,16 @@ def load_mesh(path) -> PolyMesh:
     for key in ("vertices", "faces", "cells"):
         if key not in doc:
             raise MeshFormatError(f"{path}: missing key '{key}'")
+    name = doc.get("name", "")
+    if not isinstance(name, str):
+        raise MeshFormatError(f"{path}: name must be a string")
     try:
         # numpy would truncate 1.5 or true to a valid index without a word
         for key in ("faces", "cells"):
             for i, refs in enumerate(doc[key]):
                 if not all(type(r) is int for r in refs):
                     raise MeshFormatError(f"{path}: {key[:-1]} {i} has a non-integer index")
-        return derive_topology(
-            doc["vertices"], doc["faces"], doc["cells"],
-            name=str(doc.get("name", "")),
-        )
+        return derive_topology(doc["vertices"], doc["faces"], doc["cells"], name=name)
     except (TypeError, ValueError) as exc:
         raise MeshFormatError(f"{path}: malformed arrays: {exc}") from exc
 

@@ -1,0 +1,169 @@
+"""Symbolic derivation of the two manufactured cases, printed as numpy source.
+
+Each case fixes E and B in closed form as (time factor, spatial 3-vector)
+terms.  Time derivatives act on the time factors and curls on the spatial
+parts only, and the current ``J = eps E_t + sigma E - curl(mu^-1 B)`` is
+grouped by time factor, constants folded out, so it stays a short sum of
+such terms.  ``render()`` prints the result with the printer that
+``sympy.lambdify(..., "numpy")`` uses, as the module ``vemaxwell.cases``
+reads.  Rewrite that module with
+
+    python tests/case_source.py
+
+``tests/test_cases.py`` checks that the committed module equals
+``render()`` byte for byte.
+"""
+
+from __future__ import annotations
+
+import pathlib
+
+import sympy as sp
+from sympy.printing.numpy import NumPyPrinter
+
+X, Y, Z, T = sp.symbols("x y z t", real=True)
+
+TARGET = pathlib.Path(__file__).resolve().parents[1] / "src" / "vemaxwell" / "_case_fields.py"
+COMMAND = "python tests/case_source.py"
+
+# The settings lambdify(..., "numpy") gives its printer, so the printed
+# expressions evaluate exactly as the lambdified ones did.
+PRINTER_SETTINGS = {"fully_qualified_modules": False, "inline": True,
+                    "allow_unknown_functions": True, "user_functions": {}}
+
+
+def curl(v):
+    return sp.Matrix([
+        sp.diff(v[2], Y) - sp.diff(v[1], Z),
+        sp.diff(v[0], Z) - sp.diff(v[2], X),
+        sp.diff(v[1], X) - sp.diff(v[0], Y),
+    ])
+
+
+def grad(s):
+    return sp.Matrix([sp.diff(s, X), sp.diff(s, Y), sp.diff(s, Z)])
+
+
+def case1():
+    """Unit coefficients; bump-like potentials with zero boundary traces.
+
+    The magnetic field is the time integral of -curl E, which fixes its
+    sign relative to the double-curl potential.  Every term carries a
+    t or t^2 factor, so the initial data vanish identically.
+    """
+    pi = sp.pi
+    phi = sp.Matrix([
+        sp.sin(pi * X) ** 2 * Y**2 * (1 - Y) ** 2 * Z**2 * (1 - Z) ** 2,
+        X**2 * (1 - X) ** 2 * sp.sin(pi * Y) ** 2 * Z**2 * (1 - Z) ** 2,
+        X**2 * (1 - X) ** 2 * Y**2 * (1 - Y) ** 2 * sp.sin(pi * Z) ** 2,
+    ])
+    psi = grad(sp.sin(pi * X) * sp.sin(pi * Y) * sp.sin(pi * Z))
+    a = curl(phi)
+    e_terms = [(T, a), (T**2, psi)]
+    b_terms = [(-T**2 / 2, curl(a))]
+    one = sp.Integer(1)
+    return derive(e_terms, b_terms, one, one, one)
+
+
+def case2():
+    """Polarized standing wave with variable material coefficients."""
+    pi = sp.pi
+    omega = sp.Rational(11, 5) * pi            # 2.2 pi
+    g = sp.Matrix([0, 0, sp.sin(pi * X) * sp.sin(pi * Y)])
+    h = sp.Matrix([
+        -sp.cos(pi * Y) * sp.sin(pi * X),
+        sp.cos(pi * X) * sp.sin(pi * Y),
+        0,
+    ])
+    e_terms = [(sp.cos(omega * T), g)]
+    b_terms = [(sp.sin(omega * T) / sp.Rational(11, 5), h)]
+    mu = 1 / (1 + X**2 + Y**2 + Z**2)
+    eps = 2 - X**2 - Z
+    sigma = 2 - Y**2 + Z
+    return derive(e_terms, b_terms, eps, sigma, mu)
+
+
+def derive(e_terms, b_terms, eps, sigma, mu):
+    """The term structure of a case from E and B given as (time factor,
+    spatial 3-vector) terms.
+
+    ``E``, ``B``, ``E_t`` and ``curl_mu_inv_B`` are lists of (time factor,
+    spatial part) pairs; ``J`` is a list of (time factor, [(constant,
+    "eps" | "sigma" | None, spatial part), ...]) groups, one per distinct
+    time factor once its constant is split off.
+    """
+    curl_terms = [(a, curl(h / mu)) for a, h in b_terms]
+    e_t_terms = [(a.diff(T), g) for a, g in e_terms]
+    groups = {}
+    for a, w, g in ([(a, "eps", g) for a, g in e_t_terms]
+                    + [(a, "sigma", g) for a, g in e_terms]
+                    + [(-a, None, g) for a, g in curl_terms]):
+        c, a = a.as_independent(T, as_Add=False)
+        groups.setdefault(a, []).append((float(c), w, g))
+    return {"eps": eps, "sigma": sigma, "mu": mu,
+            "E": e_terms, "B": b_terms, "E_t": e_t_terms,
+            "curl_mu_inv_B": curl_terms, "J": list(groups.items())}
+
+
+def _tuple(items) -> str:
+    items = list(items)
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+
+def _case_source(case_id, fields, printer):
+    """Function definitions and the ``CASE<id>`` table of one case."""
+    defs = []
+    names = {}
+
+    def function(kind, args, exprs):
+        key = (args, tuple(exprs))
+        if key not in names:
+            names[key] = f"case{case_id}_{kind}{sum(k[0] == args for k in names)}"
+            body = ", ".join(printer.doprint(e) for e in exprs)
+            if len(exprs) > 1:
+                body = f"({body})"
+            defs.append(f"def {names[key]}({args}):\n    return {body}\n")
+        return names[key]
+
+    def space(v):
+        return function("space", "x, y, z", list(v))
+
+    def time(a):
+        return function("time", "t", [a])
+
+    rows = []
+    for w in ("eps", "sigma", "mu"):
+        name = f"case{case_id}_{w}"
+        defs.append(f"def {name}(x, y, z):\n    return {printer.doprint(fields[w])}\n")
+        rows.append(f"    {w!r}: {name},")
+    for key in ("E", "B", "E_t", "curl_mu_inv_B"):
+        pairs = _tuple(f"({time(a)}, {space(g)})" for a, g in fields[key])
+        rows.append(f"    {key!r}: {pairs},")
+    rows.append("    'J': (")
+    for a, parts in fields["J"]:
+        triples = _tuple(f"({c!r}, {w!r}, {space(g)})" for c, w, g in parts)
+        rows.append(f"        ({time(a)}, {triples}),")
+    rows.append("    ),")
+    table = f"CASE{case_id} = {{\n" + "\n".join(rows) + "\n}\n"
+    return "\n\n".join(defs), table
+
+
+def render() -> str:
+    """Source of ``vemaxwell/_case_fields.py``."""
+    printer = NumPyPrinter(PRINTER_SETTINGS)
+    blocks = [_case_source(case_id, fields, printer)
+              for case_id, fields in ((1, case1()), (2, case2()))]
+    imports = ", ".join(sorted(printer.module_imports.get("numpy", ())))
+    header = (f"# Generated by {COMMAND} with sympy {sp.__version__}; do not edit.\n"
+              '"""Closed-form fields of the manufactured cases as numpy functions.\n\n'
+              "Spatial parts map (x, y, z) to a 3-tuple, time factors map t to a\n"
+              "value, and ``CASE1``/``CASE2`` give each field's terms.\n"
+              '"""\n\n'
+              f"from numpy import {imports}\n")
+    sections = [header] + [defs for defs, _ in blocks] + [table for _, table in blocks]
+    return "\n\n".join(sections)
+
+
+if __name__ == "__main__":
+    TARGET.write_text(render(), encoding="utf-8")
+    print(f"wrote {TARGET}")

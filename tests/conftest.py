@@ -91,3 +91,39 @@ def constant_edge_dofs(mesh, c):
 def constant_face_dofs(mesh, c):
     """Face DOFs of the constant vector field c."""
     return mesh.face_normals @ np.asarray(c, dtype=float)
+
+
+def strong_form_residual(case, n_samples=1000, step=1e-5, seed=0):
+    """Max residual of both strong equations at random space-time samples.
+
+    Curls and time derivatives are recomputed by central differences, so
+    this checks the derivation of J and the sign conventions of the field
+    pair rather than restating them.
+    """
+    rng = np.random.default_rng(seed)
+    lo = np.asarray(case.domain[0])
+    hi = np.asarray(case.domain[1])
+    pts = lo + rng.random((n_samples, 3)) * (hi - lo)
+    ts = rng.random(n_samples) * case.T
+
+    def fd_time(fn):
+        return (fn(pts, ts + step) - fn(pts, ts - step)) / (2 * step)
+
+    def fd_curl(fn):
+        d = [(fn(pts + step * e, ts) - fn(pts - step * e, ts)) / (2 * step)
+             for e in np.eye(3)]     # d[a][:, c] = del_a (component c)
+        return np.stack([
+            d[1][:, 2] - d[2][:, 1],
+            d[2][:, 0] - d[0][:, 2],
+            d[0][:, 1] - d[1][:, 0],
+        ], axis=1)
+
+    mu_inv_b = lambda p, t: case.B(p, t) / case.mu(p)[..., None]
+    eps = case.eps(pts)[:, None]
+    sigma = case.sigma(pts)[:, None]
+    current = sum(a(ts)[:, None] * g(pts) for a, g in case.J_terms)
+
+    ampere = (eps * fd_time(case.E) + sigma * case.E(pts, ts)
+              - fd_curl(mu_inv_b) - current)
+    faraday = fd_time(case.B) + fd_curl(case.E)
+    return float(max(np.abs(ampere).max(), np.abs(faraday).max()))

@@ -19,7 +19,7 @@ from conftest import build_lcell, build_two_prisms, constant_edge_dofs, constant
 from vemaxwell import cases, cli, forms, stepper
 from vemaxwell import derham as vd
 from vemaxwell import generate_cube_mesh, load_mesh
-from conftest import DATA
+from conftest import DATA, strong_form_residual
 
 
 def report(line: str) -> None:
@@ -265,8 +265,8 @@ def test_criterion_8_row_monotonicity(cube4m):
 
 def test_criterion_9_manufactured_case_self_check():
     t0 = time.perf_counter()
-    r1 = cases.strong_form_residual(cases.case1(), 1000)
-    r2 = cases.strong_form_residual(cases.case2(), 1000)
+    r1 = strong_form_residual(cases.case1(), 1000)
+    r2 = strong_form_residual(cases.case2(), 1000)
 
     rng = np.random.default_rng(13)
     worst_trace = 0.0

@@ -1,7 +1,15 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import sympy as sp
 
+import case_source
+import vemaxwell
+from conftest import strong_form_residual
 from vemaxwell import cases
 from vemaxwell import derham as vd
 
@@ -74,10 +82,10 @@ class TestCase2:
 
 class TestStrongFormResidual:
     def test_case1(self, c1):
-        assert cases.strong_form_residual(c1, 1000) <= 1e-8
+        assert strong_form_residual(c1, 1000) <= 1e-8
 
     def test_case2(self, c2):
-        assert cases.strong_form_residual(c2, 1000) <= 1e-8
+        assert strong_form_residual(c2, 1000) <= 1e-8
 
     def test_faraday_only_case2(self, c2):
         # B is the time integral of -curl E by construction; the oracle
@@ -168,7 +176,7 @@ def sym_curl(v):
 def full_current(case_id):
     """J = eps E_t + sigma E - curl(B / mu) derived from the full (x, y, z, t)
     expressions of the case's fields and lambdified as one callable:
-    the oracle for the term-by-term derivation in ``cases``."""
+    the oracle for the term-by-term derivation in ``case_source``."""
     pi = sp.pi
     if case_id == 1:
         phi = sp.Matrix([
@@ -233,3 +241,26 @@ class TestCurrentTerms:
             for t in (0.37, 1.0):
                 want = vd.interpolate_edge(mesh, lambda p: current(p, t))
                 assert_close(sum(a(t) * j for a, j in parts), want)
+
+
+class TestGeneratedSource:
+    def test_module_matches_derivation(self):
+        assert case_source.TARGET.read_bytes() == case_source.render().encode()
+
+    def test_run_imports_no_sympy(self, tmp_path):
+        script = (
+            "import sys\n"
+            "import vemaxwell.cli\n"
+            "for case in ('1', '2'):\n"
+            "    rc = vemaxwell.cli.main(['--generate', 'cube:2', '--case', case,\n"
+            "                             '--tau', '1/2', '--out', case + '.csv'])\n"
+            "    assert rc == 0, rc\n"
+            "print('sympy' in sys.modules)\n"
+        )
+        src = pathlib.Path(vemaxwell.__file__).parents[1]
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              env={**os.environ, "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+        assert (tmp_path / "1.csv").is_file() and (tmp_path / "2.csv").is_file()

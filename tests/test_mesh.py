@@ -67,6 +67,33 @@ class TestLoadMesh:
         with pytest.raises(vm.MeshFormatError, match=message):
             vm.load_mesh(write_json(tmp_path, doc))
 
+    @pytest.mark.parametrize("mutate, error, message", [
+        (lambda d: d["faces"][5].__setitem__(1, 10**30), vm.MeshFormatError,
+         "face 5 has an index out of range"),
+        (lambda d: d["cells"][2].__setitem__(0, 10**30), vm.MeshFormatError,
+         "cell 2 has an index out of range"),
+        (lambda d: d["cells"][2].__setitem__(0, 0), vm.MeshTopologyError,
+         "cell 2 has an invalid face list"),
+        (lambda d: d["faces"][5].__setitem__(1, -1), vm.MeshTopologyError,
+         "face 5 references a missing vertex"),
+        (lambda d: d["faces"][5].__delitem__(slice(2, None)), vm.MeshTopologyError,
+         "face 5 has fewer than 3 vertices"),
+        (lambda d: d["cells"][2].clear(), vm.MeshTopologyError,
+         "cell 2 has an invalid face list"),
+        (lambda d: d["vertices"][3].pop(), vm.MeshFormatError, "malformed arrays"),
+        (lambda d: d.__setitem__("cells", [3]), vm.MeshFormatError, "malformed arrays"),
+        (lambda d: d.__setitem__("name", [1]), vm.MeshFormatError,
+         "name must be a string"),
+    ], ids=["huge-face-index", "huge-cell-index", "cell-face-0", "face-vertex--1",
+            "two-vertex-face", "empty-cell", "two-vector-vertex", "cells-not-lists",
+            "non-string-name"])
+    def test_malformed_document_raises_mesh_error(self, tmp_path, mutate, error, message):
+        # a bare IndexError/KeyError/OverflowError would escape pytest.raises
+        doc = json.loads((DATA / "voro8.json").read_text())
+        mutate(doc)
+        with pytest.raises(error, match=message):
+            vm.load_mesh(write_json(tmp_path, doc))
+
     def test_nonplanar_face_rejected(self, tmp_path):
         doc = json.loads(json.dumps(UNIT_CUBE))
         doc["vertices"][6] = [1, 1, 1.001]    # bend the top face
