@@ -190,12 +190,12 @@ def l2_error(mesh: PolyMesh, dofs: DeRhamDofs, projectors: ElementProjectors,
     t0 = time.perf_counter()
     err_e_sq = 0.0
     err_b_sq = 0.0
+    pe = (projectors.edge_cell @ e_full).reshape(-1, 3)
+    pb = (projectors.face_cell @ b_full).reshape(-1, 3)
     for k in range(mesh.n_cells):
-        pe = projectors.edge_cell[k] @ e_full[mesh.cell_edges[k]]
-        pb = projectors.face_cell[k] @ b_full[mesh.cell_faces[k]]
         rule = cell_quadrature(mesh, k, degree)
-        err_e_sq += rule.weights @ ((case.E(rule.points, t) - pe) ** 2).sum(axis=1)
-        err_b_sq += rule.weights @ ((case.B(rule.points, t) - pb) ** 2).sum(axis=1)
+        err_e_sq += rule.weights @ ((case.E(rule.points, t) - pe[k]) ** 2).sum(axis=1)
+        err_b_sq += rule.weights @ ((case.B(rule.points, t) - pb[k]) ** 2).sum(axis=1)
     return ErrorReport(
         err_E=float(np.sqrt(err_e_sq)),
         err_B=float(np.sqrt(err_b_sq)),

@@ -34,15 +34,14 @@ INTERP_FACE_DEGREE = 14
 class DeRhamDofs:
     """Global DOF counts, homogeneous-boundary masks and interior numbering.
 
-    Boundary masks implement E x n = 0 (edge DOFs), B . n = 0 (face DOFs)
-    and zero vertex traces; constrained DOFs are eliminated, not
-    penalized, so reduced systems stay symmetric positive definite.
+    Boundary masks implement E x n = 0 (edge DOFs) and B . n = 0 (face
+    DOFs), the interior node numbering zero vertex traces; constrained
+    DOFs are eliminated, not penalized, so reduced systems stay SPD.
     """
 
     n_nodes: int
     n_edges: int
     n_faces: int
-    boundary_nodes: np.ndarray
     boundary_edges: np.ndarray
     boundary_faces: np.ndarray
     interior_nodes: np.ndarray   # global ids of free node DOFs
@@ -74,7 +73,6 @@ def build_dofs(mesh: PolyMesh) -> DeRhamDofs:
         n_nodes=mesh.n_vertices,
         n_edges=mesh.n_edges,
         n_faces=mesh.n_faces,
-        boundary_nodes=mesh.boundary_vertices.copy(),
         boundary_edges=mesh.boundary_edges.copy(),
         boundary_faces=mesh.boundary_faces.copy(),
         interior_nodes=np.flatnonzero(~mesh.boundary_vertices),
@@ -107,7 +105,7 @@ def curl_matrix(mesh: PolyMesh) -> sps.csr_matrix:
 
 def divergence_matrix(mesh: PolyMesh) -> sps.csr_matrix:
     """D: face DOFs -> constant cell divergence (flux sum / volume)."""
-    rows = np.repeat(np.arange(mesh.n_cells), [fids.size for fids in mesh.cell_faces])
+    rows = mesh.cell_face_owners
     cols = np.concatenate(mesh.cell_faces)
     vals = np.concatenate(mesh.cell_face_signs) * mesh.face_areas[cols] / mesh.cell_volumes[rows]
     return sps.csr_matrix((vals, (rows, cols)), shape=(mesh.n_cells, mesh.n_faces))
@@ -131,75 +129,64 @@ def build_incidence(mesh: PolyMesh) -> IncidenceOps:
     return IncidenceOps(gradient_matrix(mesh), curl_matrix(mesh), divergence_matrix(mesh))
 
 
-def pi0_face_tangential(mesh: PolyMesh, f: int) -> np.ndarray:
-    """Map the loop-ordered edge DOFs of face f to the mean tangential vector.
-
-    For v with constant edge traces and constant in-plane rot,
-        mean(v_t) = (1/|F|) sum_e sigma_{F,e} v_e |e| n_F x (m_e - b_F),
-    obtained by testing against rotations of linear scalars with zero
-    face mean; midpoints appear because those scalars are linear on
-    straight edges.
-    """
-    eids = mesh.face_edges[f]
-    sig = mesh.face_edge_signs[f]
-    n = mesh.face_normals[f]
-    arm = mesh.edge_midpoints[eids] - mesh.face_centroids[f]
-    cols = sig[:, None] * mesh.edge_lengths[eids, None] * np.cross(n[None, :], arm)
-    return cols.T / mesh.face_areas[f]
-
-
-def pi0_edge_cell(mesh: PolyMesh, k: int, face_maps=None) -> np.ndarray:
-    """Map cell-local edge DOFs (sorted edge ids) to the mean of v over K.
-
-    Combines the per-face tangential means: with r_F = b_F - b_K and the
-    outward normal n_out = sigma_{K,F} n_F,
-        mean(v) = (1/(2|K|)) sum_F |F| [ (n_out . r_F) mean_F(v_t)
-                                          - (r_F . mean_F(v_t)) n_out ].
-    The normal traces drop out of the two boundary terms identically, and
-    the interior curl moment vanishes by the cell moment constraint.
-    """
-    eids = mesh.cell_edges[k]
-    pos = {e: j for j, e in enumerate(eids)}
-    out = np.zeros((3, eids.size))
-    b_k = mesh.cell_centroids[k]
-    for f, s in zip(mesh.cell_faces[k], mesh.cell_face_signs[k]):
-        pt = face_maps[f] if face_maps is not None else pi0_face_tangential(mesh, f)
-        n_out = s * mesh.face_normals[f]
-        r = mesh.face_centroids[f] - b_k
-        d = float(n_out @ r)
-        block = mesh.face_areas[f] * (d * pt - np.outer(n_out, r @ pt))
-        loc = [pos[e] for e in mesh.face_edges[f]]
-        np.add.at(out, (slice(None), loc), block)
-    return out / (2.0 * mesh.cell_volumes[k])
-
-
-def pi0_face_cell(mesh: PolyMesh, k: int) -> np.ndarray:
-    """Map cell-local face DOFs (cell face order) to the mean of psi over K.
-
-    Testing against gradients of linear scalars gives
-        mean(psi) = (1/|K|) sum_F sigma_{K,F} psi_F |F| (b_F - b_K);
-    the volume term vanishes because b_K is the volume centroid.
-    """
-    fids = mesh.cell_faces[k]
-    arm = mesh.face_centroids[fids] - mesh.cell_centroids[k]
-    cols = (mesh.cell_face_signs[k] * mesh.face_areas[fids])[:, None] * arm
-    return cols.T / mesh.cell_volumes[k]
+def block_matrix(rows, cols, blocks: np.ndarray, shape) -> sps.csr_matrix:
+    """Sparse sum of (a, b) blocks, ``blocks[j]`` at block row ``rows[j]``
+    and block column ``cols[j]``."""
+    _, a, b = blocks.shape
+    r, c = np.broadcast_arrays(a * np.asarray(rows)[:, None, None] + np.arange(a)[:, None],
+                               b * np.asarray(cols)[:, None, None] + np.arange(b))
+    return sps.csr_matrix((blocks.ravel(), (r.ravel(), c.ravel())), shape=shape)
 
 
 @dataclass(frozen=True)
 class ElementProjectors:
-    """Per-face and per-cell constant projectors, built once per mesh."""
+    """Constant projectors of all faces and cells, built once per mesh.
 
-    face_tangential: tuple   # per face: (3, len(face_edges))
-    edge_cell: tuple         # per cell: (3, len(cell_edges))
-    face_cell: tuple         # per cell: (3, len(cell_faces))
+    Rows 3i..3i+2 of each map take global DOFs to the mean vector on
+    entity i; they reach only the edges or faces of that entity.
+    """
+
+    face_tangential: sps.csr_matrix   # (3 nf, ne): tangential mean per face
+    edge_cell: sps.csr_matrix         # (3 nc, ne): mean of an edge function per cell
+    face_cell: sps.csr_matrix         # (3 nc, nf): mean of a face function per cell
 
 
 def build_projectors(mesh: PolyMesh) -> ElementProjectors:
-    face_maps = [pi0_face_tangential(mesh, f) for f in range(mesh.n_faces)]
-    edge_cell = [pi0_edge_cell(mesh, k, face_maps) for k in range(mesh.n_cells)]
-    face_cell = [pi0_face_cell(mesh, k) for k in range(mesh.n_cells)]
-    return ElementProjectors(tuple(face_maps), tuple(edge_cell), tuple(face_cell))
+    """The three maps, from the flat face-loop and cell-face arrays.
+
+    For v with constant edge traces and constant in-plane rot,
+        mean_F(v_t) = (1/|F|) sum_e sigma_{F,e} v_e |e| n_F x (m_e - b_F),
+    obtained by testing against rotations of linear scalars with zero
+    face mean; midpoints appear because those scalars are linear on
+    straight edges.  With r_F = b_F - b_K and the outward normal
+    n_out = sigma_{K,F} n_F, the cell mean combines the face means,
+        mean(v) = (1/(2|K|)) sum_F |F| (n_out . r_F I - n_out r_F') mean_F(v_t):
+    the normal traces drop out of the two boundary terms identically, and
+    the interior curl moment vanishes by the cell moment constraint.
+    For a face function, testing against gradients of linear scalars gives
+        mean(psi) = (1/|K|) sum_F sigma_{K,F} psi_F |F| (b_F - b_K);
+    the volume term vanishes because b_K is the volume centroid.
+    """
+    nf, nc, ne = mesh.n_faces, mesh.n_cells, mesh.n_edges
+    faces = mesh.split.fan_faces                 # face of each loop edge, in loop order
+    eids = np.concatenate(mesh.face_edges)
+    arm = mesh.edge_midpoints[eids] - mesh.face_centroids[faces]
+    tangential = (np.concatenate(mesh.face_edge_signs)[:, None] * mesh.edge_lengths[eids, None]
+                  * np.cross(mesh.face_normals[faces], arm) / mesh.face_areas[faces, None])
+    face_tangential = block_matrix(faces, eids, tangential[:, :, None], (3 * nf, ne))
+
+    cells, fids = mesh.cell_face_owners, np.concatenate(mesh.cell_faces)
+    signs = np.concatenate(mesh.cell_face_signs)
+    r = mesh.face_centroids[fids] - mesh.cell_centroids[cells]
+    n_out = signs[:, None] * mesh.face_normals[fids]
+    combine = (np.einsum("ij,ij->i", n_out, r)[:, None, None] * np.eye(3)
+               - n_out[:, :, None] * r[:, None, :])
+    combine *= (mesh.face_areas[fids] / (2.0 * mesh.cell_volumes[cells]))[:, None, None]
+    edge_cell = block_matrix(cells, fids, combine, (3 * nc, 3 * nf)) @ face_tangential
+
+    face_mean = (signs * mesh.face_areas[fids])[:, None] * r / mesh.cell_volumes[cells, None]
+    face_cell = block_matrix(cells, fids, face_mean[:, :, None], (3 * nc, nf))
+    return ElementProjectors(face_tangential, edge_cell, face_cell)
 
 
 def interpolate_edge(mesh: PolyMesh, field, degree: int = INTERP_EDGE_DEGREE) -> np.ndarray:

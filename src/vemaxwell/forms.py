@@ -3,9 +3,9 @@
 Each local product is the projected consistency term plus a DOF-based
 stabilization acting on the constant-free residual:
 
-    [u, v]_K = |K| (P u) . (P v) + eta * (J u)' S (J v),
+    [u, v]_K = |K| (P u) . (P v) + eta * (X u)' S (X v),
 
-where P maps local DOFs to the constant projection, J = I - (DOFs of the
+where P maps DOFs to the constant projection, X = I - (DOFs of the
 projection) extracts the residual, and S is diagonal in the raw DOF basis
 because the lowest-order traces are edgewise/facewise constant.
 """
@@ -13,11 +13,12 @@ because the lowest-order traces are edgewise/facewise constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sps
 
-from .derham import DeRhamDofs, ElementProjectors
+from .derham import DeRhamDofs, ElementProjectors, block_matrix
 from .mesh import PolyMesh
 
 DEFAULT_ETA_EDGE = 0.01
@@ -81,51 +82,54 @@ def sample_coefficients(mesh: PolyMesh, eps, sigma, mu) -> CoefficientSet:
     return CoefficientSet(eps_f, sigma_f, mu_f, eps_hat, sigma_hat, mu_hat)
 
 
-def stab_edge(mesh: PolyMesh, k: int) -> np.ndarray:
-    """Edge-space stabilization on cell k, diagonal in the raw DOF basis.
+class LocalFactors(NamedTuple):
+    """Every cell's local product as stacked sparse factors: cell k's is
+    |K| P_k' P_k + eta X_k' S_k X_k, with P_k rows 3k..3k+2 of ``p`` and
+    X_k, S_k the rows of ``x`` and ``stab`` whose ``cells`` entry is k."""
 
-    The double sum over faces then edges counts each edge once per
-    containing face (twice on a closed polyhedron), and each edge
-    integral of constant traces is |e| u_e v_e, so the diagonal entry is
-    h_K^2 * m_e * |e|.
+    p: sps.csr_matrix        # (3 nc, n) cell means, from ElementProjectors
+    x: sps.csr_matrix        # (pairs, n) X = R - N P, one row per (cell, DOF) pair
+    stab: np.ndarray         # (pairs,) diagonal of S
+    cells: np.ndarray        # (pairs,) cell of each pair
+
+
+def _pattern(rows, cols, shape) -> sps.csr_matrix:
+    """Sparse matrix with a one at each (rows[j], cols[j])."""
+    return sps.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=shape)
+
+
+def _local_factors(p, cells, ids, directions, stab) -> LocalFactors:
+    """Factors for the (cell, DOF) pairs ``cells``/``ids``: R selects the
+    DOF, and N reads the constant field c as ``directions . c``."""
+    pairs = np.arange(cells.size)
+    select = _pattern(pairs, ids, (pairs.size, p.shape[1]))
+    dofs_of_mean = block_matrix(pairs, cells, directions[:, None, :], (pairs.size, p.shape[0]))
+    return LocalFactors(p, select - dofs_of_mean @ p, stab, cells)
+
+
+def local_edge_mass(mesh: PolyMesh, projectors: ElementProjectors) -> LocalFactors:
+    """Factors of the local edge products of all cells.
+
+    The stabilization sums over the faces of K, then over their edges, so
+    it counts each edge m_e times (twice on a closed polyhedron), m_e the
+    (cell, edge) entry of |cell-face| |face-edge|; each edge integral of
+    constant traces is |e| u_e v_e, so the diagonal entry is h_K^2 m_e |e|.
     """
-    eids = mesh.cell_edges[k]
-    pos = {e: j for j, e in enumerate(eids)}
-    mult = np.zeros(eids.size)
-    for f in mesh.cell_faces[k]:
-        for e in mesh.face_edges[f]:
-            mult[pos[e]] += 1.0
-    return np.diag(mesh.cell_diameters[k] ** 2 * mult * mesh.edge_lengths[eids])
+    nc, nf, ne = mesh.n_cells, mesh.n_faces, mesh.n_edges
+    mult = (_pattern(mesh.cell_face_owners, np.concatenate(mesh.cell_faces), (nc, nf))
+            @ _pattern(mesh.split.fan_faces, np.concatenate(mesh.face_edges), (nf, ne))).tocoo()
+    stab = mesh.cell_diameters[mult.row] ** 2 * mult.data * mesh.edge_lengths[mult.col]
+    return _local_factors(projectors.edge_cell, mult.row, mult.col,
+                          mesh.edge_tangents[mult.col], stab)
 
 
-def stab_face(mesh: PolyMesh, k: int) -> np.ndarray:
-    """Face-space stabilization on cell k: diagonal entries h_K * |F|."""
-    fids = mesh.cell_faces[k]
-    return np.diag(mesh.cell_diameters[k] * mesh.face_areas[fids])
-
-
-def local_edge_mass(mesh: PolyMesh, k: int, projectors: ElementProjectors,
-                    eta_edge: float = DEFAULT_ETA_EDGE) -> np.ndarray:
-    """Symmetric positive definite discrete L2 product on the edge DOFs of cell k."""
-    p = projectors.edge_cell[k]
-    eids = mesh.cell_edges[k]
-    t = mesh.edge_tangents[eids]                   # DOFs of a constant field
-    j = np.eye(eids.size) - t @ p
-    s = stab_edge(mesh, k)
-    m = mesh.cell_volumes[k] * (p.T @ p) + eta_edge * (j.T @ s @ j)
-    return 0.5 * (m + m.T)  # cancel BLAS rounding asymmetry
-
-
-def local_face_mass(mesh: PolyMesh, k: int, projectors: ElementProjectors,
-                    eta_face: float = DEFAULT_ETA_FACE) -> np.ndarray:
-    """Symmetric positive definite discrete L2 product on the face DOFs of cell k."""
-    p = projectors.face_cell[k]
-    fids = mesh.cell_faces[k]
-    n = mesh.face_normals[fids]                    # DOFs of a constant field
-    j = np.eye(fids.size) - n @ p
-    s = stab_face(mesh, k)
-    m = mesh.cell_volumes[k] * (p.T @ p) + eta_face * (j.T @ s @ j)
-    return 0.5 * (m + m.T)
+def local_face_mass(mesh: PolyMesh, projectors: ElementProjectors) -> LocalFactors:
+    """Factors of the local face products of all cells; the stabilization
+    diagonal is h_K |F|."""
+    cells = mesh.cell_face_owners
+    fids = np.concatenate(mesh.cell_faces)
+    stab = mesh.cell_diameters[cells] * mesh.face_areas[fids]
+    return _local_factors(projectors.face_cell, cells, fids, mesh.face_normals[fids], stab)
 
 
 def assemble_global(mesh: PolyMesh, dofs: DeRhamDofs, cell_weights,
@@ -137,12 +141,12 @@ def assemble_global(mesh: PolyMesh, dofs: DeRhamDofs, cell_weights,
     ``cell_weights`` is a per-cell array (e.g. sampled permittivity, or
     reciprocal permeability for the face product), or a stack of them;
     a stack returns one matrix per row, all weighting the same single
-    pass of local products.  With ``restrict`` (one flag, or one per
-    row) the rows/columns of constrained boundary DOFs are eliminated;
-    pass ``restrict=False`` for the no-boundary-condition matrix.
+    pass of local factors.  With ``restrict`` (one flag, or one per row)
+    the rows/columns of constrained boundary DOFs are eliminated; pass
+    ``restrict=False`` for the no-boundary-condition matrix.
 
-    Local matrices are symmetric entry-for-entry and triplets are emitted
-    cell by cell, so the assembled matrix is exactly symmetric.
+    Each matrix is P' diag(w |K|) P + eta X' diag(w S) X, then averaged
+    with its transpose, so it is exactly symmetric.
     """
     if kind not in ("edge", "face"):
         raise ValueError("kind must be 'edge' or 'face'")
@@ -150,25 +154,20 @@ def assemble_global(mesh: PolyMesh, dofs: DeRhamDofs, cell_weights,
     if weights.ndim not in (1, 2) or weights.shape[-1] != mesh.n_cells:
         raise ValueError("one weight per cell expected")
     if kind == "edge":
-        local, eta, gids = local_edge_mass, stab.eta_edge, mesh.cell_edges
-        n, keep = dofs.n_edges, dofs.interior_edges
+        local, eta, keep = local_edge_mass, stab.eta_edge, dofs.interior_edges
     else:
-        local, eta, gids = local_face_mass, stab.eta_face, mesh.cell_faces
-        n, keep = dofs.n_faces, dofs.interior_faces
+        local, eta, keep = local_face_mass, stab.eta_face, dofs.interior_faces
 
-    vals = np.concatenate([local(mesh, k, projectors, eta).ravel()
-                           for k in range(mesh.n_cells)])
-    rows = np.concatenate([np.repeat(g, g.size) for g in gids])
-    cols = np.concatenate([np.tile(g, g.size) for g in gids])
-    block_sizes = np.array([g.size**2 for g in gids])
-
+    p, x, s, cells = local(mesh, projectors)
+    p_t, x_t = p.T.tocsr(), x.T.tocsr()
     mats = []
     stack = np.atleast_2d(weights)
     for w, cut in zip(stack, np.broadcast_to(restrict, len(stack))):
-        mat = sps.coo_matrix((vals * np.repeat(w, block_sizes), (rows, cols)),
-                             shape=(n, n)).tocsr()
+        mat = (p_t @ (sps.diags(np.repeat(w * mesh.cell_volumes, 3)) @ p)
+               + eta * (x_t @ (sps.diags(w[cells] * s) @ x)))
+        mat = (0.5 * (mat + mat.T)).tocsr()
         if cut:
-            mat = mat[keep][:, keep].tocsr()
+            mat = mat[keep][:, keep]
         mat.sort_indices()
         mats.append(mat)
     return mats if weights.ndim == 2 else mats[0]

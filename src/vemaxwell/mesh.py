@@ -33,6 +33,9 @@ class MeshGeometryError(MeshError):
 
 # Faces must be planar up to this fraction of the face diameter.
 PLANARITY_TOL = 1e-10
+# Largest |coordinate| accepted: geometry forms up to fourth powers of
+# coordinates (squared areas, volume moments), kept far from overflow.
+COORD_LIMIT = 1e50
 # Per-cell closed-surface identity tolerance, relative to h_K^2.
 CLOSURE_TOL = 1e-12
 
@@ -79,6 +82,7 @@ class PolyMesh:
     faces: tuple                         # per face: vertex loop, int array
     cell_faces: tuple                    # per cell: face indices, int array
     cell_face_signs: tuple               # per cell: +-1 per face
+    cell_face_owners: np.ndarray         # cell of each entry of concatenated cell_faces
     edges: np.ndarray                    # (ne, 2), lo < hi
     face_edges: tuple                    # per face: edge ids in loop order
     face_edge_signs: tuple               # per face: +-1 per loop edge
@@ -261,6 +265,10 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
     bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
     if bad.size:
         raise MeshFormatError(f"vertex {bad[0]} has a non-finite coordinate")
+    bad = np.flatnonzero((np.abs(vertices) > COORD_LIMIT).any(axis=1))
+    if bad.size:
+        raise MeshFormatError(
+            f"vertex {bad[0]} has a coordinate beyond +-{COORD_LIMIT:.0e}")
     nv = vertices.shape[0]
 
     face_loops = []
@@ -331,6 +339,7 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
     panels_per = np.diff(fan_offsets)[cf_flat]
     cf_offsets = _offsets(panels_per)                  # per cell face
     cell_cf_offsets = _offsets([fids.size for fids in cf_list])
+    cell_face_owners = np.repeat(np.arange(nc), np.diff(cell_cf_offsets))
     tet_offsets = cf_offsets[cell_cf_offsets]
     tet_panels = (np.arange(tet_offsets[-1])
                   + np.repeat(fan_offsets[cf_flat] - cf_offsets[:-1], panels_per))
@@ -392,6 +401,7 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
         faces=tuple(face_loops),
         cell_faces=tuple(cf_list),
         cell_face_signs=tuple(cs_list),
+        cell_face_owners=cell_face_owners,
         edges=edges,
         face_edges=face_edges,
         face_edge_signs=face_edge_signs,
@@ -499,9 +509,8 @@ def generate_cube_mesh(n: int, domain=None, name: str = "") -> PolyMesh:
 
 def mesh_stats(mesh: PolyMesh) -> MeshStats:
     """Size parameters and observed shape-regularity ratios."""
-    cells_of = np.repeat(np.arange(mesh.n_cells), [fids.size for fids in mesh.cell_faces])
     min_fc = (mesh.face_diameters[np.concatenate(mesh.cell_faces)]
-              / mesh.cell_diameters[cells_of]).min()
+              / mesh.cell_diameters[mesh.cell_face_owners]).min()
     # Loop edges are the fan panels' bases, in the same order.
     min_ef = (mesh.edge_lengths[np.concatenate(mesh.face_edges)]
               / mesh.face_diameters[mesh.split.fan_faces]).min()
@@ -536,9 +545,9 @@ def validate_mesh(mesh: PolyMesh) -> ValidationReport:
     fids = np.concatenate(mesh.cell_faces)
     flux = (np.concatenate(mesh.cell_face_signs)[:, None]
             * mesh.face_areas[fids, None] * mesh.face_normals[fids])
-    cell_offsets = _offsets([f.size for f in mesh.cell_faces])
-    cell_closure = (np.linalg.norm(_stacked(_sum, flux, cell_offsets), axis=1)
-                    / mesh.cell_diameters**2)
+    cell_flux = np.zeros((mesh.n_cells, 3))
+    np.add.at(cell_flux, mesh.cell_face_owners, flux)
+    cell_closure = np.linalg.norm(cell_flux, axis=1) / mesh.cell_diameters**2
     violations = (
         [f"face {f}: planarity residual {planarity[f]:.3e}"
          for f in np.flatnonzero(planarity > PLANARITY_TOL)]

@@ -8,6 +8,9 @@ from vemaxwell.mesh import derive_topology
 
 DATA = pathlib.Path(__file__).parent / "data"
 
+# Fixtures on which flat-array code is checked against per-entity loops.
+SPLIT_MESHES = ["cube4", "lcell", "two_prisms", "voro8", "voro27"]
+
 
 @pytest.fixture(scope="session")
 def cube1():
@@ -81,6 +84,12 @@ def lcell():
 @pytest.fixture(scope="session")
 def cube4_proj(cube4):
     return derham.build_projectors(cube4)
+
+
+def block_rows(proj_map, i, cols):
+    """Entity i's projector as a dense (3, len(cols)) matrix: rows
+    3i..3i+2 of a global projector map, restricted to ``cols``."""
+    return proj_map[3 * i:3 * i + 3][:, cols].toarray()
 
 
 def constant_edge_dofs(mesh, c):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
-from conftest import constant_edge_dofs, constant_face_dofs
-from vemaxwell import cases, forms
+from conftest import SPLIT_MESHES, block_rows, constant_edge_dofs, constant_face_dofs
+from vemaxwell import cases, forms, stepper
 from vemaxwell import derham as vd
 from vemaxwell import mesh as vm
 
@@ -42,29 +43,34 @@ class TestCoefficients:
         assert np.allclose(cs.eps_hat, 2.0)
 
 
+def stab_diagonal(local_mass, mesh, k):
+    """Cell k's stabilization as the diagonal matrix ``local_mass`` returns."""
+    factors = local_mass(mesh, vd.build_projectors(mesh))
+    return np.diag(factors.stab[factors.cells == k])
+
+
 class TestStabilizations:
     def test_edge_entries_unit_cube(self, cube1):
-        s = forms.stab_edge(cube1, 0)
+        s = stab_diagonal(forms.local_edge_mass, cube1, 0)
         # every cube edge sits in two faces: h_K^2 * 2 * |e| = 3 * 2 * 1
         assert np.allclose(np.diag(s), 6.0, rtol=1e-14)
         assert np.abs(s - np.diag(np.diag(s))).max() == 0.0
 
     def test_face_entries_unit_cube(self, cube1):
-        s = forms.stab_face(cube1, 0)
+        s = stab_diagonal(forms.local_face_mass, cube1, 0)
         assert np.allclose(np.diag(s), np.sqrt(3.0), rtol=1e-14)
 
     def test_zero_vector(self, cube1):
         z = np.zeros(12)
-        assert z @ forms.stab_edge(cube1, 0) @ z == 0.0
+        assert z @ stab_diagonal(forms.local_edge_mass, cube1, 0) @ z == 0.0
 
     def test_scaling_homogeneity(self):
         # uniform scaling by 2 multiplies both quadratic forms by 8
         m1 = vm.generate_cube_mesh(1)
         m2 = vm.generate_cube_mesh(1, domain=((0, 0, 0), (2, 2, 2)))
-        assert np.allclose(forms.stab_edge(m2, 0), 8 * forms.stab_edge(m1, 0),
-                           rtol=1e-13)
-        assert np.allclose(forms.stab_face(m2, 0), 8 * forms.stab_face(m1, 0),
-                           rtol=1e-13)
+        for local_mass in (forms.local_edge_mass, forms.local_face_mass):
+            assert np.allclose(stab_diagonal(local_mass, m2, 0),
+                               8 * stab_diagonal(local_mass, m1, 0), rtol=1e-13)
 
 
 def oracle_edge_mass(mesh, k, eta):
@@ -98,10 +104,21 @@ def oracle_edge_mass(mesh, k, eta):
     return vol * p.T @ p + eta * j.T @ np.diag(s_diag) @ j
 
 
+def local_product(mesh, k, kind, proj, **eta):
+    """Cell k's local product on its own DOFs: the unconstrained global
+    matrix with weight one on cell k and zero elsewhere."""
+    w = np.zeros(mesh.n_cells)
+    w[k] = 1.0
+    m = forms.assemble_global(mesh, vd.build_dofs(mesh), w, kind, proj,
+                              forms.StabWeights(**eta), restrict=False)
+    ids = mesh.cell_edges[k] if kind == "edge" else mesh.cell_faces[k]
+    return m[ids][:, ids].toarray()
+
+
 class TestLocalMass:
     def test_edge_consistency_on_constants(self, cube1):
         proj = vd.build_projectors(cube1)
-        m = forms.local_edge_mass(cube1, 0, proj)
+        m = local_product(cube1, 0, "edge", proj)
         c1, c2 = np.array([0.3, -0.7, 1.1]), np.array([-0.5, 0.2, 0.9])
         u = constant_edge_dofs(cube1, c1)
         v = constant_edge_dofs(cube1, c2)
@@ -112,14 +129,14 @@ class TestLocalMass:
         for mesh in (cube1, voro8):
             proj = vd.build_projectors(mesh)
             for k in range(mesh.n_cells):
-                m = forms.local_edge_mass(mesh, k, proj)
+                m = local_product(mesh, k, "edge", proj)
                 for _ in range(20):
                     x = rng.standard_normal(m.shape[0])
                     assert x @ m @ x > 0.0
 
     def test_edge_single_dof_vs_oracle(self, cube1):
         proj = vd.build_projectors(cube1)
-        m = forms.local_edge_mass(cube1, 0, proj, eta_edge=0.01)
+        m = local_product(cube1, 0, "edge", proj, eta_edge=0.01)
         oracle = oracle_edge_mass(cube1, 0, eta=0.01)
         assert np.abs(m - oracle).max() < 1e-14
         x = np.zeros(12)
@@ -130,7 +147,7 @@ class TestLocalMass:
         proj = vd.build_projectors(cube2)
         c1, c2 = np.array([1.2, 0.4, -0.3]), np.array([0.1, -0.8, 0.5])
         for k in range(cube2.n_cells):
-            m = forms.local_face_mass(cube2, k, proj)
+            m = local_product(cube2, k, "face", proj)
             fids = cube2.cell_faces[k]
             u = cube2.face_normals[fids] @ c1
             v = cube2.face_normals[fids] @ c2
@@ -141,7 +158,7 @@ class TestLocalMass:
         # frozen oracle: [psi, psi] = |P0 psi|^2 + eta h_K (|F| sums of the
         # residual DOFs squared) = 0.25 + 0.5 * sqrt(3) * 0.5
         proj = vd.build_projectors(cube1)
-        m = forms.local_face_mass(cube1, 0, proj, eta_face=0.5)
+        m = local_product(cube1, 0, "face", proj, eta_face=0.5)
         top = next(f for f in range(6)
                    if abs(cube1.face_centroids[f][2] - 1.0) < 1e-14)
         j = int(np.flatnonzero(cube1.cell_faces[0] == top)[0])
@@ -152,9 +169,9 @@ class TestLocalMass:
     def test_face_positive_definite_on_voronoi(self, voro8):
         proj = vd.build_projectors(voro8)
         for k in range(voro8.n_cells):
-            eigs = np.linalg.eigvalsh(forms.local_face_mass(voro8, k, proj))
+            eigs = np.linalg.eigvalsh(local_product(voro8, k, "face", proj))
             assert eigs.min() > 0.0
-            eigs = np.linalg.eigvalsh(forms.local_edge_mass(voro8, k, proj))
+            eigs = np.linalg.eigvalsh(local_product(voro8, k, "edge", proj))
             assert eigs.min() > 0.0
 
 
@@ -224,3 +241,133 @@ class TestAssembleGlobal:
             forms.StabWeights(eta_edge=0.0)
         w = forms.StabWeights()
         assert w.eta_edge == 0.01 and w.eta_face == 0.5
+
+
+# Per-entity projector and local-mass loops, kept as oracles for the
+# global sparse maps.
+
+def loop_face_tangential(mesh, f):
+    """(3, loop edges) map of face f: (1/|F|) sum_e sigma |e| n_F x (m_e - b_F)."""
+    eids = mesh.face_edges[f]
+    sig = mesh.face_edge_signs[f]
+    n = mesh.face_normals[f]
+    arm = mesh.edge_midpoints[eids] - mesh.face_centroids[f]
+    cols = sig[:, None] * mesh.edge_lengths[eids, None] * np.cross(n[None, :], arm)
+    return cols.T / mesh.face_areas[f]
+
+
+def loop_edge_cell(mesh, k):
+    """(3, sorted cell edges) map of cell k, summed face by face."""
+    eids = mesh.cell_edges[k]
+    pos = {e: j for j, e in enumerate(eids)}
+    out = np.zeros((3, eids.size))
+    b_k = mesh.cell_centroids[k]
+    for f, s in zip(mesh.cell_faces[k], mesh.cell_face_signs[k]):
+        pt = loop_face_tangential(mesh, f)
+        n_out = s * mesh.face_normals[f]
+        r = mesh.face_centroids[f] - b_k
+        block = mesh.face_areas[f] * (float(n_out @ r) * pt - np.outer(n_out, r @ pt))
+        np.add.at(out, (slice(None), [pos[e] for e in mesh.face_edges[f]]), block)
+    return out / (2.0 * mesh.cell_volumes[k])
+
+
+def loop_face_cell(mesh, k):
+    """(3, cell faces) map of cell k: (1/|K|) sum_F sigma |F| (b_F - b_K)."""
+    fids = mesh.cell_faces[k]
+    arm = mesh.face_centroids[fids] - mesh.cell_centroids[k]
+    cols = (mesh.cell_face_signs[k] * mesh.face_areas[fids])[:, None] * arm
+    return cols.T / mesh.cell_volumes[k]
+
+
+def loop_local_mass(mesh, k, kind, eta):
+    """Dense local product of cell k on its own DOFs."""
+    if kind == "edge":
+        ids, p, t = mesh.cell_edges[k], loop_edge_cell(mesh, k), mesh.edge_tangents
+        pos = {e: j for j, e in enumerate(ids)}
+        mult = np.zeros(ids.size)
+        for f in mesh.cell_faces[k]:
+            for e in mesh.face_edges[f]:
+                mult[pos[e]] += 1.0
+        s = mesh.cell_diameters[k] ** 2 * mult * mesh.edge_lengths[ids]
+    else:
+        ids, p, t = mesh.cell_faces[k], loop_face_cell(mesh, k), mesh.face_normals
+        s = mesh.cell_diameters[k] * mesh.face_areas[ids]
+    j = np.eye(ids.size) - t[ids] @ p
+    m = mesh.cell_volumes[k] * (p.T @ p) + eta * (j.T @ np.diag(s) @ j)
+    return 0.5 * (m + m.T)
+
+
+def loop_assemble(mesh, dofs, w, kind, eta, restrict=True):
+    """Cell-by-cell triplet assembly of the weighted local products."""
+    ids = mesh.cell_edges if kind == "edge" else mesh.cell_faces
+    n, keep = ((dofs.n_edges, dofs.interior_edges) if kind == "edge"
+               else (dofs.n_faces, dofs.interior_faces))
+    vals = np.concatenate([w[k] * loop_local_mass(mesh, k, kind, eta).ravel()
+                           for k in range(mesh.n_cells)])
+    rows = np.concatenate([np.repeat(g, g.size) for g in ids])
+    cols = np.concatenate([np.tile(g, g.size) for g in ids])
+    mat = sps.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    return mat[keep][:, keep].tocsr() if restrict else mat
+
+
+class TestSparseMatchesLoops:
+    """Projector maps and every matrix of ``build_step_operators`` agree
+    with the per-entity loops to 1e-14 of their largest entry, compared by
+    value (the sparse products store fewer exact zeros)."""
+
+    @staticmethod
+    def assert_blocks(proj_map, blocks, entity_ids):
+        scale = max(np.abs(b).max() for b in blocks)
+        for i, (want, ids) in enumerate(zip(blocks, entity_ids)):
+            rows = proj_map[3 * i:3 * i + 3].toarray()
+            assert np.abs(block_rows(proj_map, i, ids) - want).max() <= 1e-14 * scale
+            rows[:, ids] = 0.0
+            assert not rows.any()        # nothing outside entity i's own DOFs
+
+    @pytest.mark.parametrize("name", SPLIT_MESHES)
+    def test_projectors(self, name, request):
+        m = request.getfixturevalue(name)
+        proj = vd.build_projectors(m)
+        cells = range(m.n_cells)
+        self.assert_blocks(proj.face_tangential,
+                           [loop_face_tangential(m, f) for f in range(m.n_faces)],
+                           m.face_edges)
+        self.assert_blocks(proj.edge_cell, [loop_edge_cell(m, k) for k in cells],
+                           m.cell_edges)
+        self.assert_blocks(proj.face_cell, [loop_face_cell(m, k) for k in cells],
+                           m.cell_faces)
+
+    @pytest.mark.parametrize("name", SPLIT_MESHES)
+    def test_step_operators(self, name, request):
+        # lcell and two_prisms have no interior edges: their unconstrained
+        # products carry the comparison
+        m = request.getfixturevalue(name)
+        case, tau, stab = cases.case2(), 0.125, forms.StabWeights()
+        dofs = vd.build_dofs(m)
+        proj = vd.build_projectors(m)
+        coeffs = forms.sample_coefficients(m, case.eps, case.sigma, case.mu)
+        ops = stepper.build_step_operators(m, dofs, proj, coeffs, tau)
+
+        m_eps = loop_assemble(m, dofs, coeffs.eps_hat, "edge", stab.eta_edge)
+        m_sigma = loop_assemble(m, dofs, coeffs.sigma_hat, "edge", stab.eta_edge)
+        m_edge = loop_assemble(m, dofs, np.ones(m.n_cells), "edge", stab.eta_edge,
+                               restrict=False)
+        m_face = loop_assemble(m, dofs, 1.0 / coeffs.mu_hat, "face", stab.eta_face)
+        m_face_full = loop_assemble(m, dofs, 1.0 / coeffs.mu_hat, "face", stab.eta_face,
+                                    restrict=False)
+        curl = ops.c_int.T @ m_face @ ops.c_int
+        system = m_eps + tau * m_sigma + tau**2 * (0.5 * (curl + curl.T))
+        edge_full = forms.assemble_global(m, dofs, np.ones(m.n_cells), "edge", proj,
+                                          restrict=False)
+        face_full = forms.assemble_global(m, dofs, 1.0 / coeffs.mu_hat, "face", proj,
+                                          restrict=False)
+        for got, want in ((ops.m_eps, m_eps), (ops.m_sigma, m_sigma),
+                          (ops.m_edge_load, m_edge[dofs.interior_edges]),
+                          (ops.m_face, m_face), (ops.system.to_scipy(), system),
+                          (edge_full, m_edge), (face_full, m_face_full)):
+            got, want = got.toarray(), want.toarray()
+            assert got.shape == want.shape
+            assert (np.abs(got - want).max(initial=0.0)
+                    <= 1e-14 * np.abs(want).max(initial=0.0))
+            if got.shape[0] == got.shape[1]:
+                assert (got == got.T).all()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import SPLIT_MESHES
 from vemaxwell import geometry as vg
 from vemaxwell.mesh import derive_topology
 
@@ -238,7 +239,6 @@ def oracle_cell_quadrature(mesh, k, degree):
     return np.concatenate(all_pts), np.concatenate(all_w)
 
 
-SPLIT_MESHES = ["cube4", "lcell", "two_prisms", "voro8", "voro27"]
 SPLIT_DEGREES = [1, 2, 4, 12, 14]
 
 

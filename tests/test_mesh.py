@@ -57,6 +57,8 @@ class TestLoadMesh:
         ("vertices", 3, 1, float("nan"), "vertex 3 has a non-finite coordinate"),
         ("vertices", 7, 2, float("inf"), "vertex 7 has a non-finite coordinate"),
         ("vertices", 0, 0, float("-inf"), "vertex 0 has a non-finite coordinate"),
+        ("vertices", 4, 0, 1e308, "vertex 4 has a coordinate beyond"),
+        ("vertices", 4, 0, 1e160, "vertex 4 has a coordinate beyond"),
         ("faces", 5, 1, 1.5, "face 5 has a non-integer index"),
         ("faces", 5, 1, True, "face 5 has a non-integer index"),
         ("cells", 2, 0, 3.0, "cell 2 has a non-integer index"),
