@@ -44,8 +44,10 @@ class RunConfig:
             raise ConfigError(f"unknown case id {self.case_id}")
         if self.tau <= 0:
             raise ConfigError("tau must be positive")
-        if self.eta_edge <= 0 or self.eta_face <= 0:
-            raise ConfigError("stabilization weights must be positive")
+        if not np.isfinite(self.T):
+            raise ConfigError(f"T must be finite, got {self.T}")
+        if not (0 < self.eta_edge < np.inf and 0 < self.eta_face < np.inf):
+            raise ConfigError("stabilization weights must be positive and finite")
         if not 0 < self.tol < 1:
             raise ConfigError("solver tolerance must lie in (0, 1)")
         steps = self.T / float(self.tau)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sps
 
-from .geometry import face_quadrature, segment_rule
+from .geometry import face_rules, segment_rule
 from .mesh import PolyMesh
 
 INTERP_EDGE_DEGREE = 15
@@ -189,13 +189,13 @@ def build_projectors(mesh: PolyMesh) -> ElementProjectors:
     return ElementProjectors(face_tangential, edge_cell, face_cell)
 
 
-def interpolate_edge(mesh: PolyMesh, field, degree: int = INTERP_EDGE_DEGREE) -> np.ndarray:
+def interpolate_edge(mesh: PolyMesh, field) -> np.ndarray:
     """Edge DOFs of a vector field: mean tangential component per edge.
 
     Boundary edges are included; Dirichlet masking is the caller's job.
     ``field`` maps an (..., 3) point array to (..., 3) values.
     """
-    xs, ws = segment_rule(degree)
+    xs, ws = segment_rule(INTERP_EDGE_DEGREE)
     a = mesh.vertices[mesh.edges[:, 0]]
     b = mesh.vertices[mesh.edges[:, 1]]
     pts = a[:, None, :] + xs[None, :, None] * (b - a)[:, None, :]
@@ -204,14 +204,20 @@ def interpolate_edge(mesh: PolyMesh, field, degree: int = INTERP_EDGE_DEGREE) ->
     return tangential @ ws
 
 
-def interpolate_face(mesh: PolyMesh, field, degree: int = INTERP_FACE_DEGREE) -> np.ndarray:
-    """Face DOFs of a vector field: mean normal flux per face."""
+def interpolate_face(mesh: PolyMesh, field) -> np.ndarray:
+    """Face DOFs of a vector field: mean normal flux per face.
+
+    Each chunk of faces sums the weighted field per face and component,
+    then takes the normal component of those integrals.
+    """
     out = np.empty(mesh.n_faces)
-    for f in range(mesh.n_faces):
-        rule = face_quadrature(mesh, f, degree)
-        vals = np.asarray(field(rule.points))
-        out[f] = (rule.weights @ (vals @ mesh.face_normals[f])) / mesh.face_areas[f]
-    return out
+    for rule in face_rules(mesh, INTERP_FACE_DEGREE):
+        vals = np.asarray(field(rule.points)).T              # (3, m)
+        starts = np.flatnonzero(np.diff(rule.owners, prepend=-1))
+        faces = rule.owners[starts]
+        integrals = np.add.reduceat(vals * rule.weights, starts, axis=1)
+        out[faces] = np.einsum("cf,fc->f", integrals, mesh.face_normals[faces])
+    return out / mesh.face_areas
 
 
 def interpolate_node(mesh: PolyMesh, field) -> np.ndarray:

@@ -34,8 +34,8 @@ class StabWeights:
     eta_face: float = DEFAULT_ETA_FACE
 
     def __post_init__(self):
-        if self.eta_edge <= 0 or self.eta_face <= 0:
-            raise ValueError("stabilization weights must be strictly positive")
+        if not (0 < self.eta_edge < np.inf and 0 < self.eta_face < np.inf):
+            raise ValueError("stabilization weights must be strictly positive and finite")
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,9 @@
 
 Face and cell rules map reference triangle and tetrahedron rules onto the
 signed fan panels and pyramid tetrahedra of ``PolyMesh.split``, so
-nonconvex faces and cells integrate exactly.
+nonconvex faces and cells integrate exactly.  A rule covers a range of
+whole entities and stores its points as three contiguous coordinate
+planes; fields see them as an (m, 3) view.
 """
 
 from __future__ import annotations
@@ -20,14 +22,27 @@ from .mesh import PolyMesh
 DEFAULT_FACE_DEGREE = 4
 DEFAULT_CELL_DEGREE = 4
 
+# Quadrature points per chunk of whole entities in ``face_rules`` and
+# ``cell_rules``: few enough that a chunk's field values stay small in
+# memory, enough that hex cells (3600 points at the default cell degree)
+# share a chunk and per-call overhead stays small.
+CHUNK_POINTS = 8192
+
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Points and weights; weights sum to the measure of the domain."""
+    """Points and weights on consecutive whole entities, entity by entity;
+    each entity's weights sum to its measure."""
 
-    points: np.ndarray   # (m, 3)
+    coords: np.ndarray   # (3, m): one contiguous plane per coordinate
     weights: np.ndarray  # (m,)
+    owners: np.ndarray   # (m,) entity of each point, nondecreasing
     degree: int
+
+    @property
+    def points(self) -> np.ndarray:
+        """The points as an (m, 3) view of ``coords``."""
+        return self.coords.T
 
 
 @lru_cache(maxsize=64)
@@ -110,37 +125,87 @@ def tetrahedron_rule(degree: int):
     return pts, 6.0 * wgt.ravel()
 
 
-def _mapped_rule(apex, legs, measures, ref_pts, ref_w, degree) -> QuadratureRule:
-    """Reference rule mapped onto the simplices ``apex + span(legs[t])``.
+def _mapped_rule(owners, apexes, legs, measures, ref_pts, ref_w, degree) -> QuadratureRule:
+    """Reference rule mapped onto the simplices ``apexes[t] + span(legs[t])``.
 
-    ``legs`` is (t, d, 3) and ``measures`` the signed simplex measures.
-    Points come simplex by simplex, each evaluated left to right as
-    apex + r0 legs[t, 0] + r1 legs[t, 1] (+ r2 legs[t, 2]), which rounds
-    them exactly as mapping one simplex at a time does.
+    ``legs`` is (t, d, 3), ``measures`` the signed simplex measures and
+    ``owners`` the entity of each simplex.  Points come simplex by simplex,
+    each evaluated left to right as apex + r0 legs[t, 0] + r1 legs[t, 1]
+    (+ r2 legs[t, 2]), which rounds them exactly as mapping one simplex at
+    a time does.
     """
-    points = apex
-    for j in range(legs.shape[1]):
-        points = points + ref_pts[None, :, j, None] * legs[:, None, j]
-    return QuadratureRule(points.reshape(-1, 3), (measures[:, None] * ref_w).ravel(), degree)
+    legs = legs.transpose(2, 1, 0)[..., None]          # (3, d, t, 1)
+    coords = apexes.T[:, :, None] + ref_pts[:, 0] * legs[:, 0]
+    for j in range(1, legs.shape[1]):
+        coords += ref_pts[:, j] * legs[:, j]
+    return QuadratureRule(coords.reshape(3, -1), (measures[:, None] * ref_w).ravel(),
+                          np.repeat(owners, ref_w.size), degree)
 
 
-def face_quadrature(mesh: PolyMesh, f: int, degree: int = DEFAULT_FACE_DEGREE) -> QuadratureRule:
-    """Rule on the fan panels of face f; weights sum to the face area."""
+def _entities(index, n: int) -> range:
+    """Entity ``index``, or the entities of slice ``index``, of ``range(n)``."""
+    ids = range(n)[index]
+    if isinstance(ids, int):
+        return range(ids, ids + 1)
+    if ids.step != 1:
+        raise ValueError("quadrature takes consecutive entities")
+    return ids
+
+
+def _kept(offsets, kept, ids: range):
+    """Kept sub-simplices of entities ``ids`` and the entity of each."""
+    simplices = np.arange(offsets[ids.start], offsets[ids.stop])
+    owners = np.repeat(np.arange(ids.start, ids.stop), np.diff(offsets[ids.start:ids.stop + 1]))
+    keep = kept[simplices]
+    return simplices[keep], owners[keep]
+
+
+def face_quadrature(mesh: PolyMesh, faces, degree: int = DEFAULT_FACE_DEGREE) -> QuadratureRule:
+    """Rule on the fan panels of face ``faces``, or of each face of slice
+    ``faces``; each face's weights sum to its area."""
     split = mesh.split
-    panels = np.arange(split.fan_offsets[f], split.fan_offsets[f + 1])
-    panels = panels[split.fan_kept[panels]]
-    apex = split.face_apexes[f]
-    legs = mesh.vertices[split.fan_vertices[panels]] - apex
-    return _mapped_rule(apex, legs, split.fan_areas[panels], *triangle_rule(degree), degree)
+    panels, owners = _kept(split.fan_offsets, split.fan_kept, _entities(faces, mesh.n_faces))
+    apexes = split.face_apexes[owners]
+    legs = mesh.vertices[split.fan_vertices[panels]] - apexes[:, None]
+    return _mapped_rule(owners, apexes, legs, split.fan_areas[panels],
+                        *triangle_rule(degree), degree)
 
 
-def cell_quadrature(mesh: PolyMesh, k: int, degree: int = DEFAULT_CELL_DEGREE) -> QuadratureRule:
-    """Rule on the pyramid tetrahedra of cell k; weights sum to the volume."""
+def cell_quadrature(mesh: PolyMesh, cells, degree: int = DEFAULT_CELL_DEGREE) -> QuadratureRule:
+    """Rule on the pyramid tetrahedra of cell ``cells``, or of each cell of
+    slice ``cells``; each cell's weights sum to its volume."""
     split = mesh.split
-    tets = np.arange(split.tet_offsets[k], split.tet_offsets[k + 1])
-    tets = tets[split.tet_kept[tets]]
+    tets, owners = _kept(split.tet_offsets, split.tet_kept, _entities(cells, mesh.n_cells))
     panels = split.tet_panels[tets]
-    apex = split.cell_apexes[k]
+    apexes = split.cell_apexes[owners]
     legs = np.concatenate([split.face_apexes[split.fan_faces[panels], None],
-                           mesh.vertices[split.fan_vertices[panels]]], axis=1) - apex
-    return _mapped_rule(apex, legs, split.tet_volumes[tets], *tetrahedron_rule(degree), degree)
+                           mesh.vertices[split.fan_vertices[panels]]], axis=1) - apexes[:, None]
+    return _mapped_rule(owners, apexes, legs, split.tet_volumes[tets],
+                        *tetrahedron_rule(degree), degree)
+
+
+def _chunks(offsets, kept, points_per_simplex: int):
+    """Slices of consecutive entities that hold at most ``CHUNK_POINTS``
+    quadrature points together, or a single entity that holds more."""
+    before = np.concatenate([[0], np.cumsum(kept)])[offsets] * points_per_simplex
+    start, n = 0, offsets.size - 1
+    while start < n:
+        stop = np.searchsorted(before, before[start] + CHUNK_POINTS, side="right") - 1
+        stop = max(int(stop), start + 1)
+        yield slice(start, stop)
+        start = stop
+
+
+def face_rules(mesh: PolyMesh, degree: int):
+    """``face_quadrature`` on every face, one chunk of whole faces at a time."""
+    split = mesh.split
+    for faces in _chunks(split.fan_offsets, split.fan_kept, triangle_rule(degree)[1].size):
+        yield face_quadrature(mesh, faces, degree)
+
+
+def cell_rules(mesh: PolyMesh):
+    """``cell_quadrature`` on every cell, one chunk of whole cells at a time."""
+    split = mesh.split
+    size = tetrahedron_rule(DEFAULT_CELL_DEGREE)[1].size
+    for cells in _chunks(split.tet_offsets, split.tet_kept, size):
+        yield cell_quadrature(mesh, cells)

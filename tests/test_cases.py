@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pathlib
 import subprocess
@@ -9,9 +10,10 @@ import sympy as sp
 
 import case_source
 import vemaxwell
-from conftest import strong_form_residual
+from conftest import SPLIT_MESHES, strong_form_residual
 from vemaxwell import cases
 from vemaxwell import derham as vd
+from vemaxwell import geometry as vg
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +164,127 @@ class TestL2Error:
                              rng.standard_normal(cube2.n_edges),
                              rng.standard_normal(cube2.n_faces), c1, 0.5)
         assert rep.err_E >= 0 and rep.err_B >= 0
+
+
+# The per-entity loops that chunked quadrature replaced, kept as oracles.
+
+def loop_interpolate_face(mesh, field):
+    """Mean normal flux of ``field``, one face rule at a time."""
+    out = np.empty(mesh.n_faces)
+    for f in range(mesh.n_faces):
+        rule = vg.face_quadrature(mesh, f, vd.INTERP_FACE_DEGREE)
+        vals = np.asarray(field(rule.points))
+        out[f] = (rule.weights @ (vals @ mesh.face_normals[f])) / mesh.face_areas[f]
+    return out
+
+
+def loop_l2_error(mesh, projectors, e_full, b_full, case, t):
+    """(err_E, err_B), one cell rule at a time."""
+    err_e_sq = 0.0
+    err_b_sq = 0.0
+    pe = (projectors.edge_cell @ e_full).reshape(-1, 3)
+    pb = (projectors.face_cell @ b_full).reshape(-1, 3)
+    for k in range(mesh.n_cells):
+        rule = vg.cell_quadrature(mesh, k)
+        err_e_sq += rule.weights @ ((case.E(rule.points, t) - pe[k]) ** 2).sum(axis=1)
+        err_b_sq += rule.weights @ ((case.B(rule.points, t) - pb[k]) ** 2).sum(axis=1)
+    return np.sqrt(err_e_sq), np.sqrt(err_b_sq)
+
+
+# Chunk budgets: the default, one entity per chunk, the whole mesh at once.
+BUDGETS = [vg.CHUNK_POINTS, 1, 10**9]
+
+
+class TestChunkedMatchesLoops:
+    """``interpolate_face`` and ``l2_error`` agree with the per-entity
+    loops to 1e-14 relative under every chunk budget."""
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("case_id", [1, 2])
+    @pytest.mark.parametrize("name", SPLIT_MESHES)
+    def test_interpolate_face(self, name, case_id, budget, request, monkeypatch):
+        m = request.getfixturevalue(name)
+        case = cases.get_case(case_id)
+        monkeypatch.setattr(vg, "CHUNK_POINTS", budget)
+        points = vg.face_quadrature(m, slice(None), vd.INTERP_FACE_DEGREE).points
+        for field in (lambda p: case.E(p, 0.7), lambda p: case.B(p, 0.7)):
+            want = loop_interpolate_face(m, field)
+            got = vd.interpolate_face(m, field)
+            # relative to the field: on some fixtures every flux vanishes
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(field(points)).max()
+
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("case_id", [1, 2])
+    @pytest.mark.parametrize("name", SPLIT_MESHES)
+    def test_l2_error(self, name, case_id, budget, request, monkeypatch):
+        m = request.getfixturevalue(name)
+        case = cases.get_case(case_id)
+        dofs = vd.build_dofs(m)
+        proj = vd.build_projectors(m)
+        rng = np.random.default_rng(case_id)
+        e, b = rng.standard_normal(m.n_edges), rng.standard_normal(m.n_faces)
+        monkeypatch.setattr(vg, "CHUNK_POINTS", budget)
+        rep = cases.l2_error(m, dofs, proj, e, b, case, 0.7)
+        want_e, want_b = loop_l2_error(m, proj, e, b, case, 0.7)
+        assert rep.err_E == pytest.approx(want_e, rel=1e-14)
+        assert rep.err_B == pytest.approx(want_b, rel=1e-14)
+
+
+class TestPointLayout:
+    @pytest.mark.parametrize("case_id", [1, 2])
+    def test_values_independent_of_layout(self, case_id):
+        case = cases.get_case(case_id)
+        pts = np.random.default_rng(3).random((400, 3))
+        planar = np.ascontiguousarray(pts.T).T
+        fields = [lambda p, f=f: getattr(case, f)(p, 0.6)
+                  for f in ("E", "B", "E_t", "curl_mu_inv_B")]
+        fields += [g for _, g in case.J_terms] + [case.eps, case.sigma, case.mu]
+        for field in fields:
+            assert np.array_equal(field(pts), field(planar))
+        for field in (case.E, case.B):
+            assert field(planar, 0.6).T.flags.c_contiguous   # one plane per component
+
+
+class TestChunkBudget:
+    """No field call sees more points than the chunk budget or, when one
+    entity holds more, that entity's points; every point is seen once."""
+
+    @staticmethod
+    def recording(case):
+        sizes = []
+
+        def record(field):
+            def evaluate(pts, t=0.0):
+                sizes.append(pts.shape[0])
+                return field(pts, t)
+            return evaluate
+
+        return dataclasses.replace(case, E=record(case.E), B=record(case.B)), sizes
+
+    @pytest.mark.parametrize("budget", [vg.CHUNK_POINTS, 5000])
+    @pytest.mark.parametrize("name", ["cube4", "voro27"])
+    def test_l2_error(self, name, budget, request, monkeypatch):
+        m = request.getfixturevalue(name)
+        monkeypatch.setattr(vg, "CHUNK_POINTS", budget)
+        case, sizes = self.recording(cases.case2())
+        dofs = vd.build_dofs(m)
+        cases.l2_error(m, dofs, vd.build_projectors(m), np.zeros(m.n_edges),
+                       np.zeros(m.n_faces), case, 1.0)
+        per_cell = [vg.cell_quadrature(m, k).weights.size for k in range(m.n_cells)]
+        assert max(sizes) <= max(budget, max(per_cell))
+        assert sum(sizes) == 2 * sum(per_cell)           # E and B once per point
+
+    @pytest.mark.parametrize("budget", [vg.CHUNK_POINTS, 500])
+    @pytest.mark.parametrize("name", ["cube4", "voro27"])
+    def test_interpolate_face(self, name, budget, request, monkeypatch):
+        m = request.getfixturevalue(name)
+        monkeypatch.setattr(vg, "CHUNK_POINTS", budget)
+        case, sizes = self.recording(cases.case2())
+        vd.interpolate_face(m, lambda p: case.B(p, 0.5))
+        per_face = [vg.face_quadrature(m, f, vd.INTERP_FACE_DEGREE).weights.size
+                    for f in range(m.n_faces)]
+        assert max(sizes) <= max(budget, max(per_face))
+        assert sum(sizes) == sum(per_face)
 
 
 X, Y, Z, T = sp.symbols("x y z t", real=True)

@@ -135,6 +135,13 @@ class TestMain:
         code = cli.main(["--generate", "cube:2", "--case", "1", "--tau", "bogus"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag, value", [("--T", "inf"), ("--T", "nan"),
+                                             ("--eta-edge", "nan"), ("--eta-face", "inf")])
+    def test_non_finite_value_exit_two(self, capsys, flag, value):
+        code = cli.main(["--generate", "cube:2", "--case", "2", "--tau", "1/4", flag, value])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
     def test_missing_mesh_exit_three(self, capsys):
         code = cli.main(["--mesh", "/nonexistent/mesh.json", "--case", "1",
                          "--tau", "1/2"])

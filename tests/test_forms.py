@@ -237,8 +237,9 @@ class TestAssembleGlobal:
             forms.assemble_global(cube1, dofs, np.ones(1), "nodal", proj)
 
     def test_stab_weights_validation(self):
-        with pytest.raises(ValueError):
-            forms.StabWeights(eta_edge=0.0)
+        for bad in (dict(eta_edge=0.0), dict(eta_edge=np.nan), dict(eta_face=np.inf)):
+            with pytest.raises(ValueError):
+                forms.StabWeights(**bad)
         w = forms.StabWeights()
         assert w.eta_edge == 0.01 and w.eta_face == 0.5
 

@@ -290,3 +290,24 @@ class TestSplitMatchesLoops:
         # the reentrant faces x = 1/2 and y = 1/2 contain the cell's vertex
         # mean, so their pyramid tetrahedra are flat and quadrature skips them
         assert not lcell.split.tet_kept.all()
+
+
+class TestEntityRanges:
+    """A rule on a range of entities is the single-entity rules laid end
+    to end, bit for bit, with the owner of every point."""
+
+    @pytest.mark.parametrize("name", SPLIT_MESHES)
+    def test_range_concatenates_entities(self, name, request):
+        m = request.getfixturevalue(name)
+        for rule_of, n in ((vg.face_quadrature, m.n_faces), (vg.cell_quadrature, m.n_cells)):
+            whole = rule_of(m, slice(None))
+            parts = [rule_of(m, i) for i in range(n)]
+            assert whole.coords.flags.c_contiguous
+            assert np.array_equal(whole.points, np.concatenate([r.points for r in parts]))
+            assert np.array_equal(whole.weights, np.concatenate([r.weights for r in parts]))
+            assert np.array_equal(whole.owners,
+                                  np.repeat(np.arange(n), [r.weights.size for r in parts]))
+
+    def test_rejects_strided_range(self, cube1):
+        with pytest.raises(ValueError, match="consecutive"):
+            vg.cell_quadrature(cube1, slice(0, 1, 2))
