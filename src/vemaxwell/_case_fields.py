@@ -25,7 +25,10 @@ def case1_time0(t):
 
 
 def case1_space0(x, y, z):
-    return (x**2*y**2*(1 - x)**2*(2*y - 2)*sin(pi*z)**2 + 2*x**2*y*(1 - x)**2*(1 - y)**2*sin(pi*z)**2 - x**2*z**2*(1 - x)**2*(2*z - 2)*sin(pi*y)**2 - 2*x**2*z*(1 - x)**2*(1 - z)**2*sin(pi*y)**2, -x**2*y**2*(1 - y)**2*(2*x - 2)*sin(pi*z)**2 - 2*x*y**2*(1 - x)**2*(1 - y)**2*sin(pi*z)**2 + y**2*z**2*(1 - y)**2*(2*z - 2)*sin(pi*x)**2 + 2*y**2*z*(1 - y)**2*(1 - z)**2*sin(pi*x)**2, x**2*z**2*(1 - z)**2*(2*x - 2)*sin(pi*y)**2 + 2*x*z**2*(1 - x)**2*(1 - z)**2*sin(pi*y)**2 - y**2*z**2*(1 - z)**2*(2*y - 2)*sin(pi*x)**2 - 2*y*z**2*(1 - y)**2*(1 - z)**2*sin(pi*x)**2)
+    x0 = sin(pi*x)
+    x1 = sin(pi*y)
+    x2 = sin(pi*z)
+    return (-x**2*x1**2*z**2*(1 - x)**2*(2*z - 2) - 2*x**2*x1**2*z*(1 - x)**2*(1 - z)**2 + x**2*x2**2*y**2*(1 - x)**2*(2*y - 2) + 2*x**2*x2**2*y*(1 - x)**2*(1 - y)**2, -x**2*x2**2*y**2*(1 - y)**2*(2*x - 2) - 2*x*x2**2*y**2*(1 - x)**2*(1 - y)**2 + x0**2*y**2*z**2*(1 - y)**2*(2*z - 2) + 2*x0**2*y**2*z*(1 - y)**2*(1 - z)**2, x**2*x1**2*z**2*(1 - z)**2*(2*x - 2) + 2*x*x1**2*z**2*(1 - x)**2*(1 - z)**2 - x0**2*y**2*z**2*(1 - z)**2*(2*y - 2) - 2*x0**2*y*z**2*(1 - y)**2*(1 - z)**2)
 
 
 def case1_time1(t):
@@ -33,7 +36,13 @@ def case1_time1(t):
 
 
 def case1_space1(x, y, z):
-    return (pi*sin(pi*y)*sin(pi*z)*cos(pi*x), pi*sin(pi*x)*sin(pi*z)*cos(pi*y), pi*sin(pi*x)*sin(pi*y)*cos(pi*z))
+    x0 = sin(pi*x)
+    x1 = sin(pi*y)
+    x2 = sin(pi*z)
+    x3 = cos(pi*x)
+    x4 = cos(pi*y)
+    x5 = cos(pi*z)
+    return (pi*x1*x2*x3, pi*x0*x2*x4, pi*x0*x1*x5)
 
 
 def case1_time2(t):
@@ -41,7 +50,13 @@ def case1_time2(t):
 
 
 def case1_space2(x, y, z):
-    return (2*pi*x**2*y**2*(1 - y)**2*(2*x - 2)*sin(pi*z)*cos(pi*z) + 2*pi*x**2*z**2*(1 - z)**2*(2*x - 2)*sin(pi*y)*cos(pi*y) + 4*pi*x*y**2*(1 - x)**2*(1 - y)**2*sin(pi*z)*cos(pi*z) + 4*pi*x*z**2*(1 - x)**2*(1 - z)**2*sin(pi*y)*cos(pi*y) - 2*y**2*z**2*(1 - y)**2*sin(pi*x)**2 - 2*y**2*z**2*(1 - z)**2*sin(pi*x)**2 - 4*y**2*z*(1 - y)**2*(2*z - 2)*sin(pi*x)**2 - 2*y**2*(1 - y)**2*(1 - z)**2*sin(pi*x)**2 - 4*y*z**2*(1 - z)**2*(2*y - 2)*sin(pi*x)**2 - 2*z**2*(1 - y)**2*(1 - z)**2*sin(pi*x)**2, 2*pi*x**2*y**2*(1 - x)**2*(2*y - 2)*sin(pi*z)*cos(pi*z) + 4*pi*x**2*y*(1 - x)**2*(1 - y)**2*sin(pi*z)*cos(pi*z) - 2*x**2*z**2*(1 - x)**2*sin(pi*y)**2 - 2*x**2*z**2*(1 - z)**2*sin(pi*y)**2 - 4*x**2*z*(1 - x)**2*(2*z - 2)*sin(pi*y)**2 - 2*x**2*(1 - x)**2*(1 - z)**2*sin(pi*y)**2 - 4*x*z**2*(1 - z)**2*(2*x - 2)*sin(pi*y)**2 + 2*pi*y**2*z**2*(1 - z)**2*(2*y - 2)*sin(pi*x)*cos(pi*x) + 4*pi*y*z**2*(1 - y)**2*(1 - z)**2*sin(pi*x)*cos(pi*x) - 2*z**2*(1 - x)**2*(1 - z)**2*sin(pi*y)**2, -2*x**2*y**2*(1 - x)**2*sin(pi*z)**2 - 2*x**2*y**2*(1 - y)**2*sin(pi*z)**2 - 4*x**2*y*(1 - x)**2*(2*y - 2)*sin(pi*z)**2 + 2*pi*x**2*z**2*(1 - x)**2*(2*z - 2)*sin(pi*y)*cos(pi*y) + 4*pi*x**2*z*(1 - x)**2*(1 - z)**2*sin(pi*y)*cos(pi*y) - 2*x**2*(1 - x)**2*(1 - y)**2*sin(pi*z)**2 - 4*x*y**2*(1 - y)**2*(2*x - 2)*sin(pi*z)**2 + 2*pi*y**2*z**2*(1 - y)**2*(2*z - 2)*sin(pi*x)*cos(pi*x) + 4*pi*y**2*z*(1 - y)**2*(1 - z)**2*sin(pi*x)*cos(pi*x) - 2*y**2*(1 - x)**2*(1 - y)**2*sin(pi*z)**2)
+    x0 = sin(pi*x)
+    x1 = sin(pi*y)
+    x2 = sin(pi*z)
+    x3 = cos(pi*x)
+    x4 = cos(pi*y)
+    x5 = cos(pi*z)
+    return (2*pi*x**2*x1*x4*z**2*(1 - z)**2*(2*x - 2) + 2*pi*x**2*x2*x5*y**2*(1 - y)**2*(2*x - 2) + 4*pi*x*x1*x4*z**2*(1 - x)**2*(1 - z)**2 + 4*pi*x*x2*x5*y**2*(1 - x)**2*(1 - y)**2 - 2*x0**2*y**2*z**2*(1 - y)**2 - 2*x0**2*y**2*z**2*(1 - z)**2 - 4*x0**2*y**2*z*(1 - y)**2*(2*z - 2) - 2*x0**2*y**2*(1 - y)**2*(1 - z)**2 - 4*x0**2*y*z**2*(1 - z)**2*(2*y - 2) - 2*x0**2*z**2*(1 - y)**2*(1 - z)**2, -2*x**2*x1**2*z**2*(1 - x)**2 - 2*x**2*x1**2*z**2*(1 - z)**2 - 4*x**2*x1**2*z*(1 - x)**2*(2*z - 2) - 2*x**2*x1**2*(1 - x)**2*(1 - z)**2 + 2*pi*x**2*x2*x5*y**2*(1 - x)**2*(2*y - 2) + 4*pi*x**2*x2*x5*y*(1 - x)**2*(1 - y)**2 - 4*x*x1**2*z**2*(1 - z)**2*(2*x - 2) + 2*pi*x0*x3*y**2*z**2*(1 - z)**2*(2*y - 2) + 4*pi*x0*x3*y*z**2*(1 - y)**2*(1 - z)**2 - 2*x1**2*z**2*(1 - x)**2*(1 - z)**2, 2*pi*x**2*x1*x4*z**2*(1 - x)**2*(2*z - 2) + 4*pi*x**2*x1*x4*z*(1 - x)**2*(1 - z)**2 - 2*x**2*x2**2*y**2*(1 - x)**2 - 2*x**2*x2**2*y**2*(1 - y)**2 - 4*x**2*x2**2*y*(1 - x)**2*(2*y - 2) - 2*x**2*x2**2*(1 - x)**2*(1 - y)**2 - 4*x*x2**2*y**2*(1 - y)**2*(2*x - 2) + 2*pi*x0*x3*y**2*z**2*(1 - y)**2*(2*z - 2) + 4*pi*x0*x3*y**2*z*(1 - y)**2*(1 - z)**2 - 2*x2**2*y**2*(1 - x)**2*(1 - y)**2)
 
 
 def case1_time3(t):
@@ -53,7 +68,13 @@ def case1_time4(t):
 
 
 def case1_space3(x, y, z):
-    return (2*pi**2*x**2*y**2*(1 - x)**2*(2*y - 2)*sin(pi*z)**2 - 2*pi**2*x**2*y**2*(1 - x)**2*(2*y - 2)*cos(pi*z)**2 - 2*x**2*y**2*(2*y - 2)*sin(pi*z)**2 + 4*pi**2*x**2*y*(1 - x)**2*(1 - y)**2*sin(pi*z)**2 - 4*pi**2*x**2*y*(1 - x)**2*(1 - y)**2*cos(pi*z)**2 - 12*x**2*y*(1 - x)**2*sin(pi*z)**2 - 4*x**2*y*(1 - y)**2*sin(pi*z)**2 - 2*pi**2*x**2*z**2*(1 - x)**2*(2*z - 2)*sin(pi*y)**2 + 2*pi**2*x**2*z**2*(1 - x)**2*(2*z - 2)*cos(pi*y)**2 + 2*x**2*z**2*(2*z - 2)*sin(pi*y)**2 - 4*pi**2*x**2*z*(1 - x)**2*(1 - z)**2*sin(pi*y)**2 + 4*pi**2*x**2*z*(1 - x)**2*(1 - z)**2*cos(pi*y)**2 + 12*x**2*z*(1 - x)**2*sin(pi*y)**2 + 4*x**2*z*(1 - z)**2*sin(pi*y)**2 - 6*x**2*(1 - x)**2*(2*y - 2)*sin(pi*z)**2 + 6*x**2*(1 - x)**2*(2*z - 2)*sin(pi*y)**2 - 4*x*y**2*(2*x - 2)*(2*y - 2)*sin(pi*z)**2 - 8*x*y*(1 - y)**2*(2*x - 2)*sin(pi*z)**2 + 4*x*z**2*(2*x - 2)*(2*z - 2)*sin(pi*y)**2 + 8*x*z*(1 - z)**2*(2*x - 2)*sin(pi*y)**2 - 2*y**2*(1 - x)**2*(2*y - 2)*sin(pi*z)**2 - 4*y*(1 - x)**2*(1 - y)**2*sin(pi*z)**2 + 2*z**2*(1 - x)**2*(2*z - 2)*sin(pi*y)**2 + 4*z*(1 - x)**2*(1 - z)**2*sin(pi*y)**2, -2*pi**2*x**2*y**2*(1 - y)**2*(2*x - 2)*sin(pi*z)**2 + 2*pi**2*x**2*y**2*(1 - y)**2*(2*x - 2)*cos(pi*z)**2 + 2*x**2*y**2*(2*x - 2)*sin(pi*z)**2 + 4*x**2*y*(2*x - 2)*(2*y - 2)*sin(pi*z)**2 + 2*x**2*(1 - y)**2*(2*x - 2)*sin(pi*z)**2 - 4*pi**2*x*y**2*(1 - x)**2*(1 - y)**2*sin(pi*z)**2 + 4*pi**2*x*y**2*(1 - x)**2*(1 - y)**2*cos(pi*z)**2 + 4*x*y**2*(1 - x)**2*sin(pi*z)**2 + 12*x*y**2*(1 - y)**2*sin(pi*z)**2 + 8*x*y*(1 - x)**2*(2*y - 2)*sin(pi*z)**2 + 4*x*(1 - x)**2*(1 - y)**2*sin(pi*z)**2 + 2*pi**2*y**2*z**2*(1 - y)**2*(2*z - 2)*sin(pi*x)**2 - 2*pi**2*y**2*z**2*(1 - y)**2*(2*z - 2)*cos(pi*x)**2 - 2*y**2*z**2*(2*z - 2)*sin(pi*x)**2 + 4*pi**2*y**2*z*(1 - y)**2*(1 - z)**2*sin(pi*x)**2 - 4*pi**2*y**2*z*(1 - y)**2*(1 - z)**2*cos(pi*x)**2 - 12*y**2*z*(1 - y)**2*sin(pi*x)**2 - 4*y**2*z*(1 - z)**2*sin(pi*x)**2 + 6*y**2*(1 - y)**2*(2*x - 2)*sin(pi*z)**2 - 6*y**2*(1 - y)**2*(2*z - 2)*sin(pi*x)**2 - 4*y*z**2*(2*y - 2)*(2*z - 2)*sin(pi*x)**2 - 8*y*z*(1 - z)**2*(2*y - 2)*sin(pi*x)**2 - 2*z**2*(1 - y)**2*(2*z - 2)*sin(pi*x)**2 - 4*z*(1 - y)**2*(1 - z)**2*sin(pi*x)**2, 2*pi**2*x**2*z**2*(1 - z)**2*(2*x - 2)*sin(pi*y)**2 - 2*pi**2*x**2*z**2*(1 - z)**2*(2*x - 2)*cos(pi*y)**2 - 2*x**2*z**2*(2*x - 2)*sin(pi*y)**2 - 4*x**2*z*(2*x - 2)*(2*z - 2)*sin(pi*y)**2 - 2*x**2*(1 - z)**2*(2*x - 2)*sin(pi*y)**2 + 4*pi**2*x*z**2*(1 - x)**2*(1 - z)**2*sin(pi*y)**2 - 4*pi**2*x*z**2*(1 - x)**2*(1 - z)**2*cos(pi*y)**2 - 4*x*z**2*(1 - x)**2*sin(pi*y)**2 - 12*x*z**2*(1 - z)**2*sin(pi*y)**2 - 8*x*z*(1 - x)**2*(2*z - 2)*sin(pi*y)**2 - 4*x*(1 - x)**2*(1 - z)**2*sin(pi*y)**2 - 2*pi**2*y**2*z**2*(1 - z)**2*(2*y - 2)*sin(pi*x)**2 + 2*pi**2*y**2*z**2*(1 - z)**2*(2*y - 2)*cos(pi*x)**2 + 2*y**2*z**2*(2*y - 2)*sin(pi*x)**2 + 4*y**2*z*(2*y - 2)*(2*z - 2)*sin(pi*x)**2 + 2*y**2*(1 - z)**2*(2*y - 2)*sin(pi*x)**2 - 4*pi**2*y*z**2*(1 - y)**2*(1 - z)**2*sin(pi*x)**2 + 4*pi**2*y*z**2*(1 - y)**2*(1 - z)**2*cos(pi*x)**2 + 4*y*z**2*(1 - y)**2*sin(pi*x)**2 + 12*y*z**2*(1 - z)**2*sin(pi*x)**2 + 8*y*z*(1 - y)**2*(2*z - 2)*sin(pi*x)**2 + 4*y*(1 - y)**2*(1 - z)**2*sin(pi*x)**2 - 6*z**2*(1 - z)**2*(2*x - 2)*sin(pi*y)**2 + 6*z**2*(1 - z)**2*(2*y - 2)*sin(pi*x)**2)
+    x0 = sin(pi*x)
+    x1 = sin(pi*y)
+    x2 = sin(pi*z)
+    x3 = cos(pi*x)
+    x4 = cos(pi*y)
+    x5 = cos(pi*z)
+    return (-2*pi**2*x**2*x1**2*z**2*(1 - x)**2*(2*z - 2) + 2*x**2*x1**2*z**2*(2*z - 2) - 4*pi**2*x**2*x1**2*z*(1 - x)**2*(1 - z)**2 + 12*x**2*x1**2*z*(1 - x)**2 + 4*x**2*x1**2*z*(1 - z)**2 + 6*x**2*x1**2*(1 - x)**2*(2*z - 2) + 2*pi**2*x**2*x2**2*y**2*(1 - x)**2*(2*y - 2) - 2*x**2*x2**2*y**2*(2*y - 2) + 4*pi**2*x**2*x2**2*y*(1 - x)**2*(1 - y)**2 - 12*x**2*x2**2*y*(1 - x)**2 - 4*x**2*x2**2*y*(1 - y)**2 - 6*x**2*x2**2*(1 - x)**2*(2*y - 2) + 2*pi**2*x**2*x4**2*z**2*(1 - x)**2*(2*z - 2) + 4*pi**2*x**2*x4**2*z*(1 - x)**2*(1 - z)**2 - 2*pi**2*x**2*x5**2*y**2*(1 - x)**2*(2*y - 2) - 4*pi**2*x**2*x5**2*y*(1 - x)**2*(1 - y)**2 + 4*x*x1**2*z**2*(2*x - 2)*(2*z - 2) + 8*x*x1**2*z*(1 - z)**2*(2*x - 2) - 4*x*x2**2*y**2*(2*x - 2)*(2*y - 2) - 8*x*x2**2*y*(1 - y)**2*(2*x - 2) + 2*x1**2*z**2*(1 - x)**2*(2*z - 2) + 4*x1**2*z*(1 - x)**2*(1 - z)**2 - 2*x2**2*y**2*(1 - x)**2*(2*y - 2) - 4*x2**2*y*(1 - x)**2*(1 - y)**2, -2*pi**2*x**2*x2**2*y**2*(1 - y)**2*(2*x - 2) + 2*x**2*x2**2*y**2*(2*x - 2) + 4*x**2*x2**2*y*(2*x - 2)*(2*y - 2) + 2*x**2*x2**2*(1 - y)**2*(2*x - 2) + 2*pi**2*x**2*x5**2*y**2*(1 - y)**2*(2*x - 2) - 4*pi**2*x*x2**2*y**2*(1 - x)**2*(1 - y)**2 + 4*x*x2**2*y**2*(1 - x)**2 + 12*x*x2**2*y**2*(1 - y)**2 + 8*x*x2**2*y*(1 - x)**2*(2*y - 2) + 4*x*x2**2*(1 - x)**2*(1 - y)**2 + 4*pi**2*x*x5**2*y**2*(1 - x)**2*(1 - y)**2 + 2*pi**2*x0**2*y**2*z**2*(1 - y)**2*(2*z - 2) - 2*x0**2*y**2*z**2*(2*z - 2) + 4*pi**2*x0**2*y**2*z*(1 - y)**2*(1 - z)**2 - 12*x0**2*y**2*z*(1 - y)**2 - 4*x0**2*y**2*z*(1 - z)**2 - 6*x0**2*y**2*(1 - y)**2*(2*z - 2) - 4*x0**2*y*z**2*(2*y - 2)*(2*z - 2) - 8*x0**2*y*z*(1 - z)**2*(2*y - 2) - 2*x0**2*z**2*(1 - y)**2*(2*z - 2) - 4*x0**2*z*(1 - y)**2*(1 - z)**2 + 6*x2**2*y**2*(1 - y)**2*(2*x - 2) - 2*pi**2*x3**2*y**2*z**2*(1 - y)**2*(2*z - 2) - 4*pi**2*x3**2*y**2*z*(1 - y)**2*(1 - z)**2, 2*pi**2*x**2*x1**2*z**2*(1 - z)**2*(2*x - 2) - 2*x**2*x1**2*z**2*(2*x - 2) - 4*x**2*x1**2*z*(2*x - 2)*(2*z - 2) - 2*x**2*x1**2*(1 - z)**2*(2*x - 2) - 2*pi**2*x**2*x4**2*z**2*(1 - z)**2*(2*x - 2) + 4*pi**2*x*x1**2*z**2*(1 - x)**2*(1 - z)**2 - 4*x*x1**2*z**2*(1 - x)**2 - 12*x*x1**2*z**2*(1 - z)**2 - 8*x*x1**2*z*(1 - x)**2*(2*z - 2) - 4*x*x1**2*(1 - x)**2*(1 - z)**2 - 4*pi**2*x*x4**2*z**2*(1 - x)**2*(1 - z)**2 - 2*pi**2*x0**2*y**2*z**2*(1 - z)**2*(2*y - 2) + 2*x0**2*y**2*z**2*(2*y - 2) + 4*x0**2*y**2*z*(2*y - 2)*(2*z - 2) + 2*x0**2*y**2*(1 - z)**2*(2*y - 2) - 4*pi**2*x0**2*y*z**2*(1 - y)**2*(1 - z)**2 + 4*x0**2*y*z**2*(1 - y)**2 + 12*x0**2*y*z**2*(1 - z)**2 + 8*x0**2*y*z*(1 - y)**2*(2*z - 2) + 4*x0**2*y*(1 - y)**2*(1 - z)**2 + 6*x0**2*z**2*(1 - z)**2*(2*y - 2) - 6*x1**2*z**2*(1 - z)**2*(2*x - 2) + 2*pi**2*x3**2*y**2*z**2*(1 - z)**2*(2*y - 2) + 4*pi**2*x3**2*y*z**2*(1 - y)**2*(1 - z)**2)
 
 
 def case2_eps(x, y, z):
@@ -73,7 +94,9 @@ def case2_time0(t):
 
 
 def case2_space0(x, y, z):
-    return (0, 0, sin(pi*x)*sin(pi*y))
+    x0 = sin(pi*x)
+    x1 = sin(pi*y)
+    return (0, 0, x0*x1)
 
 
 def case2_time1(t):
@@ -81,7 +104,11 @@ def case2_time1(t):
 
 
 def case2_space1(x, y, z):
-    return (-sin(pi*x)*cos(pi*y), sin(pi*y)*cos(pi*x), 0)
+    x0 = sin(pi*x)
+    x1 = sin(pi*y)
+    x2 = cos(pi*x)
+    x3 = cos(pi*y)
+    return (-x0*x3, x1*x2, 0)
 
 
 def case2_time2(t):
@@ -89,7 +116,11 @@ def case2_time2(t):
 
 
 def case2_space2(x, y, z):
-    return (-2*z*sin(pi*y)*cos(pi*x), -2*z*sin(pi*x)*cos(pi*y), 2*x*sin(pi*y)*cos(pi*x) + 2*y*sin(pi*x)*cos(pi*y) - 2*pi*(x**2 + y**2 + z**2 + 1)*sin(pi*x)*sin(pi*y))
+    x0 = sin(pi*x)
+    x1 = sin(pi*y)
+    x2 = cos(pi*x)
+    x3 = cos(pi*y)
+    return (-2*x1*x2*z, -2*x0*x3*z, 2*x*x1*x2 - 2*pi*x0*x1*(x**2 + y**2 + z**2 + 1) + 2*x0*x3*y)
 
 
 def case2_time3(t):

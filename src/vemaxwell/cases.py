@@ -11,7 +11,6 @@ derives them and rewrites that module.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import cache, lru_cache
 
@@ -197,7 +196,6 @@ def l2_error(mesh: PolyMesh, dofs: DeRhamDofs, projectors: ElementProjectors,
     pointwise.  ``e_full``/``b_full`` carry boundary zeros re-inserted.
     The exact fields are evaluated one chunk of whole cells at a time.
     """
-    t0 = time.perf_counter()
     err_e_sq = 0.0
     err_b_sq = 0.0
     pe = np.ascontiguousarray((projectors.edge_cell @ e_full).reshape(-1, 3).T)
@@ -211,5 +209,4 @@ def l2_error(mesh: PolyMesh, dofs: DeRhamDofs, projectors: ElementProjectors,
         h=mesh.h,
         n_edge_dofs=dofs.n_interior_edges,
         n_face_dofs=dofs.n_interior_faces,
-        wall_s=time.perf_counter() - t0,
     )

@@ -40,19 +40,14 @@ class RunConfig:
     grid: bool = False
 
     def __post_init__(self):
-        if self.case_id not in (1, 2):
-            raise ConfigError(f"unknown case id {self.case_id}")
-        if self.tau <= 0:
-            raise ConfigError("tau must be positive")
-        if not np.isfinite(self.T):
-            raise ConfigError(f"T must be finite, got {self.T}")
-        if not (0 < self.eta_edge < np.inf and 0 < self.eta_face < np.inf):
-            raise ConfigError("stabilization weights must be positive and finite")
         if not 0 < self.tol < 1:
             raise ConfigError("solver tolerance must lie in (0, 1)")
-        steps = self.T / float(self.tau)
-        if abs(steps - round(steps)) > 1e-12 * max(steps, 1.0) or round(steps) < 1:
-            raise ConfigError(f"tau={self.tau} does not divide T={self.T}")
+        try:
+            cases.get_case(self.case_id)
+            StabWeights(self.eta_edge, self.eta_face)
+            stepper.step_count(self.T, float(self.tau))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 def _load_source(source: str):

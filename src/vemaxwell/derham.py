@@ -97,17 +97,15 @@ def gradient_matrix(mesh: PolyMesh) -> sps.csr_matrix:
 
 def curl_matrix(mesh: PolyMesh) -> sps.csr_matrix:
     """C: edge DOFs -> face DOFs of the curl (Stokes: circulation / area)."""
-    rows = mesh.split.fan_faces                  # face of each loop edge, in loop order
-    cols = np.concatenate(mesh.face_edges)
-    vals = np.concatenate(mesh.face_edge_signs) * mesh.edge_lengths[cols] / mesh.face_areas[rows]
+    rows, cols = mesh.face_edges.owners, mesh.face_edges.flat
+    vals = mesh.face_edge_signs.flat * mesh.edge_lengths[cols] / mesh.face_areas[rows]
     return sps.csr_matrix((vals, (rows, cols)), shape=(mesh.n_faces, mesh.n_edges))
 
 
 def divergence_matrix(mesh: PolyMesh) -> sps.csr_matrix:
     """D: face DOFs -> constant cell divergence (flux sum / volume)."""
-    rows = mesh.cell_face_owners
-    cols = np.concatenate(mesh.cell_faces)
-    vals = np.concatenate(mesh.cell_face_signs) * mesh.face_areas[cols] / mesh.cell_volumes[rows]
+    rows, cols = mesh.cell_faces.owners, mesh.cell_faces.flat
+    vals = mesh.cell_face_signs.flat * mesh.face_areas[cols] / mesh.cell_volumes[rows]
     return sps.csr_matrix((vals, (rows, cols)), shape=(mesh.n_cells, mesh.n_faces))
 
 
@@ -168,15 +166,13 @@ def build_projectors(mesh: PolyMesh) -> ElementProjectors:
     the volume term vanishes because b_K is the volume centroid.
     """
     nf, nc, ne = mesh.n_faces, mesh.n_cells, mesh.n_edges
-    faces = mesh.split.fan_faces                 # face of each loop edge, in loop order
-    eids = np.concatenate(mesh.face_edges)
+    faces, eids = mesh.face_edges.owners, mesh.face_edges.flat
     arm = mesh.edge_midpoints[eids] - mesh.face_centroids[faces]
-    tangential = (np.concatenate(mesh.face_edge_signs)[:, None] * mesh.edge_lengths[eids, None]
+    tangential = (mesh.face_edge_signs.flat[:, None] * mesh.edge_lengths[eids, None]
                   * np.cross(mesh.face_normals[faces], arm) / mesh.face_areas[faces, None])
     face_tangential = block_matrix(faces, eids, tangential[:, :, None], (3 * nf, ne))
 
-    cells, fids = mesh.cell_face_owners, np.concatenate(mesh.cell_faces)
-    signs = np.concatenate(mesh.cell_face_signs)
+    cells, fids, signs = mesh.cell_faces.owners, mesh.cell_faces.flat, mesh.cell_face_signs.flat
     r = mesh.face_centroids[fids] - mesh.cell_centroids[cells]
     n_out = signs[:, None] * mesh.face_normals[fids]
     combine = (np.einsum("ij,ij->i", n_out, r)[:, None, None] * np.eye(3)

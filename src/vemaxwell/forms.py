@@ -116,8 +116,8 @@ def local_edge_mass(mesh: PolyMesh, projectors: ElementProjectors) -> LocalFacto
     constant traces is |e| u_e v_e, so the diagonal entry is h_K^2 m_e |e|.
     """
     nc, nf, ne = mesh.n_cells, mesh.n_faces, mesh.n_edges
-    mult = (_pattern(mesh.cell_face_owners, np.concatenate(mesh.cell_faces), (nc, nf))
-            @ _pattern(mesh.split.fan_faces, np.concatenate(mesh.face_edges), (nf, ne))).tocoo()
+    mult = (_pattern(mesh.cell_faces.owners, mesh.cell_faces.flat, (nc, nf))
+            @ _pattern(mesh.face_edges.owners, mesh.face_edges.flat, (nf, ne))).tocoo()
     stab = mesh.cell_diameters[mult.row] ** 2 * mult.data * mesh.edge_lengths[mult.col]
     return _local_factors(projectors.edge_cell, mult.row, mult.col,
                           mesh.edge_tangents[mult.col], stab)
@@ -126,8 +126,7 @@ def local_edge_mass(mesh: PolyMesh, projectors: ElementProjectors) -> LocalFacto
 def local_face_mass(mesh: PolyMesh, projectors: ElementProjectors) -> LocalFactors:
     """Factors of the local face products of all cells; the stabilization
     diagonal is h_K |F|."""
-    cells = mesh.cell_face_owners
-    fids = np.concatenate(mesh.cell_faces)
+    cells, fids = mesh.cell_faces.owners, mesh.cell_faces.flat
     stab = mesh.cell_diameters[cells] * mesh.face_areas[fids]
     return _local_factors(projectors.face_cell, cells, fids, mesh.face_normals[fids], stab)
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .mesh import PolyMesh
+from .mesh import PolyMesh, Ragged
 
 # Degrees used when the caller does not ask for anything specific.  They
 # keep quadrature error far below the O(h) discretization error measured
@@ -152,19 +152,18 @@ def _entities(index, n: int) -> range:
     return ids
 
 
-def _kept(offsets, kept, ids: range):
+def _kept(simplices: Ragged, kept, ids: range):
     """Kept sub-simplices of entities ``ids`` and the entity of each."""
-    simplices = np.arange(offsets[ids.start], offsets[ids.stop])
-    owners = np.repeat(np.arange(ids.start, ids.stop), np.diff(offsets[ids.start:ids.stop + 1]))
-    keep = kept[simplices]
-    return simplices[keep], owners[keep]
+    sub = np.arange(simplices.offsets[ids.start], simplices.offsets[ids.stop])
+    sub = sub[kept[sub]]
+    return sub, simplices.owners[sub]
 
 
 def face_quadrature(mesh: PolyMesh, faces, degree: int = DEFAULT_FACE_DEGREE) -> QuadratureRule:
     """Rule on the fan panels of face ``faces``, or of each face of slice
     ``faces``; each face's weights sum to its area."""
     split = mesh.split
-    panels, owners = _kept(split.fan_offsets, split.fan_kept, _entities(faces, mesh.n_faces))
+    panels, owners = _kept(mesh.faces, split.fan_kept, _entities(faces, mesh.n_faces))
     apexes = split.face_apexes[owners]
     legs = mesh.vertices[split.fan_vertices[panels]] - apexes[:, None]
     return _mapped_rule(owners, apexes, legs, split.fan_areas[panels],
@@ -175,10 +174,10 @@ def cell_quadrature(mesh: PolyMesh, cells, degree: int = DEFAULT_CELL_DEGREE) ->
     """Rule on the pyramid tetrahedra of cell ``cells``, or of each cell of
     slice ``cells``; each cell's weights sum to its volume."""
     split = mesh.split
-    tets, owners = _kept(split.tet_offsets, split.tet_kept, _entities(cells, mesh.n_cells))
-    panels = split.tet_panels[tets]
+    tets, owners = _kept(split.tet_panels, split.tet_kept, _entities(cells, mesh.n_cells))
+    panels = split.tet_panels.flat[tets]
     apexes = split.cell_apexes[owners]
-    legs = np.concatenate([split.face_apexes[split.fan_faces[panels], None],
+    legs = np.concatenate([split.face_apexes[mesh.faces.owners[panels], None],
                            mesh.vertices[split.fan_vertices[panels]]], axis=1) - apexes[:, None]
     return _mapped_rule(owners, apexes, legs, split.tet_volumes[tets],
                         *tetrahedron_rule(degree), degree)
@@ -198,8 +197,7 @@ def _chunks(offsets, kept, points_per_simplex: int):
 
 def face_rules(mesh: PolyMesh, degree: int):
     """``face_quadrature`` on every face, one chunk of whole faces at a time."""
-    split = mesh.split
-    for faces in _chunks(split.fan_offsets, split.fan_kept, triangle_rule(degree)[1].size):
+    for faces in _chunks(mesh.faces.offsets, mesh.split.fan_kept, triangle_rule(degree)[1].size):
         yield face_quadrature(mesh, faces, degree)
 
 
@@ -207,5 +205,5 @@ def cell_rules(mesh: PolyMesh):
     """``cell_quadrature`` on every cell, one chunk of whole cells at a time."""
     split = mesh.split
     size = tetrahedron_rule(DEFAULT_CELL_DEGREE)[1].size
-    for cells in _chunks(split.tet_offsets, split.tet_kept, size):
+    for cells in _chunks(split.tet_panels.offsets, split.tet_kept, size):
         yield cell_quadrature(mesh, cells)

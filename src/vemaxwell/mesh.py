@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -40,30 +41,45 @@ COORD_LIMIT = 1e50
 CLOSURE_TOL = 1e-12
 
 
+@dataclass(frozen=True, eq=False)
+class Ragged:
+    """A ragged incidence held flat: entity i's entries are
+    ``flat[offsets[i]:offsets[i + 1]]`` and ``owners`` names the entity of
+    each entry.  Indexing, and so iteration, gives those per-entity views."""
+
+    flat: np.ndarray                     # entries, entity by entity
+    offsets: np.ndarray                  # (n + 1,)
+    owners: np.ndarray                   # entity of each entry
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, i) -> np.ndarray:
+        i = range(len(self))[i]                        # IndexError ends iteration
+        return self.flat[self.offsets[i]:self.offsets[i + 1]]
+
+
 @dataclass(frozen=True)
 class SimplexSplit:
     """Faces fanned into signed triangles, cells into signed tetrahedra.
 
-    Apexes are vertex means.  Panel p of face f (``fan_offsets[f] <= p <
-    fan_offsets[f + 1]``, loop order) is the face apex plus the loop edge
+    Apexes are vertex means.  Panel p is entry p of ``PolyMesh.faces``
+    (face by face, loop order): the face apex plus the loop edge
     ``fan_vertices[p]``, its area signed along the face normal.
-    Tetrahedron t of cell k (``tet_offsets[k] <= t < tet_offsets[k + 1]``,
-    cell-face then loop order) is the cell apex plus panel
-    ``tet_panels[t]``, its volume signed by the cell's face orientation.
+    Tetrahedron t is entry t of ``tet_panels`` (cell by cell, cell-face
+    then loop order): the cell apex plus panel ``tet_panels.flat[t]``, its
+    volume signed by the cell's face orientation.
     The signed pieces telescope, so nonconvex faces and cells are exact.
     Quadrature skips what ``fan_kept``/``tet_kept`` clear: panels up to
     1e-14 of the largest of their face, tetrahedra with |6 vol| < 1e-14 |K|.
     """
 
     face_apexes: np.ndarray              # (nf, 3)
-    fan_offsets: np.ndarray              # (nf + 1,)
-    fan_faces: np.ndarray                # (np,) face of each panel
     fan_vertices: np.ndarray             # (np, 2) loop edge of each panel
     fan_areas: np.ndarray                # (np,)
     fan_kept: np.ndarray                 # bool (np,)
     cell_apexes: np.ndarray              # (nc, 3)
-    tet_offsets: np.ndarray              # (nc + 1,)
-    tet_panels: np.ndarray               # (nt,)
+    tet_panels: Ragged                   # per cell: fan panel of each tetrahedron
     tet_volumes: np.ndarray              # (nt,)
     tet_kept: np.ndarray                 # bool (nt,)
 
@@ -79,14 +95,12 @@ class PolyMesh:
     """
 
     vertices: np.ndarray                 # (nv, 3)
-    faces: tuple                         # per face: vertex loop, int array
-    cell_faces: tuple                    # per cell: face indices, int array
-    cell_face_signs: tuple               # per cell: +-1 per face
-    cell_face_owners: np.ndarray         # cell of each entry of concatenated cell_faces
+    faces: Ragged                        # per face: vertex loop
+    cell_faces: Ragged                   # per cell: face indices
+    cell_face_signs: Ragged              # per cell: +-1 per face, cell_faces' offsets/owners
     edges: np.ndarray                    # (ne, 2), lo < hi
-    face_edges: tuple                    # per face: edge ids in loop order
-    face_edge_signs: tuple               # per face: +-1 per loop edge
-    cell_edges: tuple                    # per cell: sorted unique edge ids
+    face_edges: Ragged                   # per face: edge ids in loop order, faces' offsets/owners
+    face_edge_signs: Ragged              # per face: +-1 per loop edge, faces' offsets/owners
     boundary_vertices: np.ndarray        # bool (nv,)
     boundary_edges: np.ndarray           # bool (ne,)
     boundary_faces: np.ndarray           # bool (nf,)
@@ -157,7 +171,7 @@ class ValidationReport:
         return not self.violations
 
 
-def _split_faces(vertices: np.ndarray, face_loops: list):
+def _split_faces(vertices: np.ndarray, faces: Ragged):
     """Fan each face about its vertex mean, one stack per loop size.
 
     Area and centroid sum the signed panels; the centroid is the
@@ -165,9 +179,8 @@ def _split_faces(vertices: np.ndarray, face_loops: list):
     ``SimplexSplit``, then face areas, unit normals, centroids and
     diameters.
     """
-    sizes = np.array([loop.size for loop in face_loops], dtype=int)
-    offsets = _offsets(sizes)
-    loop_ids = np.concatenate(face_loops)
+    loop_ids, offsets = faces.flat, faces.offsets
+    sizes = np.diff(offsets)
     nxt = np.arange(loop_ids.size) + 1
     nxt[offsets[1:] - 1] = offsets[:-1]                # close each loop
     apexes, normals, centroids = np.empty((3, sizes.size, 3))
@@ -199,11 +212,9 @@ def _split_faces(vertices: np.ndarray, face_loops: list):
                 f"nonplanar face: residual {r:.3e} exceeds "
                 f"{PLANARITY_TOL:.0e} * h_F = {PLANARITY_TOL * h_f:.3e}"
             )
-    faces_of = np.repeat(np.arange(sizes.size), sizes)
     largest = np.maximum.reduceat(np.abs(signed), offsets[:-1])
-    fan = dict(face_apexes=apexes, fan_offsets=offsets, fan_faces=faces_of,
-               fan_vertices=np.stack([loop_ids, loop_ids[nxt]], axis=1),
-               fan_areas=signed, fan_kept=np.abs(signed) > 1e-14 * largest[faces_of])
+    fan = dict(face_apexes=apexes, fan_vertices=np.stack([loop_ids, loop_ids[nxt]], axis=1),
+               fan_areas=signed, fan_kept=np.abs(signed) > 1e-14 * largest[faces.owners])
     return fan, areas, normals, centroids, diameters
 
 
@@ -241,16 +252,37 @@ def _offsets(counts) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(counts, dtype=int)])
 
 
-def _segments(x: np.ndarray, offsets: np.ndarray) -> tuple:
-    """The segments ``x[offsets[i]:offsets[i + 1]]`` as a tuple of views."""
-    return tuple(x[a:b] for a, b in zip(offsets[:-1], offsets[1:]))
+def _index_lists(lists):
+    """Raw index lists as one flat int ``Ragged``, and whether each entry
+    fits an int (those that do not are stored as 0)."""
+    lists = list(lists)
+    sizes = np.fromiter(map(len, lists), int, len(lists))
+    values = np.fromiter(chain.from_iterable(lists), object, sizes.sum())
+    with np.errstate(invalid="ignore"):               # NaN passes, to fail in astype
+        fits = ~((values < np.iinfo(int).min) | (values > np.iinfo(int).max))
+    owners = np.repeat(np.arange(sizes.size), sizes)
+    return Ragged(np.where(fits, values, 0).astype(int), _offsets(sizes), owners), fits
 
 
-def _index_array(refs, owner: str) -> np.ndarray:
-    try:
-        return np.asarray(refs, dtype=int)
-    except OverflowError as exc:
-        raise MeshFormatError(f"{owner} has an index out of range") from exc
+def _any_entry(ragged: Ragged, flags: np.ndarray) -> np.ndarray:
+    """Whether each entity has a flagged entry."""
+    return np.bincount(ragged.owners[flags], minlength=len(ragged)) > 0
+
+
+def _repeats(ragged: Ragged) -> np.ndarray:
+    """Whether each entity lists a value twice."""
+    distinct = np.unique(np.stack([ragged.owners, ragged.flat]), axis=1)[0]
+    return np.bincount(distinct, minlength=len(ragged)) < np.diff(ragged.offsets)
+
+
+def _raise_first(checks, **values) -> None:
+    """Raise the first failing check of the first entity i failing any of
+    ``checks``, (failing per entity, error type, message) in order; the
+    message is formatted with i as ``{0}`` and ``values[name][i]`` as ``{name}``."""
+    failing = np.logical_or.reduce([fails for fails, _, _ in checks])
+    for i in np.flatnonzero(failing)[:1]:
+        error, message = next((e, m) for fails, e, m in checks if fails[i])
+        raise error(message.format(i, **{name: v[i] for name, v in values.items()}))
 
 
 def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
@@ -271,52 +303,46 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
             f"vertex {bad[0]} has a coordinate beyond +-{COORD_LIMIT:.0e}")
     nv = vertices.shape[0]
 
-    face_loops = []
-    for i, loop in enumerate(faces):
-        loop = _index_array(loop, f"face {i}")
-        if loop.size < 3:
-            raise MeshTopologyError(f"face {i} has fewer than 3 vertices")
-        if loop.min() < 0 or loop.max() >= nv:
-            raise MeshTopologyError(f"face {i} references a missing vertex")
-        if np.unique(loop).size != loop.size:
-            raise MeshTopologyError(f"inconsistent loop: face {i} repeats a vertex")
-        face_loops.append(loop)
-    nf = len(face_loops)
+    faces, fits = _index_lists(faces)
+    nf, loops = len(faces), faces.flat
+    _raise_first([
+        (_any_entry(faces, ~fits), MeshFormatError, "face {0} has an index out of range"),
+        (np.diff(faces.offsets) < 3, MeshTopologyError, "face {0} has fewer than 3 vertices"),
+        (_any_entry(faces, (loops < 0) | (loops >= nv)), MeshTopologyError,
+         "face {0} references a missing vertex"),
+        (_repeats(faces), MeshTopologyError, "inconsistent loop: face {0} repeats a vertex"),
+    ])
 
-    cf_list, cs_list = [], []
-    for k, refs in enumerate(cells):
-        refs = _index_array(refs, f"cell {k}")
-        if refs.size < 4 or np.any(refs == 0):
-            raise MeshTopologyError(f"cell {k} has an invalid face list")
-        idx = np.abs(refs) - 1
-        if idx.max() >= nf:
-            raise MeshTopologyError(f"cell {k} references a missing face")
-        if np.unique(idx).size != idx.size:
-            raise MeshTopologyError(f"cell {k} repeats a face")
-        cf_list.append(idx)
-        cs_list.append(np.sign(refs).astype(int))
-    nc = len(cf_list)
+    refs, fits = _index_lists(cells)
+    nc = len(refs)
+    cell_faces = Ragged(np.abs(refs.flat) - 1, refs.offsets, refs.owners)
+    _raise_first([
+        (_any_entry(refs, ~fits), MeshFormatError, "cell {0} has an index out of range"),
+        ((np.diff(refs.offsets) < 4) | _any_entry(refs, refs.flat == 0), MeshTopologyError,
+         "cell {0} has an invalid face list"),
+        (_any_entry(refs, cell_faces.flat >= nf), MeshTopologyError,
+         "cell {0} references a missing face"),
+        (_repeats(cell_faces), MeshTopologyError, "cell {0} repeats a face"),
+    ])
+    cell_face_signs = Ragged(np.sign(refs.flat), refs.offsets, refs.owners)
     if nc == 0:
         raise MeshTopologyError("mesh has no cells")
 
     # Face sharing: interior faces belong to exactly two cells, with
     # opposite outward signs; more than two is a dangling face.
-    cf_flat, cs_flat = np.concatenate(cf_list), np.concatenate(cs_list)
+    cf_flat, cs_flat = cell_faces.flat, cell_face_signs.flat
     uses = np.bincount(cf_flat, minlength=nf)
     same_sign = (uses == 2) & (np.bincount(cf_flat, cs_flat, minlength=nf) != 0)
-    bad = np.flatnonzero((uses > 2) | same_sign)
-    if bad.size:
-        f = bad[0]
-        if uses[f] > 2:
-            raise MeshTopologyError(f"dangling face {f}: referenced by {uses[f]} cells")
-        raise MeshTopologyError(
-            f"inconsistent face sharing: face {f} has equal signs in both cells"
-        )
+    _raise_first([
+        (uses > 2, MeshTopologyError, "dangling face {0}: referenced by {uses} cells"),
+        (same_sign, MeshTopologyError,
+         "inconsistent face sharing: face {0} has equal signs in both cells"),
+    ], uses=uses)
 
     # Fan split and face geometry (validates planarity and degeneracy).
     fan, face_areas, face_normals, face_centroids, face_diameters = \
-        _split_faces(vertices, face_loops)
-    fan_offsets, loop_ab = fan["fan_offsets"], fan["fan_vertices"]
+        _split_faces(vertices, faces)
+    loop_ab = fan["fan_vertices"]
 
     # Edges are the panels' loop edges, numbered in order of first
     # appearance and oriented from the lower to the higher vertex index.
@@ -325,8 +351,9 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
     loop_edges = np.argsort(np.argsort(first))[inverse]
     edges = np.stack([lo, hi], axis=1)[np.sort(first)]
     ne = edges.shape[0]
-    face_edges = _segments(loop_edges, fan_offsets)
-    face_edge_signs = _segments(np.where(loop_ab[:, 0] < loop_ab[:, 1], 1, -1), fan_offsets)
+    face_edges = Ragged(loop_edges, faces.offsets, faces.owners)
+    face_edge_signs = Ragged(np.where(loop_ab[:, 0] < loop_ab[:, 1], 1, -1),
+                             faces.offsets, faces.owners)
     vec = vertices[edges[:, 1]] - vertices[edges[:, 0]]
     edge_lengths = np.linalg.norm(vec, axis=1)
     if np.any(edge_lengths <= 0.0):
@@ -336,41 +363,34 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
 
     # Pyramid split: one tetrahedron per (cell face, fan panel), in cell
     # face then loop order, about the vertex mean of the cell.
-    panels_per = np.diff(fan_offsets)[cf_flat]
+    panels_per = np.diff(faces.offsets)[cf_flat]
     cf_offsets = _offsets(panels_per)                  # per cell face
-    cell_cf_offsets = _offsets([fids.size for fids in cf_list])
-    cell_face_owners = np.repeat(np.arange(nc), np.diff(cell_cf_offsets))
-    tet_offsets = cf_offsets[cell_cf_offsets]
+    tet_offsets = cf_offsets[cell_faces.offsets]
     tet_panels = (np.arange(tet_offsets[-1])
-                  + np.repeat(fan_offsets[cf_flat] - cf_offsets[:-1], panels_per))
+                  + np.repeat(faces.offsets[cf_flat] - cf_offsets[:-1], panels_per))
     tet_cells = np.repeat(np.arange(nc), np.diff(tet_offsets))
-    # Sorted unique vertices and edges of each cell, read off its panels.
+    # Sorted unique vertices of each cell, read off its panels.
     keys = np.unique(tet_cells * nv + loop_ab[tet_panels, 0])
     cell_verts, cv_offsets = keys % nv, _offsets(np.bincount(keys // nv, minlength=nc))
     cell_apexes = _stacked(lambda v: v.mean(axis=1), vertices[cell_verts], cv_offsets)
-    keys = np.unique(tet_cells * ne + loop_edges[tet_panels])
-    cell_edges = _segments(keys % ne, _offsets(np.bincount(keys // ne, minlength=nc)))
 
     # Per-cell checks: closure, divergence-theorem volume, vertex diameter.
     cell_diameters = _stacked(_point_set_diameter, vertices[cell_verts], cv_offsets)
     flux = cs_flat[:, None] * face_areas[cf_flat, None] * face_normals[cf_flat]
-    closure = np.linalg.norm(_stacked(_sum, flux, cell_cf_offsets), axis=1)
-    is_open = closure > CLOSURE_TOL * cell_diameters**2
+    closure = np.linalg.norm(_stacked(_sum, flux, cell_faces.offsets), axis=1)
     heights = np.einsum("ij,ij->i", face_centroids[cf_flat], face_normals[cf_flat])
-    cell_volumes = _stacked(_sum, cs_flat * face_areas[cf_flat] * heights, cell_cf_offsets) / 3.0
-    bad = np.flatnonzero(is_open | (cell_volumes <= 0.0))
-    if bad.size:
-        k = bad[0]
-        if is_open[k]:
-            raise MeshTopologyError(
-                f"open cell boundary: cell {k} surface residual {closure[k]:.3e}"
-            )
-        raise MeshGeometryError(f"nonpositive volume {cell_volumes[k]:.3e} in cell {k}")
+    cell_volumes = _stacked(_sum, cs_flat * face_areas[cf_flat] * heights,
+                            cell_faces.offsets) / 3.0
+    _raise_first([
+        (closure > CLOSURE_TOL * cell_diameters**2, MeshTopologyError,
+         "open cell boundary: cell {0} surface residual {closure:.3e}"),
+        (cell_volumes <= 0.0, MeshGeometryError, "nonpositive volume {volume:.3e} in cell {0}"),
+    ], closure=closure, volume=cell_volumes)
 
     # Signed tetrahedron volumes; the centroid sums the volume-weighted
     # tetrahedron centroids per face, then over the faces of the cell.
     apex = cell_apexes[tet_cells]
-    base = fan["face_apexes"][fan["fan_faces"][tet_panels]]
+    base = fan["face_apexes"][faces.owners[tet_panels]]
     p, q = vertices[loop_ab[tet_panels]].transpose(1, 0, 2)
     legs_cross = np.cross(p - apex, q - apex)
     vol6 = (np.repeat(cs_flat, panels_per)
@@ -379,12 +399,12 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
     moments = tet_volumes[:, None] * ((apex + base + p + q) / 4.0)
 
     def per_cell(x):                                   # per cell face, then per cell
-        return _stacked(_sum, _stacked(_sum, x, cf_offsets), cell_cf_offsets)
+        return _stacked(_sum, _stacked(_sum, x, cf_offsets), cell_faces.offsets)
 
     cell_centroids = per_cell(moments) / per_cell(tet_volumes)[:, None]
     split = SimplexSplit(
-        **fan, cell_apexes=cell_apexes, tet_offsets=tet_offsets,
-        tet_panels=tet_panels, tet_volumes=tet_volumes,
+        **fan, cell_apexes=cell_apexes, tet_panels=Ragged(tet_panels, tet_offsets, tet_cells),
+        tet_volumes=tet_volumes,
         tet_kept=np.abs(vol6) >= 1e-14 * cell_volumes[tet_cells],
     )
 
@@ -392,20 +412,18 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
     boundary_faces = uses == 1
     if not boundary_faces.any():
         raise MeshTopologyError("mesh has no boundary faces")
-    on_boundary = boundary_faces[fan["fan_faces"]]
+    on_boundary = boundary_faces[faces.owners]
     boundary_edges = np.bincount(loop_edges[on_boundary], minlength=ne) > 0
     boundary_vertices = np.bincount(loop_ab[on_boundary, 0], minlength=nv) > 0
 
     return PolyMesh(
         vertices=vertices,
-        faces=tuple(face_loops),
-        cell_faces=tuple(cf_list),
-        cell_face_signs=tuple(cs_list),
-        cell_face_owners=cell_face_owners,
+        faces=faces,
+        cell_faces=cell_faces,
+        cell_face_signs=cell_face_signs,
         edges=edges,
         face_edges=face_edges,
         face_edge_signs=face_edge_signs,
-        cell_edges=cell_edges,
         boundary_vertices=boundary_vertices,
         boundary_edges=boundary_edges,
         boundary_faces=boundary_faces,
@@ -451,6 +469,8 @@ def load_mesh(path) -> PolyMesh:
             for i, refs in enumerate(doc[key]):
                 if not all(type(r) is int for r in refs):
                     raise MeshFormatError(f"{path}: {key[:-1]} {i} has a non-integer index")
+                if type(refs) is not list:       # "" or {}
+                    raise TypeError(f"{key[:-1]} {i} is not a list")
         return derive_topology(doc["vertices"], doc["faces"], doc["cells"], name=name)
     except (TypeError, ValueError) as exc:
         raise MeshFormatError(f"{path}: malformed arrays: {exc}") from exc
@@ -458,14 +478,12 @@ def load_mesh(path) -> PolyMesh:
 
 def save_mesh(mesh: PolyMesh, path) -> None:
     """Write PVM-JSON; coordinates round-trip bit-exactly (repr of floats)."""
-    cells = []
-    for fids, signs in zip(mesh.cell_faces, mesh.cell_face_signs):
-        cells.append([int(s) * (int(f) + 1) for f, s in zip(fids, signs)])
+    signed = mesh.cell_face_signs.flat * (mesh.cell_faces.flat + 1)
     doc = {
         "name": mesh.name,
-        "vertices": [[float(c) for c in v] for v in mesh.vertices],
-        "faces": [[int(i) for i in loop] for loop in mesh.faces],
-        "cells": cells,
+        "vertices": mesh.vertices.tolist(),
+        "faces": [loop.tolist() for loop in mesh.faces],
+        "cells": [refs.tolist() for refs in np.split(signed, mesh.cell_faces.offsets[1:-1])],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
@@ -504,16 +522,14 @@ def generate_cube_mesh(n: int, domain=None, name: str = "") -> PolyMesh:
     cells = np.stack([-fx[:-1], fx[1:], -fy[:, :-1], fy[:, 1:], -fz[..., :-1], fz[..., 1:]],
                      axis=-1).reshape(-1, 6)
 
-    return derive_topology(coords, faces, cells, name=name or f"cube{n**3}")
+    return derive_topology(coords, faces.tolist(), cells.tolist(), name=name or f"cube{n**3}")
 
 
 def mesh_stats(mesh: PolyMesh) -> MeshStats:
     """Size parameters and observed shape-regularity ratios."""
-    min_fc = (mesh.face_diameters[np.concatenate(mesh.cell_faces)]
-              / mesh.cell_diameters[mesh.cell_face_owners]).min()
-    # Loop edges are the fan panels' bases, in the same order.
-    min_ef = (mesh.edge_lengths[np.concatenate(mesh.face_edges)]
-              / mesh.face_diameters[mesh.split.fan_faces]).min()
+    cell_faces, face_edges = mesh.cell_faces, mesh.face_edges
+    min_fc = (mesh.face_diameters[cell_faces.flat] / mesh.cell_diameters[cell_faces.owners]).min()
+    min_ef = (mesh.edge_lengths[face_edges.flat] / mesh.face_diameters[face_edges.owners]).min()
     return MeshStats(
         h=mesh.h,
         cell_diameters=mesh.cell_diameters.copy(),
@@ -534,19 +550,18 @@ def validate_mesh(mesh: PolyMesh) -> ValidationReport:
     Never raises: violations of the hard invariants (planarity, closure,
     degenerate measures) are collected as strings.
     """
-    split = mesh.split
-    planarity = (_stacked(_plane_residual, mesh.vertices[split.fan_vertices[:, 0]],
-                          split.fan_offsets) / mesh.face_diameters)
-    eids = np.concatenate(mesh.face_edges)
-    loop_vec = (np.concatenate(mesh.face_edge_signs)[:, None]
+    planarity = (_stacked(_plane_residual, mesh.vertices[mesh.faces.flat], mesh.faces.offsets)
+                 / mesh.face_diameters)
+    eids = mesh.face_edges.flat
+    loop_vec = (mesh.face_edge_signs.flat[:, None]
                 * mesh.edge_lengths[eids, None] * mesh.edge_tangents[eids])
-    face_closure = (np.linalg.norm(_stacked(_sum, loop_vec, split.fan_offsets), axis=1)
+    face_closure = (np.linalg.norm(_stacked(_sum, loop_vec, mesh.faces.offsets), axis=1)
                     / mesh.face_diameters)
-    fids = np.concatenate(mesh.cell_faces)
-    flux = (np.concatenate(mesh.cell_face_signs)[:, None]
+    fids = mesh.cell_faces.flat
+    flux = (mesh.cell_face_signs.flat[:, None]
             * mesh.face_areas[fids, None] * mesh.face_normals[fids])
     cell_flux = np.zeros((mesh.n_cells, 3))
-    np.add.at(cell_flux, mesh.cell_face_owners, flux)
+    np.add.at(cell_flux, mesh.cell_faces.owners, flux)
     cell_closure = np.linalg.norm(cell_flux, axis=1) / mesh.cell_diameters**2
     violations = (
         [f"face {f}: planarity residual {planarity[f]:.3e}"

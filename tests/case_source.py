@@ -105,6 +105,21 @@ def derive(e_terms, b_terms, eps, sigma, mu):
             "curl_mu_inv_B": curl_terms, "J": list(groups.items())}
 
 
+def shared_calls(exprs):
+    """The distinct sin/cos calls of ``exprs`` as locals x0, x1, ..., and
+    ``exprs`` with each call replaced by its local.
+
+    A case-1 spatial part repeats a handful of calls dozens of times, so
+    each call is evaluated once per point.  Polynomial subexpressions stay
+    inline: ``sympy.cse`` would hold up to 70 of them at once, one array per
+    chunk of points each, for no further gain.
+    """
+    calls = sorted(set().union(*(e.atoms(sp.sin, sp.cos) for e in exprs)),
+                   key=sp.default_sort_key)
+    names = sp.symbols(f"x:{len(calls)}")
+    return list(zip(names, calls)), [e.xreplace(dict(zip(calls, names))) for e in exprs]
+
+
 def _tuple(items) -> str:
     items = list(items)
     return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
@@ -119,10 +134,12 @@ def _case_source(case_id, fields, printer):
         key = (args, tuple(exprs))
         if key not in names:
             names[key] = f"case{case_id}_{kind}{sum(k[0] == args for k in names)}"
-            body = ", ".join(printer.doprint(e) for e in exprs)
+            shared, reduced = shared_calls(exprs) if kind == "space" else ([], exprs)
+            lines = [f"    {printer.doprint(s)} = {printer.doprint(e)}\n" for s, e in shared]
+            body = ", ".join(printer.doprint(e) for e in reduced)
             if len(exprs) > 1:
                 body = f"({body})"
-            defs.append(f"def {names[key]}({args}):\n    return {body}\n")
+            defs.append(f"def {names[key]}({args}):\n" + "".join(lines) + f"    return {body}\n")
         return names[key]
 
     def space(v):

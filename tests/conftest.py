@@ -86,6 +86,11 @@ def cube4_proj(cube4):
     return derham.build_projectors(cube4)
 
 
+def cell_edges(mesh, k):
+    """Sorted unique edge ids of cell k, read off its faces' loops."""
+    return np.unique(np.concatenate([mesh.face_edges[f] for f in mesh.cell_faces[k]]))
+
+
 def block_rows(proj_map, i, cols):
     """Entity i's projector as a dense (3, len(cols)) matrix: rows
     3i..3i+2 of a global projector map, restricted to ``cols``."""

@@ -15,8 +15,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (block_rows, build_lcell, build_two_prisms, constant_edge_dofs,
-                      constant_face_dofs)
+from conftest import (block_rows, build_lcell, build_two_prisms, cell_edges,
+                      constant_edge_dofs, constant_face_dofs)
 from vemaxwell import cases, cli, forms, stepper
 from vemaxwell import derham as vd
 from vemaxwell import generate_cube_mesh, load_mesh
@@ -125,8 +125,8 @@ def test_criterion_3_projector_consistency(cube4m):
     for m in meshes:
         proj = vd.build_projectors(m)
         for k in range(m.n_cells):
-            te = m.edge_tangents[m.cell_edges[k]]
-            pe = block_rows(proj.edge_cell, k, m.cell_edges[k])
+            te = m.edge_tangents[cell_edges(m, k)]
+            pe = block_rows(proj.edge_cell, k, cell_edges(m, k))
             worst = max(worst, np.abs(pe @ (te @ c) - c).max())
             worst = max(worst, np.abs(pe @ (te @ g) - g).max())
             nf = m.face_normals[m.cell_faces[k]]

@@ -12,6 +12,13 @@ class TestRunConfig:
         with pytest.raises(cli.ConfigError, match="does not divide"):
             cli.RunConfig("cube:2", 1, Fraction(3, 10), T=1.0)
 
+    def test_same_step_rule_as_run(self):
+        # the rule of stepper.step_count, which stepper.run applies too
+        with pytest.raises(cli.ConfigError, match="does not divide"):
+            cli.RunConfig("cube:2", 2, Fraction(1, 10**7), T=1.000000001e-6)
+        with pytest.raises(cli.ConfigError, match="does not divide"):
+            cli.RunConfig("cube:2", 2, Fraction(0))
+
     def test_bad_case(self):
         with pytest.raises(cli.ConfigError, match="case"):
             cli.RunConfig("cube:2", 9, Fraction(1, 2))

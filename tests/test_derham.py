@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from conftest import block_rows, constant_face_dofs
+from conftest import block_rows, cell_edges, constant_face_dofs
 from vemaxwell import derham as vd
 from vemaxwell import geometry as vg
 
@@ -143,8 +143,8 @@ class TestCellProjectors:
         for m in (cube2, two_prisms, lcell, voro8):
             proj = vd.build_projectors(m)
             for k in range(m.n_cells):
-                dofs = m.edge_tangents[m.cell_edges[k]] @ c
-                p = block_rows(proj.edge_cell, k, m.cell_edges[k])
+                dofs = m.edge_tangents[cell_edges(m, k)] @ c
+                p = block_rows(proj.edge_cell, k, cell_edges(m, k))
                 assert np.abs(p @ dofs - c).max() < 1e-12
 
     def test_edge_gradients_of_linears(self, cube2, two_prisms, lcell, voro8):
@@ -152,8 +152,8 @@ class TestCellProjectors:
         for m in (cube2, two_prisms, lcell, voro8):
             proj = vd.build_projectors(m)
             for k in range(m.n_cells):
-                dofs = m.edge_tangents[m.cell_edges[k]] @ g
-                result = block_rows(proj.edge_cell, k, m.cell_edges[k]) @ dofs
+                dofs = m.edge_tangents[cell_edges(m, k)] @ g
+                result = block_rows(proj.edge_cell, k, cell_edges(m, k)) @ dofs
                 assert np.abs(result - g).max() < 1e-12
                 # independent cross-check: cell-quadrature mean of the field
                 rule = vg.cell_quadrature(m, k, 2)
@@ -163,7 +163,7 @@ class TestCellProjectors:
 
     def test_edge_zero_vector(self, cube1, cube4_proj):
         proj = vd.build_projectors(cube1)
-        p = block_rows(proj.edge_cell, 0, cube1.cell_edges[0])
+        p = block_rows(proj.edge_cell, 0, cell_edges(cube1, 0))
         assert np.abs(p @ np.zeros(12)).max() == 0.0
 
     def test_face_constants(self, cube1, voro8):

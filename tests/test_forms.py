@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 
-from conftest import SPLIT_MESHES, block_rows, constant_edge_dofs, constant_face_dofs
+from conftest import (SPLIT_MESHES, block_rows, cell_edges, constant_edge_dofs,
+                      constant_face_dofs)
 from vemaxwell import cases, forms, stepper
 from vemaxwell import derham as vd
 from vemaxwell import mesh as vm
@@ -75,7 +76,7 @@ class TestStabilizations:
 
 def oracle_edge_mass(mesh, k, eta):
     """Literal first-principles evaluation, independent of forms.py."""
-    eids = mesh.cell_edges[k]
+    eids = cell_edges(mesh, k)
     n_loc = eids.size
     pos = {e: i for i, e in enumerate(eids)}
     h_k = mesh.cell_diameters[k]
@@ -111,7 +112,7 @@ def local_product(mesh, k, kind, proj, **eta):
     w[k] = 1.0
     m = forms.assemble_global(mesh, vd.build_dofs(mesh), w, kind, proj,
                               forms.StabWeights(**eta), restrict=False)
-    ids = mesh.cell_edges[k] if kind == "edge" else mesh.cell_faces[k]
+    ids = cell_edges(mesh, k) if kind == "edge" else mesh.cell_faces[k]
     return m[ids][:, ids].toarray()
 
 
@@ -259,7 +260,7 @@ def loop_face_tangential(mesh, f):
 
 def loop_edge_cell(mesh, k):
     """(3, sorted cell edges) map of cell k, summed face by face."""
-    eids = mesh.cell_edges[k]
+    eids = cell_edges(mesh, k)
     pos = {e: j for j, e in enumerate(eids)}
     out = np.zeros((3, eids.size))
     b_k = mesh.cell_centroids[k]
@@ -283,7 +284,7 @@ def loop_face_cell(mesh, k):
 def loop_local_mass(mesh, k, kind, eta):
     """Dense local product of cell k on its own DOFs."""
     if kind == "edge":
-        ids, p, t = mesh.cell_edges[k], loop_edge_cell(mesh, k), mesh.edge_tangents
+        ids, p, t = cell_edges(mesh, k), loop_edge_cell(mesh, k), mesh.edge_tangents
         pos = {e: j for j, e in enumerate(ids)}
         mult = np.zeros(ids.size)
         for f in mesh.cell_faces[k]:
@@ -300,7 +301,8 @@ def loop_local_mass(mesh, k, kind, eta):
 
 def loop_assemble(mesh, dofs, w, kind, eta, restrict=True):
     """Cell-by-cell triplet assembly of the weighted local products."""
-    ids = mesh.cell_edges if kind == "edge" else mesh.cell_faces
+    ids = ([cell_edges(mesh, k) for k in range(mesh.n_cells)] if kind == "edge"
+           else mesh.cell_faces)
     n, keep = ((dofs.n_edges, dofs.interior_edges) if kind == "edge"
                else (dofs.n_faces, dofs.interior_faces))
     vals = np.concatenate([w[k] * loop_local_mass(mesh, k, kind, eta).ravel()
@@ -334,7 +336,7 @@ class TestSparseMatchesLoops:
                            [loop_face_tangential(m, f) for f in range(m.n_faces)],
                            m.face_edges)
         self.assert_blocks(proj.edge_cell, [loop_edge_cell(m, k) for k in cells],
-                           m.cell_edges)
+                           [cell_edges(m, k) for k in cells])
         self.assert_blocks(proj.face_cell, [loop_face_cell(m, k) for k in cells],
                            m.cell_faces)
 

@@ -1,11 +1,20 @@
+import copy
 import itertools
 import json
+import re
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import DATA
+import conftest
+from conftest import DATA, SPLIT_MESHES
 from vemaxwell import mesh as vm
+
+sys.path.insert(0, str(DATA.parents[1] / "perfbench"))
+import agglo  # noqa: E402
 
 UNIT_CUBE = {
     "vertices": [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
@@ -288,3 +297,181 @@ class TestRoundTrip:
         assert pairs1 == pairs2
         assert (m1.edges[:, 0] < m1.edges[:, 1]).all()
         assert (m2.edges[:, 0] < m2.edges[:, 1]).all()
+
+
+# The per-entity construction and validation loops derive_topology ran
+# before its incidences were held flat, kept as oracles.
+
+def tuple_incidences(faces, cells):
+    """Per-entity tuples of the raw input: vertex loops, loop edges
+    numbered by first appearance with their signs, cell faces and signs;
+    and the (lo, hi) edges in that numbering."""
+    loops = tuple(np.asarray(loop, dtype=int) for loop in faces)
+    numbering = {}
+    face_edges, face_edge_signs = [], []
+    for loop in loops:
+        pairs = list(zip(loop.tolist(), np.roll(loop, -1).tolist()))
+        face_edges.append(np.array([numbering.setdefault((min(a, b), max(a, b)), len(numbering))
+                                    for a, b in pairs]))
+        face_edge_signs.append(np.array([1 if a < b else -1 for a, b in pairs]))
+    refs = [np.asarray(r, dtype=int) for r in cells]
+    tuples = {"faces": loops, "face_edges": tuple(face_edges),
+              "face_edge_signs": tuple(face_edge_signs),
+              "cell_faces": tuple(np.abs(r) - 1 for r in refs),
+              "cell_face_signs": tuple(np.sign(r).astype(int) for r in refs)}
+    return tuples, np.array(list(numbering))
+
+
+def old_validation(vertices, faces, cells):
+    """Raise what the per-face, then per-cell, checks raised first."""
+    nv = len(vertices)
+    for i, loop in enumerate(faces):
+        try:
+            loop = np.asarray(loop, dtype=int)
+        except OverflowError as exc:
+            raise vm.MeshFormatError(f"face {i} has an index out of range") from exc
+        if loop.size < 3:
+            raise vm.MeshTopologyError(f"face {i} has fewer than 3 vertices")
+        if loop.min() < 0 or loop.max() >= nv:
+            raise vm.MeshTopologyError(f"face {i} references a missing vertex")
+        if np.unique(loop).size != loop.size:
+            raise vm.MeshTopologyError(f"inconsistent loop: face {i} repeats a vertex")
+    nf = len(faces)
+    for k, refs in enumerate(cells):
+        try:
+            refs = np.asarray(refs, dtype=int)
+        except OverflowError as exc:
+            raise vm.MeshFormatError(f"cell {k} has an index out of range") from exc
+        if refs.size < 4 or np.any(refs == 0):
+            raise vm.MeshTopologyError(f"cell {k} has an invalid face list")
+        idx = np.abs(refs) - 1
+        if idx.max() >= nf:
+            raise vm.MeshTopologyError(f"cell {k} references a missing face")
+        if np.unique(idx).size != idx.size:
+            raise vm.MeshTopologyError(f"cell {k} repeats a face")
+
+
+LOOP_MESSAGES = re.compile(r"(face|cell) \d+ (has an index out of range|has fewer than 3 "
+                           r"vertices|references a missing|has an invalid face list|repeats a)")
+
+BUILDERS = {
+    "cube4": lambda: vm.generate_cube_mesh(4),
+    "lcell": conftest.build_lcell,
+    "two_prisms": conftest.build_two_prisms,
+    "voro8": lambda: vm.load_mesh(DATA / "voro8.json"),
+    "voro27": lambda: vm.load_mesh(DATA / "voro27.json"),
+    "agglo4": lambda: agglo.agglomerated_cube(4, 1),
+}
+
+
+class TestRaggedMatchesTuples:
+    """Every per-entity view of the flat incidences equals the per-entity
+    tuple built from the raw input."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Build a mesh, recording the raw faces and cells it was made of."""
+        calls = []
+        original = vm.derive_topology
+
+        def recording(vertices, faces, cells, name=""):
+            calls.append((faces, cells))
+            return original(vertices, faces, cells, name=name)
+
+        for module in (vm, conftest, agglo):
+            monkeypatch.setattr(module, "derive_topology", recording)
+
+        def build(name):
+            mesh = BUILDERS[name]()
+            return mesh, calls[-1]
+        return build
+
+    @pytest.mark.parametrize("name", SPLIT_MESHES + ["agglo4"])
+    def test_views_equal_tuples(self, name, built):
+        m, (faces, cells) = built(name)
+        tuples, edges = tuple_incidences(faces, cells)
+        assert np.array_equal(m.edges, edges)
+        for field, want in tuples.items():
+            ragged = getattr(m, field)
+            assert len(ragged) == len(want)
+            assert all(np.array_equal(a, b) and a.dtype.kind == "i"
+                       for a, b in zip(ragged, want, strict=True))
+            assert all(np.array_equal(ragged[i], want[i]) for i in range(len(want)))
+            assert np.array_equal(ragged[-1], want[-1])
+            with pytest.raises(IndexError):
+                ragged[len(want)]
+            sizes = [w.size for w in want]
+            assert np.array_equal(ragged.owners, np.repeat(np.arange(len(want)), sizes))
+            assert np.array_equal(np.diff(ragged.offsets), sizes)
+
+    def test_shared_offsets_and_owners(self, voro27):
+        for a, b in ((voro27.faces, voro27.face_edges), (voro27.faces, voro27.face_edge_signs),
+                     (voro27.cell_faces, voro27.cell_face_signs)):
+            assert a.offsets is b.offsets and a.owners is b.owners
+
+
+VORO8 = json.loads((DATA / "voro8.json").read_text())
+N_REFS = max(len(VORO8["vertices"]), len(VORO8["faces"])) + 2
+INDEX = st.one_of(st.integers(-N_REFS, N_REFS),
+                  st.sampled_from([2**63 - 1, 2**63, -2**63, -2**63 - 1, 10**30, -10**30]))
+
+
+@st.composite
+def mutated_voro8(draw):
+    """voro8 with a few faces or cells edited; every face and cell stays
+    a list of JSON integers, so load_mesh's type checks pass and the
+    document reaches derive_topology's validation."""
+    doc = copy.deepcopy(VORO8)
+    # Edits favour one face and one cell, so that one entity often fails
+    # several checks at once.
+    focus = {key: draw(st.integers(0, len(doc[key]) - 1)) for key in ("faces", "cells")}
+    for _ in range(draw(st.integers(1, 4))):
+        key = draw(st.sampled_from(["faces", "cells"]))
+        lists = doc[key]
+        op = draw(st.sampled_from(["set", "delete", "repeat", "insert", "clear",
+                                   "replace list", "drop list", "add list"]))
+        if op == "add list":
+            lists.append(draw(st.lists(INDEX, max_size=6)))
+            continue
+        if not lists:
+            continue
+        i = min(draw(st.one_of(st.just(focus[key]), st.integers(0, len(lists) - 1))),
+                len(lists) - 1)
+        refs = lists[i]
+        j = draw(st.integers(0, max(len(refs) - 1, 0)))
+        if op == "replace list":
+            lists[i] = draw(st.lists(INDEX, max_size=6))
+        elif op == "drop list":
+            del lists[i]
+        elif op == "insert":
+            refs.insert(j, draw(INDEX))
+        elif op == "clear":
+            refs.clear()
+        elif refs and op == "set":
+            refs[j] = draw(INDEX)
+        elif refs and op == "delete":
+            del refs[j]
+        elif refs and op == "repeat":
+            refs.append(refs[j])
+    return doc
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(doc=mutated_voro8())
+def test_load_mesh_fuzz_matches_per_entity_validation(doc, tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "mesh.json"
+    path.write_text(json.dumps(doc))
+    try:
+        old_validation(doc["vertices"], doc["faces"], doc["cells"])
+        want = None
+    except vm.MeshError as exc:
+        want = exc
+    try:
+        vm.load_mesh(path)
+        got = None
+    except vm.MeshError as exc:     # anything else escapes and fails the test
+        got = exc
+    if want is not None:
+        assert (type(got), str(got)) == (type(want), str(want))
+    elif got is not None:
+        assert not LOOP_MESSAGES.search(str(got)), got

@@ -1,6 +1,25 @@
+import ast
+import dataclasses
+import pathlib
+
+import pytest
+
 import vemaxwell
+from vemaxwell.mesh import PolyMesh, SimplexSplit
+
+SOURCES = sorted(pathlib.Path(vemaxwell.__file__).parent.glob("*.py"))
 
 
 def test_every_export_resolves():
     missing = [name for name in vemaxwell.__all__ if not hasattr(vemaxwell, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("cls", [PolyMesh, SimplexSplit])
+def test_every_mesh_field_is_read(cls):
+    # a field that only tests read does not belong in the package
+    read = {node.attr for path in SOURCES
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f.name for f in dataclasses.fields(cls) if f.name not in read]
+    assert unread == []

@@ -193,6 +193,24 @@ class TestRun:
         with pytest.raises(ValueError, match="does not divide"):
             stepper.run(cube2, cases.case1(), 0.3, 1.0)
 
+    def test_tau_must_divide_small_T(self, cube1):
+        # T / tau = 10.00000001: ten steps end 1e-15 short of T, inside
+        # an absolute 1e-12 but not within 1e-12 of the step count
+        with pytest.raises(ValueError, match="does not divide"):
+            stepper.run(cube1, cases.case2(), 1e-7, 1.000000001e-6)
+
+    @pytest.mark.parametrize("T, tau, n", [(1.0, 1 / 8, 8), (0.9, 0.3, 3), (1e-6, 1e-7, 10),
+                                           (3.0, 3.0, 1), (1.0, 1 / 512, 512)])
+    def test_step_count_rule(self, T, tau, n):
+        assert stepper.step_count(T, tau) == n
+
+    @pytest.mark.parametrize("T, tau", [(1.0, 0.3), (1.000000001e-6, 1e-7), (0.5, 1.0),
+                                        (1.0, 0.0), (1.0, -0.5), (1.0, np.nan),
+                                        (np.inf, 0.25), (np.nan, 0.25), (0.0, 0.25)])
+    def test_step_count_rejects(self, T, tau):
+        with pytest.raises(ValueError):
+            stepper.step_count(T, tau)
+
     def test_energy_dissipation_free_evolution(self, cube4):
         case = make_case(spatial_e, spatial_b, eps=1.0, sigma=1.0, mu=1.0)
         res = stepper.run(cube4, case, 1 / 16, 1.0)
