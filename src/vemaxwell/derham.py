@@ -30,7 +30,7 @@ INTERP_EDGE_DEGREE = 15
 INTERP_FACE_DEGREE = 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DeRhamDofs:
     """Global DOF counts, homogeneous-boundary masks and interior numbering.
 
@@ -109,14 +109,15 @@ def divergence_matrix(mesh: PolyMesh) -> sps.csr_matrix:
     return sps.csr_matrix((vals, (rows, cols)), shape=(mesh.n_cells, mesh.n_faces))
 
 
-def divergence_norm(mesh: PolyMesh, d: sps.csr_matrix, b_full: np.ndarray) -> float:
+def divergence_norm(mesh: PolyMesh, d: sps.csr_matrix, b: np.ndarray) -> float:
     """L2 norm of the cellwise constant divergence D b of a face function:
-    sqrt(sum_K |K| (D b)_K^2), with ``d`` from ``divergence_matrix``."""
-    div = d @ b_full
+    sqrt(sum_K |K| (D b)_K^2), with ``d`` from ``divergence_matrix``, or
+    its columns of the faces that ``b`` holds."""
+    div = d @ b
     return float(np.sqrt(mesh.cell_volumes @ div**2))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IncidenceOps:
     G: sps.csr_matrix
     C: sps.csr_matrix
@@ -136,7 +137,7 @@ def block_matrix(rows, cols, blocks: np.ndarray, shape) -> sps.csr_matrix:
     return sps.csr_matrix((blocks.ravel(), (r.ravel(), c.ravel())), shape=shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ElementProjectors:
     """Constant projectors of all faces and cells, built once per mesh.
 

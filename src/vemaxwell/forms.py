@@ -38,7 +38,7 @@ class StabWeights:
             raise ValueError("stabilization weights must be strictly positive and finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientSet:
     """Analytic material coefficients plus their cell-centroid samples."""
 

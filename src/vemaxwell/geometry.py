@@ -29,7 +29,7 @@ DEFAULT_CELL_DEGREE = 4
 CHUNK_POINTS = 8192
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Points and weights on consecutive whole entities, entity by entity;
     each entity's weights sum to its measure."""

@@ -59,7 +59,7 @@ class Ragged:
         return self.flat[self.offsets[i]:self.offsets[i + 1]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimplexSplit:
     """Faces fanned into signed triangles, cells into signed tetrahedra.
 
@@ -84,7 +84,7 @@ class SimplexSplit:
     tet_kept: np.ndarray                 # bool (nt,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyMesh:
     """Immutable polyhedral mesh with derived topology and element geometry.
 
@@ -139,7 +139,7 @@ class PolyMesh:
         return float(self.cell_diameters.max())
 
 
-@dataclass
+@dataclass(eq=False)
 class MeshStats:
     """Size and shape summary; ratios are proxies for shape regularity."""
 
@@ -155,7 +155,7 @@ class MeshStats:
     n_cells: int
 
 
-@dataclass
+@dataclass(eq=False)
 class ValidationReport:
     """Report-only mesh quality check; hard violations listed, never raised."""
 

@@ -26,6 +26,31 @@ class TestSpmv:
             cols = a.indices[a.indptr[i]:a.indptr[i + 1]]
             assert (np.diff(cols) > 0).all()
 
+    def test_csr_and_diagonal_built_once(self, monkeypatch):
+        a = random_spd(6)
+        csr = a.to_scipy()
+        assert a.to_scipy() is csr
+        assert np.array_equal(a.diagonal, csr.toarray().diagonal())
+        assert a.diagonal is a.diagonal
+        # repeated solves reuse the cached CSR: none is built
+        built = []
+        original = linalg.sps.csr_matrix
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(linalg.sps, "csr_matrix", counted)
+        for seed in range(3):
+            linalg.cg_solve(a, np.random.default_rng(seed).standard_normal(6))
+        assert built == []
+
+    def test_compares_by_identity(self):
+        a = random_spd(4)
+        b = linalg.SparseMatrix.from_scipy(a.to_scipy())
+        assert a == a and a != b
+        assert len({a, b}) == 2
+
 
 class TestCg:
     def test_identity_one_iteration(self):
@@ -88,6 +113,35 @@ class TestCg:
         x0[4] = bad
         with pytest.raises(ValueError, match="initial guess"):
             linalg.cg_solve(a, np.ones(6), x0=x0)
+
+    @pytest.mark.parametrize("exact", ["b / d", "solution at tol 1e-8"])
+    def test_initial_guess_meeting_tol_returns_at_once(self, exact):
+        # p'Ap = 0 on a zero residual is not indefiniteness: a guess that
+        # already meets tol is returned as is, with its true residual
+        d = np.arange(1.0, 5.0)
+        a = linalg.SparseMatrix.from_scipy(sps.diags(d).tocsr())
+        b = np.ones(4)
+        x0 = b / d if exact == "b / d" else linalg.cg_solve(a, b, tol=1e-8)[0]
+        x, rep = linalg.cg_solve(a, b, tol=1e-8, x0=x0)
+        assert rep.iterations == 0
+        assert np.array_equal(x, x0) and x is not x0
+        assert rep.residual == np.linalg.norm(b - d * x0) / np.linalg.norm(b)
+        assert rep.residual <= 1e-8
+
+    def test_initial_guess_continues_to_tol(self):
+        a = random_spd(30, seed=14)
+        b = np.random.default_rng(15).standard_normal(30)
+        x_loose, _ = linalg.cg_solve(a, b, tol=1e-4)
+        x, rep = linalg.cg_solve(a, b, tol=1e-13, x0=x_loose)
+        assert 0 < rep.iterations
+        assert rep.residual <= 1e-13
+        assert np.allclose(x, direct_solve(a, b), rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("shape", [(3,), (5,), (4, 1), (1, 4), ()])
+    def test_initial_guess_shape_checked(self, shape):
+        a = linalg.SparseMatrix.from_scipy(sps.diags(np.arange(1.0, 5.0)).tocsr())
+        with pytest.raises(ValueError, match="dimension mismatch.*initial guess"):
+            linalg.cg_solve(a, np.ones(4), x0=np.ones(shape))
 
     def test_deterministic_iterates(self):
         a = random_spd(50, seed=9)

@@ -156,6 +156,30 @@ class TestGenerateCube:
             assert (signs * np.einsum("ij,ij->i", m.face_normals[fids], arm) > 0).all()
 
 
+class TestIdentityEquality:
+    """Array-holding mesh records compare and hash by identity: the
+    generated field-wise ``==`` would ask numpy arrays for one truth
+    value, and the frozen ones would not hash at all."""
+
+    def test_mesh_equal_to_itself_only(self):
+        a, b = vm.generate_cube_mesh(1), vm.generate_cube_mesh(1)
+        assert a == a and not a != a
+        assert a != b and not a == b
+        assert a.split == a.split and a.split != b.split
+
+    def test_mesh_as_set_member_and_dict_key(self):
+        a, b = vm.generate_cube_mesh(1), vm.generate_cube_mesh(1)
+        assert len({a, b, a}) == 2
+        names = {a: "a", b: "b"}
+        assert names[a] == "a" and names[b] == "b"
+        assert hash(a.split) == hash(a.split)
+
+    def test_reports_compare_by_identity(self, cube2):
+        for build in (vm.mesh_stats, vm.validate_mesh):
+            r, s = build(cube2), build(cube2)
+            assert r == r and r != s
+
+
 class TestDeriveTopology:
     def test_edges_have_two_faces_per_cell(self, cube1):
         counts = np.zeros(cube1.n_edges, dtype=int)
