@@ -81,14 +81,14 @@ def run_single(config: RunConfig) -> ErrorReport:
     result = stepper.run(m, case, float(config.tau), config.T, stab=stab,
                          tol=config.tol)
     dofs = result.ops.dofs
-    rep = cases.l2_error(m, dofs, result.ops.projectors,
-                         dofs.expand_edge(result.state.e),
-                         dofs.expand_face(result.state.b), case, config.T)
-    rep.tau = float(config.tau)
-    rep.div_B = result.monitors[-1].div_b
-    rep.label = m.name or config.mesh_source
-    rep.cg_iters_total = result.cg_iters_total
-    rep.wall_s = time.perf_counter() - t0
+    errors = cases.l2_error(m, dofs, result.ops.projectors,
+                            dofs.expand_edge(result.state.e),
+                            dofs.expand_face(result.state.b), case, config.T)
+    rep = dataclasses.replace(
+        errors, tau=float(config.tau), div_B=result.monitors[-1].div_b,
+        label=m.name or config.mesh_source,
+        cg_iters_total=result.cg_iters_total,
+        wall_s=time.perf_counter() - t0)
     if config.monitors:
         stepper.write_monitors(result.monitors, config.monitors)
     if config.out:

@@ -1,4 +1,5 @@
 import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +26,14 @@ def cube2():
 @pytest.fixture(scope="session")
 def cube4():
     return generate_cube_mesh(4)
+
+
+@pytest.fixture(scope="session")
+def agglo4():
+    """The benchmark's seeded agglomerated cube:4 (6/10/14-face cells)."""
+    sys.path.insert(0, str(DATA.parents[1] / "perfbench"))
+    import agglo
+    return agglo.agglomerated_cube(4, 1)
 
 
 @pytest.fixture(scope="session")

@@ -246,6 +246,21 @@ class TestExactSequenceAndCommuting:
                 assert np.abs(c @ gp).max() <= 1e-13 * np.abs(gp).max()
                 assert np.abs(d @ cv).max() <= 1e-13 * np.abs(cv).max()
 
+    @pytest.mark.parametrize("name", ["cube2", "cube4", "voro8", "voro27", "agglo4"])
+    def test_interior_curl_annihilates_interior_gradients(self, request, name):
+        # the kernel of the reduced curl-curl term that the step's CG
+        # preconditioner corrects for: C G = 0 survives the restriction
+        # to free DOFs, because an interior node touches no boundary edge
+        m = request.getfixturevalue(name)
+        dofs = vd.build_dofs(m)
+        c, g = vd.curl_matrix(m), vd.gradient_matrix(m)
+        assert g[np.flatnonzero(dofs.boundary_edges)][:, dofs.interior_nodes].nnz == 0
+        c_int = c[dofs.interior_faces][:, dofs.interior_edges]
+        g_int = g[dofs.interior_edges][:, dofs.interior_nodes]
+        assert dofs.interior_nodes.size > 0
+        assert (abs(g_int).sum(axis=0) > 0).all()
+        assert np.abs((c_int @ g_int).toarray()).max() <= 1e-13 * abs(c).max() * abs(g).max()
+
     def test_commuting_curl(self, cube4):
         e_sym = [sp.sin(sp.pi * Y) * Z**2, sp.cos(X) * sp.exp(Y / 2),
                  X * Y * Z + sp.sin(Z)]

@@ -143,6 +143,48 @@ class TestCg:
         with pytest.raises(ValueError, match="dimension mismatch.*initial guess"):
             linalg.cg_solve(a, np.ones(4), x0=np.ones(shape))
 
+    @pytest.mark.parametrize("shape", [(3, 3), (5, 5), (4, 5), (4,)])
+    def test_preconditioner_shape_checked(self, shape):
+        a = random_spd(4)
+        with pytest.raises(ValueError, match="dimension mismatch.*preconditioner"):
+            linalg.cg_solve(a, np.ones(4), precond=np.ones(shape))
+
+    @pytest.mark.parametrize("precond", [-np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])])
+    def test_indefinite_preconditioner_detection(self, precond):
+        # r'z <= 0: the iteration would no longer be CG
+        a = linalg.SparseMatrix.from_scipy(sps.eye(2, format="csr") * 3.0)
+        with pytest.raises(linalg.IndefiniteMatrixError, match="preconditioner"):
+            linalg.cg_solve(a, np.array([1.0, -1.0]), precond=sps.csr_matrix(precond))
+
+    def test_jacobi_matrix_matches_elementwise_default(self):
+        # diag(a)^-1 as a matrix is the default preconditioner, bit for bit
+        a = random_spd(40, seed=16)
+        b = np.random.default_rng(17).standard_normal(40)
+        x0 = np.random.default_rng(18).standard_normal(40)
+        x1, r1 = linalg.cg_solve(a, b, tol=1e-12, x0=x0)
+        x2, r2 = linalg.cg_solve(a, b, tol=1e-12, x0=x0,
+                                 precond=sps.diags(1.0 / a.diagonal).tocsr())
+        assert np.array_equal(x1, x2)
+        assert r1 == r2
+
+    def test_preconditioned_dense_oracle(self):
+        a = random_spd(30, seed=19)
+        b = np.random.default_rng(20).standard_normal(30)
+        inverse = np.linalg.inv(a.to_scipy().toarray())
+        x, rep = linalg.cg_solve(a, b, tol=1e-12, precond=0.5 * (inverse + inverse.T))
+        assert rep.iterations <= 2
+        assert np.allclose(x, direct_solve(a, b), rtol=1e-9, atol=1e-12)
+        spd = random_spd(30, seed=21).to_scipy()
+        x, rep = linalg.cg_solve(a, b, tol=1e-13, precond=spd)
+        assert rep.residual <= 1e-13
+        assert np.allclose(x, direct_solve(a, b), rtol=1e-9, atol=1e-12)
+
+    def test_hybrid_preconditioner_needs_nonzero_gradient_columns(self):
+        a = random_spd(4).to_scipy()
+        g = sps.csr_matrix(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="nonpositive diagonal"):
+            linalg.hybrid_preconditioner(a, g)
+
     def test_deterministic_iterates(self):
         a = random_spd(50, seed=9)
         b = np.random.default_rng(10).standard_normal(50)
