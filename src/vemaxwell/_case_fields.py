@@ -2,7 +2,9 @@
 """Closed-form fields of the manufactured cases as numpy functions.
 
 Spatial parts map (x, y, z) to a 3-tuple, time factors map t to a
-value, and ``CASE1``/``CASE2`` give each field's terms.
+value, and ``CASE1``/``CASE2`` give each field's terms.  Their ``EB``
+maps (x, y, z) to the spatial parts of all E terms and of all B
+terms at once, each distinct sin/cos evaluated once.
 """
 
 from numpy import cos, pi, sin
@@ -77,6 +79,16 @@ def case1_space3(x, y, z):
     return (-2*pi**2*x**2*x1**2*z**2*(1 - x)**2*(2*z - 2) + 2*x**2*x1**2*z**2*(2*z - 2) - 4*pi**2*x**2*x1**2*z*(1 - x)**2*(1 - z)**2 + 12*x**2*x1**2*z*(1 - x)**2 + 4*x**2*x1**2*z*(1 - z)**2 + 6*x**2*x1**2*(1 - x)**2*(2*z - 2) + 2*pi**2*x**2*x2**2*y**2*(1 - x)**2*(2*y - 2) - 2*x**2*x2**2*y**2*(2*y - 2) + 4*pi**2*x**2*x2**2*y*(1 - x)**2*(1 - y)**2 - 12*x**2*x2**2*y*(1 - x)**2 - 4*x**2*x2**2*y*(1 - y)**2 - 6*x**2*x2**2*(1 - x)**2*(2*y - 2) + 2*pi**2*x**2*x4**2*z**2*(1 - x)**2*(2*z - 2) + 4*pi**2*x**2*x4**2*z*(1 - x)**2*(1 - z)**2 - 2*pi**2*x**2*x5**2*y**2*(1 - x)**2*(2*y - 2) - 4*pi**2*x**2*x5**2*y*(1 - x)**2*(1 - y)**2 + 4*x*x1**2*z**2*(2*x - 2)*(2*z - 2) + 8*x*x1**2*z*(1 - z)**2*(2*x - 2) - 4*x*x2**2*y**2*(2*x - 2)*(2*y - 2) - 8*x*x2**2*y*(1 - y)**2*(2*x - 2) + 2*x1**2*z**2*(1 - x)**2*(2*z - 2) + 4*x1**2*z*(1 - x)**2*(1 - z)**2 - 2*x2**2*y**2*(1 - x)**2*(2*y - 2) - 4*x2**2*y*(1 - x)**2*(1 - y)**2, -2*pi**2*x**2*x2**2*y**2*(1 - y)**2*(2*x - 2) + 2*x**2*x2**2*y**2*(2*x - 2) + 4*x**2*x2**2*y*(2*x - 2)*(2*y - 2) + 2*x**2*x2**2*(1 - y)**2*(2*x - 2) + 2*pi**2*x**2*x5**2*y**2*(1 - y)**2*(2*x - 2) - 4*pi**2*x*x2**2*y**2*(1 - x)**2*(1 - y)**2 + 4*x*x2**2*y**2*(1 - x)**2 + 12*x*x2**2*y**2*(1 - y)**2 + 8*x*x2**2*y*(1 - x)**2*(2*y - 2) + 4*x*x2**2*(1 - x)**2*(1 - y)**2 + 4*pi**2*x*x5**2*y**2*(1 - x)**2*(1 - y)**2 + 2*pi**2*x0**2*y**2*z**2*(1 - y)**2*(2*z - 2) - 2*x0**2*y**2*z**2*(2*z - 2) + 4*pi**2*x0**2*y**2*z*(1 - y)**2*(1 - z)**2 - 12*x0**2*y**2*z*(1 - y)**2 - 4*x0**2*y**2*z*(1 - z)**2 - 6*x0**2*y**2*(1 - y)**2*(2*z - 2) - 4*x0**2*y*z**2*(2*y - 2)*(2*z - 2) - 8*x0**2*y*z*(1 - z)**2*(2*y - 2) - 2*x0**2*z**2*(1 - y)**2*(2*z - 2) - 4*x0**2*z*(1 - y)**2*(1 - z)**2 + 6*x2**2*y**2*(1 - y)**2*(2*x - 2) - 2*pi**2*x3**2*y**2*z**2*(1 - y)**2*(2*z - 2) - 4*pi**2*x3**2*y**2*z*(1 - y)**2*(1 - z)**2, 2*pi**2*x**2*x1**2*z**2*(1 - z)**2*(2*x - 2) - 2*x**2*x1**2*z**2*(2*x - 2) - 4*x**2*x1**2*z*(2*x - 2)*(2*z - 2) - 2*x**2*x1**2*(1 - z)**2*(2*x - 2) - 2*pi**2*x**2*x4**2*z**2*(1 - z)**2*(2*x - 2) + 4*pi**2*x*x1**2*z**2*(1 - x)**2*(1 - z)**2 - 4*x*x1**2*z**2*(1 - x)**2 - 12*x*x1**2*z**2*(1 - z)**2 - 8*x*x1**2*z*(1 - x)**2*(2*z - 2) - 4*x*x1**2*(1 - x)**2*(1 - z)**2 - 4*pi**2*x*x4**2*z**2*(1 - x)**2*(1 - z)**2 - 2*pi**2*x0**2*y**2*z**2*(1 - z)**2*(2*y - 2) + 2*x0**2*y**2*z**2*(2*y - 2) + 4*x0**2*y**2*z*(2*y - 2)*(2*z - 2) + 2*x0**2*y**2*(1 - z)**2*(2*y - 2) - 4*pi**2*x0**2*y*z**2*(1 - y)**2*(1 - z)**2 + 4*x0**2*y*z**2*(1 - y)**2 + 12*x0**2*y*z**2*(1 - z)**2 + 8*x0**2*y*z*(1 - y)**2*(2*z - 2) + 4*x0**2*y*(1 - y)**2*(1 - z)**2 + 6*x0**2*z**2*(1 - z)**2*(2*y - 2) - 6*x1**2*z**2*(1 - z)**2*(2*x - 2) + 2*pi**2*x3**2*y**2*z**2*(1 - z)**2*(2*y - 2) + 4*pi**2*x3**2*y*z**2*(1 - y)**2*(1 - z)**2)
 
 
+def case1_EB(x, y, z):
+    x0 = sin(pi*x)
+    x1 = sin(pi*y)
+    x2 = sin(pi*z)
+    x3 = cos(pi*x)
+    x4 = cos(pi*y)
+    x5 = cos(pi*z)
+    return ((-x**2*x1**2*z**2*(1 - x)**2*(2*z - 2) - 2*x**2*x1**2*z*(1 - x)**2*(1 - z)**2 + x**2*x2**2*y**2*(1 - x)**2*(2*y - 2) + 2*x**2*x2**2*y*(1 - x)**2*(1 - y)**2, -x**2*x2**2*y**2*(1 - y)**2*(2*x - 2) - 2*x*x2**2*y**2*(1 - x)**2*(1 - y)**2 + x0**2*y**2*z**2*(1 - y)**2*(2*z - 2) + 2*x0**2*y**2*z*(1 - y)**2*(1 - z)**2, x**2*x1**2*z**2*(1 - z)**2*(2*x - 2) + 2*x*x1**2*z**2*(1 - x)**2*(1 - z)**2 - x0**2*y**2*z**2*(1 - z)**2*(2*y - 2) - 2*x0**2*y*z**2*(1 - y)**2*(1 - z)**2), (pi*x1*x2*x3, pi*x0*x2*x4, pi*x0*x1*x5)), ((2*pi*x**2*x1*x4*z**2*(1 - z)**2*(2*x - 2) + 2*pi*x**2*x2*x5*y**2*(1 - y)**2*(2*x - 2) + 4*pi*x*x1*x4*z**2*(1 - x)**2*(1 - z)**2 + 4*pi*x*x2*x5*y**2*(1 - x)**2*(1 - y)**2 - 2*x0**2*y**2*z**2*(1 - y)**2 - 2*x0**2*y**2*z**2*(1 - z)**2 - 4*x0**2*y**2*z*(1 - y)**2*(2*z - 2) - 2*x0**2*y**2*(1 - y)**2*(1 - z)**2 - 4*x0**2*y*z**2*(1 - z)**2*(2*y - 2) - 2*x0**2*z**2*(1 - y)**2*(1 - z)**2, -2*x**2*x1**2*z**2*(1 - x)**2 - 2*x**2*x1**2*z**2*(1 - z)**2 - 4*x**2*x1**2*z*(1 - x)**2*(2*z - 2) - 2*x**2*x1**2*(1 - x)**2*(1 - z)**2 + 2*pi*x**2*x2*x5*y**2*(1 - x)**2*(2*y - 2) + 4*pi*x**2*x2*x5*y*(1 - x)**2*(1 - y)**2 - 4*x*x1**2*z**2*(1 - z)**2*(2*x - 2) + 2*pi*x0*x3*y**2*z**2*(1 - z)**2*(2*y - 2) + 4*pi*x0*x3*y*z**2*(1 - y)**2*(1 - z)**2 - 2*x1**2*z**2*(1 - x)**2*(1 - z)**2, 2*pi*x**2*x1*x4*z**2*(1 - x)**2*(2*z - 2) + 4*pi*x**2*x1*x4*z*(1 - x)**2*(1 - z)**2 - 2*x**2*x2**2*y**2*(1 - x)**2 - 2*x**2*x2**2*y**2*(1 - y)**2 - 4*x**2*x2**2*y*(1 - x)**2*(2*y - 2) - 2*x**2*x2**2*(1 - x)**2*(1 - y)**2 - 4*x*x2**2*y**2*(1 - y)**2*(2*x - 2) + 2*pi*x0*x3*y**2*z**2*(1 - y)**2*(2*z - 2) + 4*pi*x0*x3*y**2*z*(1 - y)**2*(1 - z)**2 - 2*x2**2*y**2*(1 - x)**2*(1 - y)**2),)
+
+
 def case2_eps(x, y, z):
     return -x**2 - z + 2
 
@@ -123,6 +135,14 @@ def case2_space2(x, y, z):
     return (-2*x1*x2*z, -2*x0*x3*z, 2*x*x1*x2 - 2*pi*x0*x1*(x**2 + y**2 + z**2 + 1) + 2*x0*x3*y)
 
 
+def case2_EB(x, y, z):
+    x0 = sin(pi*x)
+    x1 = sin(pi*y)
+    x2 = cos(pi*x)
+    x3 = cos(pi*y)
+    return ((0, 0, x0*x1),), ((-x0*x3, x1*x2, 0),)
+
+
 def case2_time3(t):
     return sin((11/5)*pi*t)
 
@@ -135,6 +155,7 @@ CASE1 = {
     'B': ((case1_time2, case1_space2),),
     'E_t': ((case1_time3, case1_space0), (case1_time4, case1_space1)),
     'curl_mu_inv_B': ((case1_time2, case1_space3),),
+    'EB': case1_EB,
     'J': (
         (case1_time3, ((1.0, 'eps', case1_space0),)),
         (case1_time0, ((2.0, 'eps', case1_space1), (1.0, 'sigma', case1_space0))),
@@ -151,6 +172,7 @@ CASE2 = {
     'B': ((case2_time1, case2_space1),),
     'E_t': ((case2_time2, case2_space0),),
     'curl_mu_inv_B': ((case2_time1, case2_space2),),
+    'EB': case2_EB,
     'J': (
         (case2_time3, ((-6.911503837897545, 'eps', case2_space0), (-0.45454545454545453, None, case2_space2))),
         (case2_time0, ((1.0, 'sigma', case2_space0),)),

@@ -6,7 +6,9 @@ Maxwell equation, ``J = eps E_t + sigma E - curl(mu^-1 B)``, term by term
 and grouped by time factor, so both equations hold exactly and the
 current stays a short sum of such terms.  The terms are plain numpy
 functions in the generated module ``_case_fields``; ``tests/case_source.py``
-derives them and rewrites that module.
+derives them and rewrites that module.  It also emits, per case, one
+function giving the spatial parts of every E and B term from shared
+sin/cos calls, which the error norms evaluate once per point.
 """
 
 from __future__ import annotations
@@ -80,7 +82,10 @@ class ManufacturedCase:
 
     The current is kept as terms: ``J(x, t) = sum_i a_i(t) g_i(x)``, with
     ``J_terms`` the ``(a_i, g_i)`` pairs, so its edge interpolant is a
-    combination of one interpolant per term.
+    combination of one interpolant per term.  ``EB_parts`` gives the
+    spatial parts of E's and of B's terms together, so ``E`` is
+    ``sum_k EB_factors[0][k](t) EB_parts(x, y, z)[0][k]`` and B likewise;
+    an identically zero component is the number 0, not an array.
     """
 
     case_id: int
@@ -89,6 +94,8 @@ class ManufacturedCase:
     domain: tuple                      # (lo, hi) corner triples
     E: object                          # callable (pts, t) -> (..., 3)
     B: object
+    EB_parts: object                   # callable (x, y, z) -> (E's, B's) term 3-tuples
+    EB_factors: tuple                  # (E's, B's) time factors, one per term
     E_t: object
     curl_mu_inv_B: object
     J_terms: tuple                     # (a: t -> float|array, g: (..., 3) -> (..., 3))
@@ -114,6 +121,8 @@ def _build_case(case_id, name, table):
         domain=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
         E=field("E"),
         B=field("B"),
+        EB_parts=table["EB"],
+        EB_factors=tuple(tuple(_time_factor(a) for a, _ in table[key]) for key in ("E", "B")),
         E_t=field("E_t"),
         curl_mu_inv_B=field("curl_mu_inv_B"),
         J_terms=tuple(
@@ -178,12 +187,13 @@ class ErrorReport:
     wall_s: float = 0.0
 
 
-def _squared_error(values, means, rule) -> float:
-    """sum_i w_i |F(x_i) - c_K(i)|^2 on one rule, with F's values at its
-    points and the cell constants ``means`` as (3, nc)."""
-    diff = values.T - means.take(rule.owners, axis=1)
-    diff *= diff
-    return float(rule.weights @ (diff[0] + diff[1] + diff[2]))
+def _component(scales, parts, i):
+    """Component ``i`` of ``sum_k scales[k] parts[k]``, summed term by term
+    as ``E``/``B`` do; a number where every term's component is one."""
+    value = scales[0] * parts[0][i]
+    for scale, part in zip(scales[1:], parts[1:]):
+        value = value + scale * part[i]
+    return value
 
 
 def l2_error(mesh: PolyMesh, dofs: DeRhamDofs, projectors: ElementProjectors,
@@ -194,18 +204,33 @@ def l2_error(mesh: PolyMesh, dofs: DeRhamDofs, projectors: ElementProjectors,
     The discrete fields enter only through their elementwise constant
     projections, since the virtual shape functions are never available
     pointwise.  ``e_full``/``b_full`` carry boundary zeros re-inserted.
-    The exact fields are evaluated one chunk of whole cells at a time.
+    One chunk of whole cells at a time, E and B come from one call of
+    ``case.EB_parts``; each component plane adds ``sum w (F_i - c_i)^2``,
+    with the cell means gathered once per simplex.  A component that is
+    constant (identically 0 in practice) adds the closed form
+    ``sum_K |K| (F_i - c_{K,i})^2`` over the chunk's cells instead.
     """
-    err_e_sq = 0.0
-    err_b_sq = 0.0
-    pe = np.ascontiguousarray((projectors.edge_cell @ e_full).reshape(-1, 3).T)
-    pb = np.ascontiguousarray((projectors.face_cell @ b_full).reshape(-1, 3).T)
+    means = [np.ascontiguousarray((projectors.edge_cell @ e_full).reshape(-1, 3).T),
+             np.ascontiguousarray((projectors.face_cell @ b_full).reshape(-1, 3).T)]
+    scales = [[float(a(t)) for a in factors] for factors in case.EB_factors]
+    err_sq = [0.0, 0.0]
     for rule in cell_rules(mesh):
-        err_e_sq += _squared_error(case.E(rule.points, t), pe, rule)
-        err_b_sq += _squared_error(case.B(rule.points, t), pb, rule)
+        q = rule.points_per_simplex
+        simplex_cells = rule.owners[::q]
+        cells = slice(rule.owners[0], rule.owners[-1] + 1)
+        for f, parts in enumerate(case.EB_parts(*rule.coords)):
+            for i, c in enumerate(means[f]):
+                value = _component(scales[f], parts, i)
+                if np.ndim(value) == 0:
+                    diff = value - c[cells]
+                    err_sq[f] += float(mesh.cell_volumes[cells] @ (diff * diff))
+                else:
+                    diff = value.reshape(-1, q) - c[simplex_cells, None]
+                    diff *= diff
+                    err_sq[f] += float(rule.weights @ diff.ravel())
     return ErrorReport(
-        err_E=float(np.sqrt(err_e_sq)),
-        err_B=float(np.sqrt(err_b_sq)),
+        err_E=float(np.sqrt(err_sq[0])),
+        err_B=float(np.sqrt(err_sq[1])),
         h=mesh.h,
         n_edge_dofs=dofs.n_interior_edges,
         n_face_dofs=dofs.n_interior_faces,

@@ -227,7 +227,13 @@ def main(argv=None) -> int:
                            T=args.T, eta_edge=args.eta_edge,
                            eta_face=args.eta_face, tol=args.tol, out=args.out,
                            monitors=args.monitors, grid=args.grid)
-        if args.levels >= 2 or sources is not None:
+        study = args.levels >= 2 or sources is not None
+        if args.levels < 1:
+            raise ConfigError(f"--levels must be at least 1, got {args.levels}")
+        if args.grid and not study:
+            raise ConfigError("--grid needs a convergence study "
+                              "(--levels >= 2 or a comma-separated --mesh list)")
+        if study:
             levels = args.levels if args.levels >= 2 else len(sources)
             report = run_convergence(config, levels, mesh_sources=sources)
             sys.stdout.write(report.table(args.T))

@@ -31,13 +31,15 @@ CHUNK_POINTS = 8192
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Points and weights on consecutive whole entities, entity by entity;
-    each entity's weights sum to its measure."""
+    """Points and weights on consecutive whole entities, entity by entity
+    and, within one, simplex by simplex; each entity's weights sum to its
+    measure."""
 
     coords: np.ndarray   # (3, m): one contiguous plane per coordinate
     weights: np.ndarray  # (m,)
     owners: np.ndarray   # (m,) entity of each point, nondecreasing
     degree: int
+    points_per_simplex: int   # points k q .. k q + q - 1 lie on simplex k
 
     @property
     def points(self) -> np.ndarray:
@@ -139,7 +141,7 @@ def _mapped_rule(owners, apexes, legs, measures, ref_pts, ref_w, degree) -> Quad
     for j in range(1, legs.shape[1]):
         coords += ref_pts[:, j] * legs[:, j]
     return QuadratureRule(coords.reshape(3, -1), (measures[:, None] * ref_w).ravel(),
-                          np.repeat(owners, ref_w.size), degree)
+                          np.repeat(owners, ref_w.size), degree, ref_w.size)
 
 
 def _entities(index, n: int) -> range:

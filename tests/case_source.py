@@ -6,17 +6,23 @@ parts only, and the current ``J = eps E_t + sigma E - curl(mu^-1 B)`` is
 grouped by time factor, constants folded out, so it stays a short sum of
 such terms.  ``render()`` prints the result with the printer that
 ``sympy.lambdify(..., "numpy")`` uses, as the module ``vemaxwell.cases``
-reads.  Rewrite that module with
+reads.  Besides one function per distinct spatial part, each case gets
+``case<id>_EB``: the spatial parts of every E and B term from one set of
+sin/cos calls, which the error norms evaluate.  Rewrite that module with
 
     python tests/case_source.py
 
-``tests/test_cases.py`` checks that the committed module equals
-``render()`` byte for byte.
+and check the committed module against ``render()`` byte for byte, as
+``tests/test_cases.py`` does, with
+
+    python tests/case_source.py --check
 """
 
 from __future__ import annotations
 
+import argparse
 import pathlib
+import sys
 
 import sympy as sp
 from sympy.printing.numpy import NumPyPrinter
@@ -135,12 +141,27 @@ def _case_source(case_id, fields, printer):
         if key not in names:
             names[key] = f"case{case_id}_{kind}{sum(k[0] == args for k in names)}"
             shared, reduced = shared_calls(exprs) if kind == "space" else ([], exprs)
-            lines = [f"    {printer.doprint(s)} = {printer.doprint(e)}\n" for s, e in shared]
             body = ", ".join(printer.doprint(e) for e in reduced)
             if len(exprs) > 1:
                 body = f"({body})"
-            defs.append(f"def {names[key]}({args}):\n" + "".join(lines) + f"    return {body}\n")
+            define(names[key], args, shared, body)
         return names[key]
+
+    def define(name, args, shared, body):
+        lines = [f"    {printer.doprint(s)} = {printer.doprint(e)}\n" for s, e in shared]
+        defs.append(f"def {name}({args}):\n" + "".join(lines) + f"    return {body}\n")
+
+    def fused():
+        """``case<id>_EB``: the spatial parts of every E term, then of every
+        B term, as 3-tuples, from one set of shared sin/cos calls."""
+        terms = [g for key in ("E", "B") for _, g in fields[key]]
+        shared, reduced = shared_calls([e for g in terms for e in g])
+        parts = [_tuple(printer.doprint(e) for e in reduced[i:i + 3])
+                 for i in range(0, len(reduced), 3)]
+        n_e = len(fields["E"])
+        name = f"case{case_id}_EB"
+        define(name, "x, y, z", shared, f"{_tuple(parts[:n_e])}, {_tuple(parts[n_e:])}")
+        return name
 
     def space(v):
         return function("space", "x, y, z", list(v))
@@ -156,6 +177,7 @@ def _case_source(case_id, fields, printer):
     for key in ("E", "B", "E_t", "curl_mu_inv_B"):
         pairs = _tuple(f"({time(a)}, {space(g)})" for a, g in fields[key])
         rows.append(f"    {key!r}: {pairs},")
+    rows.append(f"    'EB': {fused()},")
     rows.append("    'J': (")
     for a, parts in fields["J"]:
         triples = _tuple(f"({c!r}, {w!r}, {space(g)})" for c, w, g in parts)
@@ -174,13 +196,46 @@ def render() -> str:
     header = (f"# Generated by {COMMAND} with sympy {sp.__version__}; do not edit.\n"
               '"""Closed-form fields of the manufactured cases as numpy functions.\n\n'
               "Spatial parts map (x, y, z) to a 3-tuple, time factors map t to a\n"
-              "value, and ``CASE1``/``CASE2`` give each field's terms.\n"
+              "value, and ``CASE1``/``CASE2`` give each field's terms.  Their ``EB``\n"
+              "maps (x, y, z) to the spatial parts of all E terms and of all B\n"
+              "terms at once, each distinct sin/cos evaluated once.\n"
               '"""\n\n'
               f"from numpy import {imports}\n")
     sections = [header] + [defs for defs, _ in blocks] + [table for _, table in blocks]
     return "\n\n".join(sections)
 
 
-if __name__ == "__main__":
+def stale_line() -> str | None:
+    """None if the committed module is ``render()`` byte for byte, else a
+    message naming its first differing line."""
+    committed = TARGET.read_bytes()
+    rendered = render().encode()
+    if committed == rendered:
+        return None
+    old, new = committed.splitlines(keepends=True), rendered.splitlines(keepends=True)
+    n = next((i for i, (a, b) in enumerate(zip(old, new)) if a != b), min(len(old), len(new)))
+    have, want = (repr(lines[n]) if n < len(lines) else "the end of the file"
+                  for lines in (old, new))
+    return f"{TARGET}:{n + 1}: has {have}, render() gives {want}"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Rewrite, or check, the generated case module.")
+    parser.add_argument("--check", action="store_true",
+                        help="exit 1, naming the first differing line, if the "
+                             "committed module is not render()")
+    args = parser.parse_args(argv)
+    if args.check:
+        message = stale_line()
+        if message is not None:
+            print(f"stale: {message}; rewrite it with {COMMAND}", file=sys.stderr)
+            return 1
+        print(f"{TARGET} is up to date")
+        return 0
     TARGET.write_text(render(), encoding="utf-8")
     print(f"wrote {TARGET}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

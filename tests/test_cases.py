@@ -11,7 +11,7 @@ import sympy as sp
 import case_source
 import vemaxwell
 from conftest import SPLIT_MESHES, strong_form_residual
-from vemaxwell import cases
+from vemaxwell import _case_fields, cases
 from vemaxwell import derham as vd
 from vemaxwell import geometry as vg
 
@@ -215,7 +215,7 @@ class TestChunkedMatchesLoops:
 
     @pytest.mark.parametrize("budget", BUDGETS)
     @pytest.mark.parametrize("case_id", [1, 2])
-    @pytest.mark.parametrize("name", SPLIT_MESHES)
+    @pytest.mark.parametrize("name", SPLIT_MESHES + ["agglo4"])
     def test_l2_error(self, name, case_id, budget, request, monkeypatch):
         m = request.getfixturevalue(name)
         case = cases.get_case(case_id)
@@ -259,7 +259,12 @@ class TestChunkBudget:
                 return field(pts, t)
             return evaluate
 
-        return dataclasses.replace(case, E=record(case.E), B=record(case.B)), sizes
+        def record_parts(x, y, z):
+            sizes.append(x.size)
+            return case.EB_parts(x, y, z)
+
+        return dataclasses.replace(case, E=record(case.E), B=record(case.B),
+                                   EB_parts=record_parts), sizes
 
     @pytest.mark.parametrize("budget", [vg.CHUNK_POINTS, 5000])
     @pytest.mark.parametrize("name", ["cube4", "voro27"])
@@ -272,7 +277,7 @@ class TestChunkBudget:
                        np.zeros(m.n_faces), case, 1.0)
         per_cell = [vg.cell_quadrature(m, k).weights.size for k in range(m.n_cells)]
         assert max(sizes) <= max(budget, max(per_cell))
-        assert sum(sizes) == 2 * sum(per_cell)           # E and B once per point
+        assert sum(sizes) == sum(per_cell)       # E and B together, once per point
 
     @pytest.mark.parametrize("budget", [vg.CHUNK_POINTS, 500])
     @pytest.mark.parametrize("name", ["cube4", "voro27"])
@@ -285,6 +290,59 @@ class TestChunkBudget:
                     for f in range(m.n_faces)]
         assert max(sizes) <= max(budget, max(per_face))
         assert sum(sizes) == sum(per_face)
+
+
+def fused_field(case, which, rule, t):
+    """Field ``which`` (0: E, 1: B) at the rule's points from
+    ``case.EB_parts`` and ``case.EB_factors``, summed as ``case.E`` sums."""
+    parts = case.EB_parts(*rule.coords)[which]
+    out = np.empty(rule.points.shape)
+    for i in range(3):
+        terms = [float(a(t)) * g[i] for a, g in zip(case.EB_factors[which], parts)]
+        out[:, i] = sum(terms[1:], terms[0])
+    return out
+
+
+class TestFusedFields:
+    """``EB_parts`` is the one evaluation ``l2_error`` makes per point."""
+
+    @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
+    @pytest.mark.parametrize("case_id", [1, 2])
+    @pytest.mark.parametrize("name", ["cube2", "voro8"])
+    def test_bit_identical_to_fields(self, name, case_id, t, request):
+        m = request.getfixturevalue(name)
+        case = cases.get_case(case_id)
+        for rule in vg.cell_rules(m):
+            assert np.array_equal(fused_field(case, 0, rule, t), case.E(rule.points, t))
+            assert np.array_equal(fused_field(case, 1, rule, t), case.B(rule.points, t))
+
+    @pytest.mark.parametrize("case_id, fused, separate", [(1, 6, 15), (2, 4, 6)])
+    def test_each_trig_call_once(self, case_id, fused, separate, monkeypatch):
+        calls = []                # sin/cos calls over the points, not over t
+
+        def counting(fn):
+            def call(arg):
+                if np.size(arg) > 1:
+                    calls.append(fn.__name__)
+                return fn(arg)
+            return call
+
+        for name in ("sin", "cos"):
+            monkeypatch.setattr(_case_fields, name, counting(getattr(np, name)))
+        case = cases.get_case(case_id)
+        pts = np.random.default_rng(8).random((50, 3))
+        case.EB_parts(*pts.T)
+        assert len(calls) == fused
+        calls.clear()
+        case.E(pts, 0.5)
+        case.B(pts, 0.5)
+        assert len(calls) == separate
+
+    def test_zero_components_are_numbers(self):
+        e_parts, b_parts = cases.case2().EB_parts(*np.random.default_rng(9).random((3, 20)))
+        assert [np.ndim(c) for c in e_parts[0]] == [0, 0, 1]
+        assert [np.ndim(c) for c in b_parts[0]] == [1, 1, 0]
+        assert e_parts[0][0] == 0 and b_parts[0][2] == 0
 
 
 X, Y, Z, T = sp.symbols("x y z t", real=True)
@@ -368,7 +426,30 @@ class TestCurrentTerms:
 
 class TestGeneratedSource:
     def test_module_matches_derivation(self):
-        assert case_source.TARGET.read_bytes() == case_source.render().encode()
+        assert case_source.stale_line() is None
+
+    def test_check_names_first_stale_line(self, tmp_path, monkeypatch, capsys):
+        rendered = case_source.render()
+        monkeypatch.setattr(case_source, "render", lambda: rendered)
+        target = tmp_path / "_case_fields.py"
+        monkeypatch.setattr(case_source, "TARGET", target)
+        lines = rendered.splitlines(keepends=True)
+        n = next(i for i, line in enumerate(lines) if line.startswith("def case2_EB"))
+        lines[n] = lines[n].replace("EB", "BE")
+        target.write_text("".join(lines), encoding="utf-8")
+        assert case_source.main(["--check"]) == 1
+        assert f"_case_fields.py:{n + 1}: has b'def case2_BE" in capsys.readouterr().err
+        target.write_text("".join(lines[:n]), encoding="utf-8")     # cut short
+        assert case_source.main(["--check"]) == 1
+        assert f":{n + 1}: has the end of the file" in capsys.readouterr().err
+        assert case_source.main([]) == 0                            # rewrites it
+        assert target.read_bytes() == rendered.encode()
+        assert case_source.main(["--check"]) == 0
+
+    def test_check_command(self):
+        proc = subprocess.run([sys.executable, case_source.__file__, "--check"],
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_run_imports_no_sympy(self, tmp_path):
         script = (

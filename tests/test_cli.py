@@ -142,6 +142,29 @@ class TestMain:
         code = cli.main(["--generate", "cube:2", "--case", "1", "--tau", "bogus"])
         assert code == 2
 
+    @pytest.mark.parametrize("levels", ["0", "-3"])
+    def test_nonpositive_levels_exit_two(self, capsys, levels):
+        code = cli.main(["--generate", "cube:2", "--case", "2", "--tau", "1/4",
+                         "--levels", levels])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and "--levels" in captured.err
+        assert captured.out == ""                        # no run was made
+
+    def test_grid_without_study_exit_two(self, capsys):
+        code = cli.main(["--generate", "cube:2", "--case", "2", "--tau", "1/4", "--grid"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and "--grid" in captured.err
+        assert captured.out == ""
+
+    def test_one_level_is_a_single_run(self, capsys):
+        code = cli.main(["--generate", "cube:1", "--case", "2", "--tau", "1/2",
+                         "--levels", "1"])
+        assert code == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == cli.CSV_HEADER and len(out) == 2
+
     @pytest.mark.parametrize("flag, value", [("--T", "inf"), ("--T", "nan"),
                                              ("--eta-edge", "nan"), ("--eta-face", "inf")])
     def test_non_finite_value_exit_two(self, capsys, flag, value):

@@ -311,3 +311,18 @@ class TestEntityRanges:
     def test_rejects_strided_range(self, cube1):
         with pytest.raises(ValueError, match="consecutive"):
             vg.cell_quadrature(cube1, slice(0, 1, 2))
+
+    @pytest.mark.parametrize("name", SPLIT_MESHES)
+    def test_points_come_simplex_by_simplex(self, name, request):
+        m = request.getfixturevalue(name)
+        split = m.split
+        for rule_of, measures, kept, degree in (
+                (vg.face_quadrature, split.fan_areas, split.fan_kept, vg.DEFAULT_FACE_DEGREE),
+                (vg.cell_quadrature, split.tet_volumes, split.tet_kept, vg.DEFAULT_CELL_DEGREE)):
+            rule = rule_of(m, slice(None), degree)
+            blocks = rule.weights.size // rule.points_per_simplex
+            assert blocks * rule.points_per_simplex == rule.weights.size
+            owners = rule.owners.reshape(blocks, -1)
+            assert (owners == owners[:, :1]).all()
+            assert np.allclose(rule.weights.reshape(blocks, -1).sum(axis=1), measures[kept],
+                               rtol=1e-14, atol=0)

@@ -1,0 +1,63 @@
+"""The discrete Maxwell eigenproblem on the edge space.
+
+The de Rham inequalities behind the method say, in discrete form, that
+the curl-curl pencil ``(C_i' M_f C_i, M_e)`` with unit coefficients has
+exactly the discrete gradients as its kernel and no spurious eigenvalue
+between that kernel and the physical spectrum, with a first eigenvalue
+that converges as h -> 0.  On the PEC unit cube the exact first
+eigenvalue is 2 pi^2.  The pencil is built from ``assemble_global`` and
+the incidence matrices as a run builds them, and solved densely.
+"""
+
+import numpy as np
+import pytest
+import scipy.linalg as sla
+
+from vemaxwell import derham as vd
+from vemaxwell import forms, generate_cube_mesh
+
+# An eigenvalue at most this fraction of the largest counts as kernel;
+# the kernel sits below 1e-15 of it on every mesh here.
+KERNEL_RTOL = 1e-12
+LAMBDA_EXACT = 2.0 * np.pi**2
+
+
+def spectrum(mesh):
+    """Generalized eigenvalues of (C_i' M_f C_i, M_e), ascending, and the
+    number of interior nodes."""
+    dofs = vd.build_dofs(mesh)
+    proj = vd.build_projectors(mesh)
+    ones = np.ones(mesh.n_cells)
+    m_e = forms.assemble_global(mesh, dofs, ones, "edge", proj)
+    m_f = forms.assemble_global(mesh, dofs, ones, "face", proj)
+    c = vd.curl_matrix(mesh)[dofs.interior_faces][:, dofs.interior_edges]
+    lam = sla.eigh((c.T @ m_f @ c).toarray(), m_e.toarray(), eigvals_only=True)
+    return lam, len(dofs.interior_nodes)
+
+
+def split(lam):
+    """(kernel eigenvalues, the rest)."""
+    n = int(np.count_nonzero(lam <= KERNEL_RTOL * lam[-1]))
+    return lam[:n], lam[n:]
+
+
+@pytest.mark.parametrize("name, interior_nodes",
+                         [("cube2", 1), ("cube4", 27), ("voro8", 7), ("voro27", 52)])
+def test_kernel_is_the_gradients_and_no_mode_below_lambda_1(name, interior_nodes, request):
+    lam, n_nodes = spectrum(request.getfixturevalue(name))
+    kernel, rest = split(lam)
+    assert n_nodes == interior_nodes
+    assert kernel.size == interior_nodes
+    assert np.abs(kernel).max() <= KERNEL_RTOL * lam[-1]
+    # no spurious mode between the kernel and the first physical eigenvalue
+    assert rest[0] >= LAMBDA_EXACT
+
+
+def test_first_eigenvalue_converges():
+    first = np.array([split(spectrum(generate_cube_mesh(n))[0])[1][0]
+                      for n in (4, 6, 8)]) / np.pi**2
+    assert first == pytest.approx([2.649, 2.274, 2.1515], abs=1e-3)
+    assert np.all(np.diff(first) < 0) and np.all(first > 2.0)
+    excess = first - 2.0
+    rates = np.log(excess[:-1] / excess[1:]) / np.log([6 / 4, 8 / 6])
+    assert rates.min() >= 1.8
