@@ -1,10 +1,11 @@
 # Generated by python tests/case_source.py with sympy 1.14.0; do not edit.
 """Closed-form fields of the manufactured cases as numpy functions.
 
-Spatial parts map (x, y, z) to a 3-tuple, time factors map t to a
-value, and ``CASE1``/``CASE2`` give each field's terms.  Their ``EB``
-maps (x, y, z) to the spatial parts of all E terms and of all B
-terms at once, each distinct sin/cos evaluated once.
+Spatial parts map (x, y, z) to a 3-tuple and time factors map t to
+a value.  In ``CASE1``/``CASE2``, ``E`` and ``B`` give the time
+factors of their terms, ``EB`` maps (x, y, z) to the spatial parts
+of all E terms and of all B terms at once, each distinct sin/cos
+evaluated once, and ``J`` gives the current's terms.
 """
 
 from numpy import cos, pi, sin
@@ -26,6 +27,24 @@ def case1_time0(t):
     return t
 
 
+def case1_time1(t):
+    return t**2
+
+
+def case1_time2(t):
+    return -1/2*t**2
+
+
+def case1_EB(x, y, z):
+    x0 = sin(pi*x)
+    x1 = sin(pi*y)
+    x2 = sin(pi*z)
+    x3 = cos(pi*x)
+    x4 = cos(pi*y)
+    x5 = cos(pi*z)
+    return ((-x**2*x1**2*z**2*(1 - x)**2*(2*z - 2) - 2*x**2*x1**2*z*(1 - x)**2*(1 - z)**2 + x**2*x2**2*y**2*(1 - x)**2*(2*y - 2) + 2*x**2*x2**2*y*(1 - x)**2*(1 - y)**2, -x**2*x2**2*y**2*(1 - y)**2*(2*x - 2) - 2*x*x2**2*y**2*(1 - x)**2*(1 - y)**2 + x0**2*y**2*z**2*(1 - y)**2*(2*z - 2) + 2*x0**2*y**2*z*(1 - y)**2*(1 - z)**2, x**2*x1**2*z**2*(1 - z)**2*(2*x - 2) + 2*x*x1**2*z**2*(1 - x)**2*(1 - z)**2 - x0**2*y**2*z**2*(1 - z)**2*(2*y - 2) - 2*x0**2*y*z**2*(1 - y)**2*(1 - z)**2), (pi*x1*x2*x3, pi*x0*x2*x4, pi*x0*x1*x5)), ((2*pi*x**2*x1*x4*z**2*(1 - z)**2*(2*x - 2) + 2*pi*x**2*x2*x5*y**2*(1 - y)**2*(2*x - 2) + 4*pi*x*x1*x4*z**2*(1 - x)**2*(1 - z)**2 + 4*pi*x*x2*x5*y**2*(1 - x)**2*(1 - y)**2 - 2*x0**2*y**2*z**2*(1 - y)**2 - 2*x0**2*y**2*z**2*(1 - z)**2 - 4*x0**2*y**2*z*(1 - y)**2*(2*z - 2) - 2*x0**2*y**2*(1 - y)**2*(1 - z)**2 - 4*x0**2*y*z**2*(1 - z)**2*(2*y - 2) - 2*x0**2*z**2*(1 - y)**2*(1 - z)**2, -2*x**2*x1**2*z**2*(1 - x)**2 - 2*x**2*x1**2*z**2*(1 - z)**2 - 4*x**2*x1**2*z*(1 - x)**2*(2*z - 2) - 2*x**2*x1**2*(1 - x)**2*(1 - z)**2 + 2*pi*x**2*x2*x5*y**2*(1 - x)**2*(2*y - 2) + 4*pi*x**2*x2*x5*y*(1 - x)**2*(1 - y)**2 - 4*x*x1**2*z**2*(1 - z)**2*(2*x - 2) + 2*pi*x0*x3*y**2*z**2*(1 - z)**2*(2*y - 2) + 4*pi*x0*x3*y*z**2*(1 - y)**2*(1 - z)**2 - 2*x1**2*z**2*(1 - x)**2*(1 - z)**2, 2*pi*x**2*x1*x4*z**2*(1 - x)**2*(2*z - 2) + 4*pi*x**2*x1*x4*z*(1 - x)**2*(1 - z)**2 - 2*x**2*x2**2*y**2*(1 - x)**2 - 2*x**2*x2**2*y**2*(1 - y)**2 - 4*x**2*x2**2*y*(1 - x)**2*(2*y - 2) - 2*x**2*x2**2*(1 - x)**2*(1 - y)**2 - 4*x*x2**2*y**2*(1 - y)**2*(2*x - 2) + 2*pi*x0*x3*y**2*z**2*(1 - y)**2*(2*z - 2) + 4*pi*x0*x3*y**2*z*(1 - y)**2*(1 - z)**2 - 2*x2**2*y**2*(1 - x)**2*(1 - y)**2),)
+
+
 def case1_space0(x, y, z):
     x0 = sin(pi*x)
     x1 = sin(pi*y)
@@ -33,8 +52,8 @@ def case1_space0(x, y, z):
     return (-x**2*x1**2*z**2*(1 - x)**2*(2*z - 2) - 2*x**2*x1**2*z*(1 - x)**2*(1 - z)**2 + x**2*x2**2*y**2*(1 - x)**2*(2*y - 2) + 2*x**2*x2**2*y*(1 - x)**2*(1 - y)**2, -x**2*x2**2*y**2*(1 - y)**2*(2*x - 2) - 2*x*x2**2*y**2*(1 - x)**2*(1 - y)**2 + x0**2*y**2*z**2*(1 - y)**2*(2*z - 2) + 2*x0**2*y**2*z*(1 - y)**2*(1 - z)**2, x**2*x1**2*z**2*(1 - z)**2*(2*x - 2) + 2*x*x1**2*z**2*(1 - x)**2*(1 - z)**2 - x0**2*y**2*z**2*(1 - z)**2*(2*y - 2) - 2*x0**2*y*z**2*(1 - y)**2*(1 - z)**2)
 
 
-def case1_time1(t):
-    return t**2
+def case1_time3(t):
+    return 1
 
 
 def case1_space1(x, y, z):
@@ -47,10 +66,6 @@ def case1_space1(x, y, z):
     return (pi*x1*x2*x3, pi*x0*x2*x4, pi*x0*x1*x5)
 
 
-def case1_time2(t):
-    return -1/2*t**2
-
-
 def case1_space2(x, y, z):
     x0 = sin(pi*x)
     x1 = sin(pi*y)
@@ -58,35 +73,7 @@ def case1_space2(x, y, z):
     x3 = cos(pi*x)
     x4 = cos(pi*y)
     x5 = cos(pi*z)
-    return (2*pi*x**2*x1*x4*z**2*(1 - z)**2*(2*x - 2) + 2*pi*x**2*x2*x5*y**2*(1 - y)**2*(2*x - 2) + 4*pi*x*x1*x4*z**2*(1 - x)**2*(1 - z)**2 + 4*pi*x*x2*x5*y**2*(1 - x)**2*(1 - y)**2 - 2*x0**2*y**2*z**2*(1 - y)**2 - 2*x0**2*y**2*z**2*(1 - z)**2 - 4*x0**2*y**2*z*(1 - y)**2*(2*z - 2) - 2*x0**2*y**2*(1 - y)**2*(1 - z)**2 - 4*x0**2*y*z**2*(1 - z)**2*(2*y - 2) - 2*x0**2*z**2*(1 - y)**2*(1 - z)**2, -2*x**2*x1**2*z**2*(1 - x)**2 - 2*x**2*x1**2*z**2*(1 - z)**2 - 4*x**2*x1**2*z*(1 - x)**2*(2*z - 2) - 2*x**2*x1**2*(1 - x)**2*(1 - z)**2 + 2*pi*x**2*x2*x5*y**2*(1 - x)**2*(2*y - 2) + 4*pi*x**2*x2*x5*y*(1 - x)**2*(1 - y)**2 - 4*x*x1**2*z**2*(1 - z)**2*(2*x - 2) + 2*pi*x0*x3*y**2*z**2*(1 - z)**2*(2*y - 2) + 4*pi*x0*x3*y*z**2*(1 - y)**2*(1 - z)**2 - 2*x1**2*z**2*(1 - x)**2*(1 - z)**2, 2*pi*x**2*x1*x4*z**2*(1 - x)**2*(2*z - 2) + 4*pi*x**2*x1*x4*z*(1 - x)**2*(1 - z)**2 - 2*x**2*x2**2*y**2*(1 - x)**2 - 2*x**2*x2**2*y**2*(1 - y)**2 - 4*x**2*x2**2*y*(1 - x)**2*(2*y - 2) - 2*x**2*x2**2*(1 - x)**2*(1 - y)**2 - 4*x*x2**2*y**2*(1 - y)**2*(2*x - 2) + 2*pi*x0*x3*y**2*z**2*(1 - y)**2*(2*z - 2) + 4*pi*x0*x3*y**2*z*(1 - y)**2*(1 - z)**2 - 2*x2**2*y**2*(1 - x)**2*(1 - y)**2)
-
-
-def case1_time3(t):
-    return 1
-
-
-def case1_time4(t):
-    return 2*t
-
-
-def case1_space3(x, y, z):
-    x0 = sin(pi*x)
-    x1 = sin(pi*y)
-    x2 = sin(pi*z)
-    x3 = cos(pi*x)
-    x4 = cos(pi*y)
-    x5 = cos(pi*z)
     return (-2*pi**2*x**2*x1**2*z**2*(1 - x)**2*(2*z - 2) + 2*x**2*x1**2*z**2*(2*z - 2) - 4*pi**2*x**2*x1**2*z*(1 - x)**2*(1 - z)**2 + 12*x**2*x1**2*z*(1 - x)**2 + 4*x**2*x1**2*z*(1 - z)**2 + 6*x**2*x1**2*(1 - x)**2*(2*z - 2) + 2*pi**2*x**2*x2**2*y**2*(1 - x)**2*(2*y - 2) - 2*x**2*x2**2*y**2*(2*y - 2) + 4*pi**2*x**2*x2**2*y*(1 - x)**2*(1 - y)**2 - 12*x**2*x2**2*y*(1 - x)**2 - 4*x**2*x2**2*y*(1 - y)**2 - 6*x**2*x2**2*(1 - x)**2*(2*y - 2) + 2*pi**2*x**2*x4**2*z**2*(1 - x)**2*(2*z - 2) + 4*pi**2*x**2*x4**2*z*(1 - x)**2*(1 - z)**2 - 2*pi**2*x**2*x5**2*y**2*(1 - x)**2*(2*y - 2) - 4*pi**2*x**2*x5**2*y*(1 - x)**2*(1 - y)**2 + 4*x*x1**2*z**2*(2*x - 2)*(2*z - 2) + 8*x*x1**2*z*(1 - z)**2*(2*x - 2) - 4*x*x2**2*y**2*(2*x - 2)*(2*y - 2) - 8*x*x2**2*y*(1 - y)**2*(2*x - 2) + 2*x1**2*z**2*(1 - x)**2*(2*z - 2) + 4*x1**2*z*(1 - x)**2*(1 - z)**2 - 2*x2**2*y**2*(1 - x)**2*(2*y - 2) - 4*x2**2*y*(1 - x)**2*(1 - y)**2, -2*pi**2*x**2*x2**2*y**2*(1 - y)**2*(2*x - 2) + 2*x**2*x2**2*y**2*(2*x - 2) + 4*x**2*x2**2*y*(2*x - 2)*(2*y - 2) + 2*x**2*x2**2*(1 - y)**2*(2*x - 2) + 2*pi**2*x**2*x5**2*y**2*(1 - y)**2*(2*x - 2) - 4*pi**2*x*x2**2*y**2*(1 - x)**2*(1 - y)**2 + 4*x*x2**2*y**2*(1 - x)**2 + 12*x*x2**2*y**2*(1 - y)**2 + 8*x*x2**2*y*(1 - x)**2*(2*y - 2) + 4*x*x2**2*(1 - x)**2*(1 - y)**2 + 4*pi**2*x*x5**2*y**2*(1 - x)**2*(1 - y)**2 + 2*pi**2*x0**2*y**2*z**2*(1 - y)**2*(2*z - 2) - 2*x0**2*y**2*z**2*(2*z - 2) + 4*pi**2*x0**2*y**2*z*(1 - y)**2*(1 - z)**2 - 12*x0**2*y**2*z*(1 - y)**2 - 4*x0**2*y**2*z*(1 - z)**2 - 6*x0**2*y**2*(1 - y)**2*(2*z - 2) - 4*x0**2*y*z**2*(2*y - 2)*(2*z - 2) - 8*x0**2*y*z*(1 - z)**2*(2*y - 2) - 2*x0**2*z**2*(1 - y)**2*(2*z - 2) - 4*x0**2*z*(1 - y)**2*(1 - z)**2 + 6*x2**2*y**2*(1 - y)**2*(2*x - 2) - 2*pi**2*x3**2*y**2*z**2*(1 - y)**2*(2*z - 2) - 4*pi**2*x3**2*y**2*z*(1 - y)**2*(1 - z)**2, 2*pi**2*x**2*x1**2*z**2*(1 - z)**2*(2*x - 2) - 2*x**2*x1**2*z**2*(2*x - 2) - 4*x**2*x1**2*z*(2*x - 2)*(2*z - 2) - 2*x**2*x1**2*(1 - z)**2*(2*x - 2) - 2*pi**2*x**2*x4**2*z**2*(1 - z)**2*(2*x - 2) + 4*pi**2*x*x1**2*z**2*(1 - x)**2*(1 - z)**2 - 4*x*x1**2*z**2*(1 - x)**2 - 12*x*x1**2*z**2*(1 - z)**2 - 8*x*x1**2*z*(1 - x)**2*(2*z - 2) - 4*x*x1**2*(1 - x)**2*(1 - z)**2 - 4*pi**2*x*x4**2*z**2*(1 - x)**2*(1 - z)**2 - 2*pi**2*x0**2*y**2*z**2*(1 - z)**2*(2*y - 2) + 2*x0**2*y**2*z**2*(2*y - 2) + 4*x0**2*y**2*z*(2*y - 2)*(2*z - 2) + 2*x0**2*y**2*(1 - z)**2*(2*y - 2) - 4*pi**2*x0**2*y*z**2*(1 - y)**2*(1 - z)**2 + 4*x0**2*y*z**2*(1 - y)**2 + 12*x0**2*y*z**2*(1 - z)**2 + 8*x0**2*y*z*(1 - y)**2*(2*z - 2) + 4*x0**2*y*(1 - y)**2*(1 - z)**2 + 6*x0**2*z**2*(1 - z)**2*(2*y - 2) - 6*x1**2*z**2*(1 - z)**2*(2*x - 2) + 2*pi**2*x3**2*y**2*z**2*(1 - z)**2*(2*y - 2) + 4*pi**2*x3**2*y*z**2*(1 - y)**2*(1 - z)**2)
-
-
-def case1_EB(x, y, z):
-    x0 = sin(pi*x)
-    x1 = sin(pi*y)
-    x2 = sin(pi*z)
-    x3 = cos(pi*x)
-    x4 = cos(pi*y)
-    x5 = cos(pi*z)
-    return ((-x**2*x1**2*z**2*(1 - x)**2*(2*z - 2) - 2*x**2*x1**2*z*(1 - x)**2*(1 - z)**2 + x**2*x2**2*y**2*(1 - x)**2*(2*y - 2) + 2*x**2*x2**2*y*(1 - x)**2*(1 - y)**2, -x**2*x2**2*y**2*(1 - y)**2*(2*x - 2) - 2*x*x2**2*y**2*(1 - x)**2*(1 - y)**2 + x0**2*y**2*z**2*(1 - y)**2*(2*z - 2) + 2*x0**2*y**2*z*(1 - y)**2*(1 - z)**2, x**2*x1**2*z**2*(1 - z)**2*(2*x - 2) + 2*x*x1**2*z**2*(1 - x)**2*(1 - z)**2 - x0**2*y**2*z**2*(1 - z)**2*(2*y - 2) - 2*x0**2*y*z**2*(1 - y)**2*(1 - z)**2), (pi*x1*x2*x3, pi*x0*x2*x4, pi*x0*x1*x5)), ((2*pi*x**2*x1*x4*z**2*(1 - z)**2*(2*x - 2) + 2*pi*x**2*x2*x5*y**2*(1 - y)**2*(2*x - 2) + 4*pi*x*x1*x4*z**2*(1 - x)**2*(1 - z)**2 + 4*pi*x*x2*x5*y**2*(1 - x)**2*(1 - y)**2 - 2*x0**2*y**2*z**2*(1 - y)**2 - 2*x0**2*y**2*z**2*(1 - z)**2 - 4*x0**2*y**2*z*(1 - y)**2*(2*z - 2) - 2*x0**2*y**2*(1 - y)**2*(1 - z)**2 - 4*x0**2*y*z**2*(1 - z)**2*(2*y - 2) - 2*x0**2*z**2*(1 - y)**2*(1 - z)**2, -2*x**2*x1**2*z**2*(1 - x)**2 - 2*x**2*x1**2*z**2*(1 - z)**2 - 4*x**2*x1**2*z*(1 - x)**2*(2*z - 2) - 2*x**2*x1**2*(1 - x)**2*(1 - z)**2 + 2*pi*x**2*x2*x5*y**2*(1 - x)**2*(2*y - 2) + 4*pi*x**2*x2*x5*y*(1 - x)**2*(1 - y)**2 - 4*x*x1**2*z**2*(1 - z)**2*(2*x - 2) + 2*pi*x0*x3*y**2*z**2*(1 - z)**2*(2*y - 2) + 4*pi*x0*x3*y*z**2*(1 - y)**2*(1 - z)**2 - 2*x1**2*z**2*(1 - x)**2*(1 - z)**2, 2*pi*x**2*x1*x4*z**2*(1 - x)**2*(2*z - 2) + 4*pi*x**2*x1*x4*z*(1 - x)**2*(1 - z)**2 - 2*x**2*x2**2*y**2*(1 - x)**2 - 2*x**2*x2**2*y**2*(1 - y)**2 - 4*x**2*x2**2*y*(1 - x)**2*(2*y - 2) - 2*x**2*x2**2*(1 - x)**2*(1 - y)**2 - 4*x*x2**2*y**2*(1 - y)**2*(2*x - 2) + 2*pi*x0*x3*y**2*z**2*(1 - y)**2*(2*z - 2) + 4*pi*x0*x3*y**2*z*(1 - y)**2*(1 - z)**2 - 2*x2**2*y**2*(1 - x)**2*(1 - y)**2),)
 
 
 def case2_eps(x, y, z):
@@ -105,34 +92,8 @@ def case2_time0(t):
     return cos((11/5)*pi*t)
 
 
-def case2_space0(x, y, z):
-    x0 = sin(pi*x)
-    x1 = sin(pi*y)
-    return (0, 0, x0*x1)
-
-
 def case2_time1(t):
     return (5/11)*sin((11/5)*pi*t)
-
-
-def case2_space1(x, y, z):
-    x0 = sin(pi*x)
-    x1 = sin(pi*y)
-    x2 = cos(pi*x)
-    x3 = cos(pi*y)
-    return (-x0*x3, x1*x2, 0)
-
-
-def case2_time2(t):
-    return -11/5*pi*sin((11/5)*pi*t)
-
-
-def case2_space2(x, y, z):
-    x0 = sin(pi*x)
-    x1 = sin(pi*y)
-    x2 = cos(pi*x)
-    x3 = cos(pi*y)
-    return (-2*x1*x2*z, -2*x0*x3*z, 2*x*x1*x2 - 2*pi*x0*x1*(x**2 + y**2 + z**2 + 1) + 2*x0*x3*y)
 
 
 def case2_EB(x, y, z):
@@ -143,7 +104,21 @@ def case2_EB(x, y, z):
     return ((0, 0, x0*x1),), ((-x0*x3, x1*x2, 0),)
 
 
-def case2_time3(t):
+def case2_space0(x, y, z):
+    x0 = sin(pi*x)
+    x1 = sin(pi*y)
+    return (0, 0, x0*x1)
+
+
+def case2_space1(x, y, z):
+    x0 = sin(pi*x)
+    x1 = sin(pi*y)
+    x2 = cos(pi*x)
+    x3 = cos(pi*y)
+    return (-2*x1*x2*z, -2*x0*x3*z, 2*x*x1*x2 - 2*pi*x0*x1*(x**2 + y**2 + z**2 + 1) + 2*x0*x3*y)
+
+
+def case2_time2(t):
     return sin((11/5)*pi*t)
 
 
@@ -151,15 +126,13 @@ CASE1 = {
     'eps': case1_eps,
     'sigma': case1_sigma,
     'mu': case1_mu,
-    'E': ((case1_time0, case1_space0), (case1_time1, case1_space1)),
-    'B': ((case1_time2, case1_space2),),
-    'E_t': ((case1_time3, case1_space0), (case1_time4, case1_space1)),
-    'curl_mu_inv_B': ((case1_time2, case1_space3),),
+    'E': (case1_time0, case1_time1),
+    'B': (case1_time2,),
     'EB': case1_EB,
     'J': (
         (case1_time3, ((1.0, 'eps', case1_space0),)),
         (case1_time0, ((2.0, 'eps', case1_space1), (1.0, 'sigma', case1_space0))),
-        (case1_time1, ((1.0, 'sigma', case1_space1), (0.5, None, case1_space3))),
+        (case1_time1, ((1.0, 'sigma', case1_space1), (0.5, None, case1_space2))),
     ),
 }
 
@@ -168,13 +141,11 @@ CASE2 = {
     'eps': case2_eps,
     'sigma': case2_sigma,
     'mu': case2_mu,
-    'E': ((case2_time0, case2_space0),),
-    'B': ((case2_time1, case2_space1),),
-    'E_t': ((case2_time2, case2_space0),),
-    'curl_mu_inv_B': ((case2_time1, case2_space2),),
+    'E': (case2_time0,),
+    'B': (case2_time1,),
     'EB': case2_EB,
     'J': (
-        (case2_time3, ((-6.911503837897545, 'eps', case2_space0), (-0.45454545454545453, None, case2_space2))),
+        (case2_time2, ((-6.911503837897545, 'eps', case2_space0), (-0.45454545454545453, None, case2_space1))),
         (case2_time0, ((1.0, 'sigma', case2_space0),)),
     ),
 }

@@ -2,19 +2,19 @@
 
 The analytic field pairs are fixed in closed form as sums of (time factor)
 x (spatial vector) terms.  The current density follows from the first
-Maxwell equation, ``J = eps E_t + sigma E - curl(mu^-1 B)``, term by term
+Maxwell equation, ``J = eps dE/dt + sigma E - curl(mu^-1 B)``, term by term
 and grouped by time factor, so both equations hold exactly and the
 current stays a short sum of such terms.  The terms are plain numpy
 functions in the generated module ``_case_fields``; ``tests/case_source.py``
-derives them and rewrites that module.  It also emits, per case, one
-function giving the spatial parts of every E and B term from shared
-sin/cos calls, which the error norms evaluate once per point.
+derives them and rewrites that module.  Per case, one generated
+function gives the spatial parts of every E and B term from shared
+sin/cos calls; ``E``, ``B`` and the error norms all evaluate it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,13 +53,27 @@ def _time_factor(fn):
     return lambda t: fn(t) + np.zeros(np.shape(t))
 
 
-def _sum_of_terms(terms):
-    """The (pts, t) -> (..., 3) field sum_i a_i(t) g_i(pts) of numeric
-    (time factor, spatial field) pairs; ``t`` may be an array over the
+def _component(scales, parts, i):
+    """Component ``i`` of ``sum_k scales[k] parts[k]``, summed term by
+    term; a number where every term's component is one."""
+    value = scales[0] * parts[0][i]
+    for scale, part in zip(scales[1:], parts[1:]):
+        value = value + scale * part[i]
+    return value
+
+
+def _fused_field(eb_parts, factors, which):
+    """The (pts, t) -> (..., 3) field ``which`` (0: E, 1: B) of
+    ``eb_parts`` with time ``factors``; ``t`` may be an array over the
     points."""
     def evaluate(pts, t=0.0):
-        vals = [a(t)[..., None] * g(pts) for a, g in terms]
-        return sum(vals[1:], vals[0]) if vals else np.zeros_like(pts, dtype=float)
+        scales = [a(t) for a in factors]
+
+        def components(x, y, z):
+            parts = eb_parts(x, y, z)[which]
+            return [_component(scales, parts, i) for i in range(3)]
+
+        return _spatial_field(components)(pts)
 
     return evaluate
 
@@ -85,19 +99,16 @@ class ManufacturedCase:
     combination of one interpolant per term.  ``EB_parts`` gives the
     spatial parts of E's and of B's terms together, so ``E`` is
     ``sum_k EB_factors[0][k](t) EB_parts(x, y, z)[0][k]`` and B likewise;
-    an identically zero component is the number 0, not an array.
+    an identically zero component is the number 0, not an array.  ``E``
+    and ``B`` evaluate exactly that sum.
     """
 
     case_id: int
     name: str
-    T: float
-    domain: tuple                      # (lo, hi) corner triples
     E: object                          # callable (pts, t) -> (..., 3)
     B: object
     EB_parts: object                   # callable (x, y, z) -> (E's, B's) term 3-tuples
     EB_factors: tuple                  # (E's, B's) time factors, one per term
-    E_t: object
-    curl_mu_inv_B: object
     J_terms: tuple                     # (a: t -> float|array, g: (..., 3) -> (..., 3))
     eps: object                        # callable (pts,) -> (...,)
     sigma: object
@@ -105,29 +116,21 @@ class ManufacturedCase:
 
 
 def _build_case(case_id, name, table):
-    """A case from a generated ``CASE<id>`` table of (time factor, spatial
-    part) terms; each spatial part is wrapped once and shared by every
-    field it enters."""
-    spatial = cache(_spatial_field)
+    """A case from a generated ``CASE<id>`` table: the time factors of E
+    and B, their fused spatial parts, and J's (time factor, spatial
+    combination) terms."""
     coefficient = {w: _scalar_field(table[w]) for w in ("eps", "sigma", "mu")}
-
-    def field(key):
-        return _sum_of_terms(tuple((_time_factor(a), spatial(g)) for a, g in table[key]))
-
+    factors = tuple(tuple(_time_factor(a) for a in table[key]) for key in ("E", "B"))
     return ManufacturedCase(
         case_id=case_id,
         name=name,
-        T=1.0,
-        domain=((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)),
-        E=field("E"),
-        B=field("B"),
+        E=_fused_field(table["EB"], factors[0], 0),
+        B=_fused_field(table["EB"], factors[1], 1),
         EB_parts=table["EB"],
-        EB_factors=tuple(tuple(_time_factor(a) for a, _ in table[key]) for key in ("E", "B")),
-        E_t=field("E_t"),
-        curl_mu_inv_B=field("curl_mu_inv_B"),
+        EB_factors=factors,
         J_terms=tuple(
             (_time_factor(a),
-             _combination([(c, coefficient.get(w), spatial(g)) for c, w, g in parts]))
+             _combination([(c, coefficient.get(w), _spatial_field(g)) for c, w, g in parts]))
             for a, parts in table["J"]),
         eps=coefficient["eps"],
         sigma=coefficient["sigma"],
@@ -185,15 +188,6 @@ class ErrorReport:
     label: str = ""
     cg_iters_total: int = 0
     wall_s: float = 0.0
-
-
-def _component(scales, parts, i):
-    """Component ``i`` of ``sum_k scales[k] parts[k]``, summed term by term
-    as ``E``/``B`` do; a number where every term's component is one."""
-    value = scales[0] * parts[0][i]
-    for scale, part in zip(scales[1:], parts[1:]):
-        value = value + scale * part[i]
-    return value
 
 
 def l2_error(mesh: PolyMesh, dofs: DeRhamDofs, projectors: ElementProjectors,

@@ -50,15 +50,20 @@ class RunConfig:
             raise ConfigError(str(exc)) from exc
 
 
+def _cube_size(source: str) -> int:
+    """The n of a ``cube:<n>`` mesh source."""
+    try:
+        n = int(source.split(":", 1)[1])
+    except ValueError as exc:
+        raise ConfigError(f"bad mesh source {source!r}") from exc
+    if n < 1:
+        raise ConfigError("cube:<n> needs n >= 1")
+    return n
+
+
 def _load_source(source: str):
     if source.startswith("cube:"):
-        try:
-            n = int(source.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError(f"bad mesh source {source!r}") from exc
-        if n < 1:
-            raise ConfigError("cube:<n> needs n >= 1")
-        return vmesh.generate_cube_mesh(n)
+        return vmesh.generate_cube_mesh(_cube_size(source))
     m = vmesh.load_mesh(source)
     if not m.name:
         stem = source.rsplit("/", 1)[-1].rsplit(".", 1)[0]
@@ -145,7 +150,7 @@ def run_convergence(config: RunConfig, levels: int,
     if mesh_sources is None:
         if not config.mesh_source.startswith("cube:"):
             raise ConfigError("convergence without a mesh list needs cube:<n>")
-        n0 = int(config.mesh_source.split(":", 1)[1])
+        n0 = _cube_size(config.mesh_source)
         mesh_sources = [f"cube:{n0 * 2**lvl}" for lvl in range(levels)]
     elif len(mesh_sources) != levels:
         raise ConfigError("need one mesh per level")

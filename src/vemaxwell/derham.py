@@ -39,7 +39,6 @@ class DeRhamDofs:
     DOFs are eliminated, not penalized, so reduced systems stay SPD.
     """
 
-    n_nodes: int
     n_edges: int
     n_faces: int
     boundary_edges: np.ndarray
@@ -70,7 +69,6 @@ class DeRhamDofs:
 
 def build_dofs(mesh: PolyMesh) -> DeRhamDofs:
     return DeRhamDofs(
-        n_nodes=mesh.n_vertices,
         n_edges=mesh.n_edges,
         n_faces=mesh.n_faces,
         boundary_edges=mesh.boundary_edges.copy(),

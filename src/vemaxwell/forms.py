@@ -40,11 +40,8 @@ class StabWeights:
 
 @dataclass(frozen=True, eq=False)
 class CoefficientSet:
-    """Analytic material coefficients plus their cell-centroid samples."""
+    """Material coefficients sampled at the cell centroids."""
 
-    eps: object                 # callable (n, 3) -> (n,)
-    sigma: object
-    mu: object
     eps_hat: np.ndarray         # per-cell samples
     sigma_hat: np.ndarray
     mu_hat: np.ndarray
@@ -79,7 +76,7 @@ def sample_coefficients(mesh: PolyMesh, eps, sigma, mu) -> CoefficientSet:
         raise ValueError("coefficient bound violation: nonpositive permeability sample")
     if np.any(sigma_hat < 0.0):
         raise ValueError("coefficient bound violation: negative conductivity sample")
-    return CoefficientSet(eps_f, sigma_f, mu_f, eps_hat, sigma_hat, mu_hat)
+    return CoefficientSet(eps_hat, sigma_hat, mu_hat)
 
 
 class LocalFactors(NamedTuple):

@@ -38,7 +38,6 @@ class QuadratureRule:
     coords: np.ndarray   # (3, m): one contiguous plane per coordinate
     weights: np.ndarray  # (m,)
     owners: np.ndarray   # (m,) entity of each point, nondecreasing
-    degree: int
     points_per_simplex: int   # points k q .. k q + q - 1 lie on simplex k
 
     @property
@@ -127,7 +126,7 @@ def tetrahedron_rule(degree: int):
     return pts, 6.0 * wgt.ravel()
 
 
-def _mapped_rule(owners, apexes, legs, measures, ref_pts, ref_w, degree) -> QuadratureRule:
+def _mapped_rule(owners, apexes, legs, measures, ref_pts, ref_w) -> QuadratureRule:
     """Reference rule mapped onto the simplices ``apexes[t] + span(legs[t])``.
 
     ``legs`` is (t, d, 3), ``measures`` the signed simplex measures and
@@ -141,7 +140,7 @@ def _mapped_rule(owners, apexes, legs, measures, ref_pts, ref_w, degree) -> Quad
     for j in range(1, legs.shape[1]):
         coords += ref_pts[:, j] * legs[:, j]
     return QuadratureRule(coords.reshape(3, -1), (measures[:, None] * ref_w).ravel(),
-                          np.repeat(owners, ref_w.size), degree, ref_w.size)
+                          np.repeat(owners, ref_w.size), ref_w.size)
 
 
 def _entities(index, n: int) -> range:
@@ -169,7 +168,7 @@ def face_quadrature(mesh: PolyMesh, faces, degree: int = DEFAULT_FACE_DEGREE) ->
     apexes = split.face_apexes[owners]
     legs = mesh.vertices[split.fan_vertices[panels]] - apexes[:, None]
     return _mapped_rule(owners, apexes, legs, split.fan_areas[panels],
-                        *triangle_rule(degree), degree)
+                        *triangle_rule(degree))
 
 
 def cell_quadrature(mesh: PolyMesh, cells, degree: int = DEFAULT_CELL_DEGREE) -> QuadratureRule:
@@ -182,7 +181,7 @@ def cell_quadrature(mesh: PolyMesh, cells, degree: int = DEFAULT_CELL_DEGREE) ->
     legs = np.concatenate([split.face_apexes[mesh.faces.owners[panels], None],
                            mesh.vertices[split.fan_vertices[panels]]], axis=1) - apexes[:, None]
     return _mapped_rule(owners, apexes, legs, split.tet_volumes[tets],
-                        *tetrahedron_rule(degree), degree)
+                        *tetrahedron_rule(degree))
 
 
 def _chunks(offsets, kept, points_per_simplex: int):

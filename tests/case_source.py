@@ -6,9 +6,10 @@ parts only, and the current ``J = eps E_t + sigma E - curl(mu^-1 B)`` is
 grouped by time factor, constants folded out, so it stays a short sum of
 such terms.  ``render()`` prints the result with the printer that
 ``sympy.lambdify(..., "numpy")`` uses, as the module ``vemaxwell.cases``
-reads.  Besides one function per distinct spatial part, each case gets
-``case<id>_EB``: the spatial parts of every E and B term from one set of
-sin/cos calls, which the error norms evaluate.  Rewrite that module with
+reads.  Each case gets ``case<id>_EB``: the spatial parts of every E
+and B term from one set of sin/cos calls, which E, B and the error norms
+evaluate; its table gives the time factors of those terms, and J's terms
+with one function per distinct spatial part.  Rewrite that module with
 
     python tests/case_source.py
 
@@ -93,10 +94,10 @@ def derive(e_terms, b_terms, eps, sigma, mu):
     """The term structure of a case from E and B given as (time factor,
     spatial 3-vector) terms.
 
-    ``E``, ``B``, ``E_t`` and ``curl_mu_inv_B`` are lists of (time factor,
-    spatial part) pairs; ``J`` is a list of (time factor, [(constant,
-    "eps" | "sigma" | None, spatial part), ...]) groups, one per distinct
-    time factor once its constant is split off.
+    ``E`` and ``B`` are lists of (time factor, spatial part) pairs; ``J``
+    is a list of (time factor, [(constant, "eps" | "sigma" | None, spatial
+    part), ...]) groups, one per distinct time factor once its constant is
+    split off.
     """
     curl_terms = [(a, curl(h / mu)) for a, h in b_terms]
     e_t_terms = [(a.diff(T), g) for a, g in e_terms]
@@ -107,8 +108,7 @@ def derive(e_terms, b_terms, eps, sigma, mu):
         c, a = a.as_independent(T, as_Add=False)
         groups.setdefault(a, []).append((float(c), w, g))
     return {"eps": eps, "sigma": sigma, "mu": mu,
-            "E": e_terms, "B": b_terms, "E_t": e_t_terms,
-            "curl_mu_inv_B": curl_terms, "J": list(groups.items())}
+            "E": e_terms, "B": b_terms, "J": list(groups.items())}
 
 
 def shared_calls(exprs):
@@ -174,9 +174,8 @@ def _case_source(case_id, fields, printer):
         name = f"case{case_id}_{w}"
         defs.append(f"def {name}(x, y, z):\n    return {printer.doprint(fields[w])}\n")
         rows.append(f"    {w!r}: {name},")
-    for key in ("E", "B", "E_t", "curl_mu_inv_B"):
-        pairs = _tuple(f"({time(a)}, {space(g)})" for a, g in fields[key])
-        rows.append(f"    {key!r}: {pairs},")
+    for key in ("E", "B"):
+        rows.append(f"    {key!r}: {_tuple(time(a) for a, _ in fields[key])},")
     rows.append(f"    'EB': {fused()},")
     rows.append("    'J': (")
     for a, parts in fields["J"]:
@@ -195,10 +194,11 @@ def render() -> str:
     imports = ", ".join(sorted(printer.module_imports.get("numpy", ())))
     header = (f"# Generated by {COMMAND} with sympy {sp.__version__}; do not edit.\n"
               '"""Closed-form fields of the manufactured cases as numpy functions.\n\n'
-              "Spatial parts map (x, y, z) to a 3-tuple, time factors map t to a\n"
-              "value, and ``CASE1``/``CASE2`` give each field's terms.  Their ``EB``\n"
-              "maps (x, y, z) to the spatial parts of all E terms and of all B\n"
-              "terms at once, each distinct sin/cos evaluated once.\n"
+              "Spatial parts map (x, y, z) to a 3-tuple and time factors map t to\n"
+              "a value.  In ``CASE1``/``CASE2``, ``E`` and ``B`` give the time\n"
+              "factors of their terms, ``EB`` maps (x, y, z) to the spatial parts\n"
+              "of all E terms and of all B terms at once, each distinct sin/cos\n"
+              "evaluated once, and ``J`` gives the current's terms.\n"
               '"""\n\n'
               f"from numpy import {imports}\n")
     sections = [header] + [defs for defs, _ in blocks] + [table for _, table in blocks]

@@ -141,6 +141,11 @@ class TestMain:
         assert code == 2
         code = cli.main(["--generate", "cube:2", "--case", "1", "--tau", "bogus"])
         assert code == 2
+        for levels in ("1", "2"):       # a study parses cube:<n> as a single run does
+            code = cli.main(["--generate", "cube:abc", "--case", "1", "--tau", "1/2",
+                             "--levels", levels])
+            assert code == 2
+            assert "bad mesh source 'cube:abc'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("levels", ["0", "-3"])
     def test_nonpositive_levels_exit_two(self, capsys, levels):

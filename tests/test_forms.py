@@ -364,7 +364,8 @@ class TestSparseMatchesLoops:
                                           restrict=False)
         face_full = forms.assemble_global(m, dofs, 1.0 / coeffs.mu_hat, "face", proj,
                                           restrict=False)
-        for got, want in ((ops.m_eps, m_eps), (ops.m_sigma, m_sigma),
+        sigma_mass = forms.assemble_global(m, dofs, coeffs.sigma_hat, "edge", proj)
+        for got, want in ((ops.m_eps, m_eps), (sigma_mass, m_sigma),
                           (ops.m_edge_load, m_edge[dofs.interior_edges]),
                           (ops.m_face, m_face), (ops.system.to_scipy(), system),
                           (edge_full, m_edge), (face_full, m_face_full)):

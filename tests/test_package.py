@@ -5,7 +5,11 @@ import pathlib
 import pytest
 
 import vemaxwell
+from vemaxwell.cases import ManufacturedCase
+from vemaxwell.derham import DeRhamDofs, IncidenceOps
+from vemaxwell.geometry import QuadratureRule
 from vemaxwell.mesh import PolyMesh, SimplexSplit
+from vemaxwell.stepper import SimulationState, StepOperators
 
 SOURCES = sorted(pathlib.Path(vemaxwell.__file__).parent.glob("*.py"))
 
@@ -15,7 +19,9 @@ def test_every_export_resolves():
     assert missing == []
 
 
-@pytest.mark.parametrize("cls", [PolyMesh, SimplexSplit])
+@pytest.mark.parametrize("cls", [PolyMesh, SimplexSplit, StepOperators, DeRhamDofs,
+                                 ManufacturedCase, QuadratureRule, SimulationState,
+                                 IncidenceOps])
 def test_every_mesh_field_is_read(cls):
     # a field that only tests read does not belong in the package
     read = {node.attr for path in SOURCES
