@@ -103,8 +103,6 @@ class ManufacturedCase:
     and ``B`` evaluate exactly that sum.
     """
 
-    case_id: int
-    name: str
     E: object                          # callable (pts, t) -> (..., 3)
     B: object
     EB_parts: object                   # callable (x, y, z) -> (E's, B's) term 3-tuples
@@ -115,15 +113,13 @@ class ManufacturedCase:
     mu: object
 
 
-def _build_case(case_id, name, table):
+def _build_case(table):
     """A case from a generated ``CASE<id>`` table: the time factors of E
     and B, their fused spatial parts, and J's (time factor, spatial
     combination) terms."""
     coefficient = {w: _scalar_field(table[w]) for w in ("eps", "sigma", "mu")}
     factors = tuple(tuple(_time_factor(a) for a in table[key]) for key in ("E", "B"))
     return ManufacturedCase(
-        case_id=case_id,
-        name=name,
         E=_fused_field(table["EB"], factors[0], 0),
         B=_fused_field(table["EB"], factors[1], 1),
         EB_parts=table["EB"],
@@ -149,7 +145,7 @@ def case1() -> ManufacturedCase:
     double-curl potential.  Every term carries a t or t^2 factor, so the
     initial data vanish identically.
     """
-    return _build_case(1, "constant coefficients", _case_fields.CASE1)
+    return _build_case(_case_fields.CASE1)
 
 
 @lru_cache(maxsize=None)
@@ -161,7 +157,7 @@ def case2() -> ManufacturedCase:
     with ``w = 2.2 pi``; ``mu = 1 / (1 + |x|^2)``, ``eps = 2 - x^2 - z``
     and ``sigma = 2 - y^2 + z``.
     """
-    return _build_case(2, "polarized wave, variable coefficients", _case_fields.CASE2)
+    return _build_case(_case_fields.CASE2)
 
 
 def get_case(case_id: int) -> ManufacturedCase:

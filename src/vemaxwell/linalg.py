@@ -1,5 +1,6 @@
-"""Minimal sparse linear algebra: CSR storage, preconditioned CG and the
-gradient-corrected (hybrid) preconditioner of curl-curl systems.
+"""Minimal sparse linear algebra: CSR storage, preconditioned CG, the
+gradient-corrected (hybrid) preconditioner of curl-curl systems, and the
+projection guess for successive right-hand sides (``SolutionSpace``).
 
 Storage and products are backed by scipy's CSR kernels; the CG driver is
 written out so the iterate sequence is deterministic and the reported
@@ -169,3 +170,93 @@ def cg_solve(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12,
         f"CG did not reach tol={tol:.1e} in {maxiter} iterations "
         f"(residual {float(np.linalg.norm(b - csr @ x)) / bnorm:.3e})"
     )
+
+
+# An increment whose part A-orthogonal to the space keeps less than this
+# share of its A-norm lies in the space to working precision: appending
+# it would add a direction made of round-off.
+_DEPENDENT = np.sqrt(np.finfo(float).eps)
+
+# Solutions a full space restarts from: the three that a quadratic
+# extrapolation combines, so right after a restart the guess is still no
+# farther from the solution in the A-norm than that extrapolation.
+RESTART_SOLUTIONS = 3
+
+
+@dataclass(frozen=True, eq=False)
+class SolutionSpace:
+    """An A-orthonormal basis V of earlier solutions of ``A x = b`` for
+    one SPD matrix A, with W = A V: the projection method for successive
+    right-hand sides (P. F. Fischer, CMAME 163, 1998).
+
+    ``guess(b) = V V' b`` is the A-orthogonal projection of ``A^-1 b``
+    onto span V, so in the A-norm it is at least as close to the solution
+    as any vector of span V.  Each solve appends its
+    increment over the guess, so V spans every solution since the last
+    restart; a full space restarts from the ``recent`` solutions, newest
+    first.  Rows ``:size`` of ``v`` and ``w`` hold V' and W'; the buffers
+    have room for ``len(v)`` rows.  A space never changes once made:
+    ``extended`` writes its new row into the shared buffers only where no
+    space grown from this one holds that row already (``claimed[0]`` rows
+    are held), and copies the buffers otherwise; a restart allocates
+    fresh buffers.
+    """
+
+    v: np.ndarray          # (capacity, n), row-major
+    w: np.ndarray          # A times the rows of v
+    size: int
+    claimed: list          # [rows of the shared buffers that some space holds]
+    recent: tuple          # up to RESTART_SOLUTIONS solutions, newest first
+
+    @classmethod
+    def spanned_by(cls, a: SparseMatrix, solutions: tuple, capacity: int) -> "SolutionSpace":
+        """The space of ``solutions`` (newest first; the first
+        ``RESTART_SOLUTIONS`` are kept), with room for ``capacity``
+        vectors; a zero solution, or one in the span of the others, adds
+        none."""
+        if capacity < RESTART_SOLUTIONS:
+            raise ValueError(f"capacity must be at least {RESTART_SOLUTIONS}")
+        solutions = tuple(solutions[:RESTART_SOLUTIONS])
+        space = cls(np.empty((capacity, a.n)), np.empty((capacity, a.n)), 0, [0], solutions)
+        for x in solutions:
+            space = space._appended(a, x, solutions)
+        return space
+
+    def guess(self, b: np.ndarray) -> np.ndarray:
+        """V V' b, the A-orthogonal projection of A^-1 b onto the space."""
+        v = self.v[:self.size]
+        return (v @ b) @ v
+
+    def extended(self, a: SparseMatrix, x: np.ndarray, x0: np.ndarray) -> "SolutionSpace":
+        """The space after a solve that went from ``x0 = guess(b)`` to
+        ``x``: this one with the increment ``x - x0`` appended, or, when
+        it is full, the space of ``x`` and the solutions before it."""
+        recent = (x, *self.recent[:RESTART_SOLUTIONS - 1])
+        if self.size == len(self.v):
+            return SolutionSpace.spanned_by(a, recent, len(self.v))
+        return self._appended(a, x - x0, recent)
+
+    def _appended(self, a: SparseMatrix, d: np.ndarray, recent: tuple) -> "SolutionSpace":
+        """This space with ``d`` A-orthogonalised against it by classical
+        Gram-Schmidt, twice, normalised and appended, or with nothing
+        appended where d lies in it; ``recent`` is the new space's.  A d
+        is formed after the orthogonalisation, so a row of ``w`` is A
+        times its row of ``v`` however much cancels."""
+        v, w = self.v[:self.size], self.w[:self.size]
+        in_space_sq = 0.0
+        for _ in range(2):
+            c = w @ d                   # V' A d
+            d = d - c @ v
+            in_space_sq += float(c @ c)
+        ad = a.to_scipy() @ d
+        dd = float(d @ ad)
+        if not dd > _DEPENDENT**2 * (dd + in_space_sq):
+            return SolutionSpace(self.v, self.w, self.size, self.claimed, recent)
+        v_buf, w_buf, claimed = self.v, self.w, self.claimed
+        if claimed[0] > self.size:
+            v_buf, w_buf, claimed = self.v.copy(), self.w.copy(), [self.size]
+        scale = 1.0 / np.sqrt(dd)
+        v_buf[self.size] = scale * d
+        w_buf[self.size] = scale * ad
+        claimed[0] = self.size + 1
+        return SolutionSpace(v_buf, w_buf, self.size + 1, claimed, recent)

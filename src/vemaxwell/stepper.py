@@ -11,12 +11,20 @@ discrete curl, the update preserves zero divergence up to round-off for
 every solver tolerance; the coupled two-field formulation is recovered
 identically and never assembled.
 
-CG starts each solve from the polynomial extrapolation of the last
-iterates (``SimulationState.e_prev``); every operator a step applies is
-built once per run in ``StepOperators``.  CG is Jacobi-preconditioned
-while the mass term dominates the system's diagonal, and
-gradient-corrected (``linalg.hybrid_preconditioner``) once the curl part
-outweighs it (``curl_mass_ratio`` above ``CURL_MASS_SWITCH``).
+The matrix is the same at every step, so CG starts each solve from the
+A-orthogonal projection of the new solution onto the span of earlier
+ones (``linalg.SolutionSpace``, held by ``SimulationState.space``).  The
+span always holds the three latest solutions (the initial e counting as
+one), so in the A-norm the guess is never farther from the solution than
+their quadratic extrapolation.
+Every operator a step applies is built once per run in
+``StepOperators``; the load of each spatial term of the current is formed
+once per run, and ``M_eps e`` and ``M_f b`` once per step, shared by the
+energy monitor and the next step's right-hand side.  CG is
+Jacobi-preconditioned while the mass term dominates the system's
+diagonal, and gradient-corrected (``linalg.hybrid_preconditioner``) once
+the curl part outweighs it (``curl_mass_ratio`` above
+``CURL_MASS_SWITCH``).
 """
 
 from __future__ import annotations
@@ -44,6 +52,13 @@ DIV_INIT_TOL = 1e-9
 # for the extra product.
 CURL_MASS_SWITCH = 1.0
 
+# Vectors the CG guess's solution space holds before it restarts from the
+# latest solutions.  Iterations fall with every vector kept, but each one
+# costs six passes over n doubles per step and the space holds 2 * 30 * n
+# doubles (0.2 MB on cube:6, 44 MB on cube:32).  In the README's sweep of
+# capacities 10 to 70 the step time stops falling at about 30.
+PROJECTION_CAPACITY = 30
+
 
 class InitialDivergenceError(ValueError):
     """The initial magnetic field failed the discrete solenoidality check."""
@@ -53,23 +68,19 @@ class InitialDivergenceError(ValueError):
 class SimulationState:
     """Interior DOF vectors at step m; the time is recomputed as m * tau.
 
-    ``e_prev`` holds the interior electric DOFs of up to two earlier
-    steps, newest first; ``advance`` extrapolates from them its CG guess.
+    ``m_eps_e`` and ``m_face_b`` are M_eps e and M_f b, read by the energy
+    monitor and by the next step's right-hand side.  ``space`` spans
+    earlier solutions of the step system; ``advance`` projects its CG
+    guess onto it.  Build states with ``make_state``.
     """
 
     e: np.ndarray
     b: np.ndarray
     step: int
     tau: float
-    e_prev: tuple = ()
-
-    def initial_guess(self) -> np.ndarray:
-        """Constant, linear or quadratic extrapolation of e to the next step."""
-        if not self.e_prev:
-            return self.e
-        if len(self.e_prev) == 1:
-            return 2.0 * self.e - self.e_prev[0]
-        return 3.0 * (self.e - self.e_prev[0]) + self.e_prev[1]
+    m_eps_e: np.ndarray
+    m_face_b: np.ndarray
+    space: linalg.SolutionSpace
 
     @property
     def t(self) -> float:
@@ -139,6 +150,14 @@ def build_step_operators(mesh: PolyMesh, dofs: DeRhamDofs,
                          c_int, c_int.T.tocsr(), ops.D[:, if_].tocsr(), system, precond)
 
 
+def make_state(ops: StepOperators, e: np.ndarray, b: np.ndarray, step: int = 0,
+               space: linalg.SolutionSpace | None = None) -> SimulationState:
+    """The state (e, b) at ``step``; ``space`` defaults to the span of e."""
+    if space is None:
+        space = linalg.SolutionSpace.spanned_by(ops.system, (e,), PROJECTION_CAPACITY)
+    return SimulationState(e, b, step, ops.tau, ops.m_eps @ e, ops.m_face @ b, space)
+
+
 def init_state(ops: StepOperators, case: ManufacturedCase) -> SimulationState:
     """Interpolate the initial fields and verify discrete solenoidality.
 
@@ -154,27 +173,27 @@ def init_state(ops: StepOperators, case: ManufacturedCase) -> SimulationState:
         raise InitialDivergenceError(
             f"initial magnetic field is not solenoidal: |D b0|_inf = {div0:.3e}"
         )
-    return SimulationState(e=e_full[dofs.interior_edges], b=b, step=0, tau=ops.tau)
+    return make_state(ops, e_full[dofs.interior_edges], b)
 
 
-def advance(state: SimulationState, ops: StepOperators, j_full: np.ndarray,
+def advance(state: SimulationState, ops: StepOperators, load: np.ndarray,
             tol: float = 1e-12):
-    """One backward-Euler step given the interpolated current at t + tau.
+    """One backward-Euler step given the load at t + tau.
 
-    Returns (new state, SolveReport).  The load couples interior test
-    functions to every DOF of the interpolated current, so ``j_full`` is
-    a full edge vector, not an interior one.  CG starts from
-    ``state.initial_guess()``, preconditioned by ``ops.precond``.
+    Returns (new state, SolveReport).  ``load`` is ``ops.m_edge_load @ j``
+    for the edge interpolant j of the current at t + tau: the interior
+    test functions against every DOF of the current.  CG starts from
+    ``state.space.guess(rhs)``, preconditioned by ``ops.precond``, and the
+    new state's space gains the solve's increment.
     """
     tau = ops.tau
-    rhs = (ops.m_eps @ state.e
-           + tau * (ops.m_edge_load @ j_full)
-           + tau * (ops.c_int_t @ (ops.m_face @ state.b)))
-    e_new, report = linalg.cg_solve(ops.system, rhs, tol=tol,
-                                    x0=state.initial_guess(), precond=ops.precond)
+    rhs = state.m_eps_e + tau * load + tau * (ops.c_int_t @ state.m_face_b)
+    x0 = state.space.guess(rhs)
+    e_new, report = linalg.cg_solve(ops.system, rhs, tol=tol, x0=x0,
+                                    precond=ops.precond)
     b_new = state.b - tau * (ops.c_int @ e_new)
-    return SimulationState(e=e_new, b=b_new, step=state.step + 1, tau=tau,
-                           e_prev=(state.e, *state.e_prev[:1])), report
+    space = state.space.extended(ops.system, e_new, x0)
+    return make_state(ops, e_new, b_new, state.step + 1, space), report
 
 
 @dataclass(frozen=True)
@@ -227,18 +246,18 @@ def run(mesh: PolyMesh, case: ManufacturedCase, tau: float, T: float,
 
     def monitor(st: SimulationState, iters: int, residual: float) -> StepMonitor:
         div = divergence_norm(mesh, ops.d_int, st.b)
-        energy = float(st.e @ (ops.m_eps @ st.e) + st.b @ (ops.m_face @ st.b))
+        energy = float(st.e @ st.m_eps_e + st.b @ st.m_face_b)
         return StepMonitor(st.step, st.step * tau, energy, div, iters, residual)
 
-    # The edge interpolant is linear, so each step's load is a combination
-    # of the current's spatial terms, each interpolated once per run.
-    j_terms = [(a, interpolate_edge(mesh, g)) for a, g in case.J_terms]
+    # The edge interpolant and the load are linear in the current, so each
+    # step's load combines one load per spatial term, each formed once.
+    loads = [(a, ops.m_edge_load @ interpolate_edge(mesh, g)) for a, g in case.J_terms]
     monitors = [monitor(state, 0, 0.0)]
     total_iters = 0
     for m in range(n_steps):
         t_next = (m + 1) * tau
-        j_full = sum((a(t_next) * j for a, j in j_terms), np.zeros(mesh.n_edges))
-        state, report = advance(state, ops, j_full, tol=tol)
+        load = sum((a(t_next) * f for a, f in loads), np.zeros(ops.dofs.n_interior_edges))
+        state, report = advance(state, ops, load, tol=tol)
         total_iters += report.iterations
         monitors.append(monitor(state, report.iterations, report.residual))
     return RunResult(state, monitors, total_iters, ops)

@@ -216,3 +216,73 @@ class TestCg:
         true = np.linalg.norm(b - csr @ x) / np.linalg.norm(b)
         assert true <= 1e-12
         assert rep.residual == pytest.approx(true, rel=1e-12)
+
+
+class TestSolutionSpace:
+    """The projection guess for successive right-hand sides."""
+
+    @staticmethod
+    def solve_in_turn(a, space, rhs, tol=1e-13):
+        """Solve each right-hand side from the space's guess and extend the
+        space by the solve; returns every space, the first one included."""
+        spaces = [space]
+        for b in rhs:
+            x0 = spaces[-1].guess(b)
+            x, _ = linalg.cg_solve(a, b, tol=tol, x0=x0)
+            spaces.append(spaces[-1].extended(a, x, x0))
+        return spaces
+
+    def test_guess_residual_is_a_orthogonal_to_the_space(self):
+        # V' A V = I and W = A V, so V' (b - A V V' b) = 0 to round-off
+        n, a = 40, random_spd(40, seed=3)
+        csr = a.to_scipy()
+        rng = np.random.default_rng(4)
+        start = linalg.SolutionSpace.spanned_by(a, (rng.standard_normal(n),), 12)
+        spaces = self.solve_in_turn(a, start, rng.standard_normal((10, n)))
+        assert [s.size for s in spaces] == list(range(1, 12))
+        eps = np.finfo(float).eps
+        for space in spaces:
+            v, w = space.v[:space.size], space.w[:space.size]
+            assert np.abs(v @ (csr @ v.T) - np.eye(space.size)).max() <= 1e3 * eps
+            assert np.abs(w - (csr @ v.T).T).max() <= 1e3 * eps * np.abs(w).max()
+            b = rng.standard_normal(n)
+            r = b - csr @ space.guess(b)
+            assert np.abs(v @ r).max() <= 1e3 * eps * np.abs(v @ b).max()
+
+    def test_rhs_in_span_of_earlier_ones_takes_zero_iterations(self):
+        n, a = 30, random_spd(30, seed=5)
+        rng = np.random.default_rng(6)
+        rhs = rng.standard_normal((3, n))
+        start = linalg.SolutionSpace.spanned_by(a, (np.zeros(n),), 10)
+        assert start.size == 0 and np.array_equal(start.guess(rhs[0]), np.zeros(n))
+        space = self.solve_in_turn(a, start, rhs)[-1]
+        b = 0.3 * rhs[0] - 2.0 * rhs[1] + rhs[2]
+        x0 = space.guess(b)
+        x, rep = linalg.cg_solve(a, b, tol=1e-10, x0=x0)
+        assert rep.iterations == 0
+        # a solve that leaves its guess as it was appends nothing
+        assert space.extended(a, x, x0).size == space.size == 3
+
+    def test_restart_at_capacity_keeps_earlier_guesses(self):
+        n, a, capacity = 20, random_spd(20, seed=7), 4
+        rng = np.random.default_rng(8)
+        probe = rng.standard_normal(n)
+        start = linalg.SolutionSpace.spanned_by(a, (rng.standard_normal(n),), capacity)
+        rhs = rng.standard_normal((7, n))
+        spaces = self.solve_in_turn(a, start, rhs)
+        guesses = [s.guess(probe) for s in spaces]
+        # full at 4 rows, then the space of the three latest solutions
+        assert [s.size for s in spaces] == [1, 2, 3, 4, 3, 4, 3, 4]
+        for before, after in zip(spaces, spaces[1:]):
+            assert (after.v is before.v) is (after.size > before.size)
+        solutions = [linalg.cg_solve(a, b, tol=1e-13)[0] for b in rhs]
+        restarted = spaces[4]
+        for x in solutions[1:4]:    # the three latest solutions span it
+            assert np.allclose(restarted.guess(a.to_scipy() @ x), x, rtol=0, atol=1e-9)
+        # growing a space a second time leaves the first branch as it was
+        branch = spaces[1].extended(a, solutions[6], spaces[1].guess(rhs[6]))
+        assert branch.v is not spaces[1].v and branch.size == 3
+        for space, guess in zip(spaces, guesses):
+            assert np.array_equal(space.guess(probe), guess)
+        with pytest.raises(ValueError, match="capacity"):
+            linalg.SolutionSpace.spanned_by(a, (probe,), linalg.RESTART_SOLUTIONS - 1)

@@ -71,20 +71,20 @@ def flux_loop_norm(mesh, b_full):
     return float(np.sqrt(div_sq))
 
 
-def step_rhs(ops, state, j_full):
-    """Right-hand side of the step from ``state``, as ``advance`` forms it."""
-    return (ops.m_eps @ state.e + ops.tau * (ops.m_edge_load @ j_full)
+def step_rhs(ops, state, load):
+    """Right-hand side of the step from ``state``, formed from its vectors."""
+    return (ops.m_eps @ state.e + ops.tau * load
             + ops.tau * (ops.c_int.T @ (ops.m_face @ state.b)))
 
 
 def record_steps(monkeypatch):
-    """Record (state, j_full, new state, report) of every ``advance``."""
+    """Record (state, load, new state, report) of every ``advance``."""
     advance = stepper.advance
     steps = []
 
-    def recording_advance(state, ops, j_full, tol):
-        new, report = advance(state, ops, j_full, tol=tol)
-        steps.append((state, j_full, new, report))
+    def recording_advance(state, ops, load, tol):
+        new, report = advance(state, ops, load, tol=tol)
+        steps.append((state, load, new, report))
         return new, report
 
     monkeypatch.setattr(stepper, "advance", recording_advance)
@@ -101,10 +101,10 @@ def cold_start_run(ops, case, n_steps, tol):
     for m in range(n_steps):
         t_next = (m + 1) * ops.tau
         j_full = sum((a(t_next) * j for a, j in j_terms), np.zeros(ops.mesh.n_edges))
-        rhs = step_rhs(ops, state, j_full)
+        rhs = step_rhs(ops, state, ops.m_edge_load @ j_full)
         e_new, report = linalg.cg_solve(ops.system, rhs, tol=tol, precond=ops.precond)
-        state = stepper.SimulationState(e_new, state.b - ops.tau * (ops.c_int @ e_new),
-                                        state.step + 1, ops.tau)
+        state = stepper.make_state(ops, e_new, state.b - ops.tau * (ops.c_int @ e_new),
+                                   state.step + 1)
         total += report.iterations
         rhs_norms.append(np.linalg.norm(rhs))
     return state, total, rhs_norms
@@ -191,8 +191,8 @@ class TestAdvance:
         tau = 0.25
         ops = stepper.build_step_operators(cube4, dofs, proj, coeffs, tau)
         state = stepper.init_state(ops, case)
-        j_full = np.zeros(cube4.n_edges)
-        new, rep = stepper.advance(state, ops, j_full, tol=1e-13)
+        load = np.zeros(ops.dofs.n_interior_edges)
+        new, rep = stepper.advance(state, ops, load, tol=1e-13)
         rhs = tau * (ops.c_int.T @ (ops.m_face @ state.b))
         lhs = ops.system.to_scipy() @ new.e
         assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
@@ -216,10 +216,9 @@ class TestAdvance:
         ops = stepper.build_step_operators(cube2, dofs, proj, coeffs, tau)
         rng = np.random.default_rng(8)
         ne, nf = dofs.n_interior_edges, dofs.n_interior_faces
-        state = stepper.SimulationState(rng.standard_normal(ne),
-                                        rng.standard_normal(nf), 0, tau)
+        state = stepper.make_state(ops, rng.standard_normal(ne), rng.standard_normal(nf))
         j_full = rng.standard_normal(cube2.n_edges)
-        new, _ = stepper.advance(state, ops, j_full, tol=1e-13)
+        new, _ = stepper.advance(state, ops, ops.m_edge_load @ j_full, tol=1e-13)
 
         m_eps = ops.m_eps.toarray()
         m_sig = forms.assemble_global(cube2, dofs, coeffs.sigma_hat, "edge", proj).toarray()
@@ -247,66 +246,88 @@ class TestAdvance:
         rng = np.random.default_rng(2)
         ne, nf = dofs.n_interior_edges, dofs.n_interior_faces
         def rand_state():
-            return stepper.SimulationState(
-                e=rng.standard_normal(ne), b=rng.standard_normal(nf),
-                step=0, tau=0.125)
+            return stepper.make_state(ops, rng.standard_normal(ne), rng.standard_normal(nf))
         s1, s2 = rand_state(), rand_state()
-        j1 = rng.standard_normal(cube2.n_edges)
-        j2 = rng.standard_normal(cube2.n_edges)
-        zero = stepper.SimulationState(np.zeros(ne), np.zeros(nf), 0, 0.125)
-        sum_state = stepper.SimulationState(s1.e + s2.e - 0.0, s1.b + s2.b,
-                                            0, 0.125)
-        a1, _ = stepper.advance(s1, ops, j1, tol=1e-13)
-        a2, _ = stepper.advance(s2, ops, j2, tol=1e-13)
-        a0, _ = stepper.advance(zero, ops, np.zeros(cube2.n_edges), tol=1e-13)
-        asum, _ = stepper.advance(sum_state, ops, j1 + j2, tol=1e-13)
+        l1, l2 = rng.standard_normal(ne), rng.standard_normal(ne)
+        zero = stepper.make_state(ops, np.zeros(ne), np.zeros(nf))
+        sum_state = stepper.make_state(ops, s1.e + s2.e, s1.b + s2.b)
+        a1, _ = stepper.advance(s1, ops, l1, tol=1e-13)
+        a2, _ = stepper.advance(s2, ops, l2, tol=1e-13)
+        a0, _ = stepper.advance(zero, ops, np.zeros(ne), tol=1e-13)
+        asum, _ = stepper.advance(sum_state, ops, l1 + l2, tol=1e-13)
         scale = max(np.abs(asum.e).max(), 1.0)
         assert np.abs(asum.e - (a1.e + a2.e - a0.e)).max() <= 1e-11 * scale
         assert np.abs(asum.b - (a1.b + a2.b - a0.b)).max() <= 1e-11 * scale
 
 
 class TestWarmStart:
-    def test_initial_guess_extrapolates_polynomials(self):
-        # constant, then linear, then quadratic extrapolation: exact on
-        # iterates that are polynomials of those degrees in the step
-        b = np.zeros(2)
-        def q(t):
-            return np.array([1.0 - 2.0 * t + 0.5 * t**2, 3.0 + t**2])
-        def lin(t):
-            return np.array([1.0 - 2.0 * t, 3.0 + 4.0 * t])
-        assert np.array_equal(
-            stepper.SimulationState(q(2), b, 2, 0.5).initial_guess(), q(2))
-        assert np.array_equal(
-            stepper.SimulationState(lin(2), b, 2, 0.5, (lin(1),)).initial_guess(), lin(3))
-        assert np.array_equal(
-            stepper.SimulationState(q(2), b, 2, 0.5, (q(1), q(0))).initial_guess(), q(3))
+    @pytest.mark.parametrize("capacity", [linalg.RESTART_SOLUTIONS, 5,
+                                          stepper.PROJECTION_CAPACITY])
+    def test_guess_no_worse_than_quadratic_extrapolation(self, cube4, monkeypatch,
+                                                         capacity):
+        # the space spans the three latest solutions, restarted or not, so
+        # its A-orthogonal projection is at least as close in the A-norm
+        # as 3 (e_n - e_{n-1}) + e_{n-2} from the same solutions
+        monkeypatch.setattr(stepper, "PROJECTION_CAPACITY", capacity)
+        steps = record_steps(monkeypatch)
+        res = stepper.run(cube4, cases.case2(), 1 / 16, 1.0)
+        a = res.ops.system.to_scipy().toarray()
 
-    def test_advance_starts_cg_from_extrapolation(self, cube2, monkeypatch):
-        ops = step_operators(cube2, cases.case2(), 0.125)
+        def a_norm(v):
+            return float(np.sqrt(v @ a @ v))
+
+        e = [state.e for state, *_ in steps]
+        for n in range(2, len(steps)):
+            state, load = steps[n][:2]
+            rhs = step_rhs(res.ops, state, load)
+            exact = np.linalg.solve(a, rhs)
+            projected = a_norm(exact - state.space.guess(rhs))
+            extrapolated = a_norm(exact - (3.0 * (e[n] - e[n - 1]) + e[n - 2]))
+            assert projected <= extrapolated + 1e-12 * a_norm(exact), (n, capacity)
+        restarts = sum(new.space.v is not state.space.v for state, _, new, _ in steps)
+        assert (restarts > 0) is (capacity < len(steps))
+
+    def test_space_stays_a_orthonormal_through_restarts(self, cube4, monkeypatch):
+        # at a small step successive solutions are nearly parallel, so a
+        # restart's Gram-Schmidt cancels nearly all of each one; a single
+        # pass would leave V' A V a distance of order 1 from I
+        steps = record_steps(monkeypatch)
+        res = stepper.run(cube4, cases.case2(), 1 / 256, 0.25)
+        csr = res.ops.system.to_scipy()
+        eps = np.finfo(float).eps
+        restarts = 0
+        for state, _, new, _ in steps:
+            v = new.space.v[:new.space.size]
+            assert np.abs(v @ (csr @ v.T) - np.eye(len(v))).max() <= 64 * eps
+            restarts += new.space.v is not state.space.v
+        assert restarts == 2
+
+    def test_advance_starts_cg_from_projection(self, cube4, monkeypatch):
+        # CG starts from the A-orthogonal projection of the step's solution
+        # onto the span of the initial e and every solution since, and a
+        # state's guess stays as it was while later steps are taken
+        ops = step_operators(cube4, cases.case2(), 1 / 16)
         cg_solve = linalg.cg_solve
-        guesses = []
+        starts = []
 
         def recording_cg(a, b, tol=1e-12, maxiter=None, x0=None, precond=None):
-            guesses.append(x0)
+            starts.append((b, x0))
             return cg_solve(a, b, tol=tol, maxiter=maxiter, x0=x0, precond=precond)
 
         monkeypatch.setattr(linalg, "cg_solve", recording_cg)
         rng = np.random.default_rng(21)
-        state = stepper.SimulationState(rng.standard_normal(ops.dofs.n_interior_edges),
-                                        rng.standard_normal(ops.dofs.n_interior_faces),
-                                        0, ops.tau)
-        states = [state]
-        for _ in range(4):
-            state, _ = stepper.advance(state, ops, rng.standard_normal(cube2.n_edges),
-                                       tol=1e-12)
-            states.append(state)
-        e = [s.e for s in states]
-        assert np.array_equal(guesses[0], e[0])
-        assert np.array_equal(guesses[1], 2.0 * e[1] - e[0])
-        assert np.array_equal(guesses[2], 3.0 * (e[2] - e[1]) + e[0])
-        assert np.array_equal(guesses[3], 3.0 * (e[3] - e[2]) + e[1])
-        assert [len(s.e_prev) for s in states] == [0, 1, 2, 2, 2]
-        assert states[4].e_prev[0] is e[3] and states[4].e_prev[1] is e[2]
+        ne, nf = ops.dofs.n_interior_edges, ops.dofs.n_interior_faces
+        states = [stepper.make_state(ops, rng.standard_normal(ne), rng.standard_normal(nf))]
+        for _ in range(5):
+            states.append(stepper.advance(states[-1], ops, rng.standard_normal(ne),
+                                          tol=1e-12)[0])
+        a = ops.system.to_scipy().toarray()
+        for n, (rhs, x0) in enumerate(starts):
+            s = np.array([state.e for state in states[:n + 1]]).T
+            want = s @ np.linalg.solve(s.T @ a @ s, s.T @ rhs)
+            assert np.abs(x0 - want).max() <= 1e-10 * np.abs(want).max(), n
+            assert np.array_equal(states[n].space.guess(rhs), x0), n
+        assert [state.space.size for state in states] == [1, 2, 3, 4, 5, 6]
 
     @pytest.mark.parametrize("mesh_name, tau", [("cube4", 1 / 16), ("voro27", 1 / 16)])
     def test_matches_cold_start_oracle(self, request, monkeypatch, mesh_name, tau):
@@ -346,14 +367,14 @@ class TestWarmStart:
             return float(v @ (m @ v))
 
         assert len(steps) == 16
-        for state, j_full, new, report in steps:
+        for state, load, new, report in steps:
             de, db = new.e - state.e, new.b - state.b
             energy0 = sq(ops.m_eps, state.e) + sq(ops.m_face, state.b)
             energy1 = sq(ops.m_eps, new.e) + sq(ops.m_face, new.b)
             terms = [0.5 * energy1, -0.5 * energy0, 0.5 * sq(ops.m_eps, de),
                      0.5 * sq(ops.m_face, db), tau * sq(m_sigma, new.e),
-                     -tau * float((ops.m_edge_load @ j_full) @ new.e)]
-            solve = (report.residual * np.linalg.norm(step_rhs(ops, state, j_full))
+                     -tau * float(load @ new.e)]
+            solve = (report.residual * np.linalg.norm(step_rhs(ops, state, load))
                      * np.linalg.norm(new.e))
             bound = solve + 64 * eps * sum(abs(t) for t in terms)
             assert abs(sum(terms)) <= bound, (mesh_name, new.step, sum(terms), bound)
@@ -400,8 +421,8 @@ class TestGradientCorrection:
         assert max(m.div_b for m in corrected.monitors) <= 1e-12
 
     @pytest.mark.parametrize("n, tau, jacobi_iters, corrected_iters",
-                             [(8, 1 / 32, 1251, 707),      # hex-coarse-dt
-                              (6, 1 / 512, 5412, 5412)])   # hex-fine-dt
+                             [(8, 1 / 32, 814, 416), (6, 1 / 512, 1365, 1365)],
+                             ids=["hex-coarse-dt", "hex-fine-dt"])
     def test_iteration_counts(self, monkeypatch, n, tau, jacobi_iters,
                               corrected_iters):
         # deterministic counts of the benchmark's hex configurations: fewer
@@ -480,21 +501,14 @@ class TestRun:
     def test_load_is_current_at_new_time(self, cube2, monkeypatch):
         # backward Euler: step n -> n+1 loads the interpolant of J(t_{n+1})
         case, tau = cases.case1(), 0.25
-        advance = stepper.advance
-        loads = []
-
-        def recording_advance(state, ops, j_full, tol):
-            loads.append((state.step, j_full))
-            return advance(state, ops, j_full, tol=tol)
-
-        monkeypatch.setattr(stepper, "advance", recording_advance)
-        stepper.run(cube2, case, tau, 1.0)
-        assert [step for step, _ in loads] == [0, 1, 2, 3]
-        for step, j_full in loads:
-            t = (step + 1) * tau
-            want = vd.interpolate_edge(
+        steps = record_steps(monkeypatch)
+        res = stepper.run(cube2, case, tau, 1.0)
+        assert [state.step for state, *_ in steps] == [0, 1, 2, 3]
+        for state, load, _, _ in steps:
+            t = (state.step + 1) * tau
+            want = res.ops.m_edge_load @ vd.interpolate_edge(
                 cube2, lambda p: sum(a(t) * g(p) for a, g in case.J_terms))
-            assert np.abs(j_full - want).max() <= 1e-13 * np.abs(want).max()
+            assert np.abs(load - want).max() <= 1e-13 * np.abs(want).max()
 
     def test_tightening_tol_never_increases_div(self, cube4, voro27,
                                                 monkeypatch):
@@ -519,9 +533,9 @@ class TestRun:
         div_b(0) must be exactly zero.  Tightening tol never takes div_b
         above this bound; no order among round-off values is implied.
 
-        Sweeps: cube:4 with case 1 (1-6 warm-started iterations per step
+        Sweeps: cube:4 with case 1 (0-5 warm-started iterations per step
         for tol <= 1e-5; 4-5 from a zero guess) and voro27 with case 2
-        (9-11 iterations per step at tol 1e-2, 54-55 at 1e-13), both with
+        (3-9 iterations per step at tol 1e-2, 47-53 at 1e-13), both with
         the gradient-corrected preconditioner, so the bound is checked on
         solves that really differ.
         """
@@ -532,8 +546,8 @@ class TestRun:
         advance = stepper.advance
         iterates = []
 
-        def recording_advance(state, ops, j_full, tol):
-            new, report = advance(state, ops, j_full, tol=tol)
+        def recording_advance(state, ops, load, tol):
+            new, report = advance(state, ops, load, tol=tol)
             iterates.append(new.e)
             return new, report
 
