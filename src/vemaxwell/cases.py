@@ -65,9 +65,12 @@ def _component(scales, parts, i):
 def _fused_field(eb_parts, factors, which):
     """The (pts, t) -> (..., 3) field ``which`` (0: E, 1: B) of
     ``eb_parts`` with time ``factors``; ``t`` may be an array over the
-    points."""
+    points.  Where every factor is 0 at ``t`` the field is zeros laid out
+    like the points, and ``eb_parts`` is not called."""
     def evaluate(pts, t=0.0):
         scales = [a(t) for a in factors]
+        if not np.any(scales):
+            return np.zeros_like(pts, dtype=float)
 
         def components(x, y, z):
             parts = eb_parts(x, y, z)[which]
@@ -100,7 +103,8 @@ class ManufacturedCase:
     spatial parts of E's and of B's terms together, so ``E`` is
     ``sum_k EB_factors[0][k](t) EB_parts(x, y, z)[0][k]`` and B likewise;
     an identically zero component is the number 0, not an array.  ``E``
-    and ``B`` evaluate exactly that sum.
+    and ``B`` evaluate exactly that sum, and give zeros without calling
+    ``EB_parts`` where every factor of the field is 0.
     """
 
     E: object                          # callable (pts, t) -> (..., 3)

@@ -4,7 +4,9 @@ Face and cell rules map reference triangle and tetrahedron rules onto the
 signed fan panels and pyramid tetrahedra of ``PolyMesh.split``, so
 nonconvex faces and cells integrate exactly.  A rule covers a range of
 whole entities and stores its points as three contiguous coordinate
-planes; fields see them as an (m, 3) view.
+planes; fields see them as an (m, 3) view.  All simplices of a range are
+mapped by one batched product, and a range's points equal its entities'
+points bit for bit.
 """
 
 from __future__ import annotations
@@ -131,14 +133,12 @@ def _mapped_rule(owners, apexes, legs, measures, ref_pts, ref_w) -> QuadratureRu
 
     ``legs`` is (t, d, 3), ``measures`` the signed simplex measures and
     ``owners`` the entity of each simplex.  Points come simplex by simplex,
-    each evaluated left to right as apex + r0 legs[t, 0] + r1 legs[t, 1]
-    (+ r2 legs[t, 2]), which rounds them exactly as mapping one simplex at
-    a time does.
+    from one batched product ``legs' r`` per coordinate plane with the apex
+    added after.  Each point is rounded by its own simplex and reference
+    point alone, so a range's points are its entities' points bit for bit.
     """
-    legs = legs.transpose(2, 1, 0)[..., None]          # (3, d, t, 1)
-    coords = apexes.T[:, :, None] + ref_pts[:, 0] * legs[:, 0]
-    for j in range(1, legs.shape[1]):
-        coords += ref_pts[:, j] * legs[:, j]
+    coords = legs.transpose(2, 0, 1) @ ref_pts.T       # (3, t, q)
+    coords += apexes.T[:, :, None]
     return QuadratureRule(coords.reshape(3, -1), (measures[:, None] * ref_w).ravel(),
                           np.repeat(owners, ref_w.size), ref_w.size)
 

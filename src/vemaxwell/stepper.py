@@ -161,9 +161,11 @@ def make_state(ops: StepOperators, e: np.ndarray, b: np.ndarray, step: int = 0,
 def init_state(ops: StepOperators, case: ManufacturedCase) -> SimulationState:
     """Interpolate the initial fields and verify discrete solenoidality.
 
-    The check reads the interior face DOFs that the run evolves, with the
-    boundary ones dropped, so it fails where ``B0 . n`` does not vanish
-    on the boundary as well as where ``div B0`` does not vanish.
+    A field whose time factors all vanish at t = 0 (E and B of case 1, B
+    of case 2) is not evaluated; the case gives zeros for it.  The check
+    reads the interior face DOFs that the run evolves, with the boundary
+    ones dropped, so it fails where ``B0 . n`` does not vanish on the
+    boundary as well as where ``div B0`` does not vanish.
     """
     mesh, dofs = ops.mesh, ops.dofs
     e_full = interpolate_edge(mesh, lambda p: case.E(p, 0.0))

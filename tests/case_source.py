@@ -118,7 +118,12 @@ def shared_calls(exprs):
     A case-1 spatial part repeats a handful of calls dozens of times, so
     each call is evaluated once per point.  Polynomial subexpressions stay
     inline: ``sympy.cse`` would hold up to 70 of them at once, one array per
-    chunk of points each, for no further gain.
+    chunk of points each, for no further gain.  On ``case1_EB`` over one
+    8192-point chunk (2-core Xeon VM, numpy 2.4), full ``sympy.cse`` and a
+    per-coordinate factoring took 2.58 and 2.44 ms against 2.38 ms for
+    this form in one trial; in 200 interleaved pairs, full ``cse`` took
+    4.17 ms against 4.29 ms (medians, host in a slower phase) and held
+    3.6 MB of temporaries against 1.1 MB.
     """
     calls = sorted(set().union(*(e.atoms(sp.sin, sp.cos) for e in exprs)),
                    key=sp.default_sort_key)

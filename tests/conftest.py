@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from vemaxwell import derham, generate_cube_mesh, load_mesh
+from vemaxwell import _case_fields, derham, generate_cube_mesh, load_mesh
 from vemaxwell.mesh import derive_topology
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -88,6 +88,24 @@ def two_prisms():
 @pytest.fixture(scope="session")
 def lcell():
     return build_lcell()
+
+
+@pytest.fixture
+def trig_calls(monkeypatch):
+    """Sizes of the sin/cos calls that the generated case fields make over
+    arrays; a time factor at a scalar t is not counted."""
+    sizes = []
+
+    def counting(fn):
+        def call(arg):
+            if np.size(arg) > 1:
+                sizes.append(np.size(arg))
+            return fn(arg)
+        return call
+
+    for name in ("sin", "cos"):
+        monkeypatch.setattr(_case_fields, name, counting(getattr(np, name)))
+    return sizes
 
 
 @pytest.fixture(scope="session")

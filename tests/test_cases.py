@@ -11,7 +11,7 @@ import sympy as sp
 import case_source
 import vemaxwell
 from conftest import SPLIT_MESHES, strong_form_residual
-from vemaxwell import _case_fields, cases
+from vemaxwell import cases
 from vemaxwell import derham as vd
 from vemaxwell import geometry as vg
 
@@ -320,26 +320,31 @@ class TestFusedFields:
             assert np.array_equal(fused_field(case, 1, rule, t), case.B(rule.points, t))
 
     @pytest.mark.parametrize("case_id, fused", [(1, 6), (2, 4)])
-    def test_each_trig_call_once(self, case_id, fused, monkeypatch):
-        calls = []                # sin/cos calls over the points, not over t
-
-        def counting(fn):
-            def call(arg):
-                if np.size(arg) > 1:
-                    calls.append(fn.__name__)
-                return fn(arg)
-            return call
-
-        for name in ("sin", "cos"):
-            monkeypatch.setattr(_case_fields, name, counting(getattr(np, name)))
+    def test_each_trig_call_once(self, case_id, fused, trig_calls):
         case = cases.get_case(case_id)
         pts = np.random.default_rng(8).random((50, 3))
         case.EB_parts(*pts.T)
-        assert len(calls) == fused
+        assert len(trig_calls) == fused
         for field in (case.E, case.B):
-            calls.clear()
+            trig_calls.clear()
             field(pts, 0.5)
-            assert len(calls) == fused
+            assert len(trig_calls) == fused
+
+    @pytest.mark.parametrize("t", [0.0, np.zeros(50)], ids=["scalar-t", "array-t"])
+    @pytest.mark.parametrize("case_id, which", [(1, "E"), (1, "B"), (2, "B")])
+    def test_vanishing_field_is_not_evaluated(self, case_id, which, t, trig_calls):
+        # every time factor is 0 at t: the field costs no sin/cos call
+        # beyond its factors' own and is zeros laid out like the points
+        case = cases.get_case(case_id)
+        pts = np.ascontiguousarray(np.random.default_rng(10).random((3, 50))).T
+        for a in case.EB_factors["EB".index(which)]:
+            a(t)
+        factor_calls = len(trig_calls)
+        trig_calls.clear()
+        value = getattr(case, which)(pts, t)
+        assert len(trig_calls) == factor_calls
+        assert np.array_equal(value, np.zeros((50, 3)))
+        assert value.T.flags.c_contiguous
 
     def test_zero_components_are_numbers(self):
         e_parts, b_parts = cases.case2().EB_parts(*np.random.default_rng(9).random((3, 20)))

@@ -326,3 +326,24 @@ class TestEntityRanges:
             assert (owners == owners[:, :1]).all()
             assert np.allclose(rule.weights.reshape(blocks, -1).sum(axis=1), measures[kept],
                                rtol=1e-14, atol=0)
+
+
+class TestChunking:
+    """Walking a mesh in chunks gives the points, weights and owners of
+    one whole-mesh rule bit for bit under every chunk budget, so no
+    product rounds a point by the size of the batch it is mapped in."""
+
+    @pytest.mark.parametrize("name", SPLIT_MESHES + ["agglo4"])
+    def test_rules_independent_of_budget(self, name, request, monkeypatch):
+        m = request.getfixturevalue(name)
+        for walk in (lambda: vg.face_rules(m, vg.DEFAULT_FACE_DEGREE),
+                     lambda: vg.cell_rules(m)):
+            joined = []
+            for budget in (1, vg.CHUNK_POINTS, 10**9):
+                monkeypatch.setattr(vg, "CHUNK_POINTS", budget)
+                rules = list(walk())
+                joined.append([np.concatenate([getattr(r, f) for r in rules], axis=-1)
+                               for f in ("coords", "weights", "owners")])
+            for other in joined[1:]:
+                for a, b in zip(joined[0], other):
+                    assert np.array_equal(a, b)

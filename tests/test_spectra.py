@@ -42,7 +42,8 @@ def split(lam):
 
 
 @pytest.mark.parametrize("name, interior_nodes",
-                         [("cube2", 1), ("cube4", 27), ("voro8", 7), ("voro27", 52)])
+                         [("cube2", 1), ("cube4", 27), ("voro8", 7), ("voro27", 52),
+                          ("agglo4", 27)])
 def test_kernel_is_the_gradients_and_no_mode_below_lambda_1(name, interior_nodes, request):
     lam, n_nodes = spectrum(request.getfixturevalue(name))
     kernel, rest = split(lam)

@@ -159,6 +159,17 @@ class TestInitState:
         assert np.abs(state.b).max() == 0.0
         assert state.t == 0.0
 
+    @pytest.mark.parametrize("case_id", [1, 2])
+    def test_vanishing_fields_are_not_evaluated(self, cube2, case_id, trig_calls):
+        # case 1: E(., 0) = B(., 0) = 0; case 2: B(., 0) = 0, so only E is
+        # evaluated, once, at the edge interpolation's points
+        case = cases.get_case(case_id)
+        ops = step_operators(cube2, case, 0.5)
+        trig_calls.clear()
+        stepper.init_state(ops, case)
+        edge_points = cube2.n_edges * geometry.segment_rule(vd.INTERP_EDGE_DEGREE)[0].size
+        assert trig_calls == {1: [], 2: [edge_points] * 4}[case_id]
+
     def test_nonsolenoidal_rejected(self, cube2):
         bad = make_case(zero_field, lambda p: np.stack(
             [p[..., 0], np.zeros(p[..., 0].shape), np.zeros(p[..., 0].shape)],
