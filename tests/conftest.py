@@ -1,10 +1,11 @@
+import dataclasses
 import pathlib
 import sys
 
 import numpy as np
 import pytest
 
-from vemaxwell import _case_fields, derham, generate_cube_mesh, load_mesh
+from vemaxwell import _case_fields, derham, generate_cube_mesh, geometry, load_mesh
 from vemaxwell.mesh import derive_topology
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -26,6 +27,11 @@ def cube2():
 @pytest.fixture(scope="session")
 def cube4():
     return generate_cube_mesh(4)
+
+
+@pytest.fixture(scope="session")
+def cube8():
+    return generate_cube_mesh(8)
 
 
 @pytest.fixture(scope="session")
@@ -106,6 +112,33 @@ def trig_calls(monkeypatch):
     for name in ("sin", "cos"):
         monkeypatch.setattr(_case_fields, name, counting(getattr(np, name)))
     return sizes
+
+
+@pytest.fixture
+def face_quadrature_calls(monkeypatch):
+    """Point counts of the rules that ``geometry.face_quadrature`` returns,
+    one per call."""
+    sizes = []
+    original = geometry.face_quadrature
+
+    def counting(*args, **kwargs):
+        rule = original(*args, **kwargs)
+        sizes.append(rule.weights.size)
+        return rule
+
+    monkeypatch.setattr(geometry, "face_quadrature", counting)
+    return sizes
+
+
+def free_evolution(base, e0, b0, **fields):
+    """``base`` with no current and the fields ``e0(p)`` and ``b0(p)`` at
+    every time.  Each field's one time factor is 1, so neither vanishes at
+    t = 0 and ``init_state`` interpolates both."""
+    def one(t):
+        return 1.0 + np.zeros(np.shape(t))
+
+    return dataclasses.replace(base, E=lambda p, t: e0(p), B=lambda p, t: b0(p),
+                               EB_factors=((one,), (one,)), J_terms=(), **fields)
 
 
 @pytest.fixture(scope="session")

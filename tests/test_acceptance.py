@@ -20,7 +20,7 @@ from conftest import (block_rows, build_lcell, build_two_prisms, cell_edges,
 from vemaxwell import cases, cli, forms, stepper
 from vemaxwell import derham as vd
 from vemaxwell import generate_cube_mesh, load_mesh
-from conftest import DATA, strong_form_residual
+from conftest import DATA, free_evolution, strong_form_residual
 
 
 def report(line: str) -> None:
@@ -189,7 +189,6 @@ def test_criterion_5_divergence_free_induction(cube4m):
 
 
 def test_criterion_6_energy_dissipation(cube4m):
-    import dataclasses
     t0 = time.perf_counter()
 
     def e0(p):
@@ -204,8 +203,7 @@ def test_criterion_6_energy_dissipation(cube4m):
         return out / 2.2
 
     c2 = cases.case2()      # variable coefficients with sigma >= 0
-    free = dataclasses.replace(
-        c2, E=lambda p, t: e0(p), B=lambda p, t: b0(p), J_terms=())
+    free = free_evolution(c2, e0, b0)
     res = stepper.run(cube4m, free, 1 / 16, 1.0)
     energies = [m.energy for m in res.monitors]
     monotone = all(b <= a for a, b in zip(energies, energies[1:]))

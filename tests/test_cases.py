@@ -11,7 +11,7 @@ import sympy as sp
 import case_source
 import vemaxwell
 from conftest import SPLIT_MESHES, strong_form_residual
-from vemaxwell import cases
+from vemaxwell import cases, stepper
 from vemaxwell import derham as vd
 from vemaxwell import geometry as vg
 
@@ -156,6 +156,21 @@ class TestL2Error:
         for (e0, b0), (e1, b1) in zip(errs, errs[1:]):
             assert e1 < e0 and b1 < b0
 
+    def test_box_rule_matches_pyramid_rule(self, c2, cube8, monkeypatch):
+        # bound stated before measuring: on the cube:8, tau 1/32 end state
+        # the box rule's norms agree with the pyramid rule's to 1e-12
+        res = stepper.run(cube8, c2, 1 / 32, 1.0)
+        dofs = res.ops.dofs
+        args = (cube8, dofs, res.ops.projectors, dofs.expand_edge(res.state.e),
+                dofs.expand_face(res.state.b), c2, 1.0)
+        boxes, lo, hi = vg.box_cells(cube8)
+        assert boxes.all()
+        box = cases.l2_error(*args)
+        monkeypatch.setattr(vg, "box_cells", lambda m: (np.zeros(m.n_cells, bool), lo, hi))
+        pyramid = cases.l2_error(*args)
+        assert box.err_E == pytest.approx(pyramid.err_E, rel=1e-12, abs=0)
+        assert box.err_B == pytest.approx(pyramid.err_B, rel=1e-12, abs=0)
+
     def test_norms_nonnegative(self, c1, cube2):
         dofs = vd.build_dofs(cube2)
         proj = vd.build_projectors(cube2)
@@ -179,15 +194,18 @@ def loop_interpolate_face(mesh, field):
 
 
 def loop_l2_error(mesh, projectors, e_full, b_full, case, t):
-    """(err_E, err_B), one cell rule at a time."""
+    """(err_E, err_B), one cell at a time, each on the points and weights
+    that ``cell_rules`` gives it."""
     err_e_sq = 0.0
     err_b_sq = 0.0
     pe = (projectors.edge_cell @ e_full).reshape(-1, 3)
     pb = (projectors.face_cell @ b_full).reshape(-1, 3)
-    for k in range(mesh.n_cells):
-        rule = vg.cell_quadrature(mesh, k)
-        err_e_sq += rule.weights @ ((case.E(rule.points, t) - pe[k]) ** 2).sum(axis=1)
-        err_b_sq += rule.weights @ ((case.B(rule.points, t) - pb[k]) ** 2).sum(axis=1)
+    for rule in vg.cell_rules(mesh):
+        for k in np.unique(rule.owners):
+            on = rule.owners == k
+            points, weights = rule.points[on], rule.weights[on]
+            err_e_sq += weights @ ((case.E(points, t) - pe[k]) ** 2).sum(axis=1)
+            err_b_sq += weights @ ((case.B(points, t) - pb[k]) ** 2).sum(axis=1)
     return np.sqrt(err_e_sq), np.sqrt(err_b_sq)
 
 
@@ -274,9 +292,17 @@ class TestChunkBudget:
         dofs = vd.build_dofs(m)
         cases.l2_error(m, dofs, vd.build_projectors(m), np.zeros(m.n_edges),
                        np.zeros(m.n_faces), case, 1.0)
-        per_cell = [vg.cell_quadrature(m, k).weights.size for k in range(m.n_cells)]
-        assert max(sizes) <= max(budget, max(per_cell))
-        assert sum(sizes) == sum(per_cell)       # E and B together, once per point
+        per_cell = np.bincount(np.concatenate([r.owners for r in vg.cell_rules(m)]))
+        assert max(sizes) <= max(budget, per_cell.max())
+        assert sum(sizes) == per_cell.sum()      # E and B together, once per point
+
+    def test_l2_error_on_box_rule(self, cube8):
+        # every cube:8 cell is a box: 216 points each, not 24 x 150
+        m = cube8
+        case, sizes = self.recording(cases.case2())
+        cases.l2_error(m, vd.build_dofs(m), vd.build_projectors(m), np.zeros(m.n_edges),
+                       np.zeros(m.n_faces), case, 1.0)
+        assert sum(sizes) == 512 * 216
 
     @pytest.mark.parametrize("budget", [vg.CHUNK_POINTS, 500])
     @pytest.mark.parametrize("name", ["cube4", "voro27"])

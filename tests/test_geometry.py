@@ -167,6 +167,110 @@ class TestCellQuadrature:
             assert rule.weights.sum() == pytest.approx(voro8.cell_volumes[k], rel=1e-12)
 
 
+# Corner v = i + 2 j + 4 k of a box lies at (x_i, y_j, z_k); each loop
+# runs counterclockwise seen from outside the box.
+BOX_FACES = [[0, 4, 6, 2], [1, 3, 7, 5], [0, 1, 5, 4], [2, 6, 7, 3], [0, 2, 3, 1], [4, 5, 7, 6]]
+BOX_LO, BOX_HI = np.array([0.5, -1.0, 1.0]), np.array([2.0, 0.25, 1.75])
+
+
+def build_box(shift=(0.0, 0.0, 0.0), shear=0.0):
+    """One hexahedron on the box [BOX_LO, BOX_HI], with corner 7 (at
+    BOX_HI) moved by ``shift`` and the top face moved by ``shear`` in x."""
+    corners = np.array([[(BOX_LO, BOX_HI)[(v >> axis) & 1][axis] for axis in range(3)]
+                        for v in range(8)])
+    corners[7] += shift
+    corners[4:, 0] += shear
+    return derive_topology(corners, BOX_FACES, [[1, 2, 3, 4, 5, 6]], name="box")
+
+
+@pytest.fixture(scope="module")
+def box():
+    return build_box()
+
+
+def walk_by_cell(mesh):
+    """Points and weights that ``cell_rules`` gives each cell."""
+    rules = list(vg.cell_rules(mesh))
+    points = np.concatenate([r.points for r in rules])
+    weights = np.concatenate([r.weights for r in rules])
+    owners = np.concatenate([r.owners for r in rules])
+    return [(points[owners == k], weights[owners == k]) for k in range(mesh.n_cells)]
+
+
+class TestBoxRule:
+    """``cell_rules`` integrates six-face axis-aligned boxes with one
+    6 x 6 x 6 Gauss rule and every other cell with ``cell_quadrature``."""
+
+    @pytest.mark.parametrize("name, all_boxes", [
+        ("cube1", True), ("cube4", True), ("box", True),
+        ("voro8", False), ("voro27", False), ("lcell", False), ("two_prisms", False)])
+    def test_detection(self, name, all_boxes, request):
+        boxes = vg.box_cells(request.getfixturevalue(name))[0]
+        assert boxes.all() if all_boxes else not boxes.any()
+
+    def test_agglomerated_boxes_are_the_six_face_cells(self, agglo4):
+        # the 10-face 2 x 1 x 1 boxes keep the pyramid rule
+        six_faces = np.diff(agglo4.cell_faces.offsets) == 6
+        assert six_faces.any()
+        assert np.array_equal(vg.box_cells(agglo4)[0], six_faces)
+
+    def test_bounding_box(self, box):
+        _, lo, hi = vg.box_cells(box)
+        assert np.array_equal(lo, [BOX_LO]) and np.array_equal(hi, [BOX_HI])
+
+    @pytest.mark.parametrize("shift", [(-4e-11, 0.0, 0.0), (4e-11, 0.0, 0.0),
+                                       (-4e-11, -4e-11, -4e-11)])
+    def test_perturbed_hex_is_not_a_box(self, shift):
+        # one corner moved in or out, within the faces' planarity tolerance
+        assert not vg.box_cells(build_box(shift))[0].any()
+
+    def test_sheared_hex_is_not_a_box(self):
+        # planar faces and the box's volume, but a wider bounding box
+        m = build_box(shear=0.2)
+        assert m.cell_volumes[0] == pytest.approx(np.prod(BOX_HI - BOX_LO), rel=1e-14)
+        assert not vg.box_cells(m)[0].any()
+
+    def test_points_per_direction(self):
+        # the Gauss count of the pyramid rule's first direction
+        first = vg.tetrahedron_rule(vg.DEFAULT_CELL_DEGREE)[0][:, 0]
+        assert vg.box_rule()[1].size == np.unique(first).size ** 3 == 216
+
+    @pytest.mark.parametrize("name", ["box", "cube4", "agglo4"])
+    def test_weights_sum_to_cell_volume(self, name, request):
+        m = request.getfixturevalue(name)
+        for k in np.flatnonzero(vg.box_cells(m)[0]):
+            weights = walk_by_cell(m)[k][1]
+            assert weights.size == 216
+            assert weights.sum() == pytest.approx(m.cell_volumes[k], rel=1e-14)
+
+    def test_monomial_exactness(self, box, cube2):
+        # exact for every x^a y^b z^c with a, b, c <= 11, on an off-origin
+        # box and summed over the cells of cube:2
+        exps = np.array(np.meshgrid(*[np.arange(12)] * 3, indexing="ij")).reshape(3, -1).T
+        for m, lo, hi in ((box, BOX_LO, BOX_HI), (cube2, np.zeros(3), np.ones(3))):
+            got = sum(weights @ np.prod(points[:, None, :] ** exps, axis=2)
+                      for points, weights in walk_by_cell(m))
+            exact = np.prod((hi ** (exps + 1) - lo ** (exps + 1)) / (exps + 1), axis=1)
+            assert np.abs(got / exact - 1).max() <= 1e-12
+
+    @pytest.mark.parametrize("name", SPLIT_MESHES + ["agglo4"])
+    def test_other_cells_keep_pyramid_rule(self, name, request):
+        # chunks hold one kind of cell; a pyramid chunk is cell_quadrature's
+        # rule on its cells bit for bit
+        m = request.getfixturevalue(name)
+        boxes = vg.box_cells(m)[0]
+        for rule in vg.cell_rules(m):
+            cells = slice(rule.owners[0], rule.owners[-1] + 1)
+            assert (boxes[rule.owners] == boxes[cells.start]).all()
+            if boxes[cells.start]:
+                assert rule.points_per_simplex == 216
+                continue
+            want = vg.cell_quadrature(m, cells)
+            assert rule.points_per_simplex == want.points_per_simplex
+            for field in ("coords", "weights", "owners"):
+                assert np.array_equal(getattr(rule, field), getattr(want, field))
+
+
 # Oracles: the per-entity fan and pyramid loops that ``PolyMesh.split``
 # replaced, kept as they were.
 

@@ -1,10 +1,10 @@
-import dataclasses
 import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import free_evolution
 from vemaxwell import cases, cli, forms, generate_cube_mesh, geometry, linalg, stepper
 from vemaxwell import derham as vd
 
@@ -15,11 +15,8 @@ def zero_field(p, t=0.0):
 
 def make_case(E0, B0, eps=1.0, sigma=0.0, mu=1.0):
     """Free-evolution case: closed forms only needed at t = 0."""
-    base = cases.case1()
-    return dataclasses.replace(
-        base, E=lambda p, t: E0(p), B=lambda p, t: B0(p), J_terms=(),
-        eps=forms._as_field(eps), sigma=forms._as_field(sigma),
-        mu=forms._as_field(mu))
+    return free_evolution(cases.case1(), E0, B0, eps=forms._as_field(eps),
+                          sigma=forms._as_field(sigma), mu=forms._as_field(mu))
 
 
 def spatial_e(p):
@@ -160,15 +157,30 @@ class TestInitState:
         assert state.t == 0.0
 
     @pytest.mark.parametrize("case_id", [1, 2])
-    def test_vanishing_fields_are_not_evaluated(self, cube2, case_id, trig_calls):
+    def test_vanishing_fields_are_not_evaluated(self, cube2, case_id, trig_calls,
+                                                face_quadrature_calls, monkeypatch):
         # case 1: E(., 0) = B(., 0) = 0; case 2: B(., 0) = 0, so only E is
-        # evaluated, once, at the edge interpolation's points
+        # interpolated and evaluated, once, at the edge interpolation's
+        # points, and no face rule is mapped
         case = cases.get_case(case_id)
         ops = step_operators(cube2, case, 0.5)
+        edge_calls = count_calls(monkeypatch, vd, "interpolate_edge")
         trig_calls.clear()
+        face_quadrature_calls.clear()
         stepper.init_state(ops, case)
         edge_points = cube2.n_edges * geometry.segment_rule(vd.INTERP_EDGE_DEGREE)[0].size
         assert trig_calls == {1: [], 2: [edge_points] * 4}[case_id]
+        assert len(edge_calls) == {1: 0, 2: 1}[case_id]
+        assert face_quadrature_calls == []
+
+    def test_nonvanishing_b_is_interpolated(self, cube2, face_quadrature_calls):
+        # the control: a B(., 0) with a nonzero factor maps every face rule once
+        case = make_case(zero_field, spatial_b)
+        ops = step_operators(cube2, case, 0.5)
+        every_face = geometry.face_quadrature(cube2, slice(None), vd.INTERP_FACE_DEGREE)
+        face_quadrature_calls.clear()
+        stepper.init_state(ops, case)
+        assert sum(face_quadrature_calls) == every_face.weights.size
 
     def test_nonsolenoidal_rejected(self, cube2):
         bad = make_case(zero_field, lambda p: np.stack(
@@ -643,12 +655,13 @@ class TestOperatorsBuiltOnce:
     @pytest.mark.parametrize("n_steps", [4, 16])
     def test_current_interpolated_once_per_term(self, cube2, monkeypatch,
                                                 case_id, n_steps):
-        # E(0) once, then each spatial term of J once, whatever the step count
+        # E(0) once unless it vanishes (case 1), then each spatial term of J
+        # once, whatever the step count
         case = cases.get_case(case_id)
         calls = count_calls(monkeypatch, vd, "interpolate_edge")
         res = stepper.run(cube2, case, 1 / n_steps, 1.0)
         assert len(res.monitors) == n_steps + 1
-        assert len(calls) == 1 + len(case.J_terms)
+        assert len(calls) == {1: 0, 2: 1}[case_id] + len(case.J_terms)
 
     def test_one_local_mass_pass_per_space(self, voro8, monkeypatch):
         edge_calls = count_calls(monkeypatch, forms, "local_edge_mass")
