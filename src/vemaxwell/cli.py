@@ -147,6 +147,9 @@ def run_convergence(config: RunConfig, levels: int,
     (mesh, tau) combination instead of the diagonal only."""
     if levels < 2:
         raise ConfigError("a convergence study needs at least 2 levels")
+    if config.monitors:
+        raise ConfigError("--monitors writes one run's steps; a convergence study "
+                          "makes several runs")
     if mesh_sources is None:
         if not config.mesh_source.startswith("cube:"):
             raise ConfigError("convergence without a mesh list needs cube:<n>")

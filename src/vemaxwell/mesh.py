@@ -39,6 +39,16 @@ PLANARITY_TOL = 1e-10
 COORD_LIMIT = 1e50
 # Per-cell closed-surface identity tolerance, relative to h_K^2.
 CLOSURE_TOL = 1e-12
+# Smallest accepted h_e / h_F (each edge of a face) and h_F / h_K (each
+# face of a cell).  The paper's estimates assume shape regularity, both
+# ratios bounded below by some rho > 0; no rho is known for a valid input,
+# so this bound only rejects what the checks cannot vouch for.  It is
+# sqrt(CLOSURE_TOL): a face with h_F < 1e-6 h_K has an area below
+# CLOSURE_TOL h_K^2, so the closure check cannot tell whether it bounds the
+# cell at all; edges within faces get the same bound.  The fixture meshes
+# give 6.3e-4 and more, while one voro8 vertex moved to x = 1e20, which
+# folds its cells over their neighbours, gives 3.7e-22 and 3.1e-21.
+SHAPE_RATIO_MIN = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -275,6 +285,18 @@ def _repeats(ragged: Ragged) -> np.ndarray:
     return np.bincount(distinct, minlength=len(ragged)) < np.diff(ragged.offsets)
 
 
+def _edge_face_ratios(face_edges: Ragged, edge_lengths, face_diameters) -> np.ndarray:
+    """Per face, min_e h_e / h_F over the edges of its loop."""
+    shortest = np.minimum.reduceat(edge_lengths[face_edges.flat], face_edges.offsets[:-1])
+    return shortest / face_diameters
+
+
+def _face_cell_ratios(cell_faces: Ragged, face_diameters, cell_diameters) -> np.ndarray:
+    """Per cell, min_F h_F / h_K over its faces."""
+    smallest = np.minimum.reduceat(face_diameters[cell_faces.flat], cell_faces.offsets[:-1])
+    return smallest / cell_diameters
+
+
 def _raise_first(checks, **values) -> None:
     """Raise the first failing check of the first entity i failing any of
     ``checks``, (failing per entity, error type, message) in order; the
@@ -358,6 +380,9 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
     edge_lengths = np.linalg.norm(vec, axis=1)
     if np.any(edge_lengths <= 0.0):
         raise MeshGeometryError("zero-length edge")
+    ratio = _edge_face_ratios(face_edges, edge_lengths, face_diameters)
+    _raise_first([(ratio < SHAPE_RATIO_MIN, MeshGeometryError,
+                   "face {0} is not shape-regular: min h_e/h_F = {ratio:.3e}")], ratio=ratio)
     edge_tangents = vec / edge_lengths[:, None]
     edge_midpoints = 0.5 * (vertices[edges[:, 0]] + vertices[edges[:, 1]])
 
@@ -381,11 +406,14 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
     heights = np.einsum("ij,ij->i", face_centroids[cf_flat], face_normals[cf_flat])
     cell_volumes = _stacked(_sum, cs_flat * face_areas[cf_flat] * heights,
                             cell_faces.offsets) / 3.0
+    ratio = _face_cell_ratios(cell_faces, face_diameters, cell_diameters)
     _raise_first([
         (closure > CLOSURE_TOL * cell_diameters**2, MeshTopologyError,
          "open cell boundary: cell {0} surface residual {closure:.3e}"),
         (cell_volumes <= 0.0, MeshGeometryError, "nonpositive volume {volume:.3e} in cell {0}"),
-    ], closure=closure, volume=cell_volumes)
+        (ratio < SHAPE_RATIO_MIN, MeshGeometryError,
+         "cell {0} is not shape-regular: min h_F/h_K = {ratio:.3e}"),
+    ], closure=closure, volume=cell_volumes, ratio=ratio)
 
     # Signed tetrahedron volumes; the centroid sums the volume-weighted
     # tetrahedron centroids per face, then over the faces of the cell.
@@ -527,9 +555,8 @@ def generate_cube_mesh(n: int, domain=None, name: str = "") -> PolyMesh:
 
 def mesh_stats(mesh: PolyMesh) -> MeshStats:
     """Size parameters and observed shape-regularity ratios."""
-    cell_faces, face_edges = mesh.cell_faces, mesh.face_edges
-    min_fc = (mesh.face_diameters[cell_faces.flat] / mesh.cell_diameters[cell_faces.owners]).min()
-    min_ef = (mesh.edge_lengths[face_edges.flat] / mesh.face_diameters[face_edges.owners]).min()
+    min_fc = _face_cell_ratios(mesh.cell_faces, mesh.face_diameters, mesh.cell_diameters).min()
+    min_ef = _edge_face_ratios(mesh.face_edges, mesh.edge_lengths, mesh.face_diameters).min()
     return MeshStats(
         h=mesh.h,
         cell_diameters=mesh.cell_diameters.copy(),

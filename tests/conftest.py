@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import pathlib
 import sys
 
@@ -40,6 +41,15 @@ def agglo4():
     sys.path.insert(0, str(DATA.parents[1] / "perfbench"))
     import agglo
     return agglo.agglomerated_cube(4, 1)
+
+
+def folded_voro8():
+    """voro8's document with vertex 4 moved to x = 1e20: its cells fold over
+    their neighbours, yet every check but shape regularity passes and the
+    cell volumes sum to 1.2e19."""
+    doc = json.loads((DATA / "voro8.json").read_text())
+    doc["vertices"][4][0] = 1e20
+    return doc
 
 
 @pytest.fixture(scope="session")

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import sympy as sp
 import case_source
 import vemaxwell
 from conftest import SPLIT_MESHES, strong_form_residual
-from vemaxwell import cases, stepper
+from vemaxwell import _case_fields, cases, stepper
 from vemaxwell import derham as vd
 from vemaxwell import geometry as vg
 
@@ -356,6 +357,23 @@ class TestFusedFields:
             field(pts, 0.5)
             assert len(trig_calls) == fused
 
+    def test_current_parts_share_the_six_calls(self, monkeypatch):
+        # each case-1 J part calls sin and cos of pi x, pi y and pi z only,
+        # each at most once: a derivative of sin^2 printed as cos(2 pi x)
+        # would be a call outside them
+        pts = np.random.default_rng(8).random((3, 50))
+        calls = []
+        for name in ("sin", "cos"):
+            monkeypatch.setattr(_case_fields, name, lambda arg, name=name, fn=getattr(np, name):
+                                calls.append((name, arg)) or fn(arg))
+        for _, parts in _case_fields.CASE1["J"]:
+            for _, _, g in parts:
+                calls.clear()
+                g(*pts)
+                shared = [(name, i) for name, arg in calls
+                          for i in range(3) if np.array_equal(arg, np.pi * pts[i])]
+                assert len(shared) == len(calls) == len(set(shared)) <= 6, g.__name__
+
     @pytest.mark.parametrize("t", [0.0, np.zeros(50)], ids=["scalar-t", "array-t"])
     @pytest.mark.parametrize("case_id, which", [(1, "E"), (1, "B"), (2, "B")])
     def test_vanishing_field_is_not_evaluated(self, case_id, which, t, trig_calls):
@@ -377,6 +395,33 @@ class TestFusedFields:
         assert [np.ndim(c) for c in e_parts[0]] == [0, 0, 1]
         assert [np.ndim(c) for c in b_parts[0]] == [1, 1, 0]
         assert e_parts[0][0] == 0 and b_parts[0][2] == 0
+
+
+class TestEvaluationMemory:
+    """Peak memory of one ``case.EB_parts`` call on a chunk of
+    ``CHUNK_POINTS`` points, as tracemalloc sees numpy's buffers, in arrays
+    of the chunk's size (Python's own objects add well under half of one).
+
+    Bound: no more than the expanded fields that the one-dimensional
+    factors replaced, whose peak is their 9 returned parts, 6 sin/cos
+    locals and 3 products in flight, 18 arrays for case 1; a factoring that
+    keeps every factor for the whole call held 33.  Case 2 is generated as
+    before, at most its 7: 3 returned parts (a zero component is the
+    number 0) and 4 sin/cos locals.
+    """
+
+    @pytest.mark.parametrize("case_id, bound", [(1, 18), (2, 7)])
+    def test_peak_of_one_chunk(self, case_id, bound):
+        case = cases.get_case(case_id)
+        coords = np.ascontiguousarray(np.random.default_rng(11).random((3, vg.CHUNK_POINTS)))
+        case.EB_parts(*coords)
+        tracemalloc.start()
+        try:
+            case.EB_parts(*coords)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (bound + 0.5) * coords[0].nbytes
 
 
 X, Y, Z, T = sp.symbols("x y z t", real=True)

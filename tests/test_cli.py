@@ -1,9 +1,11 @@
+import json
 import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from conftest import folded_voro8
 from vemaxwell import cli
 
 
@@ -162,6 +164,24 @@ class TestMain:
         captured = capsys.readouterr()
         assert "config error" in captured.err and "--grid" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("study", [["--levels", "2"], ["--levels", "2", "--grid"]])
+    def test_monitors_in_study_exit_two(self, capsys, tmp_path, study):
+        mon = tmp_path / "m.csv"
+        code = cli.main(["--generate", "cube:1", "--case", "2", "--tau", "1/2",
+                         "--monitors", str(mon)] + study)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "config error" in captured.err and "--monitors" in captured.err
+        assert captured.out == "" and not mon.exists()   # no run was made
+
+    def test_not_shape_regular_exit_three(self, capsys, tmp_path):
+        path = tmp_path / "folded.json"
+        path.write_text(json.dumps(folded_voro8()))
+        code = cli.main(["--mesh", str(path), "--case", "1", "--tau", "1/4"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "not shape-regular" in captured.err and captured.out == ""
 
     def test_one_level_is_a_single_run(self, capsys):
         code = cli.main(["--generate", "cube:1", "--case", "2", "--tau", "1/2",

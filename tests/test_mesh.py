@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conftest
-from conftest import DATA, SPLIT_MESHES
+from conftest import DATA, SPLIT_MESHES, folded_voro8
 from vemaxwell import mesh as vm
 
 sys.path.insert(0, str(DATA.parents[1] / "perfbench"))
@@ -386,6 +386,23 @@ BUILDERS = {
     "voro27": lambda: vm.load_mesh(DATA / "voro27.json"),
     "agglo4": lambda: agglo.agglomerated_cube(4, 1),
 }
+
+
+class TestShapeRegularity:
+    def test_folded_cells_rejected(self, tmp_path):
+        with pytest.raises(vm.MeshGeometryError, match=r"face \d+ is not shape-regular"):
+            vm.load_mesh(write_json(tmp_path, folded_voro8()))
+
+    def test_cell_ratio_checked(self, monkeypatch):
+        # agglo4's 10-face cells have min h_F/h_K = 0.471, its edges 0.707
+        monkeypatch.setattr(vm, "SHAPE_RATIO_MIN", 0.5)
+        with pytest.raises(vm.MeshGeometryError, match=r"h_F/h_K = 4\.714e-01"):
+            agglo.agglomerated_cube(4, 1)
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_fixture_meshes_load(self, name):
+        stats = vm.mesh_stats(BUILDERS[name]())
+        assert min(stats.min_edge_face_ratio, stats.min_face_cell_ratio) >= vm.SHAPE_RATIO_MIN
 
 
 class TestRaggedMatchesTuples:
