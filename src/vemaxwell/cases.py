@@ -204,19 +204,19 @@ def l2_error(mesh: PolyMesh, dofs: DeRhamDofs, projectors: ElementProjectors,
     projections, since the virtual shape functions are never available
     pointwise.  ``e_full``/``b_full`` carry boundary zeros re-inserted.
     One chunk of whole cells at a time, E and B come from one call of
-    ``case.EB_parts``; each component plane adds ``sum w (F_i - c_i)^2``,
-    with the cell means gathered once per simplex.  A component that is
-    constant (identically 0 in practice) adds the closed form
-    ``sum_K |K| (F_i - c_{K,i})^2`` over the chunk's cells instead.
+    ``case.EB_parts`` on the chunk rule's ``coords``, and each component
+    adds ``rule.squared_deviation``, ``sum w (F_i - c_i)^2``: over the
+    points of a pyramid-rule chunk, or in factored form over the per-axis
+    nodes of a box chunk.  A component that is constant (identically 0 in
+    practice) adds the closed form ``sum_K |K| (F_i - c_{K,i})^2`` over the
+    chunk's cells instead.
     """
     means = [np.ascontiguousarray((projectors.edge_cell @ e_full).reshape(-1, 3).T),
              np.ascontiguousarray((projectors.face_cell @ b_full).reshape(-1, 3).T)]
     scales = [[float(a(t)) for a in factors] for factors in case.EB_factors]
     err_sq = [0.0, 0.0]
     for rule in cell_rules(mesh):
-        q = rule.points_per_simplex
-        simplex_cells = rule.owners[::q]
-        cells = slice(rule.owners[0], rule.owners[-1] + 1)
+        cells = rule.entities
         for f, parts in enumerate(case.EB_parts(*rule.coords)):
             for i, c in enumerate(means[f]):
                 value = _component(scales[f], parts, i)
@@ -224,9 +224,8 @@ def l2_error(mesh: PolyMesh, dofs: DeRhamDofs, projectors: ElementProjectors,
                     diff = value - c[cells]
                     err_sq[f] += float(mesh.cell_volumes[cells] @ (diff * diff))
                 else:
-                    diff = value.reshape(-1, q) - c[simplex_cells, None]
-                    diff *= diff
-                    err_sq[f] += float(rule.weights @ diff.ravel())
+                    err_sq[f] += rule.squared_deviation(value, c)
+        del parts, value     # free this chunk's fields before the next chunk's are made
     return ErrorReport(
         err_E=float(np.sqrt(err_sq[0])),
         err_B=float(np.sqrt(err_sq[1])),

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sps
 
+from . import geometry
 from .geometry import face_rules, segment_rule
 from .mesh import PolyMesh
 
@@ -188,15 +189,22 @@ def interpolate_edge(mesh: PolyMesh, field) -> np.ndarray:
     """Edge DOFs of a vector field: mean tangential component per edge.
 
     Boundary edges are included; Dirichlet masking is the caller's job.
-    ``field`` maps an (..., 3) point array to (..., 3) values.
+    ``field`` maps an (..., 3) point array to (..., 3) values.  Edges are
+    walked in chunks of at most ``CHUNK_POINTS`` Gauss points, so the
+    arrays held do not grow with the mesh.
     """
     xs, ws = segment_rule(INTERP_EDGE_DEGREE)
-    a = mesh.vertices[mesh.edges[:, 0]]
-    b = mesh.vertices[mesh.edges[:, 1]]
-    pts = a[:, None, :] + xs[None, :, None] * (b - a)[:, None, :]
-    vals = np.asarray(field(pts))
-    tangential = np.einsum("eqc,ec->eq", vals, mesh.edge_tangents)
-    return tangential @ ws
+    out = np.empty(mesh.n_edges)
+    step = max(1, geometry.CHUNK_POINTS // xs.size)
+    for start in range(0, mesh.n_edges, step):
+        edges = slice(start, start + step)
+        a = mesh.vertices[mesh.edges[edges, 0]]
+        b = mesh.vertices[mesh.edges[edges, 1]]
+        pts = a[:, None, :] + xs[None, :, None] * (b - a)[:, None, :]
+        vals = np.asarray(field(pts))
+        tangential = np.einsum("eqc,ec->eq", vals, mesh.edge_tangents[edges])
+        out[edges] = tangential @ ws
+    return out
 
 
 def interpolate_face(mesh: PolyMesh, field) -> np.ndarray:

@@ -2,12 +2,15 @@
 
 Face and cell rules map reference triangle and tetrahedron rules onto the
 signed fan panels and pyramid tetrahedra of ``PolyMesh.split``, so
-nonconvex faces and cells integrate exactly; the error pass's walk
-(``cell_rules``) maps a tensor Gauss rule onto six-face axis-aligned box
-cells instead.  A rule covers a range of whole entities and stores its
-points as three contiguous coordinate planes; fields see them as an
-(m, 3) view.  All pieces of a range are mapped by one batched product,
-and a range's points equal its entities' points bit for bit.
+nonconvex faces and cells integrate exactly.  A rule covers a range of
+whole entities and stores its points as three contiguous coordinate
+planes; fields see them as an (m, 3) view.  All pieces of a range are
+mapped by one batched product, and a range's points equal its entities'
+points bit for bit.  The error pass's walk (``cell_rules``) integrates
+six-face axis-aligned box cells with a tensor Gauss rule instead, kept
+factored (``BoxRule``): each cell's Gauss nodes per axis, which broadcast
+to the tensor points, so a field of one coordinate is evaluated on those
+nodes alone.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ BOX_RTOL = 1e-12
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
     """Points and weights on consecutive whole entities, entity by entity
-    and, within one, piece by piece (a simplex, or a whole box cell); each
-    entity's weights sum to its measure."""
+    and, within one, simplex by simplex; each entity's weights sum to its
+    measure."""
 
     coords: np.ndarray   # (3, m): one contiguous plane per coordinate
     weights: np.ndarray  # (m,)
@@ -56,6 +59,46 @@ class QuadratureRule:
     def points(self) -> np.ndarray:
         """The points as an (m, 3) view of ``coords``."""
         return self.coords.T
+
+    @property
+    def entities(self) -> slice:
+        """The entities the rule covers."""
+        return slice(self.owners[0], self.owners[-1] + 1)
+
+    def squared_deviation(self, value: np.ndarray, means: np.ndarray) -> float:
+        """``sum w (value - means[owner])^2`` over the rule, for ``value``
+        given at its points; the means are gathered once per simplex."""
+        q = self.points_per_simplex
+        diff = value.reshape(-1, q) - means[self.owners[::q], None]
+        diff *= diff
+        return float(self.weights @ diff.ravel())
+
+
+@dataclass(frozen=True, eq=False)
+class BoxRule:
+    """The tensor Gauss rule on whole axis-aligned box cells, factored:
+    ``coords`` are each cell's nodes along x, y and z, shaped (c, n, 1, 1),
+    (c, 1, n, 1) and (c, 1, 1, n), so that they broadcast to the c n^3
+    tensor points; ``weights`` are the nodes' 1-D weights on [0, 1] and
+    ``volumes`` the cells' volumes."""
+
+    coords: tuple            # per axis: lo + (hi - lo) g, one row per cell
+    weights: np.ndarray      # (n,)
+    volumes: np.ndarray      # (c,)
+    entities: np.ndarray     # (c,) the cells, ascending
+
+    def squared_deviation(self, value: np.ndarray, means: np.ndarray) -> float:
+        """``sum w (value - means[cell])^2`` over the rule, for ``value``
+        broadcast from ``coords``: each cell's squared deviation is
+        contracted with the tensor product of the 1-D weights, in which an
+        axis of extent 1, on which the value does not depend, is their sum,
+        and the cells' sums are dotted with their volumes."""
+        diff = value - means[self.entities, None, None, None]
+        diff *= diff
+        x, y, z = (self.weights if extent > 1 else self.weights.sum(keepdims=True)
+                   for extent in diff.shape[1:])
+        weights = x[:, None, None] * y[:, None] * z
+        return float(self.volumes @ (diff.reshape(diff.shape[0], -1) @ weights.ravel()))
 
 
 @lru_cache(maxsize=64)
@@ -138,16 +181,6 @@ def tetrahedron_rule(degree: int):
     return pts, 6.0 * wgt.ravel()
 
 
-@lru_cache(maxsize=1)
-def box_rule():
-    """Tensor Gauss-Legendre rule on the unit cube, ``BOX_POINTS`` per
-    direction (points (m, 3), weights summing to 1): exact for every
-    polynomial of degree ``2 BOX_POINTS - 1`` in each coordinate."""
-    x, w = _gauss01(BOX_POINTS)
-    pts = np.stack(np.meshgrid(x, x, x, indexing="ij"), axis=-1).reshape(-1, 3)
-    return pts, np.einsum("i,j,k->ijk", w, w, w).ravel()
-
-
 def _mapped_rule(owners, apexes, legs, measures, ref_pts, ref_w) -> QuadratureRule:
     """Reference rule mapped onto the pieces ``apexes[t] + span(legs[t])``.
 
@@ -208,31 +241,38 @@ def box_cells(mesh: PolyMesh):
     """Which cells are axis-aligned boxes, and the vertex bounding box
     ``(lo, hi)`` of every cell.
 
-    A cell is a box where it has six faces and its volume equals its
-    bounding box's to ``BOX_RTOL``: a cell fills its bounding box only if
-    it is that box.  Boxes with more faces (agglomerated 2 x 1 x 1 hexes)
-    are left to the pyramid rule: it is 1.7e-9 off on them, so switching
-    them would move the benchmark's recorded errors.
+    The bounds are taken one coordinate at a time, over each face loop's
+    vertices and then over each cell's faces.  A cell is a box where it
+    has six faces and its volume equals its bounding box's to
+    ``BOX_RTOL``: a cell fills its bounding box only if it is that box.
+    Boxes with more faces (agglomerated 2 x 1 x 1 hexes) are left to the
+    pyramid rule: it is 1.7e-9 off on them, so switching them would move
+    the benchmark's recorded errors.
     """
-    split = mesh.split
-    # the ends of every face's loop edges, one pair per pyramid tetrahedron
-    ends = mesh.vertices[split.fan_vertices[split.tet_panels.flat]]
-    starts = split.tet_panels.offsets[:-1]
-    lo = np.minimum.reduceat(ends.min(axis=1), starts)
-    hi = np.maximum.reduceat(ends.max(axis=1), starts)
+    faces, cell_faces = mesh.faces, mesh.cell_faces
+    bounds = np.empty((2, 3, mesh.n_cells))      # lo, then hi, one row per coordinate
+    for axis, coordinate in enumerate(mesh.vertices.T):
+        on_loops = coordinate[faces.flat]
+        for bound, reduce in zip(bounds, (np.minimum, np.maximum)):
+            per_face = reduce.reduceat(on_loops, faces.offsets[:-1])
+            bound[axis] = reduce.reduceat(per_face[cell_faces.flat], cell_faces.offsets[:-1])
+    lo, hi = bounds.transpose(0, 2, 1)
     box_volumes = np.prod(hi - lo, axis=1)
-    boxes = ((np.diff(mesh.cell_faces.offsets) == 6)
+    boxes = ((np.diff(cell_faces.offsets) == 6)
              & (np.abs(mesh.cell_volumes - box_volumes) <= BOX_RTOL * box_volumes))
     return boxes, lo, hi
 
 
-def _box_quadrature(cells: slice, lo, hi) -> QuadratureRule:
-    """``box_rule`` on each box ``[lo, hi]`` of the cells of slice ``cells``,
-    mapped with apex ``lo`` and legs ``diag(hi - lo)``."""
+def _factored_rule(cells: np.ndarray, lo, hi) -> BoxRule:
+    """The factored ``BOX_POINTS``-point Gauss rule on each box ``[lo, hi]``
+    of the cells ``cells``: exact for every polynomial of degree
+    ``2 BOX_POINTS - 1`` in each coordinate."""
+    g, w = _gauss01(BOX_POINTS)
     extent = hi[cells] - lo[cells]
-    return _mapped_rule(np.arange(cells.start, cells.stop), lo[cells],
-                        extent[:, :, None] * np.eye(3), np.prod(extent, axis=1),
-                        *box_rule())
+    shapes = ((-1, BOX_POINTS, 1, 1), (-1, 1, BOX_POINTS, 1), (-1, 1, 1, BOX_POINTS))
+    coords = tuple((lo[cells, axis, None] + extent[:, axis, None] * g).reshape(shape)
+                   for axis, shape in enumerate(shapes))
+    return BoxRule(coords, w, np.prod(extent, axis=1), cells)
 
 
 def _points_before(offsets, kept, points_per_simplex: int):
@@ -261,15 +301,20 @@ def face_rules(mesh: PolyMesh, degree: int):
 
 def cell_rules(mesh: PolyMesh):
     """A rule on every cell at the default cell degree, one chunk of whole
-    cells of one kind at a time: the box rule on the cells ``box_cells``
-    finds, ``cell_quadrature`` on the others."""
+    cells of one kind at a time: a ``BoxRule`` on the cells ``box_cells``
+    finds, each counted as its ``BOX_POINTS ** 3`` tensor points and taken
+    together wherever they lie, so that isolated boxes share chunks, then
+    ``cell_quadrature`` on each run of consecutive other cells."""
     split = mesh.split
     boxes, lo, hi = box_cells(mesh)
-    pyramid = _points_before(split.tet_panels.offsets, split.tet_kept,
-                             tetrahedron_rule(DEFAULT_CELL_DEGREE)[1].size)
-    sizes = np.where(boxes, box_rule()[1].size, np.diff(pyramid))
-    before = np.concatenate([[0], np.cumsum(sizes)])
+    box_ids = np.flatnonzero(boxes)
+    per_chunk = max(1, CHUNK_POINTS // BOX_POINTS**3)
+    for start in range(0, box_ids.size, per_chunk):
+        yield _factored_rule(box_ids[start:start + per_chunk], lo, hi)
+    before = _points_before(split.tet_panels.offsets, split.tet_kept,
+                            tetrahedron_rule(DEFAULT_CELL_DEGREE)[1].size)
     cuts = list(np.flatnonzero(np.diff(boxes)) + 1)
     for start, stop in zip([0] + cuts, cuts + [mesh.n_cells]):
-        for cells in _chunks(before, start, stop):
-            yield _box_quadrature(cells, lo, hi) if boxes[start] else cell_quadrature(mesh, cells)
+        if not boxes[start]:
+            for cells in _chunks(before, start, stop):
+                yield cell_quadrature(mesh, cells)

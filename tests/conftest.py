@@ -140,6 +140,29 @@ def face_quadrature_calls(monkeypatch):
     return sizes
 
 
+def box_tensor_rule():
+    """The ``BOX_POINTS``-point Gauss rule on the unit cube as (216, 3)
+    points and weights, point i 36 + j 6 + k at nodes (i, j, k)."""
+    g, w = geometry._gauss01(geometry.BOX_POINTS)
+    pts = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+    return pts, np.einsum("i,j,k->ijk", w, w, w).ravel()
+
+
+def flat_rule(mesh, rule):
+    """A ``cell_rules`` rule as points, weights and owners: a pyramid-rule
+    chunk as it is, a box chunk as the 216-point tensor rule it factors,
+    mapped as the pyramid rule is, with apex ``lo`` and legs
+    ``diag(hi - lo)``."""
+    if isinstance(rule, geometry.QuadratureRule):
+        return rule
+    _, lo, hi = geometry.box_cells(mesh)
+    cells = rule.entities
+    extent = hi[cells] - lo[cells]
+    return geometry._mapped_rule(cells, lo[cells],
+                                 extent[:, :, None] * np.eye(3), np.prod(extent, axis=1),
+                                 *box_tensor_rule())
+
+
 def free_evolution(base, e0, b0, **fields):
     """``base`` with no current and the fields ``e0(p)`` and ``b0(p)`` at
     every time.  Each field's one time factor is 1, so neither vanishes at

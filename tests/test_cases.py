@@ -11,7 +11,7 @@ import sympy as sp
 
 import case_source
 import vemaxwell
-from conftest import SPLIT_MESHES, strong_form_residual
+from conftest import SPLIT_MESHES, flat_rule, strong_form_residual
 from vemaxwell import _case_fields, cases, stepper
 from vemaxwell import derham as vd
 from vemaxwell import geometry as vg
@@ -172,6 +172,36 @@ class TestL2Error:
         assert box.err_E == pytest.approx(pyramid.err_E, rel=1e-12, abs=0)
         assert box.err_B == pytest.approx(pyramid.err_B, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("case_id", [1, 2])
+    def test_factored_box_rule_matches_tensor_points(self, case_id, cube8):
+        # bound stated before measuring: on the cube:8, tau 1/32 end state
+        # the factored sums agree with the 216-point sums to 1e-14
+        case = cases.get_case(case_id)
+        res = stepper.run(cube8, case, 1 / 32, 1.0)
+        dofs, proj = res.ops.dofs, res.ops.projectors
+        e, b = dofs.expand_edge(res.state.e), dofs.expand_face(res.state.b)
+        rep = cases.l2_error(cube8, dofs, proj, e, b, case, 1.0)
+        err_sq = [0.0, 0.0]
+        for rule in vg.cell_rules(cube8):
+            assert isinstance(rule, vg.BoxRule)
+            flat = flat_rule(cube8, rule)
+            for f, (field, means) in enumerate(((case.E, proj.edge_cell @ e),
+                                               (case.B, proj.face_cell @ b))):
+                diff = field(flat.points, 1.0) - means.reshape(-1, 3)[flat.owners]
+                err_sq[f] += flat.weights @ (diff * diff).sum(axis=1)
+        assert rep.err_E == pytest.approx(np.sqrt(err_sq[0]), rel=1e-14, abs=0)
+        assert rep.err_B == pytest.approx(np.sqrt(err_sq[1]), rel=1e-14, abs=0)
+
+    def test_box_chunks_evaluate_nodes_per_axis(self, c2, cube8, trig_calls):
+        # each sin/cos of a box chunk sees the chunk's 6 nodes per cell
+        # along one axis, not its 216 points per cell
+        cases.l2_error(cube8, vd.build_dofs(cube8), vd.build_projectors(cube8),
+                       np.zeros(cube8.n_edges), np.zeros(cube8.n_faces), c2, 1.0)
+        chunk_cells = [r.volumes.size for r in vg.cell_rules(cube8)]
+        assert len(trig_calls) == 4 * len(chunk_cells)
+        for k, cells in enumerate(chunk_cells):
+            assert max(trig_calls[4 * k:4 * k + 4]) <= 6 * cells
+
     def test_norms_nonnegative(self, c1, cube2):
         dofs = vd.build_dofs(cube2)
         proj = vd.build_projectors(cube2)
@@ -196,12 +226,12 @@ def loop_interpolate_face(mesh, field):
 
 def loop_l2_error(mesh, projectors, e_full, b_full, case, t):
     """(err_E, err_B), one cell at a time, each on the points and weights
-    that ``cell_rules`` gives it."""
+    that ``cell_rules`` gives it, a box's as the tensor rule it factors."""
     err_e_sq = 0.0
     err_b_sq = 0.0
     pe = (projectors.edge_cell @ e_full).reshape(-1, 3)
     pb = (projectors.face_cell @ b_full).reshape(-1, 3)
-    for rule in vg.cell_rules(mesh):
+    for rule in (flat_rule(mesh, r) for r in vg.cell_rules(mesh)):
         for k in np.unique(rule.owners):
             on = rule.owners == k
             points, weights = rule.points[on], rule.weights[on]
@@ -278,7 +308,7 @@ class TestChunkBudget:
             return evaluate
 
         def record_parts(x, y, z):
-            sizes.append(x.size)
+            sizes.append(np.broadcast(x, y, z).size)     # a box chunk's tensor points
             return case.EB_parts(x, y, z)
 
         return dataclasses.replace(case, E=record(case.E), B=record(case.B),
@@ -293,7 +323,8 @@ class TestChunkBudget:
         dofs = vd.build_dofs(m)
         cases.l2_error(m, dofs, vd.build_projectors(m), np.zeros(m.n_edges),
                        np.zeros(m.n_faces), case, 1.0)
-        per_cell = np.bincount(np.concatenate([r.owners for r in vg.cell_rules(m)]))
+        per_cell = np.bincount(np.concatenate([flat_rule(m, r).owners
+                                               for r in vg.cell_rules(m)]))
         assert max(sizes) <= max(budget, per_cell.max())
         assert sum(sizes) == per_cell.sum()      # E and B together, once per point
 
@@ -342,7 +373,7 @@ class TestFusedFields:
         # the fields a run interpolates are the ones l2_error integrates
         m = request.getfixturevalue(name)
         case = cases.get_case(case_id)
-        for rule in vg.cell_rules(m):
+        for rule in (flat_rule(m, r) for r in vg.cell_rules(m)):
             assert np.array_equal(fused_field(case, 0, rule, t), case.E(rule.points, t))
             assert np.array_equal(fused_field(case, 1, rule, t), case.B(rule.points, t))
 

@@ -183,6 +183,14 @@ class TestMain:
         captured = capsys.readouterr()
         assert "not shape-regular" in captured.err and captured.out == ""
 
+    def test_out_of_memory_exit_three(self, capsys):
+        # the mesh's vertex numbering, its first array (7.11 PiB), is refused outright
+        code = cli.main(["--generate", "cube:100000", "--case", "2", "--tau", "1/4"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: out of memory")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     def test_one_level_is_a_single_run(self, capsys):
         code = cli.main(["--generate", "cube:1", "--case", "2", "--tau", "1/2",
                          "--levels", "1"])

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import sympy as sp
 
 from conftest import block_rows, cell_edges, constant_face_dofs
+from vemaxwell import cases
 from vemaxwell import derham as vd
 from vemaxwell import geometry as vg
 
@@ -231,6 +234,63 @@ class TestInterpolation:
         dofs = vd.interpolate_node(cube2, lambda p: np.sin(np.pi * p[..., 0]))
         vid = np.flatnonzero((np.abs(cube2.vertices - [0.5, 0, 0]) < 1e-12).all(axis=1))
         assert dofs[vid[0]] == pytest.approx(1.0, rel=1e-14)
+
+
+class TestEdgeChunks:
+    """``interpolate_edge`` walks the edges in chunks of at most
+    ``CHUNK_POINTS`` Gauss points (8 per edge), so its arrays do not grow
+    with the mesh, and gives the DOFs of one whole-mesh evaluation."""
+
+    @staticmethod
+    def fields():
+        c1, c2 = cases.case1(), cases.case2()
+        return [g for _, g in c1.J_terms] + [lambda p: c2.E(p, 0.7), lambda p: c2.B(p, 0.7)]
+
+    @pytest.mark.parametrize("budget", [vg.CHUNK_POINTS, 500, 1])
+    @pytest.mark.parametrize("name", ["cube4", "voro27"])
+    def test_field_sees_chunks(self, name, budget, request, monkeypatch):
+        m = request.getfixturevalue(name)
+        monkeypatch.setattr(vg, "CHUNK_POINTS", budget)
+        sizes = []
+
+        def field(p):
+            sizes.append(p.shape[0] * p.shape[1])
+            return np.ones(p.shape)
+
+        vd.interpolate_edge(m, field)
+        assert max(sizes) <= max(budget, 8)
+        assert sum(sizes) == 8 * m.n_edges
+
+    @pytest.mark.parametrize("name", ["cube8", "agglo4"])
+    def test_default_chunks_match_one_chunk(self, name, request, monkeypatch):
+        # cube:8 has 1944 edges: a chunk of 1024 and a shorter last one
+        m = request.getfixturevalue(name)
+        for field in self.fields():
+            got = vd.interpolate_edge(m, field)
+            monkeypatch.setattr(vg, "CHUNK_POINTS", 10**9)
+            want = vd.interpolate_edge(m, field)
+            monkeypatch.undo()
+            assert np.array_equal(got, want)
+
+    def test_peak_memory_is_chunk_sized(self, cube8, monkeypatch):
+        # Bound stated before measuring, in arrays of one chunk's points
+        # (1024 here, so cube:8 walks 16 chunks): the DOF vector, plus the
+        # chunk's points (3 arrays), the combination's running sum (3), the
+        # spatial field's output planes (3), one scaled term in flight (3)
+        # and the generated function's own arrays (case 1 holds at most 18,
+        # see TestEvaluationMemory): 30.  One evaluation of all 15,552
+        # points held over 300.
+        budget = 1024
+        monkeypatch.setattr(vg, "CHUNK_POINTS", budget)
+        for _, g in cases.case1().J_terms:
+            vd.interpolate_edge(cube8, g)
+            tracemalloc.start()
+            try:
+                vd.interpolate_edge(cube8, g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 8 * cube8.n_edges + 30.5 * 8 * budget
 
 
 class TestExactSequenceAndCommuting:

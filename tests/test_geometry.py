@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import SPLIT_MESHES
+from conftest import SPLIT_MESHES, flat_rule
 from vemaxwell import geometry as vg
 from vemaxwell.mesh import derive_topology
 
@@ -189,17 +189,38 @@ def box():
 
 
 def walk_by_cell(mesh):
-    """Points and weights that ``cell_rules`` gives each cell."""
-    rules = list(vg.cell_rules(mesh))
+    """Points and weights that ``cell_rules`` gives each cell, a box
+    chunk's as the tensor rule it factors."""
+    rules = [flat_rule(mesh, r) for r in vg.cell_rules(mesh)]
     points = np.concatenate([r.points for r in rules])
     weights = np.concatenate([r.weights for r in rules])
     owners = np.concatenate([r.owners for r in rules])
     return [(points[owners == k], weights[owners == k]) for k in range(mesh.n_cells)]
 
 
+def oracle_bounds(mesh):
+    """Vertex bounding boxes as the 2-D ``reduceat`` over the loop-edge
+    ends of every pyramid tetrahedron took them."""
+    split = mesh.split
+    ends = mesh.vertices[split.fan_vertices[split.tet_panels.flat]]
+    starts = split.tet_panels.offsets[:-1]
+    return (np.minimum.reduceat(ends.min(axis=1), starts),
+            np.maximum.reduceat(ends.max(axis=1), starts))
+
+
+# Hexahedra that are not boxes: a sheared one, and one corner moved out or in.
+OFF_BOX = {"sheared": dict(shear=0.2), "perturbed-out": dict(shift=(4e-11, 0.0, 0.0)),
+           "perturbed-in": dict(shift=(-4e-11, -4e-11, -4e-11))}
+
+
+def box_chunks(mesh):
+    return [r for r in vg.cell_rules(mesh) if isinstance(r, vg.BoxRule)]
+
+
 class TestBoxRule:
     """``cell_rules`` integrates six-face axis-aligned boxes with one
-    6 x 6 x 6 Gauss rule and every other cell with ``cell_quadrature``."""
+    6 x 6 x 6 Gauss rule, kept factored, and every other cell with
+    ``cell_quadrature``."""
 
     @pytest.mark.parametrize("name, all_boxes", [
         ("cube1", True), ("cube4", True), ("box", True),
@@ -230,10 +251,36 @@ class TestBoxRule:
         assert m.cell_volumes[0] == pytest.approx(np.prod(BOX_HI - BOX_LO), rel=1e-14)
         assert not vg.box_cells(m)[0].any()
 
-    def test_points_per_direction(self):
-        # the Gauss count of the pyramid rule's first direction
+    @pytest.mark.parametrize("name", ["cube1", "cube2", "cube4", "cube8", "box", "voro8",
+                                      "voro27", "lcell", "two_prisms", "agglo4"] + list(OFF_BOX))
+    def test_bounds_match_oracle(self, name, request):
+        m = build_box(**OFF_BOX[name]) if name in OFF_BOX else request.getfixturevalue(name)
+        _, lo, hi = vg.box_cells(m)
+        want_lo, want_hi = oracle_bounds(m)
+        assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+
+    def test_points_per_direction(self, box):
+        # the Gauss count of the pyramid rule's first direction, per axis
         first = vg.tetrahedron_rule(vg.DEFAULT_CELL_DEGREE)[0][:, 0]
-        assert vg.box_rule()[1].size == np.unique(first).size ** 3 == 216
+        assert vg.BOX_POINTS == np.unique(first).size == 6
+        rule, = box_chunks(box)
+        assert [c.shape for c in rule.coords] == [(1, 6, 1, 1), (1, 1, 6, 1), (1, 1, 1, 6)]
+        assert rule.weights.shape == (6,) and rule.weights.sum() == pytest.approx(1, rel=1e-15)
+
+    @pytest.mark.parametrize("name", ["box", "cube4", "cube8", "agglo4"])
+    def test_nodes_broadcast_to_mapped_points(self, name, request):
+        # the factored nodes are lo + (hi - lo) g, which is what mapping the
+        # tensor points with apex lo and legs diag(hi - lo) gave, bit for bit
+        m = request.getfixturevalue(name)
+        for rule in box_chunks(m):
+            want = flat_rule(m, rule)
+            points = np.stack(np.broadcast_arrays(*rule.coords)).reshape(3, -1)
+            assert np.array_equal(points, want.coords)
+            cells = rule.entities
+            assert np.array_equal(want.owners, np.repeat(cells, 216))
+            tensor = np.einsum("i,j,k->ijk", rule.weights, rule.weights, rule.weights)
+            assert np.array_equal(np.outer(rule.volumes, tensor).ravel(), want.weights)
+            assert np.allclose(rule.volumes, m.cell_volumes[cells], rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("name", ["box", "cube4", "agglo4"])
     def test_weights_sum_to_cell_volume(self, name, request):
@@ -260,11 +307,11 @@ class TestBoxRule:
         m = request.getfixturevalue(name)
         boxes = vg.box_cells(m)[0]
         for rule in vg.cell_rules(m):
-            cells = slice(rule.owners[0], rule.owners[-1] + 1)
-            assert (boxes[rule.owners] == boxes[cells.start]).all()
-            if boxes[cells.start]:
-                assert rule.points_per_simplex == 216
+            cells = rule.entities
+            if isinstance(rule, vg.BoxRule):
+                assert boxes[cells].all()
                 continue
+            assert not boxes[cells].any()
             want = vg.cell_quadrature(m, cells)
             assert rule.points_per_simplex == want.points_per_simplex
             for field in ("coords", "weights", "owners"):
@@ -441,7 +488,7 @@ class TestChunking:
     def test_rules_independent_of_budget(self, name, request, monkeypatch):
         m = request.getfixturevalue(name)
         for walk in (lambda: vg.face_rules(m, vg.DEFAULT_FACE_DEGREE),
-                     lambda: vg.cell_rules(m)):
+                     lambda: (flat_rule(m, r) for r in vg.cell_rules(m))):
             joined = []
             for budget in (1, vg.CHUNK_POINTS, 10**9):
                 monkeypatch.setattr(vg, "CHUNK_POINTS", budget)
@@ -451,3 +498,26 @@ class TestChunking:
             for other in joined[1:]:
                 for a, b in zip(joined[0], other):
                     assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("name", ["cube4", "cube8", "agglo4"])
+    def test_box_rules_independent_of_budget(self, name, request, monkeypatch):
+        # the factored rules' nodes and volumes, cell by cell, and chunks of
+        # whole cells within the budget, counting 216 points per box; boxes
+        # share chunks wherever they lie (agglo4's 8 are not adjacent)
+        m = request.getfixturevalue(name)
+        boxes = vg.box_cells(m)[0]
+        joined = []
+        for budget in (1, vg.CHUNK_POINTS, 10**9):
+            monkeypatch.setattr(vg, "CHUNK_POINTS", budget)
+            rules = [r for r in vg.cell_rules(m) if isinstance(r, vg.BoxRule)]
+            cells = np.concatenate([r.entities for r in rules])
+            assert np.array_equal(cells, np.flatnonzero(boxes))
+            assert len(rules) == -(-cells.size // max(1, budget // 216))
+            for r in rules:
+                assert 216 * r.volumes.size <= max(budget, 216)
+                assert all(c.shape[0] == r.volumes.size for c in r.coords)
+            joined.append([np.concatenate([r.coords[axis] for r in rules]) for axis in range(3)]
+                          + [np.concatenate([r.volumes for r in rules])])
+        for other in joined[1:]:
+            for a, b in zip(joined[0], other):
+                assert np.array_equal(a, b)
