@@ -9,9 +9,9 @@ divergence at round-off level for all times.
 """
 
 from .cases import ErrorReport, ManufacturedCase, case1, case2, l2_error
-from .derham import (DeRhamDofs, ElementProjectors, IncidenceOps, build_dofs,
-                     build_incidence, build_projectors, divergence_norm,
-                     interpolate_edge, interpolate_face, interpolate_node)
+from .derham import (ElementProjectors, IncidenceOps, build_incidence,
+                     build_projectors, divergence_norm, interpolate_edge,
+                     interpolate_face, interpolate_node)
 from .forms import CoefficientSet, StabWeights, sample_coefficients
 from .geometry import QuadratureRule
 from .linalg import SolveReport, SparseMatrix, cg_solve
@@ -24,13 +24,12 @@ from .stepper import RunResult, SimulationState, StepOperators, run
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoefficientSet", "DeRhamDofs", "ElementProjectors", "ErrorReport",
+    "CoefficientSet", "ElementProjectors", "ErrorReport",
     "IncidenceOps", "ManufacturedCase", "MeshError", "MeshFormatError",
     "MeshGeometryError", "MeshStats", "MeshTopologyError", "PolyMesh",
     "QuadratureRule", "RunResult", "SimulationState", "SolveReport",
     "SparseMatrix", "StabWeights", "StepOperators", "ValidationReport",
-    "build_dofs", "build_incidence",
-    "build_projectors", "case1", "case2", "cg_solve", "derive_topology",
+    "build_incidence", "build_projectors", "case1", "case2", "cg_solve", "derive_topology",
     "divergence_norm", "generate_cube_mesh", "interpolate_edge",
     "interpolate_face", "interpolate_node", "l2_error", "load_mesh",
     "mesh_stats", "run", "sample_coefficients", "save_mesh", "validate_mesh",

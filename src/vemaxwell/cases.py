@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _case_fields
-from .derham import DeRhamDofs, ElementProjectors
+from .derham import ElementProjectors
 from .geometry import cell_rules
 from .mesh import PolyMesh
 
@@ -180,14 +180,14 @@ def get_case(case_id: int) -> ManufacturedCase:
 @dataclass
 class ErrorReport:
     """L2 errors of the projected discrete fields against the exact ones,
-    plus run metadata filled in by the driver (``div_B`` is the last
-    monitored |div B_h|)."""
+    plus run metadata filled in by the driver (the interior DOF counts,
+    and ``div_B``, the last monitored |div B_h|)."""
 
     err_E: float
     err_B: float
     h: float
-    n_edge_dofs: int
-    n_face_dofs: int
+    n_edge_dofs: int = 0
+    n_face_dofs: int = 0
     tau: float = float("nan")
     div_B: float = float("nan")
     label: str = ""
@@ -195,14 +195,14 @@ class ErrorReport:
     wall_s: float = 0.0
 
 
-def l2_error(mesh: PolyMesh, dofs: DeRhamDofs, projectors: ElementProjectors,
-             e_full: np.ndarray, b_full: np.ndarray, case: ManufacturedCase,
-             t: float) -> ErrorReport:
+def l2_error(mesh: PolyMesh, projectors: ElementProjectors, e_full: np.ndarray,
+             b_full: np.ndarray, case: ManufacturedCase, t: float) -> ErrorReport:
     """Cellwise L2 errors |E - P0 E_h| and |B - P0 B_h|.
 
     The discrete fields enter only through their elementwise constant
     projections, since the virtual shape functions are never available
-    pointwise.  ``e_full``/``b_full`` carry boundary zeros re-inserted.
+    pointwise.  ``e_full``/``b_full`` hold every edge and face DOF, boundary
+    zeros included.
     One chunk of whole cells at a time, E and B come from one call of
     ``case.EB_parts`` on the chunk rule's ``coords``, and each component
     adds ``rule.squared_deviation``, ``sum w (F_i - c_i)^2``: over the
@@ -230,6 +230,4 @@ def l2_error(mesh: PolyMesh, dofs: DeRhamDofs, projectors: ElementProjectors,
         err_E=float(np.sqrt(err_sq[0])),
         err_B=float(np.sqrt(err_sq[1])),
         h=mesh.h,
-        n_edge_dofs=dofs.n_interior_edges,
-        n_face_dofs=dofs.n_interior_faces,
     )

@@ -85,12 +85,13 @@ def run_single(config: RunConfig) -> ErrorReport:
     stab = StabWeights(config.eta_edge, config.eta_face)
     result = stepper.run(m, case, float(config.tau), config.T, stab=stab,
                          tol=config.tol)
-    dofs = result.ops.dofs
-    errors = cases.l2_error(m, dofs, result.ops.projectors,
-                            dofs.expand_edge(result.state.e),
-                            dofs.expand_face(result.state.b), case, config.T)
+    ops = result.ops
+    e, b = np.zeros(m.n_edges), np.zeros(m.n_faces)
+    e[ops.interior_edges], b[ops.interior_faces] = result.state.e, result.state.b
+    errors = cases.l2_error(m, ops.projectors, e, b, case, config.T)
     rep = dataclasses.replace(
-        errors, tau=float(config.tau), div_B=result.monitors[-1].div_b,
+        errors, n_edge_dofs=ops.interior_edges.size, n_face_dofs=ops.interior_faces.size,
+        tau=float(config.tau), div_B=result.monitors[-1].div_b,
         label=m.name or config.mesh_source,
         cg_iters_total=result.cg_iters_total,
         wall_s=time.perf_counter() - t0)

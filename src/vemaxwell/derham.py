@@ -31,55 +31,6 @@ INTERP_EDGE_DEGREE = 15
 INTERP_FACE_DEGREE = 14
 
 
-@dataclass(frozen=True, eq=False)
-class DeRhamDofs:
-    """Global DOF counts, homogeneous-boundary masks and interior numbering.
-
-    Boundary masks implement E x n = 0 (edge DOFs) and B . n = 0 (face
-    DOFs), the interior node numbering zero vertex traces; constrained
-    DOFs are eliminated, not penalized, so reduced systems stay SPD.
-    """
-
-    n_edges: int
-    n_faces: int
-    boundary_edges: np.ndarray
-    boundary_faces: np.ndarray
-    interior_nodes: np.ndarray   # global ids of free node DOFs
-    interior_edges: np.ndarray
-    interior_faces: np.ndarray
-
-    @property
-    def n_interior_edges(self) -> int:
-        return self.interior_edges.size
-
-    @property
-    def n_interior_faces(self) -> int:
-        return self.interior_faces.size
-
-    def expand_edge(self, v_int: np.ndarray) -> np.ndarray:
-        """Insert zeros at constrained edge DOFs."""
-        full = np.zeros(self.n_edges)
-        full[self.interior_edges] = v_int
-        return full
-
-    def expand_face(self, v_int: np.ndarray) -> np.ndarray:
-        full = np.zeros(self.n_faces)
-        full[self.interior_faces] = v_int
-        return full
-
-
-def build_dofs(mesh: PolyMesh) -> DeRhamDofs:
-    return DeRhamDofs(
-        n_edges=mesh.n_edges,
-        n_faces=mesh.n_faces,
-        boundary_edges=mesh.boundary_edges.copy(),
-        boundary_faces=mesh.boundary_faces.copy(),
-        interior_nodes=np.flatnonzero(~mesh.boundary_vertices),
-        interior_edges=np.flatnonzero(~mesh.boundary_edges),
-        interior_faces=np.flatnonzero(~mesh.boundary_faces),
-    )
-
-
 def gradient_matrix(mesh: PolyMesh) -> sps.csr_matrix:
     """G: nodal values -> edge DOFs of the gradient.
 
@@ -191,7 +142,10 @@ def interpolate_edge(mesh: PolyMesh, field) -> np.ndarray:
     Boundary edges are included; Dirichlet masking is the caller's job.
     ``field`` maps an (..., 3) point array to (..., 3) values.  Edges are
     walked in chunks of at most ``CHUNK_POINTS`` Gauss points, so the
-    arrays held do not grow with the mesh.
+    arrays held do not grow with the mesh.  Each edge's weighted values
+    are summed in a fixed order (a matrix-vector product may round a row
+    by its position in the chunk), so the DOFs do not depend on the chunk
+    size.
     """
     xs, ws = segment_rule(INTERP_EDGE_DEGREE)
     out = np.empty(mesh.n_edges)
@@ -203,7 +157,7 @@ def interpolate_edge(mesh: PolyMesh, field) -> np.ndarray:
         pts = a[:, None, :] + xs[None, :, None] * (b - a)[:, None, :]
         vals = np.asarray(field(pts))
         tangential = np.einsum("eqc,ec->eq", vals, mesh.edge_tangents[edges])
-        out[edges] = tangential @ ws
+        out[edges] = (tangential * ws).sum(axis=1)
     return out
 
 

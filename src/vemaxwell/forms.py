@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sps
 
-from .derham import DeRhamDofs, ElementProjectors, block_matrix
+from .derham import ElementProjectors, block_matrix
 from .mesh import PolyMesh
 
 DEFAULT_ETA_EDGE = 0.01
@@ -128,18 +128,15 @@ def local_face_mass(mesh: PolyMesh, projectors: ElementProjectors) -> LocalFacto
     return _local_factors(projectors.face_cell, cells, fids, mesh.face_normals[fids], stab)
 
 
-def assemble_global(mesh: PolyMesh, dofs: DeRhamDofs, cell_weights,
-                    kind: str, projectors: ElementProjectors,
-                    stab: StabWeights = StabWeights(),
-                    restrict=True):
-    """Sum the weighted local products into a global sparse matrix.
+def assemble_global(mesh: PolyMesh, cell_weights, kind: str,
+                    projectors: ElementProjectors, stab: StabWeights = StabWeights()):
+    """Sum the weighted local products into a global sparse matrix over
+    all edge or face DOFs, boundary ones included.
 
     ``cell_weights`` is a per-cell array (e.g. sampled permittivity, or
     reciprocal permeability for the face product), or a stack of them;
     a stack returns one matrix per row, all weighting the same single
-    pass of local factors.  With ``restrict`` (one flag, or one per row)
-    the rows/columns of constrained boundary DOFs are eliminated; pass
-    ``restrict=False`` for the no-boundary-condition matrix.
+    pass of local factors.
 
     Each matrix is P' diag(w |K|) P + eta X' diag(w S) X, then averaged
     with its transpose, so it is exactly symmetric.
@@ -149,21 +146,16 @@ def assemble_global(mesh: PolyMesh, dofs: DeRhamDofs, cell_weights,
     weights = np.asarray(cell_weights, dtype=float)
     if weights.ndim not in (1, 2) or weights.shape[-1] != mesh.n_cells:
         raise ValueError("one weight per cell expected")
-    if kind == "edge":
-        local, eta, keep = local_edge_mass, stab.eta_edge, dofs.interior_edges
-    else:
-        local, eta, keep = local_face_mass, stab.eta_face, dofs.interior_faces
+    local, eta = ((local_edge_mass, stab.eta_edge) if kind == "edge"
+                  else (local_face_mass, stab.eta_face))
 
     p, x, s, cells = local(mesh, projectors)
     p_t, x_t = p.T.tocsr(), x.T.tocsr()
     mats = []
-    stack = np.atleast_2d(weights)
-    for w, cut in zip(stack, np.broadcast_to(restrict, len(stack))):
+    for w in np.atleast_2d(weights):
         mat = (p_t @ (sps.diags(np.repeat(w * mesh.cell_volumes, 3)) @ p)
                + eta * (x_t @ (sps.diags(w[cells] * s) @ x)))
         mat = (0.5 * (mat + mat.T)).tocsr()
-        if cut:
-            mat = mat[keep][:, keep]
         mat.sort_indices()
         mats.append(mat)
     return mats if weights.ndim == 2 else mats[0]

@@ -476,7 +476,8 @@ def load_mesh(path) -> PolyMesh:
     Format: object with "vertices" ([x, y, z] triples), "faces" (0-based
     vertex loops; loop order defines the normal), "cells" (1-based signed
     face indices) and an optional "name" string.  Coordinates must be
-    finite and indices JSON integers.
+    finite and indices JSON integers.  The name labels a CSV row, so it
+    may not hold a comma or a line break.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -491,6 +492,8 @@ def load_mesh(path) -> PolyMesh:
     name = doc.get("name", "")
     if not isinstance(name, str):
         raise MeshFormatError(f"{path}: name must be a string")
+    if any(c in name for c in ",\r\n"):
+        raise MeshFormatError(f"{path}: name {name!r} holds a comma or a line break")
     try:
         # numpy would truncate 1.5 or true to a valid index without a word
         for key in ("faces", "cells"):

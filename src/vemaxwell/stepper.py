@@ -35,9 +35,8 @@ import numpy as np
 
 from . import linalg
 from .cases import ManufacturedCase
-from .derham import (DeRhamDofs, ElementProjectors, build_dofs,
-                     build_incidence, build_projectors, divergence_norm,
-                     interpolate_edge, interpolate_face)
+from .derham import (ElementProjectors, build_incidence, build_projectors,
+                     divergence_norm, interpolate_edge, interpolate_face)
 from .forms import CoefficientSet, StabWeights, assemble_global, sample_coefficients
 from .mesh import PolyMesh
 
@@ -89,12 +88,19 @@ class SimulationState:
 
 @dataclass(frozen=True, eq=False)
 class StepOperators:
-    """Assembled matrices reused across all steps of one run."""
+    """Assembled matrices reused across all steps of one run.
+
+    The run eliminates the DOFs of boundary edges (E x n = 0) and faces
+    (B . n = 0), so the reduced system stays SPD; ``interior_edges`` and
+    ``interior_faces`` are the global ids of the DOFs it keeps, in the
+    order of the state's ``e`` and ``b``.
+    """
 
     mesh: PolyMesh
-    dofs: DeRhamDofs
     projectors: ElementProjectors
     tau: float
+    interior_edges: np.ndarray
+    interior_faces: np.ndarray
     m_eps: object          # interior edge x interior edge
     m_edge_load: object    # interior edge x all edges, unweighted product
     m_face: object         # interior face x interior face
@@ -115,38 +121,41 @@ def curl_mass_ratio(system: linalg.SparseMatrix, m_eps) -> float:
     return float(np.median((system.diagonal - d_eps) / d_eps))
 
 
-def build_step_operators(mesh: PolyMesh, dofs: DeRhamDofs,
-                         projectors: ElementProjectors, coefficients: CoefficientSet,
-                         tau: float, stab: StabWeights = StabWeights()) -> StepOperators:
+def build_step_operators(mesh: PolyMesh, projectors: ElementProjectors,
+                         coefficients: CoefficientSet, tau: float,
+                         stab: StabWeights = StabWeights()) -> StepOperators:
     if tau <= 0:
         raise ValueError("tau must be positive")
-    ie, if_ = dofs.interior_edges, dofs.interior_faces
+    ie = np.flatnonzero(~mesh.boundary_edges)
+    if_ = np.flatnonzero(~mesh.boundary_faces)
 
     ops = build_incidence(mesh)
     # Rows of C belonging to boundary faces must touch only boundary
     # edges, otherwise zeroed boundary magnetic DOFs would not stay zero
     # under the reduced update.  This is a mesh property, checked here.
-    c_bnd = ops.C[np.flatnonzero(dofs.boundary_faces)][:, ie]
+    c_bnd = ops.C[np.flatnonzero(mesh.boundary_faces)][:, ie]
     if c_bnd.nnz:
         raise ValueError("boundary face with an interior edge; mesh unsupported")
     c_int = ops.C[if_][:, ie].tocsr()
 
     # One pass of local edge products serves all three edge matrices; the
     # unit-weight one keeps its boundary columns for the load.
-    m_eps, m_sig, m_edge_full = assemble_global(
-        mesh, dofs, [coefficients.eps_hat, coefficients.sigma_hat, np.ones(mesh.n_cells)],
-        "edge", projectors, stab, restrict=[True, True, False])
-    m_edge_load = m_edge_full[ie].tocsr()
-    m_face = assemble_global(mesh, dofs, 1.0 / coefficients.mu_hat, "face", projectors, stab)
+    m_eps, m_sig, m_edge = assemble_global(
+        mesh, [coefficients.eps_hat, coefficients.sigma_hat, np.ones(mesh.n_cells)],
+        "edge", projectors, stab)
+    m_eps, m_sig = m_eps[ie][:, ie], m_sig[ie][:, ie]
+    m_edge_load = m_edge[ie].tocsr()
+    m_face = assemble_global(mesh, 1.0 / coefficients.mu_hat, "face", projectors, stab)
+    m_face = m_face[if_][:, if_]
 
     curl_term = (c_int.T @ m_face @ c_int).tocsr()
     curl_term = 0.5 * (curl_term + curl_term.T)     # exact symmetry
     system = linalg.SparseMatrix.from_scipy(m_eps + tau * m_sig + tau**2 * curl_term)
     precond = None
     if curl_mass_ratio(system, m_eps) > CURL_MASS_SWITCH:
-        g_int = ops.G[ie][:, dofs.interior_nodes].tocsr()
+        g_int = ops.G[ie][:, np.flatnonzero(~mesh.boundary_vertices)].tocsr()
         precond = linalg.hybrid_preconditioner(system.to_scipy(), g_int)
-    return StepOperators(mesh, dofs, projectors, tau, m_eps, m_edge_load, m_face,
+    return StepOperators(mesh, projectors, tau, ie, if_, m_eps, m_edge_load, m_face,
                          c_int, c_int.T.tocsr(), ops.D[:, if_].tocsr(), system, precond)
 
 
@@ -167,18 +176,18 @@ def init_state(ops: StepOperators, case: ManufacturedCase) -> SimulationState:
     boundary ones dropped, so it fails where ``B0 . n`` does not vanish on
     the boundary as well as where ``div B0`` does not vanish.
     """
-    mesh, dofs = ops.mesh, ops.dofs
+    mesh = ops.mesh
     e_full = (np.zeros(mesh.n_edges) if case.vanishes(0, 0.0)
               else interpolate_edge(mesh, lambda p: case.E(p, 0.0)))
     b_full = (np.zeros(mesh.n_faces) if case.vanishes(1, 0.0)
               else interpolate_face(mesh, lambda p: case.B(p, 0.0)))
-    b = b_full[dofs.interior_faces]
+    b = b_full[ops.interior_faces]
     div0 = np.abs(ops.d_int @ b).max()
     if div0 > DIV_INIT_TOL:
         raise InitialDivergenceError(
             f"initial magnetic field is not solenoidal: |D b0|_inf = {div0:.3e}"
         )
-    return make_state(ops, e_full[dofs.interior_edges], b)
+    return make_state(ops, e_full[ops.interior_edges], b)
 
 
 def advance(state: SimulationState, ops: StepOperators, load: np.ndarray,
@@ -244,9 +253,8 @@ def run(mesh: PolyMesh, case: ManufacturedCase, tau: float, T: float,
     Raises ValueError if tau does not evenly divide T (``step_count``).
     """
     n_steps = step_count(T, tau)
-    dofs = build_dofs(mesh)
     coefficients = sample_coefficients(mesh, case.eps, case.sigma, case.mu)
-    ops = build_step_operators(mesh, dofs, build_projectors(mesh), coefficients, tau, stab)
+    ops = build_step_operators(mesh, build_projectors(mesh), coefficients, tau, stab)
     state = init_state(ops, case)
 
     def monitor(st: SimulationState, iters: int, residual: float) -> StepMonitor:
@@ -261,7 +269,7 @@ def run(mesh: PolyMesh, case: ManufacturedCase, tau: float, T: float,
     total_iters = 0
     for m in range(n_steps):
         t_next = (m + 1) * tau
-        load = sum((a(t_next) * f for a, f in loads), np.zeros(ops.dofs.n_interior_edges))
+        load = sum((a(t_next) * f for a, f in loads), np.zeros(ops.interior_edges.size))
         state, report = advance(state, ops, load, tol=tol)
         total_iters += report.iterations
         monitors.append(monitor(state, report.iterations, report.residual))

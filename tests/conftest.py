@@ -190,6 +190,14 @@ def block_rows(proj_map, i, cols):
     return proj_map[3 * i:3 * i + 3][:, cols].toarray()
 
 
+def expand(v, ids, n):
+    """The length-``n`` vector holding ``v`` at ``ids`` and zeros elsewhere:
+    a run's interior DOF vector with its eliminated boundary DOFs put back."""
+    full = np.zeros(n)
+    full[ids] = v
+    return full
+
+
 def constant_edge_dofs(mesh, c):
     """Edge DOFs of the constant vector field c."""
     return mesh.edge_tangents @ np.asarray(c, dtype=float)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import (block_rows, build_lcell, build_two_prisms, cell_edges,
-                      constant_edge_dofs, constant_face_dofs)
+                      constant_edge_dofs, constant_face_dofs, expand)
 from vemaxwell import cases, cli, forms, stepper
 from vemaxwell import derham as vd
 from vemaxwell import generate_cube_mesh, load_mesh
@@ -153,21 +153,19 @@ def test_criterion_4_discrete_product_contracts(cube4m, voro):
     sym_exact = True
     pd_ok = True
     for m in (cube4m, voro):
-        dofs = vd.build_dofs(m)
         proj = vd.build_projectors(m)
         for kind, mk_dofs in (("edge", constant_edge_dofs),
                               ("face", constant_face_dofs)):
-            mat = forms.assemble_global(m, dofs, np.ones(m.n_cells), kind,
-                                        proj, restrict=False)
+            mat = forms.assemble_global(m, np.ones(m.n_cells), kind, proj)
             u, v = mk_dofs(m, c1v), mk_dofs(m, c2v)
             exact = (c1v @ c2v) * m.cell_volumes.sum()
             worst_cons = max(worst_cons, abs(u @ (mat @ v) - exact) / abs(exact))
             diff = mat - mat.T
             sym_exact &= (diff.nnz == 0 or np.abs(diff.data).max() == 0.0)
-            mat_r = forms.assemble_global(m, dofs, np.ones(m.n_cells), kind, proj)
+            # on all DOFs, so also on the interior ones a run keeps
             for _ in range(100):
-                xvec = rng.standard_normal(mat_r.shape[0])
-                pd_ok &= bool(xvec @ (mat_r @ xvec) > 0.0)
+                xvec = rng.standard_normal(mat.shape[0])
+                pd_ok &= bool(xvec @ (mat @ xvec) > 0.0)
     wall = time.perf_counter() - t0
     ok = worst_cons <= 1e-12 and sym_exact and pd_ok and wall < 30.0
     report(f"criterion 4 (product contracts): consistency {worst_cons:.2e} "
@@ -241,10 +239,11 @@ def test_criterion_8_row_monotonicity(cube4m):
     errs_e, errs_b = [], []
     for tau_inv in (8, 16, 32, 64):
         res = stepper.run(cube4m, cases.case2(), 1 / tau_inv, 1.0)
-        dofs = res.ops.dofs
-        rep = cases.l2_error(cube4m, dofs, res.ops.projectors,
-                             dofs.expand_edge(res.state.e),
-                             dofs.expand_face(res.state.b), cases.case2(), 1.0)
+        ops = res.ops
+        rep = cases.l2_error(cube4m, ops.projectors,
+                             expand(res.state.e, ops.interior_edges, cube4m.n_edges),
+                             expand(res.state.b, ops.interior_faces, cube4m.n_faces),
+                             cases.case2(), 1.0)
         errs_e.append(rep.err_E)
         errs_b.append(rep.err_B)
     mono_e = all(b <= a for a, b in zip(errs_e, errs_e[1:]))

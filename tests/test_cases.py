@@ -11,7 +11,7 @@ import sympy as sp
 
 import case_source
 import vemaxwell
-from conftest import SPLIT_MESHES, flat_rule, strong_form_residual
+from conftest import SPLIT_MESHES, expand, flat_rule, strong_form_residual
 from vemaxwell import _case_fields, cases, stepper
 from vemaxwell import derham as vd
 from vemaxwell import geometry as vg
@@ -133,9 +133,8 @@ class TestBoundaryTraces:
 class TestL2Error:
     def test_zero_state_case2_at_t0(self, c2, cube4):
         # |E(., 0)| = sqrt(int sin^2 sin^2) = 1/2; B(0) = 0
-        dofs = vd.build_dofs(cube4)
         proj = vd.build_projectors(cube4)
-        rep = cases.l2_error(cube4, dofs, proj, np.zeros(cube4.n_edges),
+        rep = cases.l2_error(cube4, proj, np.zeros(cube4.n_edges),
                              np.zeros(cube4.n_faces), c2, 0.0)
         assert rep.err_E == pytest.approx(0.5, abs=1e-7)
         assert rep.err_B == 0.0
@@ -146,13 +145,12 @@ class TestL2Error:
         errs = []
         for n in (2, 4, 8):
             m = generate_cube_mesh(n)
-            dofs = vd.build_dofs(m)
             proj = vd.build_projectors(m)
             e = vd.interpolate_edge(m, lambda p: c2.E(p, 1.0))
             b = vd.interpolate_face(m, lambda p: c2.B(p, 1.0))
-            e[dofs.boundary_edges] = 0.0
-            b[dofs.boundary_faces] = 0.0
-            rep = cases.l2_error(m, dofs, proj, e, b, c2, 1.0)
+            e[m.boundary_edges] = 0.0
+            b[m.boundary_faces] = 0.0
+            rep = cases.l2_error(m, proj, e, b, c2, 1.0)
             errs.append((rep.err_E, rep.err_B))
         for (e0, b0), (e1, b1) in zip(errs, errs[1:]):
             assert e1 < e0 and b1 < b0
@@ -161,9 +159,10 @@ class TestL2Error:
         # bound stated before measuring: on the cube:8, tau 1/32 end state
         # the box rule's norms agree with the pyramid rule's to 1e-12
         res = stepper.run(cube8, c2, 1 / 32, 1.0)
-        dofs = res.ops.dofs
-        args = (cube8, dofs, res.ops.projectors, dofs.expand_edge(res.state.e),
-                dofs.expand_face(res.state.b), c2, 1.0)
+        ops = res.ops
+        args = (cube8, ops.projectors,
+                expand(res.state.e, ops.interior_edges, cube8.n_edges),
+                expand(res.state.b, ops.interior_faces, cube8.n_faces), c2, 1.0)
         boxes, lo, hi = vg.box_cells(cube8)
         assert boxes.all()
         box = cases.l2_error(*args)
@@ -178,9 +177,10 @@ class TestL2Error:
         # the factored sums agree with the 216-point sums to 1e-14
         case = cases.get_case(case_id)
         res = stepper.run(cube8, case, 1 / 32, 1.0)
-        dofs, proj = res.ops.dofs, res.ops.projectors
-        e, b = dofs.expand_edge(res.state.e), dofs.expand_face(res.state.b)
-        rep = cases.l2_error(cube8, dofs, proj, e, b, case, 1.0)
+        ops, proj = res.ops, res.ops.projectors
+        e = expand(res.state.e, ops.interior_edges, cube8.n_edges)
+        b = expand(res.state.b, ops.interior_faces, cube8.n_faces)
+        rep = cases.l2_error(cube8, proj, e, b, case, 1.0)
         err_sq = [0.0, 0.0]
         for rule in vg.cell_rules(cube8):
             assert isinstance(rule, vg.BoxRule)
@@ -195,7 +195,7 @@ class TestL2Error:
     def test_box_chunks_evaluate_nodes_per_axis(self, c2, cube8, trig_calls):
         # each sin/cos of a box chunk sees the chunk's 6 nodes per cell
         # along one axis, not its 216 points per cell
-        cases.l2_error(cube8, vd.build_dofs(cube8), vd.build_projectors(cube8),
+        cases.l2_error(cube8, vd.build_projectors(cube8),
                        np.zeros(cube8.n_edges), np.zeros(cube8.n_faces), c2, 1.0)
         chunk_cells = [r.volumes.size for r in vg.cell_rules(cube8)]
         assert len(trig_calls) == 4 * len(chunk_cells)
@@ -203,10 +203,9 @@ class TestL2Error:
             assert max(trig_calls[4 * k:4 * k + 4]) <= 6 * cells
 
     def test_norms_nonnegative(self, c1, cube2):
-        dofs = vd.build_dofs(cube2)
         proj = vd.build_projectors(cube2)
         rng = np.random.default_rng(6)
-        rep = cases.l2_error(cube2, dofs, proj,
+        rep = cases.l2_error(cube2, proj,
                              rng.standard_normal(cube2.n_edges),
                              rng.standard_normal(cube2.n_faces), c1, 0.5)
         assert rep.err_E >= 0 and rep.err_B >= 0
@@ -268,12 +267,11 @@ class TestChunkedMatchesLoops:
     def test_l2_error(self, name, case_id, budget, request, monkeypatch):
         m = request.getfixturevalue(name)
         case = cases.get_case(case_id)
-        dofs = vd.build_dofs(m)
         proj = vd.build_projectors(m)
         rng = np.random.default_rng(case_id)
         e, b = rng.standard_normal(m.n_edges), rng.standard_normal(m.n_faces)
         monkeypatch.setattr(vg, "CHUNK_POINTS", budget)
-        rep = cases.l2_error(m, dofs, proj, e, b, case, 0.7)
+        rep = cases.l2_error(m, proj, e, b, case, 0.7)
         want_e, want_b = loop_l2_error(m, proj, e, b, case, 0.7)
         assert rep.err_E == pytest.approx(want_e, rel=1e-14)
         assert rep.err_B == pytest.approx(want_b, rel=1e-14)
@@ -320,8 +318,7 @@ class TestChunkBudget:
         m = request.getfixturevalue(name)
         monkeypatch.setattr(vg, "CHUNK_POINTS", budget)
         case, sizes = self.recording(cases.case2())
-        dofs = vd.build_dofs(m)
-        cases.l2_error(m, dofs, vd.build_projectors(m), np.zeros(m.n_edges),
+        cases.l2_error(m, vd.build_projectors(m), np.zeros(m.n_edges),
                        np.zeros(m.n_faces), case, 1.0)
         per_cell = np.bincount(np.concatenate([flat_rule(m, r).owners
                                                for r in vg.cell_rules(m)]))
@@ -332,7 +329,7 @@ class TestChunkBudget:
         # every cube:8 cell is a box: 216 points each, not 24 x 150
         m = cube8
         case, sizes = self.recording(cases.case2())
-        cases.l2_error(m, vd.build_dofs(m), vd.build_projectors(m), np.zeros(m.n_edges),
+        cases.l2_error(m, vd.build_projectors(m), np.zeros(m.n_edges),
                        np.zeros(m.n_faces), case, 1.0)
         assert sum(sizes) == 512 * 216
 

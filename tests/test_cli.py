@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import folded_voro8
+from conftest import DATA, folded_voro8
 from vemaxwell import cli
 
 
@@ -204,6 +204,20 @@ class TestMain:
         code = cli.main(["--generate", "cube:2", "--case", "2", "--tau", "1/4", flag, value])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["run 1, coarse", "two\nlines"])
+    def test_csv_breaking_mesh_name_exit_three(self, capsys, tmp_path, name):
+        doc = json.loads((DATA / "voro8.json").read_text())
+        doc["name"] = name
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "row.csv"
+        code = cli.main(["--mesh", str(path), "--case", "1", "--tau", "1/4",
+                         "--out", str(out)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "comma or a line break" in captured.err and captured.out == ""
+        assert not out.exists()
 
     def test_missing_mesh_exit_three(self, capsys):
         code = cli.main(["--mesh", "/nonexistent/mesh.json", "--case", "1",

@@ -110,8 +110,7 @@ def local_product(mesh, k, kind, proj, **eta):
     matrix with weight one on cell k and zero elsewhere."""
     w = np.zeros(mesh.n_cells)
     w[k] = 1.0
-    m = forms.assemble_global(mesh, vd.build_dofs(mesh), w, kind, proj,
-                              forms.StabWeights(**eta), restrict=False)
+    m = forms.assemble_global(mesh, w, kind, proj, forms.StabWeights(**eta))
     ids = cell_edges(mesh, k) if kind == "edge" else mesh.cell_faces[k]
     return m[ids][:, ids].toarray()
 
@@ -177,65 +176,62 @@ class TestLocalMass:
 
 
 class TestAssembleGlobal:
+    # assemble_global covers every DOF; build_step_operators eliminates
+    # the boundary ones
     def test_single_cell_fully_eliminated(self, cube1):
-        dofs = vd.build_dofs(cube1)
         proj = vd.build_projectors(cube1)
-        m = forms.assemble_global(cube1, dofs, np.ones(1), "edge", proj)
-        assert m.shape == (0, 0)
+        m = forms.assemble_global(cube1, np.ones(1), "edge", proj)
+        assert m.shape == (12, 12)
+        coeffs = forms.sample_coefficients(cube1, 1.0, 1.0, 1.0)
+        ops = stepper.build_step_operators(cube1, proj, coeffs, 0.5)
+        assert ops.m_eps.shape == (0, 0)
 
     def test_dimension_is_interior_count(self, cube2):
-        dofs = vd.build_dofs(cube2)
         proj = vd.build_projectors(cube2)
-        m = forms.assemble_global(cube2, dofs, np.ones(8), "edge", proj)
-        assert m.shape == (6, 6)       # six edges at the center vertex
-        mf = forms.assemble_global(cube2, dofs, np.ones(8), "face", proj)
-        assert mf.shape == (12, 12)
+        coeffs = forms.sample_coefficients(cube2, 1.0, 1.0, 1.0)
+        ops = stepper.build_step_operators(cube2, proj, coeffs, 0.5)
+        assert ops.m_eps.shape == (6, 6)       # six edges at the center vertex
+        assert ops.m_face.shape == (12, 12)
 
     def test_global_consistency_no_bc(self, cube2, voro8):
         c1, c2 = np.array([0.6, -0.2, 0.8]), np.array([-0.4, 1.0, 0.3])
         for mesh in (cube2, voro8):
-            dofs = vd.build_dofs(mesh)
             proj = vd.build_projectors(mesh)
             w = np.linspace(1.0, 2.0, mesh.n_cells)
-            m = forms.assemble_global(mesh, dofs, w, "edge", proj, restrict=False)
+            m = forms.assemble_global(mesh, w, "edge", proj)
             u = constant_edge_dofs(mesh, c1)
             v = constant_edge_dofs(mesh, c2)
             exact = (w * mesh.cell_volumes).sum() * (c1 @ c2)
             assert u @ (m @ v) == pytest.approx(exact, rel=1e-12)
-            mf = forms.assemble_global(mesh, dofs, w, "face", proj, restrict=False)
+            mf = forms.assemble_global(mesh, w, "face", proj)
             uf = constant_face_dofs(mesh, c1)
             vf = constant_face_dofs(mesh, c2)
             assert uf @ (mf @ vf) == pytest.approx(exact, rel=1e-12)
 
     def test_exact_symmetry(self, cube4, voro27):
         for mesh in (cube4, voro27):
-            dofs = vd.build_dofs(mesh)
             proj = vd.build_projectors(mesh)
             for kind in ("edge", "face"):
-                m = forms.assemble_global(mesh, dofs, np.ones(mesh.n_cells),
-                                          kind, proj)
+                m = forms.assemble_global(mesh, np.ones(mesh.n_cells), kind, proj)
                 d = (m - m.T)
                 assert d.nnz == 0 or np.abs(d.data).max() == 0.0
 
     def test_positivity_100_random_vectors(self, cube4, voro8):
         rng = np.random.default_rng(1)
         for mesh in (cube4, voro8):
-            dofs = vd.build_dofs(mesh)
             proj = vd.build_projectors(mesh)
             for kind in ("edge", "face"):
-                m = forms.assemble_global(mesh, dofs, np.ones(mesh.n_cells),
-                                          kind, proj)
+                m = forms.assemble_global(mesh, np.ones(mesh.n_cells), kind, proj)
                 for _ in range(100):
                     x = rng.standard_normal(m.shape[0])
                     assert x @ (m @ x) > 0.0
 
     def test_bad_weights(self, cube1):
-        dofs = vd.build_dofs(cube1)
         proj = vd.build_projectors(cube1)
         with pytest.raises(ValueError):
-            forms.assemble_global(cube1, dofs, np.ones(5), "edge", proj)
+            forms.assemble_global(cube1, np.ones(5), "edge", proj)
         with pytest.raises(ValueError):
-            forms.assemble_global(cube1, dofs, np.ones(1), "nodal", proj)
+            forms.assemble_global(cube1, np.ones(1), "nodal", proj)
 
     def test_stab_weights_validation(self):
         for bad in (dict(eta_edge=0.0), dict(eta_edge=np.nan), dict(eta_face=np.inf)):
@@ -299,18 +295,16 @@ def loop_local_mass(mesh, k, kind, eta):
     return 0.5 * (m + m.T)
 
 
-def loop_assemble(mesh, dofs, w, kind, eta, restrict=True):
+def loop_assemble(mesh, w, kind, eta):
     """Cell-by-cell triplet assembly of the weighted local products."""
     ids = ([cell_edges(mesh, k) for k in range(mesh.n_cells)] if kind == "edge"
            else mesh.cell_faces)
-    n, keep = ((dofs.n_edges, dofs.interior_edges) if kind == "edge"
-               else (dofs.n_faces, dofs.interior_faces))
+    n = mesh.n_edges if kind == "edge" else mesh.n_faces
     vals = np.concatenate([w[k] * loop_local_mass(mesh, k, kind, eta).ravel()
                            for k in range(mesh.n_cells)])
     rows = np.concatenate([np.repeat(g, g.size) for g in ids])
     cols = np.concatenate([np.tile(g, g.size) for g in ids])
-    mat = sps.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    return mat[keep][:, keep].tocsr() if restrict else mat
+    return sps.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 class TestSparseMatchesLoops:
@@ -346,27 +340,23 @@ class TestSparseMatchesLoops:
         # products carry the comparison
         m = request.getfixturevalue(name)
         case, tau, stab = cases.case2(), 0.125, forms.StabWeights()
-        dofs = vd.build_dofs(m)
         proj = vd.build_projectors(m)
         coeffs = forms.sample_coefficients(m, case.eps, case.sigma, case.mu)
-        ops = stepper.build_step_operators(m, dofs, proj, coeffs, tau)
+        ops = stepper.build_step_operators(m, proj, coeffs, tau)
+        ie, if_ = np.flatnonzero(~m.boundary_edges), np.flatnonzero(~m.boundary_faces)
 
-        m_eps = loop_assemble(m, dofs, coeffs.eps_hat, "edge", stab.eta_edge)
-        m_sigma = loop_assemble(m, dofs, coeffs.sigma_hat, "edge", stab.eta_edge)
-        m_edge = loop_assemble(m, dofs, np.ones(m.n_cells), "edge", stab.eta_edge,
-                               restrict=False)
-        m_face = loop_assemble(m, dofs, 1.0 / coeffs.mu_hat, "face", stab.eta_face)
-        m_face_full = loop_assemble(m, dofs, 1.0 / coeffs.mu_hat, "face", stab.eta_face,
-                                    restrict=False)
+        m_eps = loop_assemble(m, coeffs.eps_hat, "edge", stab.eta_edge)[ie][:, ie]
+        m_sigma = loop_assemble(m, coeffs.sigma_hat, "edge", stab.eta_edge)[ie][:, ie]
+        m_edge = loop_assemble(m, np.ones(m.n_cells), "edge", stab.eta_edge)
+        m_face_full = loop_assemble(m, 1.0 / coeffs.mu_hat, "face", stab.eta_face)
+        m_face = m_face_full[if_][:, if_]
         curl = ops.c_int.T @ m_face @ ops.c_int
         system = m_eps + tau * m_sigma + tau**2 * (0.5 * (curl + curl.T))
-        edge_full = forms.assemble_global(m, dofs, np.ones(m.n_cells), "edge", proj,
-                                          restrict=False)
-        face_full = forms.assemble_global(m, dofs, 1.0 / coeffs.mu_hat, "face", proj,
-                                          restrict=False)
-        sigma_mass = forms.assemble_global(m, dofs, coeffs.sigma_hat, "edge", proj)
+        edge_full = forms.assemble_global(m, np.ones(m.n_cells), "edge", proj)
+        face_full = forms.assemble_global(m, 1.0 / coeffs.mu_hat, "face", proj)
+        sigma_mass = forms.assemble_global(m, coeffs.sigma_hat, "edge", proj)[ie][:, ie]
         for got, want in ((ops.m_eps, m_eps), (sigma_mass, m_sigma),
-                          (ops.m_edge_load, m_edge[dofs.interior_edges]),
+                          (ops.m_edge_load, m_edge[ie]),
                           (ops.m_face, m_face), (ops.system.to_scipy(), system),
                           (edge_full, m_edge), (face_full, m_face_full)):
             got, want = got.toarray(), want.toarray()

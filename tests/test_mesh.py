@@ -95,9 +95,16 @@ class TestLoadMesh:
         (lambda d: d.__setitem__("cells", [3]), vm.MeshFormatError, "malformed arrays"),
         (lambda d: d.__setitem__("name", [1]), vm.MeshFormatError,
          "name must be a string"),
+        # the name labels a CSV row: a comma or a line break would split it
+        (lambda d: d.__setitem__("name", "run 1, coarse"), vm.MeshFormatError,
+         "comma or a line break"),
+        (lambda d: d.__setitem__("name", "two\nlines"), vm.MeshFormatError,
+         "comma or a line break"),
+        (lambda d: d.__setitem__("name", "two\rlines"), vm.MeshFormatError,
+         "comma or a line break"),
     ], ids=["huge-face-index", "huge-cell-index", "cell-face-0", "face-vertex--1",
             "two-vertex-face", "empty-cell", "two-vector-vertex", "cells-not-lists",
-            "non-string-name"])
+            "non-string-name", "comma-in-name", "newline-in-name", "return-in-name"])
     def test_malformed_document_raises_mesh_error(self, tmp_path, mutate, error, message):
         # a bare IndexError/KeyError/OverflowError would escape pytest.raises
         doc = json.loads((DATA / "voro8.json").read_text())

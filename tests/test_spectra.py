@@ -25,14 +25,14 @@ LAMBDA_EXACT = 2.0 * np.pi**2
 def spectrum(mesh):
     """Generalized eigenvalues of (C_i' M_f C_i, M_e), ascending, and the
     number of interior nodes."""
-    dofs = vd.build_dofs(mesh)
+    ie, if_ = np.flatnonzero(~mesh.boundary_edges), np.flatnonzero(~mesh.boundary_faces)
     proj = vd.build_projectors(mesh)
     ones = np.ones(mesh.n_cells)
-    m_e = forms.assemble_global(mesh, dofs, ones, "edge", proj)
-    m_f = forms.assemble_global(mesh, dofs, ones, "face", proj)
-    c = vd.curl_matrix(mesh)[dofs.interior_faces][:, dofs.interior_edges]
+    m_e = forms.assemble_global(mesh, ones, "edge", proj)[ie][:, ie]
+    m_f = forms.assemble_global(mesh, ones, "face", proj)[if_][:, if_]
+    c = vd.curl_matrix(mesh)[if_][:, ie]
     lam = sla.eigh((c.T @ m_f @ c).toarray(), m_e.toarray(), eigvals_only=True)
-    return lam, len(dofs.interior_nodes)
+    return lam, int(np.count_nonzero(~mesh.boundary_vertices))
 
 
 def split(lam):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import free_evolution
+from conftest import expand, free_evolution
 from vemaxwell import cases, cli, forms, generate_cube_mesh, geometry, linalg, stepper
 from vemaxwell import derham as vd
 
@@ -34,13 +34,10 @@ def spatial_b(p):
     return out / 2.2
 
 
-def step_operators(mesh, case, tau, dofs=None, projectors=None):
+def step_operators(mesh, case, tau):
     """The operators ``stepper.run`` builds for this case."""
     coeffs = forms.sample_coefficients(mesh, case.eps, case.sigma, case.mu)
-    return stepper.build_step_operators(
-        mesh, dofs if dofs is not None else vd.build_dofs(mesh),
-        projectors if projectors is not None else vd.build_projectors(mesh),
-        coeffs, tau)
+    return stepper.build_step_operators(mesh, vd.build_projectors(mesh), coeffs, tau)
 
 
 def count_calls(monkeypatch, module, name):
@@ -208,13 +205,12 @@ class TestAdvance:
     def test_single_step_identity(self, cube4):
         # from (0, b): e1 solves (M_eps + tau^2 C' M_f C) e1 = tau C' M_f b
         case = make_case(zero_field, spatial_b)
-        dofs = vd.build_dofs(cube4)
         proj = vd.build_projectors(cube4)
         coeffs = forms.sample_coefficients(cube4, 1.0, 0.0, 1.0)
         tau = 0.25
-        ops = stepper.build_step_operators(cube4, dofs, proj, coeffs, tau)
+        ops = stepper.build_step_operators(cube4, proj, coeffs, tau)
         state = stepper.init_state(ops, case)
-        load = np.zeros(ops.dofs.n_interior_edges)
+        load = np.zeros(ops.interior_edges.size)
         new, rep = stepper.advance(state, ops, load, tol=1e-13)
         rhs = tau * (ops.c_int.T @ (ops.m_face @ state.b))
         lhs = ops.system.to_scipy() @ new.e
@@ -231,20 +227,20 @@ class TestAdvance:
     def test_reduced_matches_coupled_two_field_solve(self, cube2):
         # dense oracle: solve the full (e, b) block system the reduced
         # path was eliminated from, and compare one step
-        dofs = vd.build_dofs(cube2)
         proj = vd.build_projectors(cube2)
         case = cases.case2()
         coeffs = forms.sample_coefficients(cube2, case.eps, case.sigma, case.mu)
         tau = 0.125
-        ops = stepper.build_step_operators(cube2, dofs, proj, coeffs, tau)
+        ops = stepper.build_step_operators(cube2, proj, coeffs, tau)
         rng = np.random.default_rng(8)
-        ne, nf = dofs.n_interior_edges, dofs.n_interior_faces
+        ie = ops.interior_edges
+        ne, nf = ie.size, ops.interior_faces.size
         state = stepper.make_state(ops, rng.standard_normal(ne), rng.standard_normal(nf))
         j_full = rng.standard_normal(cube2.n_edges)
         new, _ = stepper.advance(state, ops, ops.m_edge_load @ j_full, tol=1e-13)
 
         m_eps = ops.m_eps.toarray()
-        m_sig = forms.assemble_global(cube2, dofs, coeffs.sigma_hat, "edge", proj).toarray()
+        m_sig = forms.assemble_global(cube2, coeffs.sigma_hat, "edge", proj)[ie][:, ie].toarray()
         m_f = ops.m_face.toarray()
         c = ops.c_int.toarray()
         block = np.zeros((ne + nf, ne + nf))
@@ -262,12 +258,11 @@ class TestAdvance:
         assert np.abs(new.b - sol[ne:]).max() <= 1e-9 * scale
 
     def test_affine_superposition(self, cube2):
-        dofs = vd.build_dofs(cube2)
         proj = vd.build_projectors(cube2)
         coeffs = forms.sample_coefficients(cube2, 1.0, 0.5, 1.0)
-        ops = stepper.build_step_operators(cube2, dofs, proj, coeffs, 0.125)
+        ops = stepper.build_step_operators(cube2, proj, coeffs, 0.125)
         rng = np.random.default_rng(2)
-        ne, nf = dofs.n_interior_edges, dofs.n_interior_faces
+        ne, nf = ops.interior_edges.size, ops.interior_faces.size
         def rand_state():
             return stepper.make_state(ops, rng.standard_normal(ne), rng.standard_normal(nf))
         s1, s2 = rand_state(), rand_state()
@@ -339,7 +334,7 @@ class TestWarmStart:
 
         monkeypatch.setattr(linalg, "cg_solve", recording_cg)
         rng = np.random.default_rng(21)
-        ne, nf = ops.dofs.n_interior_edges, ops.dofs.n_interior_faces
+        ne, nf = ops.interior_edges.size, ops.interior_faces.size
         states = [stepper.make_state(ops, rng.standard_normal(ne), rng.standard_normal(nf))]
         for _ in range(5):
             states.append(stepper.advance(states[-1], ops, rng.standard_normal(ne),
@@ -383,7 +378,8 @@ class TestWarmStart:
         res = stepper.run(mesh, case, tau, 1.0, tol=1e-12)
         ops = res.ops
         sigma_hat = forms.sample_coefficients(mesh, case.eps, case.sigma, case.mu).sigma_hat
-        m_sigma = forms.assemble_global(mesh, ops.dofs, sigma_hat, "edge", ops.projectors)
+        ie = ops.interior_edges
+        m_sigma = forms.assemble_global(mesh, sigma_hat, "edge", ops.projectors)[ie][:, ie]
         eps = np.finfo(float).eps
 
         def sq(m, v):
@@ -411,8 +407,8 @@ class TestGradientCorrection:
         ops = step_operators(mesh, cases.case2(), 1 / 16)
         assert ops.precond is not None and ops.precond.format == "csr"
         a = ops.system.to_scipy().toarray()
-        g = vd.gradient_matrix(mesh)[ops.dofs.interior_edges][
-            :, ops.dofs.interior_nodes].toarray()
+        g = vd.gradient_matrix(mesh)[ops.interior_edges][
+            :, ~mesh.boundary_vertices].toarray()
         want = np.diag(1.0 / np.diag(a)) + g @ np.diag(1.0 / np.diag(g.T @ a @ g)) @ g.T
         p = ops.precond.toarray()
         assert np.array_equal(p, p.T)
@@ -576,8 +572,6 @@ class TestRun:
 
         monkeypatch.setattr(stepper, "advance", recording_advance)
         for mesh, case in ((cube4, cases.case1()), (voro27, cases.case2())):
-            dofs = vd.build_dofs(mesh)
-            proj = vd.build_projectors(mesh)
             abs_d = abs(vd.divergence_matrix(mesh))
             abs_c = abs(vd.curl_matrix(mesh))
             root_vol = np.sqrt(mesh.cell_volumes)
@@ -587,9 +581,9 @@ class TestRun:
             def cell_norm(v):
                 return float(np.linalg.norm(root_vol * v))
 
-            b0 = stepper.init_state(step_operators(mesh, case, tau, dofs, proj),
-                                    case).b
-            s_0 = cell_norm(abs_d @ np.abs(dofs.expand_face(b0)))
+            ops = step_operators(mesh, case, tau)
+            b0 = stepper.init_state(ops, case).b
+            s_0 = cell_norm(abs_d @ np.abs(expand(b0, ops.interior_faces, mesh.n_faces)))
             finals = []
             for tol in tols:
                 iterates.clear()
@@ -598,7 +592,8 @@ class TestRun:
                 s_n = s_0
                 for n, mon in enumerate(res.monitors):
                     if n:
-                        e_m = np.abs(dofs.expand_edge(iterates[n - 1]))
+                        e_m = np.abs(expand(iterates[n - 1], ops.interior_edges,
+                                            mesh.n_edges))
                         s_n += tau * cell_norm(abs_d @ (abs_c @ e_m))
                     k = n + max_edges + max_faces + 2
                     bound = k * u / (1 - k * u) * s_n
@@ -691,29 +686,29 @@ class TestOperatorsBuiltOnce:
         assert ops.c_int_t.format == "csr" and ops.d_int.format == "csr"
         assert (ops.c_int_t != ops.c_int.T).nnz == 0
         d_full = vd.divergence_matrix(voro27)
-        assert (ops.d_int != d_full[:, ops.dofs.interior_faces]).nnz == 0
+        assert (ops.d_int != d_full[:, ops.interior_faces]).nnz == 0
         # the monitor on interior faces is bit-identical to the full-vector one
-        b = np.random.default_rng(6).standard_normal(ops.dofs.n_interior_faces)
+        b = np.random.default_rng(6).standard_normal(ops.interior_faces.size)
         res = stepper.run(voro27, case, 0.125, 0.5)
         for v in (b, res.state.b):
             assert (stepper.divergence_norm(voro27, ops.d_int, v)
-                    == stepper.divergence_norm(voro27, d_full, ops.dofs.expand_face(v)))
+                    == stepper.divergence_norm(
+                        voro27, d_full, expand(v, ops.interior_faces, voro27.n_faces)))
 
     def test_matrices_match_per_weight_assembly(self, voro27):
         case, tau = cases.case2(), 0.125
-        dofs = vd.build_dofs(voro27)
         proj = vd.build_projectors(voro27)
         coeffs = forms.sample_coefficients(voro27, case.eps, case.sigma, case.mu)
-        ops = stepper.build_step_operators(voro27, dofs, proj, coeffs, tau)
+        ops = stepper.build_step_operators(voro27, proj, coeffs, tau)
+        ie, if_ = ops.interior_edges, ops.interior_faces
 
-        def assemble(weights, kind, **kw):
-            return forms.assemble_global(voro27, dofs, weights, kind, proj, **kw)
+        def assemble(weights, kind):
+            return forms.assemble_global(voro27, weights, kind, proj)
 
-        m_eps = assemble(coeffs.eps_hat, "edge")
-        m_sigma = assemble(coeffs.sigma_hat, "edge")
-        m_face = assemble(1.0 / coeffs.mu_hat, "face")
-        m_load = assemble(np.ones(voro27.n_cells), "edge",
-                          restrict=False)[dofs.interior_edges].tocsr()
+        m_eps = assemble(coeffs.eps_hat, "edge")[ie][:, ie]
+        m_sigma = assemble(coeffs.sigma_hat, "edge")[ie][:, ie]
+        m_face = assemble(1.0 / coeffs.mu_hat, "face")[if_][:, if_]
+        m_load = assemble(np.ones(voro27.n_cells), "edge")[ie].tocsr()
         curl = (ops.c_int.T @ m_face @ ops.c_int).tocsr()
         system = m_eps + tau * m_sigma + tau**2 * (0.5 * (curl + curl.T))
         for got, want in ((ops.m_eps, m_eps), (ops.m_face, m_face),
@@ -730,7 +725,7 @@ def test_array_records_compare_by_identity(cube2):
     a, b = step_operators(cube2, case, 0.5), step_operators(cube2, case, 0.5)
     coeffs = [forms.sample_coefficients(cube2, case.eps, case.sigma, case.mu)
               for _ in range(2)]
-    pairs = [(a, b), (a.dofs, b.dofs), (a.projectors, b.projectors),
+    pairs = [(a, b), (a.projectors, b.projectors),
              tuple(coeffs), (a.system, b.system),
              (stepper.init_state(a, case), stepper.init_state(b, case)),
              (vd.build_incidence(cube2), vd.build_incidence(cube2)),
@@ -743,8 +738,7 @@ def test_array_records_compare_by_identity(cube2):
 class TestBoundaryStructure:
     def test_boundary_faces_touch_only_boundary_edges(self, cube4, voro8, voro27):
         for m in (cube4, voro8, voro27):
-            dofs = vd.build_dofs(m)
             c = vd.curl_matrix(m)
-            rows = np.flatnonzero(dofs.boundary_faces)
-            block = c[rows][:, dofs.interior_edges]
+            rows = np.flatnonzero(m.boundary_faces)
+            block = c[rows][:, np.flatnonzero(~m.boundary_edges)]
             assert block.nnz == 0
