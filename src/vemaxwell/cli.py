@@ -67,7 +67,7 @@ def _load_source(source: str):
     m = vmesh.load_mesh(source)
     if not m.name:
         stem = source.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-        m = dataclasses.replace(m, name=stem)
+        m = dataclasses.replace(m, name=vmesh.check_label(stem or source, source))
     return m
 
 
@@ -92,7 +92,7 @@ def run_single(config: RunConfig) -> ErrorReport:
     rep = dataclasses.replace(
         errors, n_edge_dofs=ops.interior_edges.size, n_face_dofs=ops.interior_faces.size,
         tau=float(config.tau), div_B=result.monitors[-1].div_b,
-        label=m.name or config.mesh_source,
+        label=m.name,
         cg_iters_total=result.cg_iters_total,
         wall_s=time.perf_counter() - t0)
     if config.monitors:

@@ -7,7 +7,8 @@ stabilization acting on the constant-free residual:
 
 where P maps DOFs to the constant projection, X = I - (DOFs of the
 projection) extracts the residual, and S is diagonal in the raw DOF basis
-because the lowest-order traces are edgewise/facewise constant.
+because the lowest-order traces are edgewise/facewise constant.  With the
+rows of P and X of all cells stacked in F, a global matrix is F' diag(d) F.
 """
 
 from __future__ import annotations
@@ -80,14 +81,21 @@ def sample_coefficients(mesh: PolyMesh, eps, sigma, mu) -> CoefficientSet:
 
 
 class LocalFactors(NamedTuple):
-    """Every cell's local product as stacked sparse factors: cell k's is
-    |K| P_k' P_k + eta X_k' S_k X_k, with P_k rows 3k..3k+2 of ``p`` and
-    X_k, S_k the rows of ``x`` and ``stab`` whose ``cells`` entry is k."""
+    """Every cell's local product as one stacked sparse factor: cell k's is
+    the sum of unit[r] f[r]' f[r] over the rows r with cells[r] == k: its
+    projector rows P (weight |K|), then one row X = R - N P per DOF (eta S)."""
 
-    p: sps.csr_matrix        # (3 nc, n) cell means, from ElementProjectors
-    x: sps.csr_matrix        # (pairs, n) X = R - N P, one row per (cell, DOF) pair
-    stab: np.ndarray         # (pairs,) diagonal of S
-    cells: np.ndarray        # (pairs,) cell of each pair
+    f: sps.csr_matrix        # (3 nc + pairs, n)
+    unit: np.ndarray         # (3 nc + pairs,) unit weight of each row
+    cells: np.ndarray        # (3 nc + pairs,) cell of each row
+    n_cells: int
+
+    def weighted(self, cell_weights) -> np.ndarray:
+        """Each row's weight in the product weighted by ``cell_weights``."""
+        w = np.asarray(cell_weights, dtype=float)
+        if w.shape != (self.n_cells,):
+            raise ValueError("one weight per cell expected")
+        return self.unit * w[self.cells]
 
 
 def _pattern(rows, cols, shape) -> sps.csr_matrix:
@@ -95,16 +103,19 @@ def _pattern(rows, cols, shape) -> sps.csr_matrix:
     return sps.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=shape)
 
 
-def _local_factors(p, cells, ids, directions, stab) -> LocalFactors:
-    """Factors for the (cell, DOF) pairs ``cells``/``ids``: R selects the
-    DOF, and N reads the constant field c as ``directions . c``."""
-    pairs = np.arange(cells.size)
+def _local_factors(mesh, p, cells, ids, directions, stab) -> LocalFactors:
+    """Factors for the (cell, DOF) pairs ``cells``/``ids``, X rows weighted
+    ``stab``: R selects the DOF, N reads the constant c as ``directions . c``."""
+    nc, pairs = mesh.n_cells, np.arange(cells.size)
     select = _pattern(pairs, ids, (pairs.size, p.shape[1]))
     dofs_of_mean = block_matrix(pairs, cells, directions[:, None, :], (pairs.size, p.shape[0]))
-    return LocalFactors(p, select - dofs_of_mean @ p, stab, cells)
+    return LocalFactors(sps.vstack([p, select - dofs_of_mean @ p], format="csr"),
+                        np.concatenate([np.repeat(mesh.cell_volumes, 3), stab]),
+                        np.concatenate([np.repeat(np.arange(nc), 3), cells]), nc)
 
 
-def local_edge_mass(mesh: PolyMesh, projectors: ElementProjectors) -> LocalFactors:
+def local_edge_mass(mesh: PolyMesh, projectors: ElementProjectors,
+                    stab: StabWeights = StabWeights()) -> LocalFactors:
     """Factors of the local edge products of all cells.
 
     The stabilization sums over the faces of K, then over their edges, so
@@ -115,47 +126,27 @@ def local_edge_mass(mesh: PolyMesh, projectors: ElementProjectors) -> LocalFacto
     nc, nf, ne = mesh.n_cells, mesh.n_faces, mesh.n_edges
     mult = (_pattern(mesh.cell_faces.owners, mesh.cell_faces.flat, (nc, nf))
             @ _pattern(mesh.face_edges.owners, mesh.face_edges.flat, (nf, ne))).tocoo()
-    stab = mesh.cell_diameters[mult.row] ** 2 * mult.data * mesh.edge_lengths[mult.col]
-    return _local_factors(projectors.edge_cell, mult.row, mult.col,
-                          mesh.edge_tangents[mult.col], stab)
+    s = mesh.cell_diameters[mult.row] ** 2 * mult.data * mesh.edge_lengths[mult.col]
+    return _local_factors(mesh, projectors.edge_cell, mult.row, mult.col,
+                          mesh.edge_tangents[mult.col], stab.eta_edge * s)
 
 
-def local_face_mass(mesh: PolyMesh, projectors: ElementProjectors) -> LocalFactors:
+def local_face_mass(mesh: PolyMesh, projectors: ElementProjectors,
+                    stab: StabWeights = StabWeights()) -> LocalFactors:
     """Factors of the local face products of all cells; the stabilization
     diagonal is h_K |F|."""
     cells, fids = mesh.cell_faces.owners, mesh.cell_faces.flat
-    stab = mesh.cell_diameters[cells] * mesh.face_areas[fids]
-    return _local_factors(projectors.face_cell, cells, fids, mesh.face_normals[fids], stab)
+    s = mesh.cell_diameters[cells] * mesh.face_areas[fids]
+    return _local_factors(mesh, projectors.face_cell, cells, fids,
+                          mesh.face_normals[fids], stab.eta_face * s)
 
 
-def assemble_global(mesh: PolyMesh, cell_weights, kind: str,
-                    projectors: ElementProjectors, stab: StabWeights = StabWeights()):
-    """Sum the weighted local products into a global sparse matrix over
-    all edge or face DOFs, boundary ones included.
-
-    ``cell_weights`` is a per-cell array (e.g. sampled permittivity, or
-    reciprocal permeability for the face product), or a stack of them;
-    a stack returns one matrix per row, all weighting the same single
-    pass of local factors.
-
-    Each matrix is P' diag(w |K|) P + eta X' diag(w S) X, then averaged
-    with its transpose, so it is exactly symmetric.
-    """
-    if kind not in ("edge", "face"):
-        raise ValueError("kind must be 'edge' or 'face'")
-    weights = np.asarray(cell_weights, dtype=float)
-    if weights.ndim not in (1, 2) or weights.shape[-1] != mesh.n_cells:
-        raise ValueError("one weight per cell expected")
-    local, eta = ((local_edge_mass, stab.eta_edge) if kind == "edge"
-                  else (local_face_mass, stab.eta_face))
-
-    p, x, s, cells = local(mesh, projectors)
-    p_t, x_t = p.T.tocsr(), x.T.tocsr()
-    mats = []
-    for w in np.atleast_2d(weights):
-        mat = (p_t @ (sps.diags(np.repeat(w * mesh.cell_volumes, 3)) @ p)
-               + eta * (x_t @ (sps.diags(w[cells] * s) @ x)))
+def assemble_global(f: sps.csr_matrix, weights: np.ndarray, g=None) -> sps.csr_matrix:
+    """The weighted product f' diag(weights) g of stacked factors, as CSR
+    with sorted indices.  With ``g`` omitted it is f' diag(weights) f
+    averaged with its transpose, so it is exactly symmetric."""
+    mat = (f.T @ (sps.diags(weights) @ (f if g is None else g))).tocsr()
+    if g is None:
         mat = (0.5 * (mat + mat.T)).tocsr()
-        mat.sort_indices()
-        mats.append(mat)
-    return mats if weights.ndim == 2 else mats[0]
+    mat.sort_indices()
+    return mat

@@ -22,10 +22,8 @@ import numpy as np
 
 from .mesh import PolyMesh, Ragged
 
-# Degrees used when the caller does not ask for anything specific.  They
-# keep quadrature error far below the O(h) discretization error measured
-# by the convergence harness.
-DEFAULT_FACE_DEGREE = 4
+# Cell degree used when the caller asks for none: it keeps quadrature error
+# far below the O(h) discretization error of the convergence harness.
 DEFAULT_CELL_DEGREE = 4
 
 # Quadrature points per chunk of whole entities in ``face_rules`` and
@@ -213,7 +211,7 @@ def _kept(simplices: Ragged, kept, ids: range):
     return sub, simplices.owners[sub]
 
 
-def face_quadrature(mesh: PolyMesh, faces, degree: int = DEFAULT_FACE_DEGREE) -> QuadratureRule:
+def face_quadrature(mesh: PolyMesh, faces, degree: int) -> QuadratureRule:
     """Rule on the fan panels of face ``faces``, or of each face of slice
     ``faces``; each face's weights sum to its area."""
     split = mesh.split

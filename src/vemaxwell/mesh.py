@@ -470,6 +470,13 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
     )
 
 
+def check_label(name: str, source) -> str:
+    """``name``, a CSV row's label: MeshFormatError if it breaks the row."""
+    if any(c in name for c in ",\r\n"):
+        raise MeshFormatError(f"{source}: name {name!r} holds a comma or a line break")
+    return name
+
+
 def load_mesh(path) -> PolyMesh:
     """Read a PVM-JSON mesh file.
 
@@ -492,8 +499,7 @@ def load_mesh(path) -> PolyMesh:
     name = doc.get("name", "")
     if not isinstance(name, str):
         raise MeshFormatError(f"{path}: name must be a string")
-    if any(c in name for c in ",\r\n"):
-        raise MeshFormatError(f"{path}: name {name!r} holds a comma or a line break")
+    check_label(name, path)
     try:
         # numpy would truncate 1.5 or true to a valid index without a word
         for key in ("faces", "cells"):

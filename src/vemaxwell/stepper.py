@@ -18,9 +18,11 @@ span always holds the three latest solutions (the initial e counting as
 one), so in the A-norm the guess is never farther from the solution than
 their quadratic extrapolation.
 Every operator a step applies is built once per run in
-``StepOperators``; the load of each spatial term of the current is formed
-once per run, and ``M_eps e`` and ``M_f b`` once per step, shared by the
-energy monitor and the next step's right-hand side.  CG is
+``StepOperators``, each matrix as one ``forms.assemble_global`` product
+of local factors restricted to interior DOFs; the load of each spatial
+term of the current is formed once per run, and ``M_eps e`` and ``M_f b``
+once per step, shared by the energy monitor and the next step's
+right-hand side.  CG is
 Jacobi-preconditioned while the mass term dominates the system's
 diagonal, and gradient-corrected (``linalg.hybrid_preconditioner``) once
 the curl part outweighs it (``curl_mass_ratio`` above
@@ -37,7 +39,8 @@ from . import linalg
 from .cases import ManufacturedCase
 from .derham import (ElementProjectors, build_incidence, build_projectors,
                      divergence_norm, interpolate_edge, interpolate_face)
-from .forms import CoefficientSet, StabWeights, assemble_global, sample_coefficients
+from .forms import (CoefficientSet, StabWeights, assemble_global, local_edge_mass,
+                    local_face_mass, sample_coefficients)
 from .mesh import PolyMesh
 
 DIV_INIT_TOL = 1e-9
@@ -130,27 +133,28 @@ def build_step_operators(mesh: PolyMesh, projectors: ElementProjectors,
     if_ = np.flatnonzero(~mesh.boundary_faces)
 
     ops = build_incidence(mesh)
-    # Rows of C belonging to boundary faces must touch only boundary
-    # edges, otherwise zeroed boundary magnetic DOFs would not stay zero
-    # under the reduced update.  This is a mesh property, checked here.
-    c_bnd = ops.C[np.flatnonzero(mesh.boundary_faces)][:, ie]
-    if c_bnd.nnz:
+    # A boundary face must touch only boundary edges (a mesh property), else
+    # its zeroed b would not stay zero, nor F_f C[:, ie] give C_int' M_f C_int.
+    c_ie = ops.C[:, ie].tocsr()
+    if c_ie[np.flatnonzero(mesh.boundary_faces)].nnz:
         raise ValueError("boundary face with an interior edge; mesh unsupported")
-    c_int = ops.C[if_][:, ie].tocsr()
+    c_int = c_ie[if_]
 
-    # One pass of local edge products serves all three edge matrices; the
-    # unit-weight one keeps its boundary columns for the load.
-    m_eps, m_sig, m_edge = assemble_global(
-        mesh, [coefficients.eps_hat, coefficients.sigma_hat, np.ones(mesh.n_cells)],
-        "edge", projectors, stab)
-    m_eps, m_sig = m_eps[ie][:, ie], m_sig[ie][:, ie]
-    m_edge_load = m_edge[ie].tocsr()
-    m_face = assemble_global(mesh, 1.0 / coefficients.mu_hat, "face", projectors, stab)
-    m_face = m_face[if_][:, if_]
-
-    curl_term = (c_int.T @ m_face @ c_int).tocsr()
-    curl_term = 0.5 * (curl_term + curl_term.T)     # exact symmetry
-    system = linalg.SparseMatrix.from_scipy(m_eps + tau * m_sig + tau**2 * curl_term)
+    # Every matrix is one weighted product of the local factors restricted
+    # to interior DOFs; the unit-weight load keeps every column of J.
+    face = local_face_mass(mesh, projectors, stab)
+    w_face = face.weighted(1.0 / coefficients.mu_hat)
+    m_face = assemble_global(face.f[:, if_], w_face)
+    curl_term = assemble_global(face.f @ c_ie, w_face)
+    edge = local_edge_mass(mesh, projectors, stab)
+    f_edge = edge.f[:, ie]
+    m_edge_load = assemble_global(f_edge, edge.unit, edge.f)
+    eps, sigma = coefficients.eps_hat, coefficients.sigma_hat
+    w_eps, w_system = edge.weighted(eps), edge.weighted(eps + tau * sigma)
+    del face, edge          # the all-DOF factors, freed before the largest products
+    m_eps = assemble_global(f_edge, w_eps)
+    system = linalg.SparseMatrix.from_scipy(assemble_global(f_edge, w_system)
+                                            + tau**2 * curl_term)
     precond = None
     if curl_mass_ratio(system, m_eps) > CURL_MASS_SWITCH:
         g_int = ops.G[ie][:, np.flatnonzero(~mesh.boundary_vertices)].tocsr()

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from vemaxwell import _case_fields, derham, generate_cube_mesh, geometry, load_mesh
+from vemaxwell import _case_fields, derham, forms, generate_cube_mesh, geometry, load_mesh
 from vemaxwell.mesh import derive_topology
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -177,6 +177,14 @@ def free_evolution(base, e0, b0, **fields):
 @pytest.fixture(scope="session")
 def cube4_proj(cube4):
     return derham.build_projectors(cube4)
+
+
+def weighted_product(mesh, proj, cell_weights, kind, stab=forms.StabWeights()):
+    """The edge or face product over all DOFs, boundary ones included,
+    weighted by ``cell_weights``."""
+    local = forms.local_edge_mass if kind == "edge" else forms.local_face_mass
+    factors = local(mesh, proj, stab)
+    return forms.assemble_global(factors.f, factors.weighted(cell_weights))
 
 
 def cell_edges(mesh, k):

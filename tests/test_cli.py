@@ -7,6 +7,7 @@ import pytest
 
 from conftest import DATA, folded_voro8
 from vemaxwell import cli
+from vemaxwell.mesh import MeshFormatError
 
 
 class TestRunConfig:
@@ -218,6 +219,33 @@ class TestMain:
         captured = capsys.readouterr()
         assert "comma or a line break" in captured.err and captured.out == ""
         assert not out.exists()
+
+    @staticmethod
+    def unnamed_mesh(tmp_path, stem):
+        doc = json.loads((DATA / "voro8.json").read_text())
+        del doc["name"]
+        path = tmp_path / f"{stem}.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("stem", ["two\nlines", "two\rlines"])
+    def test_csv_breaking_file_stem_exit_three(self, capsys, tmp_path, stem):
+        # an unnamed mesh is labelled by its file stem, under the rule of
+        # a JSON name
+        out = tmp_path / "row.csv"
+        code = cli.main(["--mesh", self.unnamed_mesh(tmp_path, stem), "--case", "1",
+                         "--tau", "1/4", "--out", str(out)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "comma or a line break" in captured.err and captured.out == ""
+        assert not out.exists()
+
+    def test_file_stem_with_comma_rejected(self, tmp_path):
+        # the command line splits --mesh at commas; a caller of run_single
+        # can still pass one
+        path = self.unnamed_mesh(tmp_path, "run 1, coarse")
+        with pytest.raises(MeshFormatError, match="comma or a line break"):
+            cli.run_single(cli.RunConfig(path, 1, Fraction(1, 4)))
 
     def test_missing_mesh_exit_three(self, capsys):
         code = cli.main(["--mesh", "/nonexistent/mesh.json", "--case", "1",

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sps
 
 from conftest import (SPLIT_MESHES, block_rows, cell_edges, constant_edge_dofs,
-                      constant_face_dofs)
+                      constant_face_dofs, weighted_product)
 from vemaxwell import cases, forms, stepper
 from vemaxwell import derham as vd
 from vemaxwell import mesh as vm
@@ -45,9 +45,10 @@ class TestCoefficients:
 
 
 def stab_diagonal(local_mass, mesh, k):
-    """Cell k's stabilization as the diagonal matrix ``local_mass`` returns."""
-    factors = local_mass(mesh, vd.build_projectors(mesh))
-    return np.diag(factors.stab[factors.cells == k])
+    """Cell k's stabilization S as a diagonal matrix: with unit eta, the
+    unit weights of its rows after its three projector rows."""
+    factors = local_mass(mesh, vd.build_projectors(mesh), forms.StabWeights(1.0, 1.0))
+    return np.diag(factors.unit[factors.cells == k][3:])
 
 
 class TestStabilizations:
@@ -110,7 +111,7 @@ def local_product(mesh, k, kind, proj, **eta):
     matrix with weight one on cell k and zero elsewhere."""
     w = np.zeros(mesh.n_cells)
     w[k] = 1.0
-    m = forms.assemble_global(mesh, w, kind, proj, forms.StabWeights(**eta))
+    m = weighted_product(mesh, proj, w, kind, forms.StabWeights(**eta))
     ids = cell_edges(mesh, k) if kind == "edge" else mesh.cell_faces[k]
     return m[ids][:, ids].toarray()
 
@@ -180,7 +181,7 @@ class TestAssembleGlobal:
     # the boundary ones
     def test_single_cell_fully_eliminated(self, cube1):
         proj = vd.build_projectors(cube1)
-        m = forms.assemble_global(cube1, np.ones(1), "edge", proj)
+        m = weighted_product(cube1, proj, np.ones(1), "edge")
         assert m.shape == (12, 12)
         coeffs = forms.sample_coefficients(cube1, 1.0, 1.0, 1.0)
         ops = stepper.build_step_operators(cube1, proj, coeffs, 0.5)
@@ -198,12 +199,12 @@ class TestAssembleGlobal:
         for mesh in (cube2, voro8):
             proj = vd.build_projectors(mesh)
             w = np.linspace(1.0, 2.0, mesh.n_cells)
-            m = forms.assemble_global(mesh, w, "edge", proj)
+            m = weighted_product(mesh, proj, w, "edge")
             u = constant_edge_dofs(mesh, c1)
             v = constant_edge_dofs(mesh, c2)
             exact = (w * mesh.cell_volumes).sum() * (c1 @ c2)
             assert u @ (m @ v) == pytest.approx(exact, rel=1e-12)
-            mf = forms.assemble_global(mesh, w, "face", proj)
+            mf = weighted_product(mesh, proj, w, "face")
             uf = constant_face_dofs(mesh, c1)
             vf = constant_face_dofs(mesh, c2)
             assert uf @ (mf @ vf) == pytest.approx(exact, rel=1e-12)
@@ -212,7 +213,7 @@ class TestAssembleGlobal:
         for mesh in (cube4, voro27):
             proj = vd.build_projectors(mesh)
             for kind in ("edge", "face"):
-                m = forms.assemble_global(mesh, np.ones(mesh.n_cells), kind, proj)
+                m = weighted_product(mesh, proj, np.ones(mesh.n_cells), kind)
                 d = (m - m.T)
                 assert d.nnz == 0 or np.abs(d.data).max() == 0.0
 
@@ -221,17 +222,17 @@ class TestAssembleGlobal:
         for mesh in (cube4, voro8):
             proj = vd.build_projectors(mesh)
             for kind in ("edge", "face"):
-                m = forms.assemble_global(mesh, np.ones(mesh.n_cells), kind, proj)
+                m = weighted_product(mesh, proj, np.ones(mesh.n_cells), kind)
                 for _ in range(100):
                     x = rng.standard_normal(m.shape[0])
                     assert x @ (m @ x) > 0.0
 
     def test_bad_weights(self, cube1):
-        proj = vd.build_projectors(cube1)
+        factors = forms.local_edge_mass(cube1, vd.build_projectors(cube1))
+        with pytest.raises(ValueError, match="one weight per cell"):
+            factors.weighted(np.ones(5))
         with pytest.raises(ValueError):
-            forms.assemble_global(cube1, np.ones(5), "edge", proj)
-        with pytest.raises(ValueError):
-            forms.assemble_global(cube1, np.ones(1), "nodal", proj)
+            forms.assemble_global(factors.f, np.ones(5))
 
     def test_stab_weights_validation(self):
         for bad in (dict(eta_edge=0.0), dict(eta_edge=np.nan), dict(eta_face=np.inf)):
@@ -334,7 +335,7 @@ class TestSparseMatchesLoops:
         self.assert_blocks(proj.face_cell, [loop_face_cell(m, k) for k in cells],
                            m.cell_faces)
 
-    @pytest.mark.parametrize("name", SPLIT_MESHES)
+    @pytest.mark.parametrize("name", SPLIT_MESHES + ["agglo4"])
     def test_step_operators(self, name, request):
         # lcell and two_prisms have no interior edges: their unconstrained
         # products carry the comparison
@@ -352,9 +353,9 @@ class TestSparseMatchesLoops:
         m_face = m_face_full[if_][:, if_]
         curl = ops.c_int.T @ m_face @ ops.c_int
         system = m_eps + tau * m_sigma + tau**2 * (0.5 * (curl + curl.T))
-        edge_full = forms.assemble_global(m, np.ones(m.n_cells), "edge", proj)
-        face_full = forms.assemble_global(m, 1.0 / coeffs.mu_hat, "face", proj)
-        sigma_mass = forms.assemble_global(m, coeffs.sigma_hat, "edge", proj)[ie][:, ie]
+        edge_full = weighted_product(m, proj, np.ones(m.n_cells), "edge")
+        face_full = weighted_product(m, proj, 1.0 / coeffs.mu_hat, "face")
+        sigma_mass = weighted_product(m, proj, coeffs.sigma_hat, "edge")[ie][:, ie]
         for got, want in ((ops.m_eps, m_eps), (sigma_mass, m_sigma),
                           (ops.m_edge_load, m_edge[ie]),
                           (ops.m_face, m_face), (ops.system.to_scipy(), system),
@@ -365,3 +366,10 @@ class TestSparseMatchesLoops:
                     <= 1e-14 * np.abs(want).max(initial=0.0))
             if got.shape[0] == got.shape[1]:
                 assert (got == got.T).all()
+        # the step matrix stores one entry per pair of interior edges of a
+        # common cell, and no other
+        ids = [cell_edges(m, k) for k in range(m.n_cells)]
+        rows = np.repeat(np.arange(m.n_cells), [c.size for c in ids])
+        incidence = sps.csr_matrix((np.ones(rows.size), (rows, np.concatenate(ids))),
+                                   shape=(m.n_cells, m.n_edges))[:, ie]
+        assert ops.system.to_scipy().nnz == (incidence.T @ incidence).nnz

@@ -451,8 +451,8 @@ class TestEntityRanges:
     def test_range_concatenates_entities(self, name, request):
         m = request.getfixturevalue(name)
         for rule_of, n in ((vg.face_quadrature, m.n_faces), (vg.cell_quadrature, m.n_cells)):
-            whole = rule_of(m, slice(None))
-            parts = [rule_of(m, i) for i in range(n)]
+            whole = rule_of(m, slice(None), 4)
+            parts = [rule_of(m, i, 4) for i in range(n)]
             assert whole.coords.flags.c_contiguous
             assert np.array_equal(whole.points, np.concatenate([r.points for r in parts]))
             assert np.array_equal(whole.weights, np.concatenate([r.weights for r in parts]))
@@ -468,7 +468,7 @@ class TestEntityRanges:
         m = request.getfixturevalue(name)
         split = m.split
         for rule_of, measures, kept, degree in (
-                (vg.face_quadrature, split.fan_areas, split.fan_kept, vg.DEFAULT_FACE_DEGREE),
+                (vg.face_quadrature, split.fan_areas, split.fan_kept, 4),
                 (vg.cell_quadrature, split.tet_volumes, split.tet_kept, vg.DEFAULT_CELL_DEGREE)):
             rule = rule_of(m, slice(None), degree)
             blocks = rule.weights.size // rule.points_per_simplex
@@ -487,7 +487,7 @@ class TestChunking:
     @pytest.mark.parametrize("name", SPLIT_MESHES + ["agglo4"])
     def test_rules_independent_of_budget(self, name, request, monkeypatch):
         m = request.getfixturevalue(name)
-        for walk in (lambda: vg.face_rules(m, vg.DEFAULT_FACE_DEGREE),
+        for walk in (lambda: vg.face_rules(m, 4),
                      lambda: (flat_rule(m, r) for r in vg.cell_rules(m))):
             joined = []
             for budget in (1, vg.CHUNK_POINTS, 10**9):

@@ -1,6 +1,9 @@
 import ast
 import dataclasses
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -21,9 +24,22 @@ def test_every_export_resolves():
     assert missing == []
 
 
+def test_cli_imports_no_test_dependency():
+    # the command runs where only numpy and scipy are installed
+    src = str(pathlib.Path(vemaxwell.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    probe = ("import sys, vemaxwell.cli; "
+             "print(sorted({m.split('.')[0] for m in sys.modules} "
+             "& {'sympy', 'hypothesis', 'pytest'}))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 # Left out: ElementProjectors, whose face_tangential only the tests read,
 # as the paper's face projector (acceptance criterion 3); and
-# ValidationReport, which goes with validate_mesh (ROADMAP item 5).
+# ValidationReport, which goes with validate_mesh (ROADMAP item 8).
 @pytest.mark.parametrize("cls", [PolyMesh, SimplexSplit, Ragged, StepOperators,
                                  ManufacturedCase, QuadratureRule, BoxRule,
                                  SimulationState, IncidenceOps, SolutionSpace,

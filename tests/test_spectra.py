@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from conftest import weighted_product
 from vemaxwell import derham as vd
-from vemaxwell import forms, generate_cube_mesh
+from vemaxwell import generate_cube_mesh
 
 # An eigenvalue at most this fraction of the largest counts as kernel;
 # the kernel sits below 1e-15 of it on every mesh here.
@@ -28,8 +29,8 @@ def spectrum(mesh):
     ie, if_ = np.flatnonzero(~mesh.boundary_edges), np.flatnonzero(~mesh.boundary_faces)
     proj = vd.build_projectors(mesh)
     ones = np.ones(mesh.n_cells)
-    m_e = forms.assemble_global(mesh, ones, "edge", proj)[ie][:, ie]
-    m_f = forms.assemble_global(mesh, ones, "face", proj)[if_][:, if_]
+    m_e = weighted_product(mesh, proj, ones, "edge")[ie][:, ie]
+    m_f = weighted_product(mesh, proj, ones, "face")[if_][:, if_]
     c = vd.curl_matrix(mesh)[if_][:, ie]
     lam = sla.eigh((c.T @ m_f @ c).toarray(), m_e.toarray(), eigvals_only=True)
     return lam, int(np.count_nonzero(~mesh.boundary_vertices))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import expand, free_evolution
+from conftest import expand, free_evolution, weighted_product
 from vemaxwell import cases, cli, forms, generate_cube_mesh, geometry, linalg, stepper
 from vemaxwell import derham as vd
 
@@ -240,7 +240,7 @@ class TestAdvance:
         new, _ = stepper.advance(state, ops, ops.m_edge_load @ j_full, tol=1e-13)
 
         m_eps = ops.m_eps.toarray()
-        m_sig = forms.assemble_global(cube2, coeffs.sigma_hat, "edge", proj)[ie][:, ie].toarray()
+        m_sig = weighted_product(cube2, proj, coeffs.sigma_hat, "edge")[ie][:, ie].toarray()
         m_f = ops.m_face.toarray()
         c = ops.c_int.toarray()
         block = np.zeros((ne + nf, ne + nf))
@@ -379,7 +379,7 @@ class TestWarmStart:
         ops = res.ops
         sigma_hat = forms.sample_coefficients(mesh, case.eps, case.sigma, case.mu).sigma_hat
         ie = ops.interior_edges
-        m_sigma = forms.assemble_global(mesh, sigma_hat, "edge", ops.projectors)[ie][:, ie]
+        m_sigma = weighted_product(mesh, ops.projectors, sigma_hat, "edge")[ie][:, ie]
         eps = np.finfo(float).eps
 
         def sq(m, v):
@@ -694,28 +694,6 @@ class TestOperatorsBuiltOnce:
             assert (stepper.divergence_norm(voro27, ops.d_int, v)
                     == stepper.divergence_norm(
                         voro27, d_full, expand(v, ops.interior_faces, voro27.n_faces)))
-
-    def test_matrices_match_per_weight_assembly(self, voro27):
-        case, tau = cases.case2(), 0.125
-        proj = vd.build_projectors(voro27)
-        coeffs = forms.sample_coefficients(voro27, case.eps, case.sigma, case.mu)
-        ops = stepper.build_step_operators(voro27, proj, coeffs, tau)
-        ie, if_ = ops.interior_edges, ops.interior_faces
-
-        def assemble(weights, kind):
-            return forms.assemble_global(voro27, weights, kind, proj)
-
-        m_eps = assemble(coeffs.eps_hat, "edge")[ie][:, ie]
-        m_sigma = assemble(coeffs.sigma_hat, "edge")[ie][:, ie]
-        m_face = assemble(1.0 / coeffs.mu_hat, "face")[if_][:, if_]
-        m_load = assemble(np.ones(voro27.n_cells), "edge")[ie].tocsr()
-        curl = (ops.c_int.T @ m_face @ ops.c_int).tocsr()
-        system = m_eps + tau * m_sigma + tau**2 * (0.5 * (curl + curl.T))
-        for got, want in ((ops.m_eps, m_eps), (ops.m_face, m_face),
-                          (ops.m_edge_load, m_load),
-                          (ops.system.to_scipy(), system)):
-            assert got.shape == want.shape
-            assert (got != want).nnz == 0
 
 
 def test_array_records_compare_by_identity(cube2):
