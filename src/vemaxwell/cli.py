@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -197,8 +198,10 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Virtual element Maxwell solver on polyhedral meshes",
     )
     src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--mesh", help="PVM-JSON mesh path (comma-separated list "
-                                    "for multi-level convergence runs)")
+    src.add_argument("--mesh", help="PVM-JSON mesh path, or a comma-separated list "
+                                    "of paths for multi-level convergence runs; a "
+                                    "value that names an existing file is one "
+                                    "mesh, commas and all")
     src.add_argument("--generate", metavar="cube:<n>",
                      help="structured mesh source, e.g. cube:4")
     p.add_argument("--case", type=int, required=True, help="test case id (1|2)")
@@ -227,7 +230,7 @@ def main(argv=None) -> int:
 
     sources = None
     mesh_source = args.generate or args.mesh
-    if args.mesh and "," in args.mesh:
+    if args.mesh and "," in args.mesh and not os.path.isfile(args.mesh):
         sources = args.mesh.split(",")
         mesh_source = sources[0]
 

@@ -59,11 +59,9 @@ def divergence_matrix(mesh: PolyMesh) -> sps.csr_matrix:
     return sps.csr_matrix((vals, (rows, cols)), shape=(mesh.n_cells, mesh.n_faces))
 
 
-def divergence_norm(mesh: PolyMesh, d: sps.csr_matrix, b: np.ndarray) -> float:
-    """L2 norm of the cellwise constant divergence D b of a face function:
-    sqrt(sum_K |K| (D b)_K^2), with ``d`` from ``divergence_matrix``, or
-    its columns of the faces that ``b`` holds."""
-    div = d @ b
+def divergence_norm(mesh: PolyMesh, div: np.ndarray) -> float:
+    """L2 norm sqrt(sum_K |K| div_K^2) of a cellwise constant divergence,
+    such as D b of a face function b with ``D = divergence_matrix(mesh)``."""
     return float(np.sqrt(mesh.cell_volumes @ div**2))
 
 

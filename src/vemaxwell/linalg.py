@@ -12,11 +12,14 @@ builds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sps
+from scipy.sparse import _sparsetools
 
 
 class NonConvergenceError(RuntimeError):
@@ -61,6 +64,27 @@ class SparseMatrix:
     def diagonal(self) -> np.ndarray:
         return self._csr.diagonal()
 
+    @cached_property
+    def inverse_diagonal(self) -> np.ndarray:
+        """1 / diagonal, the Jacobi preconditioner; IndefiniteMatrixError
+        where an entry is not positive."""
+        if not (self.diagonal > 0.0).all():
+            raise IndefiniteMatrixError("nonpositive diagonal entry")
+        return 1.0 / self.diagonal
+
+
+def matvec(a: sps.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """``a @ x`` for a float64 CSR matrix and a float vector, bit for bit:
+    scipy's CSR kernel called without the type dispatch of ``@``, which
+    costs about 2 us a product, a fifth of a product with the step matrix
+    of cube:6.  Looked up on its module at each call, as ``@`` does.  The
+    kernel reads x unchecked, so its length is checked here."""
+    if np.shape(x) != (a.shape[1],):
+        raise ValueError(f"dimension mismatch: {a.shape} matrix, {np.shape(x)} vector")
+    y = np.zeros(a.shape[0])
+    _sparsetools.csr_matvec(a.shape[0], a.shape[1], a.indptr, a.indices, a.data, x, y)
+    return y
+
 
 @dataclass
 class SolveReport:
@@ -88,88 +112,100 @@ def hybrid_preconditioner(a: sps.csr_matrix, g: sps.csr_matrix) -> sps.csr_matri
 
 def cg_solve(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12,
              maxiter: int | None = None, x0: np.ndarray | None = None,
-             precond=None):
+             precond=None, a_x0: np.ndarray | None = None):
     """Preconditioned conjugate gradients for an SPD system.
 
     Each iteration forms z = r / diag(a), elementwise, or z = precond @ r
-    when ``precond`` (an SPD n x n matrix) is given.  Returns
-    (x, SolveReport).  An initial guess ``x0`` that already meets ``tol``
-    is returned after 0 iterations with its true residual.  Raises
-    ValueError on a non-finite or misshapen ``b`` or ``x0`` and on a
-    misshapen ``precond``; IndefiniteMatrixError when a search direction
-    has nonpositive curvature (an assembly bug upstream) or r'z <= 0 (a
-    preconditioner that is not positive definite); NonConvergenceError
-    when maxiter is exhausted.
+    when ``precond`` (an SPD n x n matrix) is given, and stops once
+    r.r <= (tol |b|)^2.  ``a_x0``, when given with ``x0``, stands for
+    A x0 in the first residual, which then costs no product; a wrong one
+    costs iterations, never the result.  Returns (x, SolveReport); the
+    reported residual |b - Ax| / |b| is always formed by a product with
+    the returned x, also when an initial guess that already meets
+    ``tol`` is returned after 0 iterations.  Raises ValueError on a
+    non-finite or misshapen ``b``, ``x0`` or ``a_x0`` and on a misshapen
+    ``precond``; IndefiniteMatrixError on a nonpositive diagonal entry,
+    when a search direction has nonpositive curvature (an assembly bug
+    upstream) or r'z <= 0 (a preconditioner that is not positive
+    definite); NonConvergenceError when maxiter is exhausted.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
-    b = np.asarray(b, dtype=float)
-    if b.shape != (a.n,):
-        raise ValueError("dimension mismatch between matrix and right-hand side")
-    if not np.isfinite(b).all():
-        raise ValueError("non-finite entry in the right-hand side")
+    b = _checked(b, a.n, "right-hand side")
     if x0 is not None:
-        x0 = np.asarray(x0, dtype=float)
-        if x0.shape != (a.n,):
-            raise ValueError("dimension mismatch between matrix and initial guess")
-        if not np.isfinite(x0).all():
-            raise ValueError("non-finite entry in the initial guess")
+        x0 = _checked(x0, a.n, "initial guess")
+    if a_x0 is not None:
+        if x0 is None:
+            raise ValueError("a_x0 needs the initial guess x0")
+        a_x0 = _checked(a_x0, a.n, "product of the initial guess")
     if precond is not None and np.shape(precond) != (a.n, a.n):
         raise ValueError("dimension mismatch between matrix and preconditioner")
     if maxiter is None:
         maxiter = max(100, 10 * a.n)
 
     csr = a.to_scipy()
-    bnorm = float(np.sqrt(b @ b))
-    if bnorm == 0.0:
+    bb = float(b @ b)
+    if bb == 0.0:
         return np.zeros(a.n), SolveReport(0, 0.0)
+    bnorm, stop = math.sqrt(bb), tol * tol * bb
+    inv_diag = a.inverse_diagonal
 
-    diag = a.diagonal
-    if np.any(diag <= 0.0):
-        raise IndefiniteMatrixError("nonpositive diagonal entry")
-    if precond is None:
-        inv_diag = 1.0 / diag
+    def true_residual(x):
+        r = b - matvec(csr, x)
+        return r, float(r @ r)
 
-        def preconditioned(r):
-            return inv_diag * r
+    if x0 is None:
+        x, r, rr = np.zeros(a.n), b.copy(), bb      # b - A 0, with no product
+    elif a_x0 is None:
+        x = x0.copy()
+        r, rr = true_residual(x)
     else:
-        def preconditioned(r):
-            return precond @ r
-
-    x = np.zeros(a.n) if x0 is None else x0.copy()
-    r = b - csr @ x
-    rnorm = float(np.sqrt(r @ r))
-    if rnorm <= tol * bnorm:        # r is the true residual of the guess
-        return x, SolveReport(0, rnorm / bnorm)
-    z = preconditioned(r)
-    p = z.copy()
-    rz = float(r @ z)
+        x, r = x0.copy(), b - a_x0
+        rr = float(r @ r)
+        if rr <= stop:              # confirm on the true residual
+            r, rr = true_residual(x)
+    if rr <= stop:
+        return x, SolveReport(0, math.sqrt(rr) / bnorm)
+    p = inv_diag * r if precond is None else precond @ r     # z, a fresh array
+    rz = float(r @ p)
     iterations = 0
     for iterations in range(1, maxiter + 1):
         if rz <= 0.0:
             raise IndefiniteMatrixError(
                 f"r'z = {rz:.3e} before iteration {iterations}: "
                 "the preconditioner is not positive definite")
-        ap = csr @ p
+        ap = matvec(csr, p)
         pap = float(p @ ap)
         if pap <= 0.0:
             raise IndefiniteMatrixError(f"p'Ap = {pap:.3e} at iteration {iterations}")
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        if np.sqrt(r @ r) <= tol * bnorm:
-            true_res = float(np.linalg.norm(b - csr @ x))
-            if true_res <= tol * bnorm:
-                return x, SolveReport(iterations, true_res / bnorm)
-            r = b - csr @ x  # recurrence drifted; restart from the true residual
-        z = preconditioned(r)
+        if float(r @ r) <= stop:
+            true_r, rr = true_residual(x)
+            if rr <= stop:
+                return x, SolveReport(iterations, math.sqrt(rr) / bnorm)
+            r = true_r      # recurrence drifted; restart from the true residual
+        z = inv_diag * r if precond is None else precond @ r
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     raise NonConvergenceError(
         f"CG did not reach tol={tol:.1e} in {maxiter} iterations "
-        f"(residual {float(np.linalg.norm(b - csr @ x)) / bnorm:.3e})"
+        f"(residual {math.sqrt(true_residual(x)[1]) / bnorm:.3e})"
     )
+
+
+def _checked(v, n: int, what: str) -> np.ndarray:
+    """``v`` as a float vector of length n; ValueError unless it is one and
+    every entry is finite."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (n,):
+        raise ValueError(f"dimension mismatch between matrix and {what}")
+    if not np.isfinite(v).all():
+        raise ValueError(f"non-finite entry in the {what}")
+    return v
 
 
 # An increment whose part A-orthogonal to the space keeps less than this
@@ -177,10 +213,18 @@ def cg_solve(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12,
 # it would add a direction made of round-off.
 _DEPENDENT = np.sqrt(np.finfo(float).eps)
 
-# Solutions a full space restarts from: the three that a quadratic
+# The fewest latest solutions a restart keeps: the three that a quadratic
 # extrapolation combines, so right after a restart the guess is still no
 # farther from the solution in the A-norm than that extrapolation.
 RESTART_SOLUTIONS = 3
+
+
+class Guess(NamedTuple):
+    """The projection guess ``x = V V' b`` for a right-hand side b."""
+
+    x: np.ndarray
+    a_x: np.ndarray        # A x = W V' b, with no sparse product
+    coef: np.ndarray       # V' b, the coordinates of x in the basis
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,13 +233,20 @@ class SolutionSpace:
     one SPD matrix A, with W = A V: the projection method for successive
     right-hand sides (P. F. Fischer, CMAME 163, 1998).
 
-    ``guess(b) = V V' b`` is the A-orthogonal projection of ``A^-1 b``
-    onto span V, so in the A-norm it is at least as close to the solution
-    as any vector of span V.  Each solve appends its
+    ``guess(b)`` gives ``V V' b``, the A-orthogonal projection of
+    ``A^-1 b`` onto span V, so in the A-norm it is at least as close to
+    the solution as any vector of span V.  Each solve appends its
     increment over the guess, so V spans every solution since the last
-    restart; a full space restarts from the ``recent`` solutions, newest
-    first.  Rows ``:size`` of ``v`` and ``w`` hold V' and W'; the buffers
-    have room for ``len(v)`` rows.  A space never changes once made:
+    restart.  A full space restarts by compression: it becomes the span
+    of the ``kept`` latest solutions, the new one appended last.  Since V
+    is A-orthonormal, A-inner products of vectors of span V are
+    Euclidean products of their coordinates in V, so the space carries
+    the coordinates of its latest solutions (``recent``, newest first)
+    and orthonormalises them in coefficient space, with no sparse product
+    and no n-vector Gram-Schmidt.
+
+    Rows ``:size`` of ``v`` and ``w`` hold V' and W'; the buffers have
+    room for ``len(v)`` rows.  A space never changes once made:
     ``extended`` writes its new row into the shared buffers only where no
     space grown from this one holds that row already (``claimed[0]`` rows
     are held), and copies the buffers otherwise; a restart allocates
@@ -206,57 +257,98 @@ class SolutionSpace:
     w: np.ndarray          # A times the rows of v
     size: int
     claimed: list          # [rows of the shared buffers that some space holds]
-    recent: tuple          # up to RESTART_SOLUTIONS solutions, newest first
+    recent: tuple          # coordinates in V of the latest solutions, newest first
+
+    @property
+    def kept(self) -> int:
+        """The latest solutions, the new one included, that a restart
+        keeps: half the capacity, and at least ``RESTART_SOLUTIONS``."""
+        return max(RESTART_SOLUTIONS, len(self.v) // 2)
 
     @classmethod
     def spanned_by(cls, a: SparseMatrix, solutions: tuple, capacity: int) -> "SolutionSpace":
-        """The space of ``solutions`` (newest first; the first
-        ``RESTART_SOLUTIONS`` are kept), with room for ``capacity``
-        vectors; a zero solution, or one in the span of the others, adds
-        none."""
+        """The space of ``solutions`` (newest first; as many as a full
+        space keeps), with room for ``capacity`` vectors; a zero solution,
+        or one in the span of the others, adds none."""
         if capacity < RESTART_SOLUTIONS:
             raise ValueError(f"capacity must be at least {RESTART_SOLUTIONS}")
-        solutions = tuple(solutions[:RESTART_SOLUTIONS])
-        space = cls(np.empty((capacity, a.n)), np.empty((capacity, a.n)), 0, [0], solutions)
-        for x in solutions:
-            space = space._appended(a, x, solutions)
+        space = cls(np.empty((capacity, a.n)), np.empty((capacity, a.n)), 0, [0], ())
+        for x in reversed(solutions[:space.kept]):
+            space = space._appended(a, x, np.zeros(space.size))
         return space
 
-    def guess(self, b: np.ndarray) -> np.ndarray:
+    def guess(self, b: np.ndarray) -> Guess:
         """V V' b, the A-orthogonal projection of A^-1 b onto the space."""
         v = self.v[:self.size]
-        return (v @ b) @ v
+        coef = v @ b
+        return Guess(coef @ v, coef @ self.w[:self.size], coef)
 
-    def extended(self, a: SparseMatrix, x: np.ndarray, x0: np.ndarray) -> "SolutionSpace":
-        """The space after a solve that went from ``x0 = guess(b)`` to
-        ``x``: this one with the increment ``x - x0`` appended, or, when
-        it is full, the space of ``x`` and the solutions before it."""
-        recent = (x, *self.recent[:RESTART_SOLUTIONS - 1])
-        if self.size == len(self.v):
-            return SolutionSpace.spanned_by(a, recent, len(self.v))
-        return self._appended(a, x - x0, recent)
+    def extended(self, a: SparseMatrix, x: np.ndarray, guess: Guess) -> "SolutionSpace":
+        """The space after a solve that went from ``guess`` to ``x``: this
+        one with the increment appended, or, when it is full, the span of
+        its latest solutions with ``x`` appended."""
+        if self.size < len(self.v):
+            return self._appended(a, x - guess.x, guess.coef)
+        space, coef = self._compressed(guess.coef)
+        return space._appended(a, x - coef @ space.v[:space.size], coef)
 
-    def _appended(self, a: SparseMatrix, d: np.ndarray, recent: tuple) -> "SolutionSpace":
-        """This space with ``d`` A-orthogonalised against it by classical
-        Gram-Schmidt, twice, normalised and appended, or with nothing
-        appended where d lies in it; ``recent`` is the new space's.  A d
-        is formed after the orthogonalisation, so a row of ``w`` is A
-        times its row of ``v`` however much cancels."""
+    def _compressed(self, coef: np.ndarray):
+        """(the span of the latest solutions, ``coef`` projected onto it).
+
+        With Y = Q R the Householder QR of the solutions' coordinates, newest
+        first in the columns of Y, the rows of Q' are orthonormal however
+        nearly parallel the solutions are, so V <- Q' V and W <- Q' W keep
+        V' A V = I and W = A V, and column j of R holds the coordinates
+        of solution j in the new basis.  Q' V is formed as one
+        matrix-vector product per row: the first matrix-matrix product of
+        a process adds about 0.25 MB to its resident memory.
+        """
+        y = np.zeros((self.size, len(self.recent)))
+        for j, c in enumerate(self.recent):
+            y[:c.size, j] = c
+        q, r = np.linalg.qr(y)
+        k = q.shape[1]
+        v, w = np.empty_like(self.v), np.empty_like(self.w)
+        rows = q.T[:, None, :]
+        np.matmul(rows, self.v[:self.size], out=v[:k, None, :])
+        np.matmul(rows, self.w[:self.size], out=w[:k, None, :])
+        return SolutionSpace(v, w, k, [k], tuple(r.T)), coef @ q
+
+    def _appended(self, a: SparseMatrix, d: np.ndarray, coef: np.ndarray) -> "SolutionSpace":
+        """This space after the solution ``x = V' coef + d``: with d
+        A-orthogonalised against it, normalised and appended, or with
+        nothing appended where d lies in it, and with x's coordinates in
+        ``recent``.  Classical Gram-Schmidt takes a second pass only where
+        the first cancelled more than it left (the DGKS criterion, with
+        A-norms), and A d is formed after the first pass and updated
+        through W, so a row of ``w`` is A times its row of ``v`` however
+        much cancels."""
         v, w = self.v[:self.size], self.w[:self.size]
-        in_space_sq = 0.0
-        for _ in range(2):
-            c = w @ d                   # V' A d
-            d = d - c @ v
-            in_space_sq += float(c @ c)
-        ad = a.to_scipy() @ d
+        c = w @ d                       # V' A d
+        d = d - c @ v
+        ad = matvec(a.to_scipy(), d)
         dd = float(d @ ad)
+        in_space_sq = float(c @ c)
+        if in_space_sq > dd:
+            c2 = w @ d
+            d -= c2 @ v
+            ad -= c2 @ w
+            c += c2
+            dd = float(d @ ad)
+            in_space_sq += float(c2 @ c2)
+        coef = coef + c
         if not dd > _DEPENDENT**2 * (dd + in_space_sq):
-            return SolutionSpace(self.v, self.w, self.size, self.claimed, recent)
+            return SolutionSpace(self.v, self.w, self.size, self.claimed,
+                                 self._with_recent(coef))
         v_buf, w_buf, claimed = self.v, self.w, self.claimed
         if claimed[0] > self.size:
             v_buf, w_buf, claimed = self.v.copy(), self.w.copy(), [self.size]
-        scale = 1.0 / np.sqrt(dd)
-        v_buf[self.size] = scale * d
-        w_buf[self.size] = scale * ad
+        norm = math.sqrt(dd)
+        v_buf[self.size] = d / norm
+        w_buf[self.size] = ad / norm
         claimed[0] = self.size + 1
-        return SolutionSpace(v_buf, w_buf, self.size + 1, claimed, recent)
+        return SolutionSpace(v_buf, w_buf, self.size + 1, claimed,
+                             self._with_recent(np.concatenate((coef, (norm,)))))
+
+    def _with_recent(self, coords: np.ndarray) -> tuple:
+        return (coords, *self.recent)[:self.kept - 1]

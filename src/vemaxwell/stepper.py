@@ -13,16 +13,18 @@ identically and never assembled.
 
 The matrix is the same at every step, so CG starts each solve from the
 A-orthogonal projection of the new solution onto the span of earlier
-ones (``linalg.SolutionSpace``, held by ``SimulationState.space``).  The
-span always holds the three latest solutions (the initial e counting as
-one), so in the A-norm the guess is never farther from the solution than
-their quadratic extrapolation.
+ones (``linalg.SolutionSpace``, held by ``SimulationState.space``), which
+also gives A times the guess.  The span always holds the three latest
+solutions (the initial e counting as one), so in the A-norm the guess is
+never farther from the solution than their quadratic extrapolation.
 Every operator a step applies is built once per run in
 ``StepOperators``, each matrix as one ``forms.assemble_global`` product
 of local factors restricted to interior DOFs; the load of each spatial
-term of the current is formed once per run, and ``M_eps e`` and ``M_f b``
-once per step, shared by the energy monitor and the next step's
-right-hand side.  CG is
+term of the current is formed once per run.  A step with k CG iterations
+makes k + 5 sparse products: C' (M_f b) for the right-hand side, k + 1
+in CG, A d for the new basis row, [C; M_eps] e_new for the magnetic
+update and the energy, and [M_f; D] b_new for the energy, the next
+right-hand side and the divergence monitor.  CG is
 Jacobi-preconditioned while the mass term dominates the system's
 diagonal, and gradient-corrected (``linalg.hybrid_preconditioner``) once
 the curl part outweighs it (``curl_mass_ratio`` above
@@ -32,8 +34,10 @@ the curl part outweighs it (``curl_mass_ratio`` above
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sps
 
 from . import linalg
 from .cases import ManufacturedCase
@@ -55,10 +59,11 @@ DIV_INIT_TOL = 1e-9
 CURL_MASS_SWITCH = 1.0
 
 # Vectors the CG guess's solution space holds before it restarts from the
-# latest solutions.  Iterations fall with every vector kept, but each one
-# costs six passes over n doubles per step and the space holds 2 * 30 * n
-# doubles (0.2 MB on cube:6, 44 MB on cube:32).  In the README's sweep of
-# capacities 10 to 70 the step time stops falling at about 30.
+# latest half of its solutions.  Iterations fall with every vector kept,
+# but each one costs five passes over n doubles per step, and the space
+# holds 2 * 30 * n doubles (0.2 MB on cube:6, 44 MB on cube:32), twice
+# that while a restart compresses it.  In the README's sweep the step time
+# is flat from capacity 30 to 40 and the peak memory is not.
 PROJECTION_CAPACITY = 30
 
 
@@ -71,7 +76,8 @@ class SimulationState:
     """Interior DOF vectors at step m; the time is recomputed as m * tau.
 
     ``m_eps_e`` and ``m_face_b`` are M_eps e and M_f b, read by the energy
-    monitor and by the next step's right-hand side.  ``space`` spans
+    monitor and by the next step's right-hand side; ``div`` is the cell
+    divergence D b, read by the divergence monitor.  ``space`` spans
     earlier solutions of the step system; ``advance`` projects its CG
     guess onto it.  Build states with ``make_state``.
     """
@@ -82,6 +88,7 @@ class SimulationState:
     tau: float
     m_eps_e: np.ndarray
     m_face_b: np.ndarray
+    div: np.ndarray
     space: linalg.SolutionSpace
 
     @property
@@ -96,7 +103,10 @@ class StepOperators:
     The run eliminates the DOFs of boundary edges (E x n = 0) and faces
     (B . n = 0), so the reduced system stays SPD; ``interior_edges`` and
     ``interior_faces`` are the global ids of the DOFs it keeps, in the
-    order of the state's ``e`` and ``b``.
+    order of the state's ``e`` and ``b``.  Matrices applied to the same
+    vector are stacked, so each pair costs one product; ``c_int``,
+    ``m_eps``, ``m_face`` and ``d_int`` are their blocks, copied out on
+    first use, which a run makes none of.
     """
 
     mesh: PolyMesh
@@ -104,14 +114,28 @@ class StepOperators:
     tau: float
     interior_edges: np.ndarray
     interior_faces: np.ndarray
-    m_eps: object          # interior edge x interior edge
+    curl_mass: object      # [C_int; M_eps], (interior face + edge) x interior edge
+    face_mass_div: object  # [M_f; D_int], (interior face + cell) x interior face
     m_edge_load: object    # interior edge x all edges, unweighted product
-    m_face: object         # interior face x interior face
-    c_int: object          # interior face x interior edge
     c_int_t: object        # interior edge x interior face, C_int' as CSR
-    d_int: object          # cells x interior face: D on the faces b holds
     system: linalg.SparseMatrix
     precond: object        # CG preconditioner matrix, None for Jacobi
+
+    @cached_property
+    def c_int(self):
+        return self.curl_mass[:self.interior_faces.size]
+
+    @cached_property
+    def m_eps(self):
+        return self.curl_mass[self.interior_faces.size:]
+
+    @cached_property
+    def m_face(self):
+        return self.face_mass_div[:self.interior_faces.size]
+
+    @cached_property
+    def d_int(self):
+        return self.face_mass_div[self.interior_faces.size:]
 
 
 def curl_mass_ratio(system: linalg.SparseMatrix, m_eps) -> float:
@@ -159,8 +183,10 @@ def build_step_operators(mesh: PolyMesh, projectors: ElementProjectors,
     if curl_mass_ratio(system, m_eps) > CURL_MASS_SWITCH:
         g_int = ops.G[ie][:, np.flatnonzero(~mesh.boundary_vertices)].tocsr()
         precond = linalg.hybrid_preconditioner(system.to_scipy(), g_int)
-    return StepOperators(mesh, projectors, tau, ie, if_, m_eps, m_edge_load, m_face,
-                         c_int, c_int.T.tocsr(), ops.D[:, if_].tocsr(), system, precond)
+    return StepOperators(mesh, projectors, tau, ie, if_,
+                         sps.vstack([c_int, m_eps], format="csr"),
+                         sps.vstack([m_face, ops.D[:, if_]], format="csr"),
+                         m_edge_load, c_int.T.tocsr(), system, precond)
 
 
 def make_state(ops: StepOperators, e: np.ndarray, b: np.ndarray, step: int = 0,
@@ -168,7 +194,16 @@ def make_state(ops: StepOperators, e: np.ndarray, b: np.ndarray, step: int = 0,
     """The state (e, b) at ``step``; ``space`` defaults to the span of e."""
     if space is None:
         space = linalg.SolutionSpace.spanned_by(ops.system, (e,), PROJECTION_CAPACITY)
-    return SimulationState(e, b, step, ops.tau, ops.m_eps @ e, ops.m_face @ b, space)
+    m_eps_e = linalg.matvec(ops.curl_mass, e)[ops.interior_faces.size:]
+    return _state(ops, e, b, m_eps_e, step, space)
+
+
+def _state(ops: StepOperators, e: np.ndarray, b: np.ndarray, m_eps_e: np.ndarray,
+           step: int, space: linalg.SolutionSpace) -> SimulationState:
+    """The state (e, b), with M_f b and D b from one stacked product."""
+    nf = ops.interior_faces.size
+    face = linalg.matvec(ops.face_mass_div, b)      # [M_f b; D_int b]
+    return SimulationState(e, b, step, ops.tau, m_eps_e, face[:nf], face[nf:], space)
 
 
 def init_state(ops: StepOperators, case: ManufacturedCase) -> SimulationState:
@@ -185,13 +220,13 @@ def init_state(ops: StepOperators, case: ManufacturedCase) -> SimulationState:
               else interpolate_edge(mesh, lambda p: case.E(p, 0.0)))
     b_full = (np.zeros(mesh.n_faces) if case.vanishes(1, 0.0)
               else interpolate_face(mesh, lambda p: case.B(p, 0.0)))
-    b = b_full[ops.interior_faces]
-    div0 = np.abs(ops.d_int @ b).max()
+    state = make_state(ops, e_full[ops.interior_edges], b_full[ops.interior_faces])
+    div0 = np.abs(state.div).max()
     if div0 > DIV_INIT_TOL:
         raise InitialDivergenceError(
             f"initial magnetic field is not solenoidal: |D b0|_inf = {div0:.3e}"
         )
-    return make_state(ops, e_full[ops.interior_edges], b)
+    return state
 
 
 def advance(state: SimulationState, ops: StepOperators, load: np.ndarray,
@@ -201,17 +236,20 @@ def advance(state: SimulationState, ops: StepOperators, load: np.ndarray,
     Returns (new state, SolveReport).  ``load`` is ``ops.m_edge_load @ j``
     for the edge interpolant j of the current at t + tau: the interior
     test functions against every DOF of the current.  CG starts from
-    ``state.space.guess(rhs)``, preconditioned by ``ops.precond``, and the
-    new state's space gains the solve's increment.
+    ``state.space.guess(rhs)``, whose A x0 spares it the first residual's
+    product, preconditioned by ``ops.precond``, and the new state's space
+    gains the solve's increment.
     """
     tau = ops.tau
-    rhs = state.m_eps_e + tau * load + tau * (ops.c_int_t @ state.m_face_b)
-    x0 = state.space.guess(rhs)
-    e_new, report = linalg.cg_solve(ops.system, rhs, tol=tol, x0=x0,
-                                    precond=ops.precond)
-    b_new = state.b - tau * (ops.c_int @ e_new)
-    space = state.space.extended(ops.system, e_new, x0)
-    return make_state(ops, e_new, b_new, state.step + 1, space), report
+    rhs = state.m_eps_e + tau * (load + linalg.matvec(ops.c_int_t, state.m_face_b))
+    guess = state.space.guess(rhs)
+    e_new, report = linalg.cg_solve(ops.system, rhs, tol=tol, x0=guess.x,
+                                    precond=ops.precond, a_x0=guess.a_x)
+    space = state.space.extended(ops.system, e_new, guess)
+    nf = ops.interior_faces.size
+    edge = linalg.matvec(ops.curl_mass, e_new)      # [C_int e_new; M_eps e_new]
+    return _state(ops, e_new, state.b - tau * edge[:nf], edge[nf:], state.step + 1,
+                  space), report
 
 
 @dataclass(frozen=True)
@@ -262,19 +300,23 @@ def run(mesh: PolyMesh, case: ManufacturedCase, tau: float, T: float,
     state = init_state(ops, case)
 
     def monitor(st: SimulationState, iters: int, residual: float) -> StepMonitor:
-        div = divergence_norm(mesh, ops.d_int, st.b)
+        div = divergence_norm(mesh, st.div)
         energy = float(st.e @ st.m_eps_e + st.b @ st.m_face_b)
         return StepMonitor(st.step, st.step * tau, energy, div, iters, residual)
 
-    # The edge interpolant and the load are linear in the current, so each
-    # step's load combines one load per spatial term, each formed once.
-    loads = [(a, ops.m_edge_load @ interpolate_edge(mesh, g)) for a, g in case.J_terms]
+    # The edge interpolant and the load are linear in the current, so step
+    # m's load combines one load per spatial term, each formed once, with
+    # the time factors at t_{m+1}, all evaluated at once.
+    times = tau * np.arange(1, n_steps + 1)
+    coef = np.zeros((n_steps, len(case.J_terms)))
+    loads = np.zeros((len(case.J_terms), ops.interior_edges.size))
+    for i, (a, g) in enumerate(case.J_terms):
+        coef[:, i] = a(times)
+        loads[i] = ops.m_edge_load @ interpolate_edge(mesh, g)
     monitors = [monitor(state, 0, 0.0)]
     total_iters = 0
     for m in range(n_steps):
-        t_next = (m + 1) * tau
-        load = sum((a(t_next) * f for a, f in loads), np.zeros(ops.interior_edges.size))
-        state, report = advance(state, ops, load, tol=tol)
+        state, report = advance(state, ops, coef[m] @ loads, tol=tol)
         total_iters += report.iterations
         monitors.append(monitor(state, report.iterations, report.residual))
     return RunResult(state, monitors, total_iters, ops)

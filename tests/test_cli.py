@@ -241,11 +241,24 @@ class TestMain:
         assert not out.exists()
 
     def test_file_stem_with_comma_rejected(self, tmp_path):
-        # the command line splits --mesh at commas; a caller of run_single
-        # can still pass one
+        # an unnamed mesh's label comes from its file stem, which must not
+        # break the CSV row either
         path = self.unnamed_mesh(tmp_path, "run 1, coarse")
         with pytest.raises(MeshFormatError, match="comma or a line break"):
             cli.run_single(cli.RunConfig(path, 1, Fraction(1, 4)))
+
+    def test_existing_mesh_path_with_comma_is_one_mesh(self, capsys, tmp_path):
+        # --mesh splits at commas only where the whole value names no file
+        folder = tmp_path / "with, comma"
+        folder.mkdir()
+        path = folder / "m.json"
+        path.write_text((DATA / "voro8.json").read_text())
+        code = cli.main(["--mesh", str(path), "--case", "1", "--tau", "1/4"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        lines = captured.out.strip().split("\n")
+        assert lines[0] == cli.CSV_HEADER and len(lines) == 2
+        assert lines[1].startswith("voro8,")
 
     def test_missing_mesh_exit_three(self, capsys):
         code = cli.main(["--mesh", "/nonexistent/mesh.json", "--case", "1",

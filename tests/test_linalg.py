@@ -45,6 +45,23 @@ class TestSpmv:
             linalg.cg_solve(a, np.random.default_rng(seed).standard_normal(6))
         assert built == []
 
+    def test_matvec_matches_scipy_bit_for_bit(self):
+        a = sps.random(30, 20, density=0.3, format="csr", random_state=3)
+        x = np.random.default_rng(4).standard_normal(20)
+        assert np.array_equal(linalg.matvec(a, x), a @ x)
+        assert np.array_equal(linalg.matvec(a[12:], x), (a @ x)[12:])
+        for bad in (np.ones(19), np.ones(21), np.ones((20, 1))):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                linalg.matvec(a, bad)
+
+    def test_inverse_diagonal_checked_once(self):
+        a = random_spd(6)
+        assert a.inverse_diagonal is a.inverse_diagonal
+        assert np.array_equal(a.inverse_diagonal, 1.0 / a.diagonal)
+        bad = linalg.SparseMatrix.from_scipy(sps.diags([1.0, np.nan]).tocsr())
+        with pytest.raises(linalg.IndefiniteMatrixError):
+            bad.inverse_diagonal
+
     def test_compares_by_identity(self):
         a = random_spd(4)
         b = linalg.SparseMatrix.from_scipy(a.to_scipy())
@@ -195,11 +212,29 @@ class TestCg:
 
     def test_residual_is_recomputed(self):
         a = random_spd(25, seed=11)
-        b = np.random.default_rng(12).standard_normal(25)
-        x, rep = linalg.cg_solve(a, b, tol=1e-11)
-        true = np.linalg.norm(b - a.to_scipy() @ x) / np.linalg.norm(b)
-        assert rep.residual == pytest.approx(true, rel=1e-12)
-        assert rep.residual <= 1e-11
+        rng = np.random.default_rng(12)
+        b, x0 = rng.standard_normal(25), rng.standard_normal(25)
+        # with a_x0 the first residual is b - a_x0, but the reported one
+        # is still formed from the returned x
+        for start in ({}, {"x0": x0, "a_x0": a.to_scipy() @ x0}):
+            x, rep = linalg.cg_solve(a, b, tol=1e-11, **start)
+            true = np.linalg.norm(b - a.to_scipy() @ x) / np.linalg.norm(b)
+            assert rep.residual == pytest.approx(true, rel=1e-12)
+            assert rep.residual <= 1e-11
+
+    def test_wrong_a_x0_costs_iterations_not_the_result(self):
+        # a_x0 that meets tol on its face is checked by a product: a wrong
+        # one sends CG on from the true residual
+        d = np.arange(1.0, 5.0)
+        a = linalg.SparseMatrix.from_scipy(sps.diags(d).tocsr())
+        b = np.ones(4)
+        x, rep = linalg.cg_solve(a, b, tol=1e-10, x0=np.zeros(4), a_x0=b)
+        assert rep.iterations > 0 and rep.residual <= 1e-10
+        assert np.allclose(x, b / d, rtol=1e-10)
+        with pytest.raises(ValueError, match="needs the initial guess"):
+            linalg.cg_solve(a, b, a_x0=b)
+        with pytest.raises(ValueError, match="product of the initial guess"):
+            linalg.cg_solve(a, b, x0=np.zeros(4), a_x0=np.ones(3))
 
     def test_assembled_reduced_system(self, cube4):
         # the real step matrix: M_eps + tau M_sigma + tau^2 C' M_f C
@@ -226,10 +261,18 @@ class TestSolutionSpace:
         space by the solve; returns every space, the first one included."""
         spaces = [space]
         for b in rhs:
-            x0 = spaces[-1].guess(b)
-            x, _ = linalg.cg_solve(a, b, tol=tol, x0=x0)
-            spaces.append(spaces[-1].extended(a, x, x0))
+            guess = spaces[-1].guess(b)
+            x, _ = linalg.cg_solve(a, b, tol=tol, x0=guess.x, a_x0=guess.a_x)
+            spaces.append(spaces[-1].extended(a, x, guess))
         return spaces
+
+    @staticmethod
+    def assert_a_orthonormal(a, space):
+        """V' A V = I and W = A V to round-off."""
+        csr, eps = a.to_scipy(), np.finfo(float).eps
+        v, w = space.v[:space.size], space.w[:space.size]
+        assert np.abs(v @ (csr @ v.T) - np.eye(space.size)).max() <= 1e3 * eps
+        assert np.abs(w - (csr @ v.T).T).max() <= 1e3 * eps * np.abs(w).max()
 
     def test_guess_residual_is_a_orthogonal_to_the_space(self):
         # V' A V = I and W = A V, so V' (b - A V V' b) = 0 to round-off
@@ -241,26 +284,52 @@ class TestSolutionSpace:
         assert [s.size for s in spaces] == list(range(1, 12))
         eps = np.finfo(float).eps
         for space in spaces:
-            v, w = space.v[:space.size], space.w[:space.size]
-            assert np.abs(v @ (csr @ v.T) - np.eye(space.size)).max() <= 1e3 * eps
-            assert np.abs(w - (csr @ v.T).T).max() <= 1e3 * eps * np.abs(w).max()
+            self.assert_a_orthonormal(a, space)
+            v = space.v[:space.size]
             b = rng.standard_normal(n)
-            r = b - csr @ space.guess(b)
+            r = b - csr @ space.guess(b).x
             assert np.abs(v @ r).max() <= 1e3 * eps * np.abs(v @ b).max()
+
+    def test_increment_mostly_in_the_space_takes_a_second_pass(self):
+        # an increment whose part in the space outweighs its remainder
+        # 1e6 to 1: one Gram-Schmidt pass would leave the new row about
+        # 1e6 epsilons away from A-orthogonal, the second pass restores it
+        n, a = 40, random_spd(40, seed=3)
+        rng = np.random.default_rng(10)
+        start = linalg.SolutionSpace.spanned_by(a, (rng.standard_normal(n),), 12)
+        space = self.solve_in_turn(a, start, rng.standard_normal((5, n)))[-1]
+        guess = space.guess(rng.standard_normal(n))
+        in_space = rng.standard_normal(space.size) @ space.v[:space.size]
+        x = guess.x + in_space + 1e-6 * rng.standard_normal(n)
+        grown = space.extended(a, x, guess)
+        assert grown.size == space.size + 1
+        self.assert_a_orthonormal(a, grown)
+
+    def test_guess_carries_its_product_with_a(self):
+        # A x0 = W V' b stands in for CG's first residual product
+        n, a = 40, random_spd(40, seed=3)
+        rng = np.random.default_rng(9)
+        start = linalg.SolutionSpace.spanned_by(a, (rng.standard_normal(n),), 8)
+        eps = np.finfo(float).eps
+        for space in self.solve_in_turn(a, start, rng.standard_normal((12, n))):
+            guess = space.guess(rng.standard_normal(n))
+            want = a.to_scipy() @ guess.x
+            assert np.abs(guess.a_x - want).max() <= 1e3 * eps * np.abs(want).max()
+            assert np.array_equal(guess.coef @ space.v[:space.size], guess.x)
 
     def test_rhs_in_span_of_earlier_ones_takes_zero_iterations(self):
         n, a = 30, random_spd(30, seed=5)
         rng = np.random.default_rng(6)
         rhs = rng.standard_normal((3, n))
         start = linalg.SolutionSpace.spanned_by(a, (np.zeros(n),), 10)
-        assert start.size == 0 and np.array_equal(start.guess(rhs[0]), np.zeros(n))
+        assert start.size == 0 and np.array_equal(start.guess(rhs[0]).x, np.zeros(n))
         space = self.solve_in_turn(a, start, rhs)[-1]
         b = 0.3 * rhs[0] - 2.0 * rhs[1] + rhs[2]
-        x0 = space.guess(b)
-        x, rep = linalg.cg_solve(a, b, tol=1e-10, x0=x0)
+        guess = space.guess(b)
+        x, rep = linalg.cg_solve(a, b, tol=1e-10, x0=guess.x, a_x0=guess.a_x)
         assert rep.iterations == 0
         # a solve that leaves its guess as it was appends nothing
-        assert space.extended(a, x, x0).size == space.size == 3
+        assert space.extended(a, x, guess).size == space.size == 3
 
     def test_restart_at_capacity_keeps_earlier_guesses(self):
         n, a, capacity = 20, random_spd(20, seed=7), 4
@@ -269,7 +338,7 @@ class TestSolutionSpace:
         start = linalg.SolutionSpace.spanned_by(a, (rng.standard_normal(n),), capacity)
         rhs = rng.standard_normal((7, n))
         spaces = self.solve_in_turn(a, start, rhs)
-        guesses = [s.guess(probe) for s in spaces]
+        guesses = [s.guess(probe).x for s in spaces]
         # full at 4 rows, then the space of the three latest solutions
         assert [s.size for s in spaces] == [1, 2, 3, 4, 3, 4, 3, 4]
         for before, after in zip(spaces, spaces[1:]):
@@ -277,11 +346,45 @@ class TestSolutionSpace:
         solutions = [linalg.cg_solve(a, b, tol=1e-13)[0] for b in rhs]
         restarted = spaces[4]
         for x in solutions[1:4]:    # the three latest solutions span it
-            assert np.allclose(restarted.guess(a.to_scipy() @ x), x, rtol=0, atol=1e-9)
+            assert np.allclose(restarted.guess(a.to_scipy() @ x).x, x, rtol=0, atol=1e-9)
         # growing a space a second time leaves the first branch as it was
         branch = spaces[1].extended(a, solutions[6], spaces[1].guess(rhs[6]))
         assert branch.v is not spaces[1].v and branch.size == 3
         for space, guess in zip(spaces, guesses):
-            assert np.array_equal(space.guess(probe), guess)
+            assert np.array_equal(space.guess(probe).x, guess)
         with pytest.raises(ValueError, match="capacity"):
             linalg.SolutionSpace.spanned_by(a, (probe,), linalg.RESTART_SOLUTIONS - 1)
+
+    @pytest.mark.parametrize("capacity, kept", [(10, 5), (13, 6)])
+    def test_compressed_restart_keeps_the_latest_solutions(self, capacity, kept):
+        # a full space keeps the max(3, capacity // 2) latest solutions,
+        # the new one included, so after every restart it reproduces them,
+        # while V' A V = I and W = A V hold
+        n, a = 40, random_spd(40, seed=23)
+        rng = np.random.default_rng(24)
+        rhs = rng.standard_normal((3 * capacity, n))
+        start = linalg.SolutionSpace.spanned_by(a, (np.zeros(n),), capacity)
+        assert start.kept == kept
+        spaces = self.solve_in_turn(a, start, rhs)
+        csr = a.to_scipy()
+        solutions = [linalg.cg_solve(a, b, tol=1e-13)[0] for b in rhs]
+        restarts = 0
+        for m, (before, after) in enumerate(zip(spaces, spaces[1:])):
+            if before.size < capacity:
+                assert after.v is before.v and after.size == before.size + 1
+                continue
+            restarts += 1
+            assert after.v is not before.v and after.size == kept
+            self.assert_a_orthonormal(a, after)
+            for x in solutions[m + 1 - kept:m + 1]:
+                assert np.allclose(after.guess(csr @ x).x, x, rtol=0, atol=1e-9), m
+        assert restarts >= 2
+        # a full space grown twice: both branches restart into their own
+        # buffers, and every earlier guess stays as it was
+        probe = rng.standard_normal(n)
+        full = next(s for s in spaces if s.size == capacity)
+        guesses = [s.guess(probe).x for s in spaces]
+        branches = [full.extended(a, x, full.guess(b)) for x, b in zip(solutions[:2], rhs)]
+        assert branches[0].v is not branches[1].v
+        for space, guess in zip(spaces, guesses):
+            assert np.array_equal(space.guess(probe).x, guess)
