@@ -14,7 +14,7 @@ import numpy as np
 
 from . import cases, linalg, mesh as vmesh, stepper
 from .cases import ErrorReport
-from .forms import StabWeights
+from .forms import DEFAULT_ETA_EDGE, DEFAULT_ETA_FACE, StabWeights
 
 CSV_HEADER = ("label,h,tau,err_E,err_B,div_B,"
               "n_edge_dofs,n_face_dofs,cg_iters_total,wall_s")
@@ -33,8 +33,8 @@ class RunConfig:
     case_id: int
     tau: Fraction
     T: float = 1.0
-    eta_edge: float = 0.01
-    eta_face: float = 0.5
+    eta_edge: float = DEFAULT_ETA_EDGE
+    eta_face: float = DEFAULT_ETA_FACE
     tol: float = 1e-12
     out: str | None = None
     monitors: str | None = None
@@ -161,10 +161,8 @@ def run_convergence(config: RunConfig, levels: int,
         raise ConfigError("need one mesh per level")
 
     def level_config(source, j):
-        return RunConfig(mesh_source=source, case_id=config.case_id,
-                         tau=config.tau / 2**j, T=config.T,
-                         eta_edge=config.eta_edge, eta_face=config.eta_face,
-                         tol=config.tol)
+        return dataclasses.replace(config, mesh_source=source, tau=config.tau / 2**j,
+                                   out=None)
 
     report = ConvergenceReport()
     if config.grid:
@@ -206,10 +204,10 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="structured mesh source, e.g. cube:4")
     p.add_argument("--case", type=int, required=True, help="test case id (1|2)")
     p.add_argument("--tau", required=True, help="time step as rational p/q")
-    p.add_argument("--T", type=float, default=1.0, help="final time")
-    p.add_argument("--eta-edge", type=float, default=0.01)
-    p.add_argument("--eta-face", type=float, default=0.5)
-    p.add_argument("--tol", type=float, default=1e-12, help="CG relative tolerance")
+    p.add_argument("--T", type=float, default=RunConfig.T, help="final time")
+    p.add_argument("--eta-edge", type=float, default=RunConfig.eta_edge)
+    p.add_argument("--eta-face", type=float, default=RunConfig.eta_face)
+    p.add_argument("--tol", type=float, default=RunConfig.tol, help="CG relative tolerance")
     p.add_argument("--out", help="CSV output path")
     p.add_argument("--levels", type=int, default=1,
                    help="number of simultaneous-refinement levels (>= 2 for a study)")

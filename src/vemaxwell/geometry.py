@@ -113,41 +113,12 @@ def segment_rule(degree: int):
     return _gauss01(max(1, (degree + 2) // 2))
 
 
-# Symmetric rules on the reference triangle {x, y >= 0, x + y <= 1},
-# weights scaled to sum to 1 (multiply by the panel area).  Orbits are
-# (barycentric value a -> points with one coordinate 1 - 2a).
-_TRI_RULES = {
-    1: [(1.0 / 3.0, 1.0 / 3.0, 1.0)],
-    2: [(1.0 / 6.0, 1.0 / 6.0, 1.0 / 3.0),
-        (1.0 / 6.0, 2.0 / 3.0, 1.0 / 3.0),
-        (2.0 / 3.0, 1.0 / 6.0, 1.0 / 3.0)],
-}
-
-
-def _tri_orbit3(a: float, w: float):
-    b = 1.0 - 2.0 * a
-    return [(a, a, w), (a, b, w), (b, a, w)]
-
-
-_TRI_RULES[4] = (_tri_orbit3(0.445948490915965, 0.223381589678011)
-                 + _tri_orbit3(0.091576213509771, 0.109951743655322))
-_TRI_RULES[5] = ([(1.0 / 3.0, 1.0 / 3.0, 0.225)]
-                 + _tri_orbit3(0.470142064105115, 0.132394152788506)
-                 + _tri_orbit3(0.101286507323456, 0.125939180544827))
-
-
 @lru_cache(maxsize=32)
 def triangle_rule(degree: int):
-    """Reference-triangle rule (points (m, 2), weights summing to 1).
-
-    Uses compact symmetric rules up to degree 5 and a collapsed tensor
-    Gauss rule (exact by construction) for higher degrees.
+    """Reference-triangle rule (points (m, 2), weights summing to 1): the
+    collapsed tensor Gauss rule on the Duffy map (u, v) -> (u, v(1-u)),
+    with Jacobian (1-u), exact for every polynomial of the given degree.
     """
-    for d in sorted(_TRI_RULES):
-        if degree <= d:
-            data = np.array(_TRI_RULES[d])
-            return data[:, :2].copy(), data[:, 2].copy()
-    # Duffy map (u, v) -> (u, v(1-u)) with Jacobian (1-u).
     xu, wu = _gauss01((degree + 3) // 2)
     xv, wv = _gauss01((degree + 2) // 2)
     u, v = np.meshgrid(xu, xv, indexing="ij")

@@ -6,8 +6,8 @@ Storage and products are backed by scipy's CSR kernels; the CG driver is
 written out so the iterate sequence is deterministic and the reported
 residual is always recomputed from b - Ax, never the recurrence value.
 CG preconditions with Jacobi (``r / diag A``, elementwise) unless it is
-given a preconditioner matrix, such as the one ``hybrid_preconditioner``
-builds.
+given a CSR preconditioner matrix, such as the one
+``hybrid_preconditioner`` builds, which it applies through ``matvec``.
 """
 
 from __future__ import annotations
@@ -20,6 +20,10 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sps
 from scipy.sparse import _sparsetools
+
+
+# The normal float range, [tiny, max], that CG's squared norms must lie in.
+_NORMAL = np.finfo(float)
 
 
 class NonConvergenceError(RuntimeError):
@@ -115,19 +119,23 @@ def cg_solve(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12,
              precond=None, a_x0: np.ndarray | None = None):
     """Preconditioned conjugate gradients for an SPD system.
 
-    Each iteration forms z = r / diag(a), elementwise, or z = precond @ r
-    when ``precond`` (an SPD n x n matrix) is given, and stops once
-    r.r <= (tol |b|)^2.  ``a_x0``, when given with ``x0``, stands for
+    Each iteration forms z = r / diag(a), elementwise, or z = precond r
+    when ``precond`` (an SPD n x n scipy CSR matrix) is given, and stops
+    once r.r <= (tol |b|)^2.  ``a_x0``, when given with ``x0``, stands for
     A x0 in the first residual, which then costs no product; a wrong one
-    costs iterations, never the result.  Returns (x, SolveReport); the
-    reported residual |b - Ax| / |b| is always formed by a product with
-    the returned x, also when an initial guess that already meets
-    ``tol`` is returned after 0 iterations.  Raises ValueError on a
-    non-finite or misshapen ``b``, ``x0`` or ``a_x0`` and on a misshapen
-    ``precond``; IndefiniteMatrixError on a nonpositive diagonal entry,
-    when a search direction has nonpositive curvature (an assembly bug
-    upstream) or r'z <= 0 (a preconditioner that is not positive
-    definite); NonConvergenceError when maxiter is exhausted.
+    costs iterations, never the result.  Where |b|^2 or (tol |b|)^2 is
+    not a normal float, b, ``x0`` and ``a_x0`` are scaled by the power of
+    two that brings the largest entry of b into [0.5, 1), which scales
+    every iterate exactly, and x is scaled back.  Returns
+    (x, SolveReport); the reported residual |b - Ax| / |b| is always
+    formed by a product with the returned x, also when an initial guess
+    that already meets ``tol`` is returned after 0 iterations.  Raises
+    ValueError on a non-finite or misshapen ``b``, ``x0`` or ``a_x0`` and
+    on a ``precond`` that is misshapen or not CSR; IndefiniteMatrixError
+    on a nonpositive diagonal entry, when a search direction has
+    nonpositive curvature (an assembly bug upstream) or r'z <= 0 (a
+    preconditioner that is not positive definite); NonConvergenceError
+    when maxiter is exhausted.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
@@ -138,16 +146,27 @@ def cg_solve(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12,
         if x0 is None:
             raise ValueError("a_x0 needs the initial guess x0")
         a_x0 = _checked(a_x0, a.n, "product of the initial guess")
-    if precond is not None and np.shape(precond) != (a.n, a.n):
-        raise ValueError("dimension mismatch between matrix and preconditioner")
+    if precond is not None and not (sps.issparse(precond) and precond.format == "csr"
+                                    and precond.shape == (a.n, a.n)):
+        raise ValueError("dimension mismatch between matrix and preconditioner "
+                         "(an n x n CSR matrix)")
     if maxiter is None:
         maxiter = max(100, 10 * a.n)
 
     csr = a.to_scipy()
-    bb = float(b @ b)
-    if bb == 0.0:
-        return np.zeros(a.n), SolveReport(0, 0.0)
-    bnorm, stop = math.sqrt(bb), tol * tol * bb
+    bb = float(np.vdot(b, b))      # b @ b bit for bit, with no overflow warning
+    stop = tol * tol * bb
+    if not _NORMAL.tiny <= stop <= _NORMAL.max:
+        shift = int(np.frexp(np.abs(b).max(initial=0.0))[1])
+        if shift:
+            def scaled(v):
+                return None if v is None else np.ldexp(v, -shift)
+            x, report = cg_solve(a, scaled(b), tol, maxiter, scaled(x0), precond,
+                                 scaled(a_x0))
+            return np.ldexp(x, shift), report
+        if bb == 0.0:
+            return np.zeros(a.n), SolveReport(0, 0.0)
+    bnorm = math.sqrt(bb)
     inv_diag = a.inverse_diagonal
 
     def true_residual(x):
@@ -166,7 +185,7 @@ def cg_solve(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12,
             r, rr = true_residual(x)
     if rr <= stop:
         return x, SolveReport(0, math.sqrt(rr) / bnorm)
-    p = inv_diag * r if precond is None else precond @ r     # z, a fresh array
+    p = inv_diag * r if precond is None else matvec(precond, r)     # z, a fresh array
     rz = float(r @ p)
     iterations = 0
     for iterations in range(1, maxiter + 1):
@@ -186,7 +205,7 @@ def cg_solve(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12,
             if rr <= stop:
                 return x, SolveReport(iterations, math.sqrt(rr) / bnorm)
             r = true_r      # recurrence drifted; restart from the true residual
-        z = inv_diag * r if precond is None else precond @ r
+        z = inv_diag * r if precond is None else matvec(precond, r)
         rz_new = float(r @ z)
         p *= rz_new / rz
         p += z

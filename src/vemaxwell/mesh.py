@@ -10,7 +10,7 @@ well defined without an orientation table.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -151,30 +151,17 @@ class PolyMesh:
 
 @dataclass(eq=False)
 class MeshStats:
-    """Size and shape summary; ratios are proxies for shape regularity."""
+    """Observed shape-regularity ratios; sizes and counts are on the mesh."""
 
-    h: float
-    cell_diameters: np.ndarray
-    face_diameters: np.ndarray
-    edge_lengths: np.ndarray
     min_face_cell_ratio: float      # min over cells of min_F h_F / h_K
     min_edge_face_ratio: float      # min over faces of min_e h_e / h_F
-    n_vertices: int
-    n_edges: int
-    n_faces: int
-    n_cells: int
 
 
 @dataclass(eq=False)
 class ValidationReport:
     """Report-only mesh quality check; hard violations listed, never raised."""
 
-    planarity_residuals: np.ndarray      # per face, relative to h_F
-    face_closure_residuals: np.ndarray   # |sum sigma |e| t_e|, relative to h_F
-    cell_closure_residuals: np.ndarray   # |sum sigma |F| n_F|, relative to h_K^2
-    min_face_cell_ratio: float
-    min_edge_face_ratio: float
-    violations: list = field(default_factory=list)
+    violations: list
 
     @property
     def ok(self) -> bool:
@@ -563,28 +550,18 @@ def generate_cube_mesh(n: int, domain=None, name: str = "") -> PolyMesh:
 
 
 def mesh_stats(mesh: PolyMesh) -> MeshStats:
-    """Size parameters and observed shape-regularity ratios."""
+    """Observed shape-regularity ratios."""
     min_fc = _face_cell_ratios(mesh.cell_faces, mesh.face_diameters, mesh.cell_diameters).min()
     min_ef = _edge_face_ratios(mesh.face_edges, mesh.edge_lengths, mesh.face_diameters).min()
-    return MeshStats(
-        h=mesh.h,
-        cell_diameters=mesh.cell_diameters.copy(),
-        face_diameters=mesh.face_diameters.copy(),
-        edge_lengths=mesh.edge_lengths.copy(),
-        min_face_cell_ratio=float(min_fc),
-        min_edge_face_ratio=float(min_ef),
-        n_vertices=mesh.n_vertices,
-        n_edges=mesh.n_edges,
-        n_faces=mesh.n_faces,
-        n_cells=mesh.n_cells,
-    )
+    return MeshStats(float(min_fc), float(min_ef))
 
 
 def validate_mesh(mesh: PolyMesh) -> ValidationReport:
-    """Recompute the construction invariants and report residuals.
+    """Recompute the construction invariants and report their violations.
 
     Never raises: violations of the hard invariants (planarity, closure,
-    degenerate measures) are collected as strings.
+    degenerate measures, shape ratios below ``SHAPE_RATIO_MIN``) are
+    collected as strings.
     """
     planarity = (_stacked(_plane_residual, mesh.vertices[mesh.faces.flat], mesh.faces.offsets)
                  / mesh.face_diameters)
@@ -596,9 +573,9 @@ def validate_mesh(mesh: PolyMesh) -> ValidationReport:
     fids = mesh.cell_faces.flat
     flux = (mesh.cell_face_signs.flat[:, None]
             * mesh.face_areas[fids, None] * mesh.face_normals[fids])
-    cell_flux = np.zeros((mesh.n_cells, 3))
-    np.add.at(cell_flux, mesh.cell_faces.owners, flux)
-    cell_closure = np.linalg.norm(cell_flux, axis=1) / mesh.cell_diameters**2
+    cell_closure = (np.linalg.norm(_stacked(_sum, flux, mesh.cell_faces.offsets), axis=1)
+                    / mesh.cell_diameters**2)
+    stats = mesh_stats(mesh)
     violations = (
         [f"face {f}: planarity residual {planarity[f]:.3e}"
          for f in np.flatnonzero(planarity > PLANARITY_TOL)]
@@ -608,14 +585,9 @@ def validate_mesh(mesh: PolyMesh) -> ValidationReport:
         + [f"cell {k}: open boundary, residual {cell_closure[k]:.3e}"
            for k in np.flatnonzero(cell_closure > 1e-12)]
         + [f"cell {k}: nonpositive volume" for k in np.flatnonzero(mesh.cell_volumes <= 0)]
+        + [f"not shape-regular: {name} = {ratio:.3e}"
+           for name, ratio in (("min h_e/h_F", stats.min_edge_face_ratio),
+                               ("min h_F/h_K", stats.min_face_cell_ratio))
+           if ratio < SHAPE_RATIO_MIN]
     )
-
-    stats = mesh_stats(mesh)
-    return ValidationReport(
-        planarity_residuals=planarity,
-        face_closure_residuals=face_closure,
-        cell_closure_residuals=cell_closure,
-        min_face_cell_ratio=stats.min_face_cell_ratio,
-        min_edge_face_ratio=stats.min_edge_face_ratio,
-        violations=violations,
-    )
+    return ValidationReport(violations)

@@ -34,7 +34,6 @@ the curl part outweighs it (``curl_mass_ratio`` above
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sps
@@ -73,7 +72,7 @@ class InitialDivergenceError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class SimulationState:
-    """Interior DOF vectors at step m; the time is recomputed as m * tau.
+    """Interior DOF vectors at step m, at time m ``StepOperators.tau``.
 
     ``m_eps_e`` and ``m_face_b`` are M_eps e and M_f b, read by the energy
     monitor and by the next step's right-hand side; ``div`` is the cell
@@ -85,15 +84,10 @@ class SimulationState:
     e: np.ndarray
     b: np.ndarray
     step: int
-    tau: float
     m_eps_e: np.ndarray
     m_face_b: np.ndarray
     div: np.ndarray
     space: linalg.SolutionSpace
-
-    @property
-    def t(self) -> float:
-        return self.step * self.tau
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,9 +98,7 @@ class StepOperators:
     (B . n = 0), so the reduced system stays SPD; ``interior_edges`` and
     ``interior_faces`` are the global ids of the DOFs it keeps, in the
     order of the state's ``e`` and ``b``.  Matrices applied to the same
-    vector are stacked, so each pair costs one product; ``c_int``,
-    ``m_eps``, ``m_face`` and ``d_int`` are their blocks, copied out on
-    first use, which a run makes none of.
+    vector are stacked, so each pair costs one product.
     """
 
     mesh: PolyMesh
@@ -120,22 +112,6 @@ class StepOperators:
     c_int_t: object        # interior edge x interior face, C_int' as CSR
     system: linalg.SparseMatrix
     precond: object        # CG preconditioner matrix, None for Jacobi
-
-    @cached_property
-    def c_int(self):
-        return self.curl_mass[:self.interior_faces.size]
-
-    @cached_property
-    def m_eps(self):
-        return self.curl_mass[self.interior_faces.size:]
-
-    @cached_property
-    def m_face(self):
-        return self.face_mass_div[:self.interior_faces.size]
-
-    @cached_property
-    def d_int(self):
-        return self.face_mass_div[self.interior_faces.size:]
 
 
 def curl_mass_ratio(system: linalg.SparseMatrix, m_eps) -> float:
@@ -203,7 +179,7 @@ def _state(ops: StepOperators, e: np.ndarray, b: np.ndarray, m_eps_e: np.ndarray
     """The state (e, b), with M_f b and D b from one stacked product."""
     nf = ops.interior_faces.size
     face = linalg.matvec(ops.face_mass_div, b)      # [M_f b; D_int b]
-    return SimulationState(e, b, step, ops.tau, m_eps_e, face[:nf], face[nf:], space)
+    return SimulationState(e, b, step, m_eps_e, face[:nf], face[nf:], space)
 
 
 def init_state(ops: StepOperators, case: ManufacturedCase) -> SimulationState:

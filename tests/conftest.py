@@ -2,6 +2,7 @@ import dataclasses
 import json
 import pathlib
 import sys
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -196,6 +197,22 @@ def block_rows(proj_map, i, cols):
     """Entity i's projector as a dense (3, len(cols)) matrix: rows
     3i..3i+2 of a global projector map, restricted to ``cols``."""
     return proj_map[3 * i:3 * i + 3][:, cols].toarray()
+
+
+class Blocks(NamedTuple):
+    c_int: object       # interior face x interior edge
+    m_eps: object       # interior edge x interior edge
+    m_face: object      # interior face x interior face
+    d_int: object       # cell x interior face
+
+
+def blocks(ops):
+    """The blocks C_int, M_eps, M_f and D_int of the step operators, sliced
+    from their stacked ``curl_mass`` = [C_int; M_eps] and
+    ``face_mass_div`` = [M_f; D_int]."""
+    nf = ops.interior_faces.size
+    return Blocks(ops.curl_mass[:nf], ops.curl_mass[nf:],
+                  ops.face_mass_div[:nf], ops.face_mass_div[nf:])
 
 
 def expand(v, ids, n):

@@ -92,6 +92,29 @@ class TestCg:
         assert np.allclose(x, direct_solve(a, b), rtol=1e-9, atol=1e-12)
         assert rep.residual <= 1e-13
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e160])
+    def test_rhs_with_squared_norm_out_of_range(self, scale):
+        # |b|^2 is 5e-340, below the smallest double, or 5e320, above the
+        # largest: both once returned x = 0
+        d = np.arange(1.0, 6.0)
+        a = linalg.SparseMatrix.from_scipy(sps.diags(d).tocsr())
+        x, rep = linalg.cg_solve(a, np.full(5, scale))
+        assert np.allclose(x, scale / d, rtol=1e-13, atol=0.0)
+        assert rep.iterations > 0 and rep.residual <= 1e-12
+
+    @pytest.mark.parametrize("shift", [-600, 600])
+    def test_scaled_rhs_scales_iterates_exactly(self, shift):
+        # a solve for 2^shift b is the solve for b, scaled bit for bit
+        a = random_spd(20, seed=22)
+        rng = np.random.default_rng(23)
+        b, x0 = rng.standard_normal(20), rng.standard_normal(20)
+        a_x0 = a.to_scipy() @ x0
+        x, rep = linalg.cg_solve(a, b, x0=x0, a_x0=a_x0)
+        xs, reps = linalg.cg_solve(a, np.ldexp(b, shift), x0=np.ldexp(x0, shift),
+                                   a_x0=np.ldexp(a_x0, shift))
+        assert np.array_equal(xs, np.ldexp(x, shift))
+        assert reps == rep and rep.iterations > 0
+
     def test_zero_rhs(self):
         a = random_spd(5)
         x, rep = linalg.cg_solve(a, np.zeros(5))
@@ -166,6 +189,13 @@ class TestCg:
         with pytest.raises(ValueError, match="dimension mismatch.*preconditioner"):
             linalg.cg_solve(a, np.ones(4), precond=np.ones(shape))
 
+    @pytest.mark.parametrize("convert", [np.asarray, sps.csc_matrix, sps.coo_matrix])
+    def test_preconditioner_must_be_csr(self, convert):
+        # it is applied through matvec, which reads CSR arrays
+        a = random_spd(4)
+        with pytest.raises(ValueError, match="dimension mismatch.*preconditioner"):
+            linalg.cg_solve(a, np.ones(4), precond=convert(np.eye(4)))
+
     @pytest.mark.parametrize("precond", [-np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])])
     def test_indefinite_preconditioner_detection(self, precond):
         # r'z <= 0: the iteration would no longer be CG
@@ -188,7 +218,8 @@ class TestCg:
         a = random_spd(30, seed=19)
         b = np.random.default_rng(20).standard_normal(30)
         inverse = np.linalg.inv(a.to_scipy().toarray())
-        x, rep = linalg.cg_solve(a, b, tol=1e-12, precond=0.5 * (inverse + inverse.T))
+        x, rep = linalg.cg_solve(a, b, tol=1e-12,
+                                 precond=sps.csr_matrix(0.5 * (inverse + inverse.T)))
         assert rep.iterations <= 2
         assert np.allclose(x, direct_solve(a, b), rtol=1e-9, atol=1e-12)
         spd = random_spd(30, seed=21).to_scipy()

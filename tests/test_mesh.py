@@ -264,9 +264,16 @@ class TestDeriveTopology:
 
 class TestValidate:
     def test_cube_planarity_exact(self, cube4):
-        rep = vm.validate_mesh(cube4)
-        assert rep.ok
-        assert rep.planarity_residuals.max() == 0.0
+        assert vm.validate_mesh(cube4).ok
+        quads = cube4.vertices[cube4.faces.flat].reshape(-1, 4, 3)
+        assert vm._plane_residual(quads).max() == 0.0
+
+    def test_nonplanar_face_flagged(self, cube1):
+        import dataclasses
+        lifted = cube1.vertices.copy()
+        lifted[-1] += 1e-3                 # the corner (1, 1, 1) of its three faces
+        rep = vm.validate_mesh(dataclasses.replace(cube1, vertices=lifted))
+        assert sum("planarity residual" in v for v in rep.violations) == 3
 
     def test_min_edge_face_ratio(self, cube2):
         # exhaustive oracle over all faces
@@ -274,9 +281,25 @@ class TestValidate:
             cube2.edge_lengths[cube2.face_edges[f]].min() / cube2.face_diameters[f]
             for f in range(cube2.n_faces)
         )
+        stats = vm.mesh_stats(cube2)
+        assert stats.min_edge_face_ratio == pytest.approx(expected, rel=1e-14)
+        assert stats.min_edge_face_ratio == pytest.approx(1 / np.sqrt(2), rel=1e-14)
+
+    def test_stats(self, voro27):
+        expected = min(voro27.face_diameters[voro27.cell_faces[k]].min()
+                       / voro27.cell_diameters[k] for k in range(voro27.n_cells))
+        stats = vm.mesh_stats(voro27)
+        assert stats.min_face_cell_ratio == pytest.approx(expected, rel=1e-14)
+        assert 0.0 < stats.min_face_cell_ratio < 1.0
+        assert voro27.n_cells == 27 and voro27.h == voro27.cell_diameters.max()
+        assert (voro27.cell_diameters > 0).all() and (voro27.edge_lengths > 0).all()
+
+    def test_shape_ratio_flagged(self, cube2, monkeypatch):
+        # cube2's h_e/h_F = 0.707 and h_F/h_K = 0.816
+        monkeypatch.setattr(vm, "SHAPE_RATIO_MIN", 0.75)
         rep = vm.validate_mesh(cube2)
-        assert rep.min_edge_face_ratio == pytest.approx(expected, rel=1e-14)
-        assert rep.min_edge_face_ratio == pytest.approx(1 / np.sqrt(2), rel=1e-14)
+        assert rep.violations == ["not shape-regular: min h_e/h_F = 7.071e-01"]
+        assert not rep.ok
 
     def test_degenerate_area_flagged(self, cube1):
         import dataclasses
@@ -288,17 +311,9 @@ class TestValidate:
 
     def test_closure_identities(self, cube4, voro8, lcell, two_prisms):
         for m in (cube4, voro8, lcell, two_prisms):
+            # ok means each face and cell closure residual is within 1e-12
             rep = vm.validate_mesh(m)
             assert rep.ok, rep.violations
-            assert rep.face_closure_residuals.max() <= 1e-12
-            assert rep.cell_closure_residuals.max() <= 1e-12
-
-    def test_stats(self, voro27):
-        stats = vm.mesh_stats(voro27)
-        assert stats.h == pytest.approx(voro27.cell_diameters.max())
-        assert (stats.cell_diameters > 0).all()
-        assert (stats.edge_lengths > 0).all()
-        assert stats.n_cells == 27
 
 
 class TestRoundTrip:

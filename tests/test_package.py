@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import functools
 import os
 import pathlib
 import subprocess
@@ -13,10 +14,12 @@ from vemaxwell.derham import IncidenceOps
 from vemaxwell.forms import CoefficientSet
 from vemaxwell.geometry import BoxRule, QuadratureRule
 from vemaxwell.linalg import SolutionSpace, SolveReport
-from vemaxwell.mesh import PolyMesh, Ragged, SimplexSplit
+from vemaxwell.mesh import MeshStats, PolyMesh, Ragged, SimplexSplit, ValidationReport
 from vemaxwell.stepper import RunResult, SimulationState, StepMonitor, StepOperators
 
 SOURCES = sorted(pathlib.Path(vemaxwell.__file__).parent.glob("*.py"))
+# The benchmark's scripts read the package too; its tests do not count.
+PERFBENCH = sorted((pathlib.Path(__file__).parents[1] / "perfbench").glob("*.py"))
 
 
 def test_every_export_resolves():
@@ -43,20 +46,22 @@ def test_cli_imports_no_test_dependency():
 
 
 # Left out: ElementProjectors, whose face_tangential only the tests read,
-# as the paper's face projector (acceptance criterion 3); and
-# ValidationReport, which goes with validate_mesh (ROADMAP item 8).
+# as the paper's face projector (acceptance criterion 3).
 @pytest.mark.parametrize("cls", [PolyMesh, SimplexSplit, Ragged, StepOperators,
                                  ManufacturedCase, QuadratureRule, BoxRule,
                                  SimulationState, IncidenceOps, SolutionSpace,
                                  SolveReport, CoefficientSet, ErrorReport,
-                                 StepMonitor, RunResult])
+                                 StepMonitor, RunResult, MeshStats, ValidationReport])
 def test_every_mesh_field_is_read(cls):
-    # a field that only tests read does not belong in the package.  The
-    # check matches attribute names, not owners: a field passes when any
-    # class's attribute of that name is read, so it misses a field that
-    # shares its name with one read elsewhere.
-    read = {node.attr for path in SOURCES
+    # a field or property that only tests read does not belong in the
+    # package.  The check matches attribute names, not owners: a member
+    # passes when any class's attribute of that name is read, so it misses
+    # a member that shares its name with one read elsewhere.
+    read = {node.attr for path in SOURCES + PERFBENCH
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    unread = [f.name for f in dataclasses.fields(cls) if f.name not in read]
+    members = [f.name for f in dataclasses.fields(cls)] + [
+        name for name, value in vars(cls).items()
+        if isinstance(value, (property, functools.cached_property))]
+    unread = [name for name in members if name not in read]
     assert unread == []
