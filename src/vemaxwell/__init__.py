@@ -15,9 +15,9 @@ from .derham import (ElementProjectors, IncidenceOps, build_incidence,
 from .forms import CoefficientSet, StabWeights, sample_coefficients
 from .geometry import QuadratureRule
 from .linalg import SolveReport, SparseMatrix, cg_solve
-from .mesh import (MeshError, MeshFormatError, MeshGeometryError, MeshStats,
+from .mesh import (MeshError, MeshFormatError, MeshGeometryError,
                    MeshTopologyError, PolyMesh, ValidationReport,
-                   derive_topology, generate_cube_mesh, load_mesh, mesh_stats,
+                   derive_topology, generate_cube_mesh, load_mesh,
                    save_mesh, validate_mesh)
 from .stepper import RunResult, SimulationState, StepOperators, run
 
@@ -26,11 +26,11 @@ __version__ = "0.1.0"
 __all__ = [
     "CoefficientSet", "ElementProjectors", "ErrorReport",
     "IncidenceOps", "ManufacturedCase", "MeshError", "MeshFormatError",
-    "MeshGeometryError", "MeshStats", "MeshTopologyError", "PolyMesh",
+    "MeshGeometryError", "MeshTopologyError", "PolyMesh",
     "QuadratureRule", "RunResult", "SimulationState", "SolveReport",
     "SparseMatrix", "StabWeights", "StepOperators", "ValidationReport",
     "build_incidence", "build_projectors", "case1", "case2", "cg_solve", "derive_topology",
     "divergence_norm", "generate_cube_mesh", "interpolate_edge",
     "interpolate_face", "interpolate_node", "l2_error", "load_mesh",
-    "mesh_stats", "run", "sample_coefficients", "save_mesh", "validate_mesh",
+    "run", "sample_coefficients", "save_mesh", "validate_mesh",
 ]

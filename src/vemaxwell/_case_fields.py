@@ -9,7 +9,9 @@ evaluated once, and ``J`` gives the current's terms.  Case 1's
 parts are sums of products of one-dimensional factors, each one
 a local named coordinate first (``y_dq`` is q'(y), with
 q(u) = u^2 (1 - u)^2 and S(u) = sin^2(pi u)), computed just
-before its first use and deleted after its last.
+before its first use and deleted after its last.  A product
+lists its factors by coordinate, the coordinate with the most
+factors first.
 """
 
 from numpy import cos, pi, sin
@@ -50,20 +52,20 @@ def case1_EB(x, y, z):
     y_q = y**2*(y - 1)**2
     z_d2q = 2*(6*z**2 - 6*z + 1)
     z_q = z**2*(z - 1)**2
-    B0_x = 4*pi*x*x1*x4*z_q*(x - 1)*(2*x - 1) + 4*pi*x*x2*x5*y_q*(x - 1)*(2*x - 1) - x0**2*y_d2q*z_q - x0**2*y_q*z_d2q
+    B0_x = 4*pi*x*(x - 1)*(2*x - 1)*x1*x4*z_q + 4*pi*x*(x - 1)*(2*x - 1)*x2*x5*y_q - x0**2*y_d2q*z_q - x0**2*y_q*z_d2q
     x_d2q = 2*(6*x**2 - 6*x + 1)
     x_q = x**2*(x - 1)**2
-    B0_y = 4*pi*x0*x3*y*z_q*(y - 1)*(2*y - 1) - x1**2*x_d2q*z_q - x1**2*x_q*z_d2q + 4*pi*x2*x5*x_q*y*(y - 1)*(2*y - 1)
+    B0_y = 4*pi*y*(y - 1)*(2*y - 1)*x0*x3*z_q - x_d2q*x1**2*z_q - x_q*x1**2*z_d2q + 4*pi*y*(y - 1)*(2*y - 1)*x2*x5*x_q
     del z_d2q
-    E0_z = 2*x*x1**2*z_q*(x - 1)*(2*x - 1) - 2*x0**2*y*z_q*(y - 1)*(2*y - 1)
+    E0_z = 2*x*(x - 1)*(2*x - 1)*x1**2*z_q - 2*y*(y - 1)*(2*y - 1)*x0**2*z_q
     del z_q
-    B0_z = 4*pi*x0*x3*y_q*z*(z - 1)*(2*z - 1) + 4*pi*x1*x4*x_q*z*(z - 1)*(2*z - 1) - x2**2*x_d2q*y_q - x2**2*x_q*y_d2q
+    B0_z = 4*pi*z*(z - 1)*(2*z - 1)*x0*x3*y_q + 4*pi*z*(z - 1)*(2*z - 1)*x1*x4*x_q - x_d2q*y_q*x2**2 - x_q*y_d2q*x2**2
     del x_d2q, y_d2q
-    E0_x = -2*x1**2*x_q*z*(z - 1)*(2*z - 1) + 2*x2**2*x_q*y*(y - 1)*(2*y - 1)
+    E0_x = -2*z*(z - 1)*(2*z - 1)*x_q*x1**2 + 2*y*(y - 1)*(2*y - 1)*x_q*x2**2
     del x_q
-    E0_y = -2*x*x2**2*y_q*(x - 1)*(2*x - 1) + 2*x0**2*y_q*z*(z - 1)*(2*z - 1)
+    E0_y = -2*x*(x - 1)*(2*x - 1)*y_q*x2**2 + 2*z*(z - 1)*(2*z - 1)*x0**2*y_q
     del y_q
-    return ((E0_x, E0_y, E0_z), (pi*x1*x2*x3, pi*x0*x2*x4, pi*x0*x1*x5)), ((B0_x, B0_y, B0_z),)
+    return ((E0_x, E0_y, E0_z), (pi*x3*x1*x2, pi*x0*x4*x2, pi*x0*x1*x5)), ((B0_x, B0_y, B0_z),)
 
 
 def case1_space0(x, y, z):
@@ -71,13 +73,13 @@ def case1_space0(x, y, z):
     x1 = sin(pi*y)
     x2 = sin(pi*z)
     x_q = x**2*(x - 1)**2
-    g_x = -2*x1**2*x_q*z*(z - 1)*(2*z - 1) + 2*x2**2*x_q*y*(y - 1)*(2*y - 1)
+    g_x = -2*z*(z - 1)*(2*z - 1)*x_q*x1**2 + 2*y*(y - 1)*(2*y - 1)*x_q*x2**2
     del x_q
     y_q = y**2*(y - 1)**2
-    g_y = -2*x*x2**2*y_q*(x - 1)*(2*x - 1) + 2*x0**2*y_q*z*(z - 1)*(2*z - 1)
+    g_y = -2*x*(x - 1)*(2*x - 1)*y_q*x2**2 + 2*z*(z - 1)*(2*z - 1)*x0**2*y_q
     del y_q
     z_q = z**2*(z - 1)**2
-    g_z = 2*x*x1**2*z_q*(x - 1)*(2*x - 1) - 2*x0**2*y*z_q*(y - 1)*(2*y - 1)
+    g_z = 2*x*(x - 1)*(2*x - 1)*x1**2*z_q - 2*y*(y - 1)*(2*y - 1)*x0**2*z_q
     return (g_x, g_y, g_z)
 
 
@@ -92,7 +94,7 @@ def case1_space1(x, y, z):
     x3 = cos(pi*x)
     x4 = cos(pi*y)
     x5 = cos(pi*z)
-    return (pi*x1*x2*x3, pi*x0*x2*x4, pi*x0*x1*x5)
+    return (pi*x3*x1*x2, pi*x0*x4*x2, pi*x0*x1*x5)
 
 
 def case1_space2(x, y, z):
@@ -104,15 +106,15 @@ def case1_space2(x, y, z):
     x5 = cos(pi*z)
     x_d2q = 2*(6*x**2 - 6*x + 1)
     x_q = x**2*(x - 1)**2
-    g_x = 2*x1**2*x_d2q*z*(z - 1)*(2*z - 1) + 12*x1**2*x_q*(2*z - 1) - 2*x2**2*x_d2q*y*(y - 1)*(2*y - 1) - 12*x2**2*x_q*(2*y - 1) - 4*pi**2*x_q*y*(-x2 + x5)*(x2 + x5)*(y - 1)*(2*y - 1) + 4*pi**2*x_q*z*(-x1 + x4)*(x1 + x4)*(z - 1)*(2*z - 1)
+    g_x = 2*z*(z - 1)*(2*z - 1)*x_d2q*x1**2 + 12*x_q*x1**2*(2*z - 1) - 2*y*(y - 1)*(2*y - 1)*x_d2q*x2**2 - 12*x_q*(2*y - 1)*x2**2 - 4*pi**2*y*(y - 1)*(2*y - 1)*(x2 + x5)*(-x2 + x5)*x_q + 4*pi**2*z*(z - 1)*(2*z - 1)*(x1 + x4)*(-x1 + x4)*x_q
     del x_d2q, x_q
     y_d2q = 2*(6*y**2 - 6*y + 1)
     y_q = y**2*(y - 1)**2
-    g_y = 2*x*x2**2*y_d2q*(x - 1)*(2*x - 1) + 4*pi**2*x*y_q*(x - 1)*(2*x - 1)*(-x2 + x5)*(x2 + x5) - 2*x0**2*y_d2q*z*(z - 1)*(2*z - 1) - 12*x0**2*y_q*(2*z - 1) + 12*x2**2*y_q*(2*x - 1) - 4*pi**2*y_q*z*(-x0 + x3)*(x0 + x3)*(z - 1)*(2*z - 1)
+    g_y = 2*x*(x - 1)*(2*x - 1)*y_d2q*x2**2 + 4*pi**2*x*(x - 1)*(2*x - 1)*(x2 + x5)*(-x2 + x5)*y_q - 2*z*(z - 1)*(2*z - 1)*x0**2*y_d2q - 12*x0**2*y_q*(2*z - 1) + 12*(2*x - 1)*y_q*x2**2 - 4*pi**2*z*(z - 1)*(2*z - 1)*(x0 + x3)*(-x0 + x3)*y_q
     del y_d2q, y_q
     z_d2q = 2*(6*z**2 - 6*z + 1)
     z_q = z**2*(z - 1)**2
-    g_z = -2*x*x1**2*z_d2q*(x - 1)*(2*x - 1) - 4*pi**2*x*z_q*(x - 1)*(2*x - 1)*(-x1 + x4)*(x1 + x4) + 2*x0**2*y*z_d2q*(y - 1)*(2*y - 1) + 12*x0**2*z_q*(2*y - 1) - 12*x1**2*z_q*(2*x - 1) + 4*pi**2*y*z_q*(-x0 + x3)*(x0 + x3)*(y - 1)*(2*y - 1)
+    g_z = -2*x*(x - 1)*(2*x - 1)*x1**2*z_d2q - 4*pi**2*x*(x - 1)*(2*x - 1)*(x1 + x4)*(-x1 + x4)*z_q + 2*y*(y - 1)*(2*y - 1)*x0**2*z_d2q + 12*x0**2*(2*y - 1)*z_q - 12*(2*x - 1)*x1**2*z_q + 4*pi**2*y*(y - 1)*(2*y - 1)*(x0 + x3)*(-x0 + x3)*z_q
     return (g_x, g_y, g_z)
 
 

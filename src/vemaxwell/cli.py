@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import os
 import sys
 import time
@@ -72,6 +73,23 @@ def _load_source(source: str):
     return m
 
 
+def _check_writable(*paths) -> None:
+    """OSError unless each given path can be written as a file: not a
+    directory, in an existing, writable directory.  Creates nothing, so a
+    bad path fails before the run instead of after it."""
+    for path in filter(None, paths):
+        folder = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.path.isdir(folder):
+            code = errno.ENOENT
+        elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+            code = errno.EACCES
+        else:
+            continue
+        raise OSError(code, os.strerror(code), path)
+
+
 def _csv_row(rep: ErrorReport) -> str:
     return (f"{rep.label},{rep.h:.15e},{rep.tau:.15e},{rep.err_E:.15e},"
             f"{rep.err_B:.15e},{rep.div_B:.15e},{rep.n_edge_dofs},"
@@ -80,6 +98,7 @@ def _csv_row(rep: ErrorReport) -> str:
 
 def run_single(config: RunConfig) -> ErrorReport:
     """One (mesh, tau) run; returns the error report with run metadata."""
+    _check_writable(config.out, config.monitors)
     t0 = time.perf_counter()
     m = _load_source(config.mesh_source)
     case = cases.get_case(config.case_id)
@@ -159,6 +178,7 @@ def run_convergence(config: RunConfig, levels: int,
         mesh_sources = [f"cube:{n0 * 2**lvl}" for lvl in range(levels)]
     elif len(mesh_sources) != levels:
         raise ConfigError("need one mesh per level")
+    _check_writable(config.out)
 
     def level_config(source, j):
         return dataclasses.replace(config, mesh_source=source, tau=config.tau / 2**j,

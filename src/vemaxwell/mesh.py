@@ -120,7 +120,6 @@ class PolyMesh:
     face_areas: np.ndarray               # (nf,)
     face_normals: np.ndarray             # (nf, 3), unit
     face_centroids: np.ndarray           # (nf, 3)
-    face_diameters: np.ndarray           # (nf,)
     cell_volumes: np.ndarray             # (nc,)
     cell_centroids: np.ndarray           # (nc, 3)
     cell_diameters: np.ndarray           # (nc,)
@@ -150,16 +149,8 @@ class PolyMesh:
 
 
 @dataclass(eq=False)
-class MeshStats:
-    """Observed shape-regularity ratios; sizes and counts are on the mesh."""
-
-    min_face_cell_ratio: float      # min over cells of min_F h_F / h_K
-    min_edge_face_ratio: float      # min over faces of min_e h_e / h_F
-
-
-@dataclass(eq=False)
 class ValidationReport:
-    """Report-only mesh quality check; hard violations listed, never raised."""
+    """What ``validate_mesh`` found: ``derive_topology``'s error, if any."""
 
     violations: list
 
@@ -448,7 +439,6 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
         face_areas=face_areas,
         face_normals=face_normals,
         face_centroids=face_centroids,
-        face_diameters=face_diameters,
         cell_volumes=cell_volumes,
         cell_centroids=cell_centroids,
         cell_diameters=cell_diameters,
@@ -500,15 +490,18 @@ def load_mesh(path) -> PolyMesh:
         raise MeshFormatError(f"{path}: malformed arrays: {exc}") from exc
 
 
+def _pvm_arrays(mesh: PolyMesh):
+    """The mesh as ``derive_topology`` takes it and PVM-JSON stores it:
+    vertex lists, face loops and 1-based signed cell face lists."""
+    signed = mesh.cell_face_signs.flat * (mesh.cell_faces.flat + 1)
+    return (mesh.vertices.tolist(), [loop.tolist() for loop in mesh.faces],
+            [refs.tolist() for refs in np.split(signed, mesh.cell_faces.offsets[1:-1])])
+
+
 def save_mesh(mesh: PolyMesh, path) -> None:
     """Write PVM-JSON; coordinates round-trip bit-exactly (repr of floats)."""
-    signed = mesh.cell_face_signs.flat * (mesh.cell_faces.flat + 1)
-    doc = {
-        "name": mesh.name,
-        "vertices": mesh.vertices.tolist(),
-        "faces": [loop.tolist() for loop in mesh.faces],
-        "cells": [refs.tolist() for refs in np.split(signed, mesh.cell_faces.offsets[1:-1])],
-    }
+    vertices, faces, cells = _pvm_arrays(mesh)
+    doc = {"name": mesh.name, "vertices": vertices, "faces": faces, "cells": cells}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
         fh.write("\n")
@@ -549,45 +542,14 @@ def generate_cube_mesh(n: int, domain=None, name: str = "") -> PolyMesh:
     return derive_topology(coords, faces.tolist(), cells.tolist(), name=name or f"cube{n**3}")
 
 
-def mesh_stats(mesh: PolyMesh) -> MeshStats:
-    """Observed shape-regularity ratios."""
-    min_fc = _face_cell_ratios(mesh.cell_faces, mesh.face_diameters, mesh.cell_diameters).min()
-    min_ef = _edge_face_ratios(mesh.face_edges, mesh.edge_lengths, mesh.face_diameters).min()
-    return MeshStats(float(min_fc), float(min_ef))
-
-
 def validate_mesh(mesh: PolyMesh) -> ValidationReport:
-    """Recompute the construction invariants and report their violations.
+    """Rebuild the mesh from its PVM arrays with ``derive_topology``, the one
+    check of the mesh invariants, and report what that rejects.
 
-    Never raises: violations of the hard invariants (planarity, closure,
-    degenerate measures, shape ratios below ``SHAPE_RATIO_MIN``) are
-    collected as strings.
+    Never raises: a ``MeshError`` becomes the report's one violation.
     """
-    planarity = (_stacked(_plane_residual, mesh.vertices[mesh.faces.flat], mesh.faces.offsets)
-                 / mesh.face_diameters)
-    eids = mesh.face_edges.flat
-    loop_vec = (mesh.face_edge_signs.flat[:, None]
-                * mesh.edge_lengths[eids, None] * mesh.edge_tangents[eids])
-    face_closure = (np.linalg.norm(_stacked(_sum, loop_vec, mesh.faces.offsets), axis=1)
-                    / mesh.face_diameters)
-    fids = mesh.cell_faces.flat
-    flux = (mesh.cell_face_signs.flat[:, None]
-            * mesh.face_areas[fids, None] * mesh.face_normals[fids])
-    cell_closure = (np.linalg.norm(_stacked(_sum, flux, mesh.cell_faces.offsets), axis=1)
-                    / mesh.cell_diameters**2)
-    stats = mesh_stats(mesh)
-    violations = (
-        [f"face {f}: planarity residual {planarity[f]:.3e}"
-         for f in np.flatnonzero(planarity > PLANARITY_TOL)]
-        + [f"face {f}: nonpositive area" for f in np.flatnonzero(mesh.face_areas <= 0)]
-        + [f"face {f}: open edge loop, residual {face_closure[f]:.3e}"
-           for f in np.flatnonzero(face_closure > 1e-12)]
-        + [f"cell {k}: open boundary, residual {cell_closure[k]:.3e}"
-           for k in np.flatnonzero(cell_closure > 1e-12)]
-        + [f"cell {k}: nonpositive volume" for k in np.flatnonzero(mesh.cell_volumes <= 0)]
-        + [f"not shape-regular: {name} = {ratio:.3e}"
-           for name, ratio in (("min h_e/h_F", stats.min_edge_face_ratio),
-                               ("min h_F/h_K", stats.min_face_cell_ratio))
-           if ratio < SHAPE_RATIO_MIN]
-    )
-    return ValidationReport(violations)
+    try:
+        derive_topology(*_pvm_arrays(mesh))
+    except MeshError as exc:
+        return ValidationReport([str(exc)])
+    return ValidationReport([])

@@ -133,11 +133,10 @@ def build_step_operators(mesh: PolyMesh, projectors: ElementProjectors,
     if_ = np.flatnonzero(~mesh.boundary_faces)
 
     ops = build_incidence(mesh)
-    # A boundary face must touch only boundary edges (a mesh property), else
-    # its zeroed b would not stay zero, nor F_f C[:, ie] give C_int' M_f C_int.
+    # Every edge of a boundary face is a boundary edge (derive_topology's
+    # definition), so C[boundary faces, ie] = 0: a zeroed b stays zero, and
+    # F_f C[:, ie] gives C_int' M_f C_int.
     c_ie = ops.C[:, ie].tocsr()
-    if c_ie[np.flatnonzero(mesh.boundary_faces)].nnz:
-        raise ValueError("boundary face with an interior edge; mesh unsupported")
     c_int = c_ie[if_]
 
     # Every matrix is one weighted product of the local factors restricted

@@ -32,6 +32,7 @@ import sys
 import sympy as sp
 from sympy.core.function import AppliedUndef
 from sympy.printing.numpy import NumPyPrinter
+from sympy.printing.precedence import PRECEDENCE
 
 X, Y, Z, T, U = sp.symbols("x y z t u", real=True)
 
@@ -75,7 +76,9 @@ def case1():
     held 19, one more than the expanded form it replaces (3.78 ms, 18);
     holding none took 2.28 ms and held 19, as its inline polynomials
     need temporaries of their own.  S and S' cost one or two products of
-    the shared sin/cos locals and stay inline.
+    the shared sin/cos locals and stay inline.  Listing each product's
+    factors by coordinate (``grouped_text``) keeps that peak, and on
+    cube:8's box chunks took ``case1_EB`` from 18.1-25.8 to 13.8-19.8 ms.
     """
     pi = sp.pi
     S, q = sp.Function("S"), sp.Function("q")
@@ -211,23 +214,62 @@ def spatial_body(exprs, names, fields, printer):
     local, outputs = dict(zip(local, reduced)), reduced[len(local):]
     uses = [e.free_symbols & set(local) for e in outputs]
     order = schedule(uses)
+    doprint = printer.doprint
+    if fields["factors"]:
+        axes = {X: 0, Y: 1, Z: 2}                  # the coordinate of each symbol
+        for s, e in shared + list(local.items()):
+            (axes[s],) = {axes[a] for a in e.free_symbols}
 
-    def line(target, e):
-        return f"    {printer.doprint(target)} = {printer.doprint(e)}\n"
+        def doprint(e):
+            return grouped_text(e, axes, printer)
 
-    lines = [line(s, call) for s, call in shared]
-    text = [printer.doprint(e) for e in outputs]
+    def line(target, value):
+        return f"    {printer.doprint(target)} = {value}\n"
+
+    lines = [line(s, printer.doprint(call)) for s, call in shared]
+    text = [doprint(e) for e in outputs]
     live = set()
     for i, k in enumerate(order):
-        lines += [line(s, form) for s, form in local.items() if s in uses[k] - live]
+        lines += [line(s, printer.doprint(form)) for s, form in local.items()
+                  if s in uses[k] - live]
         live |= uses[k]
+        lines.append(line(sp.Symbol(names[k]), text[k]))
         text[k] = names[k]
-        lines.append(line(sp.Symbol(names[k]), outputs[k]))
         dead = live - set().union(*(uses[j] for j in order[i + 1:]))
         live -= dead
         if dead and (i + 1 < len(order) or len(order) < len(outputs)):   # else return frees
             lines.append(f"    del {', '.join(sorted(s.name for s in dead))}\n")
     return "".join(lines), text
+
+
+def grouped_text(e, axes, printer):
+    """Text of the sum of products ``e`` with each product's factors
+    grouped by coordinate, after the constants: the coordinate with the
+    most factors first, ties in x, y, z order.  ``axes`` gives the
+    coordinate (0, 1, 2) of each symbol.  Python multiplies left to right,
+    so on a box rule's (c, 6, 1, 1), (c, 1, 6, 1) and (c, 1, 1, 6) nodes
+    the first group multiplies arrays of one axis, the second arrays of
+    two, and only the last group's factors reach the full (c, 6, 6, 6)
+    size.  Without parentheses a product stays one running product, so on
+    unrelated points it holds no array more than the ungrouped one."""
+    text = ""
+    for term in e.as_ordered_terms() if isinstance(e, sp.Add) else [e]:
+        c, rest = term.as_coeff_Mul()
+        sign = "" if not text else " - " if c < 0 else " + "
+        constants, parts = [abs(c) if text else c], [[], [], []]
+        for f in sp.Mul.make_args(rest):
+            coordinates = {axes[s] for s in f.free_symbols}
+            if coordinates:
+                (axis,) = coordinates
+                parts[axis].append(f)
+            else:
+                constants.append(f)
+        factors = [f for part in sorted(parts, key=len, reverse=True) for f in part]
+        body = "*".join(printer.parenthesize(f, PRECEDENCE["Mul"]) for f in factors)
+        head = sp.Mul(*constants)
+        text += sign + (body if head == 1 else f"-{body}" if head == -1
+                        else f"{printer.doprint(head)}*{body}")
+    return text
 
 
 def _tuple(items) -> str:
@@ -309,7 +351,9 @@ def render() -> str:
               "parts are sums of products of one-dimensional factors, each one\n"
               "a local named coordinate first (``y_dq`` is q'(y), with\n"
               "q(u) = u^2 (1 - u)^2 and S(u) = sin^2(pi u)), computed just\n"
-              "before its first use and deleted after its last.\n"
+              "before its first use and deleted after its last.  A product\n"
+              "lists its factors by coordinate, the coordinate with the most\n"
+              "factors first.\n"
               '"""\n\n'
               f"from numpy import {imports}\n")
     sections = [header] + [defs for defs, _ in blocks] + [table for _, table in blocks]

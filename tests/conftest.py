@@ -149,6 +149,12 @@ def box_tensor_rule():
     return pts, np.einsum("i,j,k->ijk", w, w, w).ravel()
 
 
+def face_diameters(mesh):
+    """Largest distance between two vertices of each face, face by face."""
+    return np.array([np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1)).max()
+                     for pts in (mesh.vertices[loop] for loop in mesh.faces)])
+
+
 def flat_rule(mesh, rule):
     """A ``cell_rules`` rule as points, weights and owners: a pyramid-rule
     chunk as it is, a box chunk as the 216-point tensor rule it factors,

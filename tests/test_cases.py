@@ -155,21 +155,30 @@ class TestL2Error:
         for (e0, b0), (e1, b1) in zip(errs, errs[1:]):
             assert e1 < e0 and b1 < b0
 
-    def test_box_rule_matches_pyramid_rule(self, c2, cube8, monkeypatch):
-        # bound stated before measuring: on the cube:8, tau 1/32 end state
-        # the box rule's norms agree with the pyramid rule's to 1e-12
-        res = stepper.run(cube8, c2, 1 / 32, 1.0)
+    @pytest.mark.parametrize("case_id, rel", [(1, 1e-11), (2, 1e-12)], ids=["1", "2"])
+    def test_box_rule_matches_pyramid_rule(self, case_id, rel, cube8, monkeypatch):
+        # bound stated before measuring for case 2: on the cube:8, tau 1/32
+        # end state the box rule's norms agree with the pyramid rule's to
+        # 1e-12.  Case 1's err_B differs by 1.7e-12: its q(u) = u^2 (1 - u)^2
+        # factors outrun the degree-4 pyramid rule, while the box rule is
+        # converged, as it agrees with a 12-point box rule to 1e-14.
+        case = cases.get_case(case_id)
+        res = stepper.run(cube8, case, 1 / 32, 1.0)
         ops = res.ops
         args = (cube8, ops.projectors,
                 expand(res.state.e, ops.interior_edges, cube8.n_edges),
-                expand(res.state.b, ops.interior_faces, cube8.n_faces), c2, 1.0)
+                expand(res.state.b, ops.interior_faces, cube8.n_faces), case, 1.0)
         boxes, lo, hi = vg.box_cells(cube8)
         assert boxes.all()
         box = cases.l2_error(*args)
+        monkeypatch.setattr(vg, "BOX_POINTS", 12)
+        fine = cases.l2_error(*args)
+        monkeypatch.undo()
         monkeypatch.setattr(vg, "box_cells", lambda m: (np.zeros(m.n_cells, bool), lo, hi))
         pyramid = cases.l2_error(*args)
-        assert box.err_E == pytest.approx(pyramid.err_E, rel=1e-12, abs=0)
-        assert box.err_B == pytest.approx(pyramid.err_B, rel=1e-12, abs=0)
+        for field in ("err_E", "err_B"):
+            assert getattr(box, field) == pytest.approx(getattr(fine, field), rel=1e-14, abs=0)
+            assert getattr(box, field) == pytest.approx(getattr(pyramid, field), rel=rel, abs=0)
 
     @pytest.mark.parametrize("case_id", [1, 2])
     def test_factored_box_rule_matches_tensor_points(self, case_id, cube8):

@@ -176,6 +176,26 @@ class TestMain:
         assert "config error" in captured.err and "--monitors" in captured.err
         assert captured.out == "" and not mon.exists()   # no run was made
 
+    @pytest.mark.parametrize("flag, study", [("--out", []), ("--monitors", []),
+                                             ("--out", ["--levels", "2"])],
+                             ids=["out", "monitors", "study-out"])
+    @pytest.mark.parametrize("name, message", [("missing/x.csv", "No such file or directory"),
+                                               ("", "Is a directory")],
+                             ids=["missing-directory", "directory"])
+    def test_unwritable_path_fails_before_the_run(self, capsys, tmp_path, monkeypatch,
+                                                  flag, study, name, message):
+        def run(*args, **kwargs):
+            raise AssertionError("stepper.run entered")
+
+        monkeypatch.setattr(cli.stepper, "run", run)
+        code = cli.main(["--generate", "cube:1", "--case", "2", "--tau", "1/2",
+                         flag, str(tmp_path / name)] + study)
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: [Errno") and message in captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not (tmp_path / "missing").exists()
+
     def test_not_shape_regular_exit_three(self, capsys, tmp_path):
         path = tmp_path / "folded.json"
         path.write_text(json.dumps(folded_voro8()))

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import itertools
 import json
 import re
@@ -10,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import conftest
-from conftest import DATA, SPLIT_MESHES, folded_voro8
+from conftest import DATA, SPLIT_MESHES, face_diameters, folded_voro8
 from vemaxwell import mesh as vm
+from vemaxwell.derham import build_incidence
 
 sys.path.insert(0, str(DATA.parents[1] / "perfbench"))
 import agglo  # noqa: E402
@@ -182,9 +184,8 @@ class TestIdentityEquality:
         assert hash(a.split) == hash(a.split)
 
     def test_reports_compare_by_identity(self, cube2):
-        for build in (vm.mesh_stats, vm.validate_mesh):
-            r, s = build(cube2), build(cube2)
-            assert r == r and r != s
+        r, s = vm.validate_mesh(cube2), vm.validate_mesh(cube2)
+        assert r == r and r != s
 
 
 class TestDeriveTopology:
@@ -262,58 +263,132 @@ class TestDeriveTopology:
             vm.derive_topology(UNIT_CUBE["vertices"], UNIT_CUBE["faces"], cells)
 
 
+# The invariants derive_topology enforces, recomputed face by face and cell
+# by cell from a mesh's vertices over its incidences: the oracle of
+# derive_topology, and so of validate_mesh, which rebuilds through it.
+
+def oracle_violations(mesh):
+    """Each violated invariant of ``mesh``'s vertices over its incidences:
+    planarity, face and cell closure, positive face areas and cell
+    volumes, and the shape ratios h_e/h_F and h_F/h_K."""
+    v, out = mesh.vertices, []
+    area_vecs, centers, h_f = [], [], []
+    for f, loop in enumerate(mesh.faces):
+        pts = v[loop]
+        diameter = max(np.linalg.norm(a - b) for a, b in itertools.combinations(pts, 2))
+        rel = pts - pts.mean(axis=0)
+        residual = np.abs(rel @ np.linalg.svd(rel)[2][2]).max()
+        area_vec = 0.5 * sum(np.cross(a, b) for a, b in zip(rel, np.roll(rel, -1, axis=0)))
+        ends = v[mesh.edges[mesh.face_edges[f]]]
+        sides = mesh.face_edge_signs[f][:, None] * (ends[:, 1] - ends[:, 0])
+        closure = np.linalg.norm(sides.sum(axis=0))
+        ratio = np.linalg.norm(sides, axis=1).min() / diameter
+        out += [message for failed, message in (
+            (residual > vm.PLANARITY_TOL * diameter,
+             f"face {f}: planarity residual {residual:.3e}"),
+            (not np.linalg.norm(area_vec) > 0, f"face {f}: nonpositive area"),
+            (closure > 1e-12 * diameter, f"face {f}: open edge loop {closure:.3e}"),
+            (ratio < vm.SHAPE_RATIO_MIN, f"face {f}: min h_e/h_F = {ratio:.3e}"),
+        ) if failed]
+        area_vecs.append(area_vec)
+        centers.append(pts.mean(axis=0))
+        h_f.append(diameter)
+    for k, (fids, signs) in enumerate(zip(mesh.cell_faces, mesh.cell_face_signs)):
+        pts = v[np.unique(np.concatenate([mesh.faces[f] for f in fids]))]
+        diameter = max(np.linalg.norm(a - b) for a, b in itertools.combinations(pts, 2))
+        flux = np.linalg.norm(sum(s * area_vecs[f] for f, s in zip(fids, signs)))
+        volume = sum(s * area_vecs[f] @ centers[f] for f, s in zip(fids, signs)) / 3
+        ratio = min(h_f[f] for f in fids) / diameter
+        out += [message for failed, message in (
+            (flux > vm.CLOSURE_TOL * diameter**2, f"cell {k}: open boundary {flux:.3e}"),
+            (volume <= 0, f"cell {k}: nonpositive volume"),
+            (ratio < vm.SHAPE_RATIO_MIN, f"cell {k}: min h_F/h_K = {ratio:.3e}"),
+        ) if failed]
+    return out
+
+
+def validated(mesh):
+    """``validate_mesh``'s report and the oracle's violations, which agree
+    on whether the mesh is valid."""
+    report, oracle = vm.validate_mesh(mesh), oracle_violations(mesh)
+    assert report.ok == (not oracle), (report.violations, oracle)
+    assert len(report.violations) <= 1
+    return report, oracle
+
+
+def rebuild_error(mesh):
+    """The MeshError of ``derive_topology`` on the mesh's vertices and
+    incidences, each list written out here."""
+    cells = [(signs * (fids + 1)).tolist()
+             for fids, signs in zip(mesh.cell_faces, mesh.cell_face_signs)]
+    with pytest.raises(vm.MeshError) as info:
+        vm.derive_topology(mesh.vertices, [loop.tolist() for loop in mesh.faces], cells)
+    return info.value
+
+
 class TestValidate:
     def test_cube_planarity_exact(self, cube4):
-        assert vm.validate_mesh(cube4).ok
+        assert validated(cube4)[0].ok
         quads = cube4.vertices[cube4.faces.flat].reshape(-1, 4, 3)
         assert vm._plane_residual(quads).max() == 0.0
 
     def test_nonplanar_face_flagged(self, cube1):
-        import dataclasses
         lifted = cube1.vertices.copy()
         lifted[-1] += 1e-3                 # the corner (1, 1, 1) of its three faces
-        rep = vm.validate_mesh(dataclasses.replace(cube1, vertices=lifted))
-        assert sum("planarity residual" in v for v in rep.violations) == 3
+        bent = dataclasses.replace(cube1, vertices=lifted)
+        rep, oracle = validated(bent)
+        assert sum("planarity residual" in v for v in oracle) == 3
+        error = rebuild_error(bent)
+        assert isinstance(error, vm.MeshGeometryError) and "nonplanar face" in str(error)
+        assert rep.violations == [str(error)]
 
-    def test_min_edge_face_ratio(self, cube2):
-        # exhaustive oracle over all faces
-        expected = min(
-            cube2.edge_lengths[cube2.face_edges[f]].min() / cube2.face_diameters[f]
-            for f in range(cube2.n_faces)
-        )
-        stats = vm.mesh_stats(cube2)
-        assert stats.min_edge_face_ratio == pytest.approx(expected, rel=1e-14)
-        assert stats.min_edge_face_ratio == pytest.approx(1 / np.sqrt(2), rel=1e-14)
+    def test_min_edge_face_ratio(self, cube2, monkeypatch):
+        # exhaustive oracle over all faces; derive_topology holds the same
+        # ratio against SHAPE_RATIO_MIN
+        h_f = face_diameters(cube2)
+        expected = min(cube2.edge_lengths[cube2.face_edges[f]].min() / h_f[f]
+                       for f in range(cube2.n_faces))
+        assert expected == pytest.approx(1 / np.sqrt(2), rel=1e-14)
+        monkeypatch.setattr(vm, "SHAPE_RATIO_MIN", expected * (1 - 1e-14))
+        assert validated(cube2)[0].ok
+        monkeypatch.setattr(vm, "SHAPE_RATIO_MIN", expected * (1 + 1e-14))
+        assert validated(cube2)[0].violations == [
+            f"face 0 is not shape-regular: min h_e/h_F = {expected:.3e}"]
 
     def test_stats(self, voro27):
-        expected = min(voro27.face_diameters[voro27.cell_faces[k]].min()
-                       / voro27.cell_diameters[k] for k in range(voro27.n_cells))
-        stats = vm.mesh_stats(voro27)
-        assert stats.min_face_cell_ratio == pytest.approx(expected, rel=1e-14)
-        assert 0.0 < stats.min_face_cell_ratio < 1.0
+        h_f = face_diameters(voro27)
+        expected = min(h_f[voro27.cell_faces[k]].min() / voro27.cell_diameters[k]
+                       for k in range(voro27.n_cells))
+        # the per-cell ratios derive_topology holds against SHAPE_RATIO_MIN
+        ratio = vm._face_cell_ratios(voro27.cell_faces, h_f, voro27.cell_diameters).min()
+        assert ratio == pytest.approx(expected, rel=1e-14)
+        assert 0.0 < ratio < 1.0
         assert voro27.n_cells == 27 and voro27.h == voro27.cell_diameters.max()
         assert (voro27.cell_diameters > 0).all() and (voro27.edge_lengths > 0).all()
 
     def test_shape_ratio_flagged(self, cube2, monkeypatch):
         # cube2's h_e/h_F = 0.707 and h_F/h_K = 0.816
         monkeypatch.setattr(vm, "SHAPE_RATIO_MIN", 0.75)
-        rep = vm.validate_mesh(cube2)
-        assert rep.violations == ["not shape-regular: min h_e/h_F = 7.071e-01"]
+        rep, oracle = validated(cube2)
+        assert rep.violations == ["face 0 is not shape-regular: min h_e/h_F = 7.071e-01"]
+        assert oracle == [f"face {f}: min h_e/h_F = 7.071e-01" for f in range(cube2.n_faces)]
         assert not rep.ok
 
     def test_degenerate_area_flagged(self, cube1):
-        import dataclasses
-        doctored = dataclasses.replace(
-            cube1, face_areas=np.where(np.arange(6) == 0, 0.0, cube1.face_areas))
-        rep = vm.validate_mesh(doctored)
-        assert any("nonpositive area" in v for v in rep.violations)
+        # flattened onto z = 0, the four side faces (x- and y-normal) have
+        # zero area
+        squashed = dataclasses.replace(cube1, vertices=cube1.vertices * [1, 1, 0])
+        rep, oracle = validated(squashed)
+        assert [v for v in oracle if "area" in v] == [f"face {f}: nonpositive area"
+                                                      for f in range(4)]
+        assert rep.violations == ["face with zero area"] == [str(rebuild_error(squashed))]
         assert not rep.ok
 
     def test_closure_identities(self, cube4, voro8, lcell, two_prisms):
         for m in (cube4, voro8, lcell, two_prisms):
-            # ok means each face and cell closure residual is within 1e-12
-            rep = vm.validate_mesh(m)
-            assert rep.ok, rep.violations
+            # the oracle's face and cell closure residuals are within 1e-12
+            rep, oracle = validated(m)
+            assert rep.ok and not oracle, (rep.violations, oracle)
 
 
 class TestRoundTrip:
@@ -423,8 +498,26 @@ class TestShapeRegularity:
 
     @pytest.mark.parametrize("name", sorted(BUILDERS))
     def test_fixture_meshes_load(self, name):
-        stats = vm.mesh_stats(BUILDERS[name]())
-        assert min(stats.min_edge_face_ratio, stats.min_face_cell_ratio) >= vm.SHAPE_RATIO_MIN
+        # every invariant holds, the shape ratios at SHAPE_RATIO_MIN or above
+        assert oracle_violations(BUILDERS[name]()) == []
+
+
+class TestBoundaryFlags:
+    """An edge is a boundary edge exactly where it lies on a boundary face,
+    so the curl restricted to boundary faces and interior edges is empty:
+    eliminating the boundary DOFs needs no check of its own."""
+
+    @pytest.mark.parametrize("name", ["cube1", "cube2", "cube4", "cube8", "agglo4", "lcell",
+                                      "two_prisms", "voro8", "voro27"])
+    def test_boundary_face_edges_are_boundary_edges(self, name, request):
+        m = request.getfixturevalue(name)
+        on_boundary_face = np.zeros(m.n_edges, bool)
+        for f in np.flatnonzero(m.boundary_faces):
+            assert m.boundary_edges[m.face_edges[f]].all()
+            on_boundary_face[m.face_edges[f]] = True
+        assert np.array_equal(on_boundary_face, m.boundary_edges)
+        c = build_incidence(m).C
+        assert c[np.flatnonzero(m.boundary_faces)][:, np.flatnonzero(~m.boundary_edges)].nnz == 0
 
 
 class TestRaggedMatchesTuples:

@@ -14,7 +14,7 @@ from vemaxwell.derham import IncidenceOps
 from vemaxwell.forms import CoefficientSet
 from vemaxwell.geometry import BoxRule, QuadratureRule
 from vemaxwell.linalg import SolutionSpace, SolveReport
-from vemaxwell.mesh import MeshStats, PolyMesh, Ragged, SimplexSplit, ValidationReport
+from vemaxwell.mesh import PolyMesh, Ragged, SimplexSplit, ValidationReport
 from vemaxwell.stepper import RunResult, SimulationState, StepMonitor, StepOperators
 
 SOURCES = sorted(pathlib.Path(vemaxwell.__file__).parent.glob("*.py"))
@@ -51,7 +51,7 @@ def test_cli_imports_no_test_dependency():
                                  ManufacturedCase, QuadratureRule, BoxRule,
                                  SimulationState, IncidenceOps, SolutionSpace,
                                  SolveReport, CoefficientSet, ErrorReport,
-                                 StepMonitor, RunResult, MeshStats, ValidationReport])
+                                 StepMonitor, RunResult, ValidationReport])
 def test_every_mesh_field_is_read(cls):
     # a field or property that only tests read does not belong in the
     # package.  The check matches attribute names, not owners: a member
@@ -65,3 +65,29 @@ def test_every_mesh_field_is_read(cls):
         if isinstance(value, (property, functools.cached_property))]
     unread = [name for name in members if name not in read]
     assert unread == []
+
+
+def test_code_lines_counts_code_only():
+    import code_lines
+
+    source = '''"""Module docstring,
+over two lines."""
+import os  # a trailing comment counts as code
+
+
+class A:
+    """Class docstring."""
+
+    x = (1,
+         2)
+
+
+def f():
+    """Function docstring."""
+    # a comment line
+    s = """a string
+that is not a docstring"""
+    return s
+'''
+    # import, class line, x's two lines, def line, s's two lines, return
+    assert code_lines.code_lines(source) == 8
