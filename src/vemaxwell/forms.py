@@ -7,8 +7,10 @@ stabilization acting on the constant-free residual:
 
 where P maps DOFs to the constant projection, X = I - (DOFs of the
 projection) extracts the residual, and S is diagonal in the raw DOF basis
-because the lowest-order traces are edgewise/facewise constant.  With the
-rows of P and X of all cells stacked in F, a global matrix is F' diag(d) F.
+because the lowest-order traces are edgewise/facewise constant.  So each
+product is a sum of squares: with the rows sqrt|K| P and sqrt(eta S) X of
+all cells stacked in F, a global matrix weighted per cell is the Gram
+matrix H' H of H = diag(sqrt w) F, symmetric bit for bit by construction.
 """
 
 from __future__ import annotations
@@ -82,11 +84,10 @@ def sample_coefficients(mesh: PolyMesh, eps, sigma, mu) -> CoefficientSet:
 
 class LocalFactors(NamedTuple):
     """Every cell's local product as one stacked sparse factor: cell k's is
-    the sum of unit[r] f[r]' f[r] over the rows r with cells[r] == k: its
-    projector rows P (weight |K|), then one row X = R - N P per DOF (eta S)."""
+    the sum of f[r]' f[r] over the rows r with cells[r] == k: its projector
+    rows sqrt|K| P, then one row sqrt(eta S) X, X = R - N P, per DOF."""
 
     f: sps.csr_matrix        # (3 nc + pairs, n)
-    unit: np.ndarray         # (3 nc + pairs,) unit weight of each row
     cells: np.ndarray        # (3 nc + pairs,) cell of each row
     n_cells: int
 
@@ -95,12 +96,19 @@ class LocalFactors(NamedTuple):
         w = np.asarray(cell_weights, dtype=float)
         if w.shape != (self.n_cells,):
             raise ValueError("one weight per cell expected")
-        return self.unit * w[self.cells]
+        return w[self.cells]
 
 
 def _pattern(rows, cols, shape) -> sps.csr_matrix:
     """Sparse matrix with a one at each (rows[j], cols[j])."""
     return sps.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=shape)
+
+
+def _sqrt_scaled(f: sps.csr_matrix, weights: np.ndarray) -> sps.csr_matrix:
+    """diag(sqrt(weights)) f: f's data scaled row by row, its index arrays
+    shared."""
+    return sps.csr_matrix((f.data * np.repeat(np.sqrt(weights), np.diff(f.indptr)),
+                           f.indices, f.indptr), shape=f.shape)
 
 
 def _local_factors(mesh, p, cells, ids, directions, stab) -> LocalFactors:
@@ -109,8 +117,8 @@ def _local_factors(mesh, p, cells, ids, directions, stab) -> LocalFactors:
     nc, pairs = mesh.n_cells, np.arange(cells.size)
     select = _pattern(pairs, ids, (pairs.size, p.shape[1]))
     dofs_of_mean = block_matrix(pairs, cells, directions[:, None, :], (pairs.size, p.shape[0]))
-    return LocalFactors(sps.vstack([p, select - dofs_of_mean @ p], format="csr"),
-                        np.concatenate([np.repeat(mesh.cell_volumes, 3), stab]),
+    f = sps.vstack([p, select - dofs_of_mean @ p], format="csr")
+    return LocalFactors(_sqrt_scaled(f, np.concatenate([np.repeat(mesh.cell_volumes, 3), stab])),
                         np.concatenate([np.repeat(np.arange(nc), 3), cells]), nc)
 
 
@@ -141,12 +149,13 @@ def local_face_mass(mesh: PolyMesh, projectors: ElementProjectors,
                           mesh.face_normals[fids], stab.eta_face * s)
 
 
-def assemble_global(f: sps.csr_matrix, weights: np.ndarray, g=None) -> sps.csr_matrix:
-    """The weighted product f' diag(weights) g of stacked factors, as CSR
-    with sorted indices.  With ``g`` omitted it is f' diag(weights) f
-    averaged with its transpose, so it is exactly symmetric."""
-    mat = (f.T @ (sps.diags(weights) @ (f if g is None else g))).tocsr()
-    if g is None:
-        mat = (0.5 * (mat + mat.T)).tocsr()
-    mat.sort_indices()
-    return mat
+def assemble_global(f: sps.csr_matrix, weights: np.ndarray) -> sps.csr_matrix:
+    """The weighted product f' diag(weights) f of a stacked factor, formed
+    as the Gram matrix h' h of h = diag(sqrt(weights)) f: CSR with sorted
+    indices, symmetric bit for bit.  ValueError unless there is one finite,
+    nonnegative weight per row of f."""
+    w = np.asarray(weights, dtype=float)
+    if w.shape != (f.shape[0],) or not (np.isfinite(w) & (w >= 0.0)).all():
+        raise ValueError("one finite, nonnegative weight per factor row expected")
+    h = _sqrt_scaled(f, w)
+    return (h.T @ h).tocsr()        # CSC to CSR sorts the indices

@@ -97,21 +97,22 @@ class SolveReport:
 
 
 def hybrid_preconditioner(a: sps.csr_matrix, g: sps.csr_matrix) -> sps.csr_matrix:
-    """P = D_A^-1 + G D_L^-1 G', L = G' A G, as one symmetric CSR matrix.
+    """P = D_A^-1 + H H', H = G D_L^-1/2, L = G' A G, as one CSR matrix.
 
     Hiptmair's hybrid smoother for curl-curl systems (SIAM J. Numer. Anal.
     36, 1999): the kernel of the curl-curl term is the range of the
     discrete gradient ``g``, where Jacobi on A converges slowly; the
     second term adds a Jacobi sweep on A restricted to that range.  Only
-    the diagonal of L is formed.  P is SPD when A is and no column of
-    ``g`` is zero, so that diag L is positive; ValueError otherwise.
+    the diagonal of L is formed.  H H' is formed as the Gram matrix of
+    H', so P is symmetric bit for bit.  P is SPD when A is and no column
+    of ``g`` is zero, so that diag L is positive; ValueError otherwise.
     """
     d_l = np.asarray(g.multiply(a @ g).sum(axis=0)).ravel()
     if not (d_l > 0.0).all():
         raise ValueError("G' A G has a nonpositive diagonal entry: "
                          "a zero column of G, or A is not SPD")
-    p = (sps.diags(1.0 / a.diagonal()) + g @ sps.diags(1.0 / d_l) @ g.T).tocsr()
-    return (0.5 * (p + p.T)).tocsr()                # exact symmetry
+    h_t = sps.diags(1.0 / np.sqrt(d_l)) @ g.T
+    return (sps.diags(1.0 / a.diagonal()) + h_t.T @ h_t).tocsr()
 
 
 def cg_solve(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12,

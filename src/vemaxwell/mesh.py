@@ -184,22 +184,18 @@ def _split_faces(vertices: np.ndarray, faces: Ragged):
         # Total area vector; orientation of the loop fixes the normal.
         area_vec = 0.5 * cross.sum(axis=1)
         areas[ids] = area = np.sqrt(area_vec[:, None] @ area_vec[:, :, None])[:, 0, 0]
-        if not np.all(np.isfinite(area) & (area > 0.0)):
-            raise MeshGeometryError("face with zero area")
+        _raise_first([(~(np.isfinite(area) & (area > 0.0)), MeshGeometryError,
+                       "face {f} has zero area")], f=ids)
         normals[ids] = normal = area_vec / area[:, None]
         signed[rows] = panel = (0.5 * cross @ normal[:, :, None])[..., 0]
         tri_centroids = (apex[:, None] + pts + np.roll(pts, -1, axis=1)) / 3.0
         centroids[ids] = ((panel[..., None] * tri_centroids).sum(axis=1)
                           / panel.sum(axis=1)[:, None])
         diameters[ids] = diam = _point_set_diameter(pts)
-        residual = _plane_residual(pts)
-        bad = np.flatnonzero(residual > PLANARITY_TOL * diam)
-        if bad.size:
-            r, h_f = residual[bad[0]], diam[bad[0]]
-            raise MeshGeometryError(
-                f"nonplanar face: residual {r:.3e} exceeds "
-                f"{PLANARITY_TOL:.0e} * h_F = {PLANARITY_TOL * h_f:.3e}"
-            )
+        residual, tol = _plane_residual(pts), PLANARITY_TOL * diam
+        _raise_first([(residual > tol, MeshGeometryError, "nonplanar face {f}: residual {r:.3e} "
+                       f"exceeds {PLANARITY_TOL:.0e} * h_F = {{tol:.3e}}")],
+                     f=ids, r=residual, tol=tol)
     largest = np.maximum.reduceat(np.abs(signed), offsets[:-1])
     fan = dict(face_apexes=apexes, fan_vertices=np.stack([loop_ids, loop_ids[nxt]], axis=1),
                fan_areas=signed, fan_kept=np.abs(signed) > 1e-14 * largest[faces.owners])
@@ -258,9 +254,12 @@ def _any_entry(ragged: Ragged, flags: np.ndarray) -> np.ndarray:
 
 
 def _repeats(ragged: Ragged) -> np.ndarray:
-    """Whether each entity lists a value twice."""
-    distinct = np.unique(np.stack([ragged.owners, ragged.flat]), axis=1)[0]
-    return np.bincount(distinct, minlength=len(ragged)) < np.diff(ragged.offsets)
+    """Whether each entity lists a value twice: one sort by (owner, value),
+    which keeps every entry in its entity's segment, and a comparison of
+    neighbours."""
+    flat, owners = ragged.flat[np.lexsort((ragged.flat, ragged.owners))], ragged.owners
+    twice = (flat[1:] == flat[:-1]) & (owners[1:] == owners[:-1])
+    return np.bincount(owners[1:][twice], minlength=len(ragged)) > 0
 
 
 def _edge_face_ratios(face_edges: Ragged, edge_lengths, face_diameters) -> np.ndarray:
@@ -356,8 +355,8 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
                              faces.offsets, faces.owners)
     vec = vertices[edges[:, 1]] - vertices[edges[:, 0]]
     edge_lengths = np.linalg.norm(vec, axis=1)
-    if np.any(edge_lengths <= 0.0):
-        raise MeshGeometryError("zero-length edge")
+    _raise_first([(edge_lengths <= 0.0, MeshGeometryError,
+                   "edge {0} (vertices {a}, {b}) has zero length")], a=edges[:, 0], b=edges[:, 1])
     ratio = _edge_face_ratios(face_edges, edge_lengths, face_diameters)
     _raise_first([(ratio < SHAPE_RATIO_MIN, MeshGeometryError,
                    "face {0} is not shape-regular: min h_e/h_F = {ratio:.3e}")], ratio=ratio)

@@ -18,9 +18,10 @@ also gives A times the guess.  The span always holds the three latest
 solutions (the initial e counting as one), so in the A-norm the guess is
 never farther from the solution than their quadratic extrapolation.
 Every operator a step applies is built once per run in
-``StepOperators``, each matrix as one ``forms.assemble_global`` product
-of local factors restricted to interior DOFs; the load of each spatial
-term of the current is formed once per run.  A step with k CG iterations
+``StepOperators``, each square matrix as one ``forms.assemble_global``
+Gram product of local factors restricted to interior DOFs, or a sum of
+two, so each is symmetric bit for bit; the load of each spatial term of
+the current is formed once per run.  A step with k CG iterations
 makes k + 5 sparse products: C' (M_f b) for the right-hand side, k + 1
 in CG, A d for the new basis row, [C; M_eps] e_new for the magnetic
 update and the energy, and [M_f; D] b_new for the energy, the next
@@ -139,15 +140,16 @@ def build_step_operators(mesh: PolyMesh, projectors: ElementProjectors,
     c_ie = ops.C[:, ie].tocsr()
     c_int = c_ie[if_]
 
-    # Every matrix is one weighted product of the local factors restricted
-    # to interior DOFs; the unit-weight load keeps every column of J.
+    # Every square matrix is the Gram matrix of local factors restricted to
+    # interior DOFs and scaled row by row, so it is symmetric bit for bit,
+    # and so is A, their sum; the unit-weight load keeps every column of J.
     face = local_face_mass(mesh, projectors, stab)
     w_face = face.weighted(1.0 / coefficients.mu_hat)
     m_face = assemble_global(face.f[:, if_], w_face)
     curl_term = assemble_global(face.f @ c_ie, w_face)
     edge = local_edge_mass(mesh, projectors, stab)
     f_edge = edge.f[:, ie]
-    m_edge_load = assemble_global(f_edge, edge.unit, edge.f)
+    m_edge_load = (f_edge.T @ edge.f).tocsr()
     eps, sigma = coefficients.eps_hat, coefficients.sigma_hat
     w_eps, w_system = edge.weighted(eps), edge.weighted(eps + tau * sigma)
     del face, edge          # the all-DOF factors, freed before the largest products

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sps
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (SPLIT_MESHES, block_rows, blocks, cell_edges, constant_edge_dofs,
                       constant_face_dofs, weighted_product)
@@ -44,35 +46,49 @@ class TestCoefficients:
         assert np.allclose(cs.eps_hat, 2.0)
 
 
-def stab_diagonal(local_mass, mesh, k):
-    """Cell k's stabilization S as a diagonal matrix: with unit eta, the
-    unit weights of its rows after its three projector rows."""
-    factors = local_mass(mesh, vd.build_projectors(mesh), forms.StabWeights(1.0, 1.0))
-    return np.diag(factors.unit[factors.cells == k][3:])
+def stab_diagonal(kind, mesh, k):
+    """Cell k's stabilization S as a diagonal matrix over its own DOFs, from
+    the mesh: h_K^2 m_e |e| per edge, m_e the number of its faces in the
+    cell, or h_K |F| per face."""
+    return np.diag(loop_stabilization(mesh, k, kind)[1])
+
+
+def loop_stabilization(mesh, k, kind):
+    """(cell k's DOFs: sorted edges or its faces, S on each of them)."""
+    if kind == "edge":
+        ids = cell_edges(mesh, k)
+        pos = {e: j for j, e in enumerate(ids)}
+        mult = np.zeros(ids.size)
+        for f in mesh.cell_faces[k]:
+            for e in mesh.face_edges[f]:
+                mult[pos[e]] += 1.0
+        return ids, mesh.cell_diameters[k] ** 2 * mult * mesh.edge_lengths[ids]
+    ids = mesh.cell_faces[k]
+    return ids, mesh.cell_diameters[k] * mesh.face_areas[ids]
 
 
 class TestStabilizations:
     def test_edge_entries_unit_cube(self, cube1):
-        s = stab_diagonal(forms.local_edge_mass, cube1, 0)
+        s = stab_diagonal("edge", cube1, 0)
         # every cube edge sits in two faces: h_K^2 * 2 * |e| = 3 * 2 * 1
         assert np.allclose(np.diag(s), 6.0, rtol=1e-14)
         assert np.abs(s - np.diag(np.diag(s))).max() == 0.0
 
     def test_face_entries_unit_cube(self, cube1):
-        s = stab_diagonal(forms.local_face_mass, cube1, 0)
+        s = stab_diagonal("face", cube1, 0)
         assert np.allclose(np.diag(s), np.sqrt(3.0), rtol=1e-14)
 
     def test_zero_vector(self, cube1):
         z = np.zeros(12)
-        assert z @ stab_diagonal(forms.local_edge_mass, cube1, 0) @ z == 0.0
+        assert z @ stab_diagonal("edge", cube1, 0) @ z == 0.0
 
     def test_scaling_homogeneity(self):
         # uniform scaling by 2 multiplies both quadratic forms by 8
         m1 = vm.generate_cube_mesh(1)
         m2 = vm.generate_cube_mesh(1, domain=((0, 0, 0), (2, 2, 2)))
-        for local_mass in (forms.local_edge_mass, forms.local_face_mass):
-            assert np.allclose(stab_diagonal(local_mass, m2, 0),
-                               8 * stab_diagonal(local_mass, m1, 0), rtol=1e-13)
+        for kind in ("edge", "face"):
+            assert np.allclose(stab_diagonal(kind, m2, 0), 8 * stab_diagonal(kind, m1, 0),
+                               rtol=1e-13)
 
 
 def oracle_edge_mass(mesh, k, eta):
@@ -234,6 +250,34 @@ class TestAssembleGlobal:
             factors.weighted(np.ones(5))
         with pytest.raises(ValueError):
             forms.assemble_global(factors.f, np.ones(5))
+        w = factors.weighted(np.ones(1))
+        for bad in (-1e-300, np.nan, np.inf):
+            w[7] = bad
+            with pytest.raises(ValueError, match="finite, nonnegative weight"):
+                forms.assemble_global(factors.f, w)
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(rows=st.integers(0, 30), cols=st.integers(1, 12), density=st.floats(0.0, 1.0),
+           zeros=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_gram_product(self, rows, cols, density, zeros, seed):
+        # symmetric bit for bit, f' diag(w) f to round-off, any negative
+        # weight rejected
+        rng = np.random.default_rng(seed)
+        f = sps.csr_matrix(rng.standard_normal((rows, cols))
+                           * (rng.uniform(size=(rows, cols)) < density))
+        w = rng.uniform(0.0, 10.0, rows) * (rng.uniform(size=rows) >= zeros)
+        m = forms.assemble_global(f, w)
+        assert m.format == "csr" and m.shape == (cols, cols)
+        assert all((np.diff(m.indices[a:b]) > 0).all()
+                   for a, b in zip(m.indptr[:-1], m.indptr[1:]))
+        dense = m.toarray()
+        assert (dense == dense.T).all()
+        want = f.toarray().T @ (w[:, None] * f.toarray())
+        assert np.abs(dense - want).max() <= 1e-14 * np.abs(want).max(initial=0.0)
+        if rows:
+            w[rng.integers(rows)] = -rng.uniform(1e-300, 1.0)
+            with pytest.raises(ValueError, match="nonnegative"):
+                forms.assemble_global(f, w)
 
     def test_stab_weights_validation(self):
         for bad in (dict(eta_edge=0.0), dict(eta_edge=np.nan), dict(eta_face=np.inf)):
@@ -281,17 +325,11 @@ def loop_face_cell(mesh, k):
 
 def loop_local_mass(mesh, k, kind, eta):
     """Dense local product of cell k on its own DOFs."""
+    ids, s = loop_stabilization(mesh, k, kind)
     if kind == "edge":
-        ids, p, t = cell_edges(mesh, k), loop_edge_cell(mesh, k), mesh.edge_tangents
-        pos = {e: j for j, e in enumerate(ids)}
-        mult = np.zeros(ids.size)
-        for f in mesh.cell_faces[k]:
-            for e in mesh.face_edges[f]:
-                mult[pos[e]] += 1.0
-        s = mesh.cell_diameters[k] ** 2 * mult * mesh.edge_lengths[ids]
+        p, t = loop_edge_cell(mesh, k), mesh.edge_tangents
     else:
-        ids, p, t = mesh.cell_faces[k], loop_face_cell(mesh, k), mesh.face_normals
-        s = mesh.cell_diameters[k] * mesh.face_areas[ids]
+        p, t = loop_face_cell(mesh, k), mesh.face_normals
     j = np.eye(ids.size) - t[ids] @ p
     m = mesh.cell_volumes[k] * (p.T @ p) + eta * (j.T @ np.diag(s) @ j)
     return 0.5 * (m + m.T)
@@ -358,6 +396,9 @@ class TestSparseMatchesLoops:
         edge_full = weighted_product(m, proj, np.ones(m.n_cells), "edge")
         face_full = weighted_product(m, proj, 1.0 / coeffs.mu_hat, "face")
         sigma_mass = weighted_product(m, proj, coeffs.sigma_hat, "edge")[ie][:, ie]
+        if ie.size:       # the hybrid preconditioner, symmetric bit for bit
+            precond = ops.precond.toarray()
+            assert (precond == precond.T).all()
         for got, want in ((blk.m_eps, m_eps), (sigma_mass, m_sigma),
                           (ops.m_edge_load, m_edge[ie]),
                           (blk.m_face, m_face), (ops.system.to_scipy(), system),

@@ -257,6 +257,54 @@ class TestDeriveTopology:
         with pytest.raises(vm.MeshGeometryError, match="nonpositive volume"):
             vm.derive_topology(UNIT_CUBE["vertices"], UNIT_CUBE["faces"], cells)
 
+    # UNIT_CUBE with its bottom face split into two triangles, listed
+    # first: the fan split stacks faces by loop size, so a quad's index in
+    # its stack is its face id less 2.
+    SPLIT_BOTTOM = [[0, 3, 2], [0, 2, 1]] + UNIT_CUBE["faces"][1:]
+
+    def test_nonplanar_face_named(self):
+        vertices = np.array(UNIT_CUBE["vertices"], dtype=float)
+        vertices[6, 2] += 1e-3             # bends faces 2, 4 and 6 of SPLIT_BOTTOM
+        with pytest.raises(vm.MeshGeometryError, match=r"^nonplanar face 2: residual "):
+            vm.derive_topology(vertices, self.SPLIT_BOTTOM, [list(range(1, 8))])
+
+    def test_zero_area_face_named(self):
+        # flattened onto z = 0, the two triangles and the top face keep
+        # their area and the four side faces, 3 to 6, lose it
+        vertices = np.array(UNIT_CUBE["vertices"], dtype=float) * [1, 1, 0]
+        with pytest.raises(vm.MeshGeometryError, match="^face 3 has zero area$"):
+            vm.derive_topology(vertices, self.SPLIT_BOTTOM, [list(range(1, 8))])
+
+    def test_zero_length_edge_named(self):
+        # vertex 8 is a copy of vertex 1, inserted into the loop of the last
+        # face: the loop edge (1, 8) has zero length
+        vertices = UNIT_CUBE["vertices"] + [UNIT_CUBE["vertices"][1]]
+        faces = UNIT_CUBE["faces"][:-1] + [[1, 2, 6, 5, 8]]
+        edges = []                         # numbered in order of first appearance
+        for loop in faces:
+            for a, b in zip(loop, loop[1:] + loop[:1]):
+                if (min(a, b), max(a, b)) not in edges:
+                    edges.append((min(a, b), max(a, b)))
+        e = edges.index((1, 8))
+        assert e > 0
+        with pytest.raises(vm.MeshGeometryError,
+                           match=rf"^edge {e} \(vertices 1, 8\) has zero length$"):
+            vm.derive_topology(vertices, faces, UNIT_CUBE["cells"])
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(st.lists(st.tuples(st.lists(st.integers(-3, 30), max_size=7), st.booleans(),
+                              st.integers(0, 6), st.integers(0, 6)), max_size=12))
+    def test_repeats_match_sets(self, drawn):
+        # each list may get a planted repeat: a copy of its entry i at j
+        lists = []
+        for values, plant, i, j in drawn:
+            if plant and values:
+                values = values[:j] + [values[i % len(values)]] + values[j:]
+            lists.append(values)
+        ragged, fits = vm._index_lists(lists)
+        assert fits.all()
+        assert vm._repeats(ragged).tolist() == [len(set(v)) < len(v) for v in lists]
+
     def test_one_sign_flipped_is_open_boundary(self):
         cells = [[-1] + UNIT_CUBE["cells"][0][1:]]
         with pytest.raises(vm.MeshTopologyError, match="open cell boundary"):
@@ -381,7 +429,7 @@ class TestValidate:
         rep, oracle = validated(squashed)
         assert [v for v in oracle if "area" in v] == [f"face {f}: nonpositive area"
                                                       for f in range(4)]
-        assert rep.violations == ["face with zero area"] == [str(rebuild_error(squashed))]
+        assert rep.violations == ["face 0 has zero area"] == [str(rebuild_error(squashed))]
         assert not rep.ok
 
     def test_closure_identities(self, cube4, voro8, lcell, two_prisms):

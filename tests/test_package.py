@@ -91,3 +91,32 @@ that is not a docstring"""
 '''
     # import, class line, x's two lines, def line, s's two lines, return
     assert code_lines.code_lines(source) == 8
+
+
+def test_paired_runs_summary():
+    import paired_runs
+
+    metrics = [dict(name="run_s", better="lower", bound=0.25),
+               dict(name="peak_rss_mb", better="lower", bound=0.05),
+               dict(name="rate", better="higher", bound=0.1),
+               dict(name="error_s", better="lower", bound=0.25)]
+    parent = [1.0, 1.1, 0.9, 1.2, 0.8, 1.0, 1.05, 0.95, 1.15, 0.85]
+    pairs = [(dict(run_s=p, peak_rss_mb=60.0, rate=10.0, error_s=1.0),
+              dict(run_s=0.5 * p if i else 1.5, peak_rss_mb=67.0 if i % 2 else 60.0,
+                   rate=10.0 + (1.0 if i < 8 else -1.0)))
+             for i, p in enumerate(parent)]
+    rows = {r["metric"]: r for r in paired_runs.summarise(pairs, metrics)}
+    assert "error_s" not in rows            # no pair has it on both sides
+    run = rows["run_s"]
+    assert (run["pairs"], run["wins"]) == (10, 9)
+    assert run["parent_median"] == 1.0 and run["change_median"] == pytest.approx(0.5125)
+    assert (run["parent_q1"], run["parent_q3"]) == pytest.approx((0.9125, 1.0875))
+    assert run["gain"] and run["within_bound"]
+    # five ties and five losses: no win, and a median 5.8 % up is out of a
+    # 5 % bound
+    rss = rows["peak_rss_mb"]
+    assert (rss["wins"], rss["gain"], rss["within_bound"]) == (0, False, False)
+    assert rss["change_median"] == 63.5
+    # higher is better: 8 of 10 wins is short of nine tenths
+    rate = rows["rate"]
+    assert (rate["wins"], rate["gain"], rate["within_bound"]) == (8, False, True)
