@@ -96,23 +96,26 @@ class SolveReport:
     residual: float       # |b - Ax| / |b|, recomputed after convergence
 
 
-def hybrid_preconditioner(a: sps.csr_matrix, g: sps.csr_matrix) -> sps.csr_matrix:
-    """P = D_A^-1 + H H', H = G D_L^-1/2, L = G' A G, as one CSR matrix.
+def hybrid_preconditioner(inv_diag_a: np.ndarray, g: sps.csr_matrix,
+                          diag_l: np.ndarray) -> sps.csr_matrix:
+    """P = diag(inv_diag_a) + H H', H = G D_L^-1/2, as one CSR matrix.
 
     Hiptmair's hybrid smoother for curl-curl systems (SIAM J. Numer. Anal.
     36, 1999): the kernel of the curl-curl term is the range of the
-    discrete gradient ``g``, where Jacobi on A converges slowly; the
-    second term adds a Jacobi sweep on A restricted to that range.  Only
-    the diagonal of L is formed.  H H' is formed as the Gram matrix of
-    H', so P is symmetric bit for bit.  P is SPD when A is and no column
-    of ``g`` is zero, so that diag L is positive; ValueError otherwise.
+    discrete gradient ``g``, where Jacobi on A (``inv_diag_a`` = 1 / diag
+    A) converges slowly; the second term adds a Jacobi sweep on A
+    restricted to that range, with ``diag_l`` the diagonal of L = G' A G.
+    No matrix A is taken: the caller forms diag L from whatever gives it
+    without cancellation.  H H' is formed as the Gram matrix of H', so P
+    is symmetric bit for bit.  P is SPD when every entry of
+    ``inv_diag_a`` and of ``diag_l`` is positive; ValueError where
+    ``diag_l`` is not (a zero column of G, or A is not SPD).
     """
-    d_l = np.asarray(g.multiply(a @ g).sum(axis=0)).ravel()
-    if not (d_l > 0.0).all():
+    if not (diag_l > 0.0).all():
         raise ValueError("G' A G has a nonpositive diagonal entry: "
                          "a zero column of G, or A is not SPD")
-    h_t = sps.diags(1.0 / np.sqrt(d_l)) @ g.T
-    return (sps.diags(1.0 / a.diagonal()) + h_t.T @ h_t).tocsr()
+    h_t = sps.diags(1.0 / np.sqrt(diag_l)) @ g.T
+    return (sps.diags(inv_diag_a) + h_t.T @ h_t).tocsr()
 
 
 def cg_solve(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12,
@@ -120,23 +123,25 @@ def cg_solve(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12,
              precond=None, a_x0: np.ndarray | None = None):
     """Preconditioned conjugate gradients for an SPD system.
 
-    Each iteration forms z = r / diag(a), elementwise, or z = precond r
-    when ``precond`` (an SPD n x n scipy CSR matrix) is given, and stops
-    once r.r <= (tol |b|)^2.  ``a_x0``, when given with ``x0``, stands for
-    A x0 in the first residual, which then costs no product; a wrong one
-    costs iterations, never the result.  Where |b|^2 or (tol |b|)^2 is
-    not a normal float, b, ``x0`` and ``a_x0`` are scaled by the power of
-    two that brings the largest entry of b into [0.5, 1), which scales
-    every iterate exactly, and x is scaled back.  Returns
-    (x, SolveReport); the reported residual |b - Ax| / |b| is always
-    formed by a product with the returned x, also when an initial guess
-    that already meets ``tol`` is returned after 0 iterations.  Raises
-    ValueError on a non-finite or misshapen ``b``, ``x0`` or ``a_x0`` and
-    on a ``precond`` that is misshapen or not CSR; IndefiniteMatrixError
-    on a nonpositive diagonal entry, when a search direction has
-    nonpositive curvature (an assembly bug upstream) or r'z <= 0 (a
-    preconditioner that is not positive definite); NonConvergenceError
-    when maxiter is exhausted.
+    CG starts from x = ``x0`` (0 when it is not given) and r = b - A x0,
+    where ``a_x0``, when given with ``x0``, stands for A x0, so the first
+    residual costs no product; a wrong one costs iterations, never the
+    result.  Each pass first checks r.r <= (tol |b|)^2 and confirms it on
+    the true residual b - A x, by a product with x: it returns x there,
+    or goes on from the true residual where the recurrence drifted.  Only
+    then does it precondition, z = r / diag(a) elementwise, or z =
+    precond r when ``precond`` (an SPD n x n scipy CSR matrix) is given,
+    and take one CG step.  So the reported residual |b - Ax| / |b| is
+    always formed from the returned x, also after 0 iterations.  Where
+    |b|^2 or (tol |b|)^2 is not a normal float, b, ``x0`` and ``a_x0`` are
+    scaled by the power of two that brings the largest entry of b into
+    [0.5, 1), which scales every iterate exactly, and x is scaled back.
+    Returns (x, SolveReport).  Raises ValueError on a non-finite or
+    misshapen ``b``, ``x0`` or ``a_x0`` and on a ``precond`` that is
+    misshapen or not CSR; IndefiniteMatrixError on a nonpositive diagonal
+    entry, when a search direction has nonpositive curvature (an assembly
+    bug upstream) or r'z <= 0 (a preconditioner that is not positive
+    definite); NonConvergenceError when maxiter is exhausted.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
@@ -170,50 +175,39 @@ def cg_solve(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12,
     bnorm = math.sqrt(bb)
     inv_diag = a.inverse_diagonal
 
-    def true_residual(x):
-        r = b - matvec(csr, x)
-        return r, float(r @ r)
-
-    if x0 is None:
-        x, r, rr = np.zeros(a.n), b.copy(), bb      # b - A 0, with no product
-    elif a_x0 is None:
-        x = x0.copy()
-        r, rr = true_residual(x)
-    else:
-        x, r = x0.copy(), b - a_x0
-        rr = float(r @ r)
-        if rr <= stop:              # confirm on the true residual
-            r, rr = true_residual(x)
-    if rr <= stop:
-        return x, SolveReport(0, math.sqrt(rr) / bnorm)
-    p = inv_diag * r if precond is None else matvec(precond, r)     # z, a fresh array
-    rz = float(r @ p)
-    iterations = 0
-    for iterations in range(1, maxiter + 1):
+    x = np.zeros(a.n) if x0 is None else x0.copy()
+    r = b - (a_x0 if a_x0 is not None else 0.0 if x0 is None else matvec(csr, x))
+    p = rz = None
+    for iterations in range(maxiter + 1):
+        if float(r @ r) <= stop:
+            r = b - matvec(csr, x)
+            rr = float(r @ r)
+            if rr <= stop:
+                return x, SolveReport(iterations, math.sqrt(rr) / bnorm)
+            # the recurrence drifted: go on from the true residual
+        if iterations == maxiter:
+            break
+        z = inv_diag * r if precond is None else matvec(precond, r)     # a fresh array
+        rz_old, rz = rz, float(r @ z)
         if rz <= 0.0:
             raise IndefiniteMatrixError(
-                f"r'z = {rz:.3e} before iteration {iterations}: "
+                f"r'z = {rz:.3e} before iteration {iterations + 1}: "
                 "the preconditioner is not positive definite")
+        if p is None:
+            p = z
+        else:
+            p *= rz / rz_old
+            p += z
         ap = matvec(csr, p)
         pap = float(p @ ap)
         if pap <= 0.0:
-            raise IndefiniteMatrixError(f"p'Ap = {pap:.3e} at iteration {iterations}")
+            raise IndefiniteMatrixError(f"p'Ap = {pap:.3e} at iteration {iterations + 1}")
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        if float(r @ r) <= stop:
-            true_r, rr = true_residual(x)
-            if rr <= stop:
-                return x, SolveReport(iterations, math.sqrt(rr) / bnorm)
-            r = true_r      # recurrence drifted; restart from the true residual
-        z = inv_diag * r if precond is None else matvec(precond, r)
-        rz_new = float(r @ z)
-        p *= rz_new / rz
-        p += z
-        rz = rz_new
     raise NonConvergenceError(
         f"CG did not reach tol={tol:.1e} in {maxiter} iterations "
-        f"(residual {math.sqrt(true_residual(x)[1]) / bnorm:.3e})"
+        f"(residual {np.linalg.norm(b - matvec(csr, x)) / bnorm:.3e})"
     )
 
 
@@ -286,16 +280,13 @@ class SolutionSpace:
         return max(RESTART_SOLUTIONS, len(self.v) // 2)
 
     @classmethod
-    def spanned_by(cls, a: SparseMatrix, solutions: tuple, capacity: int) -> "SolutionSpace":
-        """The space of ``solutions`` (newest first; as many as a full
-        space keeps), with room for ``capacity`` vectors; a zero solution,
-        or one in the span of the others, adds none."""
+    def spanned_by(cls, a: SparseMatrix, x: np.ndarray, capacity: int) -> "SolutionSpace":
+        """The span of the solution ``x``, with room for ``capacity``
+        vectors; a zero x spans the empty space."""
         if capacity < RESTART_SOLUTIONS:
             raise ValueError(f"capacity must be at least {RESTART_SOLUTIONS}")
-        space = cls(np.empty((capacity, a.n)), np.empty((capacity, a.n)), 0, [0], ())
-        for x in reversed(solutions[:space.kept]):
-            space = space._appended(a, x, np.zeros(space.size))
-        return space
+        empty = cls(np.empty((capacity, a.n)), np.empty((capacity, a.n)), 0, [0], ())
+        return empty._appended(a, x, np.zeros(0))
 
     def guess(self, b: np.ndarray) -> Guess:
         """V V' b, the A-orthogonal projection of A^-1 b onto the space."""

@@ -459,7 +459,7 @@ def load_mesh(path) -> PolyMesh:
     Format: object with "vertices" ([x, y, z] triples), "faces" (0-based
     vertex loops; loop order defines the normal), "cells" (1-based signed
     face indices) and an optional "name" string.  Coordinates must be
-    finite and indices JSON integers.  The name labels a CSV row, so it
+    finite JSON numbers and indices JSON integers.  The name labels a CSV row, so it
     may not hold a comma or a line break.
     """
     try:
@@ -477,7 +477,11 @@ def load_mesh(path) -> PolyMesh:
         raise MeshFormatError(f"{path}: name must be a string")
     check_label(name, path)
     try:
-        # numpy would truncate 1.5 or true to a valid index without a word
+        # numpy would read "1" or true as the coordinate 1.0, and truncate 1.5
+        # or true to a valid index, without a word
+        for i, xyz in enumerate(doc["vertices"]):
+            if not all(type(c) in (int, float) for c in xyz):
+                raise MeshFormatError(f"{path}: vertex {i} has a coordinate that is not a number")
         for key in ("faces", "cells"):
             for i, refs in enumerate(doc[key]):
                 if not all(type(r) is int for r in refs):
@@ -485,7 +489,8 @@ def load_mesh(path) -> PolyMesh:
                 if type(refs) is not list:       # "" or {}
                     raise TypeError(f"{key[:-1]} {i} is not a list")
         return derive_topology(doc["vertices"], doc["faces"], doc["cells"], name=name)
-    except (TypeError, ValueError) as exc:
+    # OverflowError: a JSON integer coordinate beyond the float range
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MeshFormatError(f"{path}: malformed arrays: {exc}") from exc
 
 

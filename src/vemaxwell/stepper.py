@@ -156,10 +156,17 @@ def build_step_operators(mesh: PolyMesh, projectors: ElementProjectors,
     m_eps = assemble_global(f_edge, w_eps)
     system = linalg.SparseMatrix.from_scipy(assemble_global(f_edge, w_system)
                                             + tau**2 * curl_term)
+    del curl_term
     precond = None
     if curl_mass_ratio(system, m_eps) > CURL_MASS_SWITCH:
+        # C G = 0, so L = G' A G is the Gram matrix of the mass factor times
+        # G: diag L is a sum of weighted squares, with no curl term to cancel
         g_int = ops.G[ie][:, np.flatnonzero(~mesh.boundary_vertices)].tocsr()
-        precond = linalg.hybrid_preconditioner(system.to_scipy(), g_int)
+        fg = f_edge @ g_int
+        np.square(fg.data, out=fg.data)
+        diag_l = fg.T @ w_system
+        del fg
+        precond = linalg.hybrid_preconditioner(system.inverse_diagonal, g_int, diag_l)
     return StepOperators(mesh, projectors, tau, ie, if_,
                          sps.vstack([c_int, m_eps], format="csr"),
                          sps.vstack([m_face, ops.D[:, if_]], format="csr"),
@@ -167,18 +174,16 @@ def build_step_operators(mesh: PolyMesh, projectors: ElementProjectors,
 
 
 def make_state(ops: StepOperators, e: np.ndarray, b: np.ndarray, step: int = 0,
-               space: linalg.SolutionSpace | None = None) -> SimulationState:
-    """The state (e, b) at ``step``; ``space`` defaults to the span of e."""
-    if space is None:
-        space = linalg.SolutionSpace.spanned_by(ops.system, (e,), PROJECTION_CAPACITY)
-    m_eps_e = linalg.matvec(ops.curl_mass, e)[ops.interior_faces.size:]
-    return _state(ops, e, b, m_eps_e, step, space)
-
-
-def _state(ops: StepOperators, e: np.ndarray, b: np.ndarray, m_eps_e: np.ndarray,
-           step: int, space: linalg.SolutionSpace) -> SimulationState:
-    """The state (e, b), with M_f b and D b from one stacked product."""
+               space: linalg.SolutionSpace | None = None,
+               m_eps_e: np.ndarray | None = None) -> SimulationState:
+    """The state (e, b) at ``step``, with M_f b and D b from one stacked
+    product; ``space`` defaults to the span of e, and ``m_eps_e``, M_eps e,
+    is formed where it is not given."""
     nf = ops.interior_faces.size
+    if space is None:
+        space = linalg.SolutionSpace.spanned_by(ops.system, e, PROJECTION_CAPACITY)
+    if m_eps_e is None:
+        m_eps_e = linalg.matvec(ops.curl_mass, e)[nf:]
     face = linalg.matvec(ops.face_mass_div, b)      # [M_f b; D_int b]
     return SimulationState(e, b, step, m_eps_e, face[:nf], face[nf:], space)
 
@@ -225,8 +230,8 @@ def advance(state: SimulationState, ops: StepOperators, load: np.ndarray,
     space = state.space.extended(ops.system, e_new, guess)
     nf = ops.interior_faces.size
     edge = linalg.matvec(ops.curl_mass, e_new)      # [C_int e_new; M_eps e_new]
-    return _state(ops, e_new, state.b - tau * edge[:nf], edge[nf:], state.step + 1,
-                  space), report
+    return make_state(ops, e_new, state.b - tau * edge[:nf], state.step + 1, space,
+                      edge[nf:]), report
 
 
 @dataclass(frozen=True)

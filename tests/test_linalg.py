@@ -228,10 +228,11 @@ class TestCg:
         assert np.allclose(x, direct_solve(a, b), rtol=1e-9, atol=1e-12)
 
     def test_hybrid_preconditioner_needs_nonzero_gradient_columns(self):
-        a = random_spd(4).to_scipy()
+        a = random_spd(4)
         g = sps.csr_matrix(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
+        diag_l = (g.T @ a.to_scipy() @ g).diagonal()
         with pytest.raises(ValueError, match="nonpositive diagonal"):
-            linalg.hybrid_preconditioner(a, g)
+            linalg.hybrid_preconditioner(a.inverse_diagonal, g, diag_l)
 
     def test_deterministic_iterates(self):
         a = random_spd(50, seed=9)
@@ -252,6 +253,35 @@ class TestCg:
             true = np.linalg.norm(b - a.to_scipy() @ x) / np.linalg.norm(b)
             assert rep.residual == pytest.approx(true, rel=1e-12)
             assert rep.residual <= 1e-11
+
+    @pytest.mark.parametrize("precond", [False, True])
+    def test_start_modes_agree_bit_for_bit(self, monkeypatch, precond):
+        # no guess is the zero guess with A 0 = 0, and a_x0 = A x0 is the
+        # product CG would form: each pair gives the same x and report
+        a = random_spd(30, seed=25)
+        rng = np.random.default_rng(26)
+        b, x0 = rng.standard_normal(30), rng.standard_normal(30)
+        kw = dict(tol=1e-12, precond=random_spd(30, seed=27).to_scipy() if precond else None)
+        zero = np.zeros(30)
+        for start, same in (({}, {"x0": zero, "a_x0": zero}),
+                            ({"x0": x0}, {"x0": x0, "a_x0": a.to_scipy() @ x0})):
+            x1, r1 = linalg.cg_solve(a, b, **start, **kw)
+            x2, r2 = linalg.cg_solve(a, b, **same, **kw)
+            assert np.array_equal(x1, x2) and r1 == r2 and r1.iterations > 0
+        # a guess that meets tol with its product given: one product, the
+        # true residual's, and 0 iterations
+        x, _ = linalg.cg_solve(a, b, tol=1e-13)
+        products = []
+        original = linalg.matvec
+
+        def counted(m, v):
+            products.append(m)
+            return original(m, v)
+
+        monkeypatch.setattr(linalg, "matvec", counted)
+        got, rep = linalg.cg_solve(a, b, x0=x, a_x0=a.to_scipy() @ x, **kw)
+        assert rep.iterations == 0 and np.array_equal(got, x)
+        assert len(products) == 1 and products[0] is a.to_scipy()
 
     def test_wrong_a_x0_costs_iterations_not_the_result(self):
         # a_x0 that meets tol on its face is checked by a product: a wrong
@@ -310,7 +340,7 @@ class TestSolutionSpace:
         n, a = 40, random_spd(40, seed=3)
         csr = a.to_scipy()
         rng = np.random.default_rng(4)
-        start = linalg.SolutionSpace.spanned_by(a, (rng.standard_normal(n),), 12)
+        start = linalg.SolutionSpace.spanned_by(a, rng.standard_normal(n), 12)
         spaces = self.solve_in_turn(a, start, rng.standard_normal((10, n)))
         assert [s.size for s in spaces] == list(range(1, 12))
         eps = np.finfo(float).eps
@@ -327,7 +357,7 @@ class TestSolutionSpace:
         # 1e6 epsilons away from A-orthogonal, the second pass restores it
         n, a = 40, random_spd(40, seed=3)
         rng = np.random.default_rng(10)
-        start = linalg.SolutionSpace.spanned_by(a, (rng.standard_normal(n),), 12)
+        start = linalg.SolutionSpace.spanned_by(a, rng.standard_normal(n), 12)
         space = self.solve_in_turn(a, start, rng.standard_normal((5, n)))[-1]
         guess = space.guess(rng.standard_normal(n))
         in_space = rng.standard_normal(space.size) @ space.v[:space.size]
@@ -340,7 +370,7 @@ class TestSolutionSpace:
         # A x0 = W V' b stands in for CG's first residual product
         n, a = 40, random_spd(40, seed=3)
         rng = np.random.default_rng(9)
-        start = linalg.SolutionSpace.spanned_by(a, (rng.standard_normal(n),), 8)
+        start = linalg.SolutionSpace.spanned_by(a, rng.standard_normal(n), 8)
         eps = np.finfo(float).eps
         for space in self.solve_in_turn(a, start, rng.standard_normal((12, n))):
             guess = space.guess(rng.standard_normal(n))
@@ -352,7 +382,7 @@ class TestSolutionSpace:
         n, a = 30, random_spd(30, seed=5)
         rng = np.random.default_rng(6)
         rhs = rng.standard_normal((3, n))
-        start = linalg.SolutionSpace.spanned_by(a, (np.zeros(n),), 10)
+        start = linalg.SolutionSpace.spanned_by(a, np.zeros(n), 10)
         assert start.size == 0 and np.array_equal(start.guess(rhs[0]).x, np.zeros(n))
         space = self.solve_in_turn(a, start, rhs)[-1]
         b = 0.3 * rhs[0] - 2.0 * rhs[1] + rhs[2]
@@ -366,7 +396,7 @@ class TestSolutionSpace:
         n, a, capacity = 20, random_spd(20, seed=7), 4
         rng = np.random.default_rng(8)
         probe = rng.standard_normal(n)
-        start = linalg.SolutionSpace.spanned_by(a, (rng.standard_normal(n),), capacity)
+        start = linalg.SolutionSpace.spanned_by(a, rng.standard_normal(n), capacity)
         rhs = rng.standard_normal((7, n))
         spaces = self.solve_in_turn(a, start, rhs)
         guesses = [s.guess(probe).x for s in spaces]
@@ -384,7 +414,7 @@ class TestSolutionSpace:
         for space, guess in zip(spaces, guesses):
             assert np.array_equal(space.guess(probe).x, guess)
         with pytest.raises(ValueError, match="capacity"):
-            linalg.SolutionSpace.spanned_by(a, (probe,), linalg.RESTART_SOLUTIONS - 1)
+            linalg.SolutionSpace.spanned_by(a, probe, linalg.RESTART_SOLUTIONS - 1)
 
     @pytest.mark.parametrize("capacity, kept", [(10, 5), (13, 6)])
     def test_compressed_restart_keeps_the_latest_solutions(self, capacity, kept):
@@ -394,7 +424,7 @@ class TestSolutionSpace:
         n, a = 40, random_spd(40, seed=23)
         rng = np.random.default_rng(24)
         rhs = rng.standard_normal((3 * capacity, n))
-        start = linalg.SolutionSpace.spanned_by(a, (np.zeros(n),), capacity)
+        start = linalg.SolutionSpace.spanned_by(a, np.zeros(n), capacity)
         assert start.kept == kept
         spaces = self.solve_in_turn(a, start, rhs)
         csr = a.to_scipy()

@@ -70,6 +70,8 @@ class TestLoadMesh:
         ("vertices", 0, 0, float("-inf"), "vertex 0 has a non-finite coordinate"),
         ("vertices", 4, 0, 1e308, "vertex 4 has a coordinate beyond"),
         ("vertices", 4, 0, 1e160, "vertex 4 has a coordinate beyond"),
+        ("vertices", 4, 0, "1", "vertex 4 has a coordinate that is not a number"),
+        ("vertices", 4, 0, True, "vertex 4 has a coordinate that is not a number"),
         ("faces", 5, 1, 1.5, "face 5 has a non-integer index"),
         ("faces", 5, 1, True, "face 5 has a non-integer index"),
         ("cells", 2, 0, 3.0, "cell 2 has a non-integer index"),
@@ -94,6 +96,8 @@ class TestLoadMesh:
         (lambda d: d["cells"][2].clear(), vm.MeshTopologyError,
          "cell 2 has an invalid face list"),
         (lambda d: d["vertices"][3].pop(), vm.MeshFormatError, "malformed arrays"),
+        (lambda d: d["vertices"][4].__setitem__(0, 10**400), vm.MeshFormatError,
+         "malformed arrays: int too large"),
         (lambda d: d.__setitem__("cells", [3]), vm.MeshFormatError, "malformed arrays"),
         (lambda d: d.__setitem__("name", [1]), vm.MeshFormatError,
          "name must be a string"),
@@ -105,7 +109,8 @@ class TestLoadMesh:
         (lambda d: d.__setitem__("name", "two\rlines"), vm.MeshFormatError,
          "comma or a line break"),
     ], ids=["huge-face-index", "huge-cell-index", "cell-face-0", "face-vertex--1",
-            "two-vertex-face", "empty-cell", "two-vector-vertex", "cells-not-lists",
+            "two-vertex-face", "empty-cell", "two-vector-vertex", "huge-int-coordinate",
+            "cells-not-lists",
             "non-string-name", "comma-in-name", "newline-in-name", "return-in-name"])
     def test_malformed_document_raises_mesh_error(self, tmp_path, mutate, error, message):
         # a bare IndexError/KeyError/OverflowError would escape pytest.raises

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import functools
+import math
 import os
 import pathlib
 import subprocess
@@ -120,3 +121,25 @@ def test_paired_runs_summary():
     # higher is better: 8 of 10 wins is short of nine tenths
     rate = rows["rate"]
     assert (rate["wins"], rate["gain"], rate["within_bound"]) == (8, False, True)
+
+
+def test_compare_runs_columns():
+    import compare_runs
+
+    header = "label,err_E,div_B,wall_s\n"
+    parent = header + "cube8,2.000000000000000e-01,0.0,2.5e+00\ncube8,1.0e-01,1.0e-16,3.0\n"
+    wall = parent.replace("2.5e+00", "2.0e+00")
+    diffs, identical = compare_runs.compare(parent, wall)
+    assert identical and diffs == dict(label=0.0, err_E=0.0, div_B=0.0, wall_s=0.2)
+    # the same number in another text is a difference of 0 that still
+    # breaks byte identity; unequal text is infinitely far apart
+    change = wall.replace("1.0e-01", "1.000000000000001e-01").replace("1.0e-16", "0.1e-15")
+    diffs, identical = compare_runs.compare(parent, change.replace("cube8,2", "cube9,2"))
+    assert not identical
+    assert diffs["err_E"] == pytest.approx(1e-15, rel=0.2)
+    assert (diffs["div_B"], diffs["label"]) == (0.0, math.inf)
+    assert not compare_runs.compare(parent, parent.rstrip("\n"))[1]
+    with pytest.raises(ValueError, match="number of rows"):
+        compare_runs.compare(parent, header)
+    with pytest.raises(ValueError, match="field count"):
+        compare_runs.compare(parent, parent.replace("3.0", "3.0,1"))

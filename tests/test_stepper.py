@@ -422,6 +422,26 @@ class TestGradientCorrection:
         assert np.abs(p - want).max() <= 1e-13 * np.abs(want).max()
         assert np.linalg.eigvalsh(p)[0] > 0.0
 
+    @pytest.mark.parametrize("tau", [1 / 2, 1 / 4])
+    def test_preconditioner_matches_mass_factor_oracle(self, cube8, tau):
+        # C G = 0, so L = G' A G is (F_e G)' W (F_e G), with F_e the edge
+        # mass factor on interior edges and W the system's row weights:
+        # formed densely from the mass factor alone, diag L has no curl
+        # term to cancel
+        case = cases.case2()
+        proj = vd.build_projectors(cube8)
+        coeffs = forms.sample_coefficients(cube8, case.eps, case.sigma, case.mu)
+        ops = stepper.build_step_operators(cube8, proj, coeffs, tau)
+        assert ops.precond is not None
+        edge = forms.local_edge_mass(cube8, proj)
+        g = vd.gradient_matrix(cube8)[ops.interior_edges][
+            :, ~cube8.boundary_vertices].toarray()
+        fg = edge.f[:, ops.interior_edges] @ g
+        w = edge.weighted(coeffs.eps_hat + tau * coeffs.sigma_hat)
+        d = np.diag(fg.T @ (w[:, None] * fg))
+        want = np.diag(1.0 / ops.system.diagonal) + g @ np.diag(1.0 / d) @ g.T
+        assert np.abs(ops.precond.toarray() - want).max() <= 1e-14 * np.abs(want).max()
+
     @pytest.mark.parametrize("n, tau, on", [(8, 1 / 32, True), (6, 1 / 512, False)])
     def test_switch_rule(self, n, tau, on):
         # on where the curl part of the median diagonal entry of A
