@@ -18,9 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _case_fields
+from . import _case_fields, geometry
 from .derham import ElementProjectors
-from .geometry import cell_rules
 from .mesh import PolyMesh
 
 
@@ -210,13 +209,25 @@ def l2_error(mesh: PolyMesh, projectors: ElementProjectors, e_full: np.ndarray,
     nodes of a box chunk.  A component that is constant (identically 0 in
     practice) adds the closed form ``sum_K |K| (F_i - c_{K,i})^2`` over the
     chunk's cells instead.
+
+    Pyramid-rule chunks come from ``cell_rules`` sized by their points.
+    The box cells come as one rule, walked in slices: the first holds
+    ``CHUNK_POINTS // n^3`` cells, as if each took its n^3 tensor points,
+    and each later one ``CHUNK_POINTS // v`` cells, where v is the most
+    values per cell that a component took on the slice before.  A field of
+    x and y alone takes n^2, so case 2's slices hold n = 6 times the cells
+    of case 1's, and no component array outgrows ``CHUNK_POINTS`` values
+    or, where one cell takes more, that cell's values.
     """
     means = [np.ascontiguousarray((projectors.edge_cell @ e_full).reshape(-1, 3).T),
              np.ascontiguousarray((projectors.face_cell @ b_full).reshape(-1, 3).T)]
     scales = [[float(a(t)) for a in factors] for factors in case.EB_factors]
     err_sq = [0.0, 0.0]
-    for rule in cell_rules(mesh):
-        cells = rule.entities
+
+    def add(rule) -> int:
+        """Add the squared deviations over chunk ``rule`` to ``err_sq``;
+        return the size of its largest component array."""
+        cells, largest = rule.entities, 1
         for f, parts in enumerate(case.EB_parts(*rule.coords)):
             for i, c in enumerate(means[f]):
                 value = _component(scales[f], parts, i)
@@ -225,7 +236,18 @@ def l2_error(mesh: PolyMesh, projectors: ElementProjectors, e_full: np.ndarray,
                     err_sq[f] += float(mesh.cell_volumes[cells] @ (diff * diff))
                 else:
                     err_sq[f] += rule.squared_deviation(value, c)
-        del parts, value     # free this chunk's fields before the next chunk's are made
+                    largest = max(largest, value.size)
+        return largest
+
+    for rule in geometry.cell_rules(mesh):
+        if isinstance(rule, geometry.QuadratureRule):
+            add(rule)
+            continue
+        start, per_cell = 0, rule.weights.size ** 3
+        while start < rule.volumes.size:
+            chunk = rule[start:start + max(1, geometry.CHUNK_POINTS // per_cell)]
+            per_cell = max(1, add(chunk) // chunk.volumes.size)
+            start += chunk.volumes.size
     return ErrorReport(
         err_E=float(np.sqrt(err_sq[0])),
         err_B=float(np.sqrt(err_sq[1])),

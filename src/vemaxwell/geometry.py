@@ -10,7 +10,9 @@ points bit for bit.  The error pass's walk (``cell_rules``) integrates
 six-face axis-aligned box cells with a tensor Gauss rule instead, kept
 factored (``BoxRule``): each cell's Gauss nodes per axis, which broadcast
 to the tensor points, so a field of one coordinate is evaluated on those
-nodes alone.
+nodes alone.  All box cells form one such rule, which the caller slices
+into chunks by the values its fields take per cell; a mesh of boxes alone
+builds no tetrahedron rule.
 """
 
 from __future__ import annotations
@@ -27,10 +29,12 @@ from .mesh import PolyMesh, Ragged
 DEFAULT_CELL_DEGREE = 4
 
 # Quadrature points per chunk of whole entities in ``face_rules`` and
-# ``cell_rules``: few enough that a chunk's field values stay small in
-# memory, enough that several cells share a chunk (37 box cells of 216
-# points, or two pyramid-rule hexes of 3600) and per-call overhead stays
-# small.
+# ``cell_rules``, and field values per component array in the error
+# pass's slices of box cells: few enough that a chunk's field values stay
+# small in memory, enough that several cells share a chunk (two
+# pyramid-rule hexes of 3600 points; 37 box cells of 216 values, or 227
+# of 36 where the fields depend on two coordinates) and per-call overhead
+# stays small.
 CHUNK_POINTS = 8192
 
 # Gauss-Legendre points per direction of the box rule: the count that
@@ -84,6 +88,11 @@ class BoxRule:
     weights: np.ndarray      # (n,)
     volumes: np.ndarray      # (c,)
     entities: np.ndarray     # (c,) the cells, ascending
+
+    def __getitem__(self, cells: slice) -> BoxRule:
+        """The rule on the cells ``cells`` of this one, as views."""
+        return BoxRule(tuple(c[cells] for c in self.coords), self.weights,
+                       self.volumes[cells], self.entities[cells])
 
     def squared_deviation(self, value: np.ndarray, means: np.ndarray) -> float:
         """``sum w (value - means[cell])^2`` over the rule, for ``value``
@@ -269,17 +278,17 @@ def face_rules(mesh: PolyMesh, degree: int):
 
 
 def cell_rules(mesh: PolyMesh):
-    """A rule on every cell at the default cell degree, one chunk of whole
-    cells of one kind at a time: a ``BoxRule`` on the cells ``box_cells``
-    finds, each counted as its ``BOX_POINTS ** 3`` tensor points and taken
-    together wherever they lie, so that isolated boxes share chunks, then
-    ``cell_quadrature`` on each run of consecutive other cells."""
-    split = mesh.split
+    """A rule on every cell at the default cell degree: one ``BoxRule``
+    on all the cells ``box_cells`` finds, wherever they lie, for the caller
+    to walk in slices of whole cells, then ``cell_quadrature`` on each run
+    of consecutive other cells, one chunk of whole cells at a time.  Where
+    every cell is a box, no pyramid-rule table is built."""
     boxes, lo, hi = box_cells(mesh)
-    box_ids = np.flatnonzero(boxes)
-    per_chunk = max(1, CHUNK_POINTS // BOX_POINTS**3)
-    for start in range(0, box_ids.size, per_chunk):
-        yield _factored_rule(box_ids[start:start + per_chunk], lo, hi)
+    if boxes.any():
+        yield _factored_rule(np.flatnonzero(boxes), lo, hi)
+    if boxes.all():
+        return
+    split = mesh.split
     before = _points_before(split.tet_panels.offsets, split.tet_kept,
                             tetrahedron_rule(DEFAULT_CELL_DEGREE)[1].size)
     cuts = list(np.flatnonzero(np.diff(boxes)) + 1)

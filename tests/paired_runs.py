@@ -2,17 +2,20 @@
 end-to-end metric:
 
     python tests/paired_runs.py PARENT CHANGE [--pairs 10] [--seconds 8]
+                                [--workload NAME ...]
 
 PARENT and CHANGE are checkout directories.  For each workload of CHANGE's
-``BENCHMARK.json``, each pair runs one ``perfbench/run.py --trace 0``
+``BENCHMARK.json``, or each one named by ``--workload``, each pair runs one ``perfbench/run.py --trace 0``
 window per checkout, each with that checkout's own benchmark and sources;
 the parent runs first in even pairs and the change first in odd ones.  Per
 workload and metric it prints the parent's median and quartiles, the
 change's median, the pairs the change won (ties count for neither), whether
 a gain is shown (the change wins at least nine tenths of the pairs and its
 median is better than the parent's by more than the parent's interquartile
-range), and whether the change's median is within the metric's relative
-``bound`` of the parent's.  Nothing under either checkout is changed.
+range), whether the change's median is within the metric's relative
+``bound`` of the parent's, and whether it beats the parent's by more than
+that bound, the margin a claimed gain needs.  Nothing under either
+checkout is changed.
 Exits 1 when a window failed a run or gave no metrics.
 """
 
@@ -61,8 +64,31 @@ def summarise(pairs: list, metrics: list) -> list:
             gain=bool(wins >= GAIN_SHARE * len(both)
                       and sign * (median - change_median) > q3 - q1),
             within_bound=bool(sign * (change_median - median)
-                              <= metric["bound"] * abs(median))))
+                              <= metric["bound"] * abs(median)),
+            past_bound=bool(sign * (median - change_median)
+                            > metric["bound"] * abs(median))))
     return rows
+
+
+def selected(bench: dict, names) -> list:
+    """The workloads of ``bench`` named in ``names``, in ``bench``'s order,
+    or all of them when ``names`` is empty; ValueError names one unknown."""
+    known = [w["name"] for w in bench["workloads"]]
+    unknown = [name for name in names or () if name not in known]
+    if unknown:
+        raise ValueError(f"unknown workload {unknown[0]!r}; known: {', '.join(known)}")
+    return [name for name in known if not names or name in names]
+
+
+HEADER = ("workload metric parent_median [q1, q3] change_median wins/pairs gain "
+          "within_bound past_bound")
+
+
+def row_line(workload: str, r: dict) -> str:
+    """One printed row of ``summarise``'s row ``r``, in ``HEADER``'s columns."""
+    return (f"{workload} {r['metric']} {r['parent_median']:.4g} "
+            f"[{r['parent_q1']:.4g}, {r['parent_q3']:.4g}] {r['change_median']:.4g} "
+            f"{r['wins']}/{r['pairs']} {r['gain']} {r['within_bound']} {r['past_bound']}")
 
 
 def main(argv=None) -> int:
@@ -71,13 +97,18 @@ def main(argv=None) -> int:
     p.add_argument("change", type=Path)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=8.0)
+    p.add_argument("--workload", action="append",
+                   help="run only this workload (repeat for more)")
     args = p.parse_args(argv)
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    try:
+        workloads = selected(bench, args.workload)
+    except ValueError as exc:
+        p.error(str(exc))
     ok = True
-    print("workload metric parent_median [q1, q3] change_median wins/pairs gain "
-          "within_bound")
-    for workload in (w["name"] for w in bench["workloads"]):
+    print(HEADER)
+    for workload in workloads:
         pairs = []
         for i in range(args.pairs):
             order = (args.parent, args.change) if i % 2 == 0 else (args.change, args.parent)
@@ -85,9 +116,7 @@ def main(argv=None) -> int:
             ok &= all(values and not failed for values, failed in runs.values())
             pairs.append((runs[args.parent][0], runs[args.change][0]))
         for r in summarise(pairs, bench["end_to_end"]):
-            print(f"{workload} {r['metric']} {r['parent_median']:.4g} "
-                  f"[{r['parent_q1']:.4g}, {r['parent_q3']:.4g}] {r['change_median']:.4g} "
-                  f"{r['wins']}/{r['pairs']} {r['gain']} {r['within_bound']}", flush=True)
+            print(row_line(workload, r), flush=True)
     return 0 if ok else 1
 
 

@@ -202,14 +202,21 @@ class TestL2Error:
         assert rep.err_B == pytest.approx(np.sqrt(err_sq[1]), rel=1e-14, abs=0)
 
     def test_box_chunks_evaluate_nodes_per_axis(self, c2, cube8, trig_calls):
-        # each sin/cos of a box chunk sees the chunk's 6 nodes per cell
-        # along one axis, not its 216 points per cell
-        cases.l2_error(cube8, vd.build_projectors(cube8),
-                       np.zeros(cube8.n_edges), np.zeros(cube8.n_faces), c2, 1.0)
-        chunk_cells = [r.volumes.size for r in vg.cell_rules(cube8)]
-        assert len(trig_calls) == 4 * len(chunk_cells)
-        for k, cells in enumerate(chunk_cells):
-            assert max(trig_calls[4 * k:4 * k + 4]) <= 6 * cells
+        # each sin/cos of a box slice sees the slice's 6 nodes per cell
+        # along one axis, not its 216 points per cell; after the first
+        # slice of 8192 // 216 cells, each holds 8192 // 36
+        cells = []
+
+        def parts(x, y, z):
+            cells.append(x.shape[0])
+            return c2.EB_parts(x, y, z)
+
+        cases.l2_error(cube8, vd.build_projectors(cube8), np.zeros(cube8.n_edges),
+                       np.zeros(cube8.n_faces), dataclasses.replace(c2, EB_parts=parts), 1.0)
+        assert cells == [37, 227, 227, 21]
+        assert len(trig_calls) == 4 * len(cells)
+        for k, n in enumerate(cells):
+            assert max(trig_calls[4 * k:4 * k + 4]) <= 6 * n
 
     def test_norms_nonnegative(self, c1, cube2):
         proj = vd.build_projectors(cube2)
@@ -286,6 +293,27 @@ class TestChunkedMatchesLoops:
         assert rep.err_B == pytest.approx(want_b, rel=1e-14)
 
 
+class TestL2ErrorBudget:
+    """``l2_error`` gives the same norms to 1e-14 relative whatever the
+    chunk budget, so slicing the box cells only reorders the sum."""
+
+    @pytest.mark.parametrize("case_id", [1, 2])
+    @pytest.mark.parametrize("name", ["cube8", "agglo4"])
+    def test_norms_independent_of_budget(self, name, case_id, request, monkeypatch):
+        m = request.getfixturevalue(name)
+        case = cases.get_case(case_id)
+        proj = vd.build_projectors(m)
+        rng = np.random.default_rng(case_id)
+        e, b = rng.standard_normal(m.n_edges), rng.standard_normal(m.n_faces)
+        reports = []
+        for budget in BUDGETS:
+            monkeypatch.setattr(vg, "CHUNK_POINTS", budget)
+            reports.append(cases.l2_error(m, proj, e, b, case, 0.7))
+        for rep in reports[1:]:
+            assert rep.err_E == pytest.approx(reports[0].err_E, rel=1e-14, abs=0)
+            assert rep.err_B == pytest.approx(reports[0].err_B, rel=1e-14, abs=0)
+
+
 class TestPointLayout:
     @pytest.mark.parametrize("case_id", [1, 2])
     def test_values_independent_of_layout(self, case_id):
@@ -301,8 +329,10 @@ class TestPointLayout:
 
 
 class TestChunkBudget:
-    """No field call sees more points than the chunk budget or, when one
-    entity holds more, that entity's points; every point is seen once."""
+    """No array a walk forms holds more values than the chunk budget or,
+    where one entity takes more, that entity's values; every point is seen
+    once.  A box slice's fields take fewer values than its tensor points
+    where they depend on fewer than three coordinates."""
 
     @staticmethod
     def recording(case):
@@ -321,18 +351,71 @@ class TestChunkBudget:
         return dataclasses.replace(case, E=record(case.E), B=record(case.B),
                                    EB_parts=record_parts), sizes
 
+    @staticmethod
+    def l2_error_arrays(m, case, budget, monkeypatch):
+        """Sizes of the component arrays ``l2_error`` forms on ``m`` at
+        chunk budget ``budget``, and the cells of each box slice."""
+        sizes, box_cells = [], []
+
+        def component(scales, parts, i):
+            value = component_of(scales, parts, i)
+            if np.ndim(value):
+                sizes.append(value.size)
+            return value
+
+        def parts(x, y, z):
+            if np.ndim(x) == 4:
+                box_cells.append(x.shape[0])
+            return case.EB_parts(x, y, z)
+
+        component_of = cases._component
+        with monkeypatch.context() as patch:
+            patch.setattr(cases, "_component", component)
+            patch.setattr(vg, "CHUNK_POINTS", budget)
+            cases.l2_error(m, vd.build_projectors(m), np.zeros(m.n_edges), np.zeros(m.n_faces),
+                           dataclasses.replace(case, EB_parts=parts), 1.0)
+        return sizes, box_cells
+
     @pytest.mark.parametrize("budget", [vg.CHUNK_POINTS, 5000])
     @pytest.mark.parametrize("name", ["cube4", "voro27"])
     def test_l2_error(self, name, budget, request, monkeypatch):
+        # every component array holds at most the budget or, where one cell
+        # takes more, that cell's values, as one-cell chunks show; every
+        # point is seen once, E and B together
         m = request.getfixturevalue(name)
-        monkeypatch.setattr(vg, "CHUNK_POINTS", budget)
-        case, sizes = self.recording(cases.case2())
-        cases.l2_error(m, vd.build_projectors(m), np.zeros(m.n_edges),
-                       np.zeros(m.n_faces), case, 1.0)
         per_cell = np.bincount(np.concatenate([flat_rule(m, r).owners
                                                for r in vg.cell_rules(m)]))
-        assert max(sizes) <= max(budget, per_cell.max())
-        assert sum(sizes) == per_cell.sum()      # E and B together, once per point
+        for case_id in (1, 2):
+            one_cell = max(self.l2_error_arrays(m, cases.get_case(case_id), 1, monkeypatch)[0])
+            sizes = self.l2_error_arrays(m, cases.get_case(case_id), budget, monkeypatch)[0]
+            assert max(sizes) <= max(budget, one_cell)
+            case, points = self.recording(cases.get_case(case_id))
+            with monkeypatch.context() as patch:
+                patch.setattr(vg, "CHUNK_POINTS", budget)
+                cases.l2_error(m, vd.build_projectors(m), np.zeros(m.n_edges),
+                               np.zeros(m.n_faces), case, 1.0)
+            assert sum(points) == per_cell.sum()
+
+    @pytest.mark.parametrize("budget", [1, vg.CHUNK_POINTS, 10**9])
+    @pytest.mark.parametrize("name", ["cube4", "cube8", "agglo4"])
+    def test_l2_error_box_slices(self, name, budget, request, monkeypatch):
+        # the box cells' slices keep every component array within the
+        # budget or one cell's values, and cover each box cell once
+        m = request.getfixturevalue(name)
+        boxes = vg.box_cells(m)[0]
+        for case_id in (1, 2):
+            case = cases.get_case(case_id)
+            one_cell = max(self.l2_error_arrays(m, case, 1, monkeypatch)[0])
+            sizes, box_cells = self.l2_error_arrays(m, case, budget, monkeypatch)
+            assert max(sizes) <= max(budget, one_cell)
+            assert sum(box_cells) == boxes.sum()
+            assert budget > 1 or set(box_cells) == {1}      # one_cell is one cell's
+
+    def test_case1_box_slices_keep_their_size(self, c1, cube8, monkeypatch):
+        # case 1 takes all 216 tensor points per cell, so every box slice
+        # holds the 8192 // 216 = 37 cells of the first
+        box_cells = self.l2_error_arrays(cube8, c1, vg.CHUNK_POINTS, monkeypatch)[1]
+        assert max(box_cells) == 37 and sum(box_cells) == 512
 
     def test_l2_error_on_box_rule(self, cube8):
         # every cube:8 cell is a box: 216 points each, not 24 x 150

@@ -226,6 +226,21 @@ class TestMain:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_nonpositive_T_exit_two(self, capsys, value):
+        code = cli.main(["--generate", "cube:2", "--case", "2", "--tau", "1/4", "--T", value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "is not positive" in err and "does not divide" not in err
+
+    def test_step_count_not_finite_exit_two(self, capsys):
+        # 1e308 / 0.25 overflows: no step count reaches T
+        code = cli.main(["--generate", "cube:2", "--case", "2", "--tau", "1/4", "--T", "1e308"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "step count T/tau = 1e+308/0.25 is not finite" in err
+        assert "does not divide" not in err
+
     @pytest.mark.parametrize("name", ["run 1, coarse", "two\nlines"])
     def test_csv_breaking_mesh_name_exit_three(self, capsys, tmp_path, name):
         doc = json.loads((DATA / "voro8.json").read_text())

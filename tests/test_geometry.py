@@ -300,6 +300,14 @@ class TestBoxRule:
             exact = np.prod((hi ** (exps + 1) - lo ** (exps + 1)) / (exps + 1), axis=1)
             assert np.abs(got / exact - 1).max() <= 1e-12
 
+    @pytest.mark.parametrize("name, tables", [("cube4", 0), ("agglo4", 1), ("voro8", 1)])
+    def test_pyramid_rule_built_only_for_other_cells(self, name, tables, request):
+        # an all-box mesh walks no pyramid rule, so its table is not built
+        m = request.getfixturevalue(name)
+        vg.tetrahedron_rule.cache_clear()
+        list(vg.cell_rules(m))
+        assert vg.tetrahedron_rule.cache_info().misses == tables
+
     @pytest.mark.parametrize("name", SPLIT_MESHES + ["agglo4"])
     def test_other_cells_keep_pyramid_rule(self, name, request):
         # chunks hold one kind of cell; a pyramid chunk is cell_quadrature's
@@ -503,23 +511,25 @@ class TestChunking:
 
     @pytest.mark.parametrize("name", ["cube4", "cube8", "agglo4"])
     def test_box_rules_independent_of_budget(self, name, request, monkeypatch):
-        # the factored rules' nodes and volumes, cell by cell, and chunks of
-        # whole cells within the budget, counting 216 points per box; boxes
-        # share chunks wherever they lie (agglo4's 8 are not adjacent)
+        # one factored rule on every box, wherever they lie (agglo4's 8 are
+        # not adjacent), whatever the budget: the caller slices it, and a
+        # slice is the rule factored on its cells alone, bit for bit; the
+        # memory bound of those slices is checked where l2_error forms them
         m = request.getfixturevalue(name)
-        boxes = vg.box_cells(m)[0]
+        boxes, lo, hi = vg.box_cells(m)
         joined = []
         for budget in (1, vg.CHUNK_POINTS, 10**9):
             monkeypatch.setattr(vg, "CHUNK_POINTS", budget)
-            rules = [r for r in vg.cell_rules(m) if isinstance(r, vg.BoxRule)]
-            cells = np.concatenate([r.entities for r in rules])
-            assert np.array_equal(cells, np.flatnonzero(boxes))
-            assert len(rules) == -(-cells.size // max(1, budget // 216))
-            for r in rules:
-                assert 216 * r.volumes.size <= max(budget, 216)
-                assert all(c.shape[0] == r.volumes.size for c in r.coords)
-            joined.append([np.concatenate([r.coords[axis] for r in rules]) for axis in range(3)]
-                          + [np.concatenate([r.volumes for r in rules])])
+            rule, = box_chunks(m)
+            assert np.array_equal(rule.entities, np.flatnonzero(boxes))
+            assert all(c.shape[0] == rule.volumes.size for c in rule.coords)
+            joined.append(list(rule.coords) + [rule.volumes])
         for other in joined[1:]:
             for a, b in zip(joined[0], other):
+                assert np.array_equal(a, b)
+        for cells in (slice(0, 1), slice(1, 5), slice(3, None)):
+            part, want = rule[cells], vg._factored_rule(rule.entities[cells], lo, hi)
+            for field in ("entities", "volumes", "weights"):
+                assert np.array_equal(getattr(part, field), getattr(want, field))
+            for a, b in zip(part.coords, want.coords):
                 assert np.array_equal(a, b)

@@ -121,6 +121,38 @@ def test_paired_runs_summary():
     # higher is better: 8 of 10 wins is short of nine tenths
     rate = rows["rate"]
     assert (rate["wins"], rate["gain"], rate["within_bound"]) == (8, False, True)
+    # run_s halves, past its 25 % bound; the rate's 10 % rise only meets
+    # its 10 % bound, and the RSS got worse
+    assert run["past_bound"] and not rate["past_bound"] and not rss["past_bound"]
+
+
+def test_paired_runs_past_bound_is_the_claim_margin():
+    # a 23.5 % fall shows a gain over a tight spread, yet misses a 25 %
+    # bound; a 46 % fall clears it
+    import paired_runs
+
+    metrics = [dict(name="error_s", better="lower", bound=0.25)]
+    parent = [0.0381 + 0.0002 * (i % 3) for i in range(10)]
+    for fall, past in ((0.235, False), (0.46, True)):
+        pairs = [(dict(error_s=p), dict(error_s=(1 - fall) * p)) for p in parent]
+        row, = paired_runs.summarise(pairs, metrics)
+        assert (row["wins"], row["gain"], row["past_bound"]) == (10, True, past)
+        line = paired_runs.row_line("agglo-case1", row)
+        assert line.split()[0] == "agglo-case1" and line.endswith(f"True True {past}")
+        assert len(line.split()) == len(paired_runs.HEADER.split())
+
+
+def test_paired_runs_workload_filter():
+    import paired_runs
+
+    bench = dict(workloads=[dict(name=n) for n in ("hex-coarse-dt", "hex-fine-dt",
+                                                   "agglo-case1")])
+    assert paired_runs.selected(bench, None) == ["hex-coarse-dt", "hex-fine-dt",
+                                                 "agglo-case1"]
+    assert paired_runs.selected(bench, ["agglo-case1", "hex-coarse-dt"]) == [
+        "hex-coarse-dt", "agglo-case1"]
+    with pytest.raises(ValueError, match="unknown workload 'hex'"):
+        paired_runs.selected(bench, ["hex"])
 
 
 def test_compare_runs_columns():
