@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _case_fields, geometry
+from . import _case_fields, geometry, linalg
 from .derham import ElementProjectors
 from .mesh import PolyMesh
 
@@ -219,8 +219,8 @@ def l2_error(mesh: PolyMesh, projectors: ElementProjectors, e_full: np.ndarray,
     of case 1's, and no component array outgrows ``CHUNK_POINTS`` values
     or, where one cell takes more, that cell's values.
     """
-    means = [np.ascontiguousarray((projectors.edge_cell @ e_full).reshape(-1, 3).T),
-             np.ascontiguousarray((projectors.face_cell @ b_full).reshape(-1, 3).T)]
+    means = [np.ascontiguousarray(linalg.matvec(a, x).reshape(-1, 3).T)
+             for a, x in ((projectors.edge_cell, e_full), (projectors.face_cell, b_full))]
     scales = [[float(a(t)) for a in factors] for factors in case.EB_factors]
     err_sq = [0.0, 0.0]
 

@@ -12,7 +12,10 @@ factored (``BoxRule``): each cell's Gauss nodes per axis, which broadcast
 to the tensor points, so a field of one coordinate is evaluated on those
 nodes alone.  All box cells form one such rule, which the caller slices
 into chunks by the values its fields take per cell; a mesh of boxes alone
-builds no tetrahedron rule.
+builds no tetrahedron rule.  Box cells are found from the vertex bounding
+boxes the mesh build keeps (``PolyMesh.cell_bounds``), and the Gauss-Legendre
+rules repeat numpy's ``leggauss`` arithmetic without loading
+``numpy.polynomial``.
 """
 
 from __future__ import annotations
@@ -108,11 +111,41 @@ class BoxRule:
         return float(self.volumes @ (diff.reshape(diff.shape[0], -1) @ weights.ravel()))
 
 
+def _legval(x: float, c) -> float:
+    """``sum_k c[k] P_k(x)`` by numpy's ``legval`` Clenshaw recurrence,
+    operation for operation, on Python floats."""
+    if len(c) == 1:
+        return c[0] + 0 * x
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 @lru_cache(maxsize=64)
 def _gauss01(npts: int):
-    """Gauss-Legendre nodes/weights on [0, 1]."""
-    xs, ws = np.polynomial.legendre.leggauss(npts)
-    return 0.5 * (xs + 1.0), 0.5 * ws
+    """Gauss-Legendre nodes/weights on [0, 1]: the arithmetic of numpy's
+    ``leggauss``, bit for bit, without loading ``numpy.polynomial``.  The
+    nodes are the eigenvalues of the scaled companion (Jacobi) matrix,
+    refined by one Newton step on P_n, and the weights come from P_n' and
+    P_{n-1} at the nodes, symmetrised and scaled to sum to 2 on [-1, 1]."""
+    scl = 1.0 / np.sqrt(2 * np.arange(npts) + 1)
+    jacobi = np.diag(np.arange(1, npts) * scl[:-1] * scl[1:], 1)
+    roots = np.linalg.eigvalsh(jacobi + jacobi.T).tolist()
+    # P_n, and P_n' = sum (2k + 1) P_k over k = n - 1, n - 3, ... >= 0
+    p_n = [0.0] * npts + [1.0]
+    dp_n = [2.0 * k + 1.0 if (npts - 1 - k) % 2 == 0 else 0.0 for k in range(npts)]
+    df = [_legval(r, dp_n) for r in roots]
+    x = np.array([r - _legval(r, p_n) / d for r, d in zip(roots, df)])
+    fm = np.array([_legval(r, p_n[1:]) for r in x.tolist()])
+    df = np.array(df)
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return 0.5 * (x + 1.0), 0.5 * w
 
 
 def segment_rule(degree: int):
@@ -217,26 +250,18 @@ def cell_quadrature(mesh: PolyMesh, cells, degree: int = DEFAULT_CELL_DEGREE) ->
 
 def box_cells(mesh: PolyMesh):
     """Which cells are axis-aligned boxes, and the vertex bounding box
-    ``(lo, hi)`` of every cell.
+    ``(lo, hi)`` of every cell, as the mesh build took it
+    (``PolyMesh.cell_bounds``).
 
-    The bounds are taken one coordinate at a time, over each face loop's
-    vertices and then over each cell's faces.  A cell is a box where it
-    has six faces and its volume equals its bounding box's to
-    ``BOX_RTOL``: a cell fills its bounding box only if it is that box.
-    Boxes with more faces (agglomerated 2 x 1 x 1 hexes) are left to the
-    pyramid rule: it is 1.7e-9 off on them, so switching them would move
-    the benchmark's recorded errors.
+    A cell is a box where it has six faces and its volume equals its
+    bounding box's to ``BOX_RTOL``: a cell fills its bounding box only if
+    it is that box.  Boxes with more faces (agglomerated 2 x 1 x 1 hexes)
+    are left to the pyramid rule: it is 1.7e-9 off on them, so switching
+    them would move the benchmark's recorded errors.
     """
-    faces, cell_faces = mesh.faces, mesh.cell_faces
-    bounds = np.empty((2, 3, mesh.n_cells))      # lo, then hi, one row per coordinate
-    for axis, coordinate in enumerate(mesh.vertices.T):
-        on_loops = coordinate[faces.flat]
-        for bound, reduce in zip(bounds, (np.minimum, np.maximum)):
-            per_face = reduce.reduceat(on_loops, faces.offsets[:-1])
-            bound[axis] = reduce.reduceat(per_face[cell_faces.flat], cell_faces.offsets[:-1])
-    lo, hi = bounds.transpose(0, 2, 1)
+    lo, hi = mesh.cell_bounds
     box_volumes = np.prod(hi - lo, axis=1)
-    boxes = ((np.diff(cell_faces.offsets) == 6)
+    boxes = ((np.diff(mesh.cell_faces.offsets) == 6)
              & (np.abs(mesh.cell_volumes - box_volumes) <= BOX_RTOL * box_volumes))
     return boxes, lo, hi
 
@@ -246,11 +271,11 @@ def _factored_rule(cells: np.ndarray, lo, hi) -> BoxRule:
     of the cells ``cells``: exact for every polynomial of degree
     ``2 BOX_POINTS - 1`` in each coordinate."""
     g, w = _gauss01(BOX_POINTS)
-    extent = hi[cells] - lo[cells]
+    lo = lo[cells]
+    extent = hi[cells] - lo
+    nodes = lo.T[:, :, None] + extent.T[:, :, None] * g         # (3, c, n)
     shapes = ((-1, BOX_POINTS, 1, 1), (-1, 1, BOX_POINTS, 1), (-1, 1, 1, BOX_POINTS))
-    coords = tuple((lo[cells, axis, None] + extent[:, axis, None] * g).reshape(shape)
-                   for axis, shape in enumerate(shapes))
-    return BoxRule(coords, w, np.prod(extent, axis=1), cells)
+    return BoxRule(tuple(map(np.reshape, nodes, shapes)), w, np.prod(extent, axis=1), cells)
 
 
 def _points_before(offsets, kept, points_per_simplex: int):

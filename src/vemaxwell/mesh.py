@@ -123,6 +123,7 @@ class PolyMesh:
     cell_volumes: np.ndarray             # (nc,)
     cell_centroids: np.ndarray           # (nc, 3)
     cell_diameters: np.ndarray           # (nc,)
+    cell_bounds: np.ndarray              # (2, nc, 3): vertex bounding box, lo then hi
     split: SimplexSplit                  # fan/pyramid sub-simplices
     name: str = ""
 
@@ -213,6 +214,13 @@ def _point_set_diameter(points: np.ndarray):
     """Largest vertex distance of each (..., m, 3) point set."""
     d = points[..., :, None, :] - points[..., None, :, :]
     return np.sqrt((d * d).sum(axis=-1)).max(axis=(-2, -1))
+
+
+def _vertex_set_stats(points: np.ndarray) -> np.ndarray:
+    """Per (g, m, 3) vertex stack: mean, min and max per coordinate, then
+    diameter, as (g, 10) rows."""
+    return np.concatenate([points.mean(axis=1), points.min(axis=1), points.max(axis=1),
+                           _point_set_diameter(points)[:, None]], axis=1)
 
 
 def _stacked(fn, x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -374,10 +382,14 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
     # Sorted unique vertices of each cell, read off its panels.
     keys = np.unique(tet_cells * nv + loop_ab[tet_panels, 0])
     cell_verts, cv_offsets = keys % nv, _offsets(np.bincount(keys // nv, minlength=nc))
-    cell_apexes = _stacked(lambda v: v.mean(axis=1), vertices[cell_verts], cv_offsets)
+    # One pass over each cell's vertex stack: the apex (vertex mean), the
+    # vertex bounding box and the vertex diameter.
+    stats = _stacked(_vertex_set_stats, vertices[cell_verts], cv_offsets)
+    cell_apexes = stats[:, :3].copy()
+    cell_bounds = stats[:, 3:9].reshape(nc, 2, 3).transpose(1, 0, 2).copy()
+    cell_diameters = stats[:, 9].copy()
 
     # Per-cell checks: closure, divergence-theorem volume, vertex diameter.
-    cell_diameters = _stacked(_point_set_diameter, vertices[cell_verts], cv_offsets)
     flux = cs_flat[:, None] * face_areas[cf_flat, None] * face_normals[cf_flat]
     closure = np.linalg.norm(_stacked(_sum, flux, cell_faces.offsets), axis=1)
     heights = np.einsum("ij,ij->i", face_centroids[cf_flat], face_normals[cf_flat])
@@ -441,6 +453,7 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
         cell_volumes=cell_volumes,
         cell_centroids=cell_centroids,
         cell_diameters=cell_diameters,
+        cell_bounds=cell_bounds,
         split=split,
         name=name,
     )

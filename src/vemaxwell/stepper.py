@@ -261,13 +261,17 @@ class RunResult:
 
 def step_count(T: float, tau: float) -> int:
     """The number n of steps of size tau that reach T; ValueError unless
-    T > 0, tau > 0 and T / tau is finite and within 1e-12 n of an integer
-    n >= 1."""
+    T > 0, tau > 0 and T / tau is finite, at most 2**53 and within
+    1e-12 n of an integer n >= 1.  Past 2**53 a float no longer holds every
+    integer, so T / tau is an integer whatever tau and the check says
+    nothing."""
     if not T > 0:
         raise ValueError(f"T={T} is not positive")
     steps = T / tau if tau > 0 else np.nan
     if np.isinf(steps):
         raise ValueError(f"the step count T/tau = {T}/{tau} is not finite")
+    if steps > 2**53:
+        raise ValueError(f"the step count T/tau = {T}/{tau} = {steps:.3g} exceeds 2**53")
     n = int(round(steps)) if np.isfinite(steps) else 0
     if n < 1 or abs(steps - n) > 1e-12 * n:
         raise ValueError(f"tau={tau} does not divide T={T}")

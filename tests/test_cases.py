@@ -12,7 +12,7 @@ import sympy as sp
 import case_source
 import vemaxwell
 from conftest import SPLIT_MESHES, expand, flat_rule, strong_form_residual
-from vemaxwell import _case_fields, cases, stepper
+from vemaxwell import _case_fields, cases, linalg, stepper
 from vemaxwell import derham as vd
 from vemaxwell import geometry as vg
 
@@ -257,6 +257,23 @@ def loop_l2_error(mesh, projectors, e_full, b_full, case, t):
 
 # Chunk budgets: the default, one entity per chunk, the whole mesh at once.
 BUDGETS = [vg.CHUNK_POINTS, 1, 10**9]
+
+
+class TestCellMeans:
+    @pytest.mark.parametrize("name", ["cube8", "agglo4"])
+    def test_means_through_matvec_are_the_products(self, name, c2, request, monkeypatch):
+        # l2_error forms its cell means with linalg.matvec: bit for bit the
+        # products with @ of the edge and face projectors, and so the errors
+        m = request.getfixturevalue(name)
+        proj = vd.build_projectors(m)
+        rng = np.random.default_rng(7)
+        e, b = rng.standard_normal(m.n_edges), rng.standard_normal(m.n_faces)
+        assert np.array_equal(linalg.matvec(proj.edge_cell, e), proj.edge_cell @ e)
+        assert np.array_equal(linalg.matvec(proj.face_cell, b), proj.face_cell @ b)
+        got = cases.l2_error(m, proj, e, b, c2, 0.3)
+        monkeypatch.setattr(linalg, "matvec", lambda a, x: a @ x)
+        want = cases.l2_error(m, proj, e, b, c2, 0.3)
+        assert (got.err_E, got.err_B) == (want.err_E, want.err_B)
 
 
 class TestChunkedMatchesLoops:

@@ -241,6 +241,22 @@ class TestMain:
         assert "step count T/tau = 1e+308/0.25 is not finite" in err
         assert "does not divide" not in err
 
+    @pytest.mark.parametrize("argv, steps", [(["--tau", "1e-300"], "1e+300"),
+                                             (["--tau", "1e-17"], "1e+17"),
+                                             (["--tau", "1/4", "--T", "1e17"], "4e+17")])
+    def test_step_count_past_2_53_exit_two(self, capsys, monkeypatch, argv, steps):
+        # past 2**53 every float is an integer, so the divisibility check
+        # says nothing; the config error comes before any mesh is built
+        def no_mesh(n):
+            raise AssertionError("mesh built")
+
+        monkeypatch.setattr(cli.vmesh, "generate_cube_mesh", no_mesh)
+        code = cli.main(["--generate", "cube:1", "--case", "2"] + argv)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: the step count T/tau = ")
+        assert captured.err.endswith(f"= {steps} exceeds 2**53\n") and captured.out == ""
+
     @pytest.mark.parametrize("name", ["run 1, coarse", "two\nlines"])
     def test_csv_breaking_mesh_name_exit_three(self, capsys, tmp_path, name):
         doc = json.loads((DATA / "voro8.json").read_text())

@@ -108,6 +108,24 @@ class TestEdgeQuadrature:
         assert weights @ np.cos(s) == pytest.approx(np.sin(1.0), abs=1e-12)
 
 
+class TestGaussRule:
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_matches_leggauss(self, n):
+        # numpy's arithmetic, mapped to [0, 1], bit for bit
+        x, w = np.polynomial.legendre.leggauss(n)
+        nodes, weights = vg._gauss01.__wrapped__(n)
+        assert np.array_equal(nodes, 0.5 * (x + 1)) and np.array_equal(weights, 0.5 * w)
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_exact_to_degree_2n_minus_1(self, n):
+        # int_0^1 x^k = 1 / (k + 1) for k <= 2n - 1, to round-off: 1.8e-15
+        # at most (n = 38), as leggauss gives it
+        nodes, weights = vg._gauss01(n)
+        k = np.arange(2 * n)
+        got = (nodes[:, None] ** k * weights[:, None]).sum(axis=0)
+        assert np.abs(got - 1 / (k + 1)).max() <= 2e-15
+
+
 class TestFaceQuadrature:
     def test_constant(self, cube1, lcell):
         for m in (cube1, lcell):
@@ -208,6 +226,20 @@ def oracle_bounds(mesh):
             np.maximum.reduceat(ends.max(axis=1), starts))
 
 
+def oracle_loop_bounds(mesh):
+    """Vertex bounding boxes (lo, hi) as ``box_cells`` once took them: one
+    coordinate at a time, a 1-D ``reduceat`` over each face loop's vertices,
+    then over each cell's faces."""
+    faces, cell_faces = mesh.faces, mesh.cell_faces
+    bounds = np.empty((2, 3, mesh.n_cells))
+    for axis, coordinate in enumerate(mesh.vertices.T):
+        on_loops = coordinate[faces.flat]
+        for bound, reduce in zip(bounds, (np.minimum, np.maximum)):
+            per_face = reduce.reduceat(on_loops, faces.offsets[:-1])
+            bound[axis] = reduce.reduceat(per_face[cell_faces.flat], cell_faces.offsets[:-1])
+    return bounds.transpose(0, 2, 1)
+
+
 # Hexahedra that are not boxes: a sheared one, and one corner moved out or in.
 OFF_BOX = {"sheared": dict(shear=0.2), "perturbed-out": dict(shift=(4e-11, 0.0, 0.0)),
            "perturbed-in": dict(shift=(-4e-11, -4e-11, -4e-11))}
@@ -258,6 +290,17 @@ class TestBoxRule:
         _, lo, hi = vg.box_cells(m)
         want_lo, want_hi = oracle_bounds(m)
         assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+
+    @pytest.mark.parametrize("name", ["cube1", "cube2", "cube4", "cube8", "agglo4", "lcell",
+                                      "two_prisms", "voro8", "voro27"] + list(OFF_BOX))
+    def test_cell_bounds_match_loop_oracle(self, name, request):
+        # the mesh build's bounds, read by box_cells, are the per-face then
+        # per-cell reduction's bit for bit
+        m = build_box(**OFF_BOX[name]) if name in OFF_BOX else request.getfixturevalue(name)
+        assert m.cell_bounds.shape == (2, m.n_cells, 3)
+        assert np.array_equal(m.cell_bounds, oracle_loop_bounds(m))
+        _, lo, hi = vg.box_cells(m)
+        assert np.array_equal(lo, m.cell_bounds[0]) and np.array_equal(hi, m.cell_bounds[1])
 
     def test_points_per_direction(self, box):
         # the Gauss count of the pyramid rule's first direction, per axis

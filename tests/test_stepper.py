@@ -512,6 +512,16 @@ class TestRun:
         with pytest.raises(ValueError):
             stepper.step_count(T, tau)
 
+    @pytest.mark.parametrize("T, tau", [(1.0, 1e-300), (1.0, 1e-17), (1e17, 0.25),
+                                        (2.0**53 + 2.0, 1.0)])
+    def test_step_count_past_2_53_rejected(self, T, tau):
+        # every float past 2**53 is an integer, so divisibility says nothing
+        with pytest.raises(ValueError, match=r"T/tau = .* exceeds 2\*\*53"):
+            stepper.step_count(T, tau)
+
+    def test_step_count_up_to_2_53(self):
+        assert stepper.step_count(2.0**53, 1.0) == 2**53
+
     def test_energy_dissipation_free_evolution(self, cube4):
         case = make_case(spatial_e, spatial_b, eps=1.0, sigma=1.0, mu=1.0)
         res = stepper.run(cube4, case, 1 / 16, 1.0)
