@@ -258,6 +258,8 @@ def main(argv=None) -> int:
                            eta_face=args.eta_face, tol=args.tol, out=args.out,
                            monitors=args.monitors, grid=args.grid)
         study = args.levels >= 2 or sources is not None
+        if args.generate is not None and not args.generate.startswith("cube:"):
+            raise ConfigError(f"--generate takes cube:<n>, not {args.generate!r}")
         if args.levels < 1:
             raise ConfigError(f"--levels must be at least 1, got {args.levels}")
         if args.grid and not study:

@@ -1,21 +1,22 @@
 """Quadrature on segments, polygonal faces and polyhedral cells.
 
-Face and cell rules map reference triangle and tetrahedron rules onto the
-signed fan panels and pyramid tetrahedra of ``PolyMesh.split``, so
-nonconvex faces and cells integrate exactly.  A rule covers a range of
-whole entities and stores its points as three contiguous coordinate
-planes; fields see them as an (m, 3) view.  All pieces of a range are
-mapped by one batched product, and a range's points equal its entities'
-points bit for bit.  The error pass's walk (``cell_rules``) integrates
-six-face axis-aligned box cells with a tensor Gauss rule instead, kept
-factored (``BoxRule``): each cell's Gauss nodes per axis, which broadcast
-to the tensor points, so a field of one coordinate is evaluated on those
-nodes alone.  All box cells form one such rule, which the caller slices
-into chunks by the values its fields take per cell; a mesh of boxes alone
-builds no tetrahedron rule.  Box cells are found from the vertex bounding
-boxes the mesh build keeps (``PolyMesh.cell_bounds``), and the Gauss-Legendre
-rules repeat numpy's ``leggauss`` arithmetic without loading
-``numpy.polynomial``.
+Face and cell rules map reference triangle and tetrahedron rules onto
+every signed fan panel and pyramid tetrahedron of ``PolyMesh.split``, flat
+ones included (they weigh 0), so nonconvex faces and cells integrate
+exactly.  A rule covers a range of whole entities, whose pieces are one
+contiguous slice of the split, and stores its points as three contiguous
+coordinate planes; fields see them as an (m, 3) view.  All pieces of a
+range are mapped by one batched product, and a range's points equal its
+entities' points bit for bit.  The error pass's walk (``cell_rules``)
+integrates six-face axis-aligned box cells with a tensor Gauss rule
+instead, kept factored (``BoxRule``): each cell's Gauss nodes per axis,
+which broadcast to the tensor points, so a field of one coordinate is
+evaluated on those nodes alone.  All box cells form one such rule, which
+the caller slices into chunks by the values its fields take per cell; a
+mesh of boxes alone builds no tetrahedron rule.  Box cells are found from
+the vertex bounding boxes the mesh build keeps (``PolyMesh.cell_bounds``).
+Every Gauss-Legendre rule comes from one symmetric tridiagonal eigenproblem
+(Golub-Welsch).
 """
 
 from __future__ import annotations
@@ -111,41 +112,18 @@ class BoxRule:
         return float(self.volumes @ (diff.reshape(diff.shape[0], -1) @ weights.ravel()))
 
 
-def _legval(x: float, c) -> float:
-    """``sum_k c[k] P_k(x)`` by numpy's ``legval`` Clenshaw recurrence,
-    operation for operation, on Python floats."""
-    if len(c) == 1:
-        return c[0] + 0 * x
-    c0, c1 = c[-2], c[-1]
-    for nd in range(len(c) - 1, 1, -1):
-        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
-    return c0 + c1 * x
-
-
 @lru_cache(maxsize=64)
 def _gauss01(npts: int):
-    """Gauss-Legendre nodes/weights on [0, 1]: the arithmetic of numpy's
-    ``leggauss``, bit for bit, without loading ``numpy.polynomial``.  The
-    nodes are the eigenvalues of the scaled companion (Jacobi) matrix,
-    refined by one Newton step on P_n, and the weights come from P_n' and
-    P_{n-1} at the nodes, symmetrised and scaled to sum to 2 on [-1, 1]."""
-    scl = 1.0 / np.sqrt(2 * np.arange(npts) + 1)
-    jacobi = np.diag(np.arange(1, npts) * scl[:-1] * scl[1:], 1)
-    roots = np.linalg.eigvalsh(jacobi + jacobi.T).tolist()
-    # P_n, and P_n' = sum (2k + 1) P_k over k = n - 1, n - 3, ... >= 0
-    p_n = [0.0] * npts + [1.0]
-    dp_n = [2.0 * k + 1.0 if (npts - 1 - k) % 2 == 0 else 0.0 for k in range(npts)]
-    df = [_legval(r, dp_n) for r in roots]
-    x = np.array([r - _legval(r, p_n) / d for r, d in zip(roots, df)])
-    fm = np.array([_legval(r, p_n[1:]) for r in x.tolist()])
-    df = np.array(df)
-    fm /= np.abs(fm).max()
-    df /= np.abs(df).max()
-    w = 1 / (fm * df)
-    w = (w + w[::-1]) / 2
-    x = (x - x[::-1]) / 2
-    w *= 2.0 / w.sum()
-    return 0.5 * (x + 1.0), 0.5 * w
+    """Gauss-Legendre nodes/weights on [0, 1] by Golub and Welsch (Math.
+    Comp. 23, 1969): the nodes are the eigenvalues of the symmetric
+    tridiagonal Jacobi matrix of the Legendre recurrence, whose
+    off-diagonal is k / sqrt(4 k^2 - 1), mapped from [-1, 1], and the
+    weights the squares of the first components of its unit eigenvectors,
+    which sum to 1 as [0, 1]'s length."""
+    k = np.arange(1, npts)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    nodes, vectors = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return 0.5 * (nodes + 1.0), vectors[0] ** 2
 
 
 def segment_rule(degree: int):
@@ -207,28 +185,23 @@ def _mapped_rule(owners, apexes, legs, measures, ref_pts, ref_w) -> QuadratureRu
                           np.repeat(owners, ref_w.size), ref_w.size)
 
 
-def _entities(index, n: int) -> range:
-    """Entity ``index``, or the entities of slice ``index``, of ``range(n)``."""
-    ids = range(n)[index]
+def _simplices(simplices: Ragged, index) -> slice:
+    """The sub-simplices of entity ``index``, or of the entities of slice
+    ``index``, as one slice of the entries of ``simplices``."""
+    ids = range(len(simplices))[index]
     if isinstance(ids, int):
-        return range(ids, ids + 1)
+        ids = range(ids, ids + 1)
     if ids.step != 1:
         raise ValueError("quadrature takes consecutive entities")
-    return ids
-
-
-def _kept(simplices: Ragged, kept, ids: range):
-    """Kept sub-simplices of entities ``ids`` and the entity of each."""
-    sub = np.arange(simplices.offsets[ids.start], simplices.offsets[ids.stop])
-    sub = sub[kept[sub]]
-    return sub, simplices.owners[sub]
+    return slice(simplices.offsets[ids.start], simplices.offsets[ids.stop])
 
 
 def face_quadrature(mesh: PolyMesh, faces, degree: int) -> QuadratureRule:
     """Rule on the fan panels of face ``faces``, or of each face of slice
     ``faces``; each face's weights sum to its area."""
     split = mesh.split
-    panels, owners = _kept(mesh.faces, split.fan_kept, _entities(faces, mesh.n_faces))
+    panels = _simplices(mesh.faces, faces)
+    owners = mesh.faces.owners[panels]
     apexes = split.face_apexes[owners]
     legs = mesh.vertices[split.fan_vertices[panels]] - apexes[:, None]
     return _mapped_rule(owners, apexes, legs, split.fan_areas[panels],
@@ -239,8 +212,8 @@ def cell_quadrature(mesh: PolyMesh, cells, degree: int = DEFAULT_CELL_DEGREE) ->
     """Rule on the pyramid tetrahedra of cell ``cells``, or of each cell of
     slice ``cells``; each cell's weights sum to its volume."""
     split = mesh.split
-    tets, owners = _kept(split.tet_panels, split.tet_kept, _entities(cells, mesh.n_cells))
-    panels = split.tet_panels.flat[tets]
+    tets = _simplices(split.tet_panels, cells)
+    panels, owners = split.tet_panels.flat[tets], split.tet_panels.owners[tets]
     apexes = split.cell_apexes[owners]
     legs = np.concatenate([split.face_apexes[mesh.faces.owners[panels], None],
                            mesh.vertices[split.fan_vertices[panels]]], axis=1) - apexes[:, None]
@@ -278,15 +251,11 @@ def _factored_rule(cells: np.ndarray, lo, hi) -> BoxRule:
     return BoxRule(tuple(map(np.reshape, nodes, shapes)), w, np.prod(extent, axis=1), cells)
 
 
-def _points_before(offsets, kept, points_per_simplex: int):
-    """Quadrature points of the entities before each entity, and of all."""
-    return np.concatenate([[0], np.cumsum(kept)])[offsets] * points_per_simplex
-
-
 def _chunks(before, start: int, stop: int):
     """Slices of consecutive entities of ``range(start, stop)`` that hold
     at most ``CHUNK_POINTS`` quadrature points together, or a single entity
-    that holds more; ``before`` is as ``_points_before`` gives it."""
+    that holds more; ``before`` holds the quadrature points of the
+    entities before each entity, and of all."""
     while start < stop:
         end = np.searchsorted(before, before[start] + CHUNK_POINTS, side="right") - 1
         end = min(max(int(end), start + 1), stop)
@@ -296,8 +265,7 @@ def _chunks(before, start: int, stop: int):
 
 def face_rules(mesh: PolyMesh, degree: int):
     """``face_quadrature`` on every face, one chunk of whole faces at a time."""
-    before = _points_before(mesh.faces.offsets, mesh.split.fan_kept,
-                            triangle_rule(degree)[1].size)
+    before = mesh.faces.offsets * triangle_rule(degree)[1].size
     for faces in _chunks(before, 0, mesh.n_faces):
         yield face_quadrature(mesh, faces, degree)
 
@@ -313,9 +281,7 @@ def cell_rules(mesh: PolyMesh):
         yield _factored_rule(np.flatnonzero(boxes), lo, hi)
     if boxes.all():
         return
-    split = mesh.split
-    before = _points_before(split.tet_panels.offsets, split.tet_kept,
-                            tetrahedron_rule(DEFAULT_CELL_DEGREE)[1].size)
+    before = mesh.split.tet_panels.offsets * tetrahedron_rule(DEFAULT_CELL_DEGREE)[1].size
     cuts = list(np.flatnonzero(np.diff(boxes)) + 1)
     for start, stop in zip([0] + cuts, cuts + [mesh.n_cells]):
         if not boxes[start]:

@@ -79,19 +79,17 @@ class SimplexSplit:
     Tetrahedron t is entry t of ``tet_panels`` (cell by cell, cell-face
     then loop order): the cell apex plus panel ``tet_panels.flat[t]``, its
     volume signed by the cell's face orientation.
-    The signed pieces telescope, so nonconvex faces and cells are exact.
-    Quadrature skips what ``fan_kept``/``tet_kept`` clear: panels up to
-    1e-14 of the largest of their face, tetrahedra with |6 vol| < 1e-14 |K|.
+    The signed pieces telescope, so nonconvex faces and cells are exact;
+    a flat piece, such as a tetrahedron on a face through the cell apex,
+    has measure 0 and weighs nothing.
     """
 
     face_apexes: np.ndarray              # (nf, 3)
     fan_vertices: np.ndarray             # (np, 2) loop edge of each panel
     fan_areas: np.ndarray                # (np,)
-    fan_kept: np.ndarray                 # bool (np,)
     cell_apexes: np.ndarray              # (nc, 3)
     tet_panels: Ragged                   # per cell: fan panel of each tetrahedron
     tet_volumes: np.ndarray              # (nt,)
-    tet_kept: np.ndarray                 # bool (nt,)
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,9 +195,8 @@ def _split_faces(vertices: np.ndarray, faces: Ragged):
         _raise_first([(residual > tol, MeshGeometryError, "nonplanar face {f}: residual {r:.3e} "
                        f"exceeds {PLANARITY_TOL:.0e} * h_F = {{tol:.3e}}")],
                      f=ids, r=residual, tol=tol)
-    largest = np.maximum.reduceat(np.abs(signed), offsets[:-1])
     fan = dict(face_apexes=apexes, fan_vertices=np.stack([loop_ids, loop_ids[nxt]], axis=1),
-               fan_areas=signed, fan_kept=np.abs(signed) > 1e-14 * largest[faces.owners])
+               fan_areas=signed)
     return fan, areas, normals, centroids, diameters
 
 
@@ -403,6 +400,10 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
         (ratio < SHAPE_RATIO_MIN, MeshGeometryError,
          "cell {0} is not shape-regular: min h_F/h_K = {ratio:.3e}"),
     ], closure=closure, volume=cell_volumes, ratio=ratio)
+    # Every face bounds a cell and every vertex lies on a face.
+    _raise_first([(uses == 0, MeshTopologyError, "face {0} belongs to no cell")])
+    _raise_first([(np.bincount(loops, minlength=nv) == 0, MeshTopologyError,
+                   "vertex {0} belongs to no face")])
 
     # Signed tetrahedron volumes; the centroid sums the volume-weighted
     # tetrahedron centroids per face, then over the faces of the cell.
@@ -410,9 +411,8 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
     base = fan["face_apexes"][faces.owners[tet_panels]]
     p, q = vertices[loop_ab[tet_panels]].transpose(1, 0, 2)
     legs_cross = np.cross(p - apex, q - apex)
-    vol6 = (np.repeat(cs_flat, panels_per)
-            * ((base - apex)[:, None] @ legs_cross[:, :, None])[:, 0, 0])
-    tet_volumes = vol6 / 6.0
+    tet_volumes = (np.repeat(cs_flat, panels_per)
+                   * ((base - apex)[:, None] @ legs_cross[:, :, None])[:, 0, 0]) / 6.0
     moments = tet_volumes[:, None] * ((apex + base + p + q) / 4.0)
 
     def per_cell(x):                                   # per cell face, then per cell
@@ -421,9 +421,7 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
     cell_centroids = per_cell(moments) / per_cell(tet_volumes)[:, None]
     split = SimplexSplit(
         **fan, cell_apexes=cell_apexes, tet_panels=Ragged(tet_panels, tet_offsets, tet_cells),
-        tet_volumes=tet_volumes,
-        tet_kept=np.abs(vol6) >= 1e-14 * cell_volumes[tet_cells],
-    )
+        tet_volumes=tet_volumes)
 
     # Boundary flags: face iff referenced once, edge/vertex iff on such a face.
     boundary_faces = uses == 1

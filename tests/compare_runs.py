@@ -12,7 +12,9 @@ and both checkouts read the same file.  Per workload and file (the CSV
 row and the monitor file) it prints whether the two are byte-identical
 apart from ``wall_s``, then the largest relative difference of each
 column.  Nothing is written under either checkout.  Exits 1 when a run
-failed.
+failed, when two files cannot be compared row by row, or when a physical
+output (a ``CHECKED`` column) differs by more than the ``ERR_RTOL`` of
+CHANGE's ``perfbench/run.py``, the bound the benchmark holds its errors to.
 """
 
 from __future__ import annotations
@@ -26,6 +28,11 @@ import tempfile
 from pathlib import Path
 
 IGNORED = ("wall_s",)
+# The physical outputs of the CSV row and the monitor file.  The other
+# columns are printed only: they hold solver work (wall_s, cg_iters_total,
+# cg_iters) or values at round-off (residual, div_B, divB).
+CHECKED = ("label", "h", "tau", "err_E", "err_B", "n_edge_dofs", "n_face_dofs",
+           "step", "t", "energy")
 CLI = "import sys; from vemaxwell.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -62,6 +69,11 @@ def compare(parent: str, change: str, ignore=IGNORED) -> tuple[dict, bool]:
     return diffs, identical
 
 
+def drifted(diffs: dict, rtol: float) -> list:
+    """The ``CHECKED`` columns of ``diffs`` that differ by more than ``rtol``."""
+    return [name for name in CHECKED if diffs.get(name, 0.0) > rtol]
+
+
 def run(checkout: Path, argv: list, work: Path) -> dict:
     """{file name: text} of one CLI run of ``checkout``'s sources in ``work``."""
     work.mkdir()
@@ -76,14 +88,15 @@ def run(checkout: Path, argv: list, work: Path) -> dict:
     return {name: path.read_text(encoding="utf-8") for name, path in files.items()}
 
 
-def workload_argvs(change: Path, tmp: Path) -> dict:
-    """{workload name: CLI argv} of CHANGE's benchmark, the agglomerated
-    mesh saved once in ``tmp``.  The benchmark's modules are imported
-    without writing bytecode next to them."""
+def benchmark(change: Path, tmp: Path) -> tuple[dict, float]:
+    """({workload name: CLI argv}, ERR_RTOL) of CHANGE's benchmark, the
+    agglomerated mesh saved once in ``tmp``.  The benchmark's modules are
+    imported without writing bytecode next to them."""
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(change.resolve() / "src"), str(change.resolve() / "perfbench")]
     import agglo
     import workloads
+    from run import ERR_RTOL
     from vemaxwell import save_mesh
 
     argvs = {}
@@ -96,7 +109,7 @@ def workload_argvs(change: Path, tmp: Path) -> dict:
         else:
             source = ["--generate", f"cube:{w.cube}"]
         argvs[name] = source + ["--case", str(w.case), "--tau", w.tau, "--T", "1"]
-    return argvs
+    return argvs, ERR_RTOL
 
 
 def main(argv=None) -> int:
@@ -108,7 +121,8 @@ def main(argv=None) -> int:
     ok = True
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        for name, cli_argv in workload_argvs(args.change, tmp).items():
+        argvs, rtol = benchmark(args.change, tmp)
+        for name, cli_argv in argvs.items():
             try:
                 texts = [run(side, cli_argv, tmp / f"{name}-{i}")
                          for i, side in enumerate((args.parent, args.change))]
@@ -121,11 +135,15 @@ def main(argv=None) -> int:
                     diffs, identical = compare(texts[0][file], texts[1][file])
                 except ValueError as exc:
                     print(f"{name} {file} not comparable: {exc}")
+                    ok = False
                     continue
                 print(f"{name} {file} byte-identical apart from "
                       f"{', '.join(IGNORED)}: {identical}")
+                drift = drifted(diffs, rtol)
                 for column, d in diffs.items():
-                    print(f"  {column} {d:.3g}")
+                    print(f"  {column} {d:.3g}"
+                          + (f" DRIFT: above ERR_RTOL {rtol:g}" if column in drift else ""))
+                ok &= not drift
     return 0 if ok else 1
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import DATA, folded_voro8
 from vemaxwell import cli
-from vemaxwell.mesh import MeshFormatError
+from vemaxwell.mesh import MeshFormatError, _pvm_arrays
 
 
 class TestRunConfig:
@@ -150,6 +150,18 @@ class TestMain:
             assert code == 2
             assert "bad mesh source 'cube:abc'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("source", ["voronoi:8", str(DATA / "voro8.json"), "Cube:2", ""],
+                             ids=["generator", "mesh-file", "capitalised", "empty"])
+    @pytest.mark.parametrize("levels", ["1", "2"])
+    def test_generate_takes_only_cube(self, capsys, source, levels):
+        # neither another generator nor a mesh file is read as a mesh source
+        code = cli.main(["--generate", source, "--case", "2", "--tau", "1/4",
+                         "--levels", levels])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: --generate takes cube:<n>, not {source!r}\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("levels", ["0", "-3"])
     def test_nonpositive_levels_exit_two(self, capsys, levels):
         code = cli.main(["--generate", "cube:2", "--case", "2", "--tau", "1/4",
@@ -203,6 +215,17 @@ class TestMain:
         assert code == 3
         captured = capsys.readouterr()
         assert "not shape-regular" in captured.err and captured.out == ""
+
+    def test_stray_vertex_exit_three(self, capsys, tmp_path, cube2):
+        # once exit 3 from the gradient correction's "nonpositive diagonal"
+        vertices, faces, cells = _pvm_arrays(cube2)
+        path = tmp_path / "stray.json"
+        path.write_text(json.dumps({"vertices": vertices + [[0.5, 0.5, 2.0]],
+                                    "faces": faces, "cells": cells}))
+        code = cli.main(["--mesh", str(path), "--case", "2", "--tau", "1/2"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: vertex 27 belongs to no face\n" and captured.out == ""
 
     def test_out_of_memory_exit_three(self, capsys):
         # the mesh's vertex numbering, its first array (7.11 PiB), is refused outright

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SPLIT_MESHES, face_diameters, flat_rule
 from vemaxwell import geometry as vg
-from vemaxwell.mesh import derive_topology
+from vemaxwell.derham import interpolate_edge, interpolate_face
+from vemaxwell.mesh import _pvm_arrays, derive_topology
 
 
 def cell_vertex_ids(mesh, k):
@@ -110,11 +113,13 @@ class TestEdgeQuadrature:
 
 class TestGaussRule:
     @pytest.mark.parametrize("n", range(1, 41))
-    def test_matches_leggauss(self, n):
-        # numpy's arithmetic, mapped to [0, 1], bit for bit
+    def test_agrees_with_leggauss(self, n):
+        # numpy's rule, mapped to [0, 1], to round-off: the largest absolute
+        # differences over n = 1..40 are 3.3e-16 (nodes) and 1.9e-15 (weights)
         x, w = np.polynomial.legendre.leggauss(n)
         nodes, weights = vg._gauss01.__wrapped__(n)
-        assert np.array_equal(nodes, 0.5 * (x + 1)) and np.array_equal(weights, 0.5 * w)
+        assert np.abs(nodes - 0.5 * (x + 1)).max() <= 4.5e-16
+        assert np.abs(weights - 0.5 * w).max() <= 4e-15
 
     @pytest.mark.parametrize("n", range(1, 41))
     def test_exact_to_degree_2n_minus_1(self, n):
@@ -402,20 +407,18 @@ def oracle_cell_centroid(mesh, k):
 
 
 def oracle_face_quadrature(mesh, f, degree):
-    """Triangle rule on each signed fan panel of face f, slivers skipped."""
+    """Triangle rule on each signed fan panel of face f."""
     ref_pts, ref_w = vg.triangle_rule(degree)
     pts = mesh.vertices[mesh.faces[f]]
     nxt = np.roll(pts, -1, axis=0)
     apex = pts.mean(axis=0)
     signed = 0.5 * np.cross(pts - apex, nxt - apex) @ mesh.face_normals[f]
-    scale = np.abs(signed).max()
     all_pts, all_w = [], []
     for i in range(pts.shape[0]):
-        if abs(signed[i]) > 1e-14 * scale:
-            all_pts.append(apex[None, :]
-                           + ref_pts[:, 0:1] * (pts[i] - apex)[None, :]
-                           + ref_pts[:, 1:2] * (nxt[i] - apex)[None, :])
-            all_w.append(ref_w * signed[i])
+        all_pts.append(apex[None, :]
+                       + ref_pts[:, 0:1] * (pts[i] - apex)[None, :]
+                       + ref_pts[:, 1:2] * (nxt[i] - apex)[None, :])
+        all_w.append(ref_w * signed[i])
     return np.concatenate(all_pts), np.concatenate(all_w)
 
 
@@ -431,8 +434,6 @@ def oracle_cell_quadrature(mesh, k, degree):
         for i in range(pts.shape[0]):
             e0, e1, e2 = a_f - apex, pts[i] - apex, nxt[i] - apex
             vol6 = s * (e0 @ np.cross(e1, e2))
-            if abs(vol6) < 1e-14 * mesh.cell_volumes[k]:
-                continue
             all_pts.append(apex[None, :]
                            + ref_pts[:, 0:1] * e0[None, :]
                            + ref_pts[:, 1:2] * e1[None, :]
@@ -490,10 +491,24 @@ class TestSplitMatchesLoops:
             assert np.abs(rule.points - points).max() <= 1e-15 * m.cell_diameters[k]
             assert np.abs(rule.weights - weights).max() <= 1e-15 * m.cell_volumes[k]
 
-    def test_lcell_drops_slivers(self, lcell):
-        # the reentrant faces x = 1/2 and y = 1/2 contain the cell's vertex
-        # mean, so their pyramid tetrahedra are flat and quadrature skips them
-        assert not lcell.split.tet_kept.all()
+    def test_lcell_maps_flat_pieces(self, lcell):
+        # the L faces' vertex mean is their reentrant corner, and the cell's
+        # lies on the reentrant faces x = 1/2 and y = 1/2: 4 fan panels and
+        # 12 pyramid tetrahedra are flat.  Each is mapped and weighs exactly
+        # 0, and each entity's weights still sum to its measure
+        split = lcell.split
+        for rule_of, pieces, n_flat, measures, degree in (
+                (vg.face_quadrature, split.fan_areas, 4, lcell.face_areas, 4),
+                (vg.cell_quadrature, split.tet_volumes, 12, lcell.cell_volumes,
+                 vg.DEFAULT_CELL_DEGREE)):
+            flat = pieces == 0
+            assert flat.sum() == n_flat
+            rule = rule_of(lcell, slice(None), degree)
+            weights = rule.weights.reshape(pieces.size, rule.points_per_simplex)
+            assert (weights[flat] == 0).all() and (weights[~flat] != 0).all()
+            for i, measure in enumerate(measures):
+                total = rule_of(lcell, i, degree).weights.sum()
+                assert abs(total - measure) <= 1e-15 * measure
 
 
 class TestEntityRanges:
@@ -520,15 +535,15 @@ class TestEntityRanges:
     def test_points_come_simplex_by_simplex(self, name, request):
         m = request.getfixturevalue(name)
         split = m.split
-        for rule_of, measures, kept, degree in (
-                (vg.face_quadrature, split.fan_areas, split.fan_kept, 4),
-                (vg.cell_quadrature, split.tet_volumes, split.tet_kept, vg.DEFAULT_CELL_DEGREE)):
+        for rule_of, measures, degree in (
+                (vg.face_quadrature, split.fan_areas, 4),
+                (vg.cell_quadrature, split.tet_volumes, vg.DEFAULT_CELL_DEGREE)):
             rule = rule_of(m, slice(None), degree)
             blocks = rule.weights.size // rule.points_per_simplex
             assert blocks * rule.points_per_simplex == rule.weights.size
             owners = rule.owners.reshape(blocks, -1)
             assert (owners == owners[:, :1]).all()
-            assert np.allclose(rule.weights.reshape(blocks, -1).sum(axis=1), measures[kept],
+            assert np.allclose(rule.weights.reshape(blocks, -1).sum(axis=1), measures,
                                rtol=1e-14, atol=0)
 
 
@@ -576,3 +591,47 @@ class TestChunking:
                 assert np.array_equal(getattr(part, field), getattr(want, field))
             for a, b in zip(part.coords, want.coords):
                 assert np.array_equal(a, b)
+
+
+@st.composite
+def affine_maps(draw):
+    """x -> A x + b with A = 2 I + E, the entries of E in [-1/2, 1/2]: A is
+    diagonally dominant, so det A > 0 and cond A <= 7, and a mapped mesh
+    keeps its orientation and stays far from ``SHAPE_RATIO_MIN``."""
+    def entries(n, bound):
+        return draw(st.lists(st.floats(-bound, bound), min_size=n, max_size=n))
+
+    return 2 * np.eye(3) + np.reshape(entries(9, 0.5), (3, 3)), np.array(entries(3, 1.0))
+
+
+class TestAffineImages:
+    """The mapped rules on affine images of general meshes, nonconvex
+    (lcell), prismatic, Voronoi and agglomerated: each entity's weights sum
+    to its measure, each cell rule has the cell's first moment, and the
+    interpolants of a constant field are its normal and tangential parts."""
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(name=st.sampled_from(["lcell", "two_prisms", "voro8", "agglo4"]),
+           affine=affine_maps(),
+           c=st.lists(st.integers(-1000, 1000).map(lambda k: k / 100), min_size=3, max_size=3))
+    def test_rules_on_affine_image(self, lcell, two_prisms, voro8, agglo4, name, affine, c):
+        meshes = dict(lcell=lcell, two_prisms=two_prisms, voro8=voro8, agglo4=agglo4)
+        vertices, faces, cells = _pvm_arrays(meshes[name])
+        a, b = affine
+        m = derive_topology(np.array(vertices) @ a.T + b, faces, cells)
+        for f in range(m.n_faces):
+            total = vg.face_quadrature(m, f, 4).weights.sum()
+            assert abs(total - m.face_areas[f]) <= 1e-13 * m.face_areas[f]
+        for k, (points, weights) in enumerate(walk_by_cell(m)):
+            volume = m.cell_volumes[k]
+            assert abs(weights.sum() - volume) <= 1e-13 * volume
+            assert (np.abs(weights @ points - volume * m.cell_centroids[k]).max()
+                    <= 1e-13 * m.cell_diameters[k] * volume)
+        c = np.array(c)
+        scale = 1e-13 * np.linalg.norm(c)
+
+        def constant(p):
+            return np.broadcast_to(c, np.shape(p))
+
+        assert np.abs(interpolate_face(m, constant) - m.face_normals @ c).max() <= scale
+        assert np.abs(interpolate_edge(m, constant) - m.edge_tangents @ c).max() <= scale

@@ -315,6 +315,26 @@ class TestDeriveTopology:
         with pytest.raises(vm.MeshTopologyError, match="open cell boundary"):
             vm.derive_topology(UNIT_CUBE["vertices"], UNIT_CUBE["faces"], cells)
 
+    # cube:2 with an entity no cell reaches: each is rejected by name, where
+    # it once failed late in the run, or changed the DOF count unnoticed.
+
+    def test_face_off_the_mesh_rejected(self, cube2):
+        vertices, faces, cells = vm._pvm_arrays(cube2)
+        vertices += [[2, 0, 0], [3, 0, 0], [2, 1, 0]]
+        faces += [[27, 28, 29]]
+        with pytest.raises(vm.MeshTopologyError, match="^face 36 belongs to no cell$"):
+            vm.derive_topology(vertices, faces, cells)
+
+    def test_unlisted_reversed_face_rejected(self, cube2):
+        vertices, faces, cells = vm._pvm_arrays(cube2)
+        with pytest.raises(vm.MeshTopologyError, match="^face 36 belongs to no cell$"):
+            vm.derive_topology(vertices, faces + [faces[0][::-1]], cells)
+
+    def test_stray_vertex_rejected(self, cube2):
+        vertices, faces, cells = vm._pvm_arrays(cube2)
+        with pytest.raises(vm.MeshTopologyError, match="^vertex 27 belongs to no face$"):
+            vm.derive_topology(vertices + [[0.5, 0.5, 2.0]], faces, cells)
+
 
 # The invariants derive_topology enforces, recomputed face by face and cell
 # by cell from a mesh's vertices over its incidences: the oracle of

@@ -175,3 +175,19 @@ def test_compare_runs_columns():
         compare_runs.compare(parent, header)
     with pytest.raises(ValueError, match="field count"):
         compare_runs.compare(parent, parent.replace("3.0", "3.0,1"))
+    # a physical output drifts past the benchmark's bound; solver work and
+    # values at round-off are printed, never checked
+    row = ("label,h,tau,err_E,err_B,div_B,n_edge_dofs,n_face_dofs,cg_iters_total,wall_s\n"
+           "{},2.165e-01,3.125e-02,{:.15e},1.0e-01,{},300,{},{},{}\n")
+    base = row.format("cube512", 0.2, 1e-16, 1344, 395, 2.5)
+    for change, drift in ((row.format("cube512", 0.2 * (1 + 5e-10), 7e-16, 1344, 900, 9.0), []),
+                          (row.format("cube512", 0.2 * (1 + 2e-9), 1e-16, 1344, 395, 2.5),
+                           ["err_E"]),
+                          (row.format("cube729", 0.2, 1e-16, 1345, 395, 2.5),
+                           ["label", "n_face_dofs"])):
+        assert compare_runs.drifted(compare_runs.compare(base, change)[0], 1e-9) == drift
+    rows = "step,t,energy,divB,cg_iters,residual\n1,5.0e-01,{:.15e},{},{},{}\n"
+    base = rows.format(1.0, 1e-16, 3, 2e-15)
+    for change, drift in ((rows.format(1 + 5e-10, 3e-16, 9, 7e-14), []),
+                          (rows.format(1 + 2e-9, 1e-16, 3, 2e-15), ["energy"])):
+        assert compare_runs.drifted(compare_runs.compare(base, change)[0], 1e-9) == drift

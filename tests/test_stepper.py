@@ -468,7 +468,7 @@ class TestGradientCorrection:
         assert max(m.div_b for m in corrected.monitors) <= 1e-12
 
     @pytest.mark.parametrize("n, tau, jacobi_iters, corrected_iters",
-                             [(8, 1 / 32, 785, 395), (6, 1 / 512, 892, 892)],
+                             [(8, 1 / 32, 785, 395), (6, 1 / 512, 895, 895)],
                              ids=["hex-coarse-dt", "hex-fine-dt"])
     def test_iteration_counts(self, monkeypatch, n, tau, jacobi_iters,
                               corrected_iters):
