@@ -10,6 +10,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -30,7 +31,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    mesh_source: str               # "cube:<n>" or a PVM-JSON path
+    mesh_source: str | Path        # a "cube:<n>" str is generated; a Path or other str is read
     case_id: int
     tau: Fraction
     T: float = 1.0
@@ -63,14 +64,12 @@ def _cube_size(source: str) -> int:
     return n
 
 
-def _load_source(source: str):
-    if source.startswith("cube:"):
+def _load_source(source: str | Path):
+    if isinstance(source, str) and source.startswith("cube:"):
         return vmesh.generate_cube_mesh(_cube_size(source))
     m = vmesh.load_mesh(source)
-    if not m.name:
-        stem = source.rsplit("/", 1)[-1].rsplit(".", 1)[0]
-        m = dataclasses.replace(m, name=vmesh.check_label(stem or source, source))
-    return m
+    return m if m.name else dataclasses.replace(
+        m, name=vmesh.check_label(Path(source).stem, source))
 
 
 def _check_writable(*paths) -> None:
@@ -172,7 +171,7 @@ def run_convergence(config: RunConfig, levels: int,
         raise ConfigError("--monitors writes one run's steps; a convergence study "
                           "makes several runs")
     if mesh_sources is None:
-        if not config.mesh_source.startswith("cube:"):
+        if not (isinstance(config.mesh_source, str) and config.mesh_source.startswith("cube:")):
             raise ConfigError("convergence without a mesh list needs cube:<n>")
         n0 = _cube_size(config.mesh_source)
         mesh_sources = [f"cube:{n0 * 2**lvl}" for lvl in range(levels)]
@@ -247,9 +246,10 @@ def main(argv=None) -> int:
         return 2
 
     sources = None
-    mesh_source = args.generate or args.mesh
+    # --mesh names files only: a path "cube:2" is read, never generated
+    mesh_source = args.generate if args.mesh is None else Path(args.mesh)
     if args.mesh and "," in args.mesh and not os.path.isfile(args.mesh):
-        sources = args.mesh.split(",")
+        sources = [Path(source) for source in args.mesh.split(",")]
         mesh_source = sources[0]
 
     try:

@@ -50,25 +50,19 @@ class CoefficientSet:
     mu_hat: np.ndarray
 
 
-def _as_field(c):
-    if callable(c):
-        return c
-    value = float(c)
-    return lambda pts: np.full(np.asarray(pts).shape[:-1], value)
-
-
 def sample_coefficients(mesh: PolyMesh, eps, sigma, mu) -> CoefficientSet:
-    """Sample the three coefficients at cell centroids.
+    """Sample the three coefficients at cell centroids, one value per cell.
 
-    Raises ValueError when the samples violate the well-posedness bounds
-    (all finite, permittivity/permeability strictly positive, conductivity
+    Each is a constant or a callable of an (..., 3) point array; a sample
+    of either is broadcast to the cells.  Raises ValueError when the
+    samples violate the well-posedness bounds (all finite,
+    permittivity/permeability strictly positive, conductivity
     nonnegative).
     """
-    eps_f, sigma_f, mu_f = _as_field(eps), _as_field(sigma), _as_field(mu)
-    centers = mesh.cell_centroids
-    eps_hat = np.asarray(eps_f(centers), dtype=float)
-    sigma_hat = np.asarray(sigma_f(centers), dtype=float)
-    mu_hat = np.asarray(mu_f(centers), dtype=float)
+    eps_hat, sigma_hat, mu_hat = (
+        np.broadcast_to(np.asarray(c(mesh.cell_centroids) if callable(c) else c, dtype=float),
+                        (mesh.n_cells,))
+        for c in (eps, sigma, mu))
     for name, hat in (("permittivity", eps_hat), ("conductivity", sigma_hat),
                       ("permeability", mu_hat)):
         if not np.isfinite(hat).all():

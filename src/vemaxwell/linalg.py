@@ -1,6 +1,8 @@
 """Minimal sparse linear algebra: CSR storage, preconditioned CG, the
 gradient-corrected (hybrid) preconditioner of curl-curl systems, and the
-projection guess for successive right-hand sides (``SolutionSpace``).
+projection guess for successive right-hand sides (``SolutionSpace``, one
+mutable accumulator that its owner, such as a run's step loop, grows by
+each solve).
 
 Storage and products are backed by scipy's CSR kernels; the CG driver is
 written out so the iterate sequence is deterministic and the reported
@@ -241,7 +243,7 @@ class Guess(NamedTuple):
     coef: np.ndarray       # V' b, the coordinates of x in the basis
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class SolutionSpace:
     """An A-orthonormal basis V of earlier solutions of ``A x = b`` for
     one SPD matrix A, with W = A V: the projection method for successive
@@ -249,28 +251,24 @@ class SolutionSpace:
 
     ``guess(b)`` gives ``V V' b``, the A-orthogonal projection of
     ``A^-1 b`` onto span V, so in the A-norm it is at least as close to
-    the solution as any vector of span V.  Each solve appends its
-    increment over the guess, so V spans every solution since the last
-    restart.  A full space restarts by compression: it becomes the span
-    of the ``kept`` latest solutions, the new one appended last.  Since V
-    is A-orthonormal, A-inner products of vectors of span V are
+    the solution as any vector of span V.  ``extend`` appends each
+    solve's increment over the guess, so V spans every solution since the
+    last restart.  A full space restarts by compression: it becomes the
+    span of the ``kept`` latest solutions, the new one appended last.
+    Since V is A-orthonormal, A-inner products of vectors of span V are
     Euclidean products of their coordinates in V, so the space carries
     the coordinates of its latest solutions (``recent``, newest first)
     and orthonormalises them in coefficient space, with no sparse product
     and no n-vector Gram-Schmidt.
 
     Rows ``:size`` of ``v`` and ``w`` hold V' and W'; the buffers have
-    room for ``len(v)`` rows.  A space never changes once made:
-    ``extended`` writes its new row into the shared buffers only where no
-    space grown from this one holds that row already (``claimed[0]`` rows
-    are held), and copies the buffers otherwise; a restart allocates
-    fresh buffers.
+    room for ``len(v)`` rows, and a restart fills fresh ones.  The space
+    is one accumulator, grown in place by the solves it guesses for.
     """
 
     v: np.ndarray          # (capacity, n), row-major
     w: np.ndarray          # A times the rows of v
     size: int
-    claimed: list          # [rows of the shared buffers that some space holds]
     recent: tuple          # coordinates in V of the latest solutions, newest first
 
     @property
@@ -285,8 +283,9 @@ class SolutionSpace:
         vectors; a zero x spans the empty space."""
         if capacity < RESTART_SOLUTIONS:
             raise ValueError(f"capacity must be at least {RESTART_SOLUTIONS}")
-        empty = cls(np.empty((capacity, a.n)), np.empty((capacity, a.n)), 0, [0], ())
-        return empty._appended(a, x, np.zeros(0))
+        space = cls(np.empty((capacity, a.n)), np.empty((capacity, a.n)), 0, ())
+        space._append(a, x, np.zeros(0))
+        return space
 
     def guess(self, b: np.ndarray) -> Guess:
         """V V' b, the A-orthogonal projection of A^-1 b onto the space."""
@@ -294,17 +293,18 @@ class SolutionSpace:
         coef = v @ b
         return Guess(coef @ v, coef @ self.w[:self.size], coef)
 
-    def extended(self, a: SparseMatrix, x: np.ndarray, guess: Guess) -> "SolutionSpace":
-        """The space after a solve that went from ``guess`` to ``x``: this
-        one with the increment appended, or, when it is full, the span of
-        its latest solutions with ``x`` appended."""
+    def extend(self, a: SparseMatrix, x: np.ndarray, guess: Guess) -> None:
+        """Take in a solve that went from ``guess`` to ``x``: append the
+        increment, or, when the space is full, first compress it to the
+        span of its latest solutions and append ``x`` to that."""
         if self.size < len(self.v):
-            return self._appended(a, x - guess.x, guess.coef)
-        space, coef = self._compressed(guess.coef)
-        return space._appended(a, x - coef @ space.v[:space.size], coef)
+            return self._append(a, x - guess.x, guess.coef)
+        coef = self._compress(guess.coef)
+        self._append(a, x - coef @ self.v[:self.size], coef)
 
-    def _compressed(self, coef: np.ndarray):
-        """(the span of the latest solutions, ``coef`` projected onto it).
+    def _compress(self, coef: np.ndarray) -> np.ndarray:
+        """Make this the span of the latest solutions; returns ``coef``
+        projected onto it.
 
         With Y = Q R the Householder QR of the solutions' coordinates, newest
         first in the columns of Y, the rows of Q' are orthonormal however
@@ -323,17 +323,17 @@ class SolutionSpace:
         rows = q.T[:, None, :]
         np.matmul(rows, self.v[:self.size], out=v[:k, None, :])
         np.matmul(rows, self.w[:self.size], out=w[:k, None, :])
-        return SolutionSpace(v, w, k, [k], tuple(r.T)), coef @ q
+        self.v, self.w, self.size, self.recent = v, w, k, tuple(r.T)
+        return coef @ q
 
-    def _appended(self, a: SparseMatrix, d: np.ndarray, coef: np.ndarray) -> "SolutionSpace":
-        """This space after the solution ``x = V' coef + d``: with d
-        A-orthogonalised against it, normalised and appended, or with
-        nothing appended where d lies in it, and with x's coordinates in
-        ``recent``.  Classical Gram-Schmidt takes a second pass only where
-        the first cancelled more than it left (the DGKS criterion, with
-        A-norms), and A d is formed after the first pass and updated
-        through W, so a row of ``w`` is A times its row of ``v`` however
-        much cancels."""
+    def _append(self, a: SparseMatrix, d: np.ndarray, coef: np.ndarray) -> None:
+        """Take in the solution ``x = V' coef + d``: append d, A-orthogonalised
+        against the space and normalised, unless it lies in the space, and
+        put x's coordinates in ``recent``.  Classical Gram-Schmidt takes a
+        second pass only where the first cancelled more than it left (the
+        DGKS criterion, with A-norms), and A d is formed after the first
+        pass and updated through W, so a row of ``w`` is A times its row of
+        ``v`` however much cancels."""
         v, w = self.v[:self.size], self.w[:self.size]
         c = w @ d                       # V' A d
         d = d - c @ v
@@ -348,18 +348,10 @@ class SolutionSpace:
             dd = float(d @ ad)
             in_space_sq += float(c2 @ c2)
         coef = coef + c
-        if not dd > _DEPENDENT**2 * (dd + in_space_sq):
-            return SolutionSpace(self.v, self.w, self.size, self.claimed,
-                                 self._with_recent(coef))
-        v_buf, w_buf, claimed = self.v, self.w, self.claimed
-        if claimed[0] > self.size:
-            v_buf, w_buf, claimed = self.v.copy(), self.w.copy(), [self.size]
-        norm = math.sqrt(dd)
-        v_buf[self.size] = d / norm
-        w_buf[self.size] = ad / norm
-        claimed[0] = self.size + 1
-        return SolutionSpace(v_buf, w_buf, self.size + 1, claimed,
-                             self._with_recent(np.concatenate((coef, (norm,)))))
-
-    def _with_recent(self, coords: np.ndarray) -> tuple:
-        return (coords, *self.recent)[:self.kept - 1]
+        if dd > _DEPENDENT**2 * (dd + in_space_sq):
+            norm = math.sqrt(dd)
+            self.v[self.size] = d / norm
+            self.w[self.size] = ad / norm
+            self.size += 1
+            coef = np.concatenate((coef, (norm,)))
+        self.recent = (coef, *self.recent)[:self.kept - 1]

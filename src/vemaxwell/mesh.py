@@ -163,15 +163,16 @@ def _split_faces(vertices: np.ndarray, faces: Ragged):
 
     Area and centroid sum the signed panels; the centroid is the
     area-weighted mean of the panel centroids.  Returns the fan fields of
-    ``SimplexSplit``, then face areas, unit normals, centroids and
-    diameters.
+    ``SimplexSplit``, then face areas, unit normals, centroids, diameters
+    and plane residuals (``_plane_residual``).  A face of zero area gets
+    NaN normal, panels and centroid: ``derive_topology`` rejects it first.
     """
     loop_ids, offsets = faces.flat, faces.offsets
     sizes = np.diff(offsets)
     nxt = np.arange(loop_ids.size) + 1
     nxt[offsets[1:] - 1] = offsets[:-1]                # close each loop
     apexes, normals, centroids = np.empty((3, sizes.size, 3))
-    areas, diameters = np.empty((2, sizes.size))
+    areas, diameters, residuals = np.empty((3, sizes.size))
     signed = np.empty(loop_ids.size)
     for m in np.unique(sizes):
         ids = np.flatnonzero(sizes == m)
@@ -183,21 +184,17 @@ def _split_faces(vertices: np.ndarray, faces: Ragged):
         # Total area vector; orientation of the loop fixes the normal.
         area_vec = 0.5 * cross.sum(axis=1)
         areas[ids] = area = np.sqrt(area_vec[:, None] @ area_vec[:, :, None])[:, 0, 0]
-        _raise_first([(~(np.isfinite(area) & (area > 0.0)), MeshGeometryError,
-                       "face {f} has zero area")], f=ids)
-        normals[ids] = normal = area_vec / area[:, None]
+        with np.errstate(invalid="ignore"):            # 0 / 0 where the area is zero
+            normals[ids] = normal = area_vec / area[:, None]
         signed[rows] = panel = (0.5 * cross @ normal[:, :, None])[..., 0]
         tri_centroids = (apex[:, None] + pts + np.roll(pts, -1, axis=1)) / 3.0
         centroids[ids] = ((panel[..., None] * tri_centroids).sum(axis=1)
                           / panel.sum(axis=1)[:, None])
-        diameters[ids] = diam = _point_set_diameter(pts)
-        residual, tol = _plane_residual(pts), PLANARITY_TOL * diam
-        _raise_first([(residual > tol, MeshGeometryError, "nonplanar face {f}: residual {r:.3e} "
-                       f"exceeds {PLANARITY_TOL:.0e} * h_F = {{tol:.3e}}")],
-                     f=ids, r=residual, tol=tol)
+        diameters[ids] = _point_set_diameter(pts)
+        residuals[ids] = _plane_residual(pts)
     fan = dict(face_apexes=apexes, fan_vertices=np.stack([loop_ids, loop_ids[nxt]], axis=1),
                fan_areas=signed)
-    return fan, areas, normals, centroids, diameters
+    return fan, areas, normals, centroids, diameters, residuals
 
 
 def _plane_residual(points: np.ndarray) -> np.ndarray:
@@ -241,15 +238,25 @@ def _offsets(counts) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(counts, dtype=int)])
 
 
-def _index_lists(lists):
+def _instances(values: np.ndarray, types) -> np.ndarray:
+    """Whether each entry of an object array is an instance of ``types``,
+    with one ``issubclass`` per distinct type."""
+    kinds = {t: issubclass(t, types) for t in set(map(type, values.flat))}
+    return np.fromiter(map(kinds.get, map(type, values.flat)), bool).reshape(values.shape)
+
+
+def _index_lists(lists, entity: str = "list"):
     """Raw index lists as one flat int ``Ragged``, and whether each entry
-    fits an int (those that do not are stored as 0)."""
+    fits an int (those that do not are stored as 0); MeshFormatError
+    naming the first ``entity`` with an entry that is not an integer."""
     lists = list(lists)
     sizes = np.fromiter(map(len, lists), int, len(lists))
     values = np.fromiter(chain.from_iterable(lists), object, sizes.sum())
-    with np.errstate(invalid="ignore"):               # NaN passes, to fail in astype
-        fits = ~((values < np.iinfo(int).min) | (values > np.iinfo(int).max))
     owners = np.repeat(np.arange(sizes.size), sizes)
+    _raise_first([(np.bincount(owners[~_instances(values, (int, np.integer))],
+                               minlength=sizes.size) > 0,
+                   MeshFormatError, f"{entity} {{0}} has a non-integer index")])
+    fits = ~((values < np.iinfo(int).min) | (values > np.iinfo(int).max))
     return Ragged(np.where(fits, values, 0).astype(int), _offsets(sizes), owners), fits
 
 
@@ -295,19 +302,21 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
     ``cells`` uses 1-based signed face references: +k means face k-1 with
     its stored normal pointing outward, -k means inward.
     """
-    vertices = np.ascontiguousarray(vertices, dtype=float)
-    if vertices.ndim != 2 or vertices.shape[1] != 3:
+    coords = np.asarray(vertices)
+    if coords.ndim != 2 or coords.shape[1] != 3:
         raise MeshFormatError("vertices must be an (n, 3) array")
-    bad = np.flatnonzero(~np.isfinite(vertices).all(axis=1))
-    if bad.size:
-        raise MeshFormatError(f"vertex {bad[0]} has a non-finite coordinate")
-    bad = np.flatnonzero((np.abs(vertices) > COORD_LIMIT).any(axis=1))
-    if bad.size:
-        raise MeshFormatError(
-            f"vertex {bad[0]} has a coordinate beyond +-{COORD_LIMIT:.0e}")
+    if coords.dtype.kind not in "iuf":                # strings, or objects of any type
+        ok = _instances(np.asarray(vertices, dtype=object), (int, float, np.integer, np.floating))
+        _raise_first([(~ok.all(axis=1), MeshFormatError,
+                       "vertex {0} has a coordinate that is not a number")])
+    vertices = np.ascontiguousarray(coords, dtype=float)
+    _raise_first([(~np.isfinite(vertices).all(axis=1), MeshFormatError,
+                   "vertex {0} has a non-finite coordinate"),
+                  ((np.abs(vertices) > COORD_LIMIT).any(axis=1), MeshFormatError,
+                   f"vertex {{0}} has a coordinate beyond +-{COORD_LIMIT:.0e}")])
     nv = vertices.shape[0]
 
-    faces, fits = _index_lists(faces)
+    faces, fits = _index_lists(faces, "face")
     nf, loops = len(faces), faces.flat
     _raise_first([
         (_any_entry(faces, ~fits), MeshFormatError, "face {0} has an index out of range"),
@@ -317,7 +326,7 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
         (_repeats(faces), MeshTopologyError, "inconsistent loop: face {0} repeats a vertex"),
     ])
 
-    refs, fits = _index_lists(cells)
+    refs, fits = _index_lists(cells, "cell")
     nc = len(refs)
     cell_faces = Ragged(np.abs(refs.flat) - 1, refs.offsets, refs.owners)
     _raise_first([
@@ -343,9 +352,13 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
          "inconsistent face sharing: face {0} has equal signs in both cells"),
     ], uses=uses)
 
-    # Fan split and face geometry (validates planarity and degeneracy).
-    fan, face_areas, face_normals, face_centroids, face_diameters = \
+    # Fan split and face geometry; the first degenerate or nonplanar face fails.
+    fan, face_areas, face_normals, face_centroids, face_diameters, residuals = \
         _split_faces(vertices, faces)
+    tol = PLANARITY_TOL * face_diameters
+    _raise_first([(~(face_areas > 0.0), MeshGeometryError, "face {0} has zero area"),
+                  (residuals > tol, MeshGeometryError, "nonplanar face {0}: residual {r:.3e} "
+                   f"exceeds {PLANARITY_TOL:.0e} * h_F = {{tol:.3e}}")], r=residuals, tol=tol)
     loop_ab = fan["fan_vertices"]
 
     # Edges are the panels' loop edges, numbered in order of first
@@ -389,6 +402,10 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
     # Per-cell checks: closure, divergence-theorem volume, vertex diameter.
     flux = cs_flat[:, None] * face_areas[cf_flat, None] * face_normals[cf_flat]
     closure = np.linalg.norm(_stacked(_sum, flux, cell_faces.offsets), axis=1)
+    # D C = 0 on each cell: its faces, with their outward signs, run along
+    # each of their edges as often one way as the other
+    cell_edges, pos = np.unique(tet_cells * ne + loop_edges[tet_panels], return_inverse=True)
+    turns = np.bincount(pos, np.repeat(cs_flat, panels_per) * face_edge_signs.flat[tet_panels])
     heights = np.einsum("ij,ij->i", face_centroids[cf_flat], face_normals[cf_flat])
     cell_volumes = _stacked(_sum, cs_flat * face_areas[cf_flat] * heights,
                             cell_faces.offsets) / 3.0
@@ -396,6 +413,9 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
     _raise_first([
         (closure > CLOSURE_TOL * cell_diameters**2, MeshTopologyError,
          "open cell boundary: cell {0} surface residual {closure:.3e}"),
+        (np.bincount(cell_edges[turns != 0] // ne, minlength=nc) > 0, MeshTopologyError,
+         "open cell boundary: the faces of cell {0} do not pass each of their edges as "
+         "often one way as the other"),
         (cell_volumes <= 0.0, MeshGeometryError, "nonpositive volume {volume:.3e} in cell {0}"),
         (ratio < SHAPE_RATIO_MIN, MeshGeometryError,
          "cell {0} is not shape-regular: min h_F/h_K = {ratio:.3e}"),

@@ -13,10 +13,13 @@ identically and never assembled.
 
 The matrix is the same at every step, so CG starts each solve from the
 A-orthogonal projection of the new solution onto the span of earlier
-ones (``linalg.SolutionSpace``, held by ``SimulationState.space``), which
-also gives A times the guess.  The span always holds the three latest
-solutions (the initial e counting as one), so in the A-norm the guess is
-never farther from the solution than their quadratic extrapolation.
+ones, which also gives A times the guess.  That span is solver memory,
+not part of the state: ``run`` builds one ``linalg.SolutionSpace`` from
+the initial e and passes it to every ``advance``, which guesses from it
+and extends it, so a ``SimulationState`` holds (e, b) and their cached
+products alone.  The span always holds the three latest solutions (the
+initial e counting as one), so in the A-norm the guess is never farther
+from the solution than their quadratic extrapolation.
 Every operator a step applies is built once per run in
 ``StepOperators``, each square matrix as one ``forms.assemble_global``
 Gram product of local factors restricted to interior DOFs, or a sum of
@@ -77,9 +80,8 @@ class SimulationState:
 
     ``m_eps_e`` and ``m_face_b`` are M_eps e and M_f b, read by the energy
     monitor and by the next step's right-hand side; ``div`` is the cell
-    divergence D b, read by the divergence monitor.  ``space`` spans
-    earlier solutions of the step system; ``advance`` projects its CG
-    guess onto it.  Build states with ``make_state``.
+    divergence D b, read by the divergence monitor.  Build states with
+    ``make_state``.
     """
 
     e: np.ndarray
@@ -88,7 +90,6 @@ class SimulationState:
     m_eps_e: np.ndarray
     m_face_b: np.ndarray
     div: np.ndarray
-    space: linalg.SolutionSpace
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,18 +175,14 @@ def build_step_operators(mesh: PolyMesh, projectors: ElementProjectors,
 
 
 def make_state(ops: StepOperators, e: np.ndarray, b: np.ndarray, step: int = 0,
-               space: linalg.SolutionSpace | None = None,
                m_eps_e: np.ndarray | None = None) -> SimulationState:
     """The state (e, b) at ``step``, with M_f b and D b from one stacked
-    product; ``space`` defaults to the span of e, and ``m_eps_e``, M_eps e,
-    is formed where it is not given."""
+    product; ``m_eps_e``, M_eps e, is formed where it is not given."""
     nf = ops.interior_faces.size
-    if space is None:
-        space = linalg.SolutionSpace.spanned_by(ops.system, e, PROJECTION_CAPACITY)
     if m_eps_e is None:
         m_eps_e = linalg.matvec(ops.curl_mass, e)[nf:]
     face = linalg.matvec(ops.face_mass_div, b)      # [M_f b; D_int b]
-    return SimulationState(e, b, step, m_eps_e, face[:nf], face[nf:], space)
+    return SimulationState(e, b, step, m_eps_e, face[:nf], face[nf:])
 
 
 def init_state(ops: StepOperators, case: ManufacturedCase) -> SimulationState:
@@ -212,25 +209,25 @@ def init_state(ops: StepOperators, case: ManufacturedCase) -> SimulationState:
 
 
 def advance(state: SimulationState, ops: StepOperators, load: np.ndarray,
-            tol: float = 1e-12):
+            space: linalg.SolutionSpace, tol: float = 1e-12):
     """One backward-Euler step given the load at t + tau.
 
     Returns (new state, SolveReport).  ``load`` is ``ops.m_edge_load @ j``
     for the edge interpolant j of the current at t + tau: the interior
     test functions against every DOF of the current.  CG starts from
-    ``state.space.guess(rhs)``, whose A x0 spares it the first residual's
-    product, preconditioned by ``ops.precond``, and the new state's space
-    gains the solve's increment.
+    ``space.guess(rhs)``, whose A x0 spares it the first residual's
+    product, preconditioned by ``ops.precond``; ``space``, earlier
+    solutions of ``ops.system``, then takes in the solve.
     """
     tau = ops.tau
     rhs = state.m_eps_e + tau * (load + linalg.matvec(ops.c_int_t, state.m_face_b))
-    guess = state.space.guess(rhs)
+    guess = space.guess(rhs)
     e_new, report = linalg.cg_solve(ops.system, rhs, tol=tol, x0=guess.x,
                                     precond=ops.precond, a_x0=guess.a_x)
-    space = state.space.extended(ops.system, e_new, guess)
+    space.extend(ops.system, e_new, guess)
     nf = ops.interior_faces.size
     edge = linalg.matvec(ops.curl_mass, e_new)      # [C_int e_new; M_eps e_new]
-    return make_state(ops, e_new, state.b - tau * edge[:nf], state.step + 1, space,
+    return make_state(ops, e_new, state.b - tau * edge[:nf], state.step + 1,
                       edge[nf:]), report
 
 
@@ -289,6 +286,7 @@ def run(mesh: PolyMesh, case: ManufacturedCase, tau: float, T: float,
     coefficients = sample_coefficients(mesh, case.eps, case.sigma, case.mu)
     ops = build_step_operators(mesh, build_projectors(mesh), coefficients, tau, stab)
     state = init_state(ops, case)
+    space = linalg.SolutionSpace.spanned_by(ops.system, state.e, PROJECTION_CAPACITY)
 
     def monitor(st: SimulationState, iters: int, residual: float) -> StepMonitor:
         div = divergence_norm(mesh, st.div)
@@ -307,7 +305,7 @@ def run(mesh: PolyMesh, case: ManufacturedCase, tau: float, T: float,
     monitors = [monitor(state, 0, 0.0)]
     total_iters = 0
     for m in range(n_steps):
-        state, report = advance(state, ops, coef[m] @ loads, tol=tol)
+        state, report = advance(state, ops, coef[m] @ loads, space, tol=tol)
         total_iters += report.iterations
         monitors.append(monitor(state, report.iterations, report.residual))
     return RunResult(state, monitors, total_iters, ops)

@@ -1,12 +1,18 @@
+import contextlib
+import copy
+import io
 import json
 import time
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA, folded_voro8
-from vemaxwell import cli
+from vemaxwell import cli, derham, generate_cube_mesh, load_mesh
 from vemaxwell.mesh import MeshFormatError, _pvm_arrays
 
 
@@ -334,6 +340,26 @@ class TestMain:
         assert lines[0] == cli.CSV_HEADER and len(lines) == 2
         assert lines[1].startswith("voro8,")
 
+    @pytest.mark.parametrize("source", ["cube:2", "cube:2,cube:4"])
+    def test_mesh_source_is_always_a_file(self, capsys, tmp_path, monkeypatch, source):
+        # only --generate makes a cube: --mesh cube:2 reads a file of that name
+        monkeypatch.chdir(tmp_path)
+        code = cli.main(["--mesh", source, "--case", "2", "--tau", "1/2"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot parse cube:2: ")
+        assert "No such file" in captured.err and captured.out == ""
+
+    def test_mesh_file_named_like_a_cube_loads(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "cube:2").write_text((DATA / "voro8.json").read_text())
+        monkeypatch.chdir(tmp_path)
+        code = cli.main(["--mesh", "cube:2", "--case", "1", "--tau", "1/2"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        lines = captured.out.strip().split("\n")
+        assert lines[0] == cli.CSV_HEADER and len(lines) == 2
+        assert lines[1].startswith("voro8,")
+
     def test_missing_mesh_exit_three(self, capsys):
         code = cli.main(["--mesh", "/nonexistent/mesh.json", "--case", "1",
                          "--tau", "1/2"])
@@ -342,3 +368,90 @@ class TestMain:
     def test_tau_decimal_accepted(self, capsys):
         code = cli.main(["--generate", "cube:1", "--case", "1", "--tau", "0.5"])
         assert code == 0
+
+
+def pvm_document(mesh):
+    vertices, faces, cells = _pvm_arrays(mesh)
+    return {"name": mesh.name, "vertices": vertices, "faces": faces, "cells": cells}
+
+
+DOCUMENTS = {"cube1": pvm_document(generate_cube_mesh(1)),
+             "cube2": pvm_document(generate_cube_mesh(2)),
+             "voro8": json.loads((DATA / "voro8.json").read_text())}
+ODD_LEAVES = ["0", True, False, float("nan"), 1e308, 10**20, [], {}]
+
+
+@st.composite
+def malformed_documents(draw):
+    """A PVM document of cube:1, cube:2 or voro8 with one to three edits:
+    an entry of an array, or of one of its entries, deleted, duplicated or
+    made an odd leaf value; an array reversed, shuffled or emptied; an
+    index shifted; a vertex nudged."""
+    doc = copy.deepcopy(DOCUMENTS[draw(st.sampled_from(sorted(DOCUMENTS)))])
+    for _ in range(draw(st.integers(1, 3))):
+        key = draw(st.sampled_from(["vertices", "faces", "cells"]))
+        array = doc[key]
+        if array and draw(st.booleans()):
+            array = array[draw(st.integers(0, len(array) - 1))]
+        if not isinstance(array, list):
+            continue
+        op = draw(st.sampled_from(["delete", "duplicate", "odd", "reverse", "shuffle",
+                                   "empty", "shift", "nudge"]))
+        j = draw(st.integers(0, max(len(array) - 1, 0)))
+        if op == "reverse":
+            array.reverse()
+        elif op == "shuffle":
+            array[:] = draw(st.permutations(array))
+        elif op == "empty":
+            array.clear()
+        elif not array:
+            continue
+        elif op == "delete":
+            del array[j]
+        elif op == "duplicate":
+            array.insert(j, copy.deepcopy(array[j]))
+        elif op == "odd":
+            array[j] = draw(st.sampled_from(ODD_LEAVES))
+        elif op == "shift" and type(array[j]) is int:
+            array[j] += draw(st.sampled_from([-2, -1, 1, 3, 100]))
+        elif op == "nudge":
+            vertex = doc["vertices"][j % len(doc["vertices"])] if doc["vertices"] else None
+            if isinstance(vertex, list) and vertex and type(vertex[0]) in (int, float):
+                vertex[0] += draw(st.sampled_from([1e-9, -1e-3, 0.05, 0.4]))
+    return doc
+
+
+def assert_exact_sequence_and_projectors(mesh):
+    """C G = 0 and D C = 0 to 1e-13 of the products' magnitudes (entries
+    of G scale as 1 / h_e), and the projectors reproduce every constant
+    field to 1e-13."""
+    ops = derham.build_incidence(mesh)
+    for a, b in ((ops.C, ops.G), (ops.D, ops.C)):
+        assert abs(a @ b).max() <= 1e-13 * (abs(a) @ abs(b)).max()
+    proj = derham.build_projectors(mesh)
+    for c in np.eye(3):
+        edge, face = mesh.edge_tangents @ c, mesh.face_normals @ c
+        tangential = c - (mesh.face_normals @ c)[:, None] * mesh.face_normals
+        assert np.abs((proj.edge_cell @ edge).reshape(-1, 3) - c).max() <= 1e-13
+        assert np.abs((proj.face_cell @ face).reshape(-1, 3) - c).max() <= 1e-13
+        assert np.abs((proj.face_tangential @ edge).reshape(-1, 3) - tangential).max() <= 1e-13
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(doc=malformed_documents())
+def test_malformed_mesh_fails_with_one_error_line_or_runs(doc, tmp_path_factory):
+    # a standing property of mesh input: a typed error and exit 3, or a
+    # mesh that keeps the exact sequence and the projector identities
+    path = tmp_path_factory.mktemp("malformed") / "mesh.json"
+    path.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(["--mesh", str(path), "--case", "2", "--tau", "1/2", "--T", "0.5"])
+    if code == 3:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert out.getvalue() == ""
+    else:
+        assert code == 0, err.getvalue()
+        assert_exact_sequence_and_projectors(load_mesh(path))

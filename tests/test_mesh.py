@@ -280,6 +280,49 @@ class TestDeriveTopology:
         with pytest.raises(vm.MeshGeometryError, match="^face 3 has zero area$"):
             vm.derive_topology(vertices, self.SPLIT_BOTTOM, [list(range(1, 8))])
 
+    def test_first_failing_face_named_across_loop_sizes(self):
+        # voro8's vertex 6 lies on faces 14 (a pentagon), 15 (a quad) and
+        # 31: moved off their planes, the lowest of them is named, not the
+        # first of the smallest loop size
+        doc = json.loads((DATA / "voro8.json").read_text())
+        vertices = np.array(doc["vertices"])
+        vertices[6] += 0.01 * np.array([0.3, 0.7, -0.5])
+        assert [len(doc["faces"][f]) for f in (14, 15)] == [5, 4]
+        with pytest.raises(vm.MeshGeometryError, match=r"^nonplanar face 14: residual "):
+            vm.derive_topology(vertices, doc["faces"], doc["cells"])
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda v, f, c: f[0].__setitem__(0, 0.5), "face 0 has a non-integer index"),
+        (lambda v, f, c: f[4].__setitem__(1, float("nan")), "face 4 has a non-integer index"),
+        (lambda v, f, c: f.__setitem__(2, np.array(f[2], dtype=float)),
+         "face 2 has a non-integer index"),
+        (lambda v, f, c: c.__setitem__(slice(None), [[float(r) for r in refs] for refs in c]),
+         "cell 0 has a non-integer index"),
+        (lambda v, f, c: c[5].__setitem__(3, "7"), "cell 5 has a non-integer index"),
+        (lambda v, f, c: v[3].__setitem__(1, "0.0"),
+         "vertex 3 has a coordinate that is not a number"),
+        (lambda v, f, c: v[5].__setitem__(2, None),
+         "vertex 5 has a coordinate that is not a number"),
+        (lambda v, f, c: v[6].__setitem__(0, 1j),
+         "vertex 6 has a coordinate that is not a number"),
+    ], ids=["half-index", "nan-index", "float-array-face", "float-cells", "string-ref",
+            "string-coordinate", "none-coordinate", "complex-coordinate"])
+    def test_entry_that_is_not_a_number_rejected(self, cube2, edit, message):
+        # derive_topology itself, not only load_mesh's JSON checks, rejects
+        # an index that is not an integer and a coordinate that is not a number
+        vertices, faces, cells = vm._pvm_arrays(cube2)
+        edit(vertices, faces, cells)
+        with pytest.raises(vm.MeshFormatError, match=f"^{message}$"):
+            vm.derive_topology(vertices, faces, cells)
+
+    def test_numpy_entries_accepted(self, cube2):
+        vertices, faces, cells = vm._pvm_arrays(cube2)
+        again = vm.derive_topology(np.array(vertices, dtype=np.float32).astype(object),
+                                   [np.array(loop, dtype=np.int32) for loop in faces],
+                                   [np.array(refs, dtype=np.int16) for refs in cells])
+        assert np.array_equal(again.vertices, cube2.vertices)
+        assert np.array_equal(again.faces.flat, cube2.faces.flat)
+
     def test_zero_length_edge_named(self):
         # vertex 8 is a copy of vertex 1, inserted into the loop of the last
         # face: the loop edge (1, 8) has zero length
