@@ -228,12 +228,13 @@ def l2_error(mesh: PolyMesh, projectors: ElementProjectors, e_full: np.ndarray,
         """Add the squared deviations over chunk ``rule`` to ``err_sq``;
         return the size of its largest component array."""
         cells, largest = rule.entities, 1
+        volumes = mesh.cell_volumes[cells]
         for f, parts in enumerate(case.EB_parts(*rule.coords)):
             for i, c in enumerate(means[f]):
                 value = _component(scales[f], parts, i)
                 if np.ndim(value) == 0:
                     diff = value - c[cells]
-                    err_sq[f] += float(mesh.cell_volumes[cells] @ (diff * diff))
+                    err_sq[f] += float(volumes @ (diff * diff))
                 else:
                     err_sq[f] += rule.squared_deviation(value, c)
                     largest = max(largest, value.size)

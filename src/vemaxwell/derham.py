@@ -21,17 +21,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sps
 
 from . import geometry
 from .geometry import face_rules, segment_rule
+from .linalg import SparseMatrix
 from .mesh import PolyMesh
 
 INTERP_EDGE_DEGREE = 15
 INTERP_FACE_DEGREE = 14
 
 
-def gradient_matrix(mesh: PolyMesh) -> sps.csr_matrix:
+def gradient_matrix(mesh: PolyMesh) -> SparseMatrix:
     """G: nodal values -> edge DOFs of the gradient.
 
     Row e = (lo, hi): +1/|e| at hi, -1/|e| at lo; exact because nodal
@@ -42,21 +42,21 @@ def gradient_matrix(mesh: PolyMesh) -> sps.csr_matrix:
     cols = mesh.edges.ravel()
     inv_len = 1.0 / mesh.edge_lengths
     vals = np.stack([-inv_len, inv_len], axis=1).ravel()
-    return sps.csr_matrix((vals, (rows, cols)), shape=(ne, mesh.n_vertices))
+    return SparseMatrix.from_coo(rows, cols, vals, (ne, mesh.n_vertices))
 
 
-def curl_matrix(mesh: PolyMesh) -> sps.csr_matrix:
+def curl_matrix(mesh: PolyMesh) -> SparseMatrix:
     """C: edge DOFs -> face DOFs of the curl (Stokes: circulation / area)."""
     rows, cols = mesh.face_edges.owners, mesh.face_edges.flat
     vals = mesh.face_edge_signs.flat * mesh.edge_lengths[cols] / mesh.face_areas[rows]
-    return sps.csr_matrix((vals, (rows, cols)), shape=(mesh.n_faces, mesh.n_edges))
+    return SparseMatrix.from_coo(rows, cols, vals, (mesh.n_faces, mesh.n_edges))
 
 
-def divergence_matrix(mesh: PolyMesh) -> sps.csr_matrix:
+def divergence_matrix(mesh: PolyMesh) -> SparseMatrix:
     """D: face DOFs -> constant cell divergence (flux sum / volume)."""
     rows, cols = mesh.cell_faces.owners, mesh.cell_faces.flat
     vals = mesh.cell_face_signs.flat * mesh.face_areas[cols] / mesh.cell_volumes[rows]
-    return sps.csr_matrix((vals, (rows, cols)), shape=(mesh.n_cells, mesh.n_faces))
+    return SparseMatrix.from_coo(rows, cols, vals, (mesh.n_cells, mesh.n_faces))
 
 
 def divergence_norm(mesh: PolyMesh, div: np.ndarray) -> float:
@@ -67,22 +67,22 @@ def divergence_norm(mesh: PolyMesh, div: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class IncidenceOps:
-    G: sps.csr_matrix
-    C: sps.csr_matrix
-    D: sps.csr_matrix
+    G: SparseMatrix
+    C: SparseMatrix
+    D: SparseMatrix
 
 
 def build_incidence(mesh: PolyMesh) -> IncidenceOps:
     return IncidenceOps(gradient_matrix(mesh), curl_matrix(mesh), divergence_matrix(mesh))
 
 
-def block_matrix(rows, cols, blocks: np.ndarray, shape) -> sps.csr_matrix:
+def block_matrix(rows, cols, blocks: np.ndarray, shape) -> SparseMatrix:
     """Sparse sum of (a, b) blocks, ``blocks[j]`` at block row ``rows[j]``
     and block column ``cols[j]``."""
     _, a, b = blocks.shape
     r, c = np.broadcast_arrays(a * np.asarray(rows)[:, None, None] + np.arange(a)[:, None],
                                b * np.asarray(cols)[:, None, None] + np.arange(b))
-    return sps.csr_matrix((blocks.ravel(), (r.ravel(), c.ravel())), shape=shape)
+    return SparseMatrix.from_coo(r.ravel(), c.ravel(), blocks.ravel(), shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,9 +93,9 @@ class ElementProjectors:
     entity i; they reach only the edges or faces of that entity.
     """
 
-    face_tangential: sps.csr_matrix   # (3 nf, ne): tangential mean per face
-    edge_cell: sps.csr_matrix         # (3 nc, ne): mean of an edge function per cell
-    face_cell: sps.csr_matrix         # (3 nc, nf): mean of a face function per cell
+    face_tangential: SparseMatrix   # (3 nf, ne): tangential mean per face
+    edge_cell: SparseMatrix         # (3 nc, ne): mean of an edge function per cell
+    face_cell: SparseMatrix         # (3 nc, nf): mean of a face function per cell
 
 
 def build_projectors(mesh: PolyMesh) -> ElementProjectors:

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sps
 
 from .derham import ElementProjectors, block_matrix
+from .linalg import SparseMatrix, vstack
 from .mesh import PolyMesh
 
 DEFAULT_ETA_EDGE = 0.01
@@ -81,7 +81,7 @@ class LocalFactors(NamedTuple):
     the sum of f[r]' f[r] over the rows r with cells[r] == k: its projector
     rows sqrt|K| P, then one row sqrt(eta S) X, X = R - N P, per DOF."""
 
-    f: sps.csr_matrix        # (3 nc + pairs, n)
+    f: SparseMatrix          # (3 nc + pairs, n)
     cells: np.ndarray        # (3 nc + pairs,) cell of each row
     n_cells: int
 
@@ -93,16 +93,16 @@ class LocalFactors(NamedTuple):
         return w[self.cells]
 
 
-def _pattern(rows, cols, shape) -> sps.csr_matrix:
+def _pattern(rows, cols, shape) -> SparseMatrix:
     """Sparse matrix with a one at each (rows[j], cols[j])."""
-    return sps.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=shape)
+    return SparseMatrix.from_coo(rows, cols, np.ones(len(rows)), shape)
 
 
-def _sqrt_scaled(f: sps.csr_matrix, weights: np.ndarray) -> sps.csr_matrix:
+def _sqrt_scaled(f: SparseMatrix, weights: np.ndarray) -> SparseMatrix:
     """diag(sqrt(weights)) f: f's data scaled row by row, its index arrays
     shared."""
-    return sps.csr_matrix((f.data * np.repeat(np.sqrt(weights), np.diff(f.indptr)),
-                           f.indices, f.indptr), shape=f.shape)
+    return SparseMatrix(f.indptr, f.indices,
+                        f.data * np.repeat(np.sqrt(weights), np.diff(f.indptr)), f.shape)
 
 
 def _local_factors(mesh, p, cells, ids, directions, stab) -> LocalFactors:
@@ -111,7 +111,7 @@ def _local_factors(mesh, p, cells, ids, directions, stab) -> LocalFactors:
     nc, pairs = mesh.n_cells, np.arange(cells.size)
     select = _pattern(pairs, ids, (pairs.size, p.shape[1]))
     dofs_of_mean = block_matrix(pairs, cells, directions[:, None, :], (pairs.size, p.shape[0]))
-    f = sps.vstack([p, select - dofs_of_mean @ p], format="csr")
+    f = vstack([p, select - dofs_of_mean @ p])
     return LocalFactors(_sqrt_scaled(f, np.concatenate([np.repeat(mesh.cell_volumes, 3), stab])),
                         np.concatenate([np.repeat(np.arange(nc), 3), cells]), nc)
 
@@ -127,10 +127,11 @@ def local_edge_mass(mesh: PolyMesh, projectors: ElementProjectors,
     """
     nc, nf, ne = mesh.n_cells, mesh.n_faces, mesh.n_edges
     mult = (_pattern(mesh.cell_faces.owners, mesh.cell_faces.flat, (nc, nf))
-            @ _pattern(mesh.face_edges.owners, mesh.face_edges.flat, (nf, ne))).tocoo()
-    s = mesh.cell_diameters[mult.row] ** 2 * mult.data * mesh.edge_lengths[mult.col]
-    return _local_factors(mesh, projectors.edge_cell, mult.row, mult.col,
-                          mesh.edge_tangents[mult.col], stab.eta_edge * s)
+            @ _pattern(mesh.face_edges.owners, mesh.face_edges.flat, (nf, ne)))
+    cells, eids = np.repeat(np.arange(nc), np.diff(mult.indptr)), mult.indices
+    s = mesh.cell_diameters[cells] ** 2 * mult.data * mesh.edge_lengths[eids]
+    return _local_factors(mesh, projectors.edge_cell, cells, eids,
+                          mesh.edge_tangents[eids], stab.eta_edge * s)
 
 
 def local_face_mass(mesh: PolyMesh, projectors: ElementProjectors,
@@ -143,7 +144,7 @@ def local_face_mass(mesh: PolyMesh, projectors: ElementProjectors,
                           mesh.face_normals[fids], stab.eta_face * s)
 
 
-def assemble_global(f: sps.csr_matrix, weights: np.ndarray) -> sps.csr_matrix:
+def assemble_global(f: SparseMatrix, weights: np.ndarray) -> SparseMatrix:
     """The weighted product f' diag(weights) f of a stacked factor, formed
     as the Gram matrix h' h of h = diag(sqrt(weights)) f: CSR with sorted
     indices, symmetric bit for bit.  ValueError unless there is one finite,
@@ -152,4 +153,4 @@ def assemble_global(f: sps.csr_matrix, weights: np.ndarray) -> sps.csr_matrix:
     if w.shape != (f.shape[0],) or not (np.isfinite(w) & (w >= 0.0)).all():
         raise ValueError("one finite, nonnegative weight per factor row expected")
     h = _sqrt_scaled(f, w)
-    return (h.T @ h).tocsr()        # CSC to CSR sorts the indices
+    return (h.T @ h).T          # h' rows times h; the transpose sorts the indices

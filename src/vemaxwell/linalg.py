@@ -1,28 +1,63 @@
-"""Minimal sparse linear algebra: CSR storage, preconditioned CG, the
-gradient-corrected (hybrid) preconditioner of curl-curl systems, and the
-projection guess for successive right-hand sides (``SolutionSpace``, one
-mutable accumulator that its owner, such as a run's step loop, grows by
-each solve).
+"""Minimal sparse linear algebra: one CSR matrix type, preconditioned CG,
+the gradient-corrected (hybrid) preconditioner of curl-curl systems, and
+the projection guess for successive right-hand sides (``SolutionSpace``,
+one mutable accumulator that its owner, such as a run's step loop, grows
+by each solve).
 
-Storage and products are backed by scipy's CSR kernels; the CG driver is
-written out so the iterate sequence is deterministic and the reported
-residual is always recomputed from b - Ax, never the recurrence value.
-CG preconditions with Jacobi (``r / diag A``, elementwise) unless it is
-given a CSR preconditioner matrix, such as the one
+``SparseMatrix`` holds every matrix of the package, square or not.  Its
+operations (``@``, ``+``, ``-``, scalar ``*``, ``.T``, row and column
+selection, ``vstack``) call scipy's compiled CSR kernels, the ones
+``scipy.sparse`` calls for the same expressions, in the same order, so
+every matrix and every product is bit for bit what ``scipy.sparse`` would
+give.  The kernel module is loaded from its file: the ``scipy.sparse``
+package itself, whose import took 160-240 ms and about 20 MB of every
+run, is never imported (an already imported one is reused).
+
+The CG driver is written out so the iterate sequence is deterministic and
+the reported residual is always recomputed from b - Ax, never the
+recurrence value.  CG preconditions with Jacobi (``r / diag A``,
+elementwise) unless it is given a preconditioner matrix, such as the one
 ``hybrid_preconditioner`` builds, which it applies through ``matvec``.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sps
-from scipy.sparse import _sparsetools
 
+
+def _load_sparsetools():
+    """``scipy.sparse._sparsetools``, loaded from its extension file when
+    ``scipy.sparse`` is not imported: ``find_spec`` locates scipy without
+    running its ``__init__``.  The module is registered under its own name,
+    so a later ``import scipy.sparse`` shares it."""
+    name = "scipy.sparse._sparsetools"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy = importlib.util.find_spec("scipy")
+    for root in (scipy.submodule_search_locations or ()) if scipy else ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "sparse", "_sparsetools" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(name, path)
+                spec = importlib.util.spec_from_file_location(name, path, loader=loader)
+                module = importlib.util.module_from_spec(spec)
+                loader.exec_module(module)
+                sys.modules[name] = module
+                return module
+    raise ImportError("scipy's compiled sparse kernels (scipy.sparse._sparsetools) "
+                      "were not found")
+
+
+_sparsetools = _load_sparsetools()
 
 # The normal float range, [tiny, max], that CG's squared norms must lie in.
 _NORMAL = np.finfo(float)
@@ -37,38 +72,182 @@ class IndefiniteMatrixError(RuntimeError):
     preconditioner is not positive definite."""
 
 
+def _outputs(rows: int, size: int):
+    """Row offsets, column indices and values for a kernel to fill.  Index
+    arrays are int32, the type scipy gives every matrix this size; a
+    matrix too large for it is refused."""
+    if max(rows, size) >= 2**31:
+        raise ValueError("a sparse matrix with 2**31 rows or entries")
+    return np.zeros(rows + 1, np.int32), np.empty(size, np.int32), np.empty(size)
+
+
 @dataclass(frozen=True, eq=False)
 class SparseMatrix:
-    """Square CSR matrix (row offsets, sorted column indices, values).
+    """CSR matrix: row offsets, column indices and values of an
+    (m, n) ``shape``.
 
-    The scipy CSR view and the diagonal are built on first use and kept,
-    so repeated solves with one matrix rebuild neither."""
+    Built by ``from_coo`` with sorted indices and no duplicates; a product
+    or a sum keeps the entry order its kernel gives, as scipy's does.  The
+    diagonal and its inverse are built on first use and kept, so repeated
+    solves with one matrix rebuild neither."""
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
-    n: int
+    shape: tuple
+
+    @classmethod
+    def _filled(cls, indptr, indices, data, shape) -> "SparseMatrix":
+        """The matrix a kernel wrote, its arrays cut to its entries (copied
+        where those are less than half, as scipy's ``prune`` does)."""
+        nnz = int(indptr[-1])
+        if nnz < indices.size // 2:
+            indices, data = indices[:nnz].copy(), data[:nnz].copy()
+        return cls(indptr, indices[:nnz], data[:nnz], shape)
+
+    @classmethod
+    def from_coo(cls, rows, cols, vals, shape) -> "SparseMatrix":
+        """The matrix with ``vals[j]`` at (``rows[j]``, ``cols[j]``), duplicates
+        summed; ValueError unless the three are 1-d and of one length, and
+        on an index outside ``shape``."""
+        m, n = shape = (int(shape[0]), int(shape[1]))
+        rows, cols, vals = np.asarray(rows), np.asarray(cols), np.asarray(vals, dtype=float)
+        if not rows.shape == cols.shape == vals.shape == (vals.size,):
+            raise ValueError("rows, cols and vals must be 1-d arrays of one length")
+        out = _outputs(m, vals.size)
+        if vals.size:
+            if not (rows.min() >= 0 and rows.max() < m and cols.min() >= 0 and cols.max() < n):
+                raise ValueError(f"an entry lies outside the {shape} matrix")
+            _sparsetools.coo_tocsr(m, n, vals.size, rows.astype(np.int32),
+                                   cols.astype(np.int32), vals, *out)
+        return cls(*out, shape)._summed()
 
     @classmethod
     def from_scipy(cls, a) -> "SparseMatrix":
-        a = sps.csr_matrix(a)
-        if a.shape[0] != a.shape[1]:
-            raise ValueError("square matrix expected")
-        a.sort_indices()
-        a.sum_duplicates()
-        return cls(a.indptr, a.indices, a.data, a.shape[0])
+        """The matrix of a scipy sparse matrix of any format (read through
+        its ``tocsr``, not changed), indices sorted and duplicates summed."""
+        a = a.tocsr()
+        indptr, indices, data = _outputs(a.shape[0], a.indices.size)
+        indptr[:], indices[:], data[:] = a.indptr, a.indices, a.data
+        return cls(indptr, indices, data, tuple(a.shape))._summed()
 
-    @cached_property
-    def _csr(self) -> sps.csr_matrix:
-        return sps.csr_matrix((self.data, self.indices, self.indptr),
-                              shape=(self.n, self.n))
+    @classmethod
+    def diag(cls, values) -> "SparseMatrix":
+        """The square matrix with diagonal ``values``."""
+        n = len(values)
+        indptr, indices, data = _outputs(n, n)
+        indptr[:] = np.arange(n + 1)
+        indices[:], data[:] = indptr[:-1], values
+        return cls(indptr, indices, data, (n, n))
 
-    def to_scipy(self) -> sps.csr_matrix:
-        return self._csr
+    def _summed(self) -> "SparseMatrix":
+        """This matrix with sorted indices and duplicates summed, in place
+        where they are not: scipy's ``sum_duplicates``."""
+        m = self.shape[0]
+        if not _sparsetools.csr_has_canonical_format(m, self.indptr, self.indices):
+            if not _sparsetools.csr_has_sorted_indices(m, self.indptr, self.indices):
+                _sparsetools.csr_sort_indices(m, self.indptr, self.indices, self.data)
+            _sparsetools.csr_sum_duplicates(m, self.shape[1], self.indptr, self.indices,
+                                            self.data)
+        return SparseMatrix._filled(self.indptr, self.indices, self.data, self.shape)
+
+    @property
+    def nnz(self) -> int:
+        return int(self.indptr[-1])
+
+    @property
+    def T(self) -> "SparseMatrix":
+        """The transpose, with sorted indices."""
+        m, n = self.shape
+        out = _outputs(n, self.nnz)
+        _sparsetools.csr_tocsc(m, n, self.indptr, self.indices, self.data, *out)
+        return SparseMatrix(*out, (n, m))
+
+    def _matvec(self, x) -> np.ndarray:
+        """The product with a float vector x; ValueError unless x has one
+        entry per column (the kernel reads x unchecked)."""
+        if np.shape(x) != (self.shape[1],):
+            raise ValueError(f"dimension mismatch: {self.shape} matrix, "
+                             f"{np.shape(x)} vector")
+        y = np.zeros(self.shape[0])
+        _sparsetools.csr_matvec(self.shape[0], self.shape[1], self.indptr, self.indices,
+                                self.data, x, y)
+        return y
+
+    def __matmul__(self, other):
+        """The product with a SparseMatrix, or with a float vector."""
+        if not isinstance(other, SparseMatrix):
+            return self._matvec(other)
+        (m, k), (k2, n) = self.shape, other.shape
+        if k != k2:
+            raise ValueError(f"dimension mismatch: {self.shape} times {other.shape}")
+        out = _outputs(m, _sparsetools.csr_matmat_maxnnz(
+            m, n, self.indptr, self.indices, other.indptr, other.indices))
+        if out[1].size:
+            _sparsetools.csr_matmat(m, n, self.indptr, self.indices, self.data,
+                                    other.indptr, other.indices, other.data, *out)
+        return SparseMatrix._filled(*out, (m, n))
+
+    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
+        return self._merged(other, _sparsetools.csr_plus_csr)
+
+    def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
+        return self._merged(other, _sparsetools.csr_minus_csr)
+
+    def _merged(self, other, kernel) -> "SparseMatrix":
+        """The entrywise sum or difference; exact zeros are dropped."""
+        if self.shape != other.shape:
+            raise ValueError(f"inconsistent shapes {self.shape} and {other.shape}")
+        out = _outputs(self.shape[0], self.nnz + other.nnz)
+        kernel(*self.shape, self.indptr, self.indices, self.data,
+               other.indptr, other.indices, other.data, *out)
+        return SparseMatrix._filled(*out, self.shape)
+
+    def __mul__(self, scalar: float) -> "SparseMatrix":
+        return SparseMatrix(self.indptr, self.indices, self.data * scalar, self.shape)
+
+    __rmul__ = __mul__
+
+    def __getitem__(self, key) -> "SparseMatrix":
+        """``a[rows]`` or ``a[:, cols]`` for integer arrays of ids, in their
+        order; IndexError on any other key and on an id out of range."""
+        axis = 0
+        if isinstance(key, tuple):
+            rows, key = key
+            if not (isinstance(rows, slice) and rows == slice(None)):
+                raise IndexError("a[rows] or a[:, cols] expected")
+            axis = 1
+        ids = np.asarray(key)
+        if ids.ndim != 1 or ids.dtype.kind not in "iu":
+            raise IndexError("a 1-d integer array of ids expected")
+        if ids.size and not (ids.min() >= 0 and ids.max() < self.shape[axis]):
+            raise IndexError(f"an id lies outside [0, {self.shape[axis]})")
+        ids = ids.astype(np.int32)
+        m, n = self.shape
+        if axis == 0:
+            indptr = np.zeros(ids.size + 1, np.int32)
+            np.cumsum(self.indptr[ids + 1] - self.indptr[ids], out=indptr[1:])
+            _, indices, data = _outputs(ids.size, int(indptr[-1]))
+            _sparsetools.csr_row_index(ids.size, ids, self.indptr, self.indices, self.data,
+                                       indices, data)
+            return SparseMatrix(indptr, indices, data, (ids.size, n))
+        offsets, indptr = np.zeros(n, np.int32), np.zeros(m + 1, np.int32)
+        if ids.size:
+            _sparsetools.csr_column_index1(ids.size, ids, m, n, self.indptr, self.indices,
+                                           offsets, indptr)
+        indices, data = np.empty(indptr[-1], np.int32), np.empty(indptr[-1])
+        if ids.size:
+            _sparsetools.csr_column_index2(np.argsort(ids).astype(np.int32), offsets,
+                                           self.indices.size, self.indices, self.data,
+                                           indices, data)
+        return SparseMatrix(indptr, indices, data, (m, ids.size))
 
     @cached_property
     def diagonal(self) -> np.ndarray:
-        return self._csr.diagonal()
+        y = np.empty(min(self.shape))
+        if y.size:
+            _sparsetools.csr_diagonal(0, *self.shape, self.indptr, self.indices, self.data, y)
+        return y
 
     @cached_property
     def inverse_diagonal(self) -> np.ndarray:
@@ -79,17 +258,21 @@ class SparseMatrix:
         return 1.0 / self.diagonal
 
 
-def matvec(a: sps.csr_matrix, x: np.ndarray) -> np.ndarray:
-    """``a @ x`` for a float64 CSR matrix and a float vector, bit for bit:
-    scipy's CSR kernel called without the type dispatch of ``@``, which
-    costs about 2 us a product, a fifth of a product with the step matrix
-    of cube:6.  Looked up on its module at each call, as ``@`` does.  The
-    kernel reads x unchecked, so its length is checked here."""
-    if np.shape(x) != (a.shape[1],):
-        raise ValueError(f"dimension mismatch: {a.shape} matrix, {np.shape(x)} vector")
-    y = np.zeros(a.shape[0])
-    _sparsetools.csr_matvec(a.shape[0], a.shape[1], a.indptr, a.indices, a.data, x, y)
-    return y
+def vstack(blocks) -> SparseMatrix:
+    """The blocks stacked by rows, their entries kept in order."""
+    n = blocks[0].shape[1]
+    if any(b.shape[1] != n for b in blocks):
+        raise ValueError("blocks must have the same number of columns")
+    indptr, _, _ = _outputs(sum(b.shape[0] for b in blocks), sum(b.nnz for b in blocks))
+    indptr[1:] = np.concatenate([b.indptr[1:] + offset for b, offset in
+                                 zip(blocks, np.cumsum([0] + [b.nnz for b in blocks]))])
+    return SparseMatrix(indptr, np.concatenate([b.indices for b in blocks]),
+                        np.concatenate([b.data for b in blocks]), (indptr.size - 1, n))
+
+
+# ``a @ x`` for a float vector x, without the dispatch of ``@``: the one
+# name through which CG and the step loop form their products.
+matvec = SparseMatrix._matvec
 
 
 @dataclass
@@ -98,8 +281,8 @@ class SolveReport:
     residual: float       # |b - Ax| / |b|, recomputed after convergence
 
 
-def hybrid_preconditioner(inv_diag_a: np.ndarray, g: sps.csr_matrix,
-                          diag_l: np.ndarray) -> sps.csr_matrix:
+def hybrid_preconditioner(inv_diag_a: np.ndarray, g: SparseMatrix,
+                          diag_l: np.ndarray) -> SparseMatrix:
     """P = diag(inv_diag_a) + H H', H = G D_L^-1/2, as one CSR matrix.
 
     Hiptmair's hybrid smoother for curl-curl systems (SIAM J. Numer. Anal.
@@ -109,15 +292,16 @@ def hybrid_preconditioner(inv_diag_a: np.ndarray, g: sps.csr_matrix,
     restricted to that range, with ``diag_l`` the diagonal of L = G' A G.
     No matrix A is taken: the caller forms diag L from whatever gives it
     without cancellation.  H H' is formed as the Gram matrix of H', so P
-    is symmetric bit for bit.  P is SPD when every entry of
-    ``inv_diag_a`` and of ``diag_l`` is positive; ValueError where
-    ``diag_l`` is not (a zero column of G, or A is not SPD).
+    is symmetric bit for bit; the sum is transposed last, which sorts its
+    indices.  P is SPD when every entry of ``inv_diag_a`` and of
+    ``diag_l`` is positive; ValueError where ``diag_l`` is not (a zero
+    column of G, or A is not SPD).
     """
     if not (diag_l > 0.0).all():
         raise ValueError("G' A G has a nonpositive diagonal entry: "
                          "a zero column of G, or A is not SPD")
-    h_t = sps.diags(1.0 / np.sqrt(diag_l)) @ g.T
-    return (sps.diags(inv_diag_a) + h_t.T @ h_t).tocsr()
+    h_t = SparseMatrix.diag(1.0 / np.sqrt(diag_l)) @ g.T
+    return (h_t.T @ h_t + SparseMatrix.diag(inv_diag_a)).T
 
 
 def cg_solve(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12,
@@ -132,7 +316,7 @@ def cg_solve(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12,
     the true residual b - A x, by a product with x: it returns x there,
     or goes on from the true residual where the recurrence drifted.  Only
     then does it precondition, z = r / diag(a) elementwise, or z =
-    precond r when ``precond`` (an SPD n x n scipy CSR matrix) is given,
+    precond r when ``precond`` (an SPD n x n ``SparseMatrix``) is given,
     and take one CG step.  So the reported residual |b - Ax| / |b| is
     always formed from the returned x, also after 0 iterations.  Where
     |b|^2 or (tol |b|)^2 is not a normal float, b, ``x0`` and ``a_x0`` are
@@ -140,28 +324,28 @@ def cg_solve(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12,
     [0.5, 1), which scales every iterate exactly, and x is scaled back.
     Returns (x, SolveReport).  Raises ValueError on a non-finite or
     misshapen ``b``, ``x0`` or ``a_x0`` and on a ``precond`` that is
-    misshapen or not CSR; IndefiniteMatrixError on a nonpositive diagonal
+    misshapen or not a ``SparseMatrix``; IndefiniteMatrixError on a nonpositive diagonal
     entry, when a search direction has nonpositive curvature (an assembly
     bug upstream) or r'z <= 0 (a preconditioner that is not positive
     definite); NonConvergenceError when maxiter is exhausted.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol must lie in (0, 1)")
-    b = _checked(b, a.n, "right-hand side")
+    n = a.shape[0]
+    b = _checked(b, n, "right-hand side")
     if x0 is not None:
-        x0 = _checked(x0, a.n, "initial guess")
+        x0 = _checked(x0, n, "initial guess")
     if a_x0 is not None:
         if x0 is None:
             raise ValueError("a_x0 needs the initial guess x0")
-        a_x0 = _checked(a_x0, a.n, "product of the initial guess")
-    if precond is not None and not (sps.issparse(precond) and precond.format == "csr"
-                                    and precond.shape == (a.n, a.n)):
+        a_x0 = _checked(a_x0, n, "product of the initial guess")
+    if precond is not None and not (isinstance(precond, SparseMatrix)
+                                    and precond.shape == a.shape):
         raise ValueError("dimension mismatch between matrix and preconditioner "
-                         "(an n x n CSR matrix)")
+                         "(an n x n SparseMatrix)")
     if maxiter is None:
-        maxiter = max(100, 10 * a.n)
+        maxiter = max(100, 10 * n)
 
-    csr = a.to_scipy()
     bb = float(np.vdot(b, b))      # b @ b bit for bit, with no overflow warning
     stop = tol * tol * bb
     if not _NORMAL.tiny <= stop <= _NORMAL.max:
@@ -173,16 +357,16 @@ def cg_solve(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12,
                                  scaled(a_x0))
             return np.ldexp(x, shift), report
         if bb == 0.0:
-            return np.zeros(a.n), SolveReport(0, 0.0)
+            return np.zeros(n), SolveReport(0, 0.0)
     bnorm = math.sqrt(bb)
     inv_diag = a.inverse_diagonal
 
-    x = np.zeros(a.n) if x0 is None else x0.copy()
-    r = b - (a_x0 if a_x0 is not None else 0.0 if x0 is None else matvec(csr, x))
+    x = np.zeros(n) if x0 is None else x0.copy()
+    r = b - (a_x0 if a_x0 is not None else 0.0 if x0 is None else matvec(a, x))
     p = rz = None
     for iterations in range(maxiter + 1):
         if float(r @ r) <= stop:
-            r = b - matvec(csr, x)
+            r = b - matvec(a, x)
             rr = float(r @ r)
             if rr <= stop:
                 return x, SolveReport(iterations, math.sqrt(rr) / bnorm)
@@ -200,7 +384,7 @@ def cg_solve(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12,
         else:
             p *= rz / rz_old
             p += z
-        ap = matvec(csr, p)
+        ap = matvec(a, p)
         pap = float(p @ ap)
         if pap <= 0.0:
             raise IndefiniteMatrixError(f"p'Ap = {pap:.3e} at iteration {iterations + 1}")
@@ -209,7 +393,7 @@ def cg_solve(a: SparseMatrix, b: np.ndarray, tol: float = 1e-12,
         r -= alpha * ap
     raise NonConvergenceError(
         f"CG did not reach tol={tol:.1e} in {maxiter} iterations "
-        f"(residual {np.linalg.norm(b - matvec(csr, x)) / bnorm:.3e})"
+        f"(residual {np.linalg.norm(b - matvec(a, x)) / bnorm:.3e})"
     )
 
 
@@ -283,7 +467,8 @@ class SolutionSpace:
         vectors; a zero x spans the empty space."""
         if capacity < RESTART_SOLUTIONS:
             raise ValueError(f"capacity must be at least {RESTART_SOLUTIONS}")
-        space = cls(np.empty((capacity, a.n)), np.empty((capacity, a.n)), 0, ())
+        n = a.shape[0]
+        space = cls(np.empty((capacity, n)), np.empty((capacity, n)), 0, ())
         space._append(a, x, np.zeros(0))
         return space
 
@@ -337,7 +522,7 @@ class SolutionSpace:
         v, w = self.v[:self.size], self.w[:self.size]
         c = w @ d                       # V' A d
         d = d - c @ v
-        ad = matvec(a.to_scipy(), d)
+        ad = matvec(a, d)
         dd = float(d @ ad)
         in_space_sq = float(c @ c)
         if in_space_sq > dd:

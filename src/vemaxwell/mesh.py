@@ -174,7 +174,7 @@ def _split_faces(vertices: np.ndarray, faces: Ragged):
     apexes, normals, centroids = np.empty((3, sizes.size, 3))
     areas, diameters, residuals = np.empty((3, sizes.size))
     signed = np.empty(loop_ids.size)
-    for m in np.unique(sizes):
+    for m in _distinct(sizes):
         ids = np.flatnonzero(sizes == m)
         rows = offsets[ids, None] + np.arange(m)
         pts = vertices[loop_ids[rows]]                 # (faces, m, 3)
@@ -221,7 +221,7 @@ def _stacked(fn, x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """``fn`` of every segment ``x[offsets[i]:offsets[i + 1]]``, evaluated
     on one (segments, size, ...) stack per segment size."""
     sizes = np.diff(offsets)
-    parts = {m: fn(x[offsets[:-1][sizes == m, None] + np.arange(m)]) for m in np.unique(sizes)}
+    parts = {m: fn(x[offsets[:-1][sizes == m, None] + np.arange(m)]) for m in _distinct(sizes)}
     out = np.empty((sizes.size,) + next(iter(parts.values())).shape[1:])
     for m, part in parts.items():
         out[sizes == m] = part
@@ -238,6 +238,16 @@ def _offsets(counts) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(counts, dtype=int)])
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of a 1-d array, as ``np.unique`` gives
+    them: numpy's own asks ``numpy.ma`` whether the array is masked, and
+    so loads that package (10-17 ms) into every run."""
+    values = np.sort(values)
+    keep = np.ones(values.size, bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 def _instances(values: np.ndarray, types) -> np.ndarray:
     """Whether each entry of an object array is an instance of ``types``,
     with one ``issubclass`` per distinct type."""
@@ -248,7 +258,12 @@ def _instances(values: np.ndarray, types) -> np.ndarray:
 def _index_lists(lists, entity: str = "list"):
     """Raw index lists as one flat int ``Ragged``, and whether each entry
     fits an int (those that do not are stored as 0); MeshFormatError
-    naming the first ``entity`` with an entry that is not an integer."""
+    naming the first ``entity`` with an entry that is not an integer.  A
+    2-d signed integer array is taken as it is: its type settles both."""
+    if isinstance(lists, np.ndarray) and lists.ndim == 2 and lists.dtype.kind == "i":
+        sizes = np.full(lists.shape[0], lists.shape[1])
+        return (Ragged(lists.astype(int).ravel(), _offsets(sizes),
+                       np.repeat(np.arange(sizes.size), sizes)), np.ones(lists.size, bool))
     lists = list(lists)
     sizes = np.fromiter(map(len, lists), int, len(lists))
     values = np.fromiter(chain.from_iterable(lists), object, sizes.sum())
@@ -390,7 +405,7 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
                   + np.repeat(faces.offsets[cf_flat] - cf_offsets[:-1], panels_per))
     tet_cells = np.repeat(np.arange(nc), np.diff(tet_offsets))
     # Sorted unique vertices of each cell, read off its panels.
-    keys = np.unique(tet_cells * nv + loop_ab[tet_panels, 0])
+    keys = _distinct(tet_cells * nv + loop_ab[tet_panels, 0])
     cell_verts, cv_offsets = keys % nv, _offsets(np.bincount(keys // nv, minlength=nc))
     # One pass over each cell's vertex stack: the apex (vertex mean), the
     # vertex bounding box and the vertex diameter.
@@ -574,7 +589,7 @@ def generate_cube_mesh(n: int, domain=None, name: str = "") -> PolyMesh:
     cells = np.stack([-fx[:-1], fx[1:], -fy[:, :-1], fy[:, 1:], -fz[..., :-1], fz[..., 1:]],
                      axis=-1).reshape(-1, 6)
 
-    return derive_topology(coords, faces.tolist(), cells.tolist(), name=name or f"cube{n**3}")
+    return derive_topology(coords, faces, cells, name=name or f"cube{n**3}")
 
 
 def validate_mesh(mesh: PolyMesh) -> ValidationReport:

@@ -40,7 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sps
 
 from . import linalg
 from .cases import ManufacturedCase
@@ -108,22 +107,24 @@ class StepOperators:
     tau: float
     interior_edges: np.ndarray
     interior_faces: np.ndarray
-    curl_mass: object      # [C_int; M_eps], (interior face + edge) x interior edge
-    face_mass_div: object  # [M_f; D_int], (interior face + cell) x interior face
-    m_edge_load: object    # interior edge x all edges, unweighted product
-    c_int_t: object        # interior edge x interior face, C_int' as CSR
+    curl_mass: linalg.SparseMatrix      # [C_int; M_eps], (interior face + edge) x interior edge
+    face_mass_div: linalg.SparseMatrix  # [M_f; D_int], (interior face + cell) x interior face
+    m_edge_load: linalg.SparseMatrix    # interior edge x all edges, unweighted product
+    c_int_t: linalg.SparseMatrix        # interior edge x interior face, C_int'
     system: linalg.SparseMatrix
-    precond: object        # CG preconditioner matrix, None for Jacobi
+    precond: linalg.SparseMatrix | None  # CG preconditioner matrix, None for Jacobi
 
 
-def curl_mass_ratio(system: linalg.SparseMatrix, m_eps) -> float:
+def curl_mass_ratio(system: linalg.SparseMatrix, m_eps: linalg.SparseMatrix) -> float:
     """Median over interior edges of (diag A - diag M_eps) / diag M_eps:
     how far tau M_sigma + tau^2 C' M_f C outweighs the mass term on the
     diagonal of the step matrix A; 0 on a mesh without interior edges."""
-    if system.n == 0:
+    if system.shape[0] == 0:
         return 0.0
-    d_eps = m_eps.diagonal()
-    return float(np.median((system.diagonal - d_eps) / d_eps))
+    d_eps = m_eps.diagonal
+    # np.median's value, from a sort: np.median itself loads numpy.ma
+    ratios = np.sort((system.diagonal - d_eps) / d_eps)
+    return float(0.5 * (ratios[(ratios.size - 1) // 2] + ratios[ratios.size // 2]))
 
 
 def build_step_operators(mesh: PolyMesh, projectors: ElementProjectors,
@@ -138,7 +139,7 @@ def build_step_operators(mesh: PolyMesh, projectors: ElementProjectors,
     # Every edge of a boundary face is a boundary edge (derive_topology's
     # definition), so C[boundary faces, ie] = 0: a zeroed b stays zero, and
     # F_f C[:, ie] gives C_int' M_f C_int.
-    c_ie = ops.C[:, ie].tocsr()
+    c_ie = ops.C[:, ie]
     c_int = c_ie[if_]
 
     # Every square matrix is the Gram matrix of local factors restricted to
@@ -150,28 +151,27 @@ def build_step_operators(mesh: PolyMesh, projectors: ElementProjectors,
     curl_term = assemble_global(face.f @ c_ie, w_face)
     edge = local_edge_mass(mesh, projectors, stab)
     f_edge = edge.f[:, ie]
-    m_edge_load = (f_edge.T @ edge.f).tocsr()
+    m_edge_load = (edge.f.T @ f_edge).T     # the transpose sorts the indices
     eps, sigma = coefficients.eps_hat, coefficients.sigma_hat
     w_eps, w_system = edge.weighted(eps), edge.weighted(eps + tau * sigma)
     del face, edge          # the all-DOF factors, freed before the largest products
     m_eps = assemble_global(f_edge, w_eps)
-    system = linalg.SparseMatrix.from_scipy(assemble_global(f_edge, w_system)
-                                            + tau**2 * curl_term)
+    system = assemble_global(f_edge, w_system) + tau**2 * curl_term
     del curl_term
     precond = None
     if curl_mass_ratio(system, m_eps) > CURL_MASS_SWITCH:
         # C G = 0, so L = G' A G is the Gram matrix of the mass factor times
         # G: diag L is a sum of weighted squares, with no curl term to cancel
-        g_int = ops.G[ie][:, np.flatnonzero(~mesh.boundary_vertices)].tocsr()
+        g_int = ops.G[ie][:, np.flatnonzero(~mesh.boundary_vertices)]
         fg = f_edge @ g_int
         np.square(fg.data, out=fg.data)
         diag_l = fg.T @ w_system
         del fg
         precond = linalg.hybrid_preconditioner(system.inverse_diagonal, g_int, diag_l)
     return StepOperators(mesh, projectors, tau, ie, if_,
-                         sps.vstack([c_int, m_eps], format="csr"),
-                         sps.vstack([m_face, ops.D[:, if_]], format="csr"),
-                         m_edge_load, c_int.T.tocsr(), system, precond)
+                         linalg.vstack([c_int, m_eps]),
+                         linalg.vstack([m_face, ops.D[:, if_]]),
+                         m_edge_load, c_int.T, system, precond)
 
 
 def make_state(ops: StepOperators, e: np.ndarray, b: np.ndarray, step: int = 0,

@@ -6,6 +6,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
 from vemaxwell import _case_fields, derham, forms, generate_cube_mesh, geometry, load_mesh
 from vemaxwell.mesh import derive_topology
@@ -14,6 +15,12 @@ DATA = pathlib.Path(__file__).parent / "data"
 
 # Fixtures on which flat-array code is checked against per-entity loops.
 SPLIT_MESHES = ["cube4", "lcell", "two_prisms", "voro8", "voro27"]
+
+
+def scipy_csr(m):
+    """A ``linalg.SparseMatrix`` as a scipy CSR matrix over the same arrays,
+    for the scipy algebra of the tests (``toarray``, ``abs``, ``!=``)."""
+    return sps.csr_matrix((m.data, m.indices, m.indptr), shape=m.shape)
 
 
 @pytest.fixture(scope="session")
@@ -188,10 +195,10 @@ def cube4_proj(cube4):
 
 def weighted_product(mesh, proj, cell_weights, kind, stab=forms.StabWeights()):
     """The edge or face product over all DOFs, boundary ones included,
-    weighted by ``cell_weights``."""
+    weighted by ``cell_weights``, as a scipy CSR matrix."""
     local = forms.local_edge_mass if kind == "edge" else forms.local_face_mass
     factors = local(mesh, proj, stab)
-    return forms.assemble_global(factors.f, factors.weighted(cell_weights))
+    return scipy_csr(forms.assemble_global(factors.f, factors.weighted(cell_weights)))
 
 
 def cell_edges(mesh, k):
@@ -202,7 +209,7 @@ def cell_edges(mesh, k):
 def block_rows(proj_map, i, cols):
     """Entity i's projector as a dense (3, len(cols)) matrix: rows
     3i..3i+2 of a global projector map, restricted to ``cols``."""
-    return proj_map[3 * i:3 * i + 3][:, cols].toarray()
+    return scipy_csr(proj_map)[3 * i:3 * i + 3][:, cols].toarray()
 
 
 class Blocks(NamedTuple):
@@ -215,10 +222,10 @@ class Blocks(NamedTuple):
 def blocks(ops):
     """The blocks C_int, M_eps, M_f and D_int of the step operators, sliced
     from their stacked ``curl_mass`` = [C_int; M_eps] and
-    ``face_mass_div`` = [M_f; D_int]."""
+    ``face_mass_div`` = [M_f; D_int], as scipy CSR matrices."""
     nf = ops.interior_faces.size
-    return Blocks(ops.curl_mass[:nf], ops.curl_mass[nf:],
-                  ops.face_mass_div[:nf], ops.face_mass_div[nf:])
+    curl_mass, face_mass_div = scipy_csr(ops.curl_mass), scipy_csr(ops.face_mass_div)
+    return Blocks(curl_mass[:nf], curl_mass[nf:], face_mass_div[:nf], face_mass_div[nf:])
 
 
 def expand(v, ids, n):

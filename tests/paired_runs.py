@@ -7,8 +7,9 @@ end-to-end metric:
 PARENT and CHANGE are checkout directories.  For each workload of CHANGE's
 ``BENCHMARK.json``, or each one named by ``--workload``, each pair runs one ``perfbench/run.py --trace 0``
 window per checkout, each with that checkout's own benchmark and sources;
-the parent runs first in even pairs and the change first in odd ones.  Per
-workload and metric it prints the parent's median and quartiles, the
+the parent runs first in even pairs and the change first in odd ones.  As
+each pair ends it prints the pair's parent and change value of every
+end-to-end metric (``pair_line``).  Per workload and metric it then prints the parent's median and quartiles, the
 change's median, the pairs the change won (ties count for neither), whether
 a gain is shown (the change wins at least nine tenths of the pairs and its
 median is better than the parent's by more than the parent's interquartile
@@ -91,6 +92,17 @@ def row_line(workload: str, r: dict) -> str:
             f"{r['wins']}/{r['pairs']} {r['gain']} {r['within_bound']} {r['past_bound']}")
 
 
+def pair_line(workload: str, index: int, parent: dict, change: dict, metrics: list) -> str:
+    """One pair's values, ``parent -> change`` per metric of ``metrics``
+    that either side has ("-" where one lacks it)."""
+    def value(side, name):
+        return f"{side[name]:.4g}" if name in side else "-"
+
+    return f"{workload} pair {index}: " + ", ".join(
+        f"{m['name']} {value(parent, m['name'])} -> {value(change, m['name'])}"
+        for m in metrics if m["name"] in parent or m["name"] in change)
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("parent", type=Path)
@@ -115,6 +127,7 @@ def main(argv=None) -> int:
             runs = {side: window(side, workload, args.seconds) for side in order}
             ok &= all(values and not failed for values, failed in runs.values())
             pairs.append((runs[args.parent][0], runs[args.change][0]))
+            print(pair_line(workload, i, *pairs[-1], bench["end_to_end"]), flush=True)
         for r in summarise(pairs, bench["end_to_end"]):
             print(row_line(workload, r), flush=True)
     return 0 if ok else 1

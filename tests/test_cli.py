@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA, folded_voro8
+from conftest import DATA, folded_voro8, scipy_csr
 from vemaxwell import cli, derham, generate_cube_mesh, load_mesh
 from vemaxwell.mesh import MeshFormatError, _pvm_arrays
 
@@ -427,6 +427,7 @@ def assert_exact_sequence_and_projectors(mesh):
     field to 1e-13."""
     ops = derham.build_incidence(mesh)
     for a, b in ((ops.C, ops.G), (ops.D, ops.C)):
+        a, b = scipy_csr(a), scipy_csr(b)
         assert abs(a @ b).max() <= 1e-13 * (abs(a) @ abs(b)).max()
     proj = derham.build_projectors(mesh)
     for c in np.eye(3):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from conftest import SPLIT_MESHES, block_rows, cell_edges, constant_face_dofs, expand
+from conftest import (SPLIT_MESHES, block_rows, cell_edges, constant_face_dofs, expand,
+                      scipy_csr)
 from vemaxwell import cases, forms, stepper
 from vemaxwell import derham as vd
 from vemaxwell import geometry as vg
@@ -317,7 +318,7 @@ class TestExactSequenceAndCommuting:
         m = request.getfixturevalue(name)
         nodes = np.flatnonzero(~m.boundary_vertices)
         ie, if_ = np.flatnonzero(~m.boundary_edges), np.flatnonzero(~m.boundary_faces)
-        c, g = vd.curl_matrix(m), vd.gradient_matrix(m)
+        c, g = scipy_csr(vd.curl_matrix(m)), scipy_csr(vd.gradient_matrix(m))
         assert g[np.flatnonzero(m.boundary_edges)][:, nodes].nnz == 0
         c_int = c[if_][:, ie]
         g_int = g[ie][:, nodes]

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (SPLIT_MESHES, block_rows, blocks, cell_edges, constant_edge_dofs,
-                      constant_face_dofs, weighted_product)
-from vemaxwell import cases, forms, stepper
+                      constant_face_dofs, scipy_csr, weighted_product)
+from vemaxwell import cases, forms, linalg, stepper
 from vemaxwell import derham as vd
 from vemaxwell import mesh as vm
 
@@ -266,7 +266,8 @@ class TestAssembleGlobal:
         f = sps.csr_matrix(rng.standard_normal((rows, cols))
                            * (rng.uniform(size=(rows, cols)) < density))
         w = rng.uniform(0.0, 10.0, rows) * (rng.uniform(size=rows) >= zeros)
-        m = forms.assemble_global(f, w)
+        factor = linalg.SparseMatrix.from_scipy(f)
+        m = scipy_csr(forms.assemble_global(factor, w))
         assert m.format == "csr" and m.shape == (cols, cols)
         assert all((np.diff(m.indices[a:b]) > 0).all()
                    for a, b in zip(m.indptr[:-1], m.indptr[1:]))
@@ -277,7 +278,7 @@ class TestAssembleGlobal:
         if rows:
             w[rng.integers(rows)] = -rng.uniform(1e-300, 1.0)
             with pytest.raises(ValueError, match="nonnegative"):
-                forms.assemble_global(f, w)
+                forms.assemble_global(factor, w)
 
     def test_stab_weights_validation(self):
         for bad in (dict(eta_edge=0.0), dict(eta_edge=np.nan), dict(eta_face=np.inf)):
@@ -355,8 +356,9 @@ class TestSparseMatchesLoops:
     @staticmethod
     def assert_blocks(proj_map, blocks, entity_ids):
         scale = max(np.abs(b).max() for b in blocks)
+        csr = scipy_csr(proj_map)
         for i, (want, ids) in enumerate(zip(blocks, entity_ids)):
-            rows = proj_map[3 * i:3 * i + 3].toarray()
+            rows = csr[3 * i:3 * i + 3].toarray()
             assert np.abs(block_rows(proj_map, i, ids) - want).max() <= 1e-14 * scale
             rows[:, ids] = 0.0
             assert not rows.any()        # nothing outside entity i's own DOFs
@@ -397,11 +399,11 @@ class TestSparseMatchesLoops:
         face_full = weighted_product(m, proj, 1.0 / coeffs.mu_hat, "face")
         sigma_mass = weighted_product(m, proj, coeffs.sigma_hat, "edge")[ie][:, ie]
         if ie.size:       # the hybrid preconditioner, symmetric bit for bit
-            precond = ops.precond.toarray()
+            precond = scipy_csr(ops.precond).toarray()
             assert (precond == precond.T).all()
         for got, want in ((blk.m_eps, m_eps), (sigma_mass, m_sigma),
-                          (ops.m_edge_load, m_edge[ie]),
-                          (blk.m_face, m_face), (ops.system.to_scipy(), system),
+                          (scipy_csr(ops.m_edge_load), m_edge[ie]),
+                          (blk.m_face, m_face), (scipy_csr(ops.system), system),
                           (edge_full, m_edge), (face_full, m_face_full)):
             got, want = got.toarray(), want.toarray()
             assert got.shape == want.shape
@@ -415,4 +417,4 @@ class TestSparseMatchesLoops:
         rows = np.repeat(np.arange(m.n_cells), [c.size for c in ids])
         incidence = sps.csr_matrix((np.ones(rows.size), (rows, np.concatenate(ids))),
                                    shape=(m.n_cells, m.n_edges))[:, ie]
-        assert ops.system.to_scipy().nnz == (incidence.T @ incidence).nnz
+        assert ops.system.nnz == (incidence.T @ incidence).nnz

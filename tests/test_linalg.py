@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 
+from conftest import scipy_csr
 from vemaxwell import linalg
 
 
@@ -15,46 +16,45 @@ def random_spd(n, seed=0):
 
 def direct_solve(a, b):
     """Dense solve of a small system, the oracle for CG."""
-    return np.linalg.solve(a.to_scipy().toarray(), np.asarray(b, dtype=float))
+    return np.linalg.solve(scipy_csr(a).toarray(), np.asarray(b, dtype=float))
 
 
 class TestSpmv:
     def test_csr_fields_exposed(self):
         a = random_spd(6)
         assert a.indptr.shape == (7,)
-        assert a.n == 6
+        assert a.shape == (6, 6) and a.nnz == 36
         # column indices sorted and unique per row
         for i in range(6):
             cols = a.indices[a.indptr[i]:a.indptr[i + 1]]
             assert (np.diff(cols) > 0).all()
 
-    def test_csr_and_diagonal_built_once(self, monkeypatch):
+    def test_diagonal_built_once(self, monkeypatch):
         a = random_spd(6)
-        csr = a.to_scipy()
-        assert a.to_scipy() is csr
-        assert np.array_equal(a.diagonal, csr.toarray().diagonal())
-        assert a.diagonal is a.diagonal
-        # repeated solves reuse the cached CSR: none is built
-        built = []
-        original = linalg.sps.csr_matrix
+        # repeated solves reuse the diagonal: the kernel runs once
+        calls = []
+        original = linalg._sparsetools.csr_diagonal
 
-        def counted(*args, **kwargs):
-            built.append(args)
-            return original(*args, **kwargs)
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
 
-        monkeypatch.setattr(linalg.sps, "csr_matrix", counted)
+        monkeypatch.setattr(linalg._sparsetools, "csr_diagonal", counted)
         for seed in range(3):
             linalg.cg_solve(a, np.random.default_rng(seed).standard_normal(6))
-        assert built == []
+        assert len(calls) == 1
+        assert np.array_equal(a.diagonal, scipy_csr(a).diagonal())
+        assert a.diagonal is a.diagonal
 
     def test_matvec_matches_scipy_bit_for_bit(self):
         a = sps.random(30, 20, density=0.3, format="csr", random_state=3)
+        m = linalg.SparseMatrix.from_scipy(a)
         x = np.random.default_rng(4).standard_normal(20)
-        assert np.array_equal(linalg.matvec(a, x), a @ x)
-        assert np.array_equal(linalg.matvec(a[12:], x), (a @ x)[12:])
+        assert np.array_equal(linalg.matvec(m, x), a @ x)
+        assert np.array_equal(linalg.matvec(m[np.arange(12, 30)], x), (a @ x)[12:])
         for bad in (np.ones(19), np.ones(21), np.ones((20, 1))):
             with pytest.raises(ValueError, match="dimension mismatch"):
-                linalg.matvec(a, bad)
+                linalg.matvec(m, bad)
 
     def test_inverse_diagonal_checked_once(self):
         a = random_spd(6)
@@ -66,7 +66,7 @@ class TestSpmv:
 
     def test_compares_by_identity(self):
         a = random_spd(4)
-        b = linalg.SparseMatrix.from_scipy(a.to_scipy())
+        b = linalg.SparseMatrix.from_scipy(scipy_csr(a))
         assert a == a and a != b
         assert len({a, b}) == 2
 
@@ -110,7 +110,7 @@ class TestCg:
         a = random_spd(20, seed=22)
         rng = np.random.default_rng(23)
         b, x0 = rng.standard_normal(20), rng.standard_normal(20)
-        a_x0 = a.to_scipy() @ x0
+        a_x0 = a @ x0
         x, rep = linalg.cg_solve(a, b, x0=x0, a_x0=a_x0)
         xs, reps = linalg.cg_solve(a, np.ldexp(b, shift), x0=np.ldexp(x0, shift),
                                    a_x0=np.ldexp(a_x0, shift))
@@ -193,7 +193,7 @@ class TestCg:
 
     @pytest.mark.parametrize("convert", [np.asarray, sps.csc_matrix, sps.coo_matrix])
     def test_preconditioner_must_be_csr(self, convert):
-        # it is applied through matvec, which reads CSR arrays
+        # it is applied through matvec, which reads a SparseMatrix's arrays
         a = random_spd(4)
         with pytest.raises(ValueError, match="dimension mismatch.*preconditioner"):
             linalg.cg_solve(a, np.ones(4), precond=convert(np.eye(4)))
@@ -203,7 +203,8 @@ class TestCg:
         # r'z <= 0: the iteration would no longer be CG
         a = linalg.SparseMatrix.from_scipy(sps.eye(2, format="csr") * 3.0)
         with pytest.raises(linalg.IndefiniteMatrixError, match="preconditioner"):
-            linalg.cg_solve(a, np.array([1.0, -1.0]), precond=sps.csr_matrix(precond))
+            linalg.cg_solve(a, np.array([1.0, -1.0]),
+                            precond=linalg.SparseMatrix.from_scipy(sps.csr_matrix(precond)))
 
     def test_jacobi_matrix_matches_elementwise_default(self):
         # diag(a)^-1 as a matrix is the default preconditioner, bit for bit
@@ -212,27 +213,28 @@ class TestCg:
         x0 = np.random.default_rng(18).standard_normal(40)
         x1, r1 = linalg.cg_solve(a, b, tol=1e-12, x0=x0)
         x2, r2 = linalg.cg_solve(a, b, tol=1e-12, x0=x0,
-                                 precond=sps.diags(1.0 / a.diagonal).tocsr())
+                                 precond=linalg.SparseMatrix.diag(1.0 / a.diagonal))
         assert np.array_equal(x1, x2)
         assert r1 == r2
 
     def test_preconditioned_dense_oracle(self):
         a = random_spd(30, seed=19)
         b = np.random.default_rng(20).standard_normal(30)
-        inverse = np.linalg.inv(a.to_scipy().toarray())
-        x, rep = linalg.cg_solve(a, b, tol=1e-12,
-                                 precond=sps.csr_matrix(0.5 * (inverse + inverse.T)))
+        inverse = np.linalg.inv(scipy_csr(a).toarray())
+        x, rep = linalg.cg_solve(a, b, tol=1e-12, precond=linalg.SparseMatrix.from_scipy(
+            sps.csr_matrix(0.5 * (inverse + inverse.T))))
         assert rep.iterations <= 2
         assert np.allclose(x, direct_solve(a, b), rtol=1e-9, atol=1e-12)
-        spd = random_spd(30, seed=21).to_scipy()
+        spd = random_spd(30, seed=21)
         x, rep = linalg.cg_solve(a, b, tol=1e-13, precond=spd)
         assert rep.residual <= 1e-13
         assert np.allclose(x, direct_solve(a, b), rtol=1e-9, atol=1e-12)
 
     def test_hybrid_preconditioner_needs_nonzero_gradient_columns(self):
         a = random_spd(4)
-        g = sps.csr_matrix(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
-        diag_l = (g.T @ a.to_scipy() @ g).diagonal()
+        g = linalg.SparseMatrix.from_scipy(
+            sps.csr_matrix(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])))
+        diag_l = (g.T @ a @ g).diagonal
         with pytest.raises(ValueError, match="nonpositive diagonal"):
             linalg.hybrid_preconditioner(a.inverse_diagonal, g, diag_l)
 
@@ -250,9 +252,9 @@ class TestCg:
         b, x0 = rng.standard_normal(25), rng.standard_normal(25)
         # with a_x0 the first residual is b - a_x0, but the reported one
         # is still formed from the returned x
-        for start in ({}, {"x0": x0, "a_x0": a.to_scipy() @ x0}):
+        for start in ({}, {"x0": x0, "a_x0": a @ x0}):
             x, rep = linalg.cg_solve(a, b, tol=1e-11, **start)
-            true = np.linalg.norm(b - a.to_scipy() @ x) / np.linalg.norm(b)
+            true = np.linalg.norm(b - a @ x) / np.linalg.norm(b)
             assert rep.residual == pytest.approx(true, rel=1e-12)
             assert rep.residual <= 1e-11
 
@@ -263,10 +265,10 @@ class TestCg:
         a = random_spd(30, seed=25)
         rng = np.random.default_rng(26)
         b, x0 = rng.standard_normal(30), rng.standard_normal(30)
-        kw = dict(tol=1e-12, precond=random_spd(30, seed=27).to_scipy() if precond else None)
+        kw = dict(tol=1e-12, precond=random_spd(30, seed=27) if precond else None)
         zero = np.zeros(30)
         for start, same in (({}, {"x0": zero, "a_x0": zero}),
-                            ({"x0": x0}, {"x0": x0, "a_x0": a.to_scipy() @ x0})):
+                            ({"x0": x0}, {"x0": x0, "a_x0": a @ x0})):
             x1, r1 = linalg.cg_solve(a, b, **start, **kw)
             x2, r2 = linalg.cg_solve(a, b, **same, **kw)
             assert np.array_equal(x1, x2) and r1 == r2 and r1.iterations > 0
@@ -281,9 +283,9 @@ class TestCg:
             return original(m, v)
 
         monkeypatch.setattr(linalg, "matvec", counted)
-        got, rep = linalg.cg_solve(a, b, x0=x, a_x0=a.to_scipy() @ x, **kw)
+        got, rep = linalg.cg_solve(a, b, x0=x, a_x0=a @ x, **kw)
         assert rep.iterations == 0 and np.array_equal(got, x)
-        assert len(products) == 1 and products[0] is a.to_scipy()
+        assert len(products) == 1 and products[0] is a
 
     def test_wrong_a_x0_costs_iterations_not_the_result(self):
         # a_x0 that meets tol on its face is checked by a product: a wrong
@@ -307,9 +309,9 @@ class TestCg:
         case = cases.case1()
         coeffs = forms.sample_coefficients(cube4, case.eps, case.sigma, case.mu)
         ops = stepper.build_step_operators(cube4, proj, coeffs, 0.125)
-        b = np.random.default_rng(13).standard_normal(ops.system.n)
+        b = np.random.default_rng(13).standard_normal(ops.system.shape[0])
         x, rep = linalg.cg_solve(ops.system, b, tol=1e-12)
-        csr = ops.system.to_scipy()
+        csr = scipy_csr(ops.system)
         true = np.linalg.norm(b - csr @ x) / np.linalg.norm(b)
         assert true <= 1e-12
         assert rep.residual == pytest.approx(true, rel=1e-12)
@@ -339,7 +341,7 @@ class TestSolutionSpace:
     @staticmethod
     def assert_a_orthonormal(a, space):
         """V' A V = I and W = A V to round-off."""
-        csr, eps = a.to_scipy(), np.finfo(float).eps
+        csr, eps = scipy_csr(a), np.finfo(float).eps
         v, w = space.v[:space.size], space.w[:space.size]
         assert np.abs(v @ (csr @ v.T) - np.eye(space.size)).max() <= 1e3 * eps
         assert np.abs(w - (csr @ v.T).T).max() <= 1e3 * eps * np.abs(w).max()
@@ -347,7 +349,7 @@ class TestSolutionSpace:
     def test_guess_residual_is_a_orthogonal_to_the_space(self):
         # V' A V = I and W = A V, so V' (b - A V V' b) = 0 to round-off
         n, a = 40, random_spd(40, seed=3)
-        csr = a.to_scipy()
+        csr = scipy_csr(a)
         rng = np.random.default_rng(4)
         start = linalg.SolutionSpace.spanned_by(a, rng.standard_normal(n), 12)
         spaces = self.solve_in_turn(a, start, rng.standard_normal((10, n)))
@@ -384,7 +386,7 @@ class TestSolutionSpace:
         eps = np.finfo(float).eps
         for space in self.solve_in_turn(a, start, rng.standard_normal((12, n))):
             guess = space.guess(rng.standard_normal(n))
-            want = a.to_scipy() @ guess.x
+            want = a @ guess.x
             assert np.abs(guess.a_x - want).max() <= 1e3 * eps * np.abs(want).max()
             assert np.array_equal(guess.coef @ space.v[:space.size], guess.x)
 
@@ -418,7 +420,7 @@ class TestSolutionSpace:
         solutions = [linalg.cg_solve(a, b, tol=1e-13)[0] for b in rhs]
         restarted = spaces[4]
         for x in solutions[1:4]:    # the three latest solutions span it
-            assert np.allclose(restarted.guess(a.to_scipy() @ x).x, x, rtol=0, atol=1e-9)
+            assert np.allclose(restarted.guess(a @ x).x, x, rtol=0, atol=1e-9)
         with pytest.raises(ValueError, match="capacity"):
             linalg.SolutionSpace.spanned_by(a, probe, linalg.RESTART_SOLUTIONS - 1)
 
@@ -433,7 +435,7 @@ class TestSolutionSpace:
         start = linalg.SolutionSpace.spanned_by(a, np.zeros(n), capacity)
         assert start.kept == kept
         spaces = self.solve_in_turn(a, start, rhs)
-        csr = a.to_scipy()
+        csr = scipy_csr(a)
         solutions = [linalg.cg_solve(a, b, tol=1e-13)[0] for b in rhs]
         restarts = 0
         for m, (before, after) in enumerate(zip(spaces, spaces[1:])):

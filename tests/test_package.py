@@ -29,21 +29,36 @@ def test_every_export_resolves():
 
 
 def test_cli_imports_no_test_dependency():
-    # the command runs where only numpy and scipy are installed, and loads
-    # none of the scipy subpackages it does not use: scipy.linalg,
-    # scipy.sparse.linalg and scipy.spatial would add about 130, 157 and
-    # 265 ms to an import of about 0.5 s
+    # the command runs where only numpy and scipy are installed, and of
+    # scipy it loads the compiled CSR kernels alone: the scipy.sparse
+    # package would add about 180 ms and 20 MB to an import of about
+    # 0.15 s, most of it in numpy.f2py, numpy.testing, numpy.ma and
+    # numpy.random, which its array-API layer loads.  A run of either
+    # case loads none of them either (np.unique and np.median would load
+    # numpy.ma, 10-17 ms)
     src = str(pathlib.Path(vemaxwell.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    probe = ("import sys, vemaxwell.cli; "
-             "print(sorted({m.split('.')[0] for m in sys.modules} "
-             "& {'sympy', 'hypothesis', 'pytest'} "
-             "| set(sys.modules) & {'scipy.linalg', 'scipy.sparse.linalg', "
-             "'scipy.spatial'}))")
+    probe = """if True:
+        import contextlib, io, sys, vemaxwell.cli
+
+        def unwanted():
+            return sorted({m.split('.')[0] for m in sys.modules}
+                          & {'sympy', 'hypothesis', 'pytest'}
+                          | {m for m in sys.modules if m.split('.')[0] == 'scipy'}
+                          - {'scipy.sparse._sparsetools'}
+                          | {m for m in sys.modules if m.split('.')[:2] in (
+                              ['numpy', 'f2py'], ['numpy', 'testing'], ['numpy', 'ma'],
+                              ['numpy', 'random'])})
+
+        print(unwanted())
+        with contextlib.redirect_stdout(io.StringIO()):
+            for case in ('1', '2'):
+                vemaxwell.cli.main(['--generate', 'cube:2', '--case', case, '--tau', '1/4'])
+        print(unwanted())"""
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert out.split("\n") == ["[]", "[]", ""]
 
 
 # Left out: ElementProjectors, whose face_tangential only the tests read,
@@ -140,6 +155,16 @@ def test_paired_runs_past_bound_is_the_claim_margin():
         line = paired_runs.row_line("agglo-case1", row)
         assert line.split()[0] == "agglo-case1" and line.endswith(f"True True {past}")
         assert len(line.split()) == len(paired_runs.HEADER.split())
+
+
+def test_paired_runs_pair_line():
+    import paired_runs
+
+    metrics = [dict(name="run_s"), dict(name="setup_s"), dict(name="error_s")]
+    line = paired_runs.pair_line("hex-fine-dt", 3, dict(run_s=0.34812, setup_s=0.25),
+                                 dict(run_s=0.2, error_s=1e-3), metrics)
+    assert line == ("hex-fine-dt pair 3: run_s 0.3481 -> 0.2, setup_s 0.25 -> -, "
+                    "error_s - -> 0.001")
 
 
 def test_paired_runs_workload_filter():

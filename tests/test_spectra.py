@@ -17,7 +17,7 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sps
 
-from conftest import weighted_product
+from conftest import scipy_csr, weighted_product
 from vemaxwell import derham as vd
 from vemaxwell import generate_cube_mesh
 
@@ -35,7 +35,7 @@ def spectrum(mesh):
     ones = np.ones(mesh.n_cells)
     m_e = weighted_product(mesh, proj, ones, "edge")[ie][:, ie]
     m_f = weighted_product(mesh, proj, ones, "face")[if_][:, if_]
-    c = vd.curl_matrix(mesh)[if_][:, ie]
+    c = scipy_csr(vd.curl_matrix(mesh))[if_][:, ie]
     lam = sla.eigh((c.T @ m_f @ c).toarray(), m_e.toarray(), eigvals_only=True)
     return lam, int(np.count_nonzero(~mesh.boundary_vertices))
 
@@ -73,7 +73,7 @@ def div_spectrum(mesh):
     """Generalized eigenvalues of (D_i' diag|K| D_i, M_f), ascending."""
     if_ = np.flatnonzero(~mesh.boundary_faces)
     m_f = weighted_product(mesh, vd.build_projectors(mesh), np.ones(mesh.n_cells), "face")
-    d = vd.divergence_matrix(mesh)[:, if_]
+    d = scipy_csr(vd.divergence_matrix(mesh))[:, if_]
     k = d.T @ sps.diags(mesh.cell_volumes) @ d
     return sla.eigh(k.toarray(), m_f[if_][:, if_].toarray(), eigvals_only=True)
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import blocks, expand, free_evolution, weighted_product
+from conftest import blocks, expand, free_evolution, scipy_csr, weighted_product
 from vemaxwell import cases, cli, forms, generate_cube_mesh, geometry, linalg, stepper
 from vemaxwell import derham as vd
 
@@ -153,7 +153,7 @@ def assert_runs_agree(ops, got, want, rhs_norms, tol, n_steps, label):
     per-step bounds (``rhs_norms`` holds the right-hand side norms of
     both), plus round-off.
     """
-    lam_a = np.linalg.eigvalsh(ops.system.to_scipy().toarray())[0]
+    lam_a = np.linalg.eigvalsh(scipy_csr(ops.system).toarray())[0]
     energy_gap = tol * sum(rhs_norms) / np.sqrt(lam_a)
     eps = np.finfo(float).eps
     scale = np.abs(np.concatenate([want.e, want.b])).max()
@@ -239,7 +239,7 @@ class TestAdvance:
         new, rep = stepper.advance(state, ops, load, span_of(ops, state), tol=1e-13)
         blk = blocks(ops)
         rhs = tau * (blk.c_int.T @ (blk.m_face @ state.b))
-        lhs = ops.system.to_scipy() @ new.e
+        lhs = ops.system @ new.e
         assert np.abs(lhs - rhs).max() <= 1e-12 * np.abs(rhs).max()
         assert np.abs(new.e).max() > 0.0      # C' M_f b != 0 here
         assert new.step == 1
@@ -319,7 +319,7 @@ class TestWarmStart:
         steps = record_steps(monkeypatch, lambda space, size: full.append(size == capacity))
         starts = record_cg_starts(monkeypatch)
         res = stepper.run(cube4, cases.case2(), 1 / 16, 1.0)
-        a = res.ops.system.to_scipy().toarray()
+        a = scipy_csr(res.ops.system).toarray()
 
         def a_norm(v):
             return float(np.sqrt(v @ a @ v))
@@ -348,7 +348,7 @@ class TestWarmStart:
 
         steps = record_steps(monkeypatch, after_step)
         res = stepper.run(cube4, cases.case2(), 1 / 256, 0.25)
-        csr = res.ops.system.to_scipy()
+        csr = scipy_csr(res.ops.system)
         eps = np.finfo(float).eps
         assert len(rows) == len(steps) == 64
         for v in rows:
@@ -369,7 +369,7 @@ class TestWarmStart:
             states.append(stepper.advance(states[-1], ops, rng.standard_normal(ne), space,
                                           tol=1e-12)[0])
             sizes.append(space.size)
-        a = ops.system.to_scipy().toarray()
+        a = scipy_csr(ops.system).toarray()
         for n, (rhs, x0) in enumerate(starts):
             s = np.array([state.e for state in states[:n + 1]]).T
             want = s @ np.linalg.solve(s.T @ a @ s, s.T @ rhs)
@@ -435,12 +435,12 @@ class TestGradientCorrection:
         # P = D_A^-1 + G D_L^-1 G', L = G' A G, against a dense oracle
         mesh = request.getfixturevalue(mesh_name)
         ops = step_operators(mesh, cases.case2(), 1 / 16)
-        assert ops.precond is not None and ops.precond.format == "csr"
-        a = ops.system.to_scipy().toarray()
-        g = vd.gradient_matrix(mesh)[ops.interior_edges][
+        assert isinstance(ops.precond, linalg.SparseMatrix)
+        a = scipy_csr(ops.system).toarray()
+        g = scipy_csr(vd.gradient_matrix(mesh))[ops.interior_edges][
             :, ~mesh.boundary_vertices].toarray()
         want = np.diag(1.0 / np.diag(a)) + g @ np.diag(1.0 / np.diag(g.T @ a @ g)) @ g.T
-        p = ops.precond.toarray()
+        p = scipy_csr(ops.precond).toarray()
         assert np.array_equal(p, p.T)
         assert np.abs(p - want).max() <= 1e-13 * np.abs(want).max()
         assert np.linalg.eigvalsh(p)[0] > 0.0
@@ -457,13 +457,13 @@ class TestGradientCorrection:
         ops = stepper.build_step_operators(cube8, proj, coeffs, tau)
         assert ops.precond is not None
         edge = forms.local_edge_mass(cube8, proj)
-        g = vd.gradient_matrix(cube8)[ops.interior_edges][
+        g = scipy_csr(vd.gradient_matrix(cube8))[ops.interior_edges][
             :, ~cube8.boundary_vertices].toarray()
-        fg = edge.f[:, ops.interior_edges] @ g
+        fg = scipy_csr(edge.f)[:, ops.interior_edges] @ g
         w = edge.weighted(coeffs.eps_hat + tau * coeffs.sigma_hat)
         d = np.diag(fg.T @ (w[:, None] * fg))
         want = np.diag(1.0 / ops.system.diagonal) + g @ np.diag(1.0 / d) @ g.T
-        assert np.abs(ops.precond.toarray() - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(scipy_csr(ops.precond).toarray() - want).max() <= 1e-14 * np.abs(want).max()
 
     @pytest.mark.parametrize("n, tau, on", [(8, 1 / 32, True), (6, 1 / 512, False)])
     def test_switch_rule(self, n, tau, on):
@@ -474,7 +474,7 @@ class TestGradientCorrection:
         m_eps = blocks(ops).m_eps
         d_a, d_eps = ops.system.diagonal, m_eps.diagonal()
         ratio = np.median((d_a - d_eps) / d_eps)
-        assert stepper.curl_mass_ratio(ops.system, m_eps) == ratio
+        assert stepper.curl_mass_ratio(ops.system, linalg.SparseMatrix.from_scipy(m_eps)) == ratio
         assert bool(ratio > stepper.CURL_MASS_SWITCH) is on
         assert (ops.precond is not None) is on
 
@@ -633,8 +633,8 @@ class TestRun:
 
         monkeypatch.setattr(stepper, "advance", recording_advance)
         for mesh, case in ((cube4, cases.case1()), (voro27, cases.case2())):
-            abs_d = abs(vd.divergence_matrix(mesh))
-            abs_c = abs(vd.curl_matrix(mesh))
+            abs_d = abs(scipy_csr(vd.divergence_matrix(mesh)))
+            abs_c = abs(scipy_csr(vd.curl_matrix(mesh)))
             root_vol = np.sqrt(mesh.cell_volumes)
             max_edges = max(len(e) for e in mesh.face_edges)
             max_faces = max(len(f) for f in mesh.cell_faces)
@@ -774,10 +774,10 @@ class TestOperatorsBuiltOnce:
         case = cases.case2()
         ops = step_operators(voro27, case, 0.125)
         blk = blocks(ops)
-        assert ops.c_int_t.format == "csr" and blk.d_int.format == "csr"
-        assert (ops.c_int_t != blk.c_int.T).nnz == 0
+        assert isinstance(ops.c_int_t, linalg.SparseMatrix) and blk.d_int.format == "csr"
+        assert (scipy_csr(ops.c_int_t) != blk.c_int.T).nnz == 0
         d_full = vd.divergence_matrix(voro27)
-        assert (blk.d_int != d_full[:, ops.interior_faces]).nnz == 0
+        assert (blk.d_int != scipy_csr(d_full)[:, ops.interior_faces]).nnz == 0
         # the monitor on interior faces is bit-identical to the full-vector one
         b = np.random.default_rng(6).standard_normal(ops.interior_faces.size)
         res = stepper.run(voro27, case, 0.125, 0.5)
