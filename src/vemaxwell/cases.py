@@ -13,6 +13,7 @@ sin/cos calls; ``E``, ``B`` and the error norms all evaluate it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -203,52 +204,38 @@ def l2_error(mesh: PolyMesh, projectors: ElementProjectors, e_full: np.ndarray,
     pointwise.  ``e_full``/``b_full`` hold every edge and face DOF, boundary
     zeros included.
     One chunk of whole cells at a time, E and B come from one call of
-    ``case.EB_parts`` on the chunk rule's ``coords``, and each component
-    adds ``rule.squared_deviation``, ``sum w (F_i - c_i)^2``: over the
-    points of a pyramid-rule chunk, or in factored form over the per-axis
-    nodes of a box chunk.  A component that is constant (identically 0 in
-    practice) adds the closed form ``sum_K |K| (F_i - c_{K,i})^2`` over the
-    chunk's cells instead.
+    ``case.EB_parts`` on the chunk rule's ``coords``, and each component,
+    an array or a number (identically 0 in practice), adds
+    ``rule.squared_deviation``, ``sum w (F_i - c_i)^2``: over the points of
+    a pyramid-rule chunk, or in factored form over the per-axis nodes of a
+    box chunk.
 
     Pyramid-rule chunks come from ``cell_rules`` sized by their points.
-    The box cells come as one rule, walked in slices: the first holds
-    ``CHUNK_POINTS // n^3`` cells, as if each took its n^3 tensor points,
-    and each later one ``CHUNK_POINTS // v`` cells, where v is the most
-    values per cell that a component took on the slice before.  A field of
-    x and y alone takes n^2, so case 2's slices hold n = 6 times the cells
-    of case 1's, and no component array outgrows ``CHUNK_POINTS`` values
-    or, where one cell takes more, that cell's values.
+    The box cells come as one rule, walked in slices of ``CHUNK_POINTS // v``
+    cells, where v is the most values per cell that a component broadcasts
+    to, read off one ``EB_parts`` call on the empty slice, which touches no
+    point.  A field of x and y alone takes n^2, so case 2's slices hold
+    n = 6 times the cells of case 1's, and no component array outgrows
+    ``CHUNK_POINTS`` values or, where one cell takes more, that cell's
+    values.
     """
     means = [np.ascontiguousarray(linalg.matvec(a, x).reshape(-1, 3).T)
              for a, x in ((projectors.edge_cell, e_full), (projectors.face_cell, b_full))]
     scales = [[float(a(t)) for a in factors] for factors in case.EB_factors]
     err_sq = [0.0, 0.0]
 
-    def add(rule) -> int:
-        """Add the squared deviations over chunk ``rule`` to ``err_sq``;
-        return the size of its largest component array."""
-        cells, largest = rule.entities, 1
-        volumes = mesh.cell_volumes[cells]
-        for f, parts in enumerate(case.EB_parts(*rule.coords)):
-            for i, c in enumerate(means[f]):
-                value = _component(scales[f], parts, i)
-                if np.ndim(value) == 0:
-                    diff = value - c[cells]
-                    err_sq[f] += float(volumes @ (diff * diff))
-                else:
-                    err_sq[f] += rule.squared_deviation(value, c)
-                    largest = max(largest, value.size)
-        return largest
-
     for rule in geometry.cell_rules(mesh):
-        if isinstance(rule, geometry.QuadratureRule):
-            add(rule)
-            continue
-        start, per_cell = 0, rule.weights.size ** 3
-        while start < rule.volumes.size:
-            chunk = rule[start:start + max(1, geometry.CHUNK_POINTS // per_cell)]
-            per_cell = max(1, add(chunk) // chunk.volumes.size)
-            start += chunk.volumes.size
+        chunks = [rule]
+        if isinstance(rule, geometry.BoxRule):
+            per_cell = max(math.prod(np.shape(_component(s, parts, i))[1:])
+                           for s, parts in zip(scales, case.EB_parts(*rule[0:0].coords))
+                           for i in range(3))
+            step = max(1, geometry.CHUNK_POINTS // per_cell)
+            chunks = (rule[start:start + step] for start in range(0, rule.volumes.size, step))
+        for chunk in chunks:
+            for f, parts in enumerate(case.EB_parts(*chunk.coords)):
+                for i, c in enumerate(means[f]):
+                    err_sq[f] += chunk.squared_deviation(_component(scales[f], parts, i), c)
     return ErrorReport(
         err_E=float(np.sqrt(err_sq[0])),
         err_B=float(np.sqrt(err_sq[1])),

@@ -71,10 +71,12 @@ class QuadratureRule:
         """The entities the rule covers."""
         return slice(self.owners[0], self.owners[-1] + 1)
 
-    def squared_deviation(self, value: np.ndarray, means: np.ndarray) -> float:
+    def squared_deviation(self, value, means: np.ndarray) -> float:
         """``sum w (value - means[owner])^2`` over the rule, for ``value``
-        given at its points; the means are gathered once per simplex."""
+        given at its points or a number, broadcast over them; the means are
+        gathered once per simplex."""
         q = self.points_per_simplex
+        value = np.broadcast_to(value, self.weights.shape)
         diff = value.reshape(-1, q) - means[self.owners[::q], None]
         diff *= diff
         return float(self.weights @ diff.ravel())
@@ -98,12 +100,12 @@ class BoxRule:
         return BoxRule(tuple(c[cells] for c in self.coords), self.weights,
                        self.volumes[cells], self.entities[cells])
 
-    def squared_deviation(self, value: np.ndarray, means: np.ndarray) -> float:
+    def squared_deviation(self, value, means: np.ndarray) -> float:
         """``sum w (value - means[cell])^2`` over the rule, for ``value``
-        broadcast from ``coords``: each cell's squared deviation is
-        contracted with the tensor product of the 1-D weights, in which an
-        axis of extent 1, on which the value does not depend, is their sum,
-        and the cells' sums are dotted with their volumes."""
+        broadcast from ``coords``, a number included: each cell's squared
+        deviation is contracted with the tensor product of the 1-D weights,
+        in which an axis of extent 1, on which the value does not depend, is
+        their sum, and the cells' sums are dotted with their volumes."""
         diff = value - means[self.entities, None, None, None]
         diff *= diff
         x, y, z = (self.weights if extent > 1 else self.weights.sum(keepdims=True)

@@ -348,6 +348,22 @@ class TestBoxRule:
             exact = np.prod((hi ** (exps + 1) - lo ** (exps + 1)) / (exps + 1), axis=1)
             assert np.abs(got / exact - 1).max() <= 1e-12
 
+    @pytest.mark.parametrize("name, kinds", [
+        ("cube4", {vg.BoxRule}), ("voro8", {vg.QuadratureRule}),
+        ("agglo4", {vg.BoxRule, vg.QuadratureRule})], ids=["cube4", "voro8", "agglo4"])
+    def test_squared_deviation_of_a_number(self, name, kinds, request):
+        # a constant component enters either rule as a number, broadcast
+        # over its points: sum_K |K| (v - c_K)^2 over the rule's cells
+        m = request.getfixturevalue(name)
+        means = np.random.default_rng(5).standard_normal(m.n_cells)
+        rules = list(vg.cell_rules(m))
+        assert {type(rule) for rule in rules} == kinds
+        for rule in rules:
+            cells = rule.entities
+            for v in (0.0, 0.7):
+                want = m.cell_volumes[cells] @ (v - means[cells]) ** 2
+                assert rule.squared_deviation(v, means) == pytest.approx(want, rel=1e-14, abs=0)
+
     @pytest.mark.parametrize("name, tables", [("cube4", 0), ("agglo4", 1), ("voro8", 1)])
     def test_pyramid_rule_built_only_for_other_cells(self, name, tables, request):
         # an all-box mesh walks no pyramid rule, so its table is not built

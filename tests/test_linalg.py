@@ -1,4 +1,6 @@
 import dataclasses
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -55,6 +57,25 @@ class TestSpmv:
         for bad in (np.ones(19), np.ones(21), np.ones((20, 1))):
             with pytest.raises(ValueError, match="dimension mismatch"):
                 linalg.matvec(m, bad)
+
+    def test_sparsetools_loaded_by_path(self, monkeypatch):
+        # pytest imports scipy.sparse before any test; with the kernels'
+        # module taken out of sys.modules, _load_sparsetools loads it from
+        # its extension file, as a run of the CLI does
+        name = "scipy.sparse._sparsetools"
+        running = sys.modules[name]
+        monkeypatch.delitem(sys.modules, name)
+        loaded = linalg._load_sparsetools()
+        assert loaded is not running
+        assert pathlib.Path(loaded.__file__).match("scipy/sparse/_sparsetools*.so")
+        assert sys.modules[name] is loaded
+        a = sps.random(30, 20, density=0.3, format="csr", random_state=3)
+        x = np.random.default_rng(4).standard_normal(20)
+        products = []
+        for module in (loaded, running):
+            products.append(np.zeros(30))
+            module.csr_matvec(30, 20, a.indptr, a.indices, a.data, x, products[-1])
+        assert np.array_equal(*products)
 
     def test_inverse_diagonal_checked_once(self):
         a = random_spd(6)

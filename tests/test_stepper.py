@@ -490,20 +490,23 @@ class TestGradientCorrection:
         assert corrected.cg_iters_total < jacobi.cg_iters_total
         assert max(m.div_b for m in corrected.monitors) <= 1e-12
 
-    @pytest.mark.parametrize("n, tau, jacobi_iters, corrected_iters",
-                             [(8, 1 / 32, 785, 395), (6, 1 / 512, 895, 895)],
-                             ids=["hex-coarse-dt", "hex-fine-dt"])
-    def test_iteration_counts(self, monkeypatch, n, tau, jacobi_iters,
-                              corrected_iters):
-        # deterministic counts of the benchmark's hex configurations: fewer
+    @pytest.mark.parametrize("mesh_name, case_id, tau, jacobi_iters, corrected_iters",
+                             [("cube8", 2, 1 / 32, 785, 395), ("cube6", 2, 1 / 512, 895, 895),
+                              ("agglo4", 1, 1 / 16, 208, 165)],
+                             ids=["hex-coarse-dt", "hex-fine-dt", "agglo-case1"])
+    def test_iteration_counts(self, request, monkeypatch, mesh_name, case_id, tau,
+                              jacobi_iters, corrected_iters):
+        # deterministic counts of the benchmark's configurations: fewer
         # where the correction is on, the same Jacobi solves where it is off
-        mesh, case = generate_cube_mesh(n), cases.case2()
+        mesh = (generate_cube_mesh(6) if mesh_name == "cube6"
+                else request.getfixturevalue(mesh_name))
+        case = cases.get_case(case_id)
         res = stepper.run(mesh, case, tau, 1.0)
         jacobi = run_with_jacobi(monkeypatch, mesh, case, tau, 1.0)
         assert (jacobi.cg_iters_total, res.cg_iters_total) == (jacobi_iters,
                                                                corrected_iters)
-        if jacobi_iters == corrected_iters:
-            assert res.ops.precond is None
+        assert (res.ops.precond is None) is (jacobi_iters == corrected_iters)
+        if res.ops.precond is None:
             assert np.array_equal(res.state.e, jacobi.state.e)
 
 
