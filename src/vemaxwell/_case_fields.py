@@ -4,17 +4,20 @@
 Spatial parts map (x, y, z) to a 3-tuple and time factors map t to
 a value.  In ``CASE1``/``CASE2``, ``E`` and ``B`` give the time
 factors of their terms, ``EB`` maps (x, y, z) to the spatial parts
-of all E terms and of all B terms at once, each distinct sin/cos
-evaluated once, and ``J`` gives the current's terms.  Case 1's
-parts are sums of products of one-dimensional factors, each one
-a local named coordinate first (``y_dq`` is q'(y), with
-q(u) = u^2 (1 - u)^2 and S(u) = sin^2(pi u)), computed just
-before its first use and deleted after its last.  A product
-lists its factors by coordinate, the coordinate with the most
-factors first.
+of all E terms and of all B terms at once, and ``J`` gives the
+current's terms.  Every sin(pi u) and cos(pi u) of a coordinate u
+is a local (``x_s``, ``x_c``) computed from t = tan(pi u / 2) by
+the half-angle forms t w and w - 1, with w = 2 / (1 + t^2).
+Case 1's parts are sums of products of one-dimensional factors,
+collected by the factors of one coordinate: S(u) = sin^2(pi u),
+and q(u) = u^2 (1 - u)^2 and its derivatives written in powers of
+p(u) = u (u - 1), a local named coordinate first (``y_p``)
+computed just before its first use and deleted after its last.
+A product lists its factors by coordinate, the coordinate with
+the most factors first.
 """
 
-from numpy import cos, pi, sin
+from numpy import cos, pi, sin, tan
 
 
 def case1_eps(x, y, z):
@@ -42,44 +45,53 @@ def case1_time2(t):
 
 
 def case1_EB(x, y, z):
-    x0 = sin(pi*x)
-    x1 = sin(pi*y)
-    x2 = sin(pi*z)
-    x3 = cos(pi*x)
-    x4 = cos(pi*y)
-    x5 = cos(pi*z)
-    y_d2q = 2*(6*y**2 - 6*y + 1)
-    y_q = y**2*(y - 1)**2
-    z_d2q = 2*(6*z**2 - 6*z + 1)
-    z_q = z**2*(z - 1)**2
-    B0_x = 4*pi*x*(x - 1)*(2*x - 1)*x1*x4*z_q + 4*pi*x*(x - 1)*(2*x - 1)*x2*x5*y_q - x0**2*y_d2q*z_q - x0**2*y_q*z_d2q
-    x_d2q = 2*(6*x**2 - 6*x + 1)
-    x_q = x**2*(x - 1)**2
-    B0_y = 4*pi*y*(y - 1)*(2*y - 1)*x0*x3*z_q - x_d2q*x1**2*z_q - x_q*x1**2*z_d2q + 4*pi*y*(y - 1)*(2*y - 1)*x2*x5*x_q
-    del z_d2q
-    E0_z = 2*x*(x - 1)*(2*x - 1)*x1**2*z_q - 2*y*(y - 1)*(2*y - 1)*x0**2*z_q
-    del z_q
-    B0_z = 4*pi*z*(z - 1)*(2*z - 1)*x0*x3*y_q + 4*pi*z*(z - 1)*(2*z - 1)*x1*x4*x_q - x_d2q*y_q*x2**2 - x_q*y_d2q*x2**2
-    del x_d2q, y_d2q
-    E0_x = -2*z*(z - 1)*(2*z - 1)*x_q*x1**2 + 2*y*(y - 1)*(2*y - 1)*x_q*x2**2
-    del x_q
-    E0_y = -2*x*(x - 1)*(2*x - 1)*y_q*x2**2 + 2*z*(z - 1)*(2*z - 1)*x0**2*y_q
-    del y_q
-    return ((E0_x, E0_y, E0_z), (pi*x3*x1*x2, pi*x0*x4*x2, pi*x0*x1*x5)), ((B0_x, B0_y, B0_z),)
+    x_t = tan((1/2)*pi*x)
+    x_w = 2/(x_t**2 + 1)
+    x_s = x_t*x_w
+    x_c = x_w - 1
+    del x_t, x_w
+    y_t = tan((1/2)*pi*y)
+    y_w = 2/(y_t**2 + 1)
+    y_s = y_t*y_w
+    y_c = y_w - 1
+    del y_t, y_w
+    z_t = tan((1/2)*pi*z)
+    z_w = 2/(z_t**2 + 1)
+    z_s = z_t*z_w
+    z_c = z_w - 1
+    del z_t, z_w
+    x_p = x*(x - 1)
+    y_p = y*(y - 1)
+    z_p = z*(z - 1)
+    E0_x = 2*(y_p*(2*y - 1)*z_s**2 - z_p*(2*z - 1)*y_s**2)*x_p**2
+    E0_y = 2*(z_p*(2*z - 1)*x_s**2 - x_p*(2*x - 1)*z_s**2)*y_p**2
+    B0_x = 4*pi*(y_c*y_s*z_p**2 + z_c*z_s*y_p**2)*x_p*(2*x - 1) - 2*(y_p**2*(6*z_p + 1) + (6*y_p + 1)*z_p**2)*x_s**2
+    B0_y = 4*pi*(x_c*x_s*z_p**2 + z_c*z_s*x_p**2)*y_p*(2*y - 1) - 2*(x_p**2*(6*z_p + 1) + (6*x_p + 1)*z_p**2)*y_s**2
+    B0_z = 4*pi*(x_c*x_s*y_p**2 + y_c*y_s*x_p**2)*z_p*(2*z - 1) - 2*(x_p**2*(6*y_p + 1) + (6*x_p + 1)*y_p**2)*z_s**2
+    E0_z = 2*(x_p*(2*x - 1)*y_s**2 - y_p*(2*y - 1)*x_s**2)*z_p**2
+    del x_p, y_p, z_p
+    return ((E0_x, E0_y, E0_z), (pi*x_c*y_s*z_s, pi*x_s*y_c*z_s, pi*x_s*y_s*z_c)), ((B0_x, B0_y, B0_z),)
 
 
 def case1_space0(x, y, z):
-    x0 = sin(pi*x)
-    x1 = sin(pi*y)
-    x2 = sin(pi*z)
-    x_q = x**2*(x - 1)**2
-    g_x = -2*z*(z - 1)*(2*z - 1)*x_q*x1**2 + 2*y*(y - 1)*(2*y - 1)*x_q*x2**2
-    del x_q
-    y_q = y**2*(y - 1)**2
-    g_y = -2*x*(x - 1)*(2*x - 1)*y_q*x2**2 + 2*z*(z - 1)*(2*z - 1)*x0**2*y_q
-    del y_q
-    z_q = z**2*(z - 1)**2
-    g_z = 2*x*(x - 1)*(2*x - 1)*x1**2*z_q - 2*y*(y - 1)*(2*y - 1)*x0**2*z_q
+    x_t = tan((1/2)*pi*x)
+    x_w = 2/(x_t**2 + 1)
+    x_s = x_t*x_w
+    del x_t, x_w
+    y_t = tan((1/2)*pi*y)
+    y_w = 2/(y_t**2 + 1)
+    y_s = y_t*y_w
+    del y_t, y_w
+    z_t = tan((1/2)*pi*z)
+    z_w = 2/(z_t**2 + 1)
+    z_s = z_t*z_w
+    del z_t, z_w
+    x_p = x*(x - 1)
+    y_p = y*(y - 1)
+    z_p = z*(z - 1)
+    g_x = 2*(y_p*(2*y - 1)*z_s**2 - z_p*(2*z - 1)*y_s**2)*x_p**2
+    g_y = 2*(z_p*(2*z - 1)*x_s**2 - x_p*(2*x - 1)*z_s**2)*y_p**2
+    g_z = 2*(x_p*(2*x - 1)*y_s**2 - y_p*(2*y - 1)*x_s**2)*z_p**2
     return (g_x, g_y, g_z)
 
 
@@ -88,33 +100,46 @@ def case1_time3(t):
 
 
 def case1_space1(x, y, z):
-    x0 = sin(pi*x)
-    x1 = sin(pi*y)
-    x2 = sin(pi*z)
-    x3 = cos(pi*x)
-    x4 = cos(pi*y)
-    x5 = cos(pi*z)
-    return (pi*x3*x1*x2, pi*x0*x4*x2, pi*x0*x1*x5)
+    x_t = tan((1/2)*pi*x)
+    x_w = 2/(x_t**2 + 1)
+    x_s = x_t*x_w
+    x_c = x_w - 1
+    del x_t, x_w
+    y_t = tan((1/2)*pi*y)
+    y_w = 2/(y_t**2 + 1)
+    y_s = y_t*y_w
+    y_c = y_w - 1
+    del y_t, y_w
+    z_t = tan((1/2)*pi*z)
+    z_w = 2/(z_t**2 + 1)
+    z_s = z_t*z_w
+    z_c = z_w - 1
+    del z_t, z_w
+    return (pi*x_c*y_s*z_s, pi*x_s*y_c*z_s, pi*x_s*y_s*z_c)
 
 
 def case1_space2(x, y, z):
-    x0 = sin(pi*x)
-    x1 = sin(pi*y)
-    x2 = sin(pi*z)
-    x3 = cos(pi*x)
-    x4 = cos(pi*y)
-    x5 = cos(pi*z)
-    x_d2q = 2*(6*x**2 - 6*x + 1)
-    x_q = x**2*(x - 1)**2
-    g_x = 2*z*(z - 1)*(2*z - 1)*x_d2q*x1**2 + 12*x_q*x1**2*(2*z - 1) - 2*y*(y - 1)*(2*y - 1)*x_d2q*x2**2 - 12*x_q*(2*y - 1)*x2**2 - 4*pi**2*y*(y - 1)*(2*y - 1)*(x2 + x5)*(-x2 + x5)*x_q + 4*pi**2*z*(z - 1)*(2*z - 1)*(x1 + x4)*(-x1 + x4)*x_q
-    del x_d2q, x_q
-    y_d2q = 2*(6*y**2 - 6*y + 1)
-    y_q = y**2*(y - 1)**2
-    g_y = 2*x*(x - 1)*(2*x - 1)*y_d2q*x2**2 + 4*pi**2*x*(x - 1)*(2*x - 1)*(x2 + x5)*(-x2 + x5)*y_q - 2*z*(z - 1)*(2*z - 1)*x0**2*y_d2q - 12*x0**2*y_q*(2*z - 1) + 12*(2*x - 1)*y_q*x2**2 - 4*pi**2*z*(z - 1)*(2*z - 1)*(x0 + x3)*(-x0 + x3)*y_q
-    del y_d2q, y_q
-    z_d2q = 2*(6*z**2 - 6*z + 1)
-    z_q = z**2*(z - 1)**2
-    g_z = -2*x*(x - 1)*(2*x - 1)*x1**2*z_d2q - 4*pi**2*x*(x - 1)*(2*x - 1)*(x1 + x4)*(-x1 + x4)*z_q + 2*y*(y - 1)*(2*y - 1)*x0**2*z_d2q + 12*x0**2*(2*y - 1)*z_q - 12*(2*x - 1)*x1**2*z_q + 4*pi**2*y*(y - 1)*(2*y - 1)*(x0 + x3)*(-x0 + x3)*z_q
+    x_t = tan((1/2)*pi*x)
+    x_w = 2/(x_t**2 + 1)
+    x_s = x_t*x_w
+    x_c = x_w - 1
+    del x_t, x_w
+    y_t = tan((1/2)*pi*y)
+    y_w = 2/(y_t**2 + 1)
+    y_s = y_t*y_w
+    y_c = y_w - 1
+    del y_t, y_w
+    z_t = tan((1/2)*pi*z)
+    z_w = 2/(z_t**2 + 1)
+    z_s = z_t*z_w
+    z_c = z_w - 1
+    del z_t, z_w
+    x_p = x*(x - 1)
+    y_p = y*(y - 1)
+    z_p = z*(z - 1)
+    g_x = 4*(3*y_s**2*(2*z - 1) + pi**2*(y_c + y_s)*(y_c - y_s)*z_p*(2*z - 1) - pi**2*y_p*(2*y - 1)*(z_c + z_s)*(z_c - z_s) - 3*(2*y - 1)*z_s**2)*x_p**2 + 2*(z_p*(2*z - 1)*y_s**2 - y_p*(2*y - 1)*z_s**2)*(12*x_p + 2)
+    g_y = 4*(pi**2*x_p*(2*x - 1)*(z_c + z_s)*(z_c - z_s) + 3*(2*x - 1)*z_s**2 - 3*x_s**2*(2*z - 1) - pi**2*(x_c + x_s)*(x_c - x_s)*z_p*(2*z - 1))*y_p**2 + 2*(x_p*(2*x - 1)*z_s**2 - z_p*(2*z - 1)*x_s**2)*(12*y_p + 2)
+    g_z = 2*(y_p*(2*y - 1)*x_s**2 - x_p*(2*x - 1)*y_s**2)*(12*z_p + 2) + 4*(3*x_s**2*(2*y - 1) + pi**2*(x_c + x_s)*(x_c - x_s)*y_p*(2*y - 1) - pi**2*x_p*(2*x - 1)*(y_c + y_s)*(y_c - y_s) - 3*(2*x - 1)*y_s**2)*z_p**2
     return (g_x, g_y, g_z)
 
 
@@ -139,25 +164,43 @@ def case2_time1(t):
 
 
 def case2_EB(x, y, z):
-    x0 = sin(pi*x)
-    x1 = sin(pi*y)
-    x2 = cos(pi*x)
-    x3 = cos(pi*y)
-    return ((0, 0, x0*x1),), ((-x0*x3, x1*x2, 0),)
+    x_t = tan((1/2)*pi*x)
+    x_w = 2/(x_t**2 + 1)
+    x_s = x_t*x_w
+    x_c = x_w - 1
+    del x_t, x_w
+    y_t = tan((1/2)*pi*y)
+    y_w = 2/(y_t**2 + 1)
+    y_s = y_t*y_w
+    y_c = y_w - 1
+    del y_t, y_w
+    return ((0, 0, x_s*y_s),), ((-x_s*y_c, x_c*y_s, 0),)
 
 
 def case2_space0(x, y, z):
-    x0 = sin(pi*x)
-    x1 = sin(pi*y)
-    return (0, 0, x0*x1)
+    x_t = tan((1/2)*pi*x)
+    x_w = 2/(x_t**2 + 1)
+    x_s = x_t*x_w
+    del x_t, x_w
+    y_t = tan((1/2)*pi*y)
+    y_w = 2/(y_t**2 + 1)
+    y_s = y_t*y_w
+    del y_t, y_w
+    return (0, 0, x_s*y_s)
 
 
 def case2_space1(x, y, z):
-    x0 = sin(pi*x)
-    x1 = sin(pi*y)
-    x2 = cos(pi*x)
-    x3 = cos(pi*y)
-    return (-2*x1*x2*z, -2*x0*x3*z, 2*x*x1*x2 - 2*pi*x0*x1*(x**2 + y**2 + z**2 + 1) + 2*x0*x3*y)
+    x_t = tan((1/2)*pi*x)
+    x_w = 2/(x_t**2 + 1)
+    x_s = x_t*x_w
+    x_c = x_w - 1
+    del x_t, x_w
+    y_t = tan((1/2)*pi*y)
+    y_w = 2/(y_t**2 + 1)
+    y_s = y_t*y_w
+    y_c = y_w - 1
+    del y_t, y_w
+    return (-2*x_c*y_s*z, -2*x_s*y_c*z, 2*x*x_c*y_s + 2*x_s*y*y_c - 2*pi*x_s*y_s*(x**2 + y**2 + z**2 + 1))
 
 
 def case2_time2(t):

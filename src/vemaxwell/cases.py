@@ -7,8 +7,10 @@ and grouped by time factor, so both equations hold exactly and the
 current stays a short sum of such terms.  The terms are plain numpy
 functions in the generated module ``_case_fields``; ``tests/case_source.py``
 derives them and rewrites that module.  Per case, one generated
-function gives the spatial parts of every E and B term from shared
-sin/cos calls; ``E``, ``B`` and the error norms all evaluate it.
+function gives the spatial parts of every E and B term, each sine and
+cosine of pi times a coordinate evaluated once, from one ``tan`` of half
+that angle per coordinate; ``E``, ``B`` and the error norms all evaluate
+it.
 """
 
 from __future__ import annotations

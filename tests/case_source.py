@@ -7,7 +7,8 @@ grouped by time factor, constants folded out, so it stays a short sum of
 such terms.  ``render()`` prints the result with the printer that
 ``sympy.lambdify(..., "numpy")`` uses, as the module ``vemaxwell.cases``
 reads.  Each case gets ``case<id>_EB``: the spatial parts of every E
-and B term from one set of sin/cos calls, which E, B and the error norms
+and B term from one ``tan`` per coordinate, whose half-angle forms give
+every sine and cosine (``half_angle``), which E, B and the error norms
 evaluate; its table gives the time factors of those terms, and J's terms
 with one function per distinct spatial part.  Case 1's potential is a
 product of one-dimensional factors, kept symbolic while deriving, so
@@ -25,6 +26,7 @@ and check the committed module against ``render()`` byte for byte, as
 from __future__ import annotations
 
 import argparse
+import ast
 import itertools
 import pathlib
 import sys
@@ -69,16 +71,21 @@ def case1():
     to the double-curl potential.  Every term carries a t or t^2 factor,
     so the initial data vanish identically.
 
-    ``held`` names the factors that get a local per coordinate, q and q''.
-    On one 8192-point chunk of ``case1_EB`` (2-core Xeon VM, numpy 2.4,
-    medians of 300 interleaved calls) that takes 2.22 ms and holds 17
-    arrays of the chunk's size at once.  Holding q' too took 2.03 ms but
-    held 19, one more than the expanded form it replaces (3.78 ms, 18);
-    holding none took 2.28 ms and held 19, as its inline polynomials
-    need temporaries of their own.  S and S' cost one or two products of
-    the shared sin/cos locals and stay inline.  Listing each product's
-    factors by coordinate (``grouped_text``) keeps that peak, and on
-    cube:8's box chunks took ``case1_EB`` from 18.1-25.8 to 13.8-19.8 ms.
+    The polynomial factors are written in powers of ``p(u) = u (u - 1)``
+    (``base``, ``in_powers``): q = p^2, q' = (4u - 2) p and q'' = 12 p + 2;
+    S = s^2 and S' = 2 pi s c are products of the half-angle locals
+    (``half_angle``).  ``held`` gives p, and p alone, a local per
+    coordinate; every factor is written inline from p, s and c, and each
+    part is collected by the factors of one coordinate
+    (``factored_text``).  On one 8192-point chunk of ``case1_EB`` (2-vCPU
+    Xeon VM, numpy 2.4.6, medians of 40 interleaved rounds) that takes
+    0.59 ms, against 1.37 ms for the six sin/cos calls with q and q''
+    held that it replaces, and holds 18 arrays of the chunk's size at
+    once, against 17.  With the half-angle locals, holding q and q''
+    instead took 0.69 ms and held 17; holding q' as well took 0.57 ms
+    but held 20; holding p and q' took 0.53 ms but held 19 in the best
+    of every order of the parts; holding S, S', q, q' and q'' took 0.72 ms
+    and held 25.  ``TestEvaluationMemory`` holds the peak to 18.
     """
     pi = sp.pi
     S, q = sp.Function("S"), sp.Function("q")
@@ -89,7 +96,7 @@ def case1():
     b_terms = [(-T**2 / 2, curl(a))]
     one = sp.Integer(1)
     factors = {S: sp.sin(pi * U) ** 2, q: U**2 * (1 - U) ** 2}
-    return derive(e_terms, b_terms, one, one, one, factors, held=("q", "d2q"))
+    return derive(e_terms, b_terms, one, one, one, factors, held=("p",), base=U * (U - 1))
 
 
 def case2():
@@ -110,7 +117,7 @@ def case2():
     return derive(e_terms, b_terms, eps, sigma, mu)
 
 
-def derive(e_terms, b_terms, eps, sigma, mu, factors=None, held=()):
+def derive(e_terms, b_terms, eps, sigma, mu, factors=None, held=(), base=None):
     """The term structure of a case from E and B given as (time factor,
     spatial 3-vector) terms.
 
@@ -118,8 +125,10 @@ def derive(e_terms, b_terms, eps, sigma, mu, factors=None, held=()):
     is a list of (time factor, [(constant, "eps" | "sigma" | None, spatial
     part), ...]) groups, one per distinct time factor once its constant is
     split off.  ``factors`` maps each undefined function of the spatial
-    parts to its closed form in ``U``, and ``held`` names the factors
-    (``q``, ``dq``, ... as ``spatial_body`` prints them) that get locals.
+    parts to its closed form in ``U``, ``base`` is a polynomial in ``U``
+    in whose powers the polynomial factors are written (``in_powers``),
+    and ``held`` names the factors (``q``, ``dq``, ... as ``spatial_body``
+    prints them, ``p`` for ``base``) that get locals.
     """
     curl_terms = [(a, curl(h / mu)) for a, h in b_terms]
     e_t_terms = [(a.diff(T), g) for a, g in e_terms]
@@ -130,31 +139,54 @@ def derive(e_terms, b_terms, eps, sigma, mu, factors=None, held=()):
         c, a = a.as_independent(T, as_Add=False)
         groups.setdefault(a, []).append((float(c), w, g))
     return {"eps": eps, "sigma": sigma, "mu": mu, "factors": factors or {}, "held": held,
-            "E": e_terms, "B": b_terms, "J": list(groups.items())}
+            "base": base, "E": e_terms, "B": b_terms, "J": list(groups.items())}
 
 
-def shared_calls(exprs):
-    """The distinct sin/cos calls of ``exprs`` as locals x0, x1, ..., and
-    ``exprs`` with each call replaced by its local.
+def half_angle(exprs):
+    """``exprs`` with each sin(pi u) and cos(pi u) of a coordinate u
+    replaced by the local ``u_s`` or ``u_c``, and the statements that
+    compute those locals from one ``u_t = tan(pi u / 2)`` per coordinate:
+    ``u_w = 2/(1 + u_t^2)``, ``u_s = u_t u_w``, ``u_c = u_w - 1``.
 
-    A spatial part repeats a handful of calls many times, so each call is
-    evaluated once per point.  Other subexpressions are not shared by
-    ``sympy.cse``: on the expanded case-1 fields it held 3.6 MB of
-    temporaries against 1.1 MB for no gain in time, and factoring those
-    expanded fields per coordinate gained nothing either (2.44 against
-    2.38 ms per chunk).  What does pay is deriving case 1 from its
-    one-dimensional factors in the first place (``case1``).
+    numpy's float64 ``tan`` is several times faster than its ``sin`` or
+    ``cos`` (27 against 115 and 129 us per 8192 values, numpy 2.4.6 on a
+    2-vCPU Xeon VM), and every coordinate needs both.  On 2e6 points of
+    [-4, 4] the half-angle forms are within 1.0 eps (sine) and 1.5 eps
+    (cosine) of ``np.sin``/``np.cos`` of ``pi u``; where pi u / 2 is next
+    to an odd multiple of pi / 2, ``u_t`` is huge but finite and so are
+    they.
+    ValueError names a sin or cos of any other argument.  These are the
+    only subexpressions shared as such: ``sympy.cse`` on the expanded
+    case-1 fields held 3.6 MB of temporaries against 1.1 MB for no gain in
+    time, and case 1 shares its one-dimensional factors instead
+    (``case1``).
     """
-    calls = sorted(set().union(*(e.atoms(sp.sin, sp.cos) for e in exprs)),
-                   key=sp.default_sort_key)
-    names = sp.symbols(f"x:{len(calls)}")
-    return list(zip(names, calls)), [e.xreplace(dict(zip(calls, names))) for e in exprs]
+    calls = set().union(*(e.atoms(sp.sin, sp.cos) for e in exprs))
+    wanted = {}
+    for call in calls:
+        u = call.args[0] / sp.pi
+        if u not in (X, Y, Z):
+            raise ValueError(f"{call} is not a sine or cosine of pi times a coordinate")
+        wanted.setdefault(u, set()).add(call.func)
+    lines, names = [], {}
+    for u in sorted(wanted, key=sp.default_sort_key):
+        t, w, s, c = (sp.Symbol(f"{u}_{k}", real=True) for k in "twsc")
+        lines += [(t, sp.tan(sp.pi * u / 2)), (w, 2 / (t**2 + 1))]
+        for func, local, value in ((sp.sin, s, t * w), (sp.cos, c, w - 1)):
+            if func in wanted[u]:
+                names[func(sp.pi * u)] = local
+                lines.append((local, value))
+        lines.append((None, (t, w)))
+    return lines, [e.xreplace(names) for e in exprs]
 
 
-def one_dimensional_factors(exprs, factors):
+def one_dimensional_factors(exprs, factors, base=None):
     """``exprs`` with each one-dimensional factor of ``factors`` (an
     undefined function of one coordinate, or a derivative of one) replaced
-    by a symbol named after it, and each symbol's factored closed form."""
+    by a symbol named after it, and each symbol's factored closed form.
+    With a ``base`` polynomial, a polynomial form is written in powers of
+    the symbol ``u_p`` of ``base(u)`` instead (``in_powers``), and each
+    such symbol's form is ``base(u)``."""
     derivatives = set().union(*(e.atoms(sp.Derivative) for e in exprs))
     exprs = [e.xreplace({d: _factor_symbol(d.expr, d.derivative_count) for d in derivatives})
              for e in exprs]
@@ -163,34 +195,76 @@ def one_dimensional_factors(exprs, factors):
     forms = {}
     for f, n in [(d.expr, d.derivative_count) for d in derivatives] + [(f, 0) for f in applied]:
         u = f.args[0]
-        forms[_factor_symbol(f, n)] = sp.factor(sp.diff(factors[f.func].subs(U, u), u, n))
+        form = sp.factor(sp.diff(factors[f.func].subs(U, u), u, n))
+        if base is not None and form.is_polynomial(u):
+            p = sp.Symbol(f"{u}_p", real=True)
+            forms[p] = base.subs(U, u)
+            form = in_powers(form, u, forms[p], p)
+        forms[_factor_symbol(f, n)] = form
     return exprs, dict(sorted(forms.items(), key=lambda item: item[0].name))
+
+
+def in_powers(form, u, base, p):
+    """The polynomial ``form`` in ``u`` as ``r_0 + p (r_1 + p (r_2 + ...))``,
+    each ``r_k`` its remainder on division by ``base`` and ``p`` standing
+    for ``base``.  For case 1's bump ``q(u) = u^2 (1 - u)^2`` and
+    ``p = u (u - 1)`` that is ``q = p^2``, ``q' = (4 u - 2) p`` and
+    ``q'' = 12 p + 2``: one, three and two array operations in place of
+    four, six and six, after the two of p itself."""
+    quotient, remainder = sp.div(sp.expand(form), base, u)
+    if quotient == 0:
+        return sp.factor(remainder)
+    return sp.factor(remainder) + p * in_powers(quotient, u, base, p)
 
 
 def _factor_symbol(f, n):
     """The symbol of the ``n``-th derivative of ``f = F(u)``: ``u_F``,
-    ``u_dF``, ``u_d2F`` ...  Named coordinate first, a local sorts after
-    the sin/cos locals x0, x1, ..., so a printed product starts with its
-    power of a sin/cos local and holds one temporary less."""
+    ``u_dF``, ``u_d2F`` ...  Named coordinate first, like the
+    half-angle locals ``u_s`` and ``u_c``."""
     prefix = "" if n == 0 else "d" if n == 1 else f"d{n}"
     return sp.Symbol(f"{f.args[0]}_{prefix}{f.func.__name__}", real=True)
 
 
-def schedule(uses):
+def schedule(uses, temporaries):
     """The order in which to compute the outputs that use locals, given
-    the set of locals each output uses.  Each local is defined before the
-    first output that uses it and deleted after the last; the order is the
-    one, the first among equals, that holds the fewest arrays (computed
-    outputs and live locals) at any one step."""
+    the set of locals each output uses and the temporaries its expression
+    holds in flight.  Each local is defined before the first output that
+    uses it and deleted after the last; the order is the one, the first
+    among equals, that holds the fewest arrays (computed outputs, live
+    locals and the temporaries of the output being computed) at any one
+    step."""
     def peak(order):
         worst, live = 0, set()
         for i, k in enumerate(order):
             live |= uses[k]
-            worst = max(worst, i + len(live))
+            worst = max(worst, i + len(live) + temporaries[k])
             live &= set().union(*(uses[j] for j in order[i + 1:]))
         return worst
 
     return min(itertools.permutations([k for k, u in enumerate(uses) if u]), key=peak)
+
+
+def in_flight(text):
+    """The most arrays that evaluating the Python expression ``text`` holds
+    at once beyond the arrays it names, the result included.  Python
+    evaluates an operation's operands left to right and numpy allocates
+    its result while both live; a number or ``pi`` is a scalar, and an
+    operation on scalars alone makes no array."""
+    def walk(node):                          # (makes an array, peak) of node
+        if isinstance(node, (ast.Name, ast.Constant)):
+            return False, 0
+        operands = ([node.left, node.right] if isinstance(node, ast.BinOp)
+                    else [node.operand] if isinstance(node, ast.UnaryOp) else node.args)
+        held = peak = 0
+        arrays = False
+        for operand in operands:
+            made, need = walk(operand)
+            peak = max(peak, held + need)
+            held += made
+            arrays |= made or (isinstance(operand, ast.Name) and operand.id != "pi")
+        return arrays, max(peak, held + arrays)
+
+    return walk(ast.parse(text, mode="eval").body)[1]
 
 
 def spatial_body(exprs, names, fields, printer):
@@ -198,36 +272,36 @@ def spatial_body(exprs, names, fields, printer):
     output's text: its local from ``names`` where it uses factor locals,
     else its expression.
 
-    The shared sin/cos locals come first.  A factor of a kind in
-    ``fields["held"]`` gets a local per coordinate; every other factor is
-    written inline.  The outputs that use factor locals follow in
-    ``schedule`` order, each local defined just before its first use and
-    deleted after its last; the other outputs are written inline in the
-    return.
+    The half-angle locals of every coordinate's sine and cosine come
+    first (``half_angle``).  A factor of a kind in ``fields["held"]`` gets
+    a local per coordinate; every other factor is written inline.  The
+    outputs that use factor locals follow in ``schedule`` order, each
+    local defined just before its first use and deleted after its last;
+    the other outputs are written inline in the return.
     """
-    exprs, forms = one_dimensional_factors(exprs, fields["factors"])
+    exprs, forms = one_dimensional_factors(exprs, fields["factors"], fields["base"])
     inline = {s: form for s, form in forms.items()                 # "y_dq" is of kind "dq"
               if s.name.split("_", 1)[1] not in fields["held"]}
     local = [s for s in forms if s not in inline]
-    shared, reduced = shared_calls([forms[s] for s in local]
-                                   + [e.xreplace(inline) for e in exprs])
+    trig, reduced = half_angle([forms[s] for s in local] + [e.xreplace(inline) for e in exprs])
     local, outputs = dict(zip(local, reduced)), reduced[len(local):]
     uses = [e.free_symbols & set(local) for e in outputs]
-    order = schedule(uses)
     doprint = printer.doprint
     if fields["factors"]:
         axes = {X: 0, Y: 1, Z: 2}                  # the coordinate of each symbol
-        for s, e in shared + list(local.items()):
+        for s, e in [(s, e) for s, e in trig if s is not None] + list(local.items()):
             (axes[s],) = {axes[a] for a in e.free_symbols}
 
         def doprint(e):
-            return grouped_text(e, axes, printer)
+            return factored_text(e, axes, printer)
 
     def line(target, value):
         return f"    {printer.doprint(target)} = {value}\n"
 
-    lines = [line(s, printer.doprint(call)) for s, call in shared]
+    lines = [line(s, printer.doprint(e)) if s is not None
+             else f"    del {', '.join(str(d) for d in e)}\n" for s, e in trig]
     text = [doprint(e) for e in outputs]
+    order = schedule(uses, [in_flight(t) for t in text])
     live = set()
     for i, k in enumerate(order):
         lines += [line(s, printer.doprint(form)) for s, form in local.items()
@@ -242,6 +316,51 @@ def spatial_body(exprs, names, fields, printer):
     return "".join(lines), text
 
 
+def factored_text(e, axes, printer):
+    """Text of the sum of products ``e`` with its terms collected by the
+    factors of one coordinate: ``f*(a + b) + g*(c + d)`` where f and g
+    are products of that coordinate's factors, the coordinate that leaves
+    the fewest such groups, ties in x, y, z order.  Each group's sum is
+    written first and multiplied by its factor after, so it holds no
+    product of its own in flight; constants common to a sum are written
+    once, before it.  A group of one term is written as ``grouped_text``
+    writes it, as is ``e`` where no coordinate collects two terms.  On a
+    box rule's nodes the sums are of arrays of the other two axes, and
+    only the products with the collected factors reach the full size.
+    The case-1 parts collect so: E0 is the cross product of q' and S,
+    times q, coordinate by coordinate; B0 is q' times a sum of products
+    of S' and q, less S times a sum of products of q'' and q."""
+    terms = e.as_ordered_terms() if isinstance(e, sp.Add) else [e]
+    groups = None
+    for axis in range(3):
+        collected = {}
+        for term in terms:
+            own = sp.Mul(*[f for f in sp.Mul.make_args(term)
+                           if f.free_symbols and axes[next(iter(f.free_symbols))] == axis])
+            collected.setdefault(own, []).append(term / own)
+        if groups is None or len(collected) < len(groups):
+            groups = collected
+    if len(groups) == len(terms):
+        return grouped_text(e, axes, printer)
+    text = ""
+    for own, rest in sorted(groups.items(), key=lambda g: bool(g[1][0].as_coeff_Mul()[0] < 0)):
+        if len(rest) == 1:
+            part = grouped_text(own * rest[0], axes, printer)
+            negative = part.startswith("-")
+            part = part.removeprefix("-")
+        else:
+            c, inner = sp.factor_terms(sp.Add(*rest)).as_independent(*e.free_symbols,
+                                                                     as_Add=False)
+            negative = c.could_extract_minus_sign()
+            head = "" if abs(c) == 1 else f"{printer.doprint(abs(c))}*"
+            part = "*".join([f"{head}({grouped_text(inner, axes, printer)})"]
+                            + [printer.parenthesize(f, PRECEDENCE["Mul"])
+                               for f in sp.Mul.make_args(own) if f != 1])
+        text += (" - " if negative else " + ") if text else ("-" if negative else "")
+        text += part
+    return text
+
+
 def grouped_text(e, axes, printer):
     """Text of the sum of products ``e`` with each product's factors
     grouped by coordinate, after the constants: the coordinate with the
@@ -253,7 +372,8 @@ def grouped_text(e, axes, printer):
     size.  Without parentheses a product stays one running product, so on
     unrelated points it holds no array more than the ungrouped one."""
     text = ""
-    for term in e.as_ordered_terms() if isinstance(e, sp.Add) else [e]:
+    terms = e.as_ordered_terms() if isinstance(e, sp.Add) else [e]
+    for term in sorted(terms, key=lambda t: bool(t.as_coeff_Mul()[0] < 0)):   # no leading minus
         c, rest = term.as_coeff_Mul()
         sign = "" if not text else " - " if c < 0 else " + "
         constants, parts = [abs(c) if text else c], [[], [], []]
@@ -301,7 +421,7 @@ def _case_source(case_id, fields, printer):
 
     def fused():
         """``case<id>_EB``: the spatial parts of every E term, then of every
-        B term, as 3-tuples, from one set of shared sin/cos calls."""
+        B term, as 3-tuples, from one set of half-angle locals."""
         terms = [(f"{key}{k}", g) for key in ("E", "B") for k, (_, g) in enumerate(fields[key])]
         lines, outputs = spatial_body([e for _, g in terms for e in g],
                                       [f"{name}_{c}" for name, _ in terms for c in "xyz"],
@@ -346,14 +466,17 @@ def render() -> str:
               "Spatial parts map (x, y, z) to a 3-tuple and time factors map t to\n"
               "a value.  In ``CASE1``/``CASE2``, ``E`` and ``B`` give the time\n"
               "factors of their terms, ``EB`` maps (x, y, z) to the spatial parts\n"
-              "of all E terms and of all B terms at once, each distinct sin/cos\n"
-              "evaluated once, and ``J`` gives the current's terms.  Case 1's\n"
-              "parts are sums of products of one-dimensional factors, each one\n"
-              "a local named coordinate first (``y_dq`` is q'(y), with\n"
-              "q(u) = u^2 (1 - u)^2 and S(u) = sin^2(pi u)), computed just\n"
-              "before its first use and deleted after its last.  A product\n"
-              "lists its factors by coordinate, the coordinate with the most\n"
-              "factors first.\n"
+              "of all E terms and of all B terms at once, and ``J`` gives the\n"
+              "current's terms.  Every sin(pi u) and cos(pi u) of a coordinate u\n"
+              "is a local (``x_s``, ``x_c``) computed from t = tan(pi u / 2) by\n"
+              "the half-angle forms t w and w - 1, with w = 2 / (1 + t^2).\n"
+              "Case 1's parts are sums of products of one-dimensional factors,\n"
+              "collected by the factors of one coordinate: S(u) = sin^2(pi u),\n"
+              "and q(u) = u^2 (1 - u)^2 and its derivatives written in powers of\n"
+              "p(u) = u (u - 1), a local named coordinate first (``y_p``)\n"
+              "computed just before its first use and deleted after its last.\n"
+              "A product lists its factors by coordinate, the coordinate with\n"
+              "the most factors first.\n"
               '"""\n\n'
               f"from numpy import {imports}\n")
     sections = [header] + [defs for defs, _ in blocks] + [table for _, table in blocks]

@@ -116,20 +116,22 @@ def lcell():
 
 @pytest.fixture
 def trig_calls(monkeypatch):
-    """Sizes of the sin/cos calls that the generated case fields make over
-    arrays; a time factor at a scalar t is not counted."""
-    sizes = []
+    """(name, size) of each sin/cos/tan call that the generated case
+    fields make over arrays; a time factor at a scalar t is not counted."""
+    calls = []
 
-    def counting(fn):
+    def counting(name):
+        fn = getattr(np, name)
+
         def call(arg):
             if np.size(arg) > 1:
-                sizes.append(np.size(arg))
+                calls.append((name, np.size(arg)))
             return fn(arg)
         return call
 
-    for name in ("sin", "cos"):
-        monkeypatch.setattr(_case_fields, name, counting(getattr(np, name)))
-    return sizes
+    for name in ("sin", "cos", "tan"):
+        monkeypatch.setattr(_case_fields, name, counting(name))
+    return calls
 
 
 @pytest.fixture

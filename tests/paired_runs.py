@@ -2,11 +2,13 @@
 end-to-end metric:
 
     python tests/paired_runs.py PARENT CHANGE [--pairs 10] [--seconds 8]
-                                [--workload NAME ...]
+                                [--seed N] [--workload NAME ...]
 
 PARENT and CHANGE are checkout directories.  For each workload of CHANGE's
 ``BENCHMARK.json``, or each one named by ``--workload``, each pair runs one ``perfbench/run.py --trace 0``
-window per checkout, each with that checkout's own benchmark and sources;
+window per checkout (``window_argv``), at ``--seed`` where it is given, else
+at the benchmark's default seed, each with that checkout's own benchmark
+and sources;
 the parent runs first in even pairs and the change first in odd ones.  As
 each pair ends it prints the pair's parent and change value of every
 end-to-end metric (``pair_line``).  Per workload and metric it then prints the parent's median and quartiles, the
@@ -33,10 +35,18 @@ import numpy as np
 GAIN_SHARE = 0.9
 
 
-def window(checkout: Path, workload: str, seconds: float) -> tuple[dict, int]:
+def window_argv(workload: str, seconds: float, seed: int | None = None) -> list:
+    """The command of one benchmark window, run in a checkout; without
+    ``seed`` the benchmark takes its default one."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+            "--seconds", str(seconds), "--trace", "0"]
+    return argv if seed is None else argv + ["--seed", str(seed)]
+
+
+def window(checkout: Path, workload: str, seconds: float,
+           seed: int | None = None) -> tuple[dict, int]:
     """(metric values, failed runs) of one benchmark window of ``checkout``."""
-    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seconds", str(seconds), "--trace", "0"],
+    proc = subprocess.run(window_argv(workload, seconds, seed),
                           cwd=checkout, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines else {}
@@ -109,6 +119,8 @@ def main(argv=None) -> int:
     p.add_argument("change", type=Path)
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=8.0)
+    p.add_argument("--seed", type=int,
+                   help="the benchmark's input seed (default: its own default)")
     p.add_argument("--workload", action="append",
                    help="run only this workload (repeat for more)")
     args = p.parse_args(argv)
@@ -124,7 +136,7 @@ def main(argv=None) -> int:
         pairs = []
         for i in range(args.pairs):
             order = (args.parent, args.change) if i % 2 == 0 else (args.change, args.parent)
-            runs = {side: window(side, workload, args.seconds) for side in order}
+            runs = {side: window(side, workload, args.seconds, args.seed) for side in order}
             ok &= all(values and not failed for values, failed in runs.values())
             pairs.append((runs[args.parent][0], runs[args.change][0]))
             print(pair_line(workload, i, *pairs[-1], bench["end_to_end"]), flush=True)

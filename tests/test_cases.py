@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import os
 import pathlib
 import subprocess
@@ -202,10 +203,10 @@ class TestL2Error:
         assert rep.err_B == pytest.approx(np.sqrt(err_sq[1]), rel=1e-14, abs=0)
 
     def test_box_chunks_evaluate_nodes_per_axis(self, c2, cube8, trig_calls):
-        # each sin/cos of a box slice sees the slice's 6 nodes per cell
-        # along one axis, not its 216 points per cell; an evaluation on the
-        # empty slice, which makes no sin/cos call on data, sizes every
-        # slice to 8192 // 36 cells
+        # each tan of a box slice sees the slice's 6 nodes per cell along
+        # one axis, not its 216 points per cell; an evaluation on the empty
+        # slice, which makes no tan call on data, sizes every slice to
+        # 8192 // 36 cells
         cells = []
 
         def parts(x, y, z):
@@ -215,9 +216,9 @@ class TestL2Error:
         cases.l2_error(cube8, vd.build_projectors(cube8), np.zeros(cube8.n_edges),
                        np.zeros(cube8.n_faces), dataclasses.replace(c2, EB_parts=parts), 1.0)
         assert cells == [0, 227, 227, 58]
-        assert len(trig_calls) == 4 * 3
+        assert [name for name, _ in trig_calls] == ["tan"] * 2 * 3
         for k, n in enumerate(cells[1:]):
-            assert max(trig_calls[4 * k:4 * k + 4]) <= 6 * n
+            assert max(size for _, size in trig_calls[2 * k:2 * k + 2]) <= 6 * n
 
     def test_norms_nonnegative(self, c1, cube2):
         proj = vd.build_projectors(cube2)
@@ -484,24 +485,27 @@ class TestFusedFields:
             assert np.array_equal(fused_field(case, 0, rule, t), case.E(rule.points, t))
             assert np.array_equal(fused_field(case, 1, rule, t), case.B(rule.points, t))
 
-    @pytest.mark.parametrize("case_id, fused", [(1, 6), (2, 4)])
+    @pytest.mark.parametrize("case_id, fused", [(1, 3), (2, 2)])
     def test_each_trig_call_once(self, case_id, fused, trig_calls):
+        # one tan per coordinate the case's sines and cosines depend on,
+        # and no sin or cos on the points
         case = cases.get_case(case_id)
         pts = np.random.default_rng(8).random((50, 3))
         case.EB_parts(*pts.T)
-        assert len(trig_calls) == fused
+        assert trig_calls == [("tan", 50)] * fused
         for field in (case.E, case.B):
             trig_calls.clear()
             field(pts, 0.5)
-            assert len(trig_calls) == fused
+            assert trig_calls == [("tan", 50)] * fused
 
     def test_current_parts_share_the_six_calls(self, monkeypatch):
-        # each case-1 J part calls sin and cos of pi x, pi y and pi z only,
-        # each at most once: a derivative of sin^2 printed as cos(2 pi x)
-        # would be a call outside them
+        # each case-1 J part takes the sines and cosines of pi x, pi y and
+        # pi z from at most one tan per coordinate, of exactly 0.5*pi*u,
+        # and calls no sin or cos: a derivative of sin^2 printed as
+        # cos(2 pi x) would be a call outside them
         pts = np.random.default_rng(8).random((3, 50))
         calls = []
-        for name in ("sin", "cos"):
+        for name in ("sin", "cos", "tan"):
             monkeypatch.setattr(_case_fields, name, lambda arg, name=name, fn=getattr(np, name):
                                 calls.append((name, arg)) or fn(arg))
         for _, parts in _case_fields.CASE1["J"]:
@@ -509,8 +513,9 @@ class TestFusedFields:
                 calls.clear()
                 g(*pts)
                 shared = [(name, i) for name, arg in calls
-                          for i in range(3) if np.array_equal(arg, np.pi * pts[i])]
-                assert len(shared) == len(calls) == len(set(shared)) <= 6, g.__name__
+                          for i in range(3) if np.array_equal(arg, 0.5 * np.pi * pts[i])]
+                assert {name for name, _ in calls} <= {"tan"}, g.__name__
+                assert len(shared) == len(calls) == len(set(shared)) <= 3, g.__name__
 
     @pytest.mark.parametrize("t", [0.0, np.zeros(50)], ids=["scalar-t", "array-t"])
     @pytest.mark.parametrize("case_id, which", [(1, "E"), (1, "B"), (2, "B")])
@@ -543,9 +548,11 @@ class TestEvaluationMemory:
     Bound: no more than the expanded fields that the one-dimensional
     factors replaced, whose peak is their 9 returned parts, 6 sin/cos
     locals and 3 products in flight, 18 arrays for case 1; a factoring that
-    keeps every factor for the whole call held 33.  Case 2 is generated as
-    before, at most its 7: 3 returned parts (a zero component is the
-    number 0) and 4 sin/cos locals.
+    keeps every factor for the whole call held 33.  The half-angle form
+    holds 18 while the last B part is formed: 4 parts, 6 half-angle
+    locals, 3 locals of p and 5 arrays in flight, that part included.
+    Case 2 at most its 7: 3 returned parts (a zero component is the
+    number 0) and 4 half-angle locals.
     """
 
     @pytest.mark.parametrize("case_id, bound", [(1, 18), (2, 7)])
@@ -621,7 +628,34 @@ def full_current(case_id):
 
 def assert_close(got, want, rtol=1e-13):
     assert got.shape == want.shape
+    assert np.isfinite(got).all()
     assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+FAR = 1e6 + 1 / 3
+
+
+def point_sets():
+    """Named point sets on and off the unit cube, each compared on its own
+    so that no set's values are lost beside a larger set's: random interior
+    points; points on the cube's faces, edges and corners; the grid of
+    multiples of 1/2 in [-1.5, 2], where pi u / 2 is a multiple of pi / 4
+    and, at the odd integers, tan(pi u / 2) is about 1e16; random points
+    of [-3, 4]^3; and points with coordinates FAR or -FAR beside interior
+    ones."""
+    rng = np.random.default_rng(10)
+    inner = rng.random((500, 3))
+    walls = []
+    for n_fixed in (1, 2, 3):                    # faces, edges, corners
+        for axes in itertools.combinations(range(3), n_fixed):
+            for sides in itertools.product((0.0, 1.0), repeat=n_fixed):
+                p = rng.random((4, 3))
+                p[:, axes] = sides
+                walls.append(p)
+    halves = np.array(list(itertools.product(np.arange(-3, 5) / 2, repeat=3)))
+    far = np.array(list(itertools.product((FAR, -FAR, 0.3, 0.7), repeat=3)))
+    return {"interior": inner, "walls": np.concatenate(walls), "half-integers": halves,
+            "outside": rng.uniform(-3, 4, (200, 3)), "far": far}
 
 
 class TestExactFields:
@@ -634,10 +668,27 @@ class TestExactFields:
         case = cases.get_case(case_id)
         e, b, *_ = full_fields(case_id)
         rng = np.random.default_rng(10)
-        pts = rng.random((500, 3))
-        for got, want in ((case.E, lambdified(e)), (case.B, lambdified(b))):
-            for t in (0.37, 1.0, rng.random(500)):
-                assert_close(got(pts, t), want(pts, t))
+        for pts in point_sets().values():
+            for got, want in ((case.E, lambdified(e)), (case.B, lambdified(b))):
+                for t in (0.37, 1.0, rng.random(len(pts))):
+                    assert_close(got(pts, t), want(pts, t))
+
+    def test_half_angle_forms(self):
+        # bound stated before the data: the generated half-angle sine and
+        # cosine are within 2 eps absolute of np.sin/np.cos of pi u on
+        # every coordinate of the point sets
+        printer = case_source.NumPyPrinter(case_source.PRINTER_SETTINGS)
+        lines, (s, c) = case_source.spatial_body(
+            [sp.sin(sp.pi * X), sp.cos(sp.pi * X)], ["s", "c"],
+            {"factors": {}, "held": (), "base": None}, printer)
+        namespace = {}
+        exec(f"from numpy import pi, tan\ndef forms(x):\n{lines}    return {s}, {c}\n",
+             namespace)
+        u = np.unique(np.concatenate([pts.ravel() for pts in point_sets().values()]))
+        sine, cosine = namespace["forms"](u)
+        eps = np.finfo(float).eps
+        assert np.abs(sine - np.sin(np.pi * u)).max() <= 2 * eps
+        assert np.abs(cosine - np.cos(np.pi * u)).max() <= 2 * eps
 
 
 class TestCurrentTerms:
@@ -651,13 +702,13 @@ class TestCurrentTerms:
     def test_pointwise_scalar_and_array_time(self, case_and_oracle):
         case, current = case_and_oracle
         rng = np.random.default_rng(7)
-        pts = rng.random((500, 3))
-        for t in (0.0, 0.37, 1.0):
-            got = sum(a(t) * g(pts) for a, g in case.J_terms)
-            assert_close(got, current(pts, t))
-        ts = rng.random(500)
-        got = sum(a(ts)[:, None] * g(pts) for a, g in case.J_terms)
-        assert_close(got, current(pts, ts))
+        for pts in point_sets().values():
+            for t in (0.0, 0.37, 1.0):
+                got = sum(a(t) * g(pts) for a, g in case.J_terms)
+                assert_close(got, current(pts, t))
+            ts = rng.random(len(pts))
+            got = sum(a(ts)[:, None] * g(pts) for a, g in case.J_terms)
+            assert_close(got, current(pts, ts))
 
     def test_edge_interpolant_of_terms(self, case_and_oracle, cube4, voro27):
         case, current = case_and_oracle

@@ -167,6 +167,18 @@ def test_paired_runs_pair_line():
                     "error_s - -> 0.001")
 
 
+def test_paired_runs_window_argv():
+    # --seed reaches perfbench/run.py; without it the benchmark keeps its
+    # own default seed
+    import paired_runs
+
+    base = [sys.executable, "perfbench/run.py", "--workload", "agglo-case1",
+            "--seconds", "8.0", "--trace", "0"]
+    assert paired_runs.window_argv("agglo-case1", 8.0) == base
+    assert paired_runs.window_argv("agglo-case1", 8.0, 2) == base + ["--seed", "2"]
+    assert paired_runs.window_argv("agglo-case1", 8.0, 0) == base + ["--seed", "0"]
+
+
 def test_paired_runs_workload_filter():
     import paired_runs
 

@@ -191,7 +191,7 @@ class TestInitState:
         face_quadrature_calls.clear()
         stepper.init_state(ops, case)
         edge_points = cube2.n_edges * geometry.segment_rule(vd.INTERP_EDGE_DEGREE)[0].size
-        assert trig_calls == {1: [], 2: [edge_points] * 4}[case_id]
+        assert trig_calls == {1: [], 2: [("tan", edge_points)] * 2}[case_id]
         assert len(edge_calls) == {1: 0, 2: 1}[case_id]
         assert face_quadrature_calls == []
 
@@ -491,13 +491,16 @@ class TestGradientCorrection:
         assert max(m.div_b for m in corrected.monitors) <= 1e-12
 
     @pytest.mark.parametrize("mesh_name, case_id, tau, jacobi_iters, corrected_iters",
-                             [("cube8", 2, 1 / 32, 785, 395), ("cube6", 2, 1 / 512, 895, 895),
+                             [("cube8", 2, 1 / 32, 785, 395), ("cube6", 2, 1 / 512, 896, 896),
                               ("agglo4", 1, 1 / 16, 208, 165)],
                              ids=["hex-coarse-dt", "hex-fine-dt", "agglo-case1"])
     def test_iteration_counts(self, request, monkeypatch, mesh_name, case_id, tau,
                               jacobi_iters, corrected_iters):
         # deterministic counts of the benchmark's configurations: fewer
-        # where the correction is on, the same Jacobi solves where it is off
+        # where the correction is on, the same Jacobi solves where it is off;
+        # hex-fine-dt's 512 solves stop within an iteration of their
+        # tolerance, so its current's round-off moves the count (895 with
+        # sin/cos current parts, 896 with their half-angle forms)
         mesh = (generate_cube_mesh(6) if mesh_name == "cube6"
                 else request.getfixturevalue(mesh_name))
         case = cases.get_case(case_id)
