@@ -68,8 +68,10 @@ def _load_source(source: str | Path):
     if isinstance(source, str) and source.startswith("cube:"):
         return vmesh.generate_cube_mesh(_cube_size(source))
     m = vmesh.load_mesh(source)
-    return m if m.name else dataclasses.replace(
-        m, name=vmesh.check_label(Path(source).stem, source))
+    label = m.name or Path(source).stem             # a CSV row's first field
+    if any(c in label for c in ",\r\n"):
+        raise vmesh.MeshFormatError(f"{source}: name {label!r} holds a comma or a line break")
+    return m if m.name else dataclasses.replace(m, name=label)
 
 
 def _check_writable(*paths) -> None:

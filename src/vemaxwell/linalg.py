@@ -37,8 +37,9 @@ import numpy as np
 def _load_sparsetools():
     """``scipy.sparse._sparsetools``, loaded from its extension file when
     ``scipy.sparse`` is not imported: ``find_spec`` locates scipy without
-    running its ``__init__``.  The module is registered under its own name,
-    so a later ``import scipy.sparse`` shares it."""
+    running its ``__init__``.  Creating this single-phase extension module
+    registers it in ``sys.modules`` under its own name, so a later
+    ``import scipy.sparse`` shares it."""
     name = "scipy.sparse._sparsetools"
     if name in sys.modules:
         return sys.modules[name]
@@ -51,7 +52,6 @@ def _load_sparsetools():
                 spec = importlib.util.spec_from_file_location(name, path, loader=loader)
                 module = importlib.util.module_from_spec(spec)
                 loader.exec_module(module)
-                sys.modules[name] = module
                 return module
     raise ImportError("scipy's compiled sparse kernels (scipy.sparse._sparsetools) "
                       "were not found")

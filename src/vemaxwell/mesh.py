@@ -249,17 +249,20 @@ def _distinct(values: np.ndarray) -> np.ndarray:
 
 
 def _instances(values: np.ndarray, types) -> np.ndarray:
-    """Whether each entry of an object array is an instance of ``types``,
+    """Whether each entry of an object array is an instance of ``types``
+    other than ``bool`` (an ``int`` subclass, so ``True`` would pass as 1),
     with one ``issubclass`` per distinct type."""
-    kinds = {t: issubclass(t, types) for t in set(map(type, values.flat))}
+    kinds = {t: issubclass(t, types) and t is not bool for t in set(map(type, values.flat))}
     return np.fromiter(map(kinds.get, map(type, values.flat)), bool).reshape(values.shape)
 
 
 def _index_lists(lists, entity: str = "list"):
     """Raw index lists as one flat int ``Ragged``, and whether each entry
     fits an int (those that do not are stored as 0); MeshFormatError
-    naming the first ``entity`` with an entry that is not an integer.  A
-    2-d signed integer array is taken as it is: its type settles both."""
+    naming the first ``entity`` that is a string or a mapping (JSON's ""
+    and {} would pass as empty lists) or holds an entry that is not an
+    integer.  A 2-d signed integer array is taken as it is: its type
+    settles both."""
     if isinstance(lists, np.ndarray) and lists.ndim == 2 and lists.dtype.kind == "i":
         sizes = np.full(lists.shape[0], lists.shape[1])
         return (Ragged(lists.astype(int).ravel(), _offsets(sizes),
@@ -268,7 +271,9 @@ def _index_lists(lists, entity: str = "list"):
     sizes = np.fromiter(map(len, lists), int, len(lists))
     values = np.fromiter(chain.from_iterable(lists), object, sizes.sum())
     owners = np.repeat(np.arange(sizes.size), sizes)
-    _raise_first([(np.bincount(owners[~_instances(values, (int, np.integer))],
+    _raise_first([(_instances(np.fromiter(lists, object, len(lists)), (str, dict)),
+                   MeshFormatError, f"{entity} {{0}} is not a list"),
+                  (np.bincount(owners[~_instances(values, (int, np.integer))],
                                minlength=sizes.size) > 0,
                    MeshFormatError, f"{entity} {{0}} has a non-integer index")])
     fits = ~((values < np.iinfo(int).min) | (values > np.iinfo(int).max))
@@ -315,37 +320,47 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
     """Build a PolyMesh from raw vertices, face loops and signed face lists.
 
     ``cells`` uses 1-based signed face references: +k means face k-1 with
-    its stored normal pointing outward, -k means inward.
+    its stored normal pointing outward, -k means inward.  This is the one
+    check of the raw entries: arrays that do not convert, coordinates that
+    are not numbers and indices that are not integers (``bool`` is neither)
+    are MeshFormatErrors, raised before any other check.
     """
-    coords = np.asarray(vertices)
-    if coords.ndim != 2 or coords.shape[1] != 3:
-        raise MeshFormatError("vertices must be an (n, 3) array")
-    if coords.dtype.kind not in "iuf":                # strings, or objects of any type
-        ok = _instances(np.asarray(vertices, dtype=object), (int, float, np.integer, np.floating))
-        _raise_first([(~ok.all(axis=1), MeshFormatError,
-                       "vertex {0} has a coordinate that is not a number")])
-    vertices = np.ascontiguousarray(coords, dtype=float)
+    try:
+        coords = np.asarray(vertices)
+        if coords.ndim != 2 or coords.shape[1] != 3:
+            raise MeshFormatError("vertices must be an (n, 3) array")
+        # a numeric ndarray's dtype settles its entries; numpy reads a list's
+        # True or "1" as a number
+        if not isinstance(vertices, np.ndarray) or coords.dtype.kind not in "iuf":
+            ok = _instances(np.asarray(vertices, dtype=object),
+                            (int, float, np.integer, np.floating))
+            _raise_first([(~ok.all(axis=1), MeshFormatError,
+                           "vertex {0} has a coordinate that is not a number")])
+        vertices = np.ascontiguousarray(coords, dtype=float)
+        faces, face_fits = _index_lists(faces, "face")
+        refs, ref_fits = _index_lists(cells, "cell")
+    # OverflowError: an integer coordinate beyond the float range
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MeshFormatError(f"malformed arrays: {exc}") from exc
     _raise_first([(~np.isfinite(vertices).all(axis=1), MeshFormatError,
                    "vertex {0} has a non-finite coordinate"),
                   ((np.abs(vertices) > COORD_LIMIT).any(axis=1), MeshFormatError,
                    f"vertex {{0}} has a coordinate beyond +-{COORD_LIMIT:.0e}")])
     nv = vertices.shape[0]
 
-    faces, fits = _index_lists(faces, "face")
     nf, loops = len(faces), faces.flat
     _raise_first([
-        (_any_entry(faces, ~fits), MeshFormatError, "face {0} has an index out of range"),
+        (_any_entry(faces, ~face_fits), MeshFormatError, "face {0} has an index out of range"),
         (np.diff(faces.offsets) < 3, MeshTopologyError, "face {0} has fewer than 3 vertices"),
         (_any_entry(faces, (loops < 0) | (loops >= nv)), MeshTopologyError,
          "face {0} references a missing vertex"),
         (_repeats(faces), MeshTopologyError, "inconsistent loop: face {0} repeats a vertex"),
     ])
 
-    refs, fits = _index_lists(cells, "cell")
     nc = len(refs)
     cell_faces = Ragged(np.abs(refs.flat) - 1, refs.offsets, refs.owners)
     _raise_first([
-        (_any_entry(refs, ~fits), MeshFormatError, "cell {0} has an index out of range"),
+        (_any_entry(refs, ~ref_fits), MeshFormatError, "cell {0} has an index out of range"),
         ((np.diff(refs.offsets) < 4) | _any_entry(refs, refs.flat == 0), MeshTopologyError,
          "cell {0} has an invalid face list"),
         (_any_entry(refs, cell_faces.flat >= nf), MeshTopologyError,
@@ -492,21 +507,14 @@ def derive_topology(vertices, faces, cells, name: str = "") -> PolyMesh:
     )
 
 
-def check_label(name: str, source) -> str:
-    """``name``, a CSV row's label: MeshFormatError if it breaks the row."""
-    if any(c in name for c in ",\r\n"):
-        raise MeshFormatError(f"{source}: name {name!r} holds a comma or a line break")
-    return name
-
-
 def load_mesh(path) -> PolyMesh:
     """Read a PVM-JSON mesh file.
 
     Format: object with "vertices" ([x, y, z] triples), "faces" (0-based
     vertex loops; loop order defines the normal), "cells" (1-based signed
     face indices) and an optional "name" string.  Coordinates must be
-    finite JSON numbers and indices JSON integers.  The name labels a CSV row, so it
-    may not hold a comma or a line break.
+    finite JSON numbers and indices JSON integers; ``derive_topology``
+    checks every entry, so this reads the JSON and its keys only.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -521,23 +529,7 @@ def load_mesh(path) -> PolyMesh:
     name = doc.get("name", "")
     if not isinstance(name, str):
         raise MeshFormatError(f"{path}: name must be a string")
-    check_label(name, path)
-    try:
-        # numpy would read "1" or true as the coordinate 1.0, and truncate 1.5
-        # or true to a valid index, without a word
-        for i, xyz in enumerate(doc["vertices"]):
-            if not all(type(c) in (int, float) for c in xyz):
-                raise MeshFormatError(f"{path}: vertex {i} has a coordinate that is not a number")
-        for key in ("faces", "cells"):
-            for i, refs in enumerate(doc[key]):
-                if not all(type(r) is int for r in refs):
-                    raise MeshFormatError(f"{path}: {key[:-1]} {i} has a non-integer index")
-                if type(refs) is not list:       # "" or {}
-                    raise TypeError(f"{key[:-1]} {i} is not a list")
-        return derive_topology(doc["vertices"], doc["faces"], doc["cells"], name=name)
-    # OverflowError: a JSON integer coordinate beyond the float range
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise MeshFormatError(f"{path}: malformed arrays: {exc}") from exc
+    return derive_topology(doc["vertices"], doc["faces"], doc["cells"], name=name)
 
 
 def _pvm_arrays(mesh: PolyMesh):

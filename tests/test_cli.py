@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA, folded_voro8, scipy_csr
-from vemaxwell import cli, derham, generate_cube_mesh, load_mesh
-from vemaxwell.mesh import MeshFormatError, _pvm_arrays
+from vemaxwell import cli, derham, derive_topology, generate_cube_mesh, load_mesh
+from vemaxwell.mesh import MeshError, MeshFormatError, _pvm_arrays
 
 
 class TestRunConfig:
@@ -456,3 +456,40 @@ def test_malformed_mesh_fails_with_one_error_line_or_runs(doc, tmp_path_factory)
     else:
         assert code == 0, err.getvalue()
         assert_exact_sequence_and_projectors(load_mesh(path))
+
+
+def leaves(x):
+    """The non-list values nested in ``x``."""
+    return [leaf for entry in x for leaf in leaves(entry)] if isinstance(x, list) else [x]
+
+
+# How a library caller might hand over each entry (a vertex row, face loop
+# or cell list): as written, as a 1-d object array, or, where it holds
+# int32-sized ints only, as an int32 array.
+ENTRY_FORMS = {
+    "list": lambda entry: entry,
+    "object": lambda entry: (np.fromiter(entry, object, len(entry))
+                             if isinstance(entry, list) else entry),
+    "int32": lambda entry: (np.array(entry, np.int32) if isinstance(entry, list) and all(
+        type(v) is int and -2**31 <= v < 2**31 for v in entry) else entry),
+}
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(doc=malformed_documents(), form=st.sampled_from(sorted(ENTRY_FORMS)))
+def test_malformed_entries_called_directly_fail_with_a_mesh_error_or_build(doc, form):
+    # derive_topology, with no JSON round trip, is the one check of raw
+    # entries: a MeshError, a MeshFormatError wherever a bool stands, or a
+    # mesh that keeps the exact sequence and the projector identities
+    raw = [doc[key] for key in ("vertices", "faces", "cells")]
+    arrays = [list(map(ENTRY_FORMS[form], entries)) for entries in raw]
+    has_bool = any(type(leaf) is bool for leaf in leaves(raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            mesh = derive_topology(*arrays)
+        except MeshError as exc:      # anything else escapes and fails the test
+            assert isinstance(exc, MeshFormatError) or not has_bool, exc
+            return
+    assert not has_bool
+    assert_exact_sequence_and_projectors(mesh)

@@ -101,13 +101,12 @@ class TestLoadMesh:
         (lambda d: d.__setitem__("cells", [3]), vm.MeshFormatError, "malformed arrays"),
         (lambda d: d.__setitem__("name", [1]), vm.MeshFormatError,
          "name must be a string"),
-        # the name labels a CSV row: a comma or a line break would split it
-        (lambda d: d.__setitem__("name", "run 1, coarse"), vm.MeshFormatError,
-         "comma or a line break"),
-        (lambda d: d.__setitem__("name", "two\nlines"), vm.MeshFormatError,
-         "comma or a line break"),
-        (lambda d: d.__setitem__("name", "two\rlines"), vm.MeshFormatError,
-         "comma or a line break"),
+        # a name that would break a CSV row is kept as written (error None,
+        # the name in place of the message): the CLI, which writes the row,
+        # rejects it
+        (lambda d: d.__setitem__("name", "run 1, coarse"), None, "run 1, coarse"),
+        (lambda d: d.__setitem__("name", "two\nlines"), None, "two\nlines"),
+        (lambda d: d.__setitem__("name", "two\rlines"), None, "two\rlines"),
     ], ids=["huge-face-index", "huge-cell-index", "cell-face-0", "face-vertex--1",
             "two-vertex-face", "empty-cell", "two-vector-vertex", "huge-int-coordinate",
             "cells-not-lists",
@@ -116,6 +115,9 @@ class TestLoadMesh:
         # a bare IndexError/KeyError/OverflowError would escape pytest.raises
         doc = json.loads((DATA / "voro8.json").read_text())
         mutate(doc)
+        if error is None:
+            assert vm.load_mesh(write_json(tmp_path, doc)).name == message
+            return
         with pytest.raises(error, match=message):
             vm.load_mesh(write_json(tmp_path, doc))
 
@@ -305,15 +307,34 @@ class TestDeriveTopology:
          "vertex 5 has a coordinate that is not a number"),
         (lambda v, f, c: v[6].__setitem__(0, 1j),
          "vertex 6 has a coordinate that is not a number"),
+        # bool is an int subclass, and numpy reads a list's True as 1.0
+        (lambda v, f, c: v[2].__setitem__(1, True),
+         "vertex 2 has a coordinate that is not a number"),
+        (lambda v, f, c: v[7].__setitem__(0, False),
+         "vertex 7 has a coordinate that is not a number"),
+        (lambda v, f, c: f[3].__setitem__(2, True), "face 3 has a non-integer index"),
+        (lambda v, f, c: c[1].__setitem__(0, False), "cell 1 has a non-integer index"),
+        (lambda v, f, c: v[3].__delitem__(2), "malformed arrays: setting an array element .*"),
+        (lambda v, f, c: f.__setitem__(2, 5),
+         "malformed arrays: object of type 'int' has no len.*"),
+        (lambda v, f, c: c.__setitem__(4, None),
+         "malformed arrays: object of type 'NoneType' has no len.*"),
+        (lambda v, f, c: v[4].__setitem__(0, 10**400),
+         "malformed arrays: int too large to convert to float"),
+        (lambda v, f, c: (v, None, c), "malformed arrays: 'NoneType' object is not iterable"),
     ], ids=["half-index", "nan-index", "float-array-face", "float-cells", "string-ref",
-            "string-coordinate", "none-coordinate", "complex-coordinate"])
+            "string-coordinate", "none-coordinate", "complex-coordinate",
+            "true-coordinate", "false-coordinate", "true-index", "false-ref",
+            "ragged-vertex", "int-face", "none-cell", "huge-int-coordinate", "no-faces"])
     def test_entry_that_is_not_a_number_rejected(self, cube2, edit, message):
-        # derive_topology itself, not only load_mesh's JSON checks, rejects
-        # an index that is not an integer and a coordinate that is not a number
-        vertices, faces, cells = vm._pvm_arrays(cube2)
-        edit(vertices, faces, cells)
+        # derive_topology is the one check of raw entries (load_mesh only
+        # parses the JSON): an index that is not an integer, a coordinate that
+        # is not a number and an array that does not convert are
+        # MeshFormatErrors; an edit returns the arrays it replaces
+        arrays = vm._pvm_arrays(cube2)
+        arrays = edit(*arrays) or arrays
         with pytest.raises(vm.MeshFormatError, match=f"^{message}$"):
-            vm.derive_topology(vertices, faces, cells)
+            vm.derive_topology(*arrays)
 
     def test_numpy_entries_accepted(self, cube2):
         vertices, faces, cells = vm._pvm_arrays(cube2)
@@ -691,8 +712,8 @@ INDEX = st.one_of(st.integers(-N_REFS, N_REFS),
 @st.composite
 def mutated_voro8(draw):
     """voro8 with a few faces or cells edited; every face and cell stays
-    a list of JSON integers, so load_mesh's type checks pass and the
-    document reaches derive_topology's validation."""
+    a list of JSON integers, so the document passes derive_topology's
+    entry checks and reaches its validation."""
     doc = copy.deepcopy(VORO8)
     # Edits favour one face and one cell, so that one entity often fails
     # several checks at once.
